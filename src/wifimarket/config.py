@@ -22,6 +22,7 @@ strings -- it never raises -- so the CLI can print every problem at once.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any
@@ -32,7 +33,7 @@ from .sharing import SharingParams
 
 
 class ConfigError(ValueError):
-    """Malformed scenario document (wrong shape, not wrong numbers)."""
+    """Malformed scenario document (wrong shape or not a finite number, not out of range)."""
 
 
 @dataclass(frozen=True)
@@ -111,21 +112,33 @@ def _require(mapping: dict, key: str, where: str) -> Any:
     return mapping[key]
 
 
+def _number(raw: Any, name: str, kind: type = float) -> Any:
+    """``kind(raw)``; ConfigError naming the field if it does not convert or is not finite."""
+    try:
+        value = kind(raw)
+        if math.isfinite(value):
+            return value
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ConfigError(f"{name} must be a finite number, got {raw!r}")
+
+
 def _parse_user(entry: dict) -> list[UserProfile]:
     base_id = str(_require(entry, "id", "user"))
-    count = int(entry.get("count", 1))
+    where = f"user {base_id!r}"
+    count = _number(entry.get("count", 1), f"{where}: count", int)
     if count < 1:
-        raise ConfigError(f"user {base_id!r}: count must be at least 1")
+        raise ConfigError(f"{where}: count must be at least 1")
     profile = UserProfile(
         id=base_id,
-        weight=float(entry.get("weight", 1.0)),
-        tx_power=float(entry.get("tx_power", 1.0)),
-        channel_gain2=float(entry.get("channel_gain2", 1.0)),
-        noise_var=float(entry.get("noise_var", 1.0)),
-        band=float(entry.get("band", 1.0)),
-        budget=float(entry.get("budget", 100.0)),
-        x_min=float(entry.get("x_min", 1e-3)),
-        x_max=float(entry.get("x_max", 100.0)),
+        weight=_number(entry.get("weight", 1.0), f"{where}: weight"),
+        tx_power=_number(entry.get("tx_power", 1.0), f"{where}: tx_power"),
+        channel_gain2=_number(entry.get("channel_gain2", 1.0), f"{where}: channel_gain2"),
+        noise_var=_number(entry.get("noise_var", 1.0), f"{where}: noise_var"),
+        band=_number(entry.get("band", 1.0), f"{where}: band"),
+        budget=_number(entry.get("budget", 100.0), f"{where}: budget"),
+        x_min=_number(entry.get("x_min", 1e-3), f"{where}: x_min"),
+        x_max=_number(entry.get("x_max", 100.0), f"{where}: x_max"),
         path=tuple(entry.get("path", ())),
         wfp=str(entry.get("wfp", "")),
     )
@@ -139,35 +152,42 @@ def _parse_mode(entry: dict) -> Mode:
     if kind == "sweep":
         return SweepMode(
             swept_party=str(_require(entry, "swept_party", "mode")),
-            start=float(_require(entry, "start", "mode")),
-            step=float(entry.get("step", 1.0)),
-            count=int(entry.get("count", 300)),
-            user_growth=int(entry.get("user_growth", 0)),
+            start=_number(_require(entry, "start", "mode"), "mode: start"),
+            step=_number(entry.get("step", 1.0), "mode: step"),
+            count=_number(entry.get("count", 300), "mode: count", int),
+            user_growth=_number(entry.get("user_growth", 0), "mode: user_growth", int),
             allocation=str(entry.get("allocation", "equal")),
         )
     if kind == "equilibrium":
         loads = {
-            str(lid): tuple(float(v) for v in series)
+            str(lid): tuple(
+                _number(v, f"mode: subscriber_loads[{lid!r}][{i}]") for i, v in enumerate(series)
+            )
             for lid, series in entry.get("subscriber_loads", {}).items()
         }
         return EquilibriumMode(
-            ticks=int(_require(entry, "ticks", "mode")),
-            user_growth=int(entry.get("user_growth", 0)),
-            billing_cycle_ticks=int(entry.get("billing_cycle_ticks", 0)),
+            ticks=_number(_require(entry, "ticks", "mode"), "mode: ticks", int),
+            user_growth=_number(entry.get("user_growth", 0), "mode: user_growth", int),
+            billing_cycle_ticks=_number(
+                entry.get("billing_cycle_ticks", 0), "mode: billing_cycle_ticks", int
+            ),
             subscriber_loads=loads,
         )
     if kind == "quota_sweep":
         return QuotaSweepMode(
-            usage_steps=int(entry.get("usage_steps", 20)),
-            txn_volume=float(entry.get("txn_volume", 10.0)),
+            usage_steps=_number(entry.get("usage_steps", 20), "mode: usage_steps", int),
+            txn_volume=_number(entry.get("txn_volume", 10.0), "mode: txn_volume"),
         )
     if kind == "ceiling_sweep":
+        levels = entry.get("usage_levels", (0.0, 0.25, 0.5, 0.75))
         return CeilingSweepMode(
-            usage_levels=tuple(float(v) for v in entry.get("usage_levels", (0.0, 0.25, 0.5, 0.75))),
-            price_start=float(entry.get("price_start", 0.0)),
-            price_stop=float(entry.get("price_stop", 100.0)),
-            price_step=float(entry.get("price_step", 1.0)),
-            txn_volume=float(entry.get("txn_volume", 10.0)),
+            usage_levels=tuple(
+                _number(v, f"mode: usage_levels[{i}]") for i, v in enumerate(levels)
+            ),
+            price_start=_number(entry.get("price_start", 0.0), "mode: price_start"),
+            price_stop=_number(entry.get("price_stop", 100.0), "mode: price_stop"),
+            price_step=_number(entry.get("price_step", 1.0), "mode: price_step"),
+            txn_volume=_number(entry.get("txn_volume", 10.0), "mode: txn_volume"),
         )
     raise ConfigError(f"mode: unknown kind {kind!r}")
 
@@ -175,8 +195,9 @@ def _parse_mode(entry: dict) -> Mode:
 def scenario_from_dict(doc: dict) -> ScenarioConfig:
     """Build a ScenarioConfig from a parsed JSON document.
 
-    Shape problems (missing keys, unknown enum values) raise ConfigError;
-    numeric problems are left for :func:`validate_scenario` to report.
+    Shape problems (missing keys, unknown enum values) and numbers that do not
+    convert or are not finite raise ConfigError; out-of-range numbers are left
+    for :func:`validate_scenario` to report.
     """
     if not isinstance(doc, dict):
         raise ConfigError("scenario document must be a JSON object")
@@ -184,11 +205,12 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
     links = {}
     for entry in doc.get("links", []):
         lid = str(_require(entry, "id", "link"))
+        where = f"link {lid}"
         links[lid] = LinkState(
             id=lid,
-            capacity=float(_require(entry, "capacity", f"link {lid}")),
-            subscriber_load=float(entry.get("subscriber_load", 0.0)),
-            price=float(entry.get("price", 0.0)),
+            capacity=_number(_require(entry, "capacity", where), f"{where}: capacity"),
+            subscriber_load=_number(entry.get("subscriber_load", 0.0), f"{where}: subscriber_load"),
+            price=_number(entry.get("price", 0.0), f"{where}: price"),
         )
     topology = Topology(nodes=tuple(doc.get("nodes", ())), links=links)
 
@@ -201,34 +223,36 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
             kind = WfpKind(kind_raw)
         except ValueError as exc:
             raise ConfigError(f"wfp {wid}: unknown kind {kind_raw!r}") from exc
-        quota = float(entry.get("quota", 0.0))
+        where = f"wfp {wid}"
+        quota = _number(entry.get("quota", 0.0), f"{where}: quota")
         wfps.append(
             WfpAccount(
                 id=wid,
                 kind=kind,
-                capacity=float(entry.get("capacity", 0.0)),
+                capacity=_number(entry.get("capacity", 0.0), f"{where}: capacity"),
                 quota=quota,
-                unused=float(entry.get("unused", quota)),
-                min_profit=float(entry.get("min_profit", 0.0)),
-                fee=float(entry.get("fee", 0.0)),
-                settled_share=float(entry.get("settled_share", 0.0)),
-                txn_cap=float(entry.get("txn_cap", 0.0)),
+                unused=_number(entry.get("unused", quota), f"{where}: unused"),
+                min_profit=_number(entry.get("min_profit", 0.0), f"{where}: min_profit"),
+                fee=_number(entry.get("fee", 0.0), f"{where}: fee"),
+                settled_share=_number(entry.get("settled_share", 0.0), f"{where}: settled_share"),
+                txn_cap=_number(entry.get("txn_cap", 0.0), f"{where}: txn_cap"),
             )
         )
         if "price" in entry:
-            wfp_prices[wid] = float(entry["price"])
+            wfp_prices[wid] = _number(entry["price"], f"{where}: price")
 
     users: list[UserProfile] = []
     for entry in doc.get("users", []):
         users.extend(_parse_user(entry))
 
     solver_doc = doc.get("solver", {})
+    # ConfigError is a ValueError: the handlers below also prefix _number's messages
     try:
         solver = SolverConfig(
-            sigma0=float(solver_doc.get("sigma0", 1.0)),
-            epsilon=float(solver_doc.get("epsilon", 1e-6)),
-            max_iters=int(solver_doc.get("max_iters", 100_000)),
-            x_floor=float(solver_doc.get("x_floor", 1e-6)),
+            sigma0=_number(solver_doc.get("sigma0", 1.0), "sigma0"),
+            epsilon=_number(solver_doc.get("epsilon", 1e-6), "epsilon"),
+            max_iters=_number(solver_doc.get("max_iters", 100_000), "max_iters", int),
+            x_floor=_number(solver_doc.get("x_floor", 1e-6), "x_floor"),
         )
     except ValueError as exc:
         raise ConfigError(f"solver: {exc}") from exc
@@ -236,8 +260,8 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
     sharing_doc = doc.get("sharing", {})
     try:
         sharing = SharingParams(
-            alpha=float(sharing_doc.get("alpha", 1.0)),
-            beta=float(sharing_doc.get("beta", 2.5)),
+            alpha=_number(sharing_doc.get("alpha", 1.0), "alpha"),
+            beta=_number(sharing_doc.get("beta", 2.5), "beta"),
         )
     except ValueError as exc:
         raise ConfigError(f"sharing: {exc}") from exc
@@ -251,7 +275,7 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
     return ScenarioConfig(
         name=str(doc.get("name", "scenario")),
         unit=unit,
-        seed=int(doc.get("seed", 0)),
+        seed=_number(doc.get("seed", 0), "seed", int),
         topology=topology,
         wfps=wfps,
         wfp_prices=wfp_prices,
@@ -260,7 +284,7 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
         sharing=sharing,
         mode=_parse_mode(_require(doc, "mode", "scenario")),
         solve_isp=bool(doc.get("solve_isp", True)),
-        lambda0=float(doc.get("lambda0", 0.0)),
+        lambda0=_number(doc.get("lambda0", 0.0), "lambda0"),
         notes=str(doc.get("notes", "")),
     )
 

@@ -37,38 +37,39 @@ MAP_FIELDS = (
     ("x_by_user", "x"),
 )
 
+NUMBER_FORMAT = "%.9g"
+
 
 def format_value(value: float) -> str:
-    """Decimal with 9 significant digits -- the CSV number format."""
-    return format(float(value), ".9g")
+    """Decimal with 9 significant digits -- the one number format of every report."""
+    return NUMBER_FORMAT % value
+
+
+def _column_plan(ts: TimeSeries) -> tuple[list[str], list[tuple[str, list[str]]]]:
+    """The CSV header, and ``(attr, keys)`` per map field: the run's keys, sorted as strings."""
+    header, plan = ["series", "step", *SCALAR_FIELDS], []
+    for attr, prefix in MAP_FIELDS:
+        keys = sorted(set().union(*(getattr(rec, attr) for rec in ts.records)))
+        header += [f"{prefix}.{key}" for key in keys]
+        plan.append((attr, keys))
+    return header, plan
 
 
 def csv_header(ts: TimeSeries) -> list[str]:
-    header = ["series", "step", *SCALAR_FIELDS]
-    for attr, prefix in MAP_FIELDS:
-        keys: set[str] = set()
-        for rec in ts.records:
-            keys.update(getattr(rec, attr))
-        header.extend(f"{prefix}.{key}" for key in sorted(keys))
-    return header
+    return _column_plan(ts)[0]
 
 
 def write_csv(ts: TimeSeries, path: str | Path) -> None:
-    header = csv_header(ts)
+    header, plan = _column_plan(ts)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for rec in ts.records:
-            row: list[str] = [rec.series, str(rec.step)]
-            row.extend(format_value(getattr(rec, name)) for name in SCALAR_FIELDS)
-            for attr, prefix in MAP_FIELDS:
+            row = [rec.series, str(rec.step)]
+            row += [NUMBER_FORMAT % getattr(rec, name) for name in SCALAR_FIELDS]
+            for attr, keys in plan:
                 mapping = getattr(rec, attr)
-                prefix_dot = f"{prefix}."
-                for column in header:
-                    if not column.startswith(prefix_dot):
-                        continue
-                    key = column[len(prefix_dot):]
-                    row.append(format_value(mapping[key]) if key in mapping else "")
+                row += [NUMBER_FORMAT % mapping[key] if key in mapping else "" for key in keys]
             writer.writerow(row)
 
 
@@ -76,17 +77,15 @@ def read_csv(path: str | Path) -> TimeSeries:
     """Parse a CSV written by :func:`write_csv` back into a TimeSeries."""
     ts = TimeSeries(name=Path(path).stem)
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        cells_by_attr = [(attr, [(i, name[len(prefix) + 1:]) for i, name in enumerate(header)
+                                 if name.startswith(f"{prefix}.")]) for attr, prefix in MAP_FIELDS]
         for row in reader:
-            rec = StepRecord(series=row["series"], step=int(row["step"]))
-            for name in SCALAR_FIELDS:
-                setattr(rec, name, float(row[name]))
-            for attr, prefix in MAP_FIELDS:
-                prefix_dot = f"{prefix}."
-                mapping = getattr(rec, attr)
-                for column, raw in row.items():
-                    if column.startswith(prefix_dot) and raw not in ("", None):
-                        mapping[column[len(prefix_dot):]] = float(raw)
+            scalars = dict(zip(SCALAR_FIELDS, map(float, row[2:])))
+            rec = StepRecord(series=row[0], step=int(row[1]), **scalars)
+            for attr, cells in cells_by_attr:
+                getattr(rec, attr).update((key, float(row[i])) for i, key in cells if row[i])
             ts.records.append(rec)
     return ts
 

@@ -96,6 +96,24 @@ def test_malformed_json_is_invalid_input(tmp_path, capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "section, index, key, value, message",
+    [
+        ("users", 0, "count", "abc", "user 'u': count must be a finite number, got 'abc'"),
+        ("wfps", 0, "capacity", float("nan"), "wfp w1: capacity must be a finite number, got nan"),
+    ],
+)
+def test_non_numeric_or_non_finite_field_is_invalid_input(
+    tmp_path, capsys, section, index, key, value, message
+):
+    doc = json.loads(json.dumps(GOOD_DOC))
+    doc[section][index][key] = value
+    config = write_doc(tmp_path, doc)
+    code = cli.main(["run", "--config", str(config), "--out", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [message]
+
+
 def test_unknown_format_is_invalid_input(tmp_path, capsys):
     config = write_doc(tmp_path, GOOD_DOC)
     code = cli.main(

@@ -113,6 +113,29 @@ def test_scenario_from_dict_requires_mode():
         scenario_from_dict(doc)
 
 
+@pytest.mark.parametrize(
+    "patch, message",
+    [
+        ({"solver": {"sigma0": "fast"}}, "solver: sigma0 must be a finite number, got 'fast'"),
+        ({"seed": None}, "seed must be a finite number, got None"),
+        ({"lambda0": float("inf")}, "lambda0 must be a finite number, got inf"),
+        (
+            {"mode": {"kind": "equilibrium", "ticks": 2, "subscriber_loads": {"AB": [1, "x"]}}},
+            "mode: subscriber_loads['AB'][1] must be a finite number, got 'x'",
+        ),
+        (
+            {"mode": {"kind": "ceiling_sweep", "usage_levels": [0.5, float("nan")]}},
+            "mode: usage_levels[1] must be a finite number, got nan",
+        ),
+        ({"mode": {"kind": "equilibrium", "ticks": 1e400}}, "mode: ticks must be a finite number"),
+    ],
+)
+def test_scenario_from_dict_rejects_non_numbers_and_non_finite(patch, message):
+    with pytest.raises(ConfigError) as exc:
+        scenario_from_dict({**MINIMAL_DOC, **patch})
+    assert str(exc.value).startswith(message)
+
+
 def test_mode_parsing_covers_all_kinds():
     assert isinstance(
         scenario_from_dict({**MINIMAL_DOC, "mode": {"kind": "sweep", "swept_party": "isp", "start": 10}}).mode,

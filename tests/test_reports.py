@@ -1,12 +1,22 @@
 """Report tests: CSV round-trip fidelity, number formatting, SVG structure."""
+import math
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
 from wifimarket.engine import StepRecord, TimeSeries
 from wifimarket.presets import load_preset
 from wifimarket.engine import run_scenario
-from wifimarket.reports import csv_header, format_value, read_csv, write_csv, write_svg
+from wifimarket.reports import (
+    MAP_FIELDS,
+    SCALAR_FIELDS,
+    csv_header,
+    format_value,
+    read_csv,
+    write_csv,
+    write_svg,
+)
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -57,6 +67,9 @@ def test_format_value_nine_significant_digits():
     assert format_value(1234567891.0) == "1.23456789e+09"
     assert format_value(150.0) == "150"
     assert format_value(0.000123456789123) == "0.000123456789"
+    assert format_value(5e-324) == "4.94065646e-324"
+    assert format_value(np.float32(0.1)) == "0.100000001"
+    assert format_value(True) == "1"
 
 
 def test_csv_header_layout():
@@ -89,6 +102,92 @@ def test_csv_round_trip(tmp_path):
             assert parsed.x_by_user[uid] == pytest.approx(x, rel=1e-8, abs=1e-9)
     # the second record must not have resurrected u2 from empty cells
     assert "u2" not in back.records[1].g_by_user
+
+
+def pinned_series():
+    ts = TimeSeries(name="pinned")
+    ts.records.append(
+        StepRecord(
+            series="base",
+            step=0,
+            lambda_by_wfp={"w1": 15.0},
+            # inserted u2 first: the columns must still sort as strings, u10 before u2
+            g_by_user={"u2": 10.0, "u10": -0.0},
+            final_price_by_user={"u2": np.float64(15.5), "u10": 16},
+            x_by_user={"u2": 0.25, "u10": 1e-310},
+            total_value=46.0,
+            wfp_value=float("nan"),
+            isp_value=float("inf"),
+            wfp_share=9.5,
+            isp_share=36,
+            wfp_share_pct=20.6521739,
+            isp_share_pct=79.3478261,
+            mean_utility=-0.0,
+        )
+    )
+    ts.records.append(
+        StepRecord(
+            series="base",
+            step=1,
+            lambda_by_wfp={"w1": 16.0},
+            g_by_user={"u10": 2.0},  # u2 absent here and back in the next record
+            final_price_by_user={"u10": 17.0},
+            x_by_user={"u10": 0.5},
+            total_value=8.5,
+            wfp_value=1.0,
+            isp_value=2.0,
+            wfp_share=3.25,
+            isp_share=5.25,
+            wfp_share_pct=38.2352941,
+            isp_share_pct=61.7647059,
+            mean_utility=-1.5,
+        )
+    )
+    ts.records.append(
+        StepRecord(
+            series='peak, "high"',
+            step=0,
+            lambda_by_wfp={"w1": np.float64(1234567890.0)},
+            g_by_user={"u2": 11.0, "u10": 3.0},
+            final_price_by_user={"u2": 18.0, "u10": 19.0},
+            x_by_user={"u2": 1.0, "u10": 2.0},
+            mean_utility=0.000123456789,
+        )
+    )
+    return ts
+
+
+PINNED_CSV = (
+    "series,step,total_value,wfp_value,isp_value,wfp_share,isp_share,wfp_share_pct,"
+    "isp_share_pct,mean_utility,lambda.w1,g.u10,g.u2,final_price.u10,final_price.u2,"
+    "x.u10,x.u2\r\n"
+    "base,0,46,nan,inf,9.5,36,20.6521739,79.3478261,-0,15,-0,10,16,15.5,1e-310,0.25\r\n"
+    "base,1,8.5,1,2,3.25,5.25,38.2352941,61.7647059,-1.5,16,2,,17,,0.5,\r\n"
+    '"peak, ""high""",0,0,0,0,0,0,0,0,0.000123456789,1.23456789e+09,3,11,19,18,2,1\r\n'
+)
+
+
+def same_number(a, b):
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def test_csv_bytes_are_pinned_and_read_back(tmp_path):
+    ts = pinned_series()
+    path = tmp_path / "pinned.csv"
+    write_csv(ts, path)
+    assert path.read_bytes().decode("utf-8") == PINNED_CSV
+    back = read_csv(path)
+    assert len(back.records) == len(ts.records)
+    for original, parsed in zip(ts.records, back.records):
+        assert (parsed.series, parsed.step) == (original.series, original.step)
+        for name in SCALAR_FIELDS:
+            assert same_number(getattr(parsed, name), getattr(original, name)), name
+        for attr, _ in MAP_FIELDS:
+            want, have = getattr(original, attr), getattr(parsed, attr)
+            assert set(have) == set(want), attr
+            assert all(same_number(have[key], want[key]) for key in want), attr
 
 
 def test_csv_round_trip_full_run(tmp_path):
