@@ -2,7 +2,8 @@
 
 Providers resell their spare Wi-Fi capacity to nearby users; the ISP that
 carries the traffic prices each backhaul link.  This package models how those
-prices form (projected dual subgradient dynamics on both sides), how each
+prices form (each provider's exact capacity-clearing dual price, the ISP's
+link prices by projected dual subgradient steps), how each
 transaction's revenue splits between the provider and the ISP (the two-player
 Shapley value with kind-specific contribution functions), and how individual
 providers' data plans cap what they can earn per billing cycle.
@@ -48,6 +49,7 @@ from .pricing import (
     min_price_for_path,
     solve_isp_prices,
     solve_wfp_equilibrium,
+    solve_wfp_subgradient,
     step_size,
     user_best_response,
     user_utility,
@@ -104,6 +106,7 @@ __all__ = [
     "min_price_for_path",
     "solve_isp_prices",
     "solve_wfp_equilibrium",
+    "solve_wfp_subgradient",
     "step_size",
     "user_best_response",
     "user_utility",

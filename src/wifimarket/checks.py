@@ -7,8 +7,9 @@ additivity, equal surplus gain, agreement with the ordering-enumeration
 oracle), the two revenue guarantees (the ISP never settles below its
 standalone take; an individual provider's share never grows with usage), the
 shape of the user problem (best response matches a dense grid search, utility
-is concave), and convergence of the capacity-pricing iteration on a small
-instance with a known fixed point.
+is concave), the exact provider price against the subgradient iteration it
+replaced (which stays as the oracle), and both on a small instance with a
+known fixed point.
 
 ``run_all`` executes everything with seeds derived from one master seed, so a
 single integer reproduces the entire battery.
@@ -23,7 +24,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .model import SaleRecord, Settlement, UserProfile, WfpAccount, WfpKind
-from .pricing import SolverConfig, solve_wfp_equilibrium, user_best_response
+from .pricing import (
+    SolverConfig,
+    solve_wfp_equilibrium,
+    solve_wfp_subgradient,
+    user_best_response,
+)
 from .sharing import (
     CoalitionValues,
     SharingParams,
@@ -382,29 +388,91 @@ def check_best_response_grid(seed: int, trials: int = 1_000) -> CheckResult:
     )
 
 
+def check_exact_vs_subgradient(seed: int, trials: int = 100) -> CheckResult:
+    """The exact provider price clears capacity at least as well as the oracle.
+
+    Random feasible instances of one to twenty users (capacity between
+    sum x_min and 1.1 * sum x_max, some floors zero): the exact solve must
+    meet the capacity constraint to 1e-9 * max(C, 1) and never leave a larger
+    residual than the paper's subgradient iteration on the same instance.
+    """
+    rng = random.Random(seed)
+    cfg = SolverConfig(sigma0=1.0, max_iters=1_000)
+    worst = 0.0
+    violations = 0
+    for _ in range(trials):
+        users = []
+        g_by_user = {}
+        for i in range(rng.randint(1, 20)):
+            x_min = rng.uniform(0.001, 1.0)
+            users.append(
+                UserProfile(
+                    id=f"u{i}",
+                    weight=rng.uniform(0.5, 2.0),
+                    budget=rng.uniform(10.0, 200.0),
+                    x_min=x_min,
+                    x_max=x_min + rng.uniform(0.5, 10.0),
+                )
+            )
+            g_by_user[f"u{i}"] = rng.choice((0.0, rng.uniform(0.0, 30.0)))
+        capacity = rng.uniform(
+            sum(u.x_min for u in users), 1.1 * sum(u.x_max for u in users)
+        )
+        account = WfpAccount(
+            id="ew",
+            kind=WfpKind.ESTABLISHMENT,
+            capacity=capacity,
+            min_profit=rng.uniform(0.0, 5.0),
+        )
+        exact = solve_wfp_equilibrium(account, users, g_by_user)
+        oracle = solve_wfp_subgradient(account, users, g_by_user, cfg)
+        scaled = exact.residual / max(capacity, 1.0)
+        worst = max(worst, scaled)
+        if not exact.converged or scaled > 1e-9 or exact.residual > oracle.residual:
+            violations += 1
+    return CheckResult(
+        name="exact-vs-subgradient",
+        passed=violations == 0,
+        detail=(
+            f"{trials} random providers, {violations} violations, "
+            f"max residual / max(C, 1) = {worst:.3g}"
+        ),
+    )
+
+
 def check_capacity_price_convergence() -> CheckResult:
-    """The capacity-pricing iteration reaches its known fixed point.
+    """The capacity price reaches its known fixed point, exactly and by iteration.
 
     One user (budget 100, box [0.01, 50]) against a capacity of 5 and a floor
-    of 15 clears at a price of 20 selling exactly 5; the solver must converge
+    of 15 clears at a price of 20 selling exactly 5.  The exact solve must hit
+    both with a residual of at most 1e-9; the subgradient oracle must converge
     within its iteration budget and land within 0.1% of both figures.
     """
     account = WfpAccount(
         id="ew", kind=WfpKind.ESTABLISHMENT, capacity=5.0, min_profit=5.0
     )
     user = UserProfile(id="u0", budget=100.0, x_min=0.01, x_max=50.0)
+    exact = solve_wfp_equilibrium(account, [user], {"u0": 10.0})
+    exact_ok = (
+        exact.converged
+        and abs(exact.lambda_by_wfp["ew"] - 20.0) <= 1e-9
+        and abs(exact.x_by_user["u0"] - 5.0) <= 1e-9
+        and exact.residual <= 1e-9
+    )
     cfg = SolverConfig(sigma0=5.0, epsilon=1e-6, max_iters=100_000)
-    result = solve_wfp_equilibrium(account, [user], {"u0": 10.0}, cfg)
+    result = solve_wfp_subgradient(account, [user], {"u0": 10.0}, cfg)
     lam = result.lambda_by_wfp["ew"]
     x = result.x_by_user["u0"]
     rel_lam = abs(lam - 20.0) / 20.0
     rel_x = abs(x - 5.0) / 5.0
     return CheckResult(
         name="capacity-price-convergence",
-        passed=result.converged and rel_lam <= 1e-3 and rel_x <= 1e-3,
+        passed=exact_ok and result.converged and rel_lam <= 1e-3 and rel_x <= 1e-3,
         detail=(
-            f"converged={result.converged} after {result.iterations} iterations, "
-            f"price {lam:.6f} (rel err {rel_lam:.2e}), "
+            f"exact price {exact.lambda_by_wfp['ew']:.9g}, allocation "
+            f"{exact.x_by_user['u0']:.9g}, residual {exact.residual:.2e}; "
+            f"subgradient converged={result.converged} after {result.iterations} "
+            f"iterations, price {lam:.6f} (rel err {rel_lam:.2e}), "
             f"allocation {x:.6f} (rel err {rel_x:.2e})"
         ),
     )
@@ -423,6 +491,7 @@ _SEEDED_SUITES: Sequence[tuple[str, Callable[[int], CheckResult]]] = (
     ("usage-monotone-share", check_usage_monotone_share),
     ("floor-discount-monotone", check_floor_discount_monotone),
     ("best-response-grid", check_best_response_grid),
+    ("exact-vs-subgradient", check_exact_vs_subgradient),
 )
 
 

@@ -371,6 +371,8 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
             problems.append("mode: step must be positive")
         if mode.user_growth < 0:
             problems.append("mode: user_growth must be non-negative")
+        elif mode.user_growth and not cfg.users:
+            problems.append("mode: user_growth needs users to clone")
         if mode.allocation not in ("equal", "best_response"):
             problems.append("mode: allocation must be 'equal' or 'best_response'")
     elif isinstance(mode, EquilibriumMode):
@@ -378,6 +380,8 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
             problems.append("mode: ticks must be at least 1")
         if mode.user_growth < 0:
             problems.append("mode: user_growth must be non-negative")
+        elif mode.user_growth and not cfg.users:
+            problems.append("mode: user_growth needs users to clone")
         if mode.billing_cycle_ticks < 0:
             problems.append("mode: billing_cycle_ticks must be non-negative")
         for lid, series in mode.subscriber_loads.items():

@@ -109,9 +109,10 @@ def _combine(settlements: list[Settlement]) -> Settlement:
     )
 
 
-def _grow_users(users: list[UserProfile], how_many: int, counter: int) -> int:
+def _grow_users(
+    users: list[UserProfile], base: list[UserProfile], how_many: int, counter: int
+) -> int:
     """Append clones of the base population, cycling through it for templates."""
-    base = users[: max(len(users), 1)]
     for _ in range(how_many):
         template = base[counter % len(base)]
         counter += 1
@@ -184,7 +185,9 @@ def run_sweep(cfg: ScenarioConfig) -> TimeSeries:
     for t in range(mode.count):
         swept_price = mode.start + t * mode.step
         if t > 0 and mode.user_growth:
-            growth_counter = _grow_users(users, mode.user_growth, growth_counter)
+            growth_counter = _grow_users(
+                users, cfg.users, mode.user_growth, growth_counter
+            )
 
         if mode.swept_party == "isp":
             link_prices = {lid: swept_price for lid in link_prices}
@@ -276,8 +279,8 @@ def run_equilibrium(cfg: ScenarioConfig) -> TimeSeries:
     """Tick-driven run where prices come out of the dual solvers.
 
     Per tick: refresh exogenous subscriber loads, re-solve ISP link prices
-    (when ``solve_isp`` is on), re-solve every provider's price/demand
-    equilibrium against the resulting floors, drop users whose best response
+    (when ``solve_isp`` is on), solve every provider's exact clearing price
+    against the resulting floors, drop users whose best response
     would leave them worse off than not buying, settle, and let individual
     accounts deplete.  Quotas replenish every ``billing_cycle_ticks`` ticks.
     """
@@ -288,14 +291,15 @@ def run_equilibrium(cfg: ScenarioConfig) -> TimeSeries:
     accounts = {w.id: w for w in cfg.wfps}
     links = dict(cfg.topology.links)
     link_prices = {lid: link.price for lid, link in links.items()}
-    warm_lambda = {w.id: cfg.lambda0 for w in cfg.wfps}
     growth_counter = 0
     ts = TimeSeries(name=cfg.name)
     first_zero = -1
 
     for tick in range(mode.ticks):
         if tick > 0 and mode.user_growth:
-            growth_counter = _grow_users(users, mode.user_growth, growth_counter)
+            growth_counter = _grow_users(
+                users, cfg.users, mode.user_growth, growth_counter
+            )
         if (
             mode.billing_cycle_ticks > 0
             and tick > 0
@@ -316,9 +320,7 @@ def run_equilibrium(cfg: ScenarioConfig) -> TimeSeries:
                 loads = {lid: 0.0 for lid in links}
                 for wid, account in accounts.items():
                     g_by_user = _g_for_users(members[wid], prices)
-                    inner = solve_wfp_equilibrium(
-                        account, members[wid], g_by_user, cfg.solver, cfg.lambda0
-                    )
+                    inner = solve_wfp_equilibrium(account, members[wid], g_by_user)
                     for u in members[wid]:
                         for lid in u.path:
                             loads[lid] += inner.x_by_user[u.id]
@@ -335,12 +337,8 @@ def run_equilibrium(cfg: ScenarioConfig) -> TimeSeries:
         price_by_user: dict[str, float] = {}
         x_by_user: dict[str, float] = {}
         for wid, account in accounts.items():
-            inner = solve_wfp_equilibrium(
-                account, members[wid], g_by_user, cfg.solver, warm_lambda[wid]
-            )
-            lam = inner.lambda_by_wfp[wid]
-            warm_lambda[wid] = lam
-            lambda_by_wfp[wid] = lam
+            inner = solve_wfp_equilibrium(account, members[wid], g_by_user)
+            lambda_by_wfp[wid] = inner.lambda_by_wfp[wid]
             for u in members[wid]:
                 price = inner.final_price_by_user[u.id]
                 x = inner.x_by_user[u.id]

@@ -1,11 +1,15 @@
 """Price formation by dual decomposition.
 
 Users maximize a concave net utility, providers price their capacity with a
-dual (shadow-price) variable, and the ISP does the same per link.  Both dual
-updates are projected subgradient steps with the diminishing step size
-sigma0 / (1 + t), iterated synchronously until the largest price change falls
-below ``epsilon``.  Non-convergence is reported in the result, never raised:
-a flagged result is data the caller can act on.
+dual (shadow-price) variable, and the ISP does the same per link.  A
+provider's price is solved exactly: its demand curve is piecewise A / lam + B,
+so the clearing price comes from a breakpoint search and a closed form, with
+the residual of the capacity constraint reported beside it.  The paper's
+projected subgradient iteration (step size sigma0 / (1 + t), stopped once the
+price moves less than ``epsilon``) is kept as ``solve_wfp_subgradient``, the
+oracle the self-checks compare against, and still prices the ISP's links.
+Non-convergence is reported in the result, never raised: a flagged result is
+data the caller can act on.
 """
 from __future__ import annotations
 
@@ -20,7 +24,10 @@ from .model import LinkState, UserProfile, WfpAccount, effective_capacity
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Iteration knobs shared by the provider and ISP solvers."""
+    """Knobs of the ISP solver, the sweep's dual steps and the subgradient oracle.
+
+    ``x_floor`` is the smallest purchase the engine settles.
+    """
 
     sigma0: float = 1.0
     epsilon: float = 1e-6
@@ -48,6 +55,9 @@ class EquilibriumResult:
     final_price_by_user: dict[str, float] = field(default_factory=dict)
     iterations: int = 0
     converged: bool = False
+    # Provider solves: |C - D| at the returned price, or max(D - C, 0) at a
+    # zero price.  The ISP loop does not measure it.
+    residual: float = math.nan
 
 
 def user_bandwidth_utility(x: float, user: UserProfile) -> float:
@@ -123,41 +133,143 @@ def min_price_for_path(path: Sequence[str], link_prices: Mapping[str, float]) ->
     return total
 
 
+def _allocate(
+    lam: float,
+    wb: np.ndarray,
+    floors: np.ndarray,
+    x_min: np.ndarray,
+    x_max: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Final prices max(lam, floor) and the users' clamped best responses to them.
+
+    A zero price saturates demand at x_max (w * b / 0 is taken as +inf).
+    """
+    prices = np.maximum(lam, floors)
+    with np.errstate(divide="ignore"):
+        return prices, np.clip(wb / prices, x_min, x_max)
+
+
+def _provider_result(
+    account: WfpAccount,
+    users: Sequence[UserProfile],
+    lam: float,
+    prices: np.ndarray,
+    x: np.ndarray,
+    iterations: int,
+    converged: bool,
+) -> EquilibriumResult:
+    capacity = effective_capacity(account)
+    demand = float(x.sum())
+    # At a zero price slack capacity is no violation; only excess demand counts.
+    residual = abs(capacity - demand) if lam > 0.0 else max(demand - capacity, 0.0)
+    return EquilibriumResult(
+        lambda_by_wfp={account.id: lam},
+        x_by_user={u.id: float(x[i]) for i, u in enumerate(users)},
+        final_price_by_user={u.id: float(prices[i]) for i, u in enumerate(users)},
+        iterations=iterations,
+        converged=converged,
+        residual=residual,
+    )
+
+
+def _provider_arrays(account, users, g_by_user):
+    """Per-user w * b, price floors (ISP floor plus margin), x_min and x_max."""
+    return (
+        np.array([u.weight * u.budget for u in users]),
+        np.array([g_by_user[u.id] + account.min_profit for u in users]),
+        np.array([u.x_min for u in users]),
+        np.array([u.x_max for u in users]),
+    )
+
+
 def solve_wfp_equilibrium(
+    account: WfpAccount,
+    users: Sequence[UserProfile],
+    g_by_user: Mapping[str, float],
+) -> EquilibriumResult:
+    """One provider's exact clearing price against fixed ISP floors.
+
+    Demand D(lam) = sum clip(w * b / max(lam, floor), x_min, x_max) is
+    continuous, never rises with lam, and between consecutive breakpoints
+    {floor, w * b / x_max, w * b / x_min} has the form A / lam + B.  Slack
+    capacity (D(0) <= C) prices at 0.  If even sum x_min exceeds C no price
+    clears: the result is flagged unconverged at the lowest price that holds
+    every user at x_min.  Otherwise a binary search over the sorted
+    breakpoints finds the piece where D crosses C, and lam = A / (C - B) on
+    it.  ``iterations`` counts demand evaluations, O(log n).
+    """
+    if not users:
+        return EquilibriumResult(
+            lambda_by_wfp={account.id: 0.0}, converged=True, residual=0.0
+        )
+
+    capacity = effective_capacity(account)
+    wb, floors, x_min, x_max = _provider_arrays(account, users, g_by_user)
+    evaluations = 0
+
+    def allocate(lam: float) -> tuple[np.ndarray, np.ndarray]:
+        nonlocal evaluations
+        evaluations += 1
+        return _allocate(lam, wb, floors, x_min, x_max)
+
+    prices, x = allocate(0.0)
+    if x.sum() <= capacity:
+        return _provider_result(account, users, 0.0, prices, x, evaluations, True)
+    if x_min.sum() > capacity:
+        kinks = wb / x_min
+        lam = float(np.max(kinks, where=kinks > floors, initial=0.0))
+        prices = np.maximum(lam, floors)
+        return _provider_result(account, users, lam, prices, x_min, evaluations, False)
+
+    # D(breaks[-1]) = sum x_min <= C < D(0): find the first breakpoint at or
+    # below capacity, index -1 standing for lam = 0.
+    breaks = np.sort(np.concatenate((floors, wb / x_max, wb / x_min)))
+    below, above = -1, len(breaks) - 1
+    while above - below > 1:
+        mid = (below + above) // 2
+        if allocate(breaks[mid])[1].sum() > capacity:
+            below = mid
+        else:
+            above = mid
+    left = float(breaks[below]) if below >= 0 else 0.0
+    right = float(breaks[above])
+    # Inside (left, right) no user changes state: the free ones buy
+    # w * b / lam, the others a constant.
+    probe = 0.5 * (left + right)
+    _, x = allocate(probe)
+    free = (floors < probe) & (x > x_min) & (x < x_max)
+    lam = float(wb[free].sum() / (capacity - x[~free].sum()))
+    lam = min(max(lam, left), right)
+    prices, x = allocate(lam)
+    return _provider_result(account, users, lam, prices, x, evaluations, True)
+
+
+def solve_wfp_subgradient(
     account: WfpAccount,
     users: Sequence[UserProfile],
     g_by_user: Mapping[str, float],
     cfg: SolverConfig,
     lambda0: float = 0.0,
 ) -> EquilibriumResult:
-    """One provider's price/demand equilibrium against fixed ISP floors.
+    """The paper's provider iteration: the oracle for ``solve_wfp_equilibrium``.
 
     Synchronous Jacobi iteration: every user best-responds to the current
     final price, then the provider takes one dual step against its sellable
-    capacity.  Converged when the price moves less than ``epsilon``; when the
-    capacity constraint ever bound during the run, total demand ends up at the
-    capacity (up to solver accuracy).
+    capacity.  Converged when the price moves less than ``epsilon``.
     """
     if not users:
         return EquilibriumResult(
-            lambda_by_wfp={account.id: 0.0}, iterations=0, converged=True
+            lambda_by_wfp={account.id: 0.0}, converged=True, residual=0.0
         )
 
     capacity = effective_capacity(account)
-    weight = np.array([u.weight for u in users])
-    budget = np.array([u.budget for u in users])
-    x_min = np.array([u.x_min for u in users])
-    x_max = np.array([u.x_max for u in users])
-    floors = np.array([g_by_user[u.id] + account.min_profit for u in users])
-
+    wb, floors, x_min, x_max = _provider_arrays(account, users, g_by_user)
     lam = max(lambda0, 0.0)
     converged = False
     iterations = 0
     for t in range(cfg.max_iters):
-        prices = np.maximum(lam, floors)
-        x = np.clip(weight * budget / prices, x_min, x_max)
-        demand = float(x.sum())
-        new_lam = wfp_price_update(lam, step_size(t, cfg), capacity, demand)
+        _, x = _allocate(lam, wb, floors, x_min, x_max)
+        new_lam = wfp_price_update(lam, step_size(t, cfg), capacity, float(x.sum()))
         delta = abs(new_lam - lam)
         lam = new_lam
         iterations = t + 1
@@ -165,15 +277,8 @@ def solve_wfp_equilibrium(
             converged = True
             break
 
-    prices = np.maximum(lam, floors)
-    x = np.clip(weight * budget / prices, x_min, x_max)
-    return EquilibriumResult(
-        lambda_by_wfp={account.id: lam},
-        x_by_user={u.id: float(x[i]) for i, u in enumerate(users)},
-        final_price_by_user={u.id: float(prices[i]) for i, u in enumerate(users)},
-        iterations=iterations,
-        converged=converged,
-    )
+    prices, x = _allocate(lam, wb, floors, x_min, x_max)
+    return _provider_result(account, users, lam, prices, x, iterations, converged)
 
 
 def solve_isp_prices(

@@ -88,6 +88,19 @@ def test_invalid_scenario_prints_every_violation(tmp_path, capsys):
     assert "user u2: unknown wfp 'ghost'" in err
 
 
+@pytest.mark.parametrize("mode", ["sweep", "equilibrium"])
+def test_population_growth_without_users_is_invalid_input(tmp_path, capsys, mode):
+    doc = dict(GOOD_DOC, users=[])
+    if mode == "equilibrium":
+        doc["mode"] = {"kind": "equilibrium", "ticks": 3, "user_growth": 2}
+    else:
+        doc["mode"] = dict(GOOD_DOC["mode"], user_growth=2)
+    config = write_doc(tmp_path, doc)
+    code = cli.main(["run", "--config", str(config), "--out", str(tmp_path)])
+    assert code == 1
+    assert "mode: user_growth needs users to clone" in capsys.readouterr().err
+
+
 def test_malformed_json_is_invalid_input(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{oops", encoding="utf-8")
@@ -174,9 +187,9 @@ def test_check_passes_on_the_real_battery(capsys):
     code = cli.main(["check", "--seed", "3"])
     assert code == 0
     out_lines = capsys.readouterr().out.strip().splitlines()
-    assert len(out_lines) == 12  # 11 suites + the closing summary line
+    assert len(out_lines) == 13  # 12 suites + the closing summary line
     assert all(line.startswith("[PASS]") for line in out_lines[:-1])
-    assert out_lines[-1] == "all 11 checks passed"
+    assert out_lines[-1] == "all 12 checks passed"
 
 
 # --- the checks must actually be able to fail ----------------------------------------------

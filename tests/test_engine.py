@@ -6,6 +6,7 @@ import pytest
 from wifimarket.config import scenario_from_dict
 from wifimarket.engine import run_scenario
 from wifimarket.presets import load_preset
+from wifimarket.pricing import solve_wfp_equilibrium
 
 
 def make_sweep_doc(**overrides):
@@ -66,8 +67,8 @@ def test_sweep_population_growth():
     }
     ts = run_scenario(scenario_from_dict(doc))
     assert [len(r.x_by_user) for r in ts.records] == [1, 3, 5, 7]
-    # grown users are clones of the template with derived ids
-    assert "u1+00001" in ts.records[1].x_by_user
+    # grown users are clones of the base population, never of earlier clones
+    assert sorted(ts.records[3].x_by_user) == ["u1"] + [f"u1+{k:05d}" for k in range(1, 7)]
 
 
 def test_every_step_settles_efficiently():
@@ -148,6 +149,57 @@ def test_equilibrium_unaffordable_price_stops_transactions():
         assert rec.total_value == 0.0
         assert rec.x_by_user["u1"] == 0.0
         assert rec.mean_utility == 0.0  # non-buyers contribute zero utility
+
+
+def make_isp_doc():
+    """Two providers behind two links whose prices the ISP solves every tick.
+
+    Provider e1 sells to users on AB and on AB+BC, e2 to users on BC; the
+    subscriber loads change per tick, so the link prices move.
+    """
+    return {
+        "name": "isp-test",
+        "nodes": ["A", "B", "C"],
+        "links": [
+            {"id": "AB", "capacity": 60, "subscriber_load": 30, "price": 2},
+            {"id": "BC", "capacity": 50, "subscriber_load": 30, "price": 2},
+        ],
+        "wfps": [
+            {"id": "e1", "kind": "establishment", "capacity": 20, "min_profit": 2},
+            {"id": "e2", "kind": "establishment", "capacity": 15, "min_profit": 1},
+        ],
+        "users": [
+            {"id": "a", "count": 6, "wfp": "e1", "path": ["AB"], "budget": 100},
+            {"id": "b", "count": 4, "wfp": "e1", "path": ["AB", "BC"], "budget": 80},
+            {"id": "c", "count": 5, "wfp": "e2", "path": ["BC"], "budget": 120},
+        ],
+        "solver": {"sigma0": 0.5, "max_iters": 200},
+        "solve_isp": True,
+        "mode": {
+            "kind": "equilibrium",
+            "ticks": 3,
+            "subscriber_loads": {"AB": [30, 40, 20], "BC": [30, 20, 35]},
+        },
+    }
+
+
+def test_equilibrium_with_isp_solve_clears_every_provider():
+    cfg = scenario_from_dict(make_isp_doc())
+    ts = run_scenario(cfg)
+    assert len(ts.records) == 3
+    for rec in ts.records:
+        assert rec.wfp_share + rec.isp_share == pytest.approx(rec.total_value, abs=1e-9)
+        assert rec.total_value > 0.0
+        for account in cfg.wfps:
+            lam = rec.lambda_by_wfp[account.id]
+            assert math.isfinite(lam)
+            members = [u for u in cfg.users if u.wfp == account.id]
+            again = solve_wfp_equilibrium(account, members, rec.g_by_user)
+            assert again.converged
+            assert again.residual <= 1e-9 * account.capacity
+            assert again.lambda_by_wfp[account.id] == lam
+    # the ISP solve moved the floors off the document's starting link prices
+    assert any(g != 2.0 and g != 4.0 for g in ts.records[0].g_by_user.values())
 
 
 def test_quota_sweep_series_per_provider():

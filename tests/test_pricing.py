@@ -1,10 +1,12 @@
 """Price-formation tests: utilities, best responses, dual updates, solvers.
 
 Update-rule and utility constants were worked out by hand and frozen; the
-link-price fixed point is cross-checked against an independent bisection.
+exact provider price and the link-price fixed point are cross-checked against
+an independent bisection.
 """
 import math
 import random
+import warnings
 
 import pytest
 
@@ -16,6 +18,7 @@ from wifimarket.pricing import (
     min_price_for_path,
     solve_isp_prices,
     solve_wfp_equilibrium,
+    solve_wfp_subgradient,
     step_size,
     user_bandwidth_utility,
     user_best_response,
@@ -159,22 +162,34 @@ def test_wfp_solver_reaches_known_fixed_point():
     # one user, budget 100, floor 15, capacity 5 -> price 20, allocation 5
     account = WfpAccount(id="ew", kind=WfpKind.ESTABLISHMENT, capacity=5.0, min_profit=5.0)
     user = UserProfile(id="u0", budget=100.0, x_min=0.01, x_max=50.0)
+    result = solve_wfp_equilibrium(account, [user], {"u0": 10.0})
+    assert result.converged
+    assert result.lambda_by_wfp["ew"] == pytest.approx(20.0, abs=1e-12)
+    assert result.x_by_user["u0"] == pytest.approx(5.0, abs=1e-12)
+    assert result.final_price_by_user["u0"] == pytest.approx(20.0, abs=1e-12)
+    assert result.residual <= 1e-12
+
+
+def test_wfp_subgradient_oracle_reaches_known_fixed_point():
+    account = WfpAccount(id="ew", kind=WfpKind.ESTABLISHMENT, capacity=5.0, min_profit=5.0)
+    user = UserProfile(id="u0", budget=100.0, x_min=0.01, x_max=50.0)
     cfg = SolverConfig(sigma0=5.0, epsilon=1e-6, max_iters=100_000)
-    result = solve_wfp_equilibrium(account, [user], {"u0": 10.0}, cfg)
+    result = solve_wfp_subgradient(account, [user], {"u0": 10.0}, cfg)
     assert result.converged
     assert result.iterations <= 100_000
     assert result.lambda_by_wfp["ew"] == pytest.approx(20.0, rel=1e-3)
     assert result.x_by_user["u0"] == pytest.approx(5.0, rel=1e-3)
-    assert result.final_price_by_user["u0"] == pytest.approx(20.0, rel=1e-3)
+    assert result.residual == pytest.approx(abs(5.0 - result.x_by_user["u0"]))
 
 
 def test_wfp_solver_slack_capacity_leaves_price_at_floor():
     account = WfpAccount(id="ew", kind=WfpKind.ESTABLISHMENT, capacity=1000.0, min_profit=5.0)
     users = [UserProfile(id=f"u{i}", budget=100.0, x_min=0.01, x_max=50.0) for i in range(10)]
     g = {u.id: 10.0 for u in users}
-    result = solve_wfp_equilibrium(account, users, g, SolverConfig(sigma0=0.05))
+    result = solve_wfp_equilibrium(account, users, g)
     assert result.converged
-    assert result.lambda_by_wfp["ew"] == pytest.approx(0.0, abs=1e-6)
+    assert result.lambda_by_wfp["ew"] == 0.0
+    assert result.residual == 0.0
     for u in users:
         assert result.final_price_by_user[u.id] == pytest.approx(15.0)
         assert result.x_by_user[u.id] == pytest.approx(100.0 / 15.0, rel=1e-6)
@@ -182,7 +197,7 @@ def test_wfp_solver_slack_capacity_leaves_price_at_floor():
 
 def test_wfp_solver_no_users():
     account = WfpAccount(id="ew", kind=WfpKind.ESTABLISHMENT, capacity=5.0)
-    result = solve_wfp_equilibrium(account, [], {}, SolverConfig())
+    result = solve_wfp_equilibrium(account, [], {})
     assert result.converged
     assert result.iterations == 0
     assert result.lambda_by_wfp == {"ew": 0.0}
@@ -197,7 +212,6 @@ def test_wfp_solver_individual_capacity_is_remaining_quota():
     price and allocation.
     """
     user = UserProfile(id="u0", budget=100.0, x_min=0.01, x_max=50.0)
-    cfg = SolverConfig(sigma0=5.0, epsilon=1e-6, max_iters=100_000)
     accounts = [
         WfpAccount(id="w", kind=WfpKind.ESTABLISHMENT, capacity=5.0, min_profit=5.0),
         WfpAccount(id="w", kind=WfpKind.INDIVIDUAL, quota=100.0, unused=5.0, min_profit=5.0),
@@ -206,11 +220,11 @@ def test_wfp_solver_individual_capacity_is_remaining_quota():
             txn_cap=5.0, min_profit=5.0,
         ),
     ]
-    results = [solve_wfp_equilibrium(a, [user], {"u0": 10.0}, cfg) for a in accounts]
+    results = [solve_wfp_equilibrium(a, [user], {"u0": 10.0}) for a in accounts]
     for result in results:
         assert result.converged
-        assert result.lambda_by_wfp["w"] == pytest.approx(20.0, rel=1e-3)
-        assert result.x_by_user["u0"] == pytest.approx(5.0, rel=1e-3)
+        assert result.lambda_by_wfp["w"] == pytest.approx(20.0, abs=1e-12)
+        assert result.x_by_user["u0"] == pytest.approx(5.0, abs=1e-12)
     assert results[0].lambda_by_wfp == results[1].lambda_by_wfp == results[2].lambda_by_wfp
 
 
@@ -218,9 +232,78 @@ def test_wfp_solver_flags_non_convergence_instead_of_raising():
     account = WfpAccount(id="ew", kind=WfpKind.ESTABLISHMENT, capacity=5.0, min_profit=5.0)
     user = UserProfile(id="u0", budget=100.0, x_min=0.01, x_max=50.0)
     cfg = SolverConfig(sigma0=5.0, epsilon=1e-12, max_iters=5)
-    result = solve_wfp_equilibrium(account, [user], {"u0": 10.0}, cfg)
+    result = solve_wfp_subgradient(account, [user], {"u0": 10.0}, cfg)
     assert not result.converged
     assert result.iterations == 5
+
+
+def test_wfp_solver_slack_capacity_prices_exactly_zero():
+    account = WfpAccount(id="ew", kind=WfpKind.ESTABLISHMENT, capacity=10.0)
+    users = [UserProfile(id=f"u{i}", budget=100.0, x_min=0.01, x_max=2.0) for i in range(5)]
+    result = solve_wfp_equilibrium(account, users, {u.id: 3.0 for u in users})
+    assert result.lambda_by_wfp["ew"] == 0.0  # demand 5 * 2 meets capacity 10 exactly
+    assert result.converged
+    assert result.residual == 0.0
+    assert result.iterations == 1  # D(0) is the whole solve
+
+
+def test_wfp_solver_flags_infeasible_minimum_demand():
+    # two users who must buy at least 4 each against a capacity of 5
+    account = WfpAccount(id="ew", kind=WfpKind.ESTABLISHMENT, capacity=5.0)
+    users = [
+        UserProfile(id="a", budget=100.0, x_min=4.0, x_max=50.0),  # x_min from 25
+        UserProfile(id="b", budget=60.0, x_min=4.0, x_max=50.0),  # x_min from 15
+    ]
+    result = solve_wfp_equilibrium(account, users, {"a": 0.0, "b": 0.0})
+    assert not result.converged
+    assert result.residual == pytest.approx(8.0 - 5.0, abs=1e-12)
+    assert result.lambda_by_wfp["ew"] == pytest.approx(25.0, abs=1e-12)
+    assert result.x_by_user == {"a": 4.0, "b": 4.0}
+
+
+def test_wfp_solver_zero_floor_at_zero_price_saturates_without_warning():
+    account = WfpAccount(id="ew", kind=WfpKind.ESTABLISHMENT, capacity=100.0)
+    users = [UserProfile(id=f"u{i}", budget=50.0, x_min=0.01, x_max=3.0) for i in range(4)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = solve_wfp_equilibrium(account, users, {u.id: 0.0 for u in users})
+    assert result.lambda_by_wfp["ew"] == 0.0
+    assert result.x_by_user == {u.id: 3.0 for u in users}
+    assert result.final_price_by_user == {u.id: 0.0 for u in users}
+
+
+def test_wfp_solver_mixed_clamps_match_bisection_oracle():
+    """Users at x_max, at x_min, priced by their floor, and free, at once.
+
+    At the clearing price 10: "cap" buys its x_max 2, "floor" buys x_min 5,
+    "dear" pays its floor 40 and buys 2.5, and "free" buys 100 / 10 = 10, so a
+    capacity of 19.5 clears exactly there.
+    """
+    account = WfpAccount(id="ew", kind=WfpKind.ESTABLISHMENT, capacity=19.5, min_profit=1.0)
+    users = [
+        UserProfile(id="cap", budget=100.0, x_min=0.01, x_max=2.0),
+        UserProfile(id="floor", budget=10.0, x_min=5.0, x_max=50.0),
+        UserProfile(id="dear", budget=100.0, x_min=0.01, x_max=50.0),
+        UserProfile(id="free", budget=100.0, x_min=0.01, x_max=50.0),
+    ]
+    g = {"cap": 2.0, "floor": 0.0, "dear": 39.0, "free": 4.0}
+
+    def demand(lam):
+        return sum(
+            user_best_response(final_price(lam, g[u.id], account.min_profit), u)
+            for u in users
+        )
+
+    expected = _bisect_fixed_point(demand, account.capacity)
+    result = solve_wfp_equilibrium(account, users, g)
+    assert expected == pytest.approx(10.0, abs=1e-9)
+    assert result.converged
+    assert result.lambda_by_wfp["ew"] == pytest.approx(expected, abs=1e-9)
+    assert result.x_by_user["cap"] == 2.0
+    assert result.x_by_user["floor"] == 5.0
+    assert result.x_by_user["dear"] == pytest.approx(2.5, abs=1e-12)
+    assert result.x_by_user["free"] == pytest.approx(10.0, abs=1e-9)
+    assert result.residual <= 1e-9 * account.capacity
 
 
 # --- ISP-side solver ----------------------------------------------------------------
