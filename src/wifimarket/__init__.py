@@ -17,6 +17,7 @@ Typical use::
 """
 from .checks import CheckResult, run_all
 from .config import (
+    MAX_USER_STEPS,
     CeilingSweepMode,
     ConfigError,
     EquilibriumMode,
@@ -36,6 +37,7 @@ from .model import (
     Topology,
     Unit,
     UserProfile,
+    UserValues,
     WfpAccount,
     WfpKind,
     effective_capacity,
@@ -58,6 +60,7 @@ from .pricing import (
 from .reports import read_csv, write_csv, write_svg
 from .sharing import (
     CoalitionValues,
+    SaleTotals,
     SharingParams,
     coalition_map,
     ewfp_contribution,
@@ -74,6 +77,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CheckResult",
     "run_all",
+    "MAX_USER_STEPS",
     "CeilingSweepMode",
     "ConfigError",
     "EquilibriumMode",
@@ -93,6 +97,7 @@ __all__ = [
     "Topology",
     "Unit",
     "UserProfile",
+    "UserValues",
     "WfpAccount",
     "WfpKind",
     "effective_capacity",
@@ -115,6 +120,7 @@ __all__ = [
     "write_csv",
     "write_svg",
     "CoalitionValues",
+    "SaleTotals",
     "SharingParams",
     "coalition_map",
     "ewfp_contribution",

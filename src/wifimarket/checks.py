@@ -32,10 +32,10 @@ from .pricing import (
 )
 from .sharing import (
     CoalitionValues,
+    SaleTotals,
     SharingParams,
     coalition_map,
     ewfp_contribution,
-    iwfp_contribution,
     isp_standalone_revenue,
     settle_transaction,
     shapley_permutation,
@@ -164,7 +164,7 @@ def check_zero_contribution(seed: int, trials: int = 10_000) -> CheckResult:
             fee=1e9,
         )
         sales = random_sales(rng, "iw")
-        settlement, updated = settle_transaction(account, sales, params)
+        settlement, updated = settle_transaction(account, SaleTotals.of(sales), params)
         gap = max(
             abs(settlement.wfp_share),
             abs(settlement.isp_share - settlement.total_value),
@@ -244,7 +244,7 @@ def check_isp_floor_guarantee(seed: int, trials: int = 10_000) -> CheckResult:
     worst = 0.0
     for _ in range(trials):
         sales = random_sales(rng, "ew")
-        settlement, _ = settle_transaction(account, sales, params)
+        settlement, _ = settle_transaction(account, SaleTotals.of(sales), params)
         shortfall = isp_standalone_revenue(sales) - settlement.isp_share
         worst = max(worst, shortfall)
         if shortfall > 1e-9:
@@ -265,8 +265,9 @@ def check_usage_monotone_share(
     """An individual provider's share never grows as its plan gets used.
 
     Sweeps quota usage from fresh to exhausted in ``steps`` increments for
-    each random transaction; the settled share must be non-increasing along
-    the sweep and exactly zero once nothing is unused.
+    each random transaction, settled by :func:`settle_transaction`; the
+    settled share must be non-increasing along the sweep and exactly zero
+    once nothing is unused.
     """
     rng = random.Random(seed)
     params = SharingParams()
@@ -275,22 +276,19 @@ def check_usage_monotone_share(
         isp_value = rng.uniform(0.0, 50.0)
         total = isp_value + rng.uniform(0.001, 60.0)
         quota = rng.uniform(1.0, 500.0)
+        # One sale of volume 1 at price `total` over an ISP floor of `isp_value`.
+        totals = SaleTotals("iw", 1, total, isp_value, total - isp_value, isp_value, 1.0)
         base = WfpAccount(
             id="iw", kind=WfpKind.INDIVIDUAL, quota=quota, unused=quota, fee=1e9
         )
         previous = math.inf
-        contribution = math.inf
         for k in range(steps + 1):
             account = replace(base, unused=quota * (steps - k) / steps)
-            contribution = iwfp_contribution(total, isp_value, account, params)
-            effective_isp = isp_value if contribution > 0.0 else total
-            share = shapley_split(
-                CoalitionValues(total, contribution, effective_isp)
-            ).wfp_share
-            if share > previous + 1e-9:
+            settlement, _ = settle_transaction(account, totals, params)
+            if settlement.wfp_share > previous + 1e-9:
                 violations += 1
-            previous = share
-        if contribution != 0.0:  # the sweep ends with the plan fully used
+            previous = settlement.wfp_share
+        if settlement.wfp_value != 0.0:  # the sweep ends with the plan fully used
             violations += 1
     return CheckResult(
         name="usage-monotone-share",

@@ -32,6 +32,16 @@ from .pricing import SolverConfig
 from .sharing import SharingParams
 
 
+#: The largest run :func:`validate_scenario` admits, in user-steps (one user's
+#: values at one step): a sweep counts ``count`` x final users, an equilibrium
+#: ``ticks`` x final users, a quota sweep ``(usage_steps + 1)`` x the users of
+#: individual providers, and a ceiling sweep its price steps x usage levels x
+#: the users of individual providers.  Under growth that is an upper bound:
+#: the largest benchmark workload counts 903,000 (300 steps x 3,010 users),
+#: records 454,500 and keeps about 60 MiB resident.
+MAX_USER_STEPS = 2_000_000
+
+
 class ConfigError(ValueError):
     """Malformed scenario document (wrong shape or not a finite number, not out of range)."""
 
@@ -89,7 +99,11 @@ Mode = SweepMode | EquilibriumMode | QuotaSweepMode | CeilingSweepMode
 
 @dataclass
 class ScenarioConfig:
-    """Everything a run needs: market population, solver knobs, and the mode."""
+    """Everything a run needs: market population, solver knobs, and the mode.
+
+    ``lambda0`` is the providers' starting price in sweep mode only; the other
+    modes solve provider prices exactly, or post them, and ignore it.
+    """
 
     name: str
     unit: Unit = Unit.RATE
@@ -355,7 +369,9 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
                 problems.append(f"user {u.id}: {quantity} must be positive")
         if u.channel_gain2 < 0.0:
             problems.append(f"user {u.id}: channel_gain2 must be non-negative")
-        if u.wfp and u.wfp not in wfp_ids:
+        if not u.wfp:
+            problems.append(f"user {u.id}: no wfp to buy from")
+        elif u.wfp not in wfp_ids:
             problems.append(f"user {u.id}: unknown wfp {u.wfp!r}")
         for lid in u.path:
             if lid not in cfg.topology.links:
@@ -419,4 +435,27 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
             if users_by_wfp.get(w.id, 0) == 0:
                 problems.append(f"wfp {w.id}: no users assigned")
 
+    size = _user_steps(cfg, users_by_wfp)
+    if size > MAX_USER_STEPS:
+        problems.append(
+            f"mode: {size:,.0f} user-steps exceed the limit of {MAX_USER_STEPS:,}"
+        )
+
     return problems
+
+
+def _user_steps(cfg: ScenarioConfig, users_by_wfp: dict[str, int]) -> float:
+    """The run's size in user-steps, as :data:`MAX_USER_STEPS` counts them."""
+    mode = cfg.mode
+    if isinstance(mode, (SweepMode, EquilibriumMode)):
+        steps = mode.count if isinstance(mode, SweepMode) else mode.ticks
+        return steps * (len(cfg.users) + mode.user_growth * (steps - 1))
+    sellers = sum(
+        users_by_wfp.get(w.id, 0) for w in cfg.wfps if w.kind is WfpKind.INDIVIDUAL
+    )
+    if isinstance(mode, QuotaSweepMode):
+        return (mode.usage_steps + 1) * sellers
+    if mode.price_step <= 0.0:
+        return 0.0
+    steps = (mode.price_stop - mode.price_start) / mode.price_step + 1.0
+    return steps * len(mode.usage_levels) * sellers

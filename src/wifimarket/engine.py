@@ -13,11 +13,22 @@ Four run shapes:
 * ceiling sweep -- a posted-price ramp repeated at several usage levels to map
                   the largest share an individual provider can reach.
 
+Every runner builds its population once, as parallel arrays over one roster
+(growth clones are appended to it, so each step uses a prefix), computes each
+step on those arrays, settles each provider from its sales' totals, and
+records per-user values as read-only views of the step's arrays.  Sums run
+over Python floats in the order of the per-sale reference functions, so the
+figures do not depend on numpy's summation order.
+
 Runs are deterministic functions of the config: same document, same series.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
+from typing import Mapping
+
+import numpy as np
 
 from .config import (
     CeilingSweepMode,
@@ -27,37 +38,39 @@ from .config import (
     SweepMode,
 )
 from .model import (
-    LinkState,
-    SaleRecord,
+    Population,
     Settlement,
-    UserProfile,
+    UserValues,
     WfpAccount,
     WfpKind,
     effective_capacity,
 )
 from .pricing import (
-    final_price,
     isp_link_price_update,
     min_price_for_path,
     solve_isp_prices,
     solve_wfp_equilibrium,
     step_size,
-    user_utility,
+    user_utility,  # noqa: F401 -- re-exported: the scalar form of _utility
     wfp_price_update,
 )
-from .sharing import settle_transaction
+from .sharing import SaleTotals, SharingParams, settle_transaction
 
 
 @dataclass
 class StepRecord:
-    """Everything observed at one step of a run."""
+    """Everything observed at one step of a run.
+
+    The per-user fields are read-only id -> float mappings; a run fills them
+    with :class:`~wifimarket.model.UserValues` views.
+    """
 
     series: str
     step: int
     lambda_by_wfp: dict[str, float] = field(default_factory=dict)
-    g_by_user: dict[str, float] = field(default_factory=dict)
-    final_price_by_user: dict[str, float] = field(default_factory=dict)
-    x_by_user: dict[str, float] = field(default_factory=dict)
+    g_by_user: Mapping[str, float] = field(default_factory=dict)
+    final_price_by_user: Mapping[str, float] = field(default_factory=dict)
+    x_by_user: Mapping[str, float] = field(default_factory=dict)
     total_value: float = 0.0
     wfp_value: float = 0.0
     isp_value: float = 0.0
@@ -92,11 +105,36 @@ class TimeSeries:
         return split
 
 
-def _share_percentages(settlement: Settlement) -> tuple[float, float]:
-    if settlement.total_value <= 0.0:
-        return 0.0, 0.0
-    wfp_pct = 100.0 * settlement.wfp_share / settlement.total_value
-    return wfp_pct, 100.0 - wfp_pct
+def _record(
+    series: str,
+    step: int,
+    lambda_by_wfp: dict[str, float],
+    views: tuple[UserValues, UserValues, UserValues],
+    settlement: Settlement,
+    mean_utility: float,
+) -> StepRecord:
+    """The step record of one settled step; ``views`` are g, final price and x."""
+    wfp_pct = isp_pct = 0.0
+    if settlement.total_value > 0.0:
+        wfp_pct = 100.0 * settlement.wfp_share / settlement.total_value
+        isp_pct = 100.0 - wfp_pct
+    g, prices, x = views
+    return StepRecord(
+        series=series,
+        step=step,
+        lambda_by_wfp=lambda_by_wfp,
+        g_by_user=g,
+        final_price_by_user=prices,
+        x_by_user=x,
+        total_value=settlement.total_value,
+        wfp_value=settlement.wfp_value,
+        isp_value=settlement.isp_value,
+        wfp_share=settlement.wfp_share,
+        isp_share=settlement.isp_share,
+        wfp_share_pct=wfp_pct,
+        isp_share_pct=isp_pct,
+        mean_utility=mean_utility,
+    )
 
 
 def _combine(settlements: list[Settlement]) -> Settlement:
@@ -109,57 +147,86 @@ def _combine(settlements: list[Settlement]) -> Settlement:
     )
 
 
-def _grow_users(
-    users: list[UserProfile], base: list[UserProfile], how_many: int, counter: int
-) -> int:
-    """Append clones of the base population, cycling through it for templates."""
-    for _ in range(how_many):
-        template = base[counter % len(base)]
-        counter += 1
-        users.append(replace(template, id=f"{template.id}+{counter:05d}"))
-    return counter
+def _population(cfg: ScenarioConfig, clones: int = 0) -> Population:
+    """The document's users, then ``clones`` growth clones cycling through them."""
+    base = Population.of(cfg.users, [w.id for w in cfg.wfps])
+    if not clones:
+        return base
+    n = len(cfg.users)
+    templates = np.concatenate((np.arange(n), np.arange(clones) % n))
+    ids = base.roster.ids + [
+        f"{cfg.users[k % n].id}+{k + 1:05d}" for k in range(clones)
+    ]
+    return base.take(templates, ids)
 
 
-def _g_for_users(
-    users: list[UserProfile], link_prices: dict[str, float]
+def _floors(pop: Population, link_prices: Mapping[str, float], n: int) -> np.ndarray:
+    """ISP floors of the first ``n`` users: one path sum per distinct route."""
+    by_path = np.array([min_price_for_path(p, link_prices) for p in pop.paths], dtype=float)
+    return by_path[pop.path[:n]]
+
+
+def _utility(pop: Population, idx, x: np.ndarray, prices: np.ndarray) -> np.ndarray:
+    """``user_utility`` of the users at ``idx`` (x > 0), with ``math.log`` per user."""
+    logs = np.array([math.log(v) for v in (x * pop.snr[idx]).tolist()])
+    return pop.weight[idx] * logs + (1.0 - x * prices / pop.budget[idx])
+
+
+def _mean(values: np.ndarray) -> float:
+    return sum(values.tolist()) / len(values) if len(values) else 0.0
+
+
+def _running_total(values: np.ndarray) -> float:
+    """0.0 + values[0] + values[1] + ..., added one at a time."""
+    return float(np.cumsum(values)[-1]) if len(values) else 0.0
+
+
+def _link_loads(
+    links, pop: Population, path: np.ndarray, x: np.ndarray
 ) -> dict[str, float]:
-    return {u.id: min_price_for_path(u.path, link_prices) for u in users}
+    """WFP load per link: each user's x, in the order given, once per crossing."""
+    loads = {}
+    for lid in links:
+        crossings = np.array([p.count(lid) for p in pop.paths], dtype=np.intp)
+        loads[lid] = _running_total(np.repeat(x, crossings[path]))
+    return loads
 
 
-def _settle_step(
-    accounts: dict[str, WfpAccount],
-    users: list[UserProfile],
-    g_by_user: dict[str, float],
-    lambda_by_wfp: dict[str, float],
-    x_by_user: dict[str, float],
-    sharing,
+def _settle(
+    accounts: list[WfpAccount],
+    provider: np.ndarray,
+    g: np.ndarray,
+    prices: np.ndarray,
+    x: np.ndarray,
+    sharing: SharingParams,
     x_floor: float,
-) -> tuple[Settlement, dict[str, WfpAccount]]:
-    """Settle one transaction per provider; returns combined payout."""
+) -> Settlement:
+    """Settle one transaction per provider (users buying at least ``x_floor``).
+
+    ``accounts`` is updated in place; the payouts come back combined.
+    """
+    sold = x >= x_floor
+    revenue, isp_revenue, spread = x * prices, x * g, (prices - g) * x
     settlements = []
-    for wid, account in accounts.items():
-        sales = []
-        for u in users:
-            if u.wfp != wid:
-                continue
-            x = x_by_user.get(u.id, 0.0)
-            if x < x_floor:
-                continue
-            g = g_by_user[u.id]
-            lam = lambda_by_wfp[wid]
-            sales.append(
-                SaleRecord(
-                    user=u.id,
-                    wfp=wid,
-                    x=x,
-                    min_price=g,
-                    wfp_price=lam,
-                    final_price=final_price(lam, g, account.min_profit),
-                )
-            )
-        settlement, accounts[wid] = settle_transaction(account, sales, sharing)
+    for k, account in enumerate(accounts):
+        sel = np.flatnonzero(sold & (provider == k))
+        totals = SaleTotals(
+            seller=account.id,
+            count=len(sel),
+            revenue=sum(revenue[sel].tolist()),
+            isp_revenue=sum(isp_revenue[sel].tolist()),
+            spread=sum(spread[sel].tolist()),
+            floor_sum=sum(g[sel].tolist()),
+            volume=sum(x[sel].tolist()),
+        )
+        settlement, accounts[k] = settle_transaction(account, totals, sharing)
         settlements.append(settlement)
-    return _combine(settlements), accounts
+    return _combine(settlements)
+
+
+def _provider_order(provider: np.ndarray, providers: int):
+    """Positions grouped provider by provider (roster order within each), or None for one."""
+    return np.argsort(provider, kind="stable") if providers > 1 else None
 
 
 def run_sweep(cfg: ScenarioConfig) -> TimeSeries:
@@ -175,85 +242,59 @@ def run_sweep(cfg: ScenarioConfig) -> TimeSeries:
     mode = cfg.mode
     assert isinstance(mode, SweepMode)
 
-    users = list(cfg.users)
-    accounts = {w.id: w for w in cfg.wfps}
+    pop = _population(cfg, mode.user_growth * max(mode.count - 1, 0))
+    accounts = list(cfg.wfps)
+    margin = np.array([a.min_profit for a in accounts])
     lambda_by_wfp = {w.id: cfg.lambda0 for w in cfg.wfps}
     link_prices = cfg.topology.link_prices()
-    growth_counter = 0
     ts = TimeSeries(name=cfg.name)
 
     for t in range(mode.count):
         swept_price = mode.start + t * mode.step
-        if t > 0 and mode.user_growth:
-            growth_counter = _grow_users(
-                users, cfg.users, mode.user_growth, growth_counter
-            )
-
+        n = len(cfg.users) + mode.user_growth * t
+        provider = pop.provider[:n]
         if mode.swept_party == "isp":
             link_prices = {lid: swept_price for lid in link_prices}
         else:
             lambda_by_wfp = {wid: swept_price for wid in lambda_by_wfp}
 
-        g_by_user = _g_for_users(users, link_prices)
-        price_by_user = {}
-        x_by_user = {}
-        members = {wid: [u for u in users if u.wfp == wid] for wid in accounts}
-        for wid, account in accounts.items():
-            for u in members[wid]:
-                price_by_user[u.id] = final_price(
-                    lambda_by_wfp[wid], g_by_user[u.id], account.min_profit
-                )
-            if mode.allocation == "equal":
-                share = effective_capacity(account) / max(len(members[wid]), 1)
-                for u in members[wid]:
-                    x_by_user[u.id] = share
-            else:
-                for u in members[wid]:
-                    ideal = u.weight * u.budget / price_by_user[u.id]
-                    x_by_user[u.id] = min(max(ideal, u.x_min), u.x_max)
+        g = _floors(pop, link_prices, n)
+        lam = np.array([lambda_by_wfp[a.id] for a in accounts])
+        prices = np.maximum(lam[provider], g + margin[provider])
+        if mode.allocation == "equal":
+            members = np.bincount(provider, minlength=len(accounts)).tolist()
+            share = [effective_capacity(a) / max(m, 1) for a, m in zip(accounts, members)]
+            x = np.array(share)[provider]
+        else:
+            with np.errstate(divide="ignore"):
+                ideal = pop.wb[:n] / prices
+            x = np.minimum(np.maximum(ideal, pop.x_min[:n]), pop.x_max[:n])
 
-        combined, accounts = _settle_step(
-            accounts, users, g_by_user, lambda_by_wfp, x_by_user,
-            cfg.sharing, cfg.solver.x_floor,
+        combined = _settle(
+            accounts, provider, g, prices, x, cfg.sharing, cfg.solver.x_floor
         )
-        wfp_pct, isp_pct = _share_percentages(combined)
-        utilities = [
-            user_utility(x_by_user[u.id], price_by_user[u.id], u)
-            for u in users
-            if x_by_user[u.id] > 0.0
-        ]
+        buyers = np.flatnonzero(x > 0.0)
+        order = _provider_order(provider, len(accounts))
+        views = (
+            UserValues(pop.roster, g),
+            UserValues(pop.roster, prices, order),
+            UserValues(pop.roster, x, order),
+        )
+        utility = _utility(pop, buyers, x[buyers], prices[buyers])
         ts.records.append(
-            StepRecord(
-                series="run",
-                step=t,
-                lambda_by_wfp=dict(lambda_by_wfp),
-                g_by_user=g_by_user,
-                final_price_by_user=price_by_user,
-                x_by_user=x_by_user,
-                total_value=combined.total_value,
-                wfp_value=combined.wfp_value,
-                isp_value=combined.isp_value,
-                wfp_share=combined.wfp_share,
-                isp_share=combined.isp_share,
-                wfp_share_pct=wfp_pct,
-                isp_share_pct=isp_pct,
-                mean_utility=sum(utilities) / len(utilities) if utilities else 0.0,
-            )
+            _record("run", t, dict(lambda_by_wfp), views, combined, _mean(utility))
         )
 
         # One dual step for the party that is not being swept.
         sigma = step_size(t, cfg.solver)
         if mode.swept_party == "isp":
-            for wid, account in accounts.items():
-                demand = sum(x_by_user[u.id] for u in members[wid])
-                lambda_by_wfp[wid] = wfp_price_update(
-                    lambda_by_wfp[wid], sigma, effective_capacity(account), demand
+            for k, account in enumerate(accounts):
+                demand = sum(x[provider == k].tolist())
+                lambda_by_wfp[account.id] = wfp_price_update(
+                    lambda_by_wfp[account.id], sigma, effective_capacity(account), demand
                 )
         else:
-            loads = {lid: 0.0 for lid in link_prices}
-            for u in users:
-                for lid in u.path:
-                    loads[lid] += x_by_user[u.id]
+            loads = _link_loads(link_prices, pop, pop.path[:n], x)
             link_prices = {
                 lid: isp_link_price_update(
                     link_prices[lid], sigma, cfg.topology.links[lid], loads[lid]
@@ -287,44 +328,41 @@ def run_equilibrium(cfg: ScenarioConfig) -> TimeSeries:
     mode = cfg.mode
     assert isinstance(mode, EquilibriumMode)
 
-    users = list(cfg.users)
-    accounts = {w.id: w for w in cfg.wfps}
+    pop = _population(cfg, mode.user_growth * max(mode.ticks - 1, 0))
+    accounts = list(cfg.wfps)
     links = dict(cfg.topology.links)
     link_prices = {lid: link.price for lid, link in links.items()}
-    growth_counter = 0
+    x_floor = cfg.solver.x_floor
     ts = TimeSeries(name=cfg.name)
     first_zero = -1
 
     for tick in range(mode.ticks):
-        if tick > 0 and mode.user_growth:
-            growth_counter = _grow_users(
-                users, cfg.users, mode.user_growth, growth_counter
-            )
+        n = len(cfg.users) + mode.user_growth * tick
         if (
             mode.billing_cycle_ticks > 0
             and tick > 0
             and tick % mode.billing_cycle_ticks == 0
         ):
-            accounts = {
-                wid: (a.replenished() if a.kind is WfpKind.INDIVIDUAL else a)
-                for wid, a in accounts.items()
-            }
+            accounts = [
+                a.replenished() if a.kind is WfpKind.INDIVIDUAL else a for a in accounts
+            ]
         for lid, series in mode.subscriber_loads.items():
             links[lid] = replace(links[lid], subscriber_load=series[tick])
 
-        members = {wid: [u for u in users if u.wfp == wid] for wid in accounts}
+        provider = pop.provider[:n]
+        members = [np.flatnonzero(provider == k) for k in range(len(accounts))]
+        customers = [pop.take(idx) for idx in members]
 
         if cfg.solve_isp and links:
+            major = np.concatenate(members)
 
             def wfp_demand(prices: dict[str, float]) -> dict[str, float]:
-                loads = {lid: 0.0 for lid in links}
-                for wid, account in accounts.items():
-                    g_by_user = _g_for_users(members[wid], prices)
-                    inner = solve_wfp_equilibrium(account, members[wid], g_by_user)
-                    for u in members[wid]:
-                        for lid in u.path:
-                            loads[lid] += inner.x_by_user[u.id]
-                return loads
+                g = _floors(pop, prices, n)
+                x = [
+                    solve_wfp_equilibrium(account, users, g[idx]).x_by_user.array
+                    for account, users, idx in zip(accounts, customers, members)
+                ]
+                return _link_loads(links, pop, pop.path[major], np.concatenate(x))
 
             outer = solve_isp_prices(links, wfp_demand, cfg.solver)
             link_prices = outer.g_by_link
@@ -332,85 +370,84 @@ def run_equilibrium(cfg: ScenarioConfig) -> TimeSeries:
                 lid: replace(link, price=link_prices[lid]) for lid, link in links.items()
             }
 
-        g_by_user = _g_for_users(users, link_prices)
+        g = _floors(pop, link_prices, n)
         lambda_by_wfp = {}
-        price_by_user: dict[str, float] = {}
-        x_by_user: dict[str, float] = {}
-        for wid, account in accounts.items():
-            inner = solve_wfp_equilibrium(account, members[wid], g_by_user)
-            lambda_by_wfp[wid] = inner.lambda_by_wfp[wid]
-            for u in members[wid]:
-                price = inner.final_price_by_user[u.id]
-                x = inner.x_by_user[u.id]
-                price_by_user[u.id] = price
-                # Individual rationality: a user whose best buy is still a net
-                # loss walks away, so the step records no transaction for it.
-                if user_utility(x, price, u) < 0.0 or x < cfg.solver.x_floor:
-                    x_by_user[u.id] = 0.0
-                else:
-                    x_by_user[u.id] = x
+        prices, x = np.empty(n), np.empty(n)
+        for account, users, idx in zip(accounts, customers, members):
+            inner = solve_wfp_equilibrium(account, users, g[idx])
+            lambda_by_wfp[account.id] = inner.lambda_by_wfp[account.id]
+            prices[idx] = inner.final_price_by_user.array
+            x[idx] = inner.x_by_user.array
+        # Individual rationality: a user whose best buy is still a net loss
+        # walks away, so the step records no transaction for it.
+        utility = _utility(pop, slice(0, n), x, prices)
+        x[(utility < 0.0) | (x < x_floor)] = 0.0
 
-        combined, accounts = _settle_step(
-            accounts, users, g_by_user, lambda_by_wfp, x_by_user,
-            cfg.sharing, cfg.solver.x_floor,
-        )
-        wfp_pct, isp_pct = _share_percentages(combined)
-        utilities = [
-            user_utility(x_by_user[u.id], price_by_user[u.id], u)
-            if x_by_user[u.id] > 0.0
-            else 0.0
-            for u in users
-        ]
+        combined = _settle(accounts, provider, g, prices, x, cfg.sharing, x_floor)
         if combined.total_value <= 0.0 and first_zero < 0:
             first_zero = tick
-        ts.records.append(
-            StepRecord(
-                series="run",
-                step=tick,
-                lambda_by_wfp=lambda_by_wfp,
-                g_by_user=g_by_user,
-                final_price_by_user=price_by_user,
-                x_by_user=x_by_user,
-                total_value=combined.total_value,
-                wfp_value=combined.wfp_value,
-                isp_value=combined.isp_value,
-                wfp_share=combined.wfp_share,
-                isp_share=combined.isp_share,
-                wfp_share_pct=wfp_pct,
-                isp_share_pct=isp_pct,
-                mean_utility=sum(utilities) / len(utilities) if utilities else 0.0,
-            )
+        order = _provider_order(provider, len(accounts))
+        views = (
+            UserValues(pop.roster, g),
+            UserValues(pop.roster, prices, order),
+            UserValues(pop.roster, x, order),
         )
+        mean_utility = _mean(np.where(x > 0.0, utility, 0.0))
+        ts.records.append(_record("run", tick, lambda_by_wfp, views, combined, mean_utility))
 
     ts.summary["first_zero_transaction_step"] = float(first_zero)
     return ts
 
 
-def _settle_snapshot(
-    account: WfpAccount,
-    users: list[UserProfile],
-    posted_price: float,
-    g_by_user: dict[str, float],
+def _snapshots(
+    series: str,
+    accounts: list[WfpAccount],
+    posted: list[float],
+    users: Population,
+    g: np.ndarray,
     txn_volume: float,
-    sharing,
-) -> tuple[Settlement, dict[str, float], dict[str, float]]:
-    """One fixed-price transaction of ``txn_volume`` split across the users."""
-    x_each = txn_volume / len(users)
-    sales = [
-        SaleRecord(
-            user=u.id,
-            wfp=account.id,
-            x=x_each,
-            min_price=g_by_user[u.id],
-            wfp_price=posted_price,
-            final_price=final_price(posted_price, g_by_user[u.id], account.min_profit),
-        )
-        for u in users
-    ]
-    settlement, _ = settle_transaction(account, sales, sharing)
-    prices = {s.user: s.final_price for s in sales}
-    volumes = {s.user: s.x for s in sales}
-    return settlement, prices, volumes
+    sharing: SharingParams,
+    with_utility: bool,
+) -> list[StepRecord]:
+    """One fixed-price transaction of ``txn_volume``, split evenly, per step.
+
+    Step k settles ``accounts[k]`` (snapshots of one provider) at posted
+    price ``posted[k]``.  The sale totals of all steps are summed at once,
+    user by user in roster order.
+    """
+    n = len(users)
+    x = np.full(n, txn_volume / n)
+    prices = np.maximum(np.array(posted)[:, None], g + accounts[0].min_profit)
+    revenue, spread = x[0] * prices[:, 0], (prices[:, 0] - g[0]) * x[0]
+    for j in range(1, n):
+        revenue = revenue + x[j] * prices[:, j]
+        spread = spread + (prices[:, j] - g[j]) * x[j]
+    fixed = dict(
+        count=n,
+        isp_revenue=sum((x * g).tolist()),
+        floor_sum=sum(g.tolist()),
+        volume=sum(x.tolist()),
+    )
+    g_view, x_view = UserValues(users.roster, g), UserValues(users.roster, x)
+    records = []
+    steps = zip(accounts, posted, prices, revenue.tolist(), spread.tolist())
+    for k, (account, price, row, rev, spr) in enumerate(steps):
+        totals = SaleTotals(seller=account.id, revenue=rev, spread=spr, **fixed)
+        settlement, _ = settle_transaction(account, totals, sharing)
+        mean_utility = _mean(_utility(users, slice(0, n), x, row)) if with_utility else 0.0
+        views = (g_view, UserValues(users.roster, row), x_view)
+        records.append(_record(series, k, {account.id: price}, views, settlement, mean_utility))
+    return records
+
+
+def _individual_providers(cfg: ScenarioConfig):
+    """Each individual provider with its users and their ISP floors."""
+    pop = _population(cfg)
+    link_prices = cfg.topology.link_prices()
+    for k, account in enumerate(cfg.wfps):
+        if account.kind is WfpKind.INDIVIDUAL:
+            users = pop.take(np.flatnonzero(pop.provider == k))
+            yield account, users, _floors(users, link_prices, len(users))
 
 
 def run_iwfp_topology(cfg: ScenarioConfig) -> TimeSeries:
@@ -424,42 +461,21 @@ def run_iwfp_topology(cfg: ScenarioConfig) -> TimeSeries:
     mode = cfg.mode
     assert isinstance(mode, QuotaSweepMode)
 
-    link_prices = cfg.topology.link_prices()
     ts = TimeSeries(name=cfg.name)
-    for account in cfg.wfps:
-        if account.kind is not WfpKind.INDIVIDUAL:
-            continue
-        users = [u for u in cfg.users if u.wfp == account.id]
-        g_by_user = _g_for_users(users, link_prices)
-        posted = cfg.wfp_prices[account.id]
-        for k in range(mode.usage_steps + 1):
-            unused = account.quota * (mode.usage_steps - k) / mode.usage_steps
-            snapshot = replace(account, unused=unused, settled_share=0.0)
-            settlement, price_by_user, x_by_user = _settle_snapshot(
-                snapshot, users, posted, g_by_user, mode.txn_volume, cfg.sharing
+    levels = range(mode.usage_steps + 1)
+    for account, users, g in _individual_providers(cfg):
+        snapshots = [
+            replace(
+                account,
+                unused=account.quota * (mode.usage_steps - k) / mode.usage_steps,
+                settled_share=0.0,
             )
-            wfp_pct, isp_pct = _share_percentages(settlement)
-            utilities = [
-                user_utility(x_by_user[u.id], price_by_user[u.id], u) for u in users
-            ]
-            ts.records.append(
-                StepRecord(
-                    series=account.id,
-                    step=k,
-                    lambda_by_wfp={account.id: posted},
-                    g_by_user=g_by_user,
-                    final_price_by_user=price_by_user,
-                    x_by_user=x_by_user,
-                    total_value=settlement.total_value,
-                    wfp_value=settlement.wfp_value,
-                    isp_value=settlement.isp_value,
-                    wfp_share=settlement.wfp_share,
-                    isp_share=settlement.isp_share,
-                    wfp_share_pct=wfp_pct,
-                    isp_share_pct=isp_pct,
-                    mean_utility=sum(utilities) / len(utilities) if utilities else 0.0,
-                )
-            )
+            for k in levels
+        ]
+        posted = [cfg.wfp_prices[account.id]] * len(snapshots)
+        ts.records += _snapshots(
+            account.id, snapshots, posted, users, g, mode.txn_volume, cfg.sharing, True
+        )
         shares = [r.wfp_share_pct for r in ts.records if r.series == account.id]
         ts.summary[f"max_share_pct.{account.id}"] = max(shares)
     return ts
@@ -474,41 +490,17 @@ def run_iwfp_ceiling(cfg: ScenarioConfig) -> TimeSeries:
     mode = cfg.mode
     assert isinstance(mode, CeilingSweepMode)
 
-    link_prices = cfg.topology.link_prices()
-    providers = [w for w in cfg.wfps if w.kind is WfpKind.INDIVIDUAL]
     ts = TimeSeries(name=cfg.name)
     steps = int(round((mode.price_stop - mode.price_start) / mode.price_step)) + 1
-    for account in providers:
-        users = [u for u in cfg.users if u.wfp == account.id]
-        g_by_user = _g_for_users(users, link_prices)
+    posted = [mode.price_start + k * mode.price_step for k in range(steps)]
+    for account, users, g in _individual_providers(cfg):
         for usage in mode.usage_levels:
             label = f"usage_{int(round(usage * 100))}"
             unused = account.quota * (1.0 - usage)
             snapshot = replace(account, unused=unused, settled_share=0.0)
-            for k in range(steps):
-                posted = mode.price_start + k * mode.price_step
-                settlement, price_by_user, x_by_user = _settle_snapshot(
-                    snapshot, users, posted, g_by_user, mode.txn_volume, cfg.sharing
-                )
-                wfp_pct, isp_pct = _share_percentages(settlement)
-                ts.records.append(
-                    StepRecord(
-                        series=label,
-                        step=k,
-                        lambda_by_wfp={account.id: posted},
-                        g_by_user=g_by_user,
-                        final_price_by_user=price_by_user,
-                        x_by_user=x_by_user,
-                        total_value=settlement.total_value,
-                        wfp_value=settlement.wfp_value,
-                        isp_value=settlement.isp_value,
-                        wfp_share=settlement.wfp_share,
-                        isp_share=settlement.isp_share,
-                        wfp_share_pct=wfp_pct,
-                        isp_share_pct=isp_pct,
-                        mean_utility=0.0,
-                    )
-                )
+            ts.records += _snapshots(
+                label, [snapshot] * steps, posted, users, g, mode.txn_volume, cfg.sharing, False
+            )
             level_shares = [r.wfp_share_pct for r in ts.records if r.series == label]
             ts.summary[f"max_share_pct.{label}"] = max(level_shares)
     return ts

@@ -13,11 +13,20 @@ Everything in this module is a plain value object.  Operations elsewhere
 return updated copies instead of mutating shared state, and scenario
 validation reports violations as data (strings) rather than raising, so a
 bad config can be diagnosed in full rather than one field at a time.
+
+A run holds its users as a :class:`Population` (parallel arrays over one
+:class:`Roster` of ids), and reports per-user values as :class:`UserValues`,
+read-only id -> float views of one array over that roster.
 """
 from __future__ import annotations
 
+from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cached_property
+from typing import Sequence
+
+import numpy as np
 
 #: Absolute tolerance for monetary and price comparisons.
 TOLERANCE = 1e-9
@@ -161,3 +170,123 @@ class Settlement:
     total_value: float
     wfp_value: float
     isp_value: float
+
+
+class Roster:
+    """User ids in run order, and each id's position: the keys views share."""
+
+    def __init__(self, ids: Sequence[str]) -> None:
+        self.ids = list(ids)
+
+    @cached_property
+    def position(self) -> dict[str, int]:
+        return {uid: i for i, uid in enumerate(self.ids)}
+
+
+class UserValues(Mapping):
+    """Read-only id -> float view of a float64 array over a roster prefix.
+
+    ``array[i]`` is the value of ``roster.ids[i]``, and the view holds the
+    first ``len(array)`` ids.  ``order`` (positions) sets the iteration order;
+    by default it is roster order.
+    """
+
+    __slots__ = ("roster", "array", "order")
+
+    def __init__(self, roster: Roster, array: np.ndarray, order: np.ndarray | None = None):
+        self.roster, self.array, self.order = roster, array, order
+
+    def __getitem__(self, uid: str) -> float:
+        i = self.roster.position[uid]
+        if i >= len(self.array):
+            raise KeyError(uid)
+        return float(self.array[i])
+
+    def __len__(self) -> int:
+        return len(self.array)
+
+    def __iter__(self):
+        ids = self.roster.ids
+        if self.order is None:
+            return iter(ids[: len(self.array)])
+        return map(ids.__getitem__, self.order.tolist())
+
+    def ordered(self) -> list[float]:
+        """The values as floats, in iteration order."""
+        return (self.array if self.order is None else self.array[self.order]).tolist()
+
+    def values(self) -> ValuesView:
+        return _Values(self)
+
+    def items(self) -> ItemsView:
+        return _Items(self)
+
+    def __repr__(self) -> str:
+        return f"UserValues({dict(self.items())!r})"
+
+
+class _Values(ValuesView):
+    def __iter__(self):
+        return iter(self._mapping.ordered())
+
+
+class _Items(ItemsView):
+    def __iter__(self):
+        return zip(self._mapping, self._mapping.ordered())
+
+
+#: Per-user arrays of a Population, in field order.
+_USER_ARRAYS = ("provider", "path", "weight", "budget", "wb", "snr", "x_min", "x_max")
+
+
+@dataclass(frozen=True, eq=False)
+class Population:
+    """Users as parallel arrays over one roster.
+
+    ``provider`` and ``path`` index ``providers`` and ``paths`` (each distinct
+    route once); ``wb`` is weight * budget and ``snr`` the SNR factor.
+    """
+
+    roster: Roster
+    providers: tuple[str, ...]
+    paths: tuple[tuple[str, ...], ...]
+    provider: np.ndarray
+    path: np.ndarray
+    weight: np.ndarray
+    budget: np.ndarray
+    wb: np.ndarray
+    snr: np.ndarray
+    x_min: np.ndarray
+    x_max: np.ndarray
+
+    @classmethod
+    def of(cls, users: Sequence[UserProfile], providers: Sequence[str] | None = None) -> "Population":
+        """Arrays of ``users``; ``providers`` fixes the provider numbering (default: first seen)."""
+        if providers is None:
+            providers = dict.fromkeys(u.wfp for u in users)
+        provider_index = {wid: k for k, wid in enumerate(providers)}
+        paths = tuple(dict.fromkeys(u.path for u in users))
+        path_index = {p: k for k, p in enumerate(paths)}
+        return cls(
+            roster=Roster([u.id for u in users]),
+            providers=tuple(providers),
+            paths=paths,
+            provider=np.array([provider_index[u.wfp] for u in users], dtype=np.intp),
+            path=np.array([path_index[u.path] for u in users], dtype=np.intp),
+            weight=np.array([u.weight for u in users], dtype=float),
+            budget=np.array([u.budget for u in users], dtype=float),
+            wb=np.array([u.weight * u.budget for u in users], dtype=float),
+            snr=np.array([u.snr_factor for u in users], dtype=float),
+            x_min=np.array([u.x_min for u in users], dtype=float),
+            x_max=np.array([u.x_max for u in users], dtype=float),
+        )
+
+    def __len__(self) -> int:
+        return len(self.roster.ids)
+
+    def take(self, idx: np.ndarray, ids: Sequence[str] | None = None) -> "Population":
+        """The users at positions ``idx``, under ``ids`` (default: their own)."""
+        if ids is None:
+            ids = [self.roster.ids[i] for i in idx.tolist()]
+        arrays = {name: getattr(self, name)[idx] for name in _USER_ARRAYS}
+        return replace(self, roster=Roster(ids), **arrays)

@@ -19,7 +19,14 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .model import LinkState, UserProfile, WfpAccount, effective_capacity
+from .model import (
+    LinkState,
+    Population,
+    UserProfile,
+    UserValues,
+    WfpAccount,
+    effective_capacity,
+)
 
 
 @dataclass(frozen=True)
@@ -51,8 +58,8 @@ class EquilibriumResult:
 
     lambda_by_wfp: dict[str, float] = field(default_factory=dict)
     g_by_link: dict[str, float] = field(default_factory=dict)
-    x_by_user: dict[str, float] = field(default_factory=dict)
-    final_price_by_user: dict[str, float] = field(default_factory=dict)
+    x_by_user: Mapping[str, float] = field(default_factory=dict)
+    final_price_by_user: Mapping[str, float] = field(default_factory=dict)
     iterations: int = 0
     converged: bool = False
     # Provider solves: |C - D| at the returned price, or max(D - C, 0) at a
@@ -145,13 +152,17 @@ def _allocate(
     A zero price saturates demand at x_max (w * b / 0 is taken as +inf).
     """
     prices = np.maximum(lam, floors)
-    with np.errstate(divide="ignore"):
-        return prices, np.clip(wb / prices, x_min, x_max)
+    if lam > 0.0 or prices.all():
+        ideal = wb / prices
+    else:
+        with np.errstate(divide="ignore"):
+            ideal = wb / prices
+    return prices, np.minimum(np.maximum(ideal, x_min), x_max)
 
 
 def _provider_result(
     account: WfpAccount,
-    users: Sequence[UserProfile],
+    users: Population,
     lam: float,
     prices: np.ndarray,
     x: np.ndarray,
@@ -164,30 +175,37 @@ def _provider_result(
     residual = abs(capacity - demand) if lam > 0.0 else max(demand - capacity, 0.0)
     return EquilibriumResult(
         lambda_by_wfp={account.id: lam},
-        x_by_user={u.id: float(x[i]) for i, u in enumerate(users)},
-        final_price_by_user={u.id: float(prices[i]) for i, u in enumerate(users)},
+        x_by_user=UserValues(users.roster, x),
+        final_price_by_user=UserValues(users.roster, prices),
         iterations=iterations,
         converged=converged,
         residual=residual,
     )
 
 
-def _provider_arrays(account, users, g_by_user):
-    """Per-user w * b, price floors (ISP floor plus margin), x_min and x_max."""
-    return (
-        np.array([u.weight * u.budget for u in users]),
-        np.array([g_by_user[u.id] + account.min_profit for u in users]),
-        np.array([u.x_min for u in users]),
-        np.array([u.x_max for u in users]),
-    )
+def _provider_floors(
+    account: WfpAccount,
+    users: Sequence[UserProfile] | Population,
+    g_by_user: Mapping[str, float] | np.ndarray,
+) -> tuple[Population, np.ndarray]:
+    """The users as a Population, and their price floors: ISP floor plus margin."""
+    if not isinstance(users, Population):
+        users = Population.of(users)
+        g_by_user = [g_by_user[uid] for uid in users.roster.ids]
+    return users, np.asarray(g_by_user, dtype=float) + account.min_profit
 
 
 def solve_wfp_equilibrium(
     account: WfpAccount,
-    users: Sequence[UserProfile],
-    g_by_user: Mapping[str, float],
+    users: Sequence[UserProfile] | Population,
+    g_by_user: Mapping[str, float] | np.ndarray,
 ) -> EquilibriumResult:
     """One provider's exact clearing price against fixed ISP floors.
+
+    ``users`` is a list of profiles with ``g_by_user`` keyed by id, or a
+    Population with ``g_by_user`` an array of ISP floors in roster order.
+    The result's ``x_by_user`` and ``final_price_by_user`` are views over
+    the users' roster.
 
     Demand D(lam) = sum clip(w * b / max(lam, floor), x_min, x_max) is
     continuous, never rises with lam, and between consecutive breakpoints
@@ -198,13 +216,12 @@ def solve_wfp_equilibrium(
     breakpoints finds the piece where D crosses C, and lam = A / (C - B) on
     it.  ``iterations`` counts demand evaluations, O(log n).
     """
-    if not users:
-        return EquilibriumResult(
-            lambda_by_wfp={account.id: 0.0}, converged=True, residual=0.0
-        )
+    users, floors = _provider_floors(account, users, g_by_user)
+    if not len(users):
+        return _provider_result(account, users, 0.0, floors, floors, 0, True)
 
     capacity = effective_capacity(account)
-    wb, floors, x_min, x_max = _provider_arrays(account, users, g_by_user)
+    wb, x_min, x_max = users.wb, users.x_min, users.x_max
     evaluations = 0
 
     def allocate(lam: float) -> tuple[np.ndarray, np.ndarray]:
@@ -246,8 +263,8 @@ def solve_wfp_equilibrium(
 
 def solve_wfp_subgradient(
     account: WfpAccount,
-    users: Sequence[UserProfile],
-    g_by_user: Mapping[str, float],
+    users: Sequence[UserProfile] | Population,
+    g_by_user: Mapping[str, float] | np.ndarray,
     cfg: SolverConfig,
     lambda0: float = 0.0,
 ) -> EquilibriumResult:
@@ -257,13 +274,12 @@ def solve_wfp_subgradient(
     final price, then the provider takes one dual step against its sellable
     capacity.  Converged when the price moves less than ``epsilon``.
     """
-    if not users:
-        return EquilibriumResult(
-            lambda_by_wfp={account.id: 0.0}, converged=True, residual=0.0
-        )
+    users, floors = _provider_floors(account, users, g_by_user)
+    if not len(users):
+        return _provider_result(account, users, 0.0, floors, floors, 0, True)
 
     capacity = effective_capacity(account)
-    wb, floors, x_min, x_max = _provider_arrays(account, users, g_by_user)
+    wb, x_min, x_max = users.wb, users.x_min, users.x_max
     lam = max(lambda0, 0.0)
     converged = False
     iterations = 0

@@ -4,7 +4,9 @@ CSV is the canonical artifact: one row per step, header names matching the
 step-record fields, every float printed with 9 significant digits so a file
 written from the same config is byte-identical run to run.  Per-entity values
 (provider prices, per-user floors/prices/allocations) flatten into dotted
-columns like ``lambda.wfp1`` or ``x.u003``.
+columns like ``lambda.wfp1`` or ``x.u003``.  Per-user views
+(:class:`~wifimarket.model.UserValues`) are formatted straight from their
+arrays, through one key -> position map per roster.
 
 The SVG writer draws three stacked panels -- shares, price, utility -- with
 one polyline per plotted series and no dependency on any plotting library.
@@ -12,10 +14,12 @@ one polyline per plotted series and no dependency on any plotting library.
 from __future__ import annotations
 
 import csv
+from operator import attrgetter
 from pathlib import Path
 from xml.sax.saxutils import escape
 
 from .engine import StepRecord, TimeSeries
+from .model import Roster, UserValues
 
 #: Scalar step-record fields, in emission order.
 SCALAR_FIELDS = (
@@ -49,10 +53,42 @@ def _column_plan(ts: TimeSeries) -> tuple[list[str], list[tuple[str, list[str]]]
     """The CSV header, and ``(attr, keys)`` per map field: the run's keys, sorted as strings."""
     header, plan = ["series", "step", *SCALAR_FIELDS], []
     for attr, prefix in MAP_FIELDS:
-        keys = sorted(set().union(*(getattr(rec, attr) for rec in ts.records)))
+        keys: set[str] = set()
+        prefixes: dict[Roster, int] = {}  # the longest view of each roster
+        for mapping in map(attrgetter(attr), ts.records):
+            if type(mapping) is UserValues:
+                roster = mapping.roster
+                prefixes[roster] = max(prefixes.get(roster, 0), len(mapping.array))
+            else:
+                keys.update(mapping)
+        for roster, n in prefixes.items():
+            keys.update(roster.ids[:n])
+        keys = sorted(keys)
         header += [f"{prefix}.{key}" for key in keys]
         plan.append((attr, keys))
     return header, plan
+
+
+def _view_cells(keys: list[str]):
+    """Formats views against ``keys``, through one key -> position list per roster.
+
+    Consecutive records sharing a view share its cells.
+    """
+    positions: dict[Roster, list[int]] = {}
+    last, formatted = None, []
+
+    def cells(view: UserValues) -> list[str]:
+        nonlocal last, formatted
+        if view is not last:
+            at = positions.get(view.roster)
+            if at is None:
+                where, absent = view.roster.position, len(view.roster.ids)
+                at = positions[view.roster] = [where.get(key, absent) for key in keys]
+            values, n = view.array.tolist(), len(view.array)
+            last, formatted = view, [NUMBER_FORMAT % values[i] if i < n else "" for i in at]
+        return formatted
+
+    return cells
 
 
 def csv_header(ts: TimeSeries) -> list[str]:
@@ -61,15 +97,19 @@ def csv_header(ts: TimeSeries) -> list[str]:
 
 def write_csv(ts: TimeSeries, path: str | Path) -> None:
     header, plan = _column_plan(ts)
+    fields = [(attrgetter(attr), keys, _view_cells(keys)) for attr, keys in plan]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for rec in ts.records:
             row = [rec.series, str(rec.step)]
             row += [NUMBER_FORMAT % getattr(rec, name) for name in SCALAR_FIELDS]
-            for attr, keys in plan:
-                mapping = getattr(rec, attr)
-                row += [NUMBER_FORMAT % mapping[key] if key in mapping else "" for key in keys]
+            for get, keys, view_cells in fields:
+                mapping = get(rec)
+                if type(mapping) is UserValues:
+                    row += view_cells(mapping)
+                else:
+                    row += [NUMBER_FORMAT % mapping[key] if key in mapping else "" for key in keys]
             writer.writerow(row)
 
 
@@ -102,8 +142,9 @@ _PANEL_H = 240
 _MARGIN = 48
 
 
-def _mean(values) -> float:
-    values = list(values)
+def _mean(mapping) -> float:
+    """Mean of a mapping's values, summed in its iteration order."""
+    values = mapping.ordered() if type(mapping) is UserValues else list(mapping.values())
     return sum(values) / len(values) if values else 0.0
 
 
@@ -170,7 +211,7 @@ def write_svg(ts: TimeSeries, path: str | Path) -> None:
             (r.step, r.isp_share_pct) for r in sub.records
         ]
         price_curves[f"mean final price{suffix}"] = [
-            (r.step, _mean(r.final_price_by_user.values())) for r in sub.records
+            (r.step, _mean(r.final_price_by_user)) for r in sub.records
         ]
         utility_curves[f"mean utility{suffix}"] = [
             (r.step, r.mean_utility) for r in sub.records

@@ -13,6 +13,11 @@ The payout is the two-player Shapley value of that game, computed in closed
 form by :func:`shapley_split`; :func:`shapley_permutation` is the independent
 ordering-enumeration oracle used to cross-check it.  If the provider
 contributes nothing, the ISP keeps the whole transaction.
+
+All of it needs five sums over a transaction's sales, so
+:func:`settle_transaction` takes them as :class:`SaleTotals`; the
+list-of-sales functions (:func:`total_revenue`, :func:`ewfp_contribution`, ...)
+are the per-sale reference the totals are checked against.
 """
 from __future__ import annotations
 
@@ -52,6 +57,63 @@ class CoalitionValues:
     isp_value: float
 
 
+@dataclass(frozen=True)
+class SaleTotals:
+    """The sums one transaction settles from, with its seller and sale count.
+
+    ``revenue`` = sum x * final_price, ``isp_revenue`` = sum x * min_price,
+    ``spread`` = sum (final_price - min_price) * x, ``floor_sum`` = sum
+    min_price and ``volume`` = sum x.  ``len()`` is the number of sales.
+    """
+
+    seller: str | None
+    count: int
+    revenue: float
+    isp_revenue: float
+    spread: float
+    floor_sum: float
+    volume: float
+
+    def __len__(self) -> int:
+        return self.count
+
+    @classmethod
+    def of(cls, sales: Sequence[SaleRecord]) -> "SaleTotals":
+        """Totals of a list of sales, summed in list order.
+
+        Raises ValueError if the sales come from more than one provider or
+        any is priced below the ISP floor.
+        """
+        sellers = {s.wfp for s in sales}
+        if len(sellers) > 1:
+            raise ValueError(f"sales from several providers {sorted(sellers)!r}")
+        for s in sales:
+            _check_floor(s)
+        return cls(
+            seller=sellers.pop() if sellers else None,
+            count=len(sales),
+            revenue=total_revenue(sales),
+            isp_revenue=isp_standalone_revenue(sales),
+            spread=sum((s.final_price - s.min_price) * s.x for s in sales),
+            floor_sum=sum(s.min_price for s in sales),
+            volume=sum(s.x for s in sales),
+        )
+
+
+def _check_floor(sale: SaleRecord) -> None:
+    if sale.final_price < sale.min_price - TOLERANCE:
+        raise ValueError(
+            f"sale to {sale.user!r} priced below the ISP minimum "
+            f"({sale.final_price} < {sale.min_price})"
+        )
+
+
+def _discounted_spread(spread: float, floor_sum: float, params: SharingParams) -> float:
+    """The spread divided by max(ln(floor_sum), beta) (beta alone for no floor)."""
+    denom = max(math.log(floor_sum), params.beta) if floor_sum > 0.0 else params.beta
+    return spread / denom
+
+
 def total_revenue(sales: Sequence[SaleRecord]) -> float:
     """Revenue of the grand coalition: sum of volume times final price."""
     return sum(s.x * s.final_price for s in sales)
@@ -79,15 +141,9 @@ def ewfp_contribution(sales: Sequence[SaleRecord], params: SharingParams) -> flo
     if not sales:
         return 0.0
     for s in sales:
-        if s.final_price < s.min_price - TOLERANCE:
-            raise ValueError(
-                f"sale to {s.user!r} priced below the ISP minimum "
-                f"({s.final_price} < {s.min_price})"
-            )
+        _check_floor(s)
     spread = sum((s.final_price - s.min_price) * s.x for s in sales)
-    g_w = sum(s.min_price for s in sales)
-    denom = max(math.log(g_w), params.beta) if g_w > 0.0 else params.beta
-    return spread / denom
+    return _discounted_spread(spread, sum(s.min_price for s in sales), params)
 
 
 def iwfp_contribution(
@@ -188,59 +244,52 @@ def coalition_map(values: CoalitionValues) -> dict[frozenset, float]:
 
 def settle_transaction(
     account: WfpAccount,
-    sales: Sequence[SaleRecord],
+    totals: SaleTotals,
     params: SharingParams,
 ) -> tuple[Settlement, WfpAccount]:
     """Settle one transaction and return the payout plus the updated account.
 
-    Builds the coalition values for the account's kind, applies the Shapley
-    split, and -- for individual providers -- enforces the billing-cycle cap:
-    any amount above the remaining headroom (fee - settled_share) is truncated
-    and handed to the ISP, so the shares still sum to the transaction total.
-    When the provider contributes nothing the ISP keeps everything.
+    Builds the coalition values for the account's kind from the sale
+    ``totals`` (``SaleTotals.of(sales)`` for a list), splits them with
+    :func:`shapley_split`, and -- for individual providers -- enforces the
+    billing-cycle cap: any amount above the remaining headroom
+    (fee - settled_share) is truncated and handed to the ISP, so the shares
+    still sum to the transaction total.  When the provider contributes nothing
+    the ISP keeps everything.
 
     Individual accounts come back with ``unused`` reduced by the volume sold
     and ``settled_share`` grown by the payout; the input account is untouched.
     """
-    for s in sales:
-        if s.wfp != account.id:
-            raise ValueError(f"sale by {s.wfp!r} settled against account {account.id!r}")
-    if not sales:
+    if totals.seller is not None and totals.seller != account.id:
+        raise ValueError(
+            f"sale by {totals.seller!r} settled against account {account.id!r}"
+        )
+    if not totals.count:
         return Settlement(0.0, 0.0, 0.0, 0.0, 0.0), account
 
-    total = total_revenue(sales)
-    isp_alone = isp_standalone_revenue(sales)
+    total, isp_alone = totals.revenue, totals.isp_revenue
     if account.kind is WfpKind.ESTABLISHMENT:
-        wfp_value = ewfp_contribution(sales, params)
+        wfp_value = _discounted_spread(totals.spread, totals.floor_sum, params)
     else:
         wfp_value = iwfp_contribution(total, isp_alone, account, params)
 
     # A provider that contributes nothing leaves the whole pot with the ISP.
     isp_value = isp_alone if wfp_value > 0.0 else total
+    settlement = shapley_split(CoalitionValues(total, wfp_value, isp_value))
 
-    wfp_share = 0.5 * wfp_value + 0.5 * (total - isp_value)
-    isp_share = 0.5 * isp_value + 0.5 * (total - wfp_value)
-
-    volume = sum(s.x for s in sales)
-    if account.kind is WfpKind.INDIVIDUAL:
-        if account.fee > 0.0:
-            headroom = max(account.fee - account.settled_share, 0.0)
-            if wfp_share > headroom:
-                isp_share += wfp_share - headroom
-                wfp_share = headroom
-        updated = replace(
-            account,
-            unused=max(account.unused - volume, 0.0),
-            settled_share=account.settled_share + wfp_share,
+    if account.kind is WfpKind.ESTABLISHMENT:
+        return settlement, replace(
+            account, settled_share=account.settled_share + settlement.wfp_share
         )
-    else:
-        updated = replace(account, settled_share=account.settled_share + wfp_share)
-
-    settlement = Settlement(
-        wfp_share=wfp_share,
-        isp_share=isp_share,
-        total_value=total,
-        wfp_value=wfp_value,
-        isp_value=isp_value,
+    headroom = max(account.fee - account.settled_share, 0.0)
+    if account.fee > 0.0 and settlement.wfp_share > headroom:
+        settlement = replace(
+            settlement,
+            wfp_share=headroom,
+            isp_share=settlement.isp_share + (settlement.wfp_share - headroom),
+        )
+    return settlement, replace(
+        account,
+        unused=max(account.unused - totals.volume, 0.0),
+        settled_share=account.settled_share + settlement.wfp_share,
     )
-    return settlement, updated

@@ -26,7 +26,7 @@ from wifimarket.cli import main as cli_main
 from wifimarket.engine import run_scenario
 from wifimarket.model import SaleRecord, WfpAccount, WfpKind
 from wifimarket.presets import load_preset
-from wifimarket.sharing import SharingParams, settle_transaction
+from wifimarket.sharing import SaleTotals, SharingParams, settle_transaction
 
 SEED = 20260814
 
@@ -241,7 +241,7 @@ def test_criterion_12_billing_cycle_cap():
             SaleRecord(user=u, wfp="iw", x=5.0, min_price=2.0, wfp_price=4.0, final_price=4.0)
             for u in ("u1", "u2")
         ]
-        settlement, account = settle_transaction(account, sales, params)
+        settlement, account = settle_transaction(account, SaleTotals.of(sales), params)
         cumulative += settlement.wfp_share
         shares.append(settlement.wfp_share)
         efficient &= (

@@ -6,6 +6,7 @@ import pytest
 from wifimarket import cli
 from wifimarket.checks import CheckResult, check_efficiency
 from wifimarket.model import Settlement
+from wifimarket.presets import preset_path
 
 
 GOOD_DOC = {
@@ -99,6 +100,16 @@ def test_population_growth_without_users_is_invalid_input(tmp_path, capsys, mode
     code = cli.main(["run", "--config", str(config), "--out", str(tmp_path)])
     assert code == 1
     assert "mode: user_growth needs users to clone" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("preset", ["scenario1", "scenario3-high"])
+def test_user_without_provider_is_invalid_input(tmp_path, capsys, preset):
+    doc = json.loads(preset_path(preset).read_text(encoding="utf-8"))
+    doc["users"].append({"id": "lost", "path": ["AB"]})
+    config = write_doc(tmp_path, doc)
+    code = cli.main(["run", "--config", str(config), "--out", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == ["user lost: no wfp to buy from"]
 
 
 def test_malformed_json_is_invalid_input(tmp_path, capsys):

@@ -1,9 +1,14 @@
 """Data-model, configuration, and preset tests."""
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from wifimarket.config import (
+    MAX_USER_STEPS,
     CeilingSweepMode,
     ConfigError,
     EquilibriumMode,
@@ -16,9 +21,12 @@ from wifimarket.config import (
 )
 from wifimarket.model import (
     LinkState,
+    Population,
+    Roster,
     Topology,
     Unit,
     UserProfile,
+    UserValues,
     WfpAccount,
     WfpKind,
     effective_capacity,
@@ -58,6 +66,56 @@ def test_topology_link_prices():
 def test_user_profile_defaults_give_unit_snr_boost():
     user = UserProfile(id="u")
     assert user.snr_factor == pytest.approx(2.0)  # 1 + 1/(1*1)
+
+
+# --- populations and per-user views -----------------------------------------------------
+
+
+def test_user_values_is_a_read_only_view_of_a_roster_prefix():
+    roster = Roster(["u2", "u10", "u1"])
+    view = UserValues(roster, np.array([2.0, 10.0]))
+    assert len(view) == 2
+    assert list(view) == ["u2", "u10"]
+    assert view["u10"] == 10.0 and type(view["u10"]) is float
+    assert "u1" not in view  # on the roster, beyond the prefix
+    assert "ghost" not in view
+    with pytest.raises(KeyError):
+        view["u1"]
+    assert view == {"u2": 2.0, "u10": 10.0}
+    assert view.get("u1", -1.0) == -1.0
+    assert repr(view) == "UserValues({'u2': 2.0, 'u10': 10.0})"
+    with pytest.raises(TypeError):
+        view["u2"] = 3.0  # read-only
+
+
+def test_user_values_order_sets_iteration_order_only():
+    roster = Roster(["a", "b", "c"])
+    view = UserValues(roster, np.array([1.0, 2.0, 3.0]), order=np.array([1, 0, 2]))
+    assert list(view) == ["b", "a", "c"]
+    assert list(view.values()) == [2.0, 1.0, 3.0]
+    assert list(view.items()) == [("b", 2.0), ("a", 1.0), ("c", 3.0)]
+    assert view == {"a": 1.0, "b": 2.0, "c": 3.0}
+
+
+def test_population_arrays_follow_the_profiles():
+    users = [
+        UserProfile(id="a", weight=2.0, budget=50.0, tx_power=3.0, wfp="w2", path=("AB",)),
+        UserProfile(id="b", x_min=0.5, x_max=7.0, wfp="w1", path=("AB", "BC")),
+        UserProfile(id="c", wfp="w2", path=("AB",)),
+    ]
+    pop = Population.of(users, ["w1", "w2"])
+    assert pop.roster.ids == ["a", "b", "c"]
+    assert pop.provider.tolist() == [1, 0, 1]
+    assert pop.paths == (("AB",), ("AB", "BC"))
+    assert pop.path.tolist() == [0, 1, 0]
+    assert pop.wb.tolist() == [u.weight * u.budget for u in users]
+    assert pop.snr.tolist() == [u.snr_factor for u in users]
+    assert pop.x_min.tolist() == [u.x_min for u in users]
+    assert pop.x_max.tolist() == [u.x_max for u in users]
+    sub = pop.take(np.array([2, 0]))
+    assert sub.roster.ids == ["c", "a"]
+    assert sub.wb.tolist() == [100.0, 100.0]
+    assert sub.paths == pop.paths
 
 
 # --- document parsing ---------------------------------------------------------------
@@ -244,6 +302,50 @@ def test_validate_subscriber_load_series_length():
     }
     problems = validate_scenario(scenario_from_dict(doc))
     assert any("shorter than ticks" in p for p in problems)
+
+
+def test_validate_bounds_the_run_size_without_running():
+    doc = json.loads(preset_path("iwfp-ceiling").read_text(encoding="utf-8"))
+    doc["mode"]["price_step"] = 1e-9  # 1e11 prices x 4 usage levels x 2 users
+    problems = validate_scenario(scenario_from_dict(doc))
+    assert problems == [
+        f"mode: 800,000,000,008 user-steps exceed the limit of {MAX_USER_STEPS:,}"
+    ]
+
+
+@pytest.mark.parametrize(
+    "mode, users",
+    [
+        # count x final users, final users = users + growth x (count - 1)
+        ({"kind": "sweep", "swept_party": "isp", "start": 1, "count": 1000, "user_growth": 1}, 1001),
+        # ticks x final users
+        ({"kind": "equilibrium", "ticks": 1000, "user_growth": 1}, 1001),
+        # (usage_steps + 1) x users of individual providers
+        ({"kind": "quota_sweep", "usage_steps": 999}, 2000),
+        # price steps x usage levels x users of individual providers
+        ({"kind": "ceiling_sweep", "price_stop": 999, "usage_levels": [0.0, 0.5]}, 1000),
+    ],
+)
+def test_validate_run_size_limit_is_inclusive(mode, users):
+    doc = dict(MINIMAL_DOC, mode=mode)
+    doc["wfps"] = [{"id": "p1", "kind": "individual", "quota": 200, "fee": 1000, "price": 31}]
+    doc["users"] = [{"id": "u", "wfp": "p1", "path": ["AB"], "count": users}]
+    assert MAX_USER_STEPS == 2_000_000
+    assert validate_scenario(scenario_from_dict(doc)) == []
+    doc["users"][0]["count"] = users + 1
+    problems = validate_scenario(scenario_from_dict(doc))
+    assert len(problems) == 1 and "user-steps exceed the limit" in problems[0]
+
+
+def test_benchmark_workloads_validate(monkeypatch):
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    for name in workloads.WORKLOADS:
+        cfg = scenario_from_dict(json.loads(workloads.generate(name, 1)))
+        assert validate_scenario(cfg) == [], name
 
 
 # --- packaged presets ----------------------------------------------------------------

@@ -1,4 +1,5 @@
 """Report tests: CSV round-trip fidelity, number formatting, SVG structure."""
+import hashlib
 import math
 import xml.etree.ElementTree as ET
 
@@ -245,3 +246,43 @@ def test_svg_multi_series_run(tmp_path):
     polylines = root.findall(f".//{SVG_NS}polyline")
     # four usage series -> 4 share pairs + 4 price + 4 utility curves
     assert len(polylines) == 16
+
+
+# SHA-256 of each preset's CSV and SVG, written by the code before per-user
+# values became array views; the array engine must reproduce them byte for byte.
+PRESET_OUTPUTS = {
+    "scenario1": (
+        "79cfebf7e09a7e237aab90658e499243731a227ad3bfcbf14ad4f3436c528330",
+        "10d373d21bea2475ee8f237da33b72c70c10f3fc6cb22c9497a78c029c349c4f",
+    ),
+    "scenario2": (
+        "0c262bb8fa224fc272a0f2652038b217cd891ac41a0d81e3db8155eca8aab745",
+        "28188b8d020efd588b602c24a60824541d1c867fefa5447894e2094c98cd800f",
+    ),
+    "scenario3-low": (
+        "8eb6e8d76a3077e8979cf07efa8d0580fb712628554742f3cd562c95ceda1cf4",
+        "3f763ab7a96fddbfb4cd747cab284733ee3542a5d4a904d05ef71e5a2b7dac26",
+    ),
+    "scenario3-high": (
+        "bba3f1145459f545bd45bdea7ea8ab3b950a79a786d27ef3760182e62d470c71",
+        "1d8d285e5adcdeffcc54e2b599cc541392520cab9c31b272dc89eb8e3a3e5025",
+    ),
+    "iwfp-topology": (
+        "8bd741f995a7cdbfc007b017f4bd0ab37037fd45be0b11c9cbcbb0ebfb0e5ce6",
+        "9651d3f8b6debd23569a40838619c6e497a9c94f116a207c8f2e937fbb5ae6c1",
+    ),
+    "iwfp-ceiling": (
+        "f2abac9870d18aa2316532918ffa73496047f72dcfffc4a39242697c99905fb1",
+        "fc5bf6f5dc2ac23bf3c93f90325b9a5b639add147055a4318512f362eafe58cf",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRESET_OUTPUTS))
+def test_preset_outputs_are_pinned(tmp_path, name):
+    ts = run_scenario(load_preset(name))
+    write_csv(ts, tmp_path / "out.csv")
+    write_svg(ts, tmp_path / "out.svg")
+    csv_sha, svg_sha = PRESET_OUTPUTS[name]
+    assert hashlib.sha256((tmp_path / "out.csv").read_bytes()).hexdigest() == csv_sha
+    assert hashlib.sha256((tmp_path / "out.svg").read_bytes()).hexdigest() == svg_sha

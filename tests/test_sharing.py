@@ -12,6 +12,7 @@ import pytest
 from wifimarket.model import SaleRecord, WfpAccount, WfpKind
 from wifimarket.sharing import (
     CoalitionValues,
+    SaleTotals,
     SharingParams,
     coalition_map,
     ewfp_contribution,
@@ -210,7 +211,7 @@ def test_shapley_permutation_missing_subset():
 def test_settle_establishment_transaction_frozen_values():
     account = WfpAccount(id="ew", kind=WfpKind.ESTABLISHMENT, capacity=100.0)
     sales = [sale("u1", 10.0, 10.0, 15.0), sale("u2", 10.0, 90.0, 91.0)]
-    settlement, updated = settle_transaction(account, sales, SharingParams())
+    settlement, updated = settle_transaction(account, SaleTotals.of(sales), SharingParams())
     assert settlement.total_value == pytest.approx(1060.0, abs=1e-9)
     assert settlement.wfp_value == pytest.approx(13.028834457097554, abs=1e-9)
     assert settlement.isp_value == pytest.approx(1000.0, abs=1e-9)
@@ -225,7 +226,7 @@ def test_settle_individual_transaction_frozen_values():
     )
     # one sale: volume 10 at final 11 over a floor of 10 -> surplus 10
     sales = [sale("u1", 10.0, 10.0, 11.0, wfp="iw")]
-    settlement, updated = settle_transaction(account, sales, SharingParams())
+    settlement, updated = settle_transaction(account, SaleTotals.of(sales), SharingParams())
     assert settlement.wfp_value == pytest.approx(1.7269388197455344, abs=1e-9)
     assert settlement.wfp_share == pytest.approx(5.863469409872767, abs=1e-9)
     assert settlement.isp_share == pytest.approx(104.13653059012722, abs=1e-9)
@@ -247,7 +248,7 @@ def test_settle_fee_cap_truncates_and_hands_overflow_to_isp():
     rounds = []
     for _ in range(3):
         sales = [sale("u1", 5.0, 2.0, 4.0, wfp="iw"), sale("u2", 5.0, 2.0, 4.0, wfp="iw")]
-        settlement, account = settle_transaction(account, sales, params)
+        settlement, account = settle_transaction(account, SaleTotals.of(sales), params)
         rounds.append(settlement)
         assert settlement.wfp_share + settlement.isp_share == pytest.approx(
             settlement.total_value, abs=1e-9
@@ -264,7 +265,7 @@ def test_settle_fee_cap_truncates_and_hands_overflow_to_isp():
 
 def test_settle_empty_transaction_is_a_no_op():
     account = WfpAccount(id="ew", kind=WfpKind.ESTABLISHMENT, capacity=10.0)
-    settlement, updated = settle_transaction(account, [], SharingParams())
+    settlement, updated = settle_transaction(account, SaleTotals.of([]), SharingParams())
     assert settlement.total_value == 0.0
     assert settlement.wfp_share == 0.0
     assert settlement.isp_share == 0.0
@@ -274,7 +275,9 @@ def test_settle_empty_transaction_is_a_no_op():
 def test_settle_rejects_foreign_sales():
     account = WfpAccount(id="ew", kind=WfpKind.ESTABLISHMENT, capacity=10.0)
     with pytest.raises(ValueError, match="settled against"):
-        settle_transaction(account, [sale("u1", 1.0, 1.0, 2.0, wfp="other")], SharingParams())
+        settle_transaction(
+            account, SaleTotals.of([sale("u1", 1.0, 1.0, 2.0, wfp="other")]), SharingParams()
+        )
 
 
 def test_settle_is_efficient_on_random_transactions():
@@ -296,7 +299,7 @@ def test_settle_is_efficient_on_random_transactions():
             g = rng.uniform(0.5, 30.0)
             f = g + rng.uniform(0.0, 20.0)
             sales.append(sale(f"u{k}", rng.uniform(0.01, 10.0), g, f, wfp="w"))
-        settlement, updated = settle_transaction(account, sales, params)
+        settlement, updated = settle_transaction(account, SaleTotals.of(sales), params)
         assert settlement.wfp_share + settlement.isp_share == pytest.approx(
             settlement.total_value, abs=1e-9
         )
