@@ -93,6 +93,11 @@ class CeilingSweepMode:
     price_step: float = 1.0
     txn_volume: float = 10.0
 
+    @staticmethod
+    def series_label(usage: float) -> str:
+        """The series of one usage level, named by its whole percent."""
+        return f"usage_{int(round(usage * 100))}"
+
 
 Mode = SweepMode | EquilibriumMode | QuotaSweepMode | CeilingSweepMode
 
@@ -421,6 +426,18 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
             problems.append("mode: price_stop must be at least price_start")
         if mode.txn_volume <= 0.0:
             problems.append("mode: txn_volume must be positive")
+        first: dict[str, float] = {}
+        for lvl in mode.usage_levels:
+            label = mode.series_label(lvl)
+            if label in first:
+                problems.append(
+                    f"mode: usage_levels {first[label]!r} and {lvl!r} share series {label}"
+                )
+            first.setdefault(label, lvl)
+        individual = [w.id for w in cfg.wfps if w.kind is WfpKind.INDIVIDUAL]
+        if len(individual) > 1:
+            problems.append("mode: a ceiling sweep maps one individual provider, got "
+                            + ", ".join(individual))
 
     if isinstance(mode, QuotaSweepMode):
         for w in cfg.wfps:

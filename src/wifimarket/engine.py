@@ -100,8 +100,10 @@ class TimeSeries:
         """Split a multi-series run into one TimeSeries per label."""
         split: dict[str, TimeSeries] = {}
         for rec in self.records:
-            split.setdefault(rec.series, TimeSeries(name=f"{self.name}:{rec.series}"))
-            split[rec.series].records.append(rec)
+            sub = split.get(rec.series)
+            if sub is None:
+                sub = split[rec.series] = TimeSeries(name=f"{self.name}:{rec.series}")
+            sub.records.append(rec)
         return split
 
 
@@ -473,11 +475,11 @@ def run_iwfp_topology(cfg: ScenarioConfig) -> TimeSeries:
             for k in levels
         ]
         posted = [cfg.wfp_prices[account.id]] * len(snapshots)
-        ts.records += _snapshots(
+        records = _snapshots(
             account.id, snapshots, posted, users, g, mode.txn_volume, cfg.sharing, True
         )
-        shares = [r.wfp_share_pct for r in ts.records if r.series == account.id]
-        ts.summary[f"max_share_pct.{account.id}"] = max(shares)
+        ts.records += records
+        ts.summary[f"max_share_pct.{account.id}"] = max(r.wfp_share_pct for r in records)
     return ts
 
 
@@ -495,14 +497,14 @@ def run_iwfp_ceiling(cfg: ScenarioConfig) -> TimeSeries:
     posted = [mode.price_start + k * mode.price_step for k in range(steps)]
     for account, users, g in _individual_providers(cfg):
         for usage in mode.usage_levels:
-            label = f"usage_{int(round(usage * 100))}"
+            label = mode.series_label(usage)
             unused = account.quota * (1.0 - usage)
             snapshot = replace(account, unused=unused, settled_share=0.0)
-            ts.records += _snapshots(
+            records = _snapshots(
                 label, [snapshot] * steps, posted, users, g, mode.txn_volume, cfg.sharing, False
             )
-            level_shares = [r.wfp_share_pct for r in ts.records if r.series == label]
-            ts.summary[f"max_share_pct.{label}"] = max(level_shares)
+            ts.records += records
+            ts.summary[f"max_share_pct.{label}"] = max(r.wfp_share_pct for r in records)
     return ts
 
 

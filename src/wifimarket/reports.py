@@ -6,7 +6,10 @@ written from the same config is byte-identical run to run.  Per-entity values
 (provider prices, per-user floors/prices/allocations) flatten into dotted
 columns like ``lambda.wfp1`` or ``x.u003``.  Per-user views
 (:class:`~wifimarket.model.UserValues`) are formatted straight from their
-arrays, through one key -> position map per roster.
+arrays: a long view formats each of its distinct values (by bit pattern) once,
+since growth clones repeat a handful of values across thousands of users.
+Rows are written as joined text; only the header and the series labels go
+through :mod:`csv` quoting, as numbers never need it.
 
 The SVG writer draws three stacked panels -- shares, price, utility -- with
 one polyline per plotted series and no dependency on any plotting library.
@@ -14,9 +17,11 @@ one polyline per plotted series and no dependency on any plotting library.
 from __future__ import annotations
 
 import csv
+import io
 from operator import attrgetter
 from pathlib import Path
-from xml.sax.saxutils import escape
+
+import numpy as np
 
 from .engine import StepRecord, TimeSeries
 from .model import Roster, UserValues
@@ -69,26 +74,50 @@ def _column_plan(ts: TimeSeries) -> tuple[list[str], list[tuple[str, list[str]]]
     return header, plan
 
 
-def _view_cells(keys: list[str]):
-    """Formats views against ``keys``, through one key -> position list per roster.
+#: Views at least this long are formatted by distinct value; a shorter one
+#: formats every cell, as sorting it would cost more than it saves.
+DISTINCT_MIN_LEN = 128
 
-    Consecutive records sharing a view share its cells.
+
+def _view_text(keys: list[str]):
+    """Formats views against ``keys`` as one comma-joined text, ``""`` where a key is absent.
+
+    Each roster's key positions are computed once.  Consecutive records
+    sharing a view share its text.
     """
-    positions: dict[Roster, list[int]] = {}
-    last, formatted = None, []
+    positions: dict[Roster, tuple[list[int], np.ndarray]] = {}
+    last, text = None, ""
 
-    def cells(view: UserValues) -> list[str]:
-        nonlocal last, formatted
+    def joined(view: UserValues) -> str:
+        nonlocal last, text
         if view is not last:
-            at = positions.get(view.roster)
-            if at is None:
-                where, absent = view.roster.position, len(view.roster.ids)
-                at = positions[view.roster] = [where.get(key, absent) for key in keys]
-            values, n = view.array.tolist(), len(view.array)
-            last, formatted = view, [NUMBER_FORMAT % values[i] if i < n else "" for i in at]
-        return formatted
+            roster, n = view.roster, len(view.array)
+            if roster not in positions:
+                where, absent = roster.position, len(roster.ids)
+                at = [where.get(key, absent) for key in keys]
+                positions[roster] = at, np.array(at, dtype=np.intp)
+            at, at_array = positions[roster]
+            if n < DISTINCT_MIN_LEN:
+                values = view.array.tolist()
+                cells = [NUMBER_FORMAT % values[i] if i < n else "" for i in at]
+            else:
+                # np.unique over the bit patterns keeps -0.0 apart from 0.0
+                distinct, slot = np.unique(view.array.view(np.int64), return_inverse=True)
+                texts = [NUMBER_FORMAT % v for v in distinct.view(np.float64).tolist()]
+                slots = np.full(len(roster.ids) + 1, len(distinct))  # past the prefix: ""
+                slots[:n] = slot
+                cells = np.array([*texts, ""], dtype=object)[slots[at_array]].tolist()
+            last, text = view, ",".join(cells)
+        return text
 
-    return cells
+    return joined
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as :mod:`csv` writes it among other fields of a row."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow((text, ""))
+    return buf.getvalue()[: -len(",\r\n")]
 
 
 def csv_header(ts: TimeSeries) -> list[str]:
@@ -97,20 +126,24 @@ def csv_header(ts: TimeSeries) -> list[str]:
 
 def write_csv(ts: TimeSeries, path: str | Path) -> None:
     header, plan = _column_plan(ts)
-    fields = [(attrgetter(attr), keys, _view_cells(keys)) for attr, keys in plan]
+    fields = [(attrgetter(attr), keys, _view_text(keys)) for attr, keys in plan if keys]
+    scalars = attrgetter(*SCALAR_FIELDS)
+    scalar_text = ",".join([NUMBER_FORMAT] * len(SCALAR_FIELDS))
+    labels: dict[str, str] = {}
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
+        csv.writer(fh).writerow(header)
         for rec in ts.records:
-            row = [rec.series, str(rec.step)]
-            row += [NUMBER_FORMAT % getattr(rec, name) for name in SCALAR_FIELDS]
-            for get, keys, view_cells in fields:
+            label = labels.get(rec.series)
+            if label is None:
+                label = labels[rec.series] = _csv_field(rec.series)
+            row = [label, str(rec.step), scalar_text % scalars(rec)]
+            for get, keys, view_text in fields:
                 mapping = get(rec)
                 if type(mapping) is UserValues:
-                    row += view_cells(mapping)
+                    row.append(view_text(mapping))
                 else:
                     row += [NUMBER_FORMAT % mapping[key] if key in mapping else "" for key in keys]
-            writer.writerow(row)
+            fh.write(",".join(row) + "\r\n")
 
 
 def read_csv(path: str | Path) -> TimeSeries:
@@ -140,6 +173,11 @@ _PALETTE = (
 _PANEL_W = 880
 _PANEL_H = 240
 _MARGIN = 48
+
+
+def escape(text: str) -> str:
+    """``text`` with ``&``, ``<`` and ``>`` as XML entities."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 def _mean(mapping) -> float:

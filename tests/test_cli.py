@@ -112,6 +112,29 @@ def test_user_without_provider_is_invalid_input(tmp_path, capsys, preset):
     assert capsys.readouterr().err.splitlines() == ["user lost: no wfp to buy from"]
 
 
+def test_ceiling_sweep_with_two_individual_providers_is_invalid_input(tmp_path, capsys):
+    doc = json.loads(preset_path("iwfp-ceiling").read_text(encoding="utf-8"))
+    doc["wfps"].append(dict(doc["wfps"][0], id="iwfp2"))
+    doc["users"].append(dict(doc["users"][0], id="v", wfp="iwfp2"))
+    config = write_doc(tmp_path, doc)
+    code = cli.main(["run", "--config", str(config), "--out", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "mode: a ceiling sweep maps one individual provider, got iwfp1, iwfp2"
+    ]
+
+
+def test_ceiling_sweep_usage_levels_sharing_a_series_are_invalid_input(tmp_path, capsys):
+    doc = json.loads(preset_path("iwfp-ceiling").read_text(encoding="utf-8"))
+    doc["mode"]["usage_levels"] = [0.25, 0.499, 0.501]
+    config = write_doc(tmp_path, doc)
+    code = cli.main(["run", "--config", str(config), "--out", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "mode: usage_levels 0.499 and 0.501 share series usage_50"
+    ]
+
+
 def test_malformed_json_is_invalid_input(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{oops", encoding="utf-8")

@@ -1,18 +1,29 @@
 """Report tests: CSV round-trip fidelity, number formatting, SVG structure."""
+import csv
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
+from xml.sax.saxutils import escape as sax_escape
 
 import numpy as np
 import pytest
 
+import wifimarket
+from wifimarket.config import scenario_from_dict
 from wifimarket.engine import StepRecord, TimeSeries
+from wifimarket.model import Roster, UserValues
 from wifimarket.presets import load_preset
 from wifimarket.engine import run_scenario
 from wifimarket.reports import (
+    DISTINCT_MIN_LEN,
     MAP_FIELDS,
     SCALAR_FIELDS,
     csv_header,
+    escape,
     format_value,
     read_csv,
     write_csv,
@@ -189,6 +200,135 @@ def test_csv_bytes_are_pinned_and_read_back(tmp_path):
             want, have = getattr(original, attr), getattr(parsed, attr)
             assert set(have) == set(want), attr
             assert all(same_number(have[key], want[key]) for key in want), attr
+
+
+def reference_write_csv(ts, path):
+    """The writer before distinct-value formatting: csv.writer, one format per cell."""
+    header = csv_header(ts)
+    keys = [
+        (attr, [name[len(prefix) + 1:] for name in header if name.startswith(f"{prefix}.")])
+        for attr, prefix in MAP_FIELDS
+    ]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for rec in ts.records:
+            row = [rec.series, str(rec.step)]
+            row += [format_value(getattr(rec, name)) for name in SCALAR_FIELDS]
+            for attr, names in keys:
+                mapping = getattr(rec, attr)
+                row += [format_value(mapping[key]) if key in mapping else "" for key in names]
+            writer.writerow(row)
+
+
+def assert_matches_reference(ts, tmp_path):
+    write_csv(ts, tmp_path / "new.csv")
+    reference_write_csv(ts, tmp_path / "reference.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+def special_values(n):
+    """``n`` float64s mixing signed zeros, NaNs of three bit patterns, infinities,
+    the smallest subnormal and a few repeated ordinary values."""
+    nan_payload = np.array([0x7FF8000000000001], dtype=np.int64).view(np.float64)[0]
+    specials = [0.0, -0.0, np.nan, -np.nan, nan_payload, np.inf, -np.inf, 5e-324, -5e-324,
+                1.0 / 3.0, 1.0 / 3.0, 2.5, 2.5, 2.5, 1e300]
+    return np.array([specials[(7 * i) % len(specials)] for i in range(n)])
+
+
+def view_run(lengths, roster_size, label="run"):
+    """One record per view length, each UserValues over a prefix of one shared roster."""
+    roster = Roster([f"u{i}" for i in range(roster_size)])  # sorts u10 before u2
+    values = special_values(roster_size)
+    ts = TimeSeries(name="views")
+    for step, n in enumerate(lengths):
+        view = UserValues(roster, values[:n])
+        ts.records.append(StepRecord(
+            series=label, step=step, lambda_by_wfp={"w1": float(step)},
+            g_by_user=view, final_price_by_user=UserValues(roster, values[:n] + 1.0),
+            x_by_user=view, total_value=float(n), mean_utility=-0.0,
+        ))
+    return ts
+
+
+def test_csv_views_with_special_values_match_reference(tmp_path):
+    long = max(DISTINCT_MIN_LEN, 200)
+    ts = view_run([long, long, 5, DISTINCT_MIN_LEN - 1, DISTINCT_MIN_LEN, long], long)
+    write_csv(ts, tmp_path / "new.csv")
+    text = (tmp_path / "new.csv").read_text(encoding="utf-8")
+    for cell in ("nan", "inf", "-inf", "-0", "4.94065646e-324", "0.333333333", "2.5"):
+        assert f",{cell}," in text
+    assert_matches_reference(ts, tmp_path)
+
+
+def test_csv_view_shorter_than_its_roster_leaves_blank_cells(tmp_path):
+    roster_size = 3 * DISTINCT_MIN_LEN + 20
+    ts = view_run([DISTINCT_MIN_LEN + 10, 2, roster_size, DISTINCT_MIN_LEN], roster_size)
+    write_csv(ts, tmp_path / "new.csv")
+    rows = (tmp_path / "new.csv").read_text(encoding="utf-8").splitlines()
+    assert len(rows[1].split(",")) == len(rows[0].split(","))
+    assert ",," in rows[1] and ",," in rows[2]
+    assert_matches_reference(ts, tmp_path)
+
+
+def test_csv_map_field_without_keys_adds_no_cell(tmp_path):
+    ts = view_run([DISTINCT_MIN_LEN, 3], DISTINCT_MIN_LEN)
+    for rec in ts.records:
+        rec.lambda_by_wfp = {}
+        rec.g_by_user = UserValues(rec.x_by_user.roster, np.empty(0))
+    write_csv(ts, tmp_path / "new.csv")
+    lines = (tmp_path / "new.csv").read_text(encoding="utf-8").splitlines()
+    assert not any(name.startswith(("lambda.", "g.")) for name in lines[0].split(","))
+    assert all(len(line.split(",")) == len(lines[0].split(",")) for line in lines)
+    assert_matches_reference(ts, tmp_path)
+
+
+@pytest.mark.parametrize("label", ['peak, "high"', "two\nlines", "", " padded "])
+def test_csv_series_label_is_quoted_as_csv_quotes_it(tmp_path, label):
+    ts = view_run([DISTINCT_MIN_LEN, 1], DISTINCT_MIN_LEN, label=label)
+    assert_matches_reference(ts, tmp_path)
+
+
+def test_csv_growth_sweep_with_two_providers_matches_reference(tmp_path):
+    user = {"path": ["AB"], "budget": 100.0, "x_min": 0.01, "x_max": 50.0}
+    doc = {
+        "name": "two-provider-growth",
+        "nodes": ["A", "B"],
+        "links": [{"id": "AB", "capacity": 600.0, "price": 10.0}],
+        "wfps": [
+            {"id": "w1", "kind": "establishment", "capacity": 1000.0, "min_profit": 5.0},
+            {"id": "w2", "kind": "establishment", "capacity": 300.0, "min_profit": 2.0},
+        ],
+        "users": [
+            dict(user, id="a", count=6, wfp="w1", weight=1.0),
+            dict(user, id="b", count=4, wfp="w2", weight=2.0),
+            dict(user, id="c", count=3, wfp="w2", weight=0.5, x_max=2.0),
+        ],
+        "lambda0": 15.0,
+        "mode": {"kind": "sweep", "swept_party": "wfp", "start": 15.0, "step": 1.0,
+                 "count": 40, "user_growth": 7, "allocation": "best_response"},
+    }
+    ts = run_scenario(scenario_from_dict(doc))
+    assert len(ts.records[-1].x_by_user) >= 2 * DISTINCT_MIN_LEN
+    assert_matches_reference(ts, tmp_path)
+
+
+def test_escape_matches_saxutils():
+    text = "a <b> & c && <<>> 'q' \"d\""
+    assert escape(text) == sax_escape(text)
+
+
+def test_import_loads_no_network_modules():
+    code = (
+        "import sys, wifimarket; "
+        "print(sorted(m for m in ('urllib.request', 'http.client', 'email', 'ssl') "
+        "if m in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(wifimarket.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_csv_round_trip_full_run(tmp_path):
