@@ -15,120 +15,60 @@ Typical use::
     ts = run_scenario(load_preset("scenario1"))
     write_csv(ts, "scenario1.csv")
 """
-from .checks import CheckResult, run_all
-from .config import (
-    MAX_USER_STEPS,
-    CeilingSweepMode,
-    ConfigError,
-    EquilibriumMode,
-    QuotaSweepMode,
-    ScenarioConfig,
-    SweepMode,
-    load_scenario,
-    scenario_from_dict,
-    validate_scenario,
-)
-from .engine import StepRecord, TimeSeries, run_scenario
-from .model import (
-    TOLERANCE,
-    LinkState,
-    SaleRecord,
-    Settlement,
-    Topology,
-    Unit,
-    UserProfile,
-    UserValues,
-    WfpAccount,
-    WfpKind,
-    effective_capacity,
-)
-from .presets import PRESET_NAMES, load_preset, preset_path
+# The surface README's "Library" section documents (tests/test_library.py holds
+# the two to each other), with the types its signatures take.
+from .config import load_scenario, validate_scenario
+from .engine import run_scenario
+from .model import LinkState, Population, SaleRecord, UserProfile, UserValues, WfpAccount, WfpKind
+from .presets import load_preset
 from .pricing import (
-    EquilibriumResult,
     SolverConfig,
-    final_price,
-    isp_link_price_update,
-    min_price_for_path,
     solve_isp_prices,
     solve_wfp_equilibrium,
     solve_wfp_subgradient,
-    step_size,
     user_best_response,
-    user_utility,
-    wfp_price_update,
 )
 from .reports import read_csv, write_csv, write_svg
 from .sharing import (
     CoalitionValues,
     SaleTotals,
     SharingParams,
-    coalition_map,
     ewfp_contribution,
-    isp_standalone_revenue,
     iwfp_contribution,
     settle_transaction,
     shapley_permutation,
     shapley_split,
-    total_revenue,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CheckResult",
-    "run_all",
-    "MAX_USER_STEPS",
-    "CeilingSweepMode",
-    "ConfigError",
-    "EquilibriumMode",
-    "QuotaSweepMode",
-    "ScenarioConfig",
-    "SweepMode",
-    "load_scenario",
-    "scenario_from_dict",
-    "validate_scenario",
-    "StepRecord",
-    "TimeSeries",
-    "run_scenario",
-    "TOLERANCE",
-    "LinkState",
-    "SaleRecord",
-    "Settlement",
-    "Topology",
-    "Unit",
-    "UserProfile",
-    "UserValues",
-    "WfpAccount",
-    "WfpKind",
-    "effective_capacity",
-    "PRESET_NAMES",
     "load_preset",
-    "preset_path",
-    "EquilibriumResult",
-    "SolverConfig",
-    "final_price",
-    "isp_link_price_update",
-    "min_price_for_path",
-    "solve_isp_prices",
-    "solve_wfp_equilibrium",
-    "solve_wfp_subgradient",
-    "step_size",
-    "user_best_response",
-    "user_utility",
-    "wfp_price_update",
+    "load_scenario",
+    "validate_scenario",
+    "run_scenario",
     "read_csv",
     "write_csv",
     "write_svg",
-    "CoalitionValues",
-    "SaleTotals",
-    "SharingParams",
-    "coalition_map",
+    "UserValues",
+    "shapley_split",
+    "shapley_permutation",
     "ewfp_contribution",
-    "isp_standalone_revenue",
     "iwfp_contribution",
     "settle_transaction",
-    "shapley_permutation",
-    "shapley_split",
-    "total_revenue",
+    "solve_wfp_equilibrium",
+    "solve_wfp_subgradient",
+    "solve_isp_prices",
+    "user_best_response",
+    "SaleRecord",
+    "SaleTotals",
+    "SharingParams",
+    "WfpAccount",
+    "WfpKind",
+    "CoalitionValues",
+    "LinkState",
+    "Population",
+    "SolverConfig",
+    "UserProfile",
     "__version__",
 ]

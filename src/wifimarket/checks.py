@@ -23,9 +23,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .model import SaleRecord, Settlement, UserProfile, WfpAccount, WfpKind
+from .model import Population, SaleRecord, Settlement, UserProfile, WfpAccount, WfpKind
 from .pricing import (
     SolverConfig,
+    _allocate,
     solve_wfp_equilibrium,
     solve_wfp_subgradient,
     user_best_response,
@@ -348,10 +349,12 @@ def check_best_response_grid(seed: int, trials: int = 1_000) -> CheckResult:
     Each trial grids the user's purchase box at one ten-thousandth of its
     width (boxes are at most 10 wide, so the grid is at least as fine as the
     1e-3 acceptance gap) and also verifies the gridded utility is concave via
-    its second differences.
+    its second differences.  Both forms are checked: the scalar
+    ``user_best_response`` and the solvers' array clamp ``_allocate``, with
+    the price once as the provider's and once as the user's floor.
     """
     rng = random.Random(seed)
-    worst_gap = 0.0
+    worst_gap = worst_array_gap = 0.0
     concavity_violations = 0
     for _ in range(trials):
         x_min = rng.uniform(0.001, 0.1)
@@ -374,14 +377,19 @@ def check_best_response_grid(seed: int, trials: int = 1_000) -> CheckResult:
         grid_best = float(grid[int(np.argmax(utilities))])
         response = user_best_response(price, user)
         worst_gap = max(worst_gap, abs(response - grid_best))
+        wb, lo, hi = (np.array([v]) for v in (user.weight * user.budget, x_min, user.x_max))
+        for lam, floor in ((price, 0.0), (0.0, price)):
+            _, x = _allocate(lam, wb, np.array([floor]), lo, hi)
+            worst_array_gap = max(worst_array_gap, abs(float(x[0]) - grid_best))
         if float(np.diff(utilities, n=2).max()) > 1e-12:
             concavity_violations += 1
     return CheckResult(
         name="best-response-grid",
-        passed=worst_gap <= 1e-3 and concavity_violations == 0,
+        passed=max(worst_gap, worst_array_gap) <= 1e-3 and concavity_violations == 0,
         detail=(
             f"{trials} gridded boxes, max |closed form - grid argmax| = "
-            f"{worst_gap:.3g}, {concavity_violations} concavity violations"
+            f"{worst_gap:.3g} (scalar), {worst_array_gap:.3g} (_allocate), "
+            f"{concavity_violations} concavity violations"
         ),
     )
 
@@ -399,8 +407,7 @@ def check_exact_vs_subgradient(seed: int, trials: int = 100) -> CheckResult:
     worst = 0.0
     violations = 0
     for _ in range(trials):
-        users = []
-        g_by_user = {}
+        users, g = [], []
         for i in range(rng.randint(1, 20)):
             x_min = rng.uniform(0.001, 1.0)
             users.append(
@@ -412,7 +419,7 @@ def check_exact_vs_subgradient(seed: int, trials: int = 100) -> CheckResult:
                     x_max=x_min + rng.uniform(0.5, 10.0),
                 )
             )
-            g_by_user[f"u{i}"] = rng.choice((0.0, rng.uniform(0.0, 30.0)))
+            g.append(rng.choice((0.0, rng.uniform(0.0, 30.0))))
         capacity = rng.uniform(
             sum(u.x_min for u in users), 1.1 * sum(u.x_max for u in users)
         )
@@ -422,8 +429,9 @@ def check_exact_vs_subgradient(seed: int, trials: int = 100) -> CheckResult:
             capacity=capacity,
             min_profit=rng.uniform(0.0, 5.0),
         )
-        exact = solve_wfp_equilibrium(account, users, g_by_user)
-        oracle = solve_wfp_subgradient(account, users, g_by_user, cfg)
+        pop, g = Population.of(users), np.array(g)
+        exact = solve_wfp_equilibrium(account, pop, g)
+        oracle = solve_wfp_subgradient(account, pop, g, cfg)
         scaled = exact.residual / max(capacity, 1.0)
         worst = max(worst, scaled)
         if not exact.converged or scaled > 1e-9 or exact.residual > oracle.residual:
@@ -449,8 +457,9 @@ def check_capacity_price_convergence() -> CheckResult:
     account = WfpAccount(
         id="ew", kind=WfpKind.ESTABLISHMENT, capacity=5.0, min_profit=5.0
     )
-    user = UserProfile(id="u0", budget=100.0, x_min=0.01, x_max=50.0)
-    exact = solve_wfp_equilibrium(account, [user], {"u0": 10.0})
+    users = Population.of([UserProfile(id="u0", budget=100.0, x_min=0.01, x_max=50.0)])
+    g = np.array([10.0])
+    exact = solve_wfp_equilibrium(account, users, g)
     exact_ok = (
         exact.converged
         and abs(exact.lambda_by_wfp["ew"] - 20.0) <= 1e-9
@@ -458,7 +467,7 @@ def check_capacity_price_convergence() -> CheckResult:
         and exact.residual <= 1e-9
     )
     cfg = SolverConfig(sigma0=5.0, epsilon=1e-6, max_iters=100_000)
-    result = solve_wfp_subgradient(account, [user], {"u0": 10.0}, cfg)
+    result = solve_wfp_subgradient(account, users, g, cfg)
     lam = result.lambda_by_wfp["ew"]
     x = result.x_by_user["u0"]
     rel_lam = abs(lam - 20.0) / 20.0

@@ -19,7 +19,7 @@ import argparse
 import os
 import re
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 from .checks import run_all
@@ -34,18 +34,6 @@ EXIT_IO = 2
 EXIT_CHECK_FAILED = 3
 
 KNOWN_FORMATS = ("csv", "svg")
-
-
-@dataclass(frozen=True)
-class CliInvocation:
-    """Parsed command line, decoupled from argparse for direct use in code."""
-
-    command: str  # "run" | "preset" | "check"
-    config: str | None = None
-    preset: str | None = None
-    out_dir: str = "."
-    formats: tuple[str, ...] = KNOWN_FORMATS
-    seed: int | None = None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -91,36 +79,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_argv(argv: list[str] | None = None) -> CliInvocation:
-    args = build_parser().parse_args(argv)
-    if args.command == "check":
-        return CliInvocation(command="check", seed=args.seed)
-    formats = tuple(part.strip() for part in args.formats.split(",") if part.strip())
-    return CliInvocation(
-        command=args.command,
-        config=getattr(args, "config", None),
-        preset=getattr(args, "name", None),
-        out_dir=args.out,
-        formats=formats,
-        seed=args.seed,
-    )
-
-
 def _safe_stem(name: str) -> str:
     return re.sub(r"[^-._a-zA-Z0-9]", "_", name) or "scenario"
 
 
-def _run_scenario_command(inv: CliInvocation, scenario: ScenarioConfig) -> int:
-    bad_formats = [f for f in inv.formats if f not in KNOWN_FORMATS]
-    if bad_formats or not inv.formats:
+def _run_scenario_command(args: argparse.Namespace, scenario: ScenarioConfig) -> int:
+    formats = [part.strip() for part in args.formats.split(",") if part.strip()]
+    bad_formats = [f for f in formats if f not in KNOWN_FORMATS]
+    if bad_formats or not formats:
         for fmt in bad_formats:
             print(f"unknown output format {fmt!r}", file=sys.stderr)
-        if not inv.formats:
+        if not formats:
             print("no output formats requested", file=sys.stderr)
         return EXIT_INVALID
 
-    if inv.seed is not None:
-        scenario = replace(scenario, seed=inv.seed)
+    if args.seed is not None:
+        scenario = replace(scenario, seed=args.seed)
 
     problems = validate_scenario(scenario)
     if problems:
@@ -132,9 +106,9 @@ def _run_scenario_command(inv: CliInvocation, scenario: ScenarioConfig) -> int:
 
     stem = _safe_stem(scenario.name)
     try:
-        out_dir = Path(inv.out_dir)
+        out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        for fmt in inv.formats:
+        for fmt in formats:
             path = out_dir / f"{stem}.{fmt}"
             if fmt == "csv":
                 write_csv(ts, path)
@@ -150,29 +124,24 @@ def _run_scenario_command(inv: CliInvocation, scenario: ScenarioConfig) -> int:
     return EXIT_OK
 
 
-def cmd_run(inv: CliInvocation) -> int:
+def cmd_run(args: argparse.Namespace) -> int:
     try:
-        scenario = load_scenario(inv.config)
+        scenario = load_scenario(args.config)
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_INVALID
     except OSError as exc:
-        print(f"cannot read {inv.config}: {exc}", file=sys.stderr)
+        print(f"cannot read {args.config}: {exc}", file=sys.stderr)
         return EXIT_IO
-    return _run_scenario_command(inv, scenario)
+    return _run_scenario_command(args, scenario)
 
 
-def cmd_preset(inv: CliInvocation) -> int:
-    try:
-        scenario = load_preset(inv.preset)
-    except KeyError:
-        print(f"unknown preset {inv.preset!r}", file=sys.stderr)
-        return EXIT_INVALID
-    return _run_scenario_command(inv, scenario)
+def cmd_preset(args: argparse.Namespace) -> int:
+    return _run_scenario_command(args, load_preset(args.name))
 
 
-def cmd_check(inv: CliInvocation) -> int:
-    results = run_all(inv.seed if inv.seed is not None else 0)
+def cmd_check(args: argparse.Namespace) -> int:
+    results = run_all(args.seed)
     failures = 0
     for result in results:
         tag = "PASS" if result.passed else "FAIL"
@@ -186,12 +155,12 @@ def cmd_check(inv: CliInvocation) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    inv = parse_argv(argv)
-    if inv.command == "run":
-        return cmd_run(inv)
-    if inv.command == "preset":
-        return cmd_preset(inv)
-    return cmd_check(inv)
+    args = build_parser().parse_args(argv)
+    if args.command == "run":
+        return cmd_run(args)
+    if args.command == "preset":
+        return cmd_preset(args)
+    return cmd_check(args)
 
 
 if __name__ == "__main__":

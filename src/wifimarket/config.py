@@ -3,8 +3,7 @@
 A scenario is one JSON document::
 
     {
-      "name": "...", "unit": "rate"|"volume", "seed": 42,
-      "nodes": ["A", "B"],
+      "name": "...", "seed": 42,
       "links": [{"id": "AB", "capacity": 50, "subscriber_load": 0, "price": 10}],
       "wfps":  [{"id": "w1", "kind": "establishment", "capacity": 10, "min_profit": 5},
                 {"id": "p1", "kind": "individual", "quota": 200, "unused": 200,
@@ -16,8 +15,10 @@ A scenario is one JSON document::
     }
 
 A user entry with ``count`` expands into that many identical profiles with
-suffixed ids.  ``validate_scenario`` returns the full list of violations as
-strings -- it never raises -- so the CLI can print every problem at once.
+suffixed ids.  Keys the schema does not name (such as ``unit``, ``nodes`` or
+``notes``) are ignored.  ``validate_scenario`` returns the full list of
+violations as strings -- it never raises -- so the CLI can print every
+problem at once.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any
 
-from .model import LinkState, Topology, Unit, UserProfile, WfpAccount, WfpKind
+from .model import LinkState, Topology, UserProfile, WfpAccount, WfpKind
 from .pricing import SolverConfig
 from .sharing import SharingParams
 
@@ -93,6 +94,14 @@ class CeilingSweepMode:
     price_step: float = 1.0
     txn_volume: float = 10.0
 
+    @property
+    def price_count(self) -> int | float:
+        """How many prices the sweep posts: ``price_start + k * price_step`` for
+        every k >= 0 that stays within ``price_stop`` (to rounding).  Only an
+        invalid mode, with a subnormal step, gives an infinite count."""
+        steps = (self.price_stop - self.price_start) / self.price_step
+        return math.floor(steps * (1.0 + 1e-12)) + 1 if math.isfinite(steps) else steps
+
     @staticmethod
     def series_label(usage: float) -> str:
         """The series of one usage level, named by its whole percent."""
@@ -111,7 +120,6 @@ class ScenarioConfig:
     """
 
     name: str
-    unit: Unit = Unit.RATE
     seed: int = 0
     topology: Topology = field(default_factory=Topology)
     wfps: list[WfpAccount] = field(default_factory=list)
@@ -122,7 +130,6 @@ class ScenarioConfig:
     mode: Mode = field(default_factory=lambda: EquilibriumMode(ticks=1))
     solve_isp: bool = True
     lambda0: float = 0.0
-    notes: str = ""
 
 
 def _require(mapping: dict, key: str, where: str) -> Any:
@@ -231,7 +238,7 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
             subscriber_load=_number(entry.get("subscriber_load", 0.0), f"{where}: subscriber_load"),
             price=_number(entry.get("price", 0.0), f"{where}: price"),
         )
-    topology = Topology(nodes=tuple(doc.get("nodes", ())), links=links)
+    topology = Topology(links=links)
 
     wfps: list[WfpAccount] = []
     wfp_prices: dict[str, float] = {}
@@ -285,15 +292,8 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
     except ValueError as exc:
         raise ConfigError(f"sharing: {exc}") from exc
 
-    unit_raw = str(doc.get("unit", "rate"))
-    try:
-        unit = Unit(unit_raw)
-    except ValueError as exc:
-        raise ConfigError(f"unknown unit {unit_raw!r}") from exc
-
     return ScenarioConfig(
         name=str(doc.get("name", "scenario")),
-        unit=unit,
         seed=_number(doc.get("seed", 0), "seed", int),
         topology=topology,
         wfps=wfps,
@@ -304,7 +304,6 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
         mode=_parse_mode(_require(doc, "mode", "scenario")),
         solve_isp=bool(doc.get("solve_isp", True)),
         lambda0=_number(doc.get("lambda0", 0.0), "lambda0"),
-        notes=str(doc.get("notes", "")),
     )
 
 
@@ -474,5 +473,4 @@ def _user_steps(cfg: ScenarioConfig, users_by_wfp: dict[str, int]) -> float:
         return (mode.usage_steps + 1) * sellers
     if mode.price_step <= 0.0:
         return 0.0
-    steps = (mode.price_stop - mode.price_start) / mode.price_step + 1.0
-    return steps * len(mode.usage_levels) * sellers
+    return mode.price_count * len(mode.usage_levels) * sellers

@@ -25,7 +25,7 @@ Runs are deterministic functions of the config: same document, same series.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 from typing import Mapping
 
 import numpy as np
@@ -89,13 +89,6 @@ class TimeSeries:
     records: list[StepRecord] = field(default_factory=list)
     summary: dict[str, float] = field(default_factory=dict)
 
-    def series_labels(self) -> list[str]:
-        labels: list[str] = []
-        for rec in self.records:
-            if rec.series not in labels:
-                labels.append(rec.series)
-        return labels
-
     def by_series(self) -> dict[str, "TimeSeries"]:
         """Split a multi-series run into one TimeSeries per label."""
         split: dict[str, TimeSeries] = {}
@@ -136,16 +129,6 @@ def _record(
         wfp_share_pct=wfp_pct,
         isp_share_pct=isp_pct,
         mean_utility=mean_utility,
-    )
-
-
-def _combine(settlements: list[Settlement]) -> Settlement:
-    return Settlement(
-        wfp_share=sum(s.wfp_share for s in settlements),
-        isp_share=sum(s.isp_share for s in settlements),
-        total_value=sum(s.total_value for s in settlements),
-        wfp_value=sum(s.wfp_value for s in settlements),
-        isp_value=sum(s.isp_value for s in settlements),
     )
 
 
@@ -205,11 +188,12 @@ def _settle(
 ) -> Settlement:
     """Settle one transaction per provider (users buying at least ``x_floor``).
 
-    ``accounts`` is updated in place; the payouts come back combined.
+    ``accounts`` is updated in place; the payouts come back summed, provider
+    by provider.
     """
     sold = x >= x_floor
     revenue, isp_revenue, spread = x * prices, x * g, (prices - g) * x
-    settlements = []
+    combined = [0.0] * 5
     for k, account in enumerate(accounts):
         sel = np.flatnonzero(sold & (provider == k))
         totals = SaleTotals(
@@ -222,8 +206,8 @@ def _settle(
             volume=sum(x[sel].tolist()),
         )
         settlement, accounts[k] = settle_transaction(account, totals, sharing)
-        settlements.append(settlement)
-    return _combine(settlements)
+        combined = [a + b for a, b in zip(combined, astuple(settlement))]
+    return Settlement(*combined)
 
 
 def _provider_order(provider: np.ndarray, providers: int):
@@ -407,25 +391,26 @@ def _snapshots(
     posted: list[float],
     users: Population,
     g: np.ndarray,
-    txn_volume: float,
-    sharing: SharingParams,
+    cfg: ScenarioConfig,
     with_utility: bool,
 ) -> list[StepRecord]:
     """One fixed-price transaction of ``txn_volume``, split evenly, per step.
 
     Step k settles ``accounts[k]`` (snapshots of one provider) at posted
     price ``posted[k]``.  The sale totals of all steps are summed at once,
-    user by user in roster order.
+    user by user in roster order.  ``txn_volume`` comes from the mode; shares
+    below the solver's ``x_floor`` are not sold, so such a step settles
+    nothing.
     """
     n = len(users)
-    x = np.full(n, txn_volume / n)
+    x = np.full(n, cfg.mode.txn_volume / n)
     prices = np.maximum(np.array(posted)[:, None], g + accounts[0].min_profit)
     revenue, spread = x[0] * prices[:, 0], (prices[:, 0] - g[0]) * x[0]
     for j in range(1, n):
         revenue = revenue + x[j] * prices[:, j]
         spread = spread + (prices[:, j] - g[j]) * x[j]
     fixed = dict(
-        count=n,
+        count=n if x[0] >= cfg.solver.x_floor else 0,
         isp_revenue=sum((x * g).tolist()),
         floor_sum=sum(g.tolist()),
         volume=sum(x.tolist()),
@@ -435,7 +420,7 @@ def _snapshots(
     steps = zip(accounts, posted, prices, revenue.tolist(), spread.tolist())
     for k, (account, price, row, rev, spr) in enumerate(steps):
         totals = SaleTotals(seller=account.id, revenue=rev, spread=spr, **fixed)
-        settlement, _ = settle_transaction(account, totals, sharing)
+        settlement, _ = settle_transaction(account, totals, cfg.sharing)
         mean_utility = _mean(_utility(users, slice(0, n), x, row)) if with_utility else 0.0
         views = (g_view, UserValues(users.roster, row), x_view)
         records.append(_record(series, k, {account.id: price}, views, settlement, mean_utility))
@@ -475,9 +460,7 @@ def run_iwfp_topology(cfg: ScenarioConfig) -> TimeSeries:
             for k in levels
         ]
         posted = [cfg.wfp_prices[account.id]] * len(snapshots)
-        records = _snapshots(
-            account.id, snapshots, posted, users, g, mode.txn_volume, cfg.sharing, True
-        )
+        records = _snapshots(account.id, snapshots, posted, users, g, cfg, True)
         ts.records += records
         ts.summary[f"max_share_pct.{account.id}"] = max(r.wfp_share_pct for r in records)
     return ts
@@ -493,16 +476,14 @@ def run_iwfp_ceiling(cfg: ScenarioConfig) -> TimeSeries:
     assert isinstance(mode, CeilingSweepMode)
 
     ts = TimeSeries(name=cfg.name)
-    steps = int(round((mode.price_stop - mode.price_start) / mode.price_step)) + 1
+    steps = mode.price_count
     posted = [mode.price_start + k * mode.price_step for k in range(steps)]
     for account, users, g in _individual_providers(cfg):
         for usage in mode.usage_levels:
             label = mode.series_label(usage)
             unused = account.quota * (1.0 - usage)
             snapshot = replace(account, unused=unused, settled_share=0.0)
-            records = _snapshots(
-                label, [snapshot] * steps, posted, users, g, mode.txn_volume, cfg.sharing, False
-            )
+            records = _snapshots(label, [snapshot] * steps, posted, users, g, cfg, False)
             ts.records += records
             ts.summary[f"max_share_pct.{label}"] = max(r.wfp_share_pct for r in records)
     return ts

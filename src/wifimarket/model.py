@@ -39,13 +39,6 @@ class WfpKind(Enum):
     INDIVIDUAL = "individual"
 
 
-class Unit(Enum):
-    """Bandwidth convention used by a scenario: a rate (MB/s) or a volume (MB)."""
-
-    RATE = "rate"
-    VOLUME = "volume"
-
-
 @dataclass(frozen=True)
 class UserProfile:
     """A bandwidth buyer.
@@ -129,9 +122,8 @@ class LinkState:
 
 @dataclass
 class Topology:
-    """The ISP's network: node labels plus the links WFP traffic is routed over."""
+    """The ISP's network: the links WFP traffic is routed over."""
 
-    nodes: tuple[str, ...] = ()
     links: dict[str, LinkState] = field(default_factory=dict)
 
     def link_prices(self) -> dict[str, float]:

@@ -67,21 +67,13 @@ class EquilibriumResult:
     residual: float = math.nan
 
 
-def user_bandwidth_utility(x: float, user: UserProfile) -> float:
-    """weight * ln(x * snr_factor); only defined for positive bandwidth."""
+def user_utility(x: float, final_price: float, user: UserProfile) -> float:
+    """Net utility the user maximizes (x > 0): the bandwidth term
+    weight * ln(x * snr_factor) plus the cost term 1 - x * final_price / budget,
+    the fraction of budget kept, shifted by 1."""
     if x <= 0.0:
         raise ValueError("bandwidth utility requires x > 0")
-    return user.weight * math.log(x * user.snr_factor)
-
-
-def user_cost_utility(x: float, final_price: float, user: UserProfile) -> float:
-    """1 - x * final_price / budget: the fraction of budget kept, shifted by 1."""
-    return 1.0 - x * final_price / user.budget
-
-
-def user_utility(x: float, final_price: float, user: UserProfile) -> float:
-    """Net utility the user maximizes: bandwidth term plus cost term."""
-    return user_bandwidth_utility(x, user) + user_cost_utility(x, final_price, user)
+    return user.weight * math.log(x * user.snr_factor) + (1.0 - x * final_price / user.budget)
 
 
 def user_best_response(final_price: float, user: UserProfile) -> float:
@@ -183,29 +175,14 @@ def _provider_result(
     )
 
 
-def _provider_floors(
-    account: WfpAccount,
-    users: Sequence[UserProfile] | Population,
-    g_by_user: Mapping[str, float] | np.ndarray,
-) -> tuple[Population, np.ndarray]:
-    """The users as a Population, and their price floors: ISP floor plus margin."""
-    if not isinstance(users, Population):
-        users = Population.of(users)
-        g_by_user = [g_by_user[uid] for uid in users.roster.ids]
-    return users, np.asarray(g_by_user, dtype=float) + account.min_profit
-
-
 def solve_wfp_equilibrium(
-    account: WfpAccount,
-    users: Sequence[UserProfile] | Population,
-    g_by_user: Mapping[str, float] | np.ndarray,
+    account: WfpAccount, users: Population, g: np.ndarray
 ) -> EquilibriumResult:
     """One provider's exact clearing price against fixed ISP floors.
 
-    ``users`` is a list of profiles with ``g_by_user`` keyed by id, or a
-    Population with ``g_by_user`` an array of ISP floors in roster order.
-    The result's ``x_by_user`` and ``final_price_by_user`` are views over
-    the users' roster.
+    ``g`` holds the users' ISP floors in roster order (``Population.of``
+    builds the users from profiles).  The result's ``x_by_user`` and
+    ``final_price_by_user`` are views over the users' roster.
 
     Demand D(lam) = sum clip(w * b / max(lam, floor), x_min, x_max) is
     continuous, never rises with lam, and between consecutive breakpoints
@@ -216,7 +193,7 @@ def solve_wfp_equilibrium(
     breakpoints finds the piece where D crosses C, and lam = A / (C - B) on
     it.  ``iterations`` counts demand evaluations, O(log n).
     """
-    users, floors = _provider_floors(account, users, g_by_user)
+    floors = g + account.min_profit
     if not len(users):
         return _provider_result(account, users, 0.0, floors, floors, 0, True)
 
@@ -262,25 +239,22 @@ def solve_wfp_equilibrium(
 
 
 def solve_wfp_subgradient(
-    account: WfpAccount,
-    users: Sequence[UserProfile] | Population,
-    g_by_user: Mapping[str, float] | np.ndarray,
-    cfg: SolverConfig,
-    lambda0: float = 0.0,
+    account: WfpAccount, users: Population, g: np.ndarray, cfg: SolverConfig
 ) -> EquilibriumResult:
     """The paper's provider iteration: the oracle for ``solve_wfp_equilibrium``.
 
     Synchronous Jacobi iteration: every user best-responds to the current
     final price, then the provider takes one dual step against its sellable
-    capacity.  Converged when the price moves less than ``epsilon``.
+    capacity, starting from a zero price.  Converged when the price moves
+    less than ``epsilon``.
     """
-    users, floors = _provider_floors(account, users, g_by_user)
+    floors = g + account.min_profit
     if not len(users):
         return _provider_result(account, users, 0.0, floors, floors, 0, True)
 
     capacity = effective_capacity(account)
     wb, x_min, x_max = users.wb, users.x_min, users.x_max
-    lam = max(lambda0, 0.0)
+    lam = 0.0
     converged = False
     iterations = 0
     for t in range(cfg.max_iters):

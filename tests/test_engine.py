@@ -1,11 +1,14 @@
 """Scenario-engine tests: sweeps, equilibrium ticks, quota ledgers, determinism."""
+import json
 import math
 
+import numpy as np
 import pytest
 
-from wifimarket.config import scenario_from_dict
+from wifimarket.config import CeilingSweepMode, scenario_from_dict
 from wifimarket.engine import run_scenario
-from wifimarket.presets import load_preset
+from wifimarket.model import Population
+from wifimarket.presets import load_preset, preset_path
 from wifimarket.pricing import solve_wfp_equilibrium
 
 
@@ -194,7 +197,8 @@ def test_equilibrium_with_isp_solve_clears_every_provider():
             lam = rec.lambda_by_wfp[account.id]
             assert math.isfinite(lam)
             members = [u for u in cfg.users if u.wfp == account.id]
-            again = solve_wfp_equilibrium(account, members, rec.g_by_user)
+            g = np.array([rec.g_by_user[u.id] for u in members])
+            again = solve_wfp_equilibrium(account, Population.of(members), g)
             assert again.converged
             assert again.residual <= 1e-9 * account.capacity
             assert again.lambda_by_wfp[account.id] == lam
@@ -204,8 +208,7 @@ def test_equilibrium_with_isp_solve_clears_every_provider():
 
 def test_quota_sweep_series_per_provider():
     ts = run_scenario(load_preset("iwfp-topology"))
-    labels = ts.series_labels()
-    assert labels == ["iwfp1", "iwfp2", "iwfp3", "iwfp4"]
+    assert list(ts.by_series()) == ["iwfp1", "iwfp2", "iwfp3", "iwfp4"]
     per_series = ts.by_series()
     for label, sub in per_series.items():
         assert len(sub.records) == 21  # usage 0/20 .. 20/20
@@ -217,10 +220,65 @@ def test_quota_sweep_series_per_provider():
 
 def test_ceiling_sweep_series_per_usage_level():
     ts = run_scenario(load_preset("iwfp-ceiling"))
-    labels = ts.series_labels()
+    labels = list(ts.by_series())
     assert labels == ["usage_0", "usage_25", "usage_50", "usage_75"]
     for label in labels:
         assert ts.summary[f"max_share_pct.{label}"] <= 50.0
+
+
+def preset_doc(name):
+    return json.loads(preset_path(name).read_text(encoding="utf-8"))
+
+
+def test_quota_sweep_settles_nothing_below_x_floor():
+    # even shares of 10: iwfp1 3.33, iwfp2 10, iwfp3 1, iwfp4 2.5
+    doc = preset_doc("iwfp-topology")
+    doc["solver"]["x_floor"] = 3.0
+    by_series = run_scenario(scenario_from_dict(doc)).by_series()
+    reference = run_scenario(load_preset("iwfp-topology")).by_series()
+    for label in ("iwfp1", "iwfp2"):
+        assert by_series[label].records == reference[label].records
+    for label in ("iwfp3", "iwfp4"):
+        for rec in by_series[label].records:
+            assert (rec.total_value, rec.wfp_share, rec.isp_share) == (0.0, 0.0, 0.0)
+            assert rec.mean_utility == reference[label].records[rec.step].mean_utility
+        assert any(r.total_value > 0.0 for r in reference[label].records)
+
+
+def test_ceiling_sweep_settles_nothing_below_x_floor():
+    # two users share each 10-unit transaction: 5 each
+    doc = preset_doc("iwfp-ceiling")
+    doc["solver"]["x_floor"] = 6.0
+    ts = run_scenario(scenario_from_dict(doc))
+    assert len(ts.records) == 404
+    assert all(r.total_value == r.wfp_share == r.isp_share == 0.0 for r in ts.records)
+    assert all(r.x_by_user == {"u001": 5.0, "u002": 5.0} for r in ts.records)
+    doc["solver"]["x_floor"] = 5.0  # a share at the floor is sold
+    ts = run_scenario(scenario_from_dict(doc))
+    assert ts.records == run_scenario(load_preset("iwfp-ceiling")).records
+
+
+def test_ceiling_sweep_posts_no_price_past_price_stop():
+    doc = preset_doc("iwfp-ceiling")
+    doc["mode"].update(price_start=0.0, price_stop=100.0, price_step=60.0)
+    ts = run_scenario(scenario_from_dict(doc))
+    for sub in ts.by_series().values():
+        assert [r.lambda_by_wfp["iwfp1"] for r in sub.records] == [0.0, 60.0]
+
+
+@pytest.mark.parametrize(
+    "start, stop, step, count",
+    [
+        (0.0, 100.0, 1.0, 101),  # the iwfp-ceiling preset
+        (0.0, 100.0, 0.01, 10_001),  # the ceiling-fine benchmark workload
+        (0.0, 100.0, 60.0, 2),  # 120 would overshoot
+        (0.0, 0.3, 0.1, 4),  # 0.3 / 0.1 is 2.9999999999999996
+        (5.0, 5.0, 1.0, 1),
+    ],
+)
+def test_ceiling_sweep_price_count(start, stop, step, count):
+    mode = CeilingSweepMode(price_start=start, price_stop=stop, price_step=step)
+    assert mode.price_count == count
 
 
 def test_runs_are_deterministic_in_memory():

@@ -24,7 +24,6 @@ from wifimarket.model import (
     Population,
     Roster,
     Topology,
-    Unit,
     UserProfile,
     UserValues,
     WfpAccount,
@@ -56,10 +55,7 @@ def test_replenished_restores_quota():
 
 
 def test_topology_link_prices():
-    topo = Topology(
-        nodes=("A", "B"),
-        links={"AB": LinkState(id="AB", capacity=50.0, price=10.0)},
-    )
+    topo = Topology(links={"AB": LinkState(id="AB", capacity=50.0, price=10.0)})
     assert topo.link_prices() == {"AB": 10.0}
 
 
@@ -226,10 +222,12 @@ def test_load_scenario_rejects_bad_json(tmp_path):
         load_scenario(path)
 
 
-def test_unit_parsing():
-    assert scenario_from_dict({**MINIMAL_DOC, "unit": "volume"}).unit is Unit.VOLUME
-    with pytest.raises(ConfigError, match="unknown unit"):
-        scenario_from_dict({**MINIMAL_DOC, "unit": "parsecs"})
+def test_keys_outside_the_schema_are_ignored():
+    # the presets still carry "unit", "nodes" and "notes", which no run reads
+    extra = {"unit": "parsecs", "nodes": ["A", "B"], "notes": "n", "colour": "blue"}
+    cfg = scenario_from_dict({**MINIMAL_DOC, **extra})
+    assert cfg == scenario_from_dict(MINIMAL_DOC)
+    assert validate_scenario(cfg) == []
 
 
 # --- validation -------------------------------------------------------------------
@@ -310,6 +308,16 @@ def test_validate_bounds_the_run_size_without_running():
     problems = validate_scenario(scenario_from_dict(doc))
     assert problems == [
         f"mode: 800,000,000,008 user-steps exceed the limit of {MAX_USER_STEPS:,}"
+    ]
+
+
+def test_validate_counts_ceiling_prices_as_the_run_posts_them():
+    # 1,000,001 prices, not the unrounded 1,000,001.5, x 1 level x 2 users
+    doc = json.loads(preset_path("iwfp-ceiling").read_text(encoding="utf-8"))
+    doc["mode"].update(price_stop=1_000_000.5, usage_levels=[0.0])
+    problems = validate_scenario(scenario_from_dict(doc))
+    assert problems == [
+        f"mode: 2,000,002 user-steps exceed the limit of {MAX_USER_STEPS:,}"
     ]
 
 

@@ -8,9 +8,10 @@ import math
 import random
 import warnings
 
+import numpy as np
 import pytest
 
-from wifimarket.model import LinkState, UserProfile, WfpAccount, WfpKind
+from wifimarket.model import LinkState, Population, UserProfile, WfpAccount, WfpKind
 from wifimarket.pricing import (
     SolverConfig,
     final_price,
@@ -20,12 +21,15 @@ from wifimarket.pricing import (
     solve_wfp_equilibrium,
     solve_wfp_subgradient,
     step_size,
-    user_bandwidth_utility,
     user_best_response,
-    user_cost_utility,
     user_utility,
     wfp_price_update,
 )
+
+
+def population(users, g_by_user):
+    """The users as a Population, and their ISP floors in roster order."""
+    return Population.of(users), np.array([g_by_user[u.id] for u in users], dtype=float)
 
 
 # --- utilities -----------------------------------------------------------------
@@ -37,28 +41,31 @@ def test_snr_factor_from_radio_parameters():
 
 
 def test_bandwidth_utility_value():
-    # W=2, x=4, snr factor 1.05 -> 2 * ln(4.2)
+    # At a zero price the cost term is 1: W=2, x=4, snr factor 1.05 -> 2 * ln(4.2) + 1
     user = UserProfile(id="u", weight=2.0, tx_power=0.05)
-    assert user_bandwidth_utility(4.0, user) == pytest.approx(
-        2.8701690505786455, abs=1e-9
+    assert user_utility(4.0, 0.0, user) == pytest.approx(
+        2.8701690505786455 + 1.0, abs=1e-9
     )
 
 
 def test_bandwidth_utility_requires_positive_x():
     user = UserProfile(id="u")
     with pytest.raises(ValueError):
-        user_bandwidth_utility(0.0, user)
+        user_utility(0.0, 15.0, user)
 
 
 def test_cost_utility_value():
-    user = UserProfile(id="u", budget=100.0)
-    assert user_cost_utility(4.0, 15.0, user) == pytest.approx(0.4, abs=1e-12)
+    # With an SNR factor of 1 and x = 1 the bandwidth term is 0: 1 - 1 * 15 / 100
+    user = UserProfile(id="u", channel_gain2=0.0, budget=100.0)
+    assert user_utility(1.0, 15.0, user) == pytest.approx(0.85, abs=1e-12)
 
 
 def test_net_utility_is_the_sum_of_both_terms():
+    # 2 * ln(4 * 1.05) + (1 - 4 * 15 / 100)
     user = UserProfile(id="u", weight=2.0, tx_power=0.05, budget=100.0)
-    expected = user_bandwidth_utility(4.0, user) + user_cost_utility(4.0, 15.0, user)
-    assert user_utility(4.0, 15.0, user) == pytest.approx(expected, abs=1e-12)
+    assert user_utility(4.0, 15.0, user) == pytest.approx(
+        2.8701690505786455 + 0.4, abs=1e-12
+    )
 
 
 # --- best response ---------------------------------------------------------------
@@ -162,7 +169,7 @@ def test_wfp_solver_reaches_known_fixed_point():
     # one user, budget 100, floor 15, capacity 5 -> price 20, allocation 5
     account = WfpAccount(id="ew", kind=WfpKind.ESTABLISHMENT, capacity=5.0, min_profit=5.0)
     user = UserProfile(id="u0", budget=100.0, x_min=0.01, x_max=50.0)
-    result = solve_wfp_equilibrium(account, [user], {"u0": 10.0})
+    result = solve_wfp_equilibrium(account, *population([user], {"u0": 10.0}))
     assert result.converged
     assert result.lambda_by_wfp["ew"] == pytest.approx(20.0, abs=1e-12)
     assert result.x_by_user["u0"] == pytest.approx(5.0, abs=1e-12)
@@ -174,7 +181,7 @@ def test_wfp_subgradient_oracle_reaches_known_fixed_point():
     account = WfpAccount(id="ew", kind=WfpKind.ESTABLISHMENT, capacity=5.0, min_profit=5.0)
     user = UserProfile(id="u0", budget=100.0, x_min=0.01, x_max=50.0)
     cfg = SolverConfig(sigma0=5.0, epsilon=1e-6, max_iters=100_000)
-    result = solve_wfp_subgradient(account, [user], {"u0": 10.0}, cfg)
+    result = solve_wfp_subgradient(account, *population([user], {"u0": 10.0}), cfg)
     assert result.converged
     assert result.iterations <= 100_000
     assert result.lambda_by_wfp["ew"] == pytest.approx(20.0, rel=1e-3)
@@ -186,7 +193,7 @@ def test_wfp_solver_slack_capacity_leaves_price_at_floor():
     account = WfpAccount(id="ew", kind=WfpKind.ESTABLISHMENT, capacity=1000.0, min_profit=5.0)
     users = [UserProfile(id=f"u{i}", budget=100.0, x_min=0.01, x_max=50.0) for i in range(10)]
     g = {u.id: 10.0 for u in users}
-    result = solve_wfp_equilibrium(account, users, g)
+    result = solve_wfp_equilibrium(account, *population(users, g))
     assert result.converged
     assert result.lambda_by_wfp["ew"] == 0.0
     assert result.residual == 0.0
@@ -197,7 +204,7 @@ def test_wfp_solver_slack_capacity_leaves_price_at_floor():
 
 def test_wfp_solver_no_users():
     account = WfpAccount(id="ew", kind=WfpKind.ESTABLISHMENT, capacity=5.0)
-    result = solve_wfp_equilibrium(account, [], {})
+    result = solve_wfp_equilibrium(account, *population([], {}))
     assert result.converged
     assert result.iterations == 0
     assert result.lambda_by_wfp == {"ew": 0.0}
@@ -220,7 +227,7 @@ def test_wfp_solver_individual_capacity_is_remaining_quota():
             txn_cap=5.0, min_profit=5.0,
         ),
     ]
-    results = [solve_wfp_equilibrium(a, [user], {"u0": 10.0}) for a in accounts]
+    results = [solve_wfp_equilibrium(a, *population([user], {"u0": 10.0})) for a in accounts]
     for result in results:
         assert result.converged
         assert result.lambda_by_wfp["w"] == pytest.approx(20.0, abs=1e-12)
@@ -232,7 +239,7 @@ def test_wfp_solver_flags_non_convergence_instead_of_raising():
     account = WfpAccount(id="ew", kind=WfpKind.ESTABLISHMENT, capacity=5.0, min_profit=5.0)
     user = UserProfile(id="u0", budget=100.0, x_min=0.01, x_max=50.0)
     cfg = SolverConfig(sigma0=5.0, epsilon=1e-12, max_iters=5)
-    result = solve_wfp_subgradient(account, [user], {"u0": 10.0}, cfg)
+    result = solve_wfp_subgradient(account, *population([user], {"u0": 10.0}), cfg)
     assert not result.converged
     assert result.iterations == 5
 
@@ -240,7 +247,7 @@ def test_wfp_solver_flags_non_convergence_instead_of_raising():
 def test_wfp_solver_slack_capacity_prices_exactly_zero():
     account = WfpAccount(id="ew", kind=WfpKind.ESTABLISHMENT, capacity=10.0)
     users = [UserProfile(id=f"u{i}", budget=100.0, x_min=0.01, x_max=2.0) for i in range(5)]
-    result = solve_wfp_equilibrium(account, users, {u.id: 3.0 for u in users})
+    result = solve_wfp_equilibrium(account, *population(users, {u.id: 3.0 for u in users}))
     assert result.lambda_by_wfp["ew"] == 0.0  # demand 5 * 2 meets capacity 10 exactly
     assert result.converged
     assert result.residual == 0.0
@@ -254,7 +261,7 @@ def test_wfp_solver_flags_infeasible_minimum_demand():
         UserProfile(id="a", budget=100.0, x_min=4.0, x_max=50.0),  # x_min from 25
         UserProfile(id="b", budget=60.0, x_min=4.0, x_max=50.0),  # x_min from 15
     ]
-    result = solve_wfp_equilibrium(account, users, {"a": 0.0, "b": 0.0})
+    result = solve_wfp_equilibrium(account, *population(users, {"a": 0.0, "b": 0.0}))
     assert not result.converged
     assert result.residual == pytest.approx(8.0 - 5.0, abs=1e-12)
     assert result.lambda_by_wfp["ew"] == pytest.approx(25.0, abs=1e-12)
@@ -266,7 +273,7 @@ def test_wfp_solver_zero_floor_at_zero_price_saturates_without_warning():
     users = [UserProfile(id=f"u{i}", budget=50.0, x_min=0.01, x_max=3.0) for i in range(4)]
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        result = solve_wfp_equilibrium(account, users, {u.id: 0.0 for u in users})
+        result = solve_wfp_equilibrium(account, *population(users, {u.id: 0.0 for u in users}))
     assert result.lambda_by_wfp["ew"] == 0.0
     assert result.x_by_user == {u.id: 3.0 for u in users}
     assert result.final_price_by_user == {u.id: 0.0 for u in users}
@@ -295,7 +302,7 @@ def test_wfp_solver_mixed_clamps_match_bisection_oracle():
         )
 
     expected = _bisect_fixed_point(demand, account.capacity)
-    result = solve_wfp_equilibrium(account, users, g)
+    result = solve_wfp_equilibrium(account, *population(users, g))
     assert expected == pytest.approx(10.0, abs=1e-9)
     assert result.converged
     assert result.lambda_by_wfp["ew"] == pytest.approx(expected, abs=1e-9)
