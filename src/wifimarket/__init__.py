@@ -19,7 +19,16 @@ Typical use::
 # the two to each other), with the types its signatures take.
 from .config import load_scenario, validate_scenario
 from .engine import run_scenario
-from .model import LinkState, Population, SaleRecord, UserProfile, UserValues, WfpAccount, WfpKind
+from .model import (
+    LinkState,
+    Population,
+    SaleRecord,
+    Settlement,
+    UserProfile,
+    UserValues,
+    WfpAccount,
+    WfpKind,
+)
 from .presets import load_preset
 from .pricing import (
     SolverConfig,
@@ -35,6 +44,7 @@ from .sharing import (
     SharingParams,
     ewfp_contribution,
     iwfp_contribution,
+    settle_rows,
     settle_transaction,
     shapley_permutation,
     shapley_split,
@@ -56,12 +66,14 @@ __all__ = [
     "ewfp_contribution",
     "iwfp_contribution",
     "settle_transaction",
+    "settle_rows",
     "solve_wfp_equilibrium",
     "solve_wfp_subgradient",
     "solve_isp_prices",
     "user_best_response",
     "SaleRecord",
     "SaleTotals",
+    "Settlement",
     "SharingParams",
     "WfpAccount",
     "WfpKind",

@@ -20,12 +20,19 @@ records per-user values as read-only views of the step's arrays.  Sums run
 over Python floats in the order of the per-sale reference functions, so the
 figures do not depend on numpy's summation order.
 
+Settlement goes through the one kernel, :func:`~wifimarket.sharing.settle_rows`.
+The sweep and equilibrium runners settle each provider once per step through
+its one-row case, ``settle_transaction``, since each step's accounts depend on
+the last; the quota and ceiling sweeps settle independent snapshots, so each
+whole series settles in one kernel call.  All four build their step records in
+one :func:`_records` call per series, from the settlements as columns.
+
 Runs are deterministic functions of the config: same document, same series.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from typing import Mapping
 
 import numpy as np
@@ -54,7 +61,7 @@ from .pricing import (
     user_utility,  # noqa: F401 -- re-exported: the scalar form of _utility
     wfp_price_update,
 )
-from .sharing import SaleTotals, SharingParams, settle_transaction
+from .sharing import SaleTotals, SharingParams, settle_rows, settle_transaction
 
 
 @dataclass
@@ -100,36 +107,31 @@ class TimeSeries:
         return split
 
 
-def _record(
-    series: str,
-    step: int,
-    lambda_by_wfp: dict[str, float],
-    views: tuple[UserValues, UserValues, UserValues],
-    settlement: Settlement,
-    mean_utility: float,
-) -> StepRecord:
-    """The step record of one settled step; ``views`` are g, final price and x."""
-    wfp_pct = isp_pct = 0.0
-    if settlement.total_value > 0.0:
-        wfp_pct = 100.0 * settlement.wfp_share / settlement.total_value
-        isp_pct = 100.0 - wfp_pct
-    g, prices, x = views
-    return StepRecord(
-        series=series,
-        step=step,
-        lambda_by_wfp=lambda_by_wfp,
-        g_by_user=g,
-        final_price_by_user=prices,
-        x_by_user=x,
-        total_value=settlement.total_value,
-        wfp_value=settlement.wfp_value,
-        isp_value=settlement.isp_value,
-        wfp_share=settlement.wfp_share,
-        isp_share=settlement.isp_share,
-        wfp_share_pct=wfp_pct,
-        isp_share_pct=isp_pct,
-        mean_utility=mean_utility,
-    )
+def _records(series: str, steps, settled: Settlement) -> tuple[list[StepRecord], np.ndarray]:
+    """A series' step records, numbered from 0, and their provider shares (%).
+
+    ``steps`` yields each step's lambda dict, (g, final price, x) views and
+    mean utility; ``settled`` holds the steps' settlements as columns, one
+    row per step, from which the two share percentages are computed.
+    """
+    total = settled.total_value
+    sold = total > 0.0
+    wfp_pct = np.divide(100.0 * settled.wfp_share, total, out=np.zeros(len(total)), where=sold)
+    isp_pct = np.where(sold, 100.0 - wfp_pct, 0.0)
+    fields = np.column_stack((
+        total, settled.wfp_value, settled.isp_value,
+        settled.wfp_share, settled.isp_share, wfp_pct, isp_pct,
+    )).tolist()
+    records = [
+        StepRecord(series, k, lambda_by_wfp, *views, *row, mean_utility)
+        for k, ((lambda_by_wfp, views, mean_utility), row) in enumerate(zip(steps, fields))
+    ]
+    return records, wfp_pct
+
+
+def _columns(rows: list[list[float]]) -> Settlement:
+    """Per-step settlements (lists in Settlement field order) as columns."""
+    return Settlement(*np.reshape(np.array(rows, dtype=float), (-1, 5)).T)
 
 
 def _population(cfg: ScenarioConfig, clones: int = 0) -> Population:
@@ -152,7 +154,8 @@ def _floors(pop: Population, link_prices: Mapping[str, float], n: int) -> np.nda
 
 
 def _utility(pop: Population, idx, x: np.ndarray, prices: np.ndarray) -> np.ndarray:
-    """``user_utility`` of the users at ``idx`` (x > 0), with ``math.log`` per user."""
+    """``user_utility`` of the users at ``idx`` (x > 0), with ``math.log`` per user;
+    ``prices`` may hold one row of the users' prices per step."""
     logs = np.array([math.log(v) for v in (x * pop.snr[idx]).tolist()])
     return pop.weight[idx] * logs + (1.0 - x * prices / pop.budget[idx])
 
@@ -185,11 +188,11 @@ def _settle(
     x: np.ndarray,
     sharing: SharingParams,
     x_floor: float,
-) -> Settlement:
+) -> list[float]:
     """Settle one transaction per provider (users buying at least ``x_floor``).
 
     ``accounts`` is updated in place; the payouts come back summed, provider
-    by provider.
+    by provider, in Settlement field order.
     """
     sold = x >= x_floor
     revenue, isp_revenue, spread = x * prices, x * g, (prices - g) * x
@@ -206,8 +209,8 @@ def _settle(
             volume=sum(x[sel].tolist()),
         )
         settlement, accounts[k] = settle_transaction(account, totals, sharing)
-        combined = [a + b for a, b in zip(combined, astuple(settlement))]
-    return Settlement(*combined)
+        combined = [a + b for a, b in zip(combined, vars(settlement).values())]
+    return combined
 
 
 def _provider_order(provider: np.ndarray, providers: int):
@@ -234,6 +237,7 @@ def run_sweep(cfg: ScenarioConfig) -> TimeSeries:
     lambda_by_wfp = {w.id: cfg.lambda0 for w in cfg.wfps}
     link_prices = cfg.topology.link_prices()
     ts = TimeSeries(name=cfg.name)
+    steps, settled = [], []
 
     for t in range(mode.count):
         swept_price = mode.start + t * mode.step
@@ -256,8 +260,8 @@ def run_sweep(cfg: ScenarioConfig) -> TimeSeries:
                 ideal = pop.wb[:n] / prices
             x = np.minimum(np.maximum(ideal, pop.x_min[:n]), pop.x_max[:n])
 
-        combined = _settle(
-            accounts, provider, g, prices, x, cfg.sharing, cfg.solver.x_floor
+        settled.append(
+            _settle(accounts, provider, g, prices, x, cfg.sharing, cfg.solver.x_floor)
         )
         buyers = np.flatnonzero(x > 0.0)
         order = _provider_order(provider, len(accounts))
@@ -267,9 +271,7 @@ def run_sweep(cfg: ScenarioConfig) -> TimeSeries:
             UserValues(pop.roster, x, order),
         )
         utility = _utility(pop, buyers, x[buyers], prices[buyers])
-        ts.records.append(
-            _record("run", t, dict(lambda_by_wfp), views, combined, _mean(utility))
-        )
+        steps.append((dict(lambda_by_wfp), views, _mean(utility)))
 
         # One dual step for the party that is not being swept.
         sigma = step_size(t, cfg.solver)
@@ -288,6 +290,7 @@ def run_sweep(cfg: ScenarioConfig) -> TimeSeries:
                 for lid in link_prices
             }
 
+    ts.records, _ = _records("run", steps, _columns(settled))
     _summarize_crossover(ts)
     return ts
 
@@ -320,7 +323,7 @@ def run_equilibrium(cfg: ScenarioConfig) -> TimeSeries:
     link_prices = {lid: link.price for lid, link in links.items()}
     x_floor = cfg.solver.x_floor
     ts = TimeSeries(name=cfg.name)
-    first_zero = -1
+    steps, settled = [], []
 
     for tick in range(mode.ticks):
         n = len(cfg.users) + mode.user_growth * tick
@@ -369,9 +372,7 @@ def run_equilibrium(cfg: ScenarioConfig) -> TimeSeries:
         utility = _utility(pop, slice(0, n), x, prices)
         x[(utility < 0.0) | (x < x_floor)] = 0.0
 
-        combined = _settle(accounts, provider, g, prices, x, cfg.sharing, x_floor)
-        if combined.total_value <= 0.0 and first_zero < 0:
-            first_zero = tick
+        settled.append(_settle(accounts, provider, g, prices, x, cfg.sharing, x_floor))
         order = _provider_order(provider, len(accounts))
         views = (
             UserValues(pop.roster, g),
@@ -379,52 +380,60 @@ def run_equilibrium(cfg: ScenarioConfig) -> TimeSeries:
             UserValues(pop.roster, x, order),
         )
         mean_utility = _mean(np.where(x > 0.0, utility, 0.0))
-        ts.records.append(_record("run", tick, lambda_by_wfp, views, combined, mean_utility))
+        steps.append((lambda_by_wfp, views, mean_utility))
 
+    ts.records, _ = _records("run", steps, _columns(settled))
+    first_zero = next((r.step for r in ts.records if r.total_value <= 0.0), -1)
     ts.summary["first_zero_transaction_step"] = float(first_zero)
     return ts
 
 
 def _snapshots(
     series: str,
-    accounts: list[WfpAccount],
+    account: WfpAccount,
+    unused: np.ndarray,
     posted: list[float],
     users: Population,
     g: np.ndarray,
     cfg: ScenarioConfig,
     with_utility: bool,
-) -> list[StepRecord]:
+) -> tuple[list[StepRecord], float]:
     """One fixed-price transaction of ``txn_volume``, split evenly, per step.
 
-    Step k settles ``accounts[k]`` (snapshots of one provider) at posted
-    price ``posted[k]``.  The sale totals of all steps are summed at once,
-    user by user in roster order.  ``txn_volume`` comes from the mode; shares
-    below the solver's ``x_floor`` are not sold, so such a step settles
-    nothing.
+    Step k settles ``account`` with ``unused[k]`` left on its plan and nothing
+    settled yet (a snapshot) at posted price ``posted[k]``.  The sale totals
+    of all steps are summed at once, user by user in roster order, and the
+    whole series settles in one :func:`settle_rows` call.  ``txn_volume``
+    comes from the mode; shares below the solver's ``x_floor`` are not sold,
+    so such a step settles nothing.  Returns the records and the largest
+    provider share percentage among them.
     """
-    n = len(users)
+    n, steps = len(users), len(posted)
     x = np.full(n, cfg.mode.txn_volume / n)
-    prices = np.maximum(np.array(posted)[:, None], g + accounts[0].min_profit)
+    prices = np.maximum(np.array(posted)[:, None], g + account.min_profit)
     revenue, spread = x[0] * prices[:, 0], (prices[:, 0] - g[0]) * x[0]
     for j in range(1, n):
         revenue = revenue + x[j] * prices[:, j]
         spread = spread + (prices[:, j] - g[j]) * x[j]
-    fixed = dict(
-        count=n if x[0] >= cfg.solver.x_floor else 0,
-        isp_revenue=sum((x * g).tolist()),
-        floor_sum=sum(g.tolist()),
-        volume=sum(x.tolist()),
+    totals = SaleTotals(
+        seller=account.id,
+        count=np.full(steps, n if x[0] >= cfg.solver.x_floor else 0),
+        revenue=revenue,
+        isp_revenue=np.full(steps, sum((x * g).tolist())),
+        spread=spread,
+        floor_sum=np.full(steps, sum(g.tolist())),
+        volume=np.full(steps, sum(x.tolist())),
     )
+    settled = settle_rows(account, totals, cfg.sharing, unused, np.zeros(steps))
+    utility = [0.0] * steps
+    if with_utility:
+        utility = [_mean(row) for row in _utility(users, slice(0, n), x, prices)]
     g_view, x_view = UserValues(users.roster, g), UserValues(users.roster, x)
-    records = []
-    steps = zip(accounts, posted, prices, revenue.tolist(), spread.tolist())
-    for k, (account, price, row, rev, spr) in enumerate(steps):
-        totals = SaleTotals(seller=account.id, revenue=rev, spread=spr, **fixed)
-        settlement, _ = settle_transaction(account, totals, cfg.sharing)
-        mean_utility = _mean(_utility(users, slice(0, n), x, row)) if with_utility else 0.0
-        views = (g_view, UserValues(users.roster, row), x_view)
-        records.append(_record(series, k, {account.id: price}, views, settlement, mean_utility))
-    return records
+    views = ((g_view, UserValues(users.roster, row), x_view) for row in prices)
+    records, wfp_pct = _records(
+        series, zip(({account.id: price} for price in posted), views, utility), settled
+    )
+    return records, wfp_pct.max().item()
 
 
 def _individual_providers(cfg: ScenarioConfig):
@@ -451,18 +460,14 @@ def run_iwfp_topology(cfg: ScenarioConfig) -> TimeSeries:
     ts = TimeSeries(name=cfg.name)
     levels = range(mode.usage_steps + 1)
     for account, users, g in _individual_providers(cfg):
-        snapshots = [
-            replace(
-                account,
-                unused=account.quota * (mode.usage_steps - k) / mode.usage_steps,
-                settled_share=0.0,
-            )
-            for k in levels
-        ]
-        posted = [cfg.wfp_prices[account.id]] * len(snapshots)
-        records = _snapshots(account.id, snapshots, posted, users, g, cfg, True)
+        unused = np.array(
+            [account.quota * (mode.usage_steps - k) / mode.usage_steps for k in levels]
+        )
+        posted = [cfg.wfp_prices[account.id]] * len(unused)
+        records, ts.summary[f"max_share_pct.{account.id}"] = _snapshots(
+            account.id, account, unused, posted, users, g, cfg, True
+        )
         ts.records += records
-        ts.summary[f"max_share_pct.{account.id}"] = max(r.wfp_share_pct for r in records)
     return ts
 
 
@@ -481,11 +486,11 @@ def run_iwfp_ceiling(cfg: ScenarioConfig) -> TimeSeries:
     for account, users, g in _individual_providers(cfg):
         for usage in mode.usage_levels:
             label = mode.series_label(usage)
-            unused = account.quota * (1.0 - usage)
-            snapshot = replace(account, unused=unused, settled_share=0.0)
-            records = _snapshots(label, [snapshot] * steps, posted, users, g, cfg, False)
+            unused = np.full(steps, account.quota * (1.0 - usage))
+            records, ts.summary[f"max_share_pct.{label}"] = _snapshots(
+                label, account, unused, posted, users, g, cfg, False
+            )
             ts.records += records
-            ts.summary[f"max_share_pct.{label}"] = max(r.wfp_share_pct for r in records)
     return ts
 
 

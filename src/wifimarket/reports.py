@@ -55,15 +55,24 @@ def format_value(value: float) -> str:
 
 
 def _column_plan(ts: TimeSeries) -> tuple[list[str], list[tuple[str, list[str]]]]:
-    """The CSV header, and ``(attr, keys)`` per map field: the run's keys, sorted as strings."""
+    """The CSV header, and ``(attr, keys)`` per map field: the run's keys, sorted as strings.
+
+    One pass over the records per field; a mapping that is the previous
+    record's adds nothing and is skipped.
+    """
     header, plan = ["series", "step", *SCALAR_FIELDS], []
     for attr, prefix in MAP_FIELDS:
         keys: set[str] = set()
         prefixes: dict[Roster, int] = {}  # the longest view of each roster
+        last = None
         for mapping in map(attrgetter(attr), ts.records):
+            if mapping is last:
+                continue
+            last = mapping
             if type(mapping) is UserValues:
-                roster = mapping.roster
-                prefixes[roster] = max(prefixes.get(roster, 0), len(mapping.array))
+                roster, n = mapping.roster, len(mapping.array)
+                if n > prefixes.get(roster, 0):
+                    prefixes[roster] = n
             else:
                 keys.update(mapping)
         for roster, n in prefixes.items():

@@ -14,10 +14,15 @@ form by :func:`shapley_split`; :func:`shapley_permutation` is the independent
 ordering-enumeration oracle used to cross-check it.  If the provider
 contributes nothing, the ISP keeps the whole transaction.
 
-All of it needs five sums over a transaction's sales, so
-:func:`settle_transaction` takes them as :class:`SaleTotals`; the
-list-of-sales functions (:func:`total_revenue`, :func:`ewfp_contribution`, ...)
-are the per-sale reference the totals are checked against.
+All of it needs five sums over a transaction's sales (:class:`SaleTotals`).
+The arithmetic exists once, in :func:`settle_rows`: one kernel that settles
+one provider's transactions row by row, from columns of those sums and of the
+plan state each row is settled against.  The snapshot modes settle a whole
+series in one call; :func:`settle_transaction` is the kernel's one-row case
+plus the account update, and the two contribution functions are its
+contribution on one row.  The list-of-sales functions (:func:`total_revenue`,
+:func:`ewfp_contribution`, ...) are the per-sale reference the totals are
+checked against.
 """
 from __future__ import annotations
 
@@ -25,6 +30,8 @@ import math
 from dataclasses import dataclass, replace
 from itertools import permutations
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .model import TOLERANCE, SaleRecord, Settlement, WfpAccount, WfpKind
 
@@ -64,6 +71,8 @@ class SaleTotals:
     ``revenue`` = sum x * final_price, ``isp_revenue`` = sum x * min_price,
     ``spread`` = sum (final_price - min_price) * x, ``floor_sum`` = sum
     min_price and ``volume`` = sum x.  ``len()`` is the number of sales.
+    For :func:`settle_rows` the numeric fields are columns, one entry per
+    transaction.
     """
 
     seller: str | None
@@ -108,12 +117,6 @@ def _check_floor(sale: SaleRecord) -> None:
         )
 
 
-def _discounted_spread(spread: float, floor_sum: float, params: SharingParams) -> float:
-    """The spread divided by max(ln(floor_sum), beta) (beta alone for no floor)."""
-    denom = max(math.log(floor_sum), params.beta) if floor_sum > 0.0 else params.beta
-    return spread / denom
-
-
 def total_revenue(sales: Sequence[SaleRecord]) -> float:
     """Revenue of the grand coalition: sum of volume times final price."""
     return sum(s.x * s.final_price for s in sales)
@@ -143,7 +146,8 @@ def ewfp_contribution(sales: Sequence[SaleRecord], params: SharingParams) -> flo
     for s in sales:
         _check_floor(s)
     spread = sum((s.final_price - s.min_price) * s.x for s in sales)
-    return _discounted_spread(spread, sum(s.min_price for s in sales), params)
+    floor_sum = sum(s.min_price for s in sales)
+    return _establishment_values(np.array([spread]), np.array([floor_sum]), params).item()
 
 
 def iwfp_contribution(
@@ -167,18 +171,54 @@ def iwfp_contribution(
     """
     if account.kind is not WfpKind.INDIVIDUAL:
         raise ValueError(f"account {account.id!r} is not an individual provider")
-    if isp_value > total_value + TOLERANCE:
+    row = np.array([total_value, isp_value, account.unused, account.settled_share])[:, None]
+    return _individual_values(*row, account, params).item()
+
+
+def _logs(values: np.ndarray, where: np.ndarray) -> np.ndarray:
+    """``math.log`` of each value where ``where`` holds, 0 elsewhere: libm's log,
+    which a SIMD ``np.log`` need not match in the last bit."""
+    return np.array(
+        [math.log(v) if w else 0.0 for v, w in zip(values.tolist(), where.tolist())],
+        dtype=float,
+    )
+
+
+def _establishment_values(
+    spread: np.ndarray, floor_sum: np.ndarray, params: SharingParams
+) -> np.ndarray:
+    """Each row's spread / max(ln(floor_sum), beta) (beta alone for no floor:
+    its log reads 0, below beta > 1)."""
+    return spread / np.maximum(_logs(floor_sum, floor_sum > 0.0), params.beta)
+
+
+def _individual_values(
+    total: np.ndarray,
+    isp_value: np.ndarray,
+    unused: np.ndarray,
+    settled_share: np.ndarray,
+    account: WfpAccount,
+    params: SharingParams,
+) -> np.ndarray:
+    """Each row's :func:`iwfp_contribution`, against the plan's quota and fee and
+    the row's ``unused`` and ``settled_share``."""
+    over = isp_value > total + TOLERANCE
+    if np.count_nonzero(over):
+        k = over.argmax()
         raise ValueError(
-            f"ISP standalone value {isp_value} exceeds total revenue {total_value}"
+            f"ISP standalone value {isp_value[k].item()} exceeds total revenue "
+            f"{total[k].item()}"
         )
-    if account.fee > 0.0 and account.settled_share >= account.fee - TOLERANCE:
-        return 0.0
-    surplus = total_value - isp_value
-    if surplus <= 0.0:
-        return 0.0
-    omega = account.unused / account.quota if account.quota > 0.0 else 0.0
-    raw = omega * math.log(params.alpha * surplus)
-    return min(max(raw, 0.0), surplus)
+    surplus = total - isp_value
+    earning = surplus > 0.0
+    if account.fee > 0.0:
+        earning &= ~(settled_share >= account.fee - TOLERANCE)
+    omega = unused / account.quota if account.quota > 0.0 else np.zeros(len(total))
+    raw = omega * _logs(params.alpha * surplus, earning)
+    # Clamped into [0, surplus]; as with Python's max(raw, 0.0), a raw of -0.0
+    # (omega 0 times a negative log) stays -0.0, which np.maximum would not keep.
+    raw = np.where(0.0 > raw, 0.0, raw)
+    return np.where(earning, np.minimum(raw, surplus), 0.0)
 
 
 def shapley_split(values: CoalitionValues) -> Settlement:
@@ -190,7 +230,8 @@ def shapley_split(values: CoalitionValues) -> Settlement:
         wfp_share = v({w})/2 + (v({w,i}) - v({i}))/2
         isp_share = v({i})/2 + (v({w,i}) - v({w}))/2
 
-    The two shares always sum to the grand-coalition value.
+    The two shares always sum to the grand-coalition value.  The values may
+    be arrays, split element by element.
     """
     wfp_share = 0.5 * values.wfp_value + 0.5 * (values.total_value - values.isp_value)
     isp_share = 0.5 * values.isp_value + 0.5 * (values.total_value - values.wfp_value)
@@ -242,6 +283,66 @@ def coalition_map(values: CoalitionValues) -> dict[frozenset, float]:
     }
 
 
+#: The numeric fields of SaleTotals: the columns of a batch of transactions.
+_COLUMNS = ("count", "revenue", "isp_revenue", "spread", "floor_sum", "volume")
+
+
+def settle_rows(
+    account: WfpAccount,
+    totals: SaleTotals,
+    params: SharingParams,
+    unused: np.ndarray,
+    settled_share: np.ndarray,
+) -> Settlement:
+    """Settle one transaction per row for one provider: a Settlement of columns.
+
+    Row k is the transaction whose sums are entry k of the ``totals`` columns,
+    settled against ``account``'s id, kind, quota and fee with ``unused[k]``
+    and ``settled_share[k]`` as the plan's state (the account's own two are not
+    read).  Per row it builds the coalition values for the account's kind,
+    hands the ISP everything when the provider contributes nothing, splits
+    them with :func:`shapley_split`, and -- for an individual provider with a
+    fee -- enforces the billing-cycle cap: any payout above the headroom
+    (fee - settled_share) is truncated and handed to the ISP, so the shares
+    still sum to the transaction total.  A row without sales settles to zero.
+
+    Raises ValueError if the sales are another provider's, or if an
+    individual's row has an ISP value above its revenue.
+    """
+    if totals.seller is not None and totals.seller != account.id:
+        raise ValueError(
+            f"sale by {totals.seller!r} settled against account {account.id!r}"
+        )
+    live = np.flatnonzero(totals.count)
+    if len(live) < len(totals.count):
+        # Rows without sales settle to zero; the others settle as a batch of their own.
+        sold = replace(totals, **{name: getattr(totals, name)[live] for name in _COLUMNS})
+        part = settle_rows(account, sold, params, unused[live], settled_share[live])
+        columns = np.zeros((5, len(totals.count)))
+        columns[:, live] = list(vars(part).values())
+        return Settlement(*columns)
+    total, isp_alone = totals.revenue, totals.isp_revenue
+    if account.kind is WfpKind.ESTABLISHMENT:
+        wfp_value = _establishment_values(totals.spread, totals.floor_sum, params)
+    else:
+        wfp_value = _individual_values(total, isp_alone, unused, settled_share, account, params)
+
+    # A provider that contributes nothing leaves the whole pot with the ISP.
+    isp_value = np.where(wfp_value > 0.0, isp_alone, total)
+    split = shapley_split(CoalitionValues(total, wfp_value, isp_value))
+    if account.kind is WfpKind.ESTABLISHMENT or not account.fee > 0.0:
+        return split
+    headroom = np.maximum(account.fee - settled_share, 0.0)
+    capped = split.wfp_share > headroom
+    return Settlement(
+        wfp_share=np.where(capped, headroom, split.wfp_share),
+        isp_share=np.where(capped, split.isp_share + (split.wfp_share - headroom), split.isp_share),
+        total_value=total,
+        wfp_value=wfp_value,
+        isp_value=isp_value,
+    )
+
+
 def settle_transaction(
     account: WfpAccount,
     totals: SaleTotals,
@@ -249,47 +350,23 @@ def settle_transaction(
 ) -> tuple[Settlement, WfpAccount]:
     """Settle one transaction and return the payout plus the updated account.
 
-    Builds the coalition values for the account's kind from the sale
-    ``totals`` (``SaleTotals.of(sales)`` for a list), splits them with
-    :func:`shapley_split`, and -- for individual providers -- enforces the
-    billing-cycle cap: any amount above the remaining headroom
-    (fee - settled_share) is truncated and handed to the ISP, so the shares
-    still sum to the transaction total.  When the provider contributes nothing
-    the ISP keeps everything.
-
-    Individual accounts come back with ``unused`` reduced by the volume sold
-    and ``settled_share`` grown by the payout; the input account is untouched.
+    The one-row case of :func:`settle_rows`, settled against the account's own
+    ``unused`` and ``settled_share``; ``totals`` holds the transaction's sums
+    (``SaleTotals.of(sales)`` for a list).  Individual accounts come back with
+    ``unused`` reduced by the volume sold and ``settled_share`` grown by the
+    payout, establishments with the payout added to ``settled_share``; a
+    transaction without sales returns the account itself.  The input account
+    is untouched.
     """
-    if totals.seller is not None and totals.seller != account.id:
-        raise ValueError(
-            f"sale by {totals.seller!r} settled against account {account.id!r}"
-        )
+    unused, settled_share, *sums = np.array([
+        account.unused, account.settled_share, totals.count, totals.revenue,
+        totals.isp_revenue, totals.spread, totals.floor_sum, totals.volume,
+    ])[:, None]
+    columns = settle_rows(account, SaleTotals(totals.seller, *sums), params, unused, settled_share)
+    settlement = Settlement(*[column.item() for column in vars(columns).values()])
     if not totals.count:
-        return Settlement(0.0, 0.0, 0.0, 0.0, 0.0), account
-
-    total, isp_alone = totals.revenue, totals.isp_revenue
-    if account.kind is WfpKind.ESTABLISHMENT:
-        wfp_value = _discounted_spread(totals.spread, totals.floor_sum, params)
-    else:
-        wfp_value = iwfp_contribution(total, isp_alone, account, params)
-
-    # A provider that contributes nothing leaves the whole pot with the ISP.
-    isp_value = isp_alone if wfp_value > 0.0 else total
-    settlement = shapley_split(CoalitionValues(total, wfp_value, isp_value))
-
-    if account.kind is WfpKind.ESTABLISHMENT:
-        return settlement, replace(
-            account, settled_share=account.settled_share + settlement.wfp_share
-        )
-    headroom = max(account.fee - account.settled_share, 0.0)
-    if account.fee > 0.0 and settlement.wfp_share > headroom:
-        settlement = replace(
-            settlement,
-            wfp_share=headroom,
-            isp_share=settlement.isp_share + (settlement.wfp_share - headroom),
-        )
-    return settlement, replace(
-        account,
-        unused=max(account.unused - totals.volume, 0.0),
-        settled_share=account.settled_share + settlement.wfp_share,
-    )
+        return settlement, account
+    ledger = {"settled_share": account.settled_share + settlement.wfp_share}
+    if account.kind is WfpKind.INDIVIDUAL:
+        ledger["unused"] = max(account.unused - totals.volume, 0.0)
+    return settlement, replace(account, **ledger)

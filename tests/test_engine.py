@@ -1,15 +1,18 @@
 """Scenario-engine tests: sweeps, equilibrium ticks, quota ledgers, determinism."""
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from test_sharing import SETTLEMENT_FIELDS, bits, reference_settle
 
-from wifimarket.config import CeilingSweepMode, scenario_from_dict
+from wifimarket.config import CeilingSweepMode, QuotaSweepMode, scenario_from_dict
 from wifimarket.engine import run_scenario
 from wifimarket.model import Population
 from wifimarket.presets import load_preset, preset_path
 from wifimarket.pricing import solve_wfp_equilibrium
+from wifimarket.sharing import SaleTotals
 
 
 def make_sweep_doc(**overrides):
@@ -286,3 +289,72 @@ def test_runs_are_deterministic_in_memory():
     second = run_scenario(load_preset("scenario1"))
     assert first.records == second.records
     assert first.summary == second.summary
+
+
+def capped_ceiling():
+    # with nothing settled yet, a 100-unit fee caps the upper part of the price ramp
+    doc = preset_doc("iwfp-ceiling")
+    doc["wfps"][0]["fee"] = 100.0
+    return doc
+
+
+def unsold_ceiling():
+    # two users share each 10-unit transaction: 5 each, below the floor
+    doc = preset_doc("iwfp-ceiling")
+    doc["solver"]["x_floor"] = 6.0
+    return doc
+
+
+@pytest.mark.parametrize(
+    "make_doc, cases",
+    [
+        (capped_ceiling, ("capped", "uncapped")),
+        (lambda: preset_doc("iwfp-topology"), ("omega 0", "uncapped")),
+        (unsold_ceiling, ("unsold",)),
+    ],
+    ids=["ceiling_fee_cap", "quota_sweep", "ceiling_below_x_floor"],
+)
+def test_snapshot_steps_match_the_scalar_reference_bit_for_bit(make_doc, cases):
+    cfg = scenario_from_dict(make_doc())
+    ts = run_scenario(cfg)
+    mode = cfg.mode
+    seen = {"capped": 0, "uncapped": 0, "omega 0": 0, "unsold": 0}
+    for label, sub in ts.by_series().items():
+        for rec in sub.records:
+            (wid,) = rec.lambda_by_wfp
+            account = next(w for w in cfg.wfps if w.id == wid)
+            if isinstance(mode, QuotaSweepMode):
+                unused = account.quota * (mode.usage_steps - rec.step) / mode.usage_steps
+            else:
+                usage = next(u for u in mode.usage_levels if mode.series_label(u) == label)
+                unused = account.quota * (1.0 - usage)
+            uids = list(rec.g_by_user)
+            x = [rec.x_by_user[u] for u in uids]
+            g = [rec.g_by_user[u] for u in uids]
+            prices = [rec.final_price_by_user[u] for u in uids]
+            totals = SaleTotals(
+                seller=wid,
+                count=len(uids) if x[0] >= cfg.solver.x_floor else 0,
+                revenue=sum(xi * p for xi, p in zip(x, prices)),
+                isp_revenue=sum(xi * gi for xi, gi in zip(x, g)),
+                spread=sum((p - gi) * xi for xi, gi, p in zip(x, g, prices)),
+                floor_sum=sum(g),
+                volume=sum(x),
+            )
+            snapshot = replace(account, unused=unused, settled_share=0.0)
+            expected, _ = reference_settle(snapshot, totals, cfg.sharing)
+            assert bits(getattr(rec, name) for name in SETTLEMENT_FIELDS) == bits(
+                getattr(expected, name) for name in SETTLEMENT_FIELDS
+            ), (label, rec.step)
+            wfp_pct = isp_pct = 0.0
+            if expected.total_value > 0.0:
+                wfp_pct = 100.0 * expected.wfp_share / expected.total_value
+                isp_pct = 100.0 - wfp_pct
+            assert bits([rec.wfp_share_pct, rec.isp_share_pct]) == bits([wfp_pct, isp_pct])
+
+            uncapped = 0.5 * expected.wfp_value + 0.5 * (expected.total_value - expected.isp_value)
+            seen["capped" if expected.wfp_share < uncapped else "uncapped"] += 1
+            seen["omega 0"] += unused == 0.0 and expected.total_value > 0.0
+            seen["unsold"] += totals.count == 0
+        assert ts.summary[f"max_share_pct.{label}"] == max(r.wfp_share_pct for r in sub.records)
+    assert all(seen[key] for key in cases), seen

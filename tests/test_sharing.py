@@ -6,10 +6,12 @@ must reproduce them bit-for-bit within 1e-9.
 """
 import math
 import random
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from wifimarket.model import SaleRecord, WfpAccount, WfpKind
+from wifimarket.model import TOLERANCE, SaleRecord, Settlement, WfpAccount, WfpKind
 from wifimarket.sharing import (
     CoalitionValues,
     SaleTotals,
@@ -18,6 +20,7 @@ from wifimarket.sharing import (
     ewfp_contribution,
     isp_standalone_revenue,
     iwfp_contribution,
+    settle_rows,
     settle_transaction,
     shapley_permutation,
     shapley_split,
@@ -307,3 +310,193 @@ def test_settle_is_efficient_on_random_transactions():
         assert settlement.isp_share >= -1e-9
         if account.kind is WfpKind.INDIVIDUAL and account.fee > 0.0:
             assert updated.settled_share <= account.fee + 1e-9
+
+
+# --- the settlement kernel against the scalar reference --------------------------
+
+
+def reference_settle(account, totals, params):
+    """The scalar settlement that ``settle_rows`` replaced, kept as its oracle.
+
+    Same contract as ``settle_transaction``: one transaction's ``SaleTotals``
+    in, the Settlement and the updated account out.
+    """
+    if totals.seller is not None and totals.seller != account.id:
+        raise ValueError(
+            f"sale by {totals.seller!r} settled against account {account.id!r}"
+        )
+    if not totals.count:
+        return Settlement(0.0, 0.0, 0.0, 0.0, 0.0), account
+
+    total, isp_alone = totals.revenue, totals.isp_revenue
+    if account.kind is WfpKind.ESTABLISHMENT:
+        floor_sum = totals.floor_sum
+        denom = max(math.log(floor_sum), params.beta) if floor_sum > 0.0 else params.beta
+        wfp_value = totals.spread / denom
+    else:
+        if isp_alone > total + TOLERANCE:
+            raise ValueError(
+                f"ISP standalone value {isp_alone} exceeds total revenue {total}"
+            )
+        surplus = total - isp_alone
+        if account.fee > 0.0 and account.settled_share >= account.fee - TOLERANCE:
+            wfp_value = 0.0
+        elif surplus <= 0.0:
+            wfp_value = 0.0
+        else:
+            omega = account.unused / account.quota if account.quota > 0.0 else 0.0
+            raw = omega * math.log(params.alpha * surplus)
+            wfp_value = min(max(raw, 0.0), surplus)
+
+    isp_value = isp_alone if wfp_value > 0.0 else total
+    wfp_share = 0.5 * wfp_value + 0.5 * (total - isp_value)
+    isp_share = 0.5 * isp_value + 0.5 * (total - wfp_value)
+    settlement = Settlement(wfp_share, isp_share, total, wfp_value, isp_value)
+
+    if account.kind is WfpKind.ESTABLISHMENT:
+        return settlement, replace(
+            account, settled_share=account.settled_share + settlement.wfp_share
+        )
+    headroom = max(account.fee - account.settled_share, 0.0)
+    if account.fee > 0.0 and settlement.wfp_share > headroom:
+        settlement = replace(
+            settlement,
+            wfp_share=headroom,
+            isp_share=settlement.isp_share + (settlement.wfp_share - headroom),
+        )
+    return settlement, replace(
+        account,
+        unused=max(account.unused - totals.volume, 0.0),
+        settled_share=account.settled_share + settlement.wfp_share,
+    )
+
+
+SETTLEMENT_FIELDS = ("wfp_share", "isp_share", "total_value", "wfp_value", "isp_value")
+
+
+def bits(values):
+    """Exact, sign-of-zero-aware form of floats, for bit-for-bit comparison."""
+    return [float(v).hex() for v in values]
+
+
+def draw_account(rng, kind):
+    if kind is WfpKind.ESTABLISHMENT:
+        return WfpAccount(id="w", kind=kind, capacity=10.0)
+    quota = rng.choice((0.0, rng.uniform(1.0, 300.0), rng.uniform(1.0, 300.0)))
+    fee = rng.choice((0.0, rng.uniform(1.0, 60.0), rng.uniform(1.0, 60.0)))
+    return WfpAccount(id="w", kind=kind, quota=quota, fee=fee)
+
+
+def draw_row(rng, account, beta):
+    """One transaction's totals and plan state, drawn to reach every branch."""
+    count = rng.choice((0, 1, 2, 3, 5))
+    floor_sum = rng.choice((
+        0.0, -rng.uniform(0.0, 5.0),  # no floor
+        rng.uniform(1e-3, math.exp(beta)),  # ln below beta
+        rng.uniform(math.exp(beta), 1e4),  # ln above beta
+    ))
+    isp_revenue = rng.uniform(0.0, 500.0)
+    surplus = rng.choice((
+        0.0, -0.5 * TOLERANCE,  # no surplus (within the tolerance)
+        rng.uniform(0.0, 1.0),  # alpha * surplus mostly below 1
+        rng.uniform(0.0, 400.0),
+    ))
+    spread = rng.uniform(0.0, 200.0)
+    volume = rng.uniform(0.0, 50.0)
+    unused = rng.choice((0.0, rng.uniform(0.0, account.quota or 10.0)))  # omega 0
+    fee = account.fee
+    settled_share = rng.choice((
+        0.0,
+        fee, fee - 0.5 * TOLERANCE,  # the cycle's cap reached
+        rng.uniform(0.0, fee),
+        max(fee - rng.uniform(0.0, 5.0), 0.0),  # little headroom: the cap binds
+    ))
+    totals = (count, isp_revenue + surplus, isp_revenue, spread, floor_sum, volume)
+    return totals, unused, settled_share
+
+
+def settle_batch(account, rows, params):
+    """The kernel's columns and the reference's settlements of the same rows."""
+    totals = SaleTotals("w", *(np.array(column) for column in zip(*(r[0] for r in rows))))
+    unused = np.array([r[1] for r in rows])
+    settled_share = np.array([r[2] for r in rows])
+    columns = settle_rows(account, totals, params, unused, settled_share)
+    references = []
+    for row_totals, row_unused, row_settled in rows:
+        plan = replace(account, unused=row_unused, settled_share=row_settled)
+        one = SaleTotals("w", *row_totals)
+        expected, expected_account = reference_settle(plan, one, params)
+        settlement, updated = settle_transaction(plan, one, params)
+        assert bits(vars(settlement).values()) == bits(vars(expected).values())
+        assert bits([updated.unused, updated.settled_share]) == bits(
+            [expected_account.unused, expected_account.settled_share]
+        )
+        references.append(expected)
+    return columns, references
+
+
+def test_kernel_matches_the_scalar_reference_bit_for_bit():
+    rng = random.Random(20261018)
+    seen = dict.fromkeys((
+        "count 0", "floor <= 0", "floor < e^beta", "floor > e^beta", "quota 0", "fee 0",
+        "cap reached", "cap binds", "surplus <= 0", "alpha * surplus < 1", "omega 0",
+        "negative zero",
+    ), 0)
+    rows_settled = 0
+    for batch in range(600):  # batches of 1, 2 and many rows
+        kind = rng.choice((WfpKind.ESTABLISHMENT, WfpKind.INDIVIDUAL))
+        params = SharingParams(alpha=rng.choice((1.0, 0.4, 3.0)), beta=rng.choice((2.5, 1.2, 5.0)))
+        account = draw_account(rng, kind)
+        size = (1, 2, rng.randint(3, 30))[batch % 3]
+        rows = [draw_row(rng, account, params.beta) for _ in range(size)]
+        columns, references = settle_batch(account, rows, params)
+        for name in SETTLEMENT_FIELDS:
+            assert bits(getattr(columns, name)) == bits(getattr(r, name) for r in references)
+        rows_settled += size
+
+        for ((count, revenue, isp_revenue, _, floor_sum, _), unused, settled), ref in zip(
+            rows, references
+        ):
+            if not count:
+                seen["count 0"] += 1
+                continue
+            if kind is WfpKind.ESTABLISHMENT:
+                key = "floor <= 0" if floor_sum <= 0.0 else (
+                    "floor < e^beta" if math.log(floor_sum) < params.beta else "floor > e^beta"
+                )
+                seen[key] += 1
+                continue
+            surplus = revenue - isp_revenue
+            seen["quota 0"] += account.quota == 0.0
+            seen["fee 0"] += account.fee == 0.0
+            seen["cap reached"] += account.fee > 0.0 and settled >= account.fee - TOLERANCE
+            uncapped = 0.5 * ref.wfp_value + 0.5 * (ref.total_value - ref.isp_value)
+            seen["cap binds"] += ref.wfp_share < uncapped
+            seen["surplus <= 0"] += surplus <= 0.0
+            seen["alpha * surplus < 1"] += 0.0 < params.alpha * surplus < 1.0
+            seen["omega 0"] += unused == 0.0 and account.quota > 0.0
+            seen["negative zero"] += math.copysign(1.0, ref.wfp_value) < 0.0
+    assert rows_settled >= 2_000
+    assert all(seen.values()), seen
+
+
+def test_kernel_raises_what_the_scalar_settlement_raised():
+    params = SharingParams()
+    account = WfpAccount(id="w", kind=WfpKind.INDIVIDUAL, quota=50.0, unused=50.0, fee=20.0)
+    plan = np.zeros(3)
+    # ISP value above the total on the second of three rows
+    totals = SaleTotals(
+        "w", np.array([1, 1, 1]), np.array([110.0, 100.0, 90.0]),
+        np.array([100.0, 110.0, 80.0]), np.zeros(3), np.zeros(3), np.ones(3),
+    )
+    with pytest.raises(ValueError, match="ISP standalone value 110.0 exceeds total revenue 100.0"):
+        settle_rows(account, totals, params, plan, plan)
+    with pytest.raises(ValueError, match="exceeds total revenue"):
+        settle_transaction(account, SaleTotals("w", 1, 100.0, 110.0, 0.0, 0.0, 1.0), params)
+    # ... but not on a row without sales
+    quiet = replace(totals, count=np.array([1, 0, 1]))
+    assert settle_rows(account, quiet, params, plan, plan).total_value.tolist() == [110.0, 0.0, 90.0]
+    # sales by another seller
+    foreign = replace(totals, seller="other", count=np.zeros(3, dtype=int))
+    with pytest.raises(ValueError, match="'other' settled against account 'w'"):
+        settle_rows(account, foreign, params, plan, plan)
