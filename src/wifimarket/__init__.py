@@ -3,10 +3,10 @@
 Providers resell their spare Wi-Fi capacity to nearby users; the ISP that
 carries the traffic prices each backhaul link.  This package models how those
 prices form (each provider's exact capacity-clearing dual price, the ISP's
-link prices by projected dual subgradient steps), how each
-transaction's revenue splits between the provider and the ISP (the two-player
-Shapley value with kind-specific contribution functions), and how individual
-providers' data plans cap what they can earn per billing cycle.
+certified link prices), how each transaction's revenue splits between the
+provider and the ISP (the two-player Shapley value with kind-specific
+contribution functions), and how individual providers' data plans cap what
+they can earn per billing cycle.
 
 Typical use::
 
@@ -33,6 +33,7 @@ from .presets import load_preset
 from .pricing import (
     SolverConfig,
     solve_isp_prices,
+    solve_isp_subgradient,
     solve_wfp_equilibrium,
     solve_wfp_subgradient,
     user_best_response,
@@ -70,6 +71,7 @@ __all__ = [
     "solve_wfp_equilibrium",
     "solve_wfp_subgradient",
     "solve_isp_prices",
+    "solve_isp_subgradient",
     "user_best_response",
     "SaleRecord",
     "SaleTotals",

@@ -7,9 +7,10 @@ additivity, equal surplus gain, agreement with the ordering-enumeration
 oracle), the two revenue guarantees (the ISP never settles below its
 standalone take; an individual provider's share never grows with usage), the
 shape of the user problem (best response matches a dense grid search, utility
-is concave), the exact provider price against the subgradient iteration it
-replaced (which stays as the oracle), and both on a small instance with a
-known fixed point.
+is concave), the exact provider price and the certified ISP link prices
+against the subgradient iterations they replaced (which stay as the
+oracles), and the provider price on a small instance with a known fixed
+point.
 
 ``run_all`` executes everything with seeds derived from one master seed, so a
 single integer reproduces the entire battery.
@@ -18,26 +19,42 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .model import Population, SaleRecord, Settlement, UserProfile, WfpAccount, WfpKind
+from .engine import _link_demand
+from .model import (
+    LinkState,
+    Population,
+    SaleRecord,
+    Settlement,
+    UserProfile,
+    WfpAccount,
+    WfpKind,
+)
 from .pricing import (
+    ISP_TOLERANCE,
     SolverConfig,
     _allocate,
+    _link_slack,
+    _natural_residual,
+    solve_isp_prices,
+    solve_isp_subgradient,
     solve_wfp_equilibrium,
     solve_wfp_subgradient,
     user_best_response,
 )
 from .sharing import (
+    _COLUMNS,
     CoalitionValues,
     SaleTotals,
     SharingParams,
     coalition_map,
     ewfp_contribution,
     isp_standalone_revenue,
+    settle_rows,
     settle_transaction,
     shapley_permutation,
     shapley_split,
@@ -236,26 +253,27 @@ def check_isp_floor_guarantee(seed: int, trials: int = 10_000) -> CheckResult:
 
     Holds for establishment transactions because the contribution divides the
     price spread by a denominator greater than one, so the provider can never
-    be credited the entire spread.
+    be credited the entire spread.  The transactions settle in one
+    :func:`settle_rows` call, one row each.
     """
     rng = random.Random(seed)
     params = SharingParams()
     account = WfpAccount(id="ew", kind=WfpKind.ESTABLISHMENT, capacity=100.0)
-    violations = 0
-    worst = 0.0
-    for _ in range(trials):
-        sales = random_sales(rng, "ew")
-        settlement, _ = settle_transaction(account, SaleTotals.of(sales), params)
-        shortfall = isp_standalone_revenue(sales) - settlement.isp_share
-        worst = max(worst, shortfall)
-        if shortfall > 1e-9:
-            violations += 1
+    draws = [random_sales(rng, "ew") for _ in range(trials)]
+    rows = [SaleTotals.of(sales) for sales in draws]
+    totals = SaleTotals("ew", *(np.array([getattr(t, name) for t in rows]) for name in _COLUMNS))
+    settled = settle_rows(account, totals, params, np.zeros(trials), np.zeros(trials))
+    shortfalls = [
+        isp_standalone_revenue(sales) - share
+        for sales, share in zip(draws, settled.isp_share.tolist())
+    ]
+    violations = sum(shortfall > 1e-9 for shortfall in shortfalls)
     return CheckResult(
         name="isp-floor-guarantee",
         passed=violations == 0,
         detail=(
             f"{trials} establishment transactions, {violations} below the floor, "
-            f"worst shortfall = {worst:.3g}"
+            f"worst shortfall = {max([0.0, *shortfalls]):.3g}"
         ),
     )
 
@@ -266,30 +284,33 @@ def check_usage_monotone_share(
     """An individual provider's share never grows as its plan gets used.
 
     Sweeps quota usage from fresh to exhausted in ``steps`` increments for
-    each random transaction, settled by :func:`settle_transaction`; the
-    settled share must be non-increasing along the sweep and exactly zero
-    once nothing is unused.
+    each random transaction, all levels settled in one :func:`settle_rows`
+    call; the settled share must be non-increasing along the sweep and
+    exactly zero once nothing is unused.
     """
     rng = random.Random(seed)
     params = SharingParams()
     violations = 0
+    levels = range(steps + 1)
     for _ in range(trials):
         isp_value = rng.uniform(0.0, 50.0)
         total = isp_value + rng.uniform(0.001, 60.0)
         quota = rng.uniform(1.0, 500.0)
-        # One sale of volume 1 at price `total` over an ISP floor of `isp_value`.
-        totals = SaleTotals("iw", 1, total, isp_value, total - isp_value, isp_value, 1.0)
-        base = WfpAccount(
+        # One sale of volume 1 at price `total` over an ISP floor of `isp_value`,
+        # once per usage level.
+        sale = (1, total, isp_value, total - isp_value, isp_value, 1.0)
+        totals = SaleTotals("iw", *(np.full(steps + 1, value) for value in sale))
+        account = WfpAccount(
             id="iw", kind=WfpKind.INDIVIDUAL, quota=quota, unused=quota, fee=1e9
         )
+        unused = np.array([quota * (steps - k) / steps for k in levels])
+        settled = settle_rows(account, totals, params, unused, np.zeros(steps + 1))
         previous = math.inf
-        for k in range(steps + 1):
-            account = replace(base, unused=quota * (steps - k) / steps)
-            settlement, _ = settle_transaction(account, totals, params)
-            if settlement.wfp_share > previous + 1e-9:
+        for share in settled.wfp_share.tolist():
+            if share > previous + 1e-9:
                 violations += 1
-            previous = settlement.wfp_share
-        if settlement.wfp_value != 0.0:  # the sweep ends with the plan fully used
+            previous = share
+        if settled.wfp_value[-1] != 0.0:  # the sweep ends with the plan fully used
             violations += 1
     return CheckResult(
         name="usage-monotone-share",
@@ -446,6 +467,97 @@ def check_exact_vs_subgradient(seed: int, trials: int = 100) -> CheckResult:
     )
 
 
+def random_network(
+    rng: random.Random,
+) -> tuple[dict[str, LinkState], list[WfpAccount], list[UserProfile]]:
+    """One to three links, one to three establishments, one to five users each.
+
+    Every user routes over a random non-empty set of links.  Each link's
+    residual capacity lies between its crossing users' sum of x_min and 1.1
+    times their sum of x_max (so some links bind and some do not, and every
+    link can clear); its price starts anywhere in [0, 20].
+    """
+    link_ids = [f"L{k}" for k in range(rng.randint(1, 3))]
+    accounts, users = [], []
+    for k in range(rng.randint(1, 3)):
+        accounts.append(
+            WfpAccount(
+                id=f"e{k}",
+                kind=WfpKind.ESTABLISHMENT,
+                capacity=rng.uniform(5.0, 200.0),
+                min_profit=rng.uniform(0.0, 5.0),
+            )
+        )
+        for i in range(rng.randint(1, 5)):
+            x_min = rng.uniform(0.001, 0.1)
+            users.append(
+                UserProfile(
+                    id=f"u{k}.{i}",
+                    wfp=f"e{k}",
+                    path=tuple(rng.sample(link_ids, rng.randint(1, len(link_ids)))),
+                    weight=rng.uniform(0.5, 2.0),
+                    budget=rng.uniform(10.0, 200.0),
+                    x_min=x_min,
+                    x_max=x_min + rng.uniform(0.5, 10.0),
+                )
+            )
+    links = {}
+    for lid in link_ids:
+        crossing = [u for u in users if lid in u.path]
+        low, high = sum(u.x_min for u in crossing), 1.1 * sum(u.x_max for u in crossing)
+        subscriber_load = rng.uniform(0.0, 50.0)
+        links[lid] = LinkState(
+            id=lid,
+            capacity=subscriber_load + rng.uniform(low, high),
+            subscriber_load=subscriber_load,
+            price=rng.uniform(0.0, 20.0),
+        )
+    return links, accounts, users
+
+
+def check_isp_exact_vs_subgradient(seed: int, trials: int = 30) -> CheckResult:
+    """The certified link prices clear every link at least as well as the oracle.
+
+    On random networks (see :func:`random_network`), with the engine's WFP
+    load response, the certified ISP solve must converge with every link's
+    natural residual |min(g_l, s_l)| within ``ISP_TOLERANCE * max(C_l, 1)``,
+    and its residual must never exceed that of the paper's subgradient
+    iteration on the same instance.
+    """
+    rng = random.Random(seed)
+    budget = SolverConfig(max_iters=1_000)  # load evaluations; the largest seen is ~300
+    oracle_cfg = SolverConfig(sigma0=1.0, max_iters=200)
+    worst = 0.0
+    violations = evaluations = 0
+    for _ in range(trials):
+        links, accounts, users = random_network(rng)
+        pop = Population.of(users, [a.id for a in accounts])
+        customers = [pop.take(np.flatnonzero(pop.provider == k)) for k in range(len(accounts))]
+        demand = _link_demand(links, pop, accounts, customers)
+        exact = solve_isp_prices(links, demand, budget)
+        oracle = solve_isp_subgradient(links, demand, oracle_cfg)
+        evaluations = max(evaluations, exact.iterations)
+        slack = _link_slack(links, demand(exact.g_by_link))
+        scaled = max(
+            abs(min(exact.g_by_link[lid], s)) / max(links[lid].capacity, 1.0)
+            for lid, s in slack.items()
+        )
+        oracle_residual = _natural_residual(
+            oracle.g_by_link, _link_slack(links, demand(oracle.g_by_link))
+        )
+        worst = max(worst, scaled)
+        if not exact.converged or scaled > ISP_TOLERANCE or exact.residual > oracle_residual:
+            violations += 1
+    return CheckResult(
+        name="isp-exact-vs-subgradient",
+        passed=violations == 0,
+        detail=(
+            f"{trials} random networks, {violations} violations, max residual / "
+            f"max(C, 1) = {worst:.3g}, at most {evaluations} load evaluations"
+        ),
+    )
+
+
 def check_capacity_price_convergence() -> CheckResult:
     """The capacity price reaches its known fixed point, exactly and by iteration.
 
@@ -499,6 +611,7 @@ _SEEDED_SUITES: Sequence[tuple[str, Callable[[int], CheckResult]]] = (
     ("floor-discount-monotone", check_floor_discount_monotone),
     ("best-response-grid", check_best_response_grid),
     ("exact-vs-subgradient", check_exact_vs_subgradient),
+    ("isp-exact-vs-subgradient", check_isp_exact_vs_subgradient),
 )
 
 

@@ -180,6 +180,30 @@ def _link_loads(
     return loads
 
 
+def _link_demand(
+    links, pop: Population, accounts: list[WfpAccount], customers: list[Population]
+):
+    """The WFP load per link as a function of link prices.
+
+    ``customers[k]`` are ``accounts[k]``'s users, taken from ``pop``.  Each
+    call floors every user at its path's price, solves every provider exactly
+    against those floors, and sums the purchases over the links, provider by
+    provider.  An infinite price on a link holds every user crossing it at
+    x_min.
+    """
+    path = np.concatenate([users.path for users in customers])
+
+    def wfp_demand(prices: Mapping[str, float]) -> dict[str, float]:
+        x = [
+            solve_wfp_equilibrium(account, users, _floors(users, prices, len(users)))
+            .x_by_user.array
+            for account, users in zip(accounts, customers)
+        ]
+        return _link_loads(links, pop, path, np.concatenate(x))
+
+    return wfp_demand
+
+
 def _settle(
     accounts: list[WfpAccount],
     provider: np.ndarray,
@@ -308,11 +332,13 @@ def _summarize_crossover(ts: TimeSeries) -> None:
 def run_equilibrium(cfg: ScenarioConfig) -> TimeSeries:
     """Tick-driven run where prices come out of the dual solvers.
 
-    Per tick: refresh exogenous subscriber loads, re-solve ISP link prices
-    (when ``solve_isp`` is on), solve every provider's exact clearing price
-    against the resulting floors, drop users whose best response
-    would leave them worse off than not buying, settle, and let individual
-    accounts deplete.  Quotas replenish every ``billing_cycle_ticks`` ticks.
+    Per tick: refresh exogenous subscriber loads, solve the ISP's certified
+    link prices from the last tick's (when ``solve_isp`` is on; a flagged
+    solve's prices are used as they are), solve every provider's exact
+    clearing price against the resulting floors, drop users whose best
+    response would leave them worse off than not buying, settle, and let
+    individual accounts deplete.  Quotas replenish every
+    ``billing_cycle_ticks`` ticks.
     """
     mode = cfg.mode
     assert isinstance(mode, EquilibriumMode)
@@ -343,17 +369,8 @@ def run_equilibrium(cfg: ScenarioConfig) -> TimeSeries:
         customers = [pop.take(idx) for idx in members]
 
         if cfg.solve_isp and links:
-            major = np.concatenate(members)
-
-            def wfp_demand(prices: dict[str, float]) -> dict[str, float]:
-                g = _floors(pop, prices, n)
-                x = [
-                    solve_wfp_equilibrium(account, users, g[idx]).x_by_user.array
-                    for account, users, idx in zip(accounts, customers, members)
-                ]
-                return _link_loads(links, pop, pop.path[major], np.concatenate(x))
-
-            outer = solve_isp_prices(links, wfp_demand, cfg.solver)
+            demand = _link_demand(links, pop, accounts, customers)
+            outer = solve_isp_prices(links, demand, cfg.solver)
             link_prices = outer.g_by_link
             links = {
                 lid: replace(link, price=link_prices[lid]) for lid, link in links.items()

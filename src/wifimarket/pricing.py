@@ -1,13 +1,16 @@
 """Price formation by dual decomposition.
 
 Users maximize a concave net utility, providers price their capacity with a
-dual (shadow-price) variable, and the ISP does the same per link.  A
-provider's price is solved exactly: its demand curve is piecewise A / lam + B,
-so the clearing price comes from a breakpoint search and a closed form, with
-the residual of the capacity constraint reported beside it.  The paper's
-projected subgradient iteration (step size sigma0 / (1 + t), stopped once the
-price moves less than ``epsilon``) is kept as ``solve_wfp_subgradient``, the
-oracle the self-checks compare against, and still prices the ISP's links.
+dual (shadow-price) variable, and the ISP does the same per link.  Both are
+solved exactly and certified by a residual reported beside the prices.  A
+provider's demand curve is piecewise A / lam + B, so its clearing price comes
+from a breakpoint search and a closed form.  The ISP's link prices solve the
+complementarity problem g >= 0, s(g) >= 0, g * s(g) = 0 on each link's
+residual capacity s, link by link, by bracketing and regula falsi, until the
+natural residual max |min(g, s(g))| is within ``ISP_TOLERANCE`` of capacity.  The paper's
+projected subgradient iterations (step size sigma0 / (1 + t), stopped once the
+price moves less than ``epsilon``) are kept as ``solve_wfp_subgradient`` and
+``solve_isp_subgradient``, the oracles the self-checks compare against.
 Non-convergence is reported in the result, never raised: a flagged result is
 data the caller can act on.
 """
@@ -29,11 +32,19 @@ from .model import (
 )
 
 
+# An ISP solve is certified once every link's natural residual
+# |min(g_l, s_l(g))| is at most this fraction of max(capacity_l, 1).
+ISP_TOLERANCE = 1e-9
+
+
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs of the ISP solver, the sweep's dual steps and the subgradient oracle.
+    """Knobs of the ISP solver, the sweep's dual steps and the subgradient oracles.
 
-    ``x_floor`` is the smallest purchase the engine settles.
+    ``max_iters`` is the ISP solve's budget of load evaluations (and the
+    oracles' iteration cap); ``sigma0`` and ``epsilon`` are read only by sweep
+    mode's dual steps and the oracles.  ``x_floor`` is the smallest purchase
+    the engine settles.
     """
 
     sigma0: float = 1.0
@@ -63,7 +74,9 @@ class EquilibriumResult:
     iterations: int = 0
     converged: bool = False
     # Provider solves: |C - D| at the returned price, or max(D - C, 0) at a
-    # zero price.  The ISP loop does not measure it.
+    # zero price.  ISP solves: max over links of |min(g_l, s_l)|, s_l the
+    # link's residual capacity minus its WFP load.  The oracles' ISP loop does
+    # not measure it.
     residual: float = math.nan
 
 
@@ -271,17 +284,173 @@ def solve_wfp_subgradient(
     return _provider_result(account, users, lam, prices, x, iterations, converged)
 
 
+def _link_slack(
+    links: Mapping[str, LinkState], loads: Mapping[str, float]
+) -> dict[str, float]:
+    """s_l: each link's residual capacity (capacity - subscriber load) minus its WFP load."""
+    return {
+        lid: link.capacity - link.subscriber_load - loads.get(lid, 0.0)
+        for lid, link in links.items()
+    }
+
+
+def _natural_residual(prices: Mapping[str, float], slack: Mapping[str, float]) -> float:
+    """max_l |min(g_l, s_l)|: zero exactly when g >= 0, s >= 0 and g * s = 0."""
+    return max((abs(min(prices[lid], s)) for lid, s in slack.items()), default=0.0)
+
+
+class _Unconverged(Exception):
+    """Ends an ISP solve early: its evaluation budget is spent or a link cannot clear."""
+
+
 def solve_isp_prices(
     links: Mapping[str, LinkState],
     wfp_demand_fn: Callable[[Mapping[str, float]], Mapping[str, float]],
     cfg: SolverConfig,
 ) -> EquilibriumResult:
-    """Per-link minimum prices against an aggregate WFP demand response.
+    """Certified per-link minimum prices against an aggregate WFP demand response.
+
+    ``wfp_demand_fn`` maps link prices to the WFP load each link would carry;
+    every call is one load evaluation, and ``cfg.max_iters`` is the budget of
+    them.  The prices solve the complementarity problem g >= 0, s(g) >= 0,
+    g * s(g) = 0, where s_l(g) is link l's residual capacity minus its WFP
+    load: the optimality conditions of minimizing, over g >= 0, the dual
+    function D, which is convex with gradient s.
+
+    From the links' current ``price``, each pass prices every link in turn
+    with the others held: 0 if the link is slack there, else the root of s_l,
+    bracketed by steps of max(g_l, 1) that double.  Unless that cleared every
+    link, the pass then carries on along its whole move while D falls, which
+    prices links that share their users (and so trade price between them a
+    little per pass) in one step.  Each of these line searches closes in by
+    regula falsi (Illinois), bisecting wherever the secant leaves the
+    bracket.  The solve converges once every link's natural residual
+    |min(g_l, s_l(g))| is at most ``ISP_TOLERANCE * max(C_l, 1)``;
+    ``residual`` is the largest of them and ``iterations`` the evaluations.
+
+    A link whose load exceeds its residual capacity even at an infinite price
+    on it (every user crossing it at x_min, or a subscriber load above
+    capacity) cannot clear.  When a price has to rise on a link not yet seen
+    within tolerance of clearing, ``wfp_demand_fn`` is called once with that
+    price at ``math.inf``; if the link still does not clear, the solve returns
+    its finite prices at once, flagged unconverged, as it does when the
+    budget runs out.
+    """
+    tol = {lid: ISP_TOLERANCE * max(link.capacity, 1.0) for lid, link in links.items()}
+    # Links seen with s_l >= -tol.  No load falls below its crossing users'
+    # x_min, so s_l is never larger than at an infinite price: these can clear.
+    clearable: set[str] = set()
+    evaluations = 0
+
+    def slack(prices: dict[str, float]) -> dict[str, float]:
+        nonlocal evaluations
+        if evaluations >= cfg.max_iters:
+            raise _Unconverged
+        evaluations += 1
+        s = _link_slack(links, wfp_demand_fn(prices))
+        clearable.update(lid for lid in links if s[lid] >= -tol[lid])
+        return s
+
+    def cleared(prices: dict[str, float], s: dict[str, float]) -> bool:
+        return all(abs(min(prices[lid], s[lid])) <= tol[lid] for lid in links)
+
+    def line_search(prices, s, d, t_min):
+        """Where D stops falling on the segment prices + t * d, t_min <= t <= t_max.
+
+        t_max is where the first falling price reaches 0 (infinite if none
+        falls).  D's slope along the segment, the sum of s_l * d_l, never
+        falls with t.  From t = 0 it steps to ``t_min`` if the slope is
+        positive, else to t = 1 and on by doubling steps, until the slope
+        changes sign or the bound is reached, and then closes in on its zero.
+        Returns the prices found and s at them.
+        """
+        eps = sum(tol[lid] * abs(d[lid]) for lid in links)
+        t_max = min((prices[lid] / -d[lid] for lid in links if d[lid] < 0.0), default=math.inf)
+        rising = {lid for lid in links if d[lid] > 0.0}
+
+        def at(t):
+            point = {
+                lid: max(prices[lid] + t * d[lid], 0.0) if d[lid] else prices[lid]
+                for lid in links
+            }
+            s_t = slack(point)
+            return t, point, s_t, sum(s_t[lid] * d[lid] for lid in links)
+
+        a = b = (0.0, prices, s, sum(s[lid] * d[lid] for lid in links))
+        if a[3] > 0.0:
+            a = at(t_min)
+            if a[3] >= -eps:
+                return a[1], a[2]
+        else:
+            b = at(min(1.0, t_max))
+            if b[3] < -eps and t_max == math.inf and not clearable >= rising:
+                at(t_max)
+                if not clearable >= rising:
+                    raise _Unconverged  # a link cannot clear
+            while b[3] < -eps and b[0] < t_max:
+                a, b = b, at(min(3.0 * b[0] - 2.0 * a[0], t_max))
+            if b[3] <= eps:
+                return b[1], b[2]
+        # slope(a) < -eps < eps < slope(b).  Illinois: when the same end moves
+        # twice running, the other end's slope is halved.
+        (t_a, g_a, s_a, f_a), (t_b, g_b, s_b, f_b) = a, b
+        moved = 0
+        while True:
+            t = t_b - f_b * (t_b - t_a) / (f_b - f_a)
+            if not t_a < t < t_b:
+                t = 0.5 * (t_a + t_b)
+                if not t_a < t < t_b:  # adjacent floats
+                    return (g_a, s_a) if -f_a < f_b else (g_b, s_b)
+            _, g_t, s_t, f_t = at(t)
+            if abs(f_t) <= eps:
+                return g_t, s_t
+            if f_t < 0.0:
+                t_a, g_a, s_a, f_a = t, g_t, s_t, f_t
+                f_b *= 0.5 if moved < 0 else 1.0
+                moved = -1
+            else:
+                t_b, g_b, s_b, f_b = t, g_t, s_t, f_t
+                f_a *= 0.5 if moved > 0 else 1.0
+                moved = 1
+
+    prices = {lid: link.price for lid, link in links.items()}
+    s = {}
+    converged = False
+    try:
+        s = slack(prices)
+        while not cleared(prices, s):
+            start = prices
+            for lid in links:
+                if abs(min(prices[lid], s[lid])) > tol[lid]:
+                    # Steps of max(g_l, 1); t = -1 reaches a price of 0.
+                    step = {other: float(other == lid) * max(prices[lid], 1.0) for other in links}
+                    prices, s = line_search(prices, s, step, -1.0)
+            move = {lid: prices[lid] - start[lid] if prices[lid] else 0.0 for lid in links}
+            if not cleared(prices, s) and sum(s[lid] * move[lid] for lid in links) < 0.0:
+                prices, s = line_search(prices, s, move, 0.0)
+        converged = True
+    except _Unconverged:
+        pass
+    return EquilibriumResult(
+        g_by_link=prices,
+        iterations=evaluations,
+        converged=converged,
+        residual=_natural_residual(prices, s),
+    )
+
+
+def solve_isp_subgradient(
+    links: Mapping[str, LinkState],
+    wfp_demand_fn: Callable[[Mapping[str, float]], Mapping[str, float]],
+    cfg: SolverConfig,
+) -> EquilibriumResult:
+    """The paper's link-price iteration: the oracle for ``solve_isp_prices``.
 
     ``wfp_demand_fn`` maps candidate link prices to the WFP load each link
     would carry; each outer iteration takes one synchronous dual step on every
-    link.  Stops when the largest price change is below ``epsilon``, otherwise
-    flags non-convergence after ``max_iters``.
+    link, starting from the links' current prices.  Stops when the largest
+    price change is below ``epsilon``, otherwise flags non-convergence after
+    ``max_iters``.  The residual is not measured.
     """
     prices = {lid: link.price for lid, link in links.items()}
     converged = False

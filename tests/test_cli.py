@@ -72,6 +72,33 @@ def test_seed_override_is_accepted(tmp_path):
     assert code == 0
 
 
+def test_run_with_links_that_cannot_clear_exits_zero(tmp_path):
+    """An ISP solve flagged infeasible still yields a run and its outputs.
+
+    Tick 0 loads AB with a subscriber load above its capacity; on BC the
+    crossing users' x_min alone exceed the residual capacity at every tick.
+    """
+    doc = {
+        "name": "cli-infeasible",
+        "links": [
+            {"id": "AB", "capacity": 50, "price": 1},
+            {"id": "BC", "capacity": 40, "subscriber_load": 30, "price": 1},
+        ],
+        "wfps": [{"id": "w1", "kind": "establishment", "capacity": 500, "min_profit": 1}],
+        "users": [
+            {"id": "u", "wfp": "w1", "path": ["AB"], "count": 3},
+            {"id": "v", "wfp": "w1", "path": ["AB", "BC"], "count": 3, "x_min": 4.0},
+        ],
+        "solve_isp": True,
+        "mode": {"kind": "equilibrium", "ticks": 2, "subscriber_loads": {"AB": [55, 10]}},
+    }
+    config = write_doc(tmp_path, doc)
+    code = cli.main(["run", "--config", str(config), "--out", str(tmp_path)])
+    assert code == 0
+    assert (tmp_path / "cli-infeasible.csv").is_file()
+    assert (tmp_path / "cli-infeasible.svg").is_file()
+
+
 # --- exit code 1: invalid input ------------------------------------------------------
 
 
@@ -221,9 +248,9 @@ def test_check_passes_on_the_real_battery(capsys):
     code = cli.main(["check", "--seed", "3"])
     assert code == 0
     out_lines = capsys.readouterr().out.strip().splitlines()
-    assert len(out_lines) == 13  # 12 suites + the closing summary line
+    assert len(out_lines) == 14  # 13 suites + the closing summary line
     assert all(line.startswith("[PASS]") for line in out_lines[:-1])
-    assert out_lines[-1] == "all 12 checks passed"
+    assert out_lines[-1] == "all 13 checks passed"
 
 
 # --- the checks must actually be able to fail ----------------------------------------------

@@ -1,8 +1,9 @@
 """Price-formation tests: utilities, best responses, dual updates, solvers.
 
 Update-rule and utility constants were worked out by hand and frozen; the
-exact provider price and the link-price fixed point are cross-checked against
-an independent bisection.
+exact provider price and the certified link price are cross-checked against
+an independent bisection, and the certified link prices against their natural
+residuals.
 """
 import math
 import random
@@ -11,13 +12,17 @@ import warnings
 import numpy as np
 import pytest
 
+from wifimarket.config import scenario_from_dict
+from wifimarket.engine import _link_demand, run_scenario
 from wifimarket.model import LinkState, Population, UserProfile, WfpAccount, WfpKind
 from wifimarket.pricing import (
+    ISP_TOLERANCE,
     SolverConfig,
     final_price,
     isp_link_price_update,
     min_price_for_path,
     solve_isp_prices,
+    solve_isp_subgradient,
     solve_wfp_equilibrium,
     solve_wfp_subgradient,
     step_size,
@@ -333,7 +338,7 @@ def test_isp_solver_matches_bisection_oracle():
     def demand_fn(prices):
         return {"L": 60.0 / (1.0 + prices["L"])}
 
-    result = solve_isp_prices(links, demand_fn, SolverConfig(sigma0=0.5))
+    result = solve_isp_subgradient(links, demand_fn, SolverConfig(sigma0=0.5))
     expected = _bisect_fixed_point(lambda g: 60.0 / (1.0 + g), 30.0)
     assert result.converged
     assert expected == pytest.approx(1.0, abs=1e-9)
@@ -348,7 +353,9 @@ def test_isp_solver_saturated_link_price_rises_monotonically():
         observed.append(prices["L"])
         return {"L": 100.0}
 
-    result = solve_isp_prices(links, flood, SolverConfig(sigma0=0.1, epsilon=1e-9, max_iters=60))
+    result = solve_isp_subgradient(
+        links, flood, SolverConfig(sigma0=0.1, epsilon=1e-9, max_iters=60)
+    )
     assert not result.converged
     assert result.iterations == 60
     # demand never meets the residual, so every step pushes the price up
@@ -357,6 +364,154 @@ def test_isp_solver_saturated_link_price_rises_monotonically():
 
 def test_isp_solver_idle_link_price_decays_to_zero():
     links = {"L": LinkState(id="L", capacity=30.0, subscriber_load=0.0, price=5.0)}
-    result = solve_isp_prices(links, lambda p: {"L": 0.0}, SolverConfig(sigma0=1.0))
+    result = solve_isp_subgradient(links, lambda p: {"L": 0.0}, SolverConfig(sigma0=1.0))
     assert result.converged
     assert result.g_by_link["L"] == 0.0
+
+
+# --- certified ISP solve ---------------------------------------------------------------
+
+
+def natural_residuals(links, demand_fn, prices):
+    """|min(g_l, s_l)| per link, s_l = capacity - subscriber load - WFP load."""
+    loads = demand_fn(prices)
+    return {
+        lid: abs(min(prices[lid], link.capacity - link.subscriber_load - loads.get(lid, 0.0)))
+        for lid, link in links.items()
+    }
+
+
+def test_certified_isp_solve_matches_bisection_oracle():
+    links = {"L": LinkState(id="L", capacity=25.0, subscriber_load=0.0, price=0.0)}
+
+    def demand_fn(prices):
+        return {"L": 60.0 / (1.0 + prices["L"])}
+
+    result = solve_isp_prices(links, demand_fn, SolverConfig(max_iters=200))
+    expected = _bisect_fixed_point(lambda g: 60.0 / (1.0 + g), 25.0)
+    assert expected == pytest.approx(1.4, abs=1e-9)
+    assert result.converged
+    assert result.g_by_link["L"] == pytest.approx(expected, abs=1e-9)
+    assert result.residual <= ISP_TOLERANCE * 25.0
+    assert result.residual == natural_residuals(links, demand_fn, result.g_by_link)["L"]
+    assert result.iterations <= 20
+
+
+def test_certified_isp_solve_prices_a_slack_link_at_exactly_zero():
+    links = {"L": LinkState(id="L", capacity=30.0, subscriber_load=5.0, price=7.0)}
+    seen = []
+
+    def demand_fn(prices):
+        seen.append(prices["L"])
+        return {"L": 25.0 / (1.0 + prices["L"])}  # 25 fits the residual 25 even at 0
+
+    result = solve_isp_prices(links, demand_fn, SolverConfig(max_iters=200))
+    assert result.converged
+    assert result.g_by_link == {"L": 0.0}
+    assert result.residual == 0.0
+    assert seen == [7.0, 0.0]  # warm start from the link's price, then s(0) >= 0
+
+
+def test_certified_isp_solve_crosses_a_flat_stretch():
+    # The load stays at 50 up to a price of 20, so s_l is flat across the first
+    # bracketing steps; the root is 40.
+    links = {"L": LinkState(id="L", capacity=30.0, subscriber_load=0.0, price=0.0)}
+
+    def demand_fn(prices):
+        return {"L": min(50.0, max(70.0 - prices["L"], 0.0))}
+
+    result = solve_isp_prices(links, demand_fn, SolverConfig(max_iters=200))
+    assert result.converged
+    assert result.g_by_link["L"] == pytest.approx(40.0, abs=1e-9)
+
+
+def test_certified_isp_solve_flags_a_spent_budget():
+    links = {"L": LinkState(id="L", capacity=25.0, subscriber_load=0.0, price=0.0)}
+    calls = []
+
+    def demand_fn(prices):
+        calls.append(dict(prices))
+        return {"L": 60.0 / (1.0 + prices["L"])}
+
+    result = solve_isp_prices(links, demand_fn, SolverConfig(max_iters=3))
+    assert not result.converged
+    assert result.iterations == len(calls) == 3
+    assert math.isfinite(result.g_by_link["L"])
+    assert result.residual == natural_residuals(links, demand_fn, result.g_by_link)["L"]
+
+
+TWO_BINDING_LINKS = {
+    "name": "two-binding-links",
+    "links": [
+        {"id": "AB", "capacity": 60, "subscriber_load": 30, "price": 1},
+        {"id": "BC", "capacity": 50, "subscriber_load": 30, "price": 1},
+    ],
+    "wfps": [
+        {"id": "e1", "kind": "establishment", "capacity": 1000, "min_profit": 2},
+        {"id": "e2", "kind": "establishment", "capacity": 1000, "min_profit": 1},
+    ],
+    "users": [
+        {"id": "a", "count": 4, "wfp": "e1", "path": ["AB"], "budget": 100},
+        {"id": "b", "count": 4, "wfp": "e1", "path": ["AB", "BC"], "budget": 80},
+        {"id": "c", "count": 4, "wfp": "e2", "path": ["BC"], "budget": 120},
+    ],
+    "solve_isp": True,
+    "mode": {"kind": "equilibrium", "ticks": 1},
+}
+
+
+def engine_demand(doc):
+    """The document's links and the engine's WFP load response over its users."""
+    cfg = scenario_from_dict(doc)
+    pop = Population.of(cfg.users, [w.id for w in cfg.wfps])
+    customers = [pop.take(np.flatnonzero(pop.provider == k)) for k in range(len(cfg.wfps))]
+    links = cfg.topology.links
+    return cfg, links, _link_demand(links, pop, list(cfg.wfps), customers)
+
+
+def test_certified_isp_solve_prices_two_binding_links():
+    """Both links bind, and the users crossing both pay the sum of their prices."""
+    cfg, links, demand_fn = engine_demand(TWO_BINDING_LINKS)
+    result = solve_isp_prices(links, demand_fn, cfg.solver)
+    assert cfg.solver.max_iters == SolverConfig().max_iters
+    assert result.converged
+    assert result.iterations <= 100
+    assert all(price > 1.0 for price in result.g_by_link.values())
+    residuals = natural_residuals(links, demand_fn, result.g_by_link)
+    for lid, link in links.items():
+        assert residuals[lid] <= ISP_TOLERANCE * max(link.capacity, 1.0)
+    assert result.residual == max(residuals.values())
+
+    record = run_scenario(cfg).records[0]
+    ab, bc = result.g_by_link["AB"], result.g_by_link["BC"]
+    assert record.g_by_user["a001"] == ab
+    assert record.g_by_user["b001"] == ab + bc
+    assert record.g_by_user["c001"] == bc
+
+
+def infeasible_docs():
+    """A subscriber load above capacity, and crossing users' x_min above the residual."""
+    over = dict(TWO_BINDING_LINKS, links=[
+        {"id": "AB", "capacity": 60, "subscriber_load": 61, "price": 1},
+        {"id": "BC", "capacity": 50, "subscriber_load": 30, "price": 1},
+    ])
+    floor = dict(TWO_BINDING_LINKS, users=[
+        {"id": "a", "count": 4, "wfp": "e1", "path": ["AB"], "budget": 100},
+        {"id": "b", "count": 4, "wfp": "e1", "path": ["AB", "BC"], "budget": 80,
+         "x_min": 6.0},  # 4 * 6 = 24 > the residual 50 - 30 on BC
+        {"id": "c", "count": 4, "wfp": "e2", "path": ["BC"], "budget": 120},
+    ])
+    return {"subscriber_load": over, "x_min": floor}
+
+
+@pytest.mark.parametrize("case", ["subscriber_load", "x_min"])
+def test_certified_isp_solve_flags_an_infeasible_link(case):
+    doc = infeasible_docs()[case]
+    cfg, links, demand_fn = engine_demand(doc)
+    budget = SolverConfig(max_iters=50)
+    result = solve_isp_prices(links, demand_fn, budget)
+    assert not result.converged
+    assert result.iterations < budget.max_iters  # stopped at once, not at the budget
+    assert all(math.isfinite(price) for price in result.g_by_link.values())
+    assert math.isfinite(result.residual) and result.residual > 0.0
+    assert result.residual == max(natural_residuals(links, demand_fn, result.g_by_link).values())
