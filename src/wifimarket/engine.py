@@ -16,9 +16,13 @@ Four run shapes:
 Every runner builds its population once, as parallel arrays over one roster
 (growth clones are appended to it, so each step uses a prefix), computes each
 step on those arrays, settles each provider from its sales' totals, and
-records per-user values as read-only views of the step's arrays.  Sums run
-over Python floats in the order of the per-sale reference functions, so the
-figures do not depend on numpy's summation order.
+records per-user values as read-only views of the step's arrays.  The
+engine's own per-user float sums (settlement totals, means, demand) are each
+the sequential left fold 0.0 + v[0] + v[1] + ... of
+:func:`~wifimarket.model.running_total`: the order of the per-sale reference
+functions, whatever the Python version.  The prices they are taken over come
+from :mod:`~wifimarket.pricing`, whose provider solve sums with numpy's
+pairwise ``ndarray.sum``.
 
 Settlement goes through the one kernel, :func:`~wifimarket.sharing.settle_rows`.
 The sweep and equilibrium runners settle each provider once per step through
@@ -50,7 +54,9 @@ from .model import (
     UserValues,
     WfpAccount,
     WfpKind,
+    distinct,
     effective_capacity,
+    running_total,
 )
 from .pricing import (
     isp_link_price_update,
@@ -153,20 +159,33 @@ def _floors(pop: Population, link_prices: Mapping[str, float], n: int) -> np.nda
     return by_path[pop.path[:n]]
 
 
+#: From this many users on, :func:`_utility` takes each log once per distinct
+#: argument.  Below it ``np.unique``'s fixed cost (about 20 us) exceeds the logs
+#: it saves even on growth clones: break-even at 64-96 users, Python 3.11 and
+#: numpy 2.4 on a 2-core Xeon.
+_LOG_BY_DISTINCT_MIN_LEN = 96
+
+
 def _utility(pop: Population, idx, x: np.ndarray, prices: np.ndarray) -> np.ndarray:
-    """``user_utility`` of the users at ``idx`` (x > 0), with ``math.log`` per user;
-    ``prices`` may hold one row of the users' prices per step."""
-    logs = np.array([math.log(v) for v in (x * pop.snr[idx]).tolist()])
+    """``user_utility`` of the users at ``idx`` (x > 0); ``prices`` may hold one
+    row of the users' prices per step.
+
+    The log term is ``math.log`` of each user's x * snr, as in ``user_utility``.
+    Growth clones repeat their templates' values across thousands of users, so
+    a long array takes it once per distinct value (by bit pattern) and gathers
+    it; the bits are the same either way.
+    """
+    arg = x * pop.snr[idx]
+    if len(arg) < _LOG_BY_DISTINCT_MIN_LEN:
+        logs = np.array([math.log(v) for v in arg.tolist()])
+    else:
+        values, slot = distinct(arg)
+        logs = np.array([math.log(v) for v in values.tolist()])[slot]
     return pop.weight[idx] * logs + (1.0 - x * prices / pop.budget[idx])
 
 
 def _mean(values: np.ndarray) -> float:
-    return sum(values.tolist()) / len(values) if len(values) else 0.0
-
-
-def _running_total(values: np.ndarray) -> float:
-    """0.0 + values[0] + values[1] + ..., added one at a time."""
-    return float(np.cumsum(values)[-1]) if len(values) else 0.0
+    return running_total(values) / len(values) if len(values) else 0.0
 
 
 def _link_loads(
@@ -176,7 +195,7 @@ def _link_loads(
     loads = {}
     for lid in links:
         crossings = np.array([p.count(lid) for p in pop.paths], dtype=np.intp)
-        loads[lid] = _running_total(np.repeat(x, crossings[path]))
+        loads[lid] = running_total(np.repeat(x, crossings[path]))
     return loads
 
 
@@ -219,19 +238,13 @@ def _settle(
     by provider, in Settlement field order.
     """
     sold = x >= x_floor
-    revenue, isp_revenue, spread = x * prices, x * g, (prices - g) * x
+    # SaleTotals' five sums, one column each
+    columns = np.column_stack((x * prices, x * g, (prices - g) * x, g, x))
     combined = [0.0] * 5
     for k, account in enumerate(accounts):
         sel = np.flatnonzero(sold & (provider == k))
-        totals = SaleTotals(
-            seller=account.id,
-            count=len(sel),
-            revenue=sum(revenue[sel].tolist()),
-            isp_revenue=sum(isp_revenue[sel].tolist()),
-            spread=sum(spread[sel].tolist()),
-            floor_sum=sum(g[sel].tolist()),
-            volume=sum(x[sel].tolist()),
-        )
+        sums = running_total(columns[sel]).tolist()
+        totals = SaleTotals(account.id, len(sel), *sums)
         settlement, accounts[k] = settle_transaction(account, totals, sharing)
         combined = [a + b for a, b in zip(combined, vars(settlement).values())]
     return combined
@@ -301,7 +314,7 @@ def run_sweep(cfg: ScenarioConfig) -> TimeSeries:
         sigma = step_size(t, cfg.solver)
         if mode.swept_party == "isp":
             for k, account in enumerate(accounts):
-                demand = sum(x[provider == k].tolist())
+                demand = running_total(x[provider == k])
                 lambda_by_wfp[account.id] = wfp_price_update(
                     lambda_by_wfp[account.id], sigma, effective_capacity(account), demand
                 )
@@ -428,18 +441,21 @@ def _snapshots(
     n, steps = len(users), len(posted)
     x = np.full(n, cfg.mode.txn_volume / n)
     prices = np.maximum(np.array(posted)[:, None], g + account.min_profit)
-    revenue, spread = x[0] * prices[:, 0], (prices[:, 0] - g[0]) * x[0]
-    for j in range(1, n):
+    # running_total's fold over users, as one vector add per user: a cumsum
+    # across a few users for each of thousands of steps costs more
+    revenue = spread = np.zeros(steps)
+    for j in range(n):
         revenue = revenue + x[j] * prices[:, j]
         spread = spread + (prices[:, j] - g[j]) * x[j]
+    isp_revenue, floor_sum, volume = running_total(np.column_stack((x * g, g, x)))
     totals = SaleTotals(
         seller=account.id,
         count=np.full(steps, n if x[0] >= cfg.solver.x_floor else 0),
         revenue=revenue,
-        isp_revenue=np.full(steps, sum((x * g).tolist())),
+        isp_revenue=np.full(steps, isp_revenue),
         spread=spread,
-        floor_sum=np.full(steps, sum(g.tolist())),
-        volume=np.full(steps, sum(x.tolist())),
+        floor_sum=np.full(steps, floor_sum),
+        volume=np.full(steps, volume),
     )
     settled = settle_rows(account, totals, cfg.sharing, unused, np.zeros(steps))
     utility = [0.0] * steps

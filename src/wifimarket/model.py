@@ -24,7 +24,7 @@ from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -215,6 +215,44 @@ class UserValues(Mapping):
 
     def __repr__(self) -> str:
         return f"UserValues({dict(self.items())!r})"
+
+
+def fold_sum(values: Iterable[float]) -> float:
+    """0.0 + values[0] + values[1] + ..., added one at a time in Python floats.
+
+    The engine, the reports and the ISP price solve sum floats this way, not
+    with builtin ``sum``, which adds in this order only before Python 3.12
+    (it is compensated from 3.12 on), nor with numpy's pairwise ``sum``.
+    :func:`running_total` is the same fold over an array.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+def running_total(values: np.ndarray):
+    """:func:`fold_sum` of a float64 array, by one ``cumsum``, bit for bit.
+
+    A float for 1-D ``values``; for 2-D, an array of each column's total.  The
+    0.0 added to the last partial sum stands for the fold's start: a partial
+    sum can only be -0.0 while every term so far is -0.0.  Unlike Python's
+    addition, numpy warns on inf - inf and on overflow.
+    """
+    if values.ndim > 1:
+        return values.cumsum(0)[-1] + 0.0 if len(values) else np.zeros(values.shape[1:])
+    return float(values.cumsum()[-1]) + 0.0 if len(values) else 0.0
+
+
+def distinct(array: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of a float64 array, and each element's index among them.
+
+    Values are distinct by bit pattern, so -0.0 stays apart from 0.0: growth
+    clones repeat a handful of values across thousands of users, and a
+    per-value result computed once is then gathered bit for bit.
+    """
+    bits, slot = np.unique(array.view(np.int64), return_inverse=True)
+    return bits.view(np.float64), slot
 
 
 class _Values(ValuesView):

@@ -29,6 +29,7 @@ from .model import (
     UserValues,
     WfpAccount,
     effective_capacity,
+    fold_sum,
 )
 
 
@@ -364,7 +365,7 @@ def solve_isp_prices(
         changes sign or the bound is reached, and then closes in on its zero.
         Returns the prices found and s at them.
         """
-        eps = sum(tol[lid] * abs(d[lid]) for lid in links)
+        eps = fold_sum(tol[lid] * abs(d[lid]) for lid in links)
         t_max = min((prices[lid] / -d[lid] for lid in links if d[lid] < 0.0), default=math.inf)
         rising = {lid for lid in links if d[lid] > 0.0}
 
@@ -374,9 +375,9 @@ def solve_isp_prices(
                 for lid in links
             }
             s_t = slack(point)
-            return t, point, s_t, sum(s_t[lid] * d[lid] for lid in links)
+            return t, point, s_t, fold_sum(s_t[lid] * d[lid] for lid in links)
 
-        a = b = (0.0, prices, s, sum(s[lid] * d[lid] for lid in links))
+        a = b = (0.0, prices, s, fold_sum(s[lid] * d[lid] for lid in links))
         if a[3] > 0.0:
             a = at(t_min)
             if a[3] >= -eps:
@@ -426,7 +427,7 @@ def solve_isp_prices(
                     step = {other: float(other == lid) * max(prices[lid], 1.0) for other in links}
                     prices, s = line_search(prices, s, step, -1.0)
             move = {lid: prices[lid] - start[lid] if prices[lid] else 0.0 for lid in links}
-            if not cleared(prices, s) and sum(s[lid] * move[lid] for lid in links) < 0.0:
+            if not cleared(prices, s) and fold_sum(s[lid] * move[lid] for lid in links) < 0.0:
                 prices, s = line_search(prices, s, move, 0.0)
         converged = True
     except _Unconverged:

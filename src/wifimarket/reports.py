@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .engine import StepRecord, TimeSeries
-from .model import Roster, UserValues
+from .model import Roster, UserValues, distinct, fold_sum
 
 #: Scalar step-record fields, in emission order.
 SCALAR_FIELDS = (
@@ -110,10 +110,9 @@ def _view_text(keys: list[str]):
                 values = view.array.tolist()
                 cells = [NUMBER_FORMAT % values[i] if i < n else "" for i in at]
             else:
-                # np.unique over the bit patterns keeps -0.0 apart from 0.0
-                distinct, slot = np.unique(view.array.view(np.int64), return_inverse=True)
-                texts = [NUMBER_FORMAT % v for v in distinct.view(np.float64).tolist()]
-                slots = np.full(len(roster.ids) + 1, len(distinct))  # past the prefix: ""
+                values, slot = distinct(view.array)
+                texts = [NUMBER_FORMAT % v for v in values.tolist()]
+                slots = np.full(len(roster.ids) + 1, len(values))  # past the prefix: ""
                 slots[:n] = slot
                 cells = np.array([*texts, ""], dtype=object)[slots[at_array]].tolist()
             last, text = view, ",".join(cells)
@@ -190,9 +189,9 @@ def escape(text: str) -> str:
 
 
 def _mean(mapping) -> float:
-    """Mean of a mapping's values, summed in its iteration order."""
+    """Mean of a mapping's values, summed in its iteration order from 0.0."""
     values = mapping.ordered() if type(mapping) is UserValues else list(mapping.values())
-    return sum(values) / len(values) if values else 0.0
+    return fold_sum(values) / len(values) if values else 0.0
 
 
 def _panel(title: str, curves: dict[str, list[tuple[float, float]]], y_offset: int) -> list[str]:

@@ -22,7 +22,8 @@ series in one call; :func:`settle_transaction` is the kernel's one-row case
 plus the account update, and the two contribution functions are its
 contribution on one row.  The list-of-sales functions (:func:`total_revenue`,
 :func:`ewfp_contribution`, ...) are the per-sale reference the totals are
-checked against.
+checked against; they add in list order from 0.0
+(:func:`~wifimarket.model.fold_sum`), as the engine does.
 """
 from __future__ import annotations
 
@@ -33,7 +34,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .model import TOLERANCE, SaleRecord, Settlement, WfpAccount, WfpKind
+from .model import TOLERANCE, SaleRecord, Settlement, WfpAccount, WfpKind, fold_sum
 
 
 @dataclass(frozen=True)
@@ -103,9 +104,9 @@ class SaleTotals:
             count=len(sales),
             revenue=total_revenue(sales),
             isp_revenue=isp_standalone_revenue(sales),
-            spread=sum((s.final_price - s.min_price) * s.x for s in sales),
-            floor_sum=sum(s.min_price for s in sales),
-            volume=sum(s.x for s in sales),
+            spread=fold_sum((s.final_price - s.min_price) * s.x for s in sales),
+            floor_sum=fold_sum(s.min_price for s in sales),
+            volume=fold_sum(s.x for s in sales),
         )
 
 
@@ -119,12 +120,12 @@ def _check_floor(sale: SaleRecord) -> None:
 
 def total_revenue(sales: Sequence[SaleRecord]) -> float:
     """Revenue of the grand coalition: sum of volume times final price."""
-    return sum(s.x * s.final_price for s in sales)
+    return fold_sum(s.x * s.final_price for s in sales)
 
 
 def isp_standalone_revenue(sales: Sequence[SaleRecord]) -> float:
     """What the ISP earns on its own: volume times its minimum price."""
-    return sum(s.x * s.min_price for s in sales)
+    return fold_sum(s.x * s.min_price for s in sales)
 
 
 def ewfp_contribution(sales: Sequence[SaleRecord], params: SharingParams) -> float:
@@ -145,8 +146,8 @@ def ewfp_contribution(sales: Sequence[SaleRecord], params: SharingParams) -> flo
         return 0.0
     for s in sales:
         _check_floor(s)
-    spread = sum((s.final_price - s.min_price) * s.x for s in sales)
-    floor_sum = sum(s.min_price for s in sales)
+    spread = fold_sum((s.final_price - s.min_price) * s.x for s in sales)
+    floor_sum = fold_sum(s.min_price for s in sales)
     return _establishment_values(np.array([spread]), np.array([floor_sum]), params).item()
 
 

@@ -8,10 +8,10 @@ import pytest
 from test_sharing import SETTLEMENT_FIELDS, bits, reference_settle
 
 from wifimarket.config import CeilingSweepMode, QuotaSweepMode, scenario_from_dict
-from wifimarket.engine import run_scenario
-from wifimarket.model import Population
+from wifimarket.engine import _utility, run_scenario
+from wifimarket.model import Population, UserProfile
 from wifimarket.presets import load_preset, preset_path
-from wifimarket.pricing import solve_wfp_equilibrium
+from wifimarket.pricing import solve_wfp_equilibrium, user_utility
 from wifimarket.sharing import SaleTotals
 
 
@@ -358,3 +358,50 @@ def test_snapshot_steps_match_the_scalar_reference_bit_for_bit(make_doc, cases):
             seen["unsold"] += totals.count == 0
         assert ts.summary[f"max_share_pct.{label}"] == max(r.wfp_share_pct for r in sub.records)
     assert all(seen[key] for key in cases), seen
+
+
+def clone_crowd(n):
+    """``n`` users cycling through five templates, as a run's growth clones do,
+    and their purchases: five values per template, two of them one ulp apart.
+
+    Template 0 has SNR factor 1, so its users' log arguments are their x.  On
+    some CPUs ``np.log`` rounds ``math.log``'s last bit of 4.98701879604742
+    the other way.
+    """
+    templates = [
+        UserProfile(id=f"t{k}", weight=0.5 + k, budget=40.0 + 7.0 * k, tx_power=0.3 * k)
+        for k in range(5)
+    ]
+    users = [replace(templates[i % 5], id=f"u{i}") for i in range(n)]
+    x_values = [1.0, math.nextafter(1.0, 2.0), 3.7, 0.45, 4.98701879604742]
+    x = np.array([x_values[(i // 5) % 5] for i in range(n)])
+    return users, Population.of(users), x
+
+
+# a population as small as isp-nested's (one log per user), and hundreds of
+# clones (one log per distinct value)
+@pytest.mark.parametrize("n", [34, 391])
+def test_utility_equals_the_per_user_formula_bit_for_bit(n):
+    users, pop, x = clone_crowd(n)
+    prices = 20.0 + np.arange(n) % 9
+    got = _utility(pop, slice(0, n), x, prices)
+    want = [user_utility(xi, p, u) for xi, p, u in zip(x.tolist(), prices.tolist(), users)]
+    assert bits(got) == bits(want)
+    # users 0 and 5 share template 0; their log arguments are 1.0 and 1.0 + ulp
+    assert x[5] == math.nextafter(x[0], 2.0) and bits(got[[0, 5]]) == bits(want[0:6:5])
+    assert got[0] != got[5]
+
+
+def test_utility_of_a_buyer_subset_with_one_price_row_per_step():
+    n = 259
+    users, pop, x = clone_crowd(n)
+    buyers = np.flatnonzero(np.arange(n) % 3 != 1)
+    prices = 15.0 + np.arange(4)[:, None] * 2.5 + (np.arange(len(buyers)) % 7) * 0.1
+    got = _utility(pop, buyers, x[buyers], prices)
+    assert got.shape == prices.shape
+    for row, step_prices in zip(got, prices):
+        want = [
+            user_utility(x[i], p, users[i])
+            for i, p in zip(buyers.tolist(), step_prices.tolist())
+        ]
+        assert bits(row) == bits(want)

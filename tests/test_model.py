@@ -1,11 +1,15 @@
 """Data-model, configuration, and preset tests."""
 import importlib.util
 import json
+import math
 import sys
+from functools import reduce
+from operator import add
 from pathlib import Path
 
 import numpy as np
 import pytest
+from test_sharing import bits
 
 from wifimarket.config import (
     MAX_USER_STEPS,
@@ -29,6 +33,8 @@ from wifimarket.model import (
     WfpAccount,
     WfpKind,
     effective_capacity,
+    fold_sum,
+    running_total,
 )
 from wifimarket.presets import PRESET_NAMES, load_preset, preset_path
 
@@ -375,3 +381,42 @@ def test_preset_path_exists():
 def test_unknown_preset_raises_key_error():
     with pytest.raises(KeyError):
         load_preset("scenario99")
+
+
+# --- summation -------------------------------------------------------------------
+
+
+def fold(values):
+    """0.0 + values[0] + values[1] + ..., in Python floats."""
+    return reduce(add, values, 0.0)
+
+
+def test_running_total_and_fold_sum_are_the_sequential_fold_bit_for_bit():
+    rng = np.random.default_rng(9)
+    for n in (1, 2, 3, 17, 128, 1000):
+        # magnitudes over 16 decades, so the order of the additions shows
+        values = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, n)
+        assert bits([running_total(values)]) == bits([fold(values.tolist())])
+        assert bits([fold_sum(values.tolist())]) == bits([fold(values.tolist())])
+        assert type(running_total(values)) is float
+    assert running_total(np.array([])) == 0.0 and type(running_total(np.array([]))) is float
+    for values in ([-0.0], [-0.0, -0.0], [-0.0, 0.0], [0.0, -0.0], [math.inf, 1.0],
+                   [math.inf, math.inf], [1.0, math.nan], [-math.inf, -0.0]):
+        assert bits([running_total(np.array(values))]) == bits([fold(values)]), values
+        assert bits([fold_sum(values)]) == bits([fold(values)]), values
+    with np.errstate(invalid="ignore"):  # numpy flags inf - inf; Python's addition does not
+        assert math.isnan(running_total(np.array([math.inf, -math.inf])))
+    assert bits([running_total(np.array([-0.0]))]) == bits([sum([-0.0])]) == bits([0.0])
+
+
+def test_running_total_sums_the_columns_of_a_2d_array():
+    rng = np.random.default_rng(10)
+    values = rng.standard_normal((300, 5)) * 10.0 ** rng.integers(-8, 8, (300, 5))
+    values[:, 4] = -0.0
+    values[7, 3] = math.inf
+    totals = running_total(values)
+    assert totals.shape == (5,)
+    assert bits(totals) == bits([fold(column) for column in values.T.tolist()])
+    assert bits(running_total(np.empty((0, 5)))) == bits([0.0] * 5)
+    # a transposed (column-major) array sums the same way
+    assert bits(running_total(values.T.copy().T)) == bits(totals)

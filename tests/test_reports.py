@@ -15,13 +15,14 @@ import pytest
 import wifimarket
 from wifimarket.config import scenario_from_dict
 from wifimarket.engine import StepRecord, TimeSeries
-from wifimarket.model import Roster, UserValues
+from wifimarket.model import Roster, UserValues, fold_sum
 from wifimarket.presets import load_preset
 from wifimarket.engine import run_scenario
 from wifimarket.reports import (
     DISTINCT_MIN_LEN,
     MAP_FIELDS,
     SCALAR_FIELDS,
+    _mean,
     csv_header,
     escape,
     format_value,
@@ -418,8 +419,51 @@ PRESET_OUTPUTS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(PRESET_OUTPUTS))
-def test_preset_outputs_are_pinned(tmp_path, name):
+def compensated_sum(values, start=0):
+    """Builtin ``sum`` as Python 3.12 computes it over floats: Neumaier-compensated."""
+    total, compensation = start, 0.0
+    for value in values:
+        if type(total) is not float or type(value) is not float:
+            total += value
+            continue
+        step = total + value
+        if abs(total) >= abs(value):
+            compensation += (total - step) + value
+        else:
+            compensation += (value - step) + total
+        total = step
+    return total + compensation if compensation and math.isfinite(compensation) else total
+
+
+def test_compensated_sum_is_the_python_312_sum():
+    assert compensated_sum([0.1] * 10) == 1.0
+    assert fold_sum([0.1] * 10) == 0.9999999999999999
+    assert compensated_sum([1e100, 1.0, -1e100]) == 1.0
+    assert compensated_sum([1, 2, 3]) == 6
+    assert math.isinf(compensated_sum([math.inf, 1.0]))
+
+
+def test_mean_of_a_mapping_is_the_sequential_fold_under_either_sum(monkeypatch):
+    monkeypatch.setattr(wifimarket.reports, "sum", compensated_sum, raising=False)
+    roster = Roster([f"u{i}" for i in range(10)])
+    for mapping in (UserValues(roster, np.full(10, 0.1)), {f"u{i}": 0.1 for i in range(10)}):
+        assert _mean(mapping) == 0.9999999999999999 / 10
+
+
+# Python 3.12 made builtin sum() of floats compensated; the outputs must not
+# depend on which sum the interpreter has.
+@pytest.mark.parametrize(
+    "name, summation",
+    [pytest.param(name, "builtin", id=name) for name in sorted(PRESET_OUTPUTS)]
+    + [
+        pytest.param(name, "compensated", id=f"{name}-compensated-sum")
+        for name in sorted(PRESET_OUTPUTS)
+    ],
+)
+def test_preset_outputs_are_pinned(tmp_path, monkeypatch, name, summation):
+    if summation == "compensated":
+        for module in (wifimarket.engine, wifimarket.reports):
+            monkeypatch.setattr(module, "sum", compensated_sum, raising=False)
     ts = run_scenario(load_preset(name))
     write_csv(ts, tmp_path / "out.csv")
     write_svg(ts, tmp_path / "out.svg")
