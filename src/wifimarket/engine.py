@@ -37,6 +37,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from itertools import groupby
+from operator import attrgetter
 from typing import Mapping
 
 import numpy as np
@@ -105,11 +107,10 @@ class TimeSeries:
     def by_series(self) -> dict[str, "TimeSeries"]:
         """Split a multi-series run into one TimeSeries per label."""
         split: dict[str, TimeSeries] = {}
-        for rec in self.records:
-            sub = split.get(rec.series)
-            if sub is None:
-                sub = split[rec.series] = TimeSeries(name=f"{self.name}:{rec.series}")
-            sub.records.append(rec)
+        for label, run in groupby(self.records, attrgetter("series")):
+            if label not in split:
+                split[label] = TimeSeries(name=f"{self.name}:{label}")
+            split[label].records.extend(run)
         return split
 
 

@@ -12,7 +12,8 @@ Rows are written as joined text; only the header and the series labels go
 through :mod:`csv` quoting, as numbers never need it.
 
 The SVG writer draws three stacked panels -- shares, price, utility -- with
-one polyline per plotted series and no dependency on any plotting library.
+one polyline per plotted series and no dependency on any plotting library;
+a sorted, finite polyline is drawn by its M4 points per pixel column (:func:`_m4`).
 """
 from __future__ import annotations
 
@@ -57,24 +58,20 @@ def format_value(value: float) -> str:
 def _column_plan(ts: TimeSeries) -> tuple[list[str], list[tuple[str, list[str]]]]:
     """The CSV header, and ``(attr, keys)`` per map field: the run's keys, sorted as strings.
 
-    One pass over the records per field; a mapping that is the previous
-    record's adds nothing and is skipped.
+    One pass over the records per field; a view of the previous view's roster
+    and no longer than the prefix recorded for it adds nothing and is skipped.
     """
     header, plan = ["series", "step", *SCALAR_FIELDS], []
     for attr, prefix in MAP_FIELDS:
         keys: set[str] = set()
         prefixes: dict[Roster, int] = {}  # the longest view of each roster
-        last = None
+        roster, longest = None, 0  # the previous view's, and its roster's prefix
         for mapping in map(attrgetter(attr), ts.records):
-            if mapping is last:
-                continue
-            last = mapping
-            if type(mapping) is UserValues:
-                roster, n = mapping.roster, len(mapping.array)
-                if n > prefixes.get(roster, 0):
-                    prefixes[roster] = n
-            else:
+            if type(mapping) is not UserValues:
                 keys.update(mapping)
+            elif mapping.roster is not roster or len(mapping.array) > longest:
+                roster = mapping.roster
+                longest = prefixes[roster] = max(len(mapping.array), prefixes.get(roster, 0))
         for roster, n in prefixes.items():
             keys.update(roster.ids[:n])
         keys = sorted(keys)
@@ -194,74 +191,82 @@ def _mean(mapping) -> float:
     return fold_sum(values) / len(values) if values else 0.0
 
 
-def _panel(title: str, curves: dict[str, list[tuple[float, float]]], y_offset: int) -> list[str]:
+def _first_extreme(values: np.ndarray, extreme) -> float:
+    """``min(values.tolist())`` with ``extreme`` np.fmin, or ``max`` with np.fmax, bit for bit:
+    a leading NaN, else the first value equal to the extreme of the others."""
+    at = 0 if np.isnan(values[0]) else np.argmax(values == extreme.reduce(values))
+    return float(values[at])
+
+
+def _m4(px: np.ndarray, py: np.ndarray) -> np.ndarray:
+    """Which points M4 keeps: the first, last, lowest and highest of each pixel column.
+
+    ``px`` is sorted and finite; a point's column is ``min(floor(px), W - 1)``.
+    """
+    col = np.minimum(px.astype(np.intp), _PANEL_W - 1)
+    starts = np.flatnonzero(np.diff(col, prepend=-1))
+    keep = np.zeros(len(col), dtype=bool)
+    keep[starts] = keep[np.append(starts[1:] - 1, len(col) - 1)] = True
+    for reduce in (np.minimum, np.maximum):
+        extreme = np.repeat(reduce.reduceat(py, starts), np.diff(starts, append=len(col)))
+        hit = np.flatnonzero(py == extreme)
+        keep[hit[np.diff(col[hit], prepend=-1) != 0]] = True
+    return keep
+
+
+def _panel(title: str, curves: dict[str, tuple[np.ndarray, np.ndarray]], y_offset: int) -> list[str]:
     parts = [
         f'<g transform="translate({_MARGIN},{y_offset})">',
         f'<rect x="0" y="0" width="{_PANEL_W}" height="{_PANEL_H}" '
         'fill="none" stroke="#cccccc"/>',
         f'<text x="4" y="-6" font-size="13" font-family="sans-serif">{escape(title)}</text>',
     ]
-    drawable = {label: pts for label, pts in curves.items() if len(pts) >= 2}
-    lo = hi = None
-    for pts in drawable.values():
-        ys = [p[1] for p in pts]
-        lo = min(ys) if lo is None else min(lo, min(ys))
-        hi = max(ys) if hi is None else max(hi, max(ys))
-    if lo is not None:
-        parts.append(
-            f'<text x="{_PANEL_W + 4}" y="10" font-size="10" '
-            f'font-family="sans-serif">{format_value(hi)}</text>'
-        )
-        parts.append(
-            f'<text x="{_PANEL_W + 4}" y="{_PANEL_H}" font-size="10" '
-            f'font-family="sans-serif">{format_value(lo)}</text>'
-        )
-    for idx, (label, pts) in enumerate(drawable.items()):
-        color = _PALETTE[idx % len(_PALETTE)]
-        # scale against the shared panel range so curves stay comparable
-        xs = [p[0] for p in pts]
-        x_lo, x_hi = min(xs), max(xs)
-        x_span = (x_hi - x_lo) or 1.0
-        y_span = ((hi - lo) if (hi is not None and hi != lo) else 1.0)
-        scaled = [
-            (
-                (x - x_lo) / x_span * _PANEL_W,
-                _PANEL_H - (y - lo) / y_span * _PANEL_H,
-            )
-            for x, y in pts
-        ]
-        coords = " ".join(f"{px:.2f},{py:.2f}" for px, py in scaled)
-        parts.append(
-            f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
-            f'points="{coords}"><title>{escape(label)}</title></polyline>'
-        )
-        parts.append(
-            f'<text x="{4 + 130 * idx}" y="{_PANEL_H + 16}" font-size="11" '
-            f'font-family="sans-serif" fill="{color}">{escape(label)}</text>'
-        )
+    drawable = {label: xy for label, xy in curves.items() if len(xy[0]) >= 2}
+    if drawable:  # the range is builtin min and max over every drawable value
+        lo = min(_first_extreme(ys, np.fmin) for _, ys in drawable.values())
+        hi = max(_first_extreme(ys, np.fmax) for _, ys in drawable.values())
+        parts += [f'<text x="{_PANEL_W + 4}" y="{y}" font-size="10" '
+                  f'font-family="sans-serif">{format_value(value)}</text>'
+                  for y, value in ((10, hi), (_PANEL_H, lo))]
+    with np.errstate(all="ignore"):  # overflow is inf, inf - inf NaN, as in Python floats
+        for idx, (label, (xs, ys)) in enumerate(drawable.items()):
+            color = _PALETTE[idx % len(_PALETTE)]
+            # scale against the shared panel range so curves stay comparable
+            x_lo = xs.min()
+            x_span = (xs.max() - x_lo) or 1.0
+            y_span = (hi - lo) if hi != lo else 1.0
+            px = (xs - x_lo) / x_span * _PANEL_W
+            py = _PANEL_H - (ys - lo) / y_span * _PANEL_H
+            if np.isfinite(px).all() and np.isfinite(py).all() and (px[1:] >= px[:-1]).all():
+                keep = _m4(px, py)
+                px, py = px[keep], py[keep]
+            coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(px.tolist(), py.tolist()))
+            parts += [
+                f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
+                f'points="{coords}"><title>{escape(label)}</title></polyline>',
+                f'<text x="{4 + 130 * idx}" y="{_PANEL_H + 16}" font-size="11" '
+                f'font-family="sans-serif" fill="{color}">{escape(label)}</text>',
+            ]
     parts.append("</g>")
     return parts
 
 
+_PLOTTED = tuple(map(attrgetter, ("step", "wfp_share_pct", "isp_share_pct", "mean_utility")))
+
+
 def write_svg(ts: TimeSeries, path: str | Path) -> None:
     """Render shares-, price- and utility-vs-step line charts into one SVG."""
-    share_curves: dict[str, list[tuple[float, float]]] = {}
-    price_curves: dict[str, list[tuple[float, float]]] = {}
-    utility_curves: dict[str, list[tuple[float, float]]] = {}
+    panels: dict[str, dict[str, tuple[np.ndarray, np.ndarray]]] = {
+        "revenue share (%)": {}, "price": {}, "mean user utility": {}}
+    share_curves, price_curves, utility_curves = panels.values()
     for label, sub in ts.by_series().items():
         suffix = f" [{label}]" if label else ""
-        share_curves[f"wfp{suffix}"] = [
-            (r.step, r.wfp_share_pct) for r in sub.records
-        ]
-        share_curves[f"isp{suffix}"] = [
-            (r.step, r.isp_share_pct) for r in sub.records
-        ]
-        price_curves[f"mean final price{suffix}"] = [
-            (r.step, _mean(r.final_price_by_user)) for r in sub.records
-        ]
-        utility_curves[f"mean utility{suffix}"] = [
-            (r.step, r.mean_utility) for r in sub.records
-        ]
+        step, wfp, isp, utility = (np.fromiter(map(get, sub.records), float) for get in _PLOTTED)
+        share_curves[f"wfp{suffix}"] = step, wfp
+        share_curves[f"isp{suffix}"] = step, isp
+        means = np.fromiter((_mean(r.final_price_by_user) for r in sub.records), float)
+        price_curves[f"mean final price{suffix}"] = step, means
+        utility_curves[f"mean utility{suffix}"] = step, utility
 
     total_h = 3 * (_PANEL_H + 70) + _MARGIN
     total_w = _PANEL_W + 2 * _MARGIN + 60
@@ -273,11 +278,7 @@ def write_svg(ts: TimeSeries, path: str | Path) -> None:
         f"{escape(ts.name)}</text>",
     ]
     offset = 44
-    for title, curves in (
-        ("revenue share (%)", share_curves),
-        ("price", price_curves),
-        ("mean user utility", utility_curves),
-    ):
+    for title, curves in panels.items():
         parts.extend(_panel(title, curves, offset))
         offset += _PANEL_H + 70
     parts.append("</svg>")

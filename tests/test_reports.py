@@ -389,6 +389,142 @@ def test_svg_multi_series_run(tmp_path):
     assert len(polylines) == 16
 
 
+def reference_panels(ts):
+    """Each panel's per-point drawing as write_svg did it point by point.
+
+    Per panel: the range labels ``(hi, lo)`` (None without a drawable curve) and,
+    per drawable curve, its pixel coordinates and ``f"{px:.2f},{py:.2f}"`` texts.
+    """
+    shares, prices, utilities = {}, {}, {}
+    for label, sub in ts.by_series().items():
+        suffix = f" [{label}]" if label else ""
+        shares[f"wfp{suffix}"] = [(r.step, r.wfp_share_pct) for r in sub.records]
+        shares[f"isp{suffix}"] = [(r.step, r.isp_share_pct) for r in sub.records]
+        prices[f"mean final price{suffix}"] = [
+            (r.step, fold_sum(list(r.final_price_by_user.values())) / len(r.final_price_by_user)
+             if len(r.final_price_by_user) else 0.0)
+            for r in sub.records
+        ]
+        utilities[f"mean utility{suffix}"] = [(r.step, r.mean_utility) for r in sub.records]
+    panels = []
+    for curves in (shares, prices, utilities):
+        drawable = {label: pts for label, pts in curves.items() if len(pts) >= 2}
+        lo = hi = None
+        for pts in drawable.values():
+            ys = [p[1] for p in pts]
+            lo = min(ys) if lo is None else min(lo, min(ys))
+            hi = max(ys) if hi is None else max(hi, max(ys))
+        drawn = {}
+        for label, pts in drawable.items():
+            xs = [p[0] for p in pts]
+            x_lo, x_hi = min(xs), max(xs)
+            x_span = (x_hi - x_lo) or 1.0
+            y_span = (hi - lo) if hi != lo else 1.0
+            scaled = [((x - x_lo) / x_span * 880, 240 - (y - lo) / y_span * 240) for x, y in pts]
+            drawn[label] = scaled, [f"{px:.2f},{py:.2f}" for px, py in scaled]
+        panels.append((None if lo is None else (format_value(hi), format_value(lo)), drawn))
+    return panels
+
+
+def drawn_panels(path):
+    """Per panel of an SVG file: its range labels and each polyline's point texts."""
+    panels = []
+    for group in ET.parse(path).getroot().findall(f"{SVG_NS}g"):
+        labels = [t.text for t in group.findall(f"{SVG_NS}text") if t.attrib["x"] == "884"]
+        polylines = {
+            poly.find(f"{SVG_NS}title").text: poly.attrib["points"].split(" ")
+            for poly in group.findall(f"{SVG_NS}polyline")
+        }
+        panels.append((tuple(labels) or None, polylines))
+    return panels
+
+
+def curve_run(values, steps=None, label="run"):
+    """One record per value: the value is every plotted field, and the one price of a view."""
+    roster = Roster(["u1"])
+    prices = np.array(values, dtype=float).reshape(-1, 1)
+    steps = range(len(values)) if steps is None else steps
+    ts = TimeSeries(name="curve")
+    for step, value, row in zip(steps, values, prices):
+        ts.records.append(StepRecord(
+            series=label, step=step, final_price_by_user=UserValues(roster, row),
+            wfp_share_pct=value, isp_share_pct=100.0 - value, mean_utility=-value,
+        ))
+    return ts
+
+
+def assert_drawn_point_for_point(ts, tmp_path):
+    write_svg(ts, tmp_path / "out.svg")
+    want = [(labels, {k: texts for k, (_, texts) in drawn.items()})
+            for labels, drawn in reference_panels(ts)]
+    assert drawn_panels(tmp_path / "out.svg") == want
+
+
+@pytest.mark.parametrize("first", [[math.nan, 1.0, 2.0], [0.0, -0.0, 1.0], [-0.0, 0.0, 1.0]],
+                         ids=["nan first", "zero first", "negative zero first"])
+def test_svg_short_curves_match_the_per_point_reference(tmp_path, first):
+    rng = np.random.default_rng(11)
+    ts = curve_run([*first, *rng.normal(50.0, 20.0, 60).tolist(), 3, -0.0], label="first")
+    ts.records += curve_run([math.nan, *rng.random(40).tolist()], label="nan first").records
+    ts.records += curve_run([-0.0, 0.0, *rng.random(40).tolist()], label="").records
+    roster = Roster([f"u{i}" for i in range(4)])
+    order = np.array([1, 3, 0, 2])
+    for i, rec in enumerate(ts.records):
+        if i % 5 == 0:
+            rec.final_price_by_user = {"a": np.float64(15.5), "b": 16, "c": rng.random()}
+        elif i % 5 in (1, 2):
+            rec.final_price_by_user = UserValues(roster, np.array([1.0, 1e16, 1.0, -1e16]) * i, order)
+    # consecutive records may share one mapping object: each still has its own mean
+    ts.records[10].final_price_by_user = ts.records[11].final_price_by_user = {"a": 1.0, "b": 2.5}
+    ts.records.append(StepRecord(series="one point", step=0, mean_utility=1e300))
+    assert_drawn_point_for_point(ts, tmp_path)
+
+
+@pytest.mark.parametrize("case", ["two per column", "nan", "inf", "unsorted steps"])
+def test_svg_curve_without_decimation_is_drawn_point_for_point(tmp_path, case):
+    # 1,760 points are 0.5003 px apart: no pixel column holds three
+    n = 1760 if case == "two per column" else 5000
+    values = np.random.default_rng(5).normal(0.0, 1.0, n).cumsum()
+    steps = None
+    if case in ("nan", "inf"):
+        values[n // 3] = math.nan if case == "nan" else math.inf
+    elif case == "unsorted steps":
+        steps = [*range(n // 2, n), *range(n // 2)]
+    assert_drawn_point_for_point(curve_run(values.tolist(), steps), tmp_path)
+
+
+def test_svg_m4_keeps_each_pixel_columns_first_last_lowest_and_highest(tmp_path):
+    rng = np.random.default_rng(7)
+    n = 20_000
+    values = rng.normal(0.0, 1.0, n).cumsum() + rng.normal(0.0, 5.0, n)
+    ts = curve_run(values.tolist())
+    write_svg(ts, tmp_path / "out.svg")
+    for (labels, drawn), (want_labels, full) in zip(drawn_panels(tmp_path / "out.svg"),
+                                                   reference_panels(ts)):
+        assert labels == want_labels
+        assert drawn.keys() == full.keys()
+        for label, points in drawn.items():
+            scaled, texts = full[label]
+            assert len(points) <= 4 * 880 < n
+            # the drawn points are the reference's in order: match each to its position
+            at, kept = 0, []
+            for point in points:
+                at = texts.index(point, at)
+                kept.append(at)
+                at += 1
+            columns = {}
+            for i, (px, _) in enumerate(scaled):
+                columns.setdefault(min(math.floor(px), 879), []).append(i)
+            in_column = {col: [i for i in kept if min(math.floor(scaled[i][0]), 879) == col]
+                         for col in columns}
+            for col, every in columns.items():
+                shown = in_column[col]
+                assert shown[0] == every[0] and shown[-1] == every[-1], (label, col)
+                for extreme in (min, max):
+                    assert (extreme(scaled[i][1] for i in shown)
+                            == extreme(scaled[i][1] for i in every)), (label, col)
+
+
 # SHA-256 of each preset's CSV and SVG, written by the code before per-user
 # values became array views; the array engine must reproduce them byte for byte.
 PRESET_OUTPUTS = {
@@ -448,6 +584,11 @@ def test_mean_of_a_mapping_is_the_sequential_fold_under_either_sum(monkeypatch):
     roster = Roster([f"u{i}" for i in range(10)])
     for mapping in (UserValues(roster, np.full(10, 0.1)), {f"u{i}": 0.1 for i in range(10)}):
         assert _mean(mapping) == 0.9999999999999999 / 10
+    # a view with a provider order sums in that order: 1e16 - 1e16 first, then 1 + 1
+    values = np.array([1.0, 1e16, 1.0, -1e16])
+    views = [UserValues(roster, values, np.array([1, 3, 0, 2])), UserValues(roster, values),
+             UserValues(roster, values[:3], np.array([2, 0, 1])), UserValues(roster, values[:0]), {}]
+    assert [_mean(view) for view in views] == [0.5, 0.0, (1e16 + 2.0) / 3, 0.0, 0.0]
 
 
 # Python 3.12 made builtin sum() of floats compensated; the outputs must not
