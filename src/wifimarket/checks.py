@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -103,6 +103,18 @@ def random_sales(rng: random.Random, wfp_id: str) -> list[SaleRecord]:
 # --- split properties --------------------------------------------------------
 
 
+def _worst(
+    seed: int, trials: int, deviations: Callable[[random.Random], Iterable[float]]
+) -> float:
+    """The largest of ``deviations(rng)`` over ``trials`` draws from one seeded
+    generator, folded from 0.0 in draw order."""
+    rng = random.Random(seed)
+    worst = 0.0
+    for _ in range(trials):
+        worst = max(worst, *deviations(rng))
+    return worst
+
+
 def check_efficiency(
     seed: int,
     trials: int = 10_000,
@@ -113,12 +125,13 @@ def check_efficiency(
     ``split_fn`` is injectable so the test suite can verify the check itself
     rejects a broken splitter.
     """
-    rng = random.Random(seed)
-    worst = 0.0
-    for _ in range(trials):
+
+    def deviations(rng: random.Random) -> tuple[float]:
         game = random_game(rng)
         split = split_fn(game)
-        worst = max(worst, abs(split.wfp_share + split.isp_share - game.total_value))
+        return (abs(split.wfp_share + split.isp_share - game.total_value),)
+
+    worst = _worst(seed, trials, deviations)
     return CheckResult(
         name="settlement-efficiency",
         passed=worst <= 1e-9,
@@ -128,17 +141,14 @@ def check_efficiency(
 
 def check_oracle_equivalence(seed: int, trials: int = 10_000) -> CheckResult:
     """Closed-form split equals the ordering-enumeration oracle."""
-    rng = random.Random(seed)
-    worst = 0.0
-    for _ in range(trials):
+
+    def deviations(rng: random.Random) -> tuple[float, float]:
         game = random_game(rng)
         split = shapley_split(game)
         oracle_w, oracle_i = shapley_permutation(coalition_map(game))
-        worst = max(
-            worst,
-            abs(split.wfp_share - oracle_w),
-            abs(split.isp_share - oracle_i),
-        )
+        return abs(split.wfp_share - oracle_w), abs(split.isp_share - oracle_i)
+
+    worst = _worst(seed, trials, deviations)
     return CheckResult(
         name="shapley-oracle-equivalence",
         passed=worst <= 1e-9,
@@ -148,13 +158,14 @@ def check_oracle_equivalence(seed: int, trials: int = 10_000) -> CheckResult:
 
 def check_symmetry(seed: int, trials: int = 10_000) -> CheckResult:
     """Players with identical standalone values receive identical shares."""
-    rng = random.Random(seed)
-    worst = 0.0
-    for _ in range(trials):
+
+    def deviations(rng: random.Random) -> tuple[float]:
         value = rng.uniform(0.0, 100.0)
         total = 2.0 * value + rng.uniform(0.0, 50.0)
         split = shapley_split(CoalitionValues(total, value, value))
-        worst = max(worst, abs(split.wfp_share - split.isp_share))
+        return (abs(split.wfp_share - split.isp_share),)
+
+    worst = _worst(seed, trials, deviations)
     return CheckResult(
         name="symmetric-standalone-split",
         passed=worst <= 1e-9,
@@ -203,24 +214,21 @@ def check_zero_contribution(seed: int, trials: int = 10_000) -> CheckResult:
 
 def check_additivity(seed: int, trials: int = 10_000) -> CheckResult:
     """Splitting the sum of two games equals summing the two splits."""
-    rng = random.Random(seed)
-    worst = 0.0
-    for _ in range(trials):
-        a = random_game(rng)
-        b = random_game(rng)
+
+    def deviations(rng: random.Random) -> tuple[float, float]:
+        a, b = random_game(rng), random_game(rng)
         combined = CoalitionValues(
             a.total_value + b.total_value,
             a.wfp_value + b.wfp_value,
             a.isp_value + b.isp_value,
         )
-        split_sum = shapley_split(combined)
-        split_a = shapley_split(a)
-        split_b = shapley_split(b)
-        worst = max(
-            worst,
+        split_sum, split_a, split_b = map(shapley_split, (combined, a, b))
+        return (
             abs(split_sum.wfp_share - split_a.wfp_share - split_b.wfp_share),
             abs(split_sum.isp_share - split_a.isp_share - split_b.isp_share),
         )
+
+    worst = _worst(seed, trials, deviations)
     return CheckResult(
         name="game-additivity",
         passed=worst <= 1e-9,
@@ -230,14 +238,13 @@ def check_additivity(seed: int, trials: int = 10_000) -> CheckResult:
 
 def check_equal_surplus_gain(seed: int, trials: int = 10_000) -> CheckResult:
     """Both players gain the same amount over their standalone values."""
-    rng = random.Random(seed)
-    worst = 0.0
-    for _ in range(trials):
+
+    def deviations(rng: random.Random) -> tuple[float]:
         game = random_game(rng)
         split = shapley_split(game)
-        gain_w = split.wfp_share - game.wfp_value
-        gain_i = split.isp_share - game.isp_value
-        worst = max(worst, abs(gain_w - gain_i))
+        return (abs((split.wfp_share - game.wfp_value) - (split.isp_share - game.isp_value)),)
+
+    worst = _worst(seed, trials, deviations)
     return CheckResult(
         name="equal-surplus-gain",
         passed=worst <= 1e-9,
@@ -599,7 +606,7 @@ def check_capacity_price_convergence() -> CheckResult:
 
 # --- entry point --------------------------------------------------------------
 
-_SEEDED_SUITES: Sequence[tuple[str, Callable[[int], CheckResult]]] = (
+_SUITES: Sequence[tuple[str, Callable[[int], CheckResult]]] = (
     ("settlement-efficiency", check_efficiency),
     ("shapley-oracle-equivalence", check_oracle_equivalence),
     ("symmetric-standalone-split", check_symmetry),
@@ -612,6 +619,7 @@ _SEEDED_SUITES: Sequence[tuple[str, Callable[[int], CheckResult]]] = (
     ("best-response-grid", check_best_response_grid),
     ("exact-vs-subgradient", check_exact_vs_subgradient),
     ("isp-exact-vs-subgradient", check_isp_exact_vs_subgradient),
+    ("capacity-price-convergence", lambda _seed: check_capacity_price_convergence()),
 )
 
 
@@ -619,20 +627,10 @@ def run_all(seed: int = 0) -> list[CheckResult]:
     """Run every suite with per-suite seeds derived from ``seed``."""
     master = random.Random(seed)
     results = []
-    for name, suite in _SEEDED_SUITES:
+    for name, suite in _SUITES:
         suite_seed = master.randrange(2**32)
         try:
             results.append(suite(suite_seed))
         except Exception as exc:  # a crash is a failed check, not a crash of the CLI
             results.append(CheckResult(name=name, passed=False, detail=f"raised {exc!r}"))
-    try:
-        results.append(check_capacity_price_convergence())
-    except Exception as exc:
-        results.append(
-            CheckResult(
-                name="capacity-price-convergence",
-                passed=False,
-                detail=f"raised {exc!r}",
-            )
-        )
     return results

@@ -14,21 +14,26 @@ A scenario is one JSON document::
       "mode":   {"kind": "sweep"|"equilibrium"|"quota_sweep"|"ceiling_sweep", ...}
     }
 
-A user entry with ``count`` expands into that many identical profiles with
-suffixed ids.  Keys the schema does not name (such as ``unit``, ``nodes`` or
-``notes``) are ignored.  ``validate_scenario`` returns the full list of
-violations as strings -- it never raises -- so the CLI can print every
-problem at once.
+Each numeric key is an int or float field of the dataclass its section
+builds (:class:`LinkState`, :class:`WfpAccount`, :class:`UserProfile`, the
+four modes, :class:`SolverConfig`, :class:`SharingParams`, and the top-level
+``seed`` and ``lambda0`` of :class:`ScenarioConfig`, whose ``links`` maps ids
+to LinkStates): its name, type and default are read from that class.  A
+provider's ``unused`` defaults to its ``quota``, and a user entry with
+``count`` expands into that many identical profiles with suffixed ids.  Keys
+the schema does not name (such as ``unit``, ``nodes`` or ``notes``) are
+ignored.  ``validate_scenario`` returns the full list of violations as
+strings -- it never raises -- so the CLI can print every problem at once.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Any
+from typing import Any, get_type_hints
 
-from .model import LinkState, Topology, UserProfile, WfpAccount, WfpKind
+from .model import LinkState, UserProfile, WfpAccount, WfpKind
 from .pricing import SolverConfig
 from .sharing import SharingParams
 
@@ -121,7 +126,7 @@ class ScenarioConfig:
 
     name: str
     seed: int = 0
-    topology: Topology = field(default_factory=Topology)
+    links: dict[str, LinkState] = field(default_factory=dict)
     wfps: list[WfpAccount] = field(default_factory=list)
     wfp_prices: dict[str, float] = field(default_factory=dict)
     users: list[UserProfile] = field(default_factory=list)
@@ -138,83 +143,90 @@ def _require(mapping: dict, key: str, where: str) -> Any:
     return mapping[key]
 
 
-def _number(raw: Any, name: str, kind: type = float) -> Any:
-    """``kind(raw)``; ConfigError naming the field if it does not convert or is not finite."""
+def _number(raw: Any, where: str, name: str, kind: type = float) -> Any:
+    """``kind(raw)``; ConfigError naming ``where`` and the field if it does not
+    convert or is not finite."""
     try:
         value = kind(raw)
         if math.isfinite(value):
             return value
     except (TypeError, ValueError, OverflowError):
         pass
-    raise ConfigError(f"{name} must be a finite number, got {raw!r}")
+    field_name = f"{where}: {name}" if where else name
+    raise ConfigError(f"{field_name} must be a finite number, got {raw!r}")
+
+
+#: Each dataclass's numeric fields, as :func:`_build` reads them, by class.
+_PLANS: dict[type, tuple[tuple[str, type, bool], ...]] = {}
+
+
+def _numeric_fields(cls: type) -> tuple[tuple[str, type, bool], ...]:
+    """(name, type, required) of each int or float field of dataclass ``cls``."""
+    hints = get_type_hints(cls)
+    return tuple(
+        (f.name, hints[f.name], f.default is MISSING and f.default_factory is MISSING)
+        for f in fields(cls)
+        if hints[f.name] in (int, float)
+    )
+
+
+def _build(cls: type, entry: dict, where: str, **given: Any) -> Any:
+    """``cls(**given)`` plus the numeric fields ``entry`` gives, converted in field
+    order by :func:`_number` (a required one must be given; an omitted one keeps
+    its default).  ``cls``'s own range checks raise ConfigError."""
+    for name, kind, required in _PLANS.get(cls) or _PLANS.setdefault(cls, _numeric_fields(cls)):
+        if name in entry:
+            raw = entry[name]
+            # float(raw) is raw for a float: a finite one needs no _number call
+            ok = kind is float and type(raw) is float and math.isfinite(raw)
+            given[name] = raw if ok else _number(raw, where, name, kind)
+        elif required:
+            _require(entry, name, where)
+    try:
+        return cls(**given)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _parse_user(entry: dict) -> list[UserProfile]:
     base_id = str(_require(entry, "id", "user"))
     where = f"user {base_id!r}"
-    count = _number(entry.get("count", 1), f"{where}: count", int)
+    count = _number(entry["count"], where, "count", int) if "count" in entry else 1
     if count < 1:
         raise ConfigError(f"{where}: count must be at least 1")
-    profile = UserProfile(
-        id=base_id,
-        weight=_number(entry.get("weight", 1.0), f"{where}: weight"),
-        tx_power=_number(entry.get("tx_power", 1.0), f"{where}: tx_power"),
-        channel_gain2=_number(entry.get("channel_gain2", 1.0), f"{where}: channel_gain2"),
-        noise_var=_number(entry.get("noise_var", 1.0), f"{where}: noise_var"),
-        band=_number(entry.get("band", 1.0), f"{where}: band"),
-        budget=_number(entry.get("budget", 100.0), f"{where}: budget"),
-        x_min=_number(entry.get("x_min", 1e-3), f"{where}: x_min"),
-        x_max=_number(entry.get("x_max", 100.0), f"{where}: x_max"),
-        path=tuple(entry.get("path", ())),
-        wfp=str(entry.get("wfp", "")),
-    )
+    path, wfp = tuple(entry.get("path", ())), str(entry.get("wfp", ""))
+    profile = _build(UserProfile, entry, where, id=base_id, path=path, wfp=wfp)
     if count == 1:
         return [profile]
     return [replace(profile, id=f"{base_id}{i:03d}") for i in range(1, count + 1)]
 
 
+def _series(values: Any, name: str) -> tuple[float, ...]:
+    return tuple(
+        v if type(v) is float and math.isfinite(v) else _number(v, "mode", f"{name}[{i}]")
+        for i, v in enumerate(values)
+    )
+
+
 def _parse_mode(entry: dict) -> Mode:
     kind = str(_require(entry, "kind", "mode"))
     if kind == "sweep":
-        return SweepMode(
-            swept_party=str(_require(entry, "swept_party", "mode")),
-            start=_number(_require(entry, "start", "mode"), "mode: start"),
-            step=_number(entry.get("step", 1.0), "mode: step"),
-            count=_number(entry.get("count", 300), "mode: count", int),
-            user_growth=_number(entry.get("user_growth", 0), "mode: user_growth", int),
-            allocation=str(entry.get("allocation", "equal")),
-        )
+        swept_party = str(_require(entry, "swept_party", "mode"))
+        allocation = str(entry.get("allocation", "equal"))
+        return _build(SweepMode, entry, "mode", swept_party=swept_party, allocation=allocation)
     if kind == "equilibrium":
         loads = {
-            str(lid): tuple(
-                _number(v, f"mode: subscriber_loads[{lid!r}][{i}]") for i, v in enumerate(series)
-            )
+            str(lid): _series(series, f"subscriber_loads[{lid!r}]")
             for lid, series in entry.get("subscriber_loads", {}).items()
         }
-        return EquilibriumMode(
-            ticks=_number(_require(entry, "ticks", "mode"), "mode: ticks", int),
-            user_growth=_number(entry.get("user_growth", 0), "mode: user_growth", int),
-            billing_cycle_ticks=_number(
-                entry.get("billing_cycle_ticks", 0), "mode: billing_cycle_ticks", int
-            ),
-            subscriber_loads=loads,
-        )
+        return _build(EquilibriumMode, entry, "mode", subscriber_loads=loads)
     if kind == "quota_sweep":
-        return QuotaSweepMode(
-            usage_steps=_number(entry.get("usage_steps", 20), "mode: usage_steps", int),
-            txn_volume=_number(entry.get("txn_volume", 10.0), "mode: txn_volume"),
-        )
+        return _build(QuotaSweepMode, entry, "mode")
     if kind == "ceiling_sweep":
-        levels = entry.get("usage_levels", (0.0, 0.25, 0.5, 0.75))
-        return CeilingSweepMode(
-            usage_levels=tuple(
-                _number(v, f"mode: usage_levels[{i}]") for i, v in enumerate(levels)
-            ),
-            price_start=_number(entry.get("price_start", 0.0), "mode: price_start"),
-            price_stop=_number(entry.get("price_stop", 100.0), "mode: price_stop"),
-            price_step=_number(entry.get("price_step", 1.0), "mode: price_step"),
-            txn_volume=_number(entry.get("txn_volume", 10.0), "mode: txn_volume"),
-        )
+        levels = {}
+        if "usage_levels" in entry:
+            levels["usage_levels"] = _series(entry["usage_levels"], "usage_levels")
+        return _build(CeilingSweepMode, entry, "mode", **levels)
     raise ConfigError(f"mode: unknown kind {kind!r}")
 
 
@@ -231,79 +243,41 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
     links = {}
     for entry in doc.get("links", []):
         lid = str(_require(entry, "id", "link"))
-        where = f"link {lid}"
-        links[lid] = LinkState(
-            id=lid,
-            capacity=_number(_require(entry, "capacity", where), f"{where}: capacity"),
-            subscriber_load=_number(entry.get("subscriber_load", 0.0), f"{where}: subscriber_load"),
-            price=_number(entry.get("price", 0.0), f"{where}: price"),
-        )
-    topology = Topology(links=links)
+        links[lid] = _build(LinkState, entry, f"link {lid}", id=lid)
 
     wfps: list[WfpAccount] = []
     wfp_prices: dict[str, float] = {}
     for entry in doc.get("wfps", []):
         wid = str(_require(entry, "id", "wfp"))
-        kind_raw = str(_require(entry, "kind", f"wfp {wid}"))
+        where = f"wfp {wid}"
+        kind_raw = str(_require(entry, "kind", where))
         try:
             kind = WfpKind(kind_raw)
         except ValueError as exc:
-            raise ConfigError(f"wfp {wid}: unknown kind {kind_raw!r}") from exc
-        where = f"wfp {wid}"
-        quota = _number(entry.get("quota", 0.0), f"{where}: quota")
-        wfps.append(
-            WfpAccount(
-                id=wid,
-                kind=kind,
-                capacity=_number(entry.get("capacity", 0.0), f"{where}: capacity"),
-                quota=quota,
-                unused=_number(entry.get("unused", quota), f"{where}: unused"),
-                min_profit=_number(entry.get("min_profit", 0.0), f"{where}: min_profit"),
-                fee=_number(entry.get("fee", 0.0), f"{where}: fee"),
-                settled_share=_number(entry.get("settled_share", 0.0), f"{where}: settled_share"),
-                txn_cap=_number(entry.get("txn_cap", 0.0), f"{where}: txn_cap"),
-            )
-        )
+            raise ConfigError(f"{where}: unknown kind {kind_raw!r}") from exc
+        if "unused" not in entry and "quota" in entry:  # unused defaults to the quota
+            entry = {"unused": entry["quota"], **entry}
+        wfps.append(_build(WfpAccount, entry, where, id=wid, kind=kind))
         if "price" in entry:
-            wfp_prices[wid] = _number(entry["price"], f"{where}: price")
+            wfp_prices[wid] = _number(entry["price"], where, "price")
 
     users: list[UserProfile] = []
     for entry in doc.get("users", []):
         users.extend(_parse_user(entry))
 
-    solver_doc = doc.get("solver", {})
-    # ConfigError is a ValueError: the handlers below also prefix _number's messages
-    try:
-        solver = SolverConfig(
-            sigma0=_number(solver_doc.get("sigma0", 1.0), "sigma0"),
-            epsilon=_number(solver_doc.get("epsilon", 1e-6), "epsilon"),
-            max_iters=_number(solver_doc.get("max_iters", 100_000), "max_iters", int),
-            x_floor=_number(solver_doc.get("x_floor", 1e-6), "x_floor"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"solver: {exc}") from exc
-
-    sharing_doc = doc.get("sharing", {})
-    try:
-        sharing = SharingParams(
-            alpha=_number(sharing_doc.get("alpha", 1.0), "alpha"),
-            beta=_number(sharing_doc.get("beta", 2.5), "beta"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"sharing: {exc}") from exc
-
-    return ScenarioConfig(
+    return _build(
+        ScenarioConfig,
+        doc,
+        "",
         name=str(doc.get("name", "scenario")),
-        seed=_number(doc.get("seed", 0), "seed", int),
-        topology=topology,
+        links=links,
         wfps=wfps,
         wfp_prices=wfp_prices,
         users=users,
-        solver=solver,
-        sharing=sharing,
+        solver=_build(SolverConfig, doc.get("solver", {}), "solver"),
+        sharing=_build(SharingParams, doc.get("sharing", {}), "sharing"),
         mode=_parse_mode(_require(doc, "mode", "scenario")),
         solve_isp=bool(doc.get("solve_isp", True)),
-        lambda0=_number(doc.get("lambda0", 0.0), "lambda0"),
     )
 
 
@@ -321,13 +295,11 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
     """Collect every constraint violation in the scenario; empty means valid."""
     problems: list[str] = []
 
-    for lid, link in cfg.topology.links.items():
+    for lid, link in cfg.links.items():
         if link.capacity <= 0.0:
             problems.append(f"link {lid}: capacity must be positive")
-        if link.subscriber_load < 0.0:
-            problems.append(f"link {lid}: subscriber_load must be non-negative")
-        elif link.subscriber_load > link.capacity:
-            problems.append(f"link {lid}: subscriber_load exceeds capacity")
+        if wrong := _load_problem(link.subscriber_load, link):
+            problems.append(f"link {lid}: subscriber_load {wrong}")
         if link.price < 0.0:
             problems.append(f"link {lid}: price must be non-negative")
 
@@ -378,7 +350,7 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
         elif u.wfp not in wfp_ids:
             problems.append(f"user {u.id}: unknown wfp {u.wfp!r}")
         for lid in u.path:
-            if lid not in cfg.topology.links:
+            if lid not in cfg.links:
                 problems.append(f"user {u.id}: unknown link {lid!r} in path")
 
     mode = cfg.mode
@@ -405,10 +377,14 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
         if mode.billing_cycle_ticks < 0:
             problems.append("mode: billing_cycle_ticks must be non-negative")
         for lid, series in mode.subscriber_loads.items():
-            if lid not in cfg.topology.links:
+            if lid not in cfg.links:
                 problems.append(f"mode: subscriber_loads for unknown link {lid!r}")
-            elif len(series) < mode.ticks:
+                continue
+            if len(series) < mode.ticks:
                 problems.append(f"mode: subscriber_loads for {lid!r} shorter than ticks")
+            for tick, load in enumerate(series[: mode.ticks]):
+                if wrong := _load_problem(load, cfg.links[lid]):
+                    problems.append(f"mode: subscriber_loads[{lid!r}][{tick}] {wrong}")
     elif isinstance(mode, QuotaSweepMode):
         if mode.usage_steps < 1:
             problems.append("mode: usage_steps must be at least 1")
@@ -458,6 +434,14 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
         )
 
     return problems
+
+
+def _load_problem(load: float, link: LinkState) -> str:
+    """What is wrong with a subscriber load on ``link`` ('' if nothing): it must
+    be non-negative and not above the link's capacity."""
+    if load < 0.0:
+        return "must be non-negative"
+    return "exceeds capacity" if load > link.capacity else ""
 
 
 def _user_steps(cfg: ScenarioConfig, users_by_wfp: dict[str, int]) -> float:

@@ -16,13 +16,11 @@ Four run shapes:
 Every runner builds its population once, as parallel arrays over one roster
 (growth clones are appended to it, so each step uses a prefix), computes each
 step on those arrays, settles each provider from its sales' totals, and
-records per-user values as read-only views of the step's arrays.  The
-engine's own per-user float sums (settlement totals, means, demand) are each
-the sequential left fold 0.0 + v[0] + v[1] + ... of
-:func:`~wifimarket.model.running_total`: the order of the per-sale reference
-functions, whatever the Python version.  The prices they are taken over come
-from :mod:`~wifimarket.pricing`, whose provider solve sums with numpy's
-pairwise ``ndarray.sum``.
+records per-user values as read-only views of the step's arrays.  Its
+per-user float sums (settlement totals, means, demand), like the price
+solves' in :mod:`~wifimarket.pricing`, are each the sequential left fold
+0.0 + v[0] + v[1] + ... of :func:`~wifimarket.model.running_total`: the order
+of the per-sale reference functions, whatever the Python or numpy version.
 
 Settlement goes through the one kernel, :func:`~wifimarket.sharing.settle_rows`.
 The sweep and equilibrium runners settle each provider once per step through
@@ -251,9 +249,12 @@ def _settle(
     return combined
 
 
-def _provider_order(provider: np.ndarray, providers: int):
-    """Positions grouped provider by provider (roster order within each), or None for one."""
-    return np.argsort(provider, kind="stable") if providers > 1 else None
+def _views(pop: Population, g: np.ndarray, prices: np.ndarray, x: np.ndarray):
+    """A step's (g, final price, x) views of its first ``len(g)`` users; with several
+    providers, prices and x list them provider by provider, roster order within each."""
+    order = np.argsort(pop.provider[: len(g)], kind="stable") if len(pop.providers) > 1 else None
+    roster = pop.roster
+    return UserValues(roster, g), UserValues(roster, prices, order), UserValues(roster, x, order)
 
 
 def run_sweep(cfg: ScenarioConfig) -> TimeSeries:
@@ -273,7 +274,7 @@ def run_sweep(cfg: ScenarioConfig) -> TimeSeries:
     accounts = list(cfg.wfps)
     margin = np.array([a.min_profit for a in accounts])
     lambda_by_wfp = {w.id: cfg.lambda0 for w in cfg.wfps}
-    link_prices = cfg.topology.link_prices()
+    link_prices = {lid: link.price for lid, link in cfg.links.items()}
     ts = TimeSeries(name=cfg.name)
     steps, settled = [], []
 
@@ -302,14 +303,8 @@ def run_sweep(cfg: ScenarioConfig) -> TimeSeries:
             _settle(accounts, provider, g, prices, x, cfg.sharing, cfg.solver.x_floor)
         )
         buyers = np.flatnonzero(x > 0.0)
-        order = _provider_order(provider, len(accounts))
-        views = (
-            UserValues(pop.roster, g),
-            UserValues(pop.roster, prices, order),
-            UserValues(pop.roster, x, order),
-        )
         utility = _utility(pop, buyers, x[buyers], prices[buyers])
-        steps.append((dict(lambda_by_wfp), views, _mean(utility)))
+        steps.append((dict(lambda_by_wfp), _views(pop, g, prices, x), _mean(utility)))
 
         # One dual step for the party that is not being swept.
         sigma = step_size(t, cfg.solver)
@@ -322,9 +317,7 @@ def run_sweep(cfg: ScenarioConfig) -> TimeSeries:
         else:
             loads = _link_loads(link_prices, pop, pop.path[:n], x)
             link_prices = {
-                lid: isp_link_price_update(
-                    link_prices[lid], sigma, cfg.topology.links[lid], loads[lid]
-                )
+                lid: isp_link_price_update(link_prices[lid], sigma, cfg.links[lid], loads[lid])
                 for lid in link_prices
             }
 
@@ -359,7 +352,7 @@ def run_equilibrium(cfg: ScenarioConfig) -> TimeSeries:
 
     pop = _population(cfg, mode.user_growth * max(mode.ticks - 1, 0))
     accounts = list(cfg.wfps)
-    links = dict(cfg.topology.links)
+    links = dict(cfg.links)
     link_prices = {lid: link.price for lid, link in links.items()}
     x_floor = cfg.solver.x_floor
     ts = TimeSeries(name=cfg.name)
@@ -404,14 +397,8 @@ def run_equilibrium(cfg: ScenarioConfig) -> TimeSeries:
         x[(utility < 0.0) | (x < x_floor)] = 0.0
 
         settled.append(_settle(accounts, provider, g, prices, x, cfg.sharing, x_floor))
-        order = _provider_order(provider, len(accounts))
-        views = (
-            UserValues(pop.roster, g),
-            UserValues(pop.roster, prices, order),
-            UserValues(pop.roster, x, order),
-        )
         mean_utility = _mean(np.where(x > 0.0, utility, 0.0))
-        steps.append((lambda_by_wfp, views, mean_utility))
+        steps.append((lambda_by_wfp, _views(pop, g, prices, x), mean_utility))
 
     ts.records, _ = _records("run", steps, _columns(settled))
     first_zero = next((r.step for r in ts.records if r.total_value <= 0.0), -1)
@@ -473,7 +460,7 @@ def _snapshots(
 def _individual_providers(cfg: ScenarioConfig):
     """Each individual provider with its users and their ISP floors."""
     pop = _population(cfg)
-    link_prices = cfg.topology.link_prices()
+    link_prices = {lid: link.price for lid, link in cfg.links.items()}
     for k, account in enumerate(cfg.wfps):
         if account.kind is WfpKind.INDIVIDUAL:
             users = pop.take(np.flatnonzero(pop.provider == k))

@@ -21,7 +21,7 @@ read-only id -> float views of one array over that roster.
 from __future__ import annotations
 
 from collections.abc import ItemsView, Mapping, ValuesView
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -120,16 +120,6 @@ class LinkState:
     price: float = 0.0
 
 
-@dataclass
-class Topology:
-    """The ISP's network: the links WFP traffic is routed over."""
-
-    links: dict[str, LinkState] = field(default_factory=dict)
-
-    def link_prices(self) -> dict[str, float]:
-        return {lid: link.price for lid, link in self.links.items()}
-
-
 @dataclass(frozen=True)
 class SaleRecord:
     """One user's purchase within a transaction.
@@ -220,7 +210,7 @@ class UserValues(Mapping):
 def fold_sum(values: Iterable[float]) -> float:
     """0.0 + values[0] + values[1] + ..., added one at a time in Python floats.
 
-    The engine, the reports and the ISP price solve sum floats this way, not
+    The engine, the reports and both price solves sum floats this way, not
     with builtin ``sum``, which adds in this order only before Python 3.12
     (it is compensated from 3.12 on), nor with numpy's pairwise ``sum``.
     :func:`running_total` is the same fold over an array.

@@ -30,6 +30,7 @@ from .model import (
     WfpAccount,
     effective_capacity,
     fold_sum,
+    running_total,
 )
 
 
@@ -176,7 +177,7 @@ def _provider_result(
     converged: bool,
 ) -> EquilibriumResult:
     capacity = effective_capacity(account)
-    demand = float(x.sum())
+    demand = running_total(x)
     # At a zero price slack capacity is no violation; only excess demand counts.
     residual = abs(capacity - demand) if lam > 0.0 else max(demand - capacity, 0.0)
     return EquilibriumResult(
@@ -221,9 +222,9 @@ def solve_wfp_equilibrium(
         return _allocate(lam, wb, floors, x_min, x_max)
 
     prices, x = allocate(0.0)
-    if x.sum() <= capacity:
+    if running_total(x) <= capacity:
         return _provider_result(account, users, 0.0, prices, x, evaluations, True)
-    if x_min.sum() > capacity:
+    if running_total(x_min) > capacity:
         kinks = wb / x_min
         lam = float(np.max(kinks, where=kinks > floors, initial=0.0))
         prices = np.maximum(lam, floors)
@@ -235,7 +236,7 @@ def solve_wfp_equilibrium(
     below, above = -1, len(breaks) - 1
     while above - below > 1:
         mid = (below + above) // 2
-        if allocate(breaks[mid])[1].sum() > capacity:
+        if running_total(allocate(breaks[mid])[1]) > capacity:
             below = mid
         else:
             above = mid
@@ -246,7 +247,7 @@ def solve_wfp_equilibrium(
     probe = 0.5 * (left + right)
     _, x = allocate(probe)
     free = (floors < probe) & (x > x_min) & (x < x_max)
-    lam = float(wb[free].sum() / (capacity - x[~free].sum()))
+    lam = float(np.divide(running_total(wb[free]), capacity - running_total(x[~free])))
     lam = min(max(lam, left), right)
     prices, x = allocate(lam)
     return _provider_result(account, users, lam, prices, x, evaluations, True)

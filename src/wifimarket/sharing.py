@@ -98,7 +98,11 @@ class SaleTotals:
         if len(sellers) > 1:
             raise ValueError(f"sales from several providers {sorted(sellers)!r}")
         for s in sales:
-            _check_floor(s)
+            if s.final_price < s.min_price - TOLERANCE:
+                raise ValueError(
+                    f"sale to {s.user!r} priced below the ISP minimum "
+                    f"({s.final_price} < {s.min_price})"
+                )
         return cls(
             seller=sellers.pop() if sellers else None,
             count=len(sales),
@@ -107,14 +111,6 @@ class SaleTotals:
             spread=fold_sum((s.final_price - s.min_price) * s.x for s in sales),
             floor_sum=fold_sum(s.min_price for s in sales),
             volume=fold_sum(s.x for s in sales),
-        )
-
-
-def _check_floor(sale: SaleRecord) -> None:
-    if sale.final_price < sale.min_price - TOLERANCE:
-        raise ValueError(
-            f"sale to {sale.user!r} priced below the ISP minimum "
-            f"({sale.final_price} < {sale.min_price})"
         )
 
 
@@ -140,15 +136,12 @@ def ewfp_contribution(sales: Sequence[SaleRecord], params: SharingParams) -> flo
     contribution never exceeds the raw spread -- which is what keeps the ISP's
     settled share at or above its standalone revenue.
 
-    Raises ValueError if any sale is priced below the ISP floor.
+    Raises ValueError, as :meth:`SaleTotals.of` does, if the sales come from
+    more than one provider or any is priced below the ISP floor.
     """
-    if not sales:
-        return 0.0
-    for s in sales:
-        _check_floor(s)
-    spread = fold_sum((s.final_price - s.min_price) * s.x for s in sales)
-    floor_sum = fold_sum(s.min_price for s in sales)
-    return _establishment_values(np.array([spread]), np.array([floor_sum]), params).item()
+    totals = SaleTotals.of(sales)
+    spread, floor_sum = np.array([totals.spread]), np.array([totals.floor_sum])
+    return _establishment_values(spread, floor_sum, params).item()
 
 
 def iwfp_contribution(

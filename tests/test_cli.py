@@ -75,8 +75,8 @@ def test_seed_override_is_accepted(tmp_path):
 def test_run_with_links_that_cannot_clear_exits_zero(tmp_path):
     """An ISP solve flagged infeasible still yields a run and its outputs.
 
-    Tick 0 loads AB with a subscriber load above its capacity; on BC the
-    crossing users' x_min alone exceed the residual capacity at every tick.
+    On BC the crossing users' x_min alone exceed the residual capacity at
+    every tick; AB's per-tick subscriber loads stay within its capacity.
     """
     doc = {
         "name": "cli-infeasible",
@@ -90,7 +90,7 @@ def test_run_with_links_that_cannot_clear_exits_zero(tmp_path):
             {"id": "v", "wfp": "w1", "path": ["AB", "BC"], "count": 3, "x_min": 4.0},
         ],
         "solve_isp": True,
-        "mode": {"kind": "equilibrium", "ticks": 2, "subscriber_loads": {"AB": [55, 10]}},
+        "mode": {"kind": "equilibrium", "ticks": 2, "subscriber_loads": {"AB": [45, 10]}},
     }
     config = write_doc(tmp_path, doc)
     code = cli.main(["run", "--config", str(config), "--out", str(tmp_path)])

@@ -1,8 +1,11 @@
 """Data-model, configuration, and preset tests."""
+import copy
+import dataclasses
 import importlib.util
 import json
 import math
 import sys
+import typing
 from functools import reduce
 from operator import add
 from pathlib import Path
@@ -27,7 +30,6 @@ from wifimarket.model import (
     LinkState,
     Population,
     Roster,
-    Topology,
     UserProfile,
     UserValues,
     WfpAccount,
@@ -37,6 +39,8 @@ from wifimarket.model import (
     running_total,
 )
 from wifimarket.presets import PRESET_NAMES, load_preset, preset_path
+from wifimarket.pricing import SolverConfig
+from wifimarket.sharing import SharingParams
 
 
 # --- model basics ----------------------------------------------------------------
@@ -58,11 +62,6 @@ def test_replenished_restores_quota():
     fresh = account.replenished()
     assert fresh.unused == 100.0
     assert account.unused == 12.5  # accounts are immutable snapshots
-
-
-def test_topology_link_prices():
-    topo = Topology(links={"AB": LinkState(id="AB", capacity=50.0, price=10.0)})
-    assert topo.link_prices() == {"AB": 10.0}
 
 
 def test_user_profile_defaults_give_unit_snr_boost():
@@ -137,7 +136,7 @@ def test_scenario_from_dict_expands_user_counts():
     cfg = scenario_from_dict(MINIMAL_DOC)
     assert [u.id for u in cfg.users] == ["u001", "u002", "u003"]
     assert all(u.wfp == "w1" for u in cfg.users)
-    assert cfg.topology.links["AB"].capacity == 50.0
+    assert cfg.links["AB"].capacity == 50.0
     assert isinstance(cfg.mode, EquilibriumMode)
     assert validate_scenario(cfg) == []
 
@@ -194,6 +193,99 @@ def test_scenario_from_dict_rejects_non_numbers_and_non_finite(patch, message):
     with pytest.raises(ConfigError) as exc:
         scenario_from_dict({**MINIMAL_DOC, **patch})
     assert str(exc.value).startswith(message)
+
+
+def _mode(cls, mode):
+    """A mode section: ``mode`` (its kind and any required string) as the document's mode."""
+
+    def entry(doc):
+        doc["mode"] = dict(mode)
+        return doc["mode"]
+
+    return cls, "mode", entry, lambda cfg: cfg.mode
+
+
+#: Each parsed section: its dataclass, the ``where`` its messages name, where its
+#: entry sits in a document and where the parsed object sits in the config.
+SECTIONS = {
+    "link": (LinkState, "link AB", lambda doc: doc["links"][0], lambda cfg: cfg.links["AB"]),
+    "wfp": (WfpAccount, "wfp w1", lambda doc: doc["wfps"][0], lambda cfg: cfg.wfps[0]),
+    "user": (UserProfile, "user 'u'", lambda doc: doc["users"][0], lambda cfg: cfg.users[0]),
+    "solver": (
+        SolverConfig, "solver", lambda doc: doc.setdefault("solver", {}), lambda cfg: cfg.solver
+    ),
+    "sharing": (
+        SharingParams, "sharing", lambda doc: doc.setdefault("sharing", {}), lambda cfg: cfg.sharing
+    ),
+    "scenario": (ScenarioConfig, "", lambda doc: doc, lambda cfg: cfg),
+    "sweep": _mode(SweepMode, {"kind": "sweep", "swept_party": "isp"}),
+    "equilibrium": _mode(EquilibriumMode, {"kind": "equilibrium"}),
+    "quota_sweep": _mode(QuotaSweepMode, {"kind": "quota_sweep"}),
+    "ceiling_sweep": _mode(CeilingSweepMode, {"kind": "ceiling_sweep"}),
+}
+
+
+def numeric_fields(cls):
+    """(field, int or float) of each numeric field of dataclass ``cls``."""
+    hints = typing.get_type_hints(cls)
+    return [(f, hints[f.name]) for f in dataclasses.fields(cls) if hints[f.name] in (int, float)]
+
+
+def every_numeric_field_set(section):
+    """MINIMAL_DOC with each numeric field of the section set to its default + 1
+    (1 where it has none), of the field's type: valid values, none a default."""
+    cls, _, entry_of, _ = SECTIONS[section]
+    doc = copy.deepcopy(MINIMAL_DOC)
+    entry = entry_of(doc)
+    for f, kind in numeric_fields(cls):
+        entry[f.name] = kind(1 if f.default is dataclasses.MISSING else f.default + 1)
+    return doc, entry
+
+
+PARSED_FIELDS = [
+    (section, f.name) for section, (cls, *_) in SECTIONS.items() for f, _ in numeric_fields(cls)
+]
+
+
+def test_parsed_fields_cover_every_section_and_the_three_required_ones():
+    assert len(PARSED_FIELDS) == 39
+    required = {
+        (section, name)
+        for section, name in PARSED_FIELDS
+        if SECTIONS[section][0].__dataclass_fields__[name].default is dataclasses.MISSING
+    }
+    assert required == {("link", "capacity"), ("sweep", "start"), ("equilibrium", "ticks")}
+
+
+@pytest.mark.parametrize("section, name", PARSED_FIELDS)
+def test_an_omitted_numeric_field_takes_its_dataclass_default(section, name):
+    cls, where, _, parsed_of = SECTIONS[section]
+    doc, entry = every_numeric_field_set(section)
+    given = dict(entry)
+    del entry[name]
+    default = cls.__dataclass_fields__[name].default
+    if default is dataclasses.MISSING:
+        with pytest.raises(ConfigError) as exc:
+            scenario_from_dict(doc)
+        assert str(exc.value) == f"{where}: missing required key {name!r}"
+        return
+    parsed = parsed_of(scenario_from_dict(doc))
+    if (section, name) == ("wfp", "unused"):
+        default = given["quota"]  # a plan starts unused
+    for f, _ in numeric_fields(cls):
+        want = default if f.name == name else given[f.name]
+        assert getattr(parsed, f.name) == want and type(getattr(parsed, f.name)) is type(want)
+
+
+@pytest.mark.parametrize("section, name", PARSED_FIELDS)
+def test_a_nan_numeric_field_is_named_in_the_message(section, name):
+    _, where, _, _ = SECTIONS[section]
+    doc, entry = every_numeric_field_set(section)
+    entry[name] = float("nan")
+    with pytest.raises(ConfigError) as exc:
+        scenario_from_dict(doc)
+    field_name = f"{where}: {name}" if where else name
+    assert str(exc.value) == f"{field_name} must be a finite number, got nan"
 
 
 def test_mode_parsing_covers_all_kinds():
@@ -306,6 +398,20 @@ def test_validate_subscriber_load_series_length():
     }
     problems = validate_scenario(scenario_from_dict(doc))
     assert any("shorter than ticks" in p for p in problems)
+
+
+def test_validate_checks_the_subscriber_loads_a_run_reads():
+    doc = dict(MINIMAL_DOC)  # AB's capacity is 50
+    doc["mode"] = {
+        "kind": "equilibrium",
+        "ticks": 3,
+        "subscriber_loads": {"AB": [50.0, -1.0, 55.0, 99.0]},  # tick 3 is never read
+    }
+    problems = validate_scenario(scenario_from_dict(doc))
+    assert problems == [
+        "mode: subscriber_loads['AB'][1] must be non-negative",
+        "mode: subscriber_loads['AB'][2] exceeds capacity",
+    ]
 
 
 def test_validate_bounds_the_run_size_without_running():

@@ -6,8 +6,10 @@ an independent bisection, and the certified link prices against their natural
 residuals.
 """
 import math
+import operator
 import random
 import warnings
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -318,6 +320,41 @@ def test_wfp_solver_mixed_clamps_match_bisection_oracle():
     assert result.residual <= 1e-9 * account.capacity
 
 
+def test_wfp_solver_sums_users_in_roster_order_from_zero():
+    """The exact price is its closed form over sequential folds, bit for bit.
+
+    On the clearing piece, lam = sum(w * b of the free users) / (C - sum(x of
+    the others)).  Both sums, and the demand in the residual, add the users in
+    roster order from 0.0, so 1,200 seeded users give the same bits as
+    ``reduce(operator.add, ..., 0.0)``, whatever numpy's pairwise sum gives.
+    """
+    rng = random.Random(12)
+    users = []
+    for i in range(1_200):
+        x_min = rng.uniform(0.001, 1.0)
+        users.append(UserProfile(
+            id=f"u{i}",
+            weight=rng.uniform(0.5, 2.0),
+            budget=rng.uniform(10.0, 200.0),
+            x_min=x_min,
+            x_max=x_min + rng.uniform(0.5, 10.0),
+        ))
+    g = {u.id: rng.choice((0.0, rng.uniform(0.0, 30.0))) for u in users}
+    capacity = 0.3 * sum(u.x_max for u in users)
+    account = WfpAccount(id="ew", kind=WfpKind.ESTABLISHMENT, capacity=capacity, min_profit=1.0)
+    pop, floors = population(users, g)
+    result = solve_wfp_equilibrium(account, pop, floors)
+    lam, x = result.lambda_by_wfp["ew"], result.x_by_user.array
+
+    def fold(values):
+        return reduce(operator.add, values.tolist(), 0.0)
+
+    free = (floors + account.min_profit < lam) & (x > pop.x_min) & (x < pop.x_max)
+    assert 100 < free.sum() < len(users) - 100
+    assert lam.hex() == (fold(pop.wb[free]) / (capacity - fold(x[~free]))).hex()
+    assert result.residual == abs(capacity - fold(x))
+
+
 # --- ISP-side solver ----------------------------------------------------------------
 
 
@@ -465,7 +502,7 @@ def engine_demand(doc):
     cfg = scenario_from_dict(doc)
     pop = Population.of(cfg.users, [w.id for w in cfg.wfps])
     customers = [pop.take(np.flatnonzero(pop.provider == k)) for k in range(len(cfg.wfps))]
-    links = cfg.topology.links
+    links = cfg.links
     return cfg, links, _link_demand(links, pop, list(cfg.wfps), customers)
 
 

@@ -79,6 +79,12 @@ def test_ewfp_contribution_rejects_sale_below_floor():
         ewfp_contribution(sales, SharingParams())
 
 
+def test_ewfp_contribution_rejects_sales_of_several_providers():
+    sales = [sale("u1", 1.0, 10.0, 12.0), sale("u2", 1.0, 10.0, 12.0, wfp="other")]
+    with pytest.raises(ValueError, match="several providers"):
+        ewfp_contribution(sales, SharingParams())
+
+
 def test_ewfp_contribution_shrinks_as_floors_rise():
     # same spread and volumes, dearer floors -> never a larger credit
     params = SharingParams()
