@@ -22,7 +22,6 @@ from .engine import run_scenario
 from .model import (
     LinkState,
     Population,
-    SaleRecord,
     Settlement,
     UserProfile,
     UserValues,
@@ -73,7 +72,6 @@ __all__ = [
     "solve_isp_prices",
     "solve_isp_subgradient",
     "user_best_response",
-    "SaleRecord",
     "SaleTotals",
     "Settlement",
     "SharingParams",

@@ -28,11 +28,11 @@ from .engine import _link_demand
 from .model import (
     LinkState,
     Population,
-    SaleRecord,
     Settlement,
     UserProfile,
     WfpAccount,
     WfpKind,
+    fold_sum,
 )
 from .pricing import (
     ISP_TOLERANCE,
@@ -47,13 +47,11 @@ from .pricing import (
     user_best_response,
 )
 from .sharing import (
-    _COLUMNS,
     CoalitionValues,
     SaleTotals,
     SharingParams,
     coalition_map,
     ewfp_contribution,
-    isp_standalone_revenue,
     settle_rows,
     settle_transaction,
     shapley_permutation,
@@ -81,23 +79,22 @@ def random_game(rng: random.Random) -> CoalitionValues:
     return CoalitionValues(total_value=total, wfp_value=wfp_value, isp_value=isp_value)
 
 
-def random_sales(rng: random.Random, wfp_id: str) -> list[SaleRecord]:
-    """One to eight sales with final prices at or above the ISP floor."""
+def random_sales(rng: random.Random) -> SaleTotals:
+    """The totals of one to eight sales with final prices at or above the ISP
+    floor, summed in draw order."""
     sales = []
-    for k in range(rng.randint(1, 8)):
+    for _ in range(rng.randint(1, 8)):
         floor = rng.uniform(0.5, 40.0)
-        posted = floor + rng.uniform(0.0, 30.0)
-        sales.append(
-            SaleRecord(
-                user=f"u{k}",
-                wfp=wfp_id,
-                x=rng.uniform(0.01, 20.0),
-                min_price=floor,
-                wfp_price=posted,
-                final_price=posted,
-            )
-        )
-    return sales
+        price = floor + rng.uniform(0.0, 30.0)
+        sales.append((rng.uniform(0.01, 20.0), floor, price))
+    return SaleTotals(
+        count=len(sales),
+        revenue=fold_sum(x * price for x, _, price in sales),
+        isp_revenue=fold_sum(x * floor for x, floor, _ in sales),
+        spread=fold_sum((price - floor) * x for x, floor, price in sales),
+        floor_sum=fold_sum(floor for _, floor, _ in sales),
+        volume=fold_sum(x for x, _, _ in sales),
+    )
 
 
 # --- split properties --------------------------------------------------------
@@ -192,8 +189,7 @@ def check_zero_contribution(seed: int, trials: int = 10_000) -> CheckResult:
             unused=0.0,
             fee=1e9,
         )
-        sales = random_sales(rng, "iw")
-        settlement, updated = settle_transaction(account, SaleTotals.of(sales), params)
+        settlement, updated = settle_transaction(account, random_sales(rng), params)
         gap = max(
             abs(settlement.wfp_share),
             abs(settlement.isp_share - settlement.total_value),
@@ -266,13 +262,11 @@ def check_isp_floor_guarantee(seed: int, trials: int = 10_000) -> CheckResult:
     rng = random.Random(seed)
     params = SharingParams()
     account = WfpAccount(id="ew", kind=WfpKind.ESTABLISHMENT, capacity=100.0)
-    draws = [random_sales(rng, "ew") for _ in range(trials)]
-    rows = [SaleTotals.of(sales) for sales in draws]
-    totals = SaleTotals("ew", *(np.array([getattr(t, name) for t in rows]) for name in _COLUMNS))
+    rows = [random_sales(rng) for _ in range(trials)]
+    totals = SaleTotals(*(np.array(column) for column in zip(*(vars(t).values() for t in rows))))
     settled = settle_rows(account, totals, params, np.zeros(trials), np.zeros(trials))
     shortfalls = [
-        isp_standalone_revenue(sales) - share
-        for sales, share in zip(draws, settled.isp_share.tolist())
+        t.isp_revenue - share for t, share in zip(rows, settled.isp_share.tolist())
     ]
     violations = sum(shortfall > 1e-9 for shortfall in shortfalls)
     return CheckResult(
@@ -306,7 +300,7 @@ def check_usage_monotone_share(
         # One sale of volume 1 at price `total` over an ISP floor of `isp_value`,
         # once per usage level.
         sale = (1, total, isp_value, total - isp_value, isp_value, 1.0)
-        totals = SaleTotals("iw", *(np.full(steps + 1, value) for value in sale))
+        totals = SaleTotals(*(np.full(steps + 1, value) for value in sale))
         account = WfpAccount(
             id="iw", kind=WfpKind.INDIVIDUAL, quota=quota, unused=quota, fee=1e9
         )
@@ -346,18 +340,12 @@ def check_floor_discount_monotone(seed: int, trials: int = 1_000) -> CheckResult
         volumes = [rng.uniform(0.1, 10.0) for _ in range(n)]
         previous = math.inf
         for scale in (0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0):
-            sales = [
-                SaleRecord(
-                    user=f"u{i}",
-                    wfp="ew",
-                    x=volumes[i],
-                    min_price=floors[i] * scale,
-                    wfp_price=floors[i] * scale + spreads[i],
-                    final_price=floors[i] * scale + spreads[i],
-                )
-                for i in range(n)
-            ]
-            contribution = ewfp_contribution(sales, params)
+            prices = [floors[i] * scale + spreads[i] for i in range(n)]
+            floor_sum = fold_sum(floors[i] * scale for i in range(n))
+            spread = fold_sum((prices[i] - floors[i] * scale) * volumes[i] for i in range(n))
+            # revenue, isp_revenue and volume are not read by the contribution
+            totals = SaleTotals(n, 0.0, 0.0, spread, floor_sum, 0.0)
+            contribution = ewfp_contribution(totals, params)
             if contribution > previous + 1e-9:
                 violations += 1
             previous = contribution

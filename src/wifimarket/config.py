@@ -20,10 +20,14 @@ four modes, :class:`SolverConfig`, :class:`SharingParams`, and the top-level
 ``seed`` and ``lambda0`` of :class:`ScenarioConfig`, whose ``links`` maps ids
 to LinkStates): its name, type and default are read from that class.  A
 provider's ``unused`` defaults to its ``quota``, and a user entry with
-``count`` expands into that many identical profiles with suffixed ids.  Keys
-the schema does not name (such as ``unit``, ``nodes`` or ``notes``) are
-ignored.  ``validate_scenario`` returns the full list of violations as
-strings -- it never raises -- so the CLI can print every problem at once.
+``count`` expands into that many identical profiles with suffixed ids, up to
+:data:`MAX_USER_STEPS` users in all.  ``links``, ``wfps`` and ``users`` are
+arrays of objects; ``path``, ``usage_levels`` and each load series are arrays;
+``solver``, ``sharing``, ``mode`` and ``subscriber_loads`` are objects.  Any
+other shape is a ConfigError.  Keys the schema does not name (such as
+``unit``, ``nodes`` or ``notes``) are ignored.  ``validate_scenario`` returns
+the full list of violations as strings -- it never raises -- so the CLI can
+print every problem at once.
 """
 from __future__ import annotations
 
@@ -143,6 +147,17 @@ def _require(mapping: dict, key: str, where: str) -> Any:
     return mapping[key]
 
 
+def _shaped(raw: Any, kind: type, where: str, item: type | None = None) -> Any:
+    """``raw`` if it is a ``kind`` (list or dict) and, with ``item`` given, each of
+    its entries an ``item``; ConfigError naming ``where`` otherwise."""
+    if not isinstance(raw, kind):
+        noun, got = "an object" if kind is dict else "an array", json.dumps(raw, default=repr)
+        raise ConfigError(f"{where} must be {noun}, got {got:.40}")
+    for i, entry in enumerate(raw if item else ()):
+        _shaped(entry, item, f"{where}[{i}]")
+    return raw
+
+
 def _number(raw: Any, where: str, name: str, kind: type = float) -> Any:
     """``kind(raw)``; ConfigError naming ``where`` and the field if it does not
     convert or is not finite."""
@@ -188,13 +203,17 @@ def _build(cls: type, entry: dict, where: str, **given: Any) -> Any:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _parse_user(entry: dict) -> list[UserProfile]:
+def _parse_user(entry: dict, room: int) -> list[UserProfile]:
+    """The profiles of one user entry, which may expand into at most ``room`` of them."""
     base_id = str(_require(entry, "id", "user"))
     where = f"user {base_id!r}"
     count = _number(entry["count"], where, "count", int) if "count" in entry else 1
     if count < 1:
         raise ConfigError(f"{where}: count must be at least 1")
-    path, wfp = tuple(entry.get("path", ())), str(entry.get("wfp", ""))
+    if count > room:
+        raise ConfigError(f"{where}: count {count:,} makes more than {MAX_USER_STEPS:,} users")
+    path = tuple(map(str, _shaped(entry.get("path", []), list, f"{where}: path")))
+    wfp = str(entry.get("wfp", ""))
     profile = _build(UserProfile, entry, where, id=base_id, path=path, wfp=wfp)
     if count == 1:
         return [profile]
@@ -204,7 +223,7 @@ def _parse_user(entry: dict) -> list[UserProfile]:
 def _series(values: Any, name: str) -> tuple[float, ...]:
     return tuple(
         v if type(v) is float and math.isfinite(v) else _number(v, "mode", f"{name}[{i}]")
-        for i, v in enumerate(values)
+        for i, v in enumerate(_shaped(values, list, f"mode: {name}"))
     )
 
 
@@ -217,7 +236,9 @@ def _parse_mode(entry: dict) -> Mode:
     if kind == "equilibrium":
         loads = {
             str(lid): _series(series, f"subscriber_loads[{lid!r}]")
-            for lid, series in entry.get("subscriber_loads", {}).items()
+            for lid, series in _shaped(
+                entry.get("subscriber_loads", {}), dict, "mode: subscriber_loads"
+            ).items()
         }
         return _build(EquilibriumMode, entry, "mode", subscriber_loads=loads)
     if kind == "quota_sweep":
@@ -233,21 +254,20 @@ def _parse_mode(entry: dict) -> Mode:
 def scenario_from_dict(doc: dict) -> ScenarioConfig:
     """Build a ScenarioConfig from a parsed JSON document.
 
-    Shape problems (missing keys, unknown enum values) and numbers that do not
+    Shape problems (missing keys, values of the wrong JSON type, unknown enum
+    values, a user count past :data:`MAX_USER_STEPS`) and numbers that do not
     convert or are not finite raise ConfigError; out-of-range numbers are left
     for :func:`validate_scenario` to report.
     """
-    if not isinstance(doc, dict):
-        raise ConfigError("scenario document must be a JSON object")
-
+    _shaped(doc, dict, "scenario document")
     links = {}
-    for entry in doc.get("links", []):
+    for entry in _shaped(doc.get("links", []), list, "links", dict):
         lid = str(_require(entry, "id", "link"))
         links[lid] = _build(LinkState, entry, f"link {lid}", id=lid)
 
     wfps: list[WfpAccount] = []
     wfp_prices: dict[str, float] = {}
-    for entry in doc.get("wfps", []):
+    for entry in _shaped(doc.get("wfps", []), list, "wfps", dict):
         wid = str(_require(entry, "id", "wfp"))
         where = f"wfp {wid}"
         kind_raw = str(_require(entry, "kind", where))
@@ -262,8 +282,8 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
             wfp_prices[wid] = _number(entry["price"], where, "price")
 
     users: list[UserProfile] = []
-    for entry in doc.get("users", []):
-        users.extend(_parse_user(entry))
+    for entry in _shaped(doc.get("users", []), list, "users", dict):
+        users.extend(_parse_user(entry, MAX_USER_STEPS - len(users)))
 
     return _build(
         ScenarioConfig,
@@ -274,9 +294,9 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
         wfps=wfps,
         wfp_prices=wfp_prices,
         users=users,
-        solver=_build(SolverConfig, doc.get("solver", {}), "solver"),
-        sharing=_build(SharingParams, doc.get("sharing", {}), "sharing"),
-        mode=_parse_mode(_require(doc, "mode", "scenario")),
+        solver=_build(SolverConfig, _shaped(doc.get("solver", {}), dict, "solver"), "solver"),
+        sharing=_build(SharingParams, _shaped(doc.get("sharing", {}), dict, "sharing"), "sharing"),
+        mode=_parse_mode(_shaped(_require(doc, "mode", "scenario"), dict, "mode")),
         solve_isp=bool(doc.get("solve_isp", True)),
     )
 

@@ -19,8 +19,8 @@ step on those arrays, settles each provider from its sales' totals, and
 records per-user values as read-only views of the step's arrays.  Its
 per-user float sums (settlement totals, means, demand), like the price
 solves' in :mod:`~wifimarket.pricing`, are each the sequential left fold
-0.0 + v[0] + v[1] + ... of :func:`~wifimarket.model.running_total`: the order
-of the per-sale reference functions, whatever the Python or numpy version.
+0.0 + v[0] + v[1] + ... in roster order, by :func:`~wifimarket.model.running_total`,
+whatever the Python or numpy version.
 
 Settlement goes through the one kernel, :func:`~wifimarket.sharing.settle_rows`.
 The sweep and equilibrium runners settle each provider once per step through
@@ -243,7 +243,7 @@ def _settle(
     for k, account in enumerate(accounts):
         sel = np.flatnonzero(sold & (provider == k))
         sums = running_total(columns[sel]).tolist()
-        totals = SaleTotals(account.id, len(sel), *sums)
+        totals = SaleTotals(len(sel), *sums)
         settlement, accounts[k] = settle_transaction(account, totals, sharing)
         combined = [a + b for a, b in zip(combined, vars(settlement).values())]
     return combined
@@ -437,7 +437,6 @@ def _snapshots(
         spread = spread + (prices[:, j] - g[j]) * x[j]
     isp_revenue, floor_sum, volume = running_total(np.column_stack((x * g, g, x)))
     totals = SaleTotals(
-        seller=account.id,
         count=np.full(steps, n if x[0] >= cfg.solver.x_floor else 0),
         revenue=revenue,
         isp_revenue=np.full(steps, isp_revenue),

@@ -121,24 +121,6 @@ class LinkState:
 
 
 @dataclass(frozen=True)
-class SaleRecord:
-    """One user's purchase within a transaction.
-
-    ``min_price`` is the ISP's per-unit floor along the user's path,
-    ``wfp_price`` the provider's posted price, and ``final_price`` what the
-    user actually pays per unit: max(wfp_price, min_price + min_profit), so it
-    never drops below the ISP floor.
-    """
-
-    user: str
-    wfp: str
-    x: float
-    min_price: float
-    wfp_price: float
-    final_price: float
-
-
-@dataclass(frozen=True)
 class Settlement:
     """Outcome of settling one transaction between a WFP and the ISP.
 

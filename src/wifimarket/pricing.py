@@ -104,11 +104,6 @@ def user_best_response(final_price: float, user: UserProfile) -> float:
     return min(max(ideal, user.x_min), user.x_max)
 
 
-def final_price(wfp_price: float, min_price: float, min_profit: float) -> float:
-    """What the user pays: the posted price floored at ISP minimum plus margin."""
-    return max(wfp_price, min_price + min_profit)
-
-
 def step_size(t: int, cfg: SolverConfig) -> float:
     """Diminishing subgradient step: sigma0 / (1 + t)."""
     return cfg.sigma0 / (1.0 + t)

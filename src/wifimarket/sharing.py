@@ -14,27 +14,25 @@ form by :func:`shapley_split`; :func:`shapley_permutation` is the independent
 ordering-enumeration oracle used to cross-check it.  If the provider
 contributes nothing, the ISP keeps the whole transaction.
 
-All of it needs five sums over a transaction's sales (:class:`SaleTotals`).
-The arithmetic exists once, in :func:`settle_rows`: one kernel that settles
-one provider's transactions row by row, from columns of those sums and of the
-plan state each row is settled against.  The snapshot modes settle a whole
-series in one call; :func:`settle_transaction` is the kernel's one-row case
-plus the account update, and the two contribution functions are its
-contribution on one row.  The list-of-sales functions (:func:`total_revenue`,
-:func:`ewfp_contribution`, ...) are the per-sale reference the totals are
-checked against; they add in list order from 0.0
-(:func:`~wifimarket.model.fold_sum`), as the engine does.
+All of it needs five sums over a transaction's sales, and a transaction
+reaches this module only as those sums (:class:`SaleTotals`); the engine adds
+them in roster order from 0.0.  The arithmetic exists once, in
+:func:`settle_rows`: one kernel that settles one provider's transactions row
+by row, from columns of those sums and of the plan state each row is settled
+against.  The snapshot modes settle a whole series in one call;
+:func:`settle_transaction` is the kernel's one-row case plus the account
+update, and the two contribution functions are its contribution on one row.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
 from itertools import permutations
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
-from .model import TOLERANCE, SaleRecord, Settlement, WfpAccount, WfpKind, fold_sum
+from .model import TOLERANCE, Settlement, WfpAccount, WfpKind
 
 
 @dataclass(frozen=True)
@@ -67,16 +65,15 @@ class CoalitionValues:
 
 @dataclass(frozen=True)
 class SaleTotals:
-    """The sums one transaction settles from, with its seller and sale count.
+    """The sums one transaction settles from, with its sale count.
 
-    ``revenue`` = sum x * final_price, ``isp_revenue`` = sum x * min_price,
-    ``spread`` = sum (final_price - min_price) * x, ``floor_sum`` = sum
-    min_price and ``volume`` = sum x.  ``len()`` is the number of sales.
-    For :func:`settle_rows` the numeric fields are columns, one entry per
-    transaction.
+    ``revenue`` = sum x * final_price (v({w,i})), ``isp_revenue`` = sum x *
+    min_price (v({i})), ``spread`` = sum (final_price - min_price) * x,
+    ``floor_sum`` = sum min_price and ``volume`` = sum x, each over the
+    transaction's sales; ``len()`` is the number of sales.  For
+    :func:`settle_rows` the fields are columns, one entry per transaction.
     """
 
-    seller: str | None
     count: int
     revenue: float
     isp_revenue: float
@@ -87,44 +84,8 @@ class SaleTotals:
     def __len__(self) -> int:
         return self.count
 
-    @classmethod
-    def of(cls, sales: Sequence[SaleRecord]) -> "SaleTotals":
-        """Totals of a list of sales, summed in list order.
 
-        Raises ValueError if the sales come from more than one provider or
-        any is priced below the ISP floor.
-        """
-        sellers = {s.wfp for s in sales}
-        if len(sellers) > 1:
-            raise ValueError(f"sales from several providers {sorted(sellers)!r}")
-        for s in sales:
-            if s.final_price < s.min_price - TOLERANCE:
-                raise ValueError(
-                    f"sale to {s.user!r} priced below the ISP minimum "
-                    f"({s.final_price} < {s.min_price})"
-                )
-        return cls(
-            seller=sellers.pop() if sellers else None,
-            count=len(sales),
-            revenue=total_revenue(sales),
-            isp_revenue=isp_standalone_revenue(sales),
-            spread=fold_sum((s.final_price - s.min_price) * s.x for s in sales),
-            floor_sum=fold_sum(s.min_price for s in sales),
-            volume=fold_sum(s.x for s in sales),
-        )
-
-
-def total_revenue(sales: Sequence[SaleRecord]) -> float:
-    """Revenue of the grand coalition: sum of volume times final price."""
-    return fold_sum(s.x * s.final_price for s in sales)
-
-
-def isp_standalone_revenue(sales: Sequence[SaleRecord]) -> float:
-    """What the ISP earns on its own: volume times its minimum price."""
-    return fold_sum(s.x * s.min_price for s in sales)
-
-
-def ewfp_contribution(sales: Sequence[SaleRecord], params: SharingParams) -> float:
+def ewfp_contribution(totals: SaleTotals, params: SharingParams) -> float:
     """Establishment provider's standalone value.
 
     The provider is credited the price spread it created, discounted by the
@@ -135,11 +96,7 @@ def ewfp_contribution(sales: Sequence[SaleRecord], params: SharingParams) -> flo
     with g_w = sum_s min_price_s.  The denominator always exceeds 1, so the
     contribution never exceeds the raw spread -- which is what keeps the ISP's
     settled share at or above its standalone revenue.
-
-    Raises ValueError, as :meth:`SaleTotals.of` does, if the sales come from
-    more than one provider or any is priced below the ISP floor.
     """
-    totals = SaleTotals.of(sales)
     spread, floor_sum = np.array([totals.spread]), np.array([totals.floor_sum])
     return _establishment_values(spread, floor_sum, params).item()
 
@@ -277,10 +234,6 @@ def coalition_map(values: CoalitionValues) -> dict[frozenset, float]:
     }
 
 
-#: The numeric fields of SaleTotals: the columns of a batch of transactions.
-_COLUMNS = ("count", "revenue", "isp_revenue", "spread", "floor_sum", "volume")
-
-
 def settle_rows(
     account: WfpAccount,
     totals: SaleTotals,
@@ -291,7 +244,7 @@ def settle_rows(
     """Settle one transaction per row for one provider: a Settlement of columns.
 
     Row k is the transaction whose sums are entry k of the ``totals`` columns,
-    settled against ``account``'s id, kind, quota and fee with ``unused[k]``
+    settled against ``account``'s kind, quota and fee with ``unused[k]``
     and ``settled_share[k]`` as the plan's state (the account's own two are not
     read).  Per row it builds the coalition values for the account's kind,
     hands the ISP everything when the provider contributes nothing, splits
@@ -300,17 +253,13 @@ def settle_rows(
     (fee - settled_share) is truncated and handed to the ISP, so the shares
     still sum to the transaction total.  A row without sales settles to zero.
 
-    Raises ValueError if the sales are another provider's, or if an
-    individual's row has an ISP value above its revenue.
+    Raises ValueError if an individual's row has an ISP value above its
+    revenue.
     """
-    if totals.seller is not None and totals.seller != account.id:
-        raise ValueError(
-            f"sale by {totals.seller!r} settled against account {account.id!r}"
-        )
     live = np.flatnonzero(totals.count)
     if len(live) < len(totals.count):
         # Rows without sales settle to zero; the others settle as a batch of their own.
-        sold = replace(totals, **{name: getattr(totals, name)[live] for name in _COLUMNS})
+        sold = SaleTotals(*(column[live] for column in vars(totals).values()))
         part = settle_rows(account, sold, params, unused[live], settled_share[live])
         columns = np.zeros((5, len(totals.count)))
         columns[:, live] = list(vars(part).values())
@@ -345,18 +294,16 @@ def settle_transaction(
     """Settle one transaction and return the payout plus the updated account.
 
     The one-row case of :func:`settle_rows`, settled against the account's own
-    ``unused`` and ``settled_share``; ``totals`` holds the transaction's sums
-    (``SaleTotals.of(sales)`` for a list).  Individual accounts come back with
-    ``unused`` reduced by the volume sold and ``settled_share`` grown by the
-    payout, establishments with the payout added to ``settled_share``; a
-    transaction without sales returns the account itself.  The input account
-    is untouched.
+    ``unused`` and ``settled_share``; ``totals`` holds the transaction's sums.
+    Individual accounts come back with ``unused`` reduced by the volume sold
+    and ``settled_share`` grown by the payout, establishments with the payout
+    added to ``settled_share``; a transaction without sales returns the
+    account itself.  The input account is untouched.
     """
-    unused, settled_share, *sums = np.array([
-        account.unused, account.settled_share, totals.count, totals.revenue,
-        totals.isp_revenue, totals.spread, totals.floor_sum, totals.volume,
-    ])[:, None]
-    columns = settle_rows(account, SaleTotals(totals.seller, *sums), params, unused, settled_share)
+    unused, settled_share, *sums = np.array(
+        [account.unused, account.settled_share, *vars(totals).values()]
+    )[:, None]
+    columns = settle_rows(account, SaleTotals(*sums), params, unused, settled_share)
     settlement = Settlement(*[column.item() for column in vars(columns).values()])
     if not totals.count:
         return settlement, account

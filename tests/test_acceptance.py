@@ -24,7 +24,7 @@ from wifimarket.checks import (
 )
 from wifimarket.cli import main as cli_main
 from wifimarket.engine import run_scenario
-from wifimarket.model import SaleRecord, WfpAccount, WfpKind
+from wifimarket.model import WfpAccount, WfpKind
 from wifimarket.presets import load_preset
 from wifimarket.sharing import SaleTotals, SharingParams, settle_transaction
 
@@ -237,11 +237,8 @@ def test_criterion_12_billing_cycle_cap():
     efficient = True
     shares = []
     for _ in range(3):
-        sales = [
-            SaleRecord(user=u, wfp="iw", x=5.0, min_price=2.0, wfp_price=4.0, final_price=4.0)
-            for u in ("u1", "u2")
-        ]
-        settlement, account = settle_transaction(account, SaleTotals.of(sales), params)
+        totals = SaleTotals(2, 40.0, 20.0, 20.0, 4.0, 10.0)  # two sales of 5 at 4 over a floor of 2
+        settlement, account = settle_transaction(account, totals, params)
         cumulative += settlement.wfp_share
         shares.append(settlement.wfp_share)
         efficient &= (

@@ -6,7 +6,7 @@ import pytest
 from wifimarket import cli
 from wifimarket.checks import CheckResult, check_efficiency
 from wifimarket.model import Settlement
-from wifimarket.presets import preset_path
+from wifimarket.presets import PRESET_NAMES, preset_path
 
 
 GOOD_DOC = {
@@ -186,6 +186,78 @@ def test_non_numeric_or_non_finite_field_is_invalid_input(
     code = cli.main(["run", "--config", str(config), "--out", str(tmp_path)])
     assert code == 1
     assert capsys.readouterr().err.splitlines() == [message]
+
+
+def swapped(doc, path, value):
+    """A copy of ``doc`` with the value at ``path`` (keys and indices) replaced."""
+    if not path:
+        return value
+    copy = json.loads(json.dumps(doc))
+    parent = copy
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return copy
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        ((), [1], "scenario document must be an object, got [1]"),
+        (("links",), 5, "links must be an array, got 5"),
+        (("links",), [5], "links[0] must be an object, got 5"),
+        (("wfps",), {}, "wfps must be an array, got {}"),
+        (("users",), None, "users must be an array, got null"),
+        (("users", 0, "path"), 5, "user 'u': path must be an array, got 5"),
+        (("users",), [{"id": "u", "wfp": "w1", "path": [["AB"]]}],
+         "user u: unknown link \"['AB']\" in path"),
+        (("solver",), [1], "solver must be an object, got [1]"),
+        (("mode",), {"kind": "equilibrium", "ticks": 1, "subscriber_loads": [5]},
+         "mode: subscriber_loads must be an object, got [5]"),
+        (("mode",), {"kind": "equilibrium", "ticks": 1, "subscriber_loads": {"AB": 5}},
+         "mode: subscriber_loads['AB'] must be an array, got 5"),
+        (("mode",), {"kind": "ceiling_sweep", "usage_levels": 5},
+         "mode: usage_levels must be an array, got 5"),
+        (("users", 0, "count"), 10**12,
+         "user 'u': count 1,000,000,000,000 makes more than 2,000,000 users"),
+    ],
+)
+def test_a_value_of_the_wrong_json_type_is_invalid_input(tmp_path, capsys, path, value, message):
+    config = write_doc(tmp_path, swapped(GOOD_DOC, path, value))
+    code = cli.main(["run", "--config", str(config), "--out", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [message]
+
+
+def containers(doc, where=()):
+    """The path of every array or object in ``doc`` that the parser reads."""
+    for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+        if isinstance(value, (dict, list)) and key != "nodes":  # nodes is not read
+            yield (*where, key)
+            yield from containers(value, (*where, key))
+
+
+@pytest.mark.parametrize("preset", PRESET_NAMES)
+def test_every_malformed_container_exits_one_with_one_line(tmp_path, capsys, preset):
+    """Each array or object of the preset becomes 5, null, "x" or the other kind
+    of container, one at a time; a user count past the limit too."""
+    doc = json.loads(preset_path(preset).read_text(encoding="utf-8"))
+    mode = doc["mode"]
+    if mode["kind"] == "equilibrium":  # no preset gives subscriber loads
+        mode["subscriber_loads"] = {doc["links"][0]["id"]: [0.0] * mode["ticks"]}
+    cases = [(("users", 0, "count"), 10**12)]
+    for path in containers(doc):
+        parent = doc
+        for key in path:
+            parent = parent[key]
+        other = [] if isinstance(parent, dict) else {}
+        cases += [(path, value) for value in (5, None, "x", other)]
+    assert len(cases) > 40
+    for path, value in cases:
+        config = write_doc(tmp_path, swapped(doc, path, value))
+        code = cli.main(["run", "--config", str(config), "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert (code, len(err.splitlines())) == (1, 1), (path, value, err)
 
 
 def test_unknown_format_is_invalid_input(tmp_path, capsys):

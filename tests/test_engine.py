@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from test_sharing import SETTLEMENT_FIELDS, bits, reference_settle
+from settlement_oracle import SETTLEMENT_FIELDS, bits, reference_settle
 
 from wifimarket.config import CeilingSweepMode, QuotaSweepMode, scenario_from_dict
 from wifimarket.engine import _utility, run_scenario
@@ -333,7 +333,6 @@ def test_snapshot_steps_match_the_scalar_reference_bit_for_bit(make_doc, cases):
             g = [rec.g_by_user[u] for u in uids]
             prices = [rec.final_price_by_user[u] for u in uids]
             totals = SaleTotals(
-                seller=wid,
                 count=len(uids) if x[0] >= cfg.solver.x_floor else 0,
                 revenue=sum(xi * p for xi, p in zip(x, prices)),
                 isp_revenue=sum(xi * gi for xi, gi in zip(x, g)),

@@ -20,7 +20,6 @@ from wifimarket.model import LinkState, Population, UserProfile, WfpAccount, Wfp
 from wifimarket.pricing import (
     ISP_TOLERANCE,
     SolverConfig,
-    final_price,
     isp_link_price_update,
     min_price_for_path,
     solve_isp_prices,
@@ -114,11 +113,6 @@ def test_best_response_maximizes_utility_on_random_profiles():
 
 
 # --- price primitives -------------------------------------------------------------
-
-
-def test_final_price_floor_and_margin():
-    assert final_price(31.0, 30.0, 0.0) == pytest.approx(31.0)
-    assert final_price(10.0, 10.0, 5.0) == pytest.approx(15.0)
 
 
 def test_step_size_diminishes():
@@ -304,7 +298,7 @@ def test_wfp_solver_mixed_clamps_match_bisection_oracle():
 
     def demand(lam):
         return sum(
-            user_best_response(final_price(lam, g[u.id], account.min_profit), u)
+            user_best_response(max(lam, g[u.id] + account.min_profit), u)
             for u in users
         )
 

@@ -1,29 +1,20 @@
-"""Every run mode's settlements against the per-sale reference functions.
+"""Every run mode's settlements against the scalar settlement oracle.
 
 The engine settles each provider from its sales' totals, summed over arrays.
-These tests rebuild every step's SaleRecord list from the record's per-user
-values (users buying at least ``x_floor``, in roster order), settle it with
-the list-based ``total_revenue``, ``isp_standalone_revenue``,
-``ewfp_contribution`` / ``iwfp_contribution`` and ``shapley_split``, and
+These tests rebuild every step's totals from the record's per-user values
+(users buying at least ``x_floor``, folded from 0.0 in roster order), settle
+them with ``reference_settle``, which shares no code with the kernel, and
 require the record's values and shares to match exactly.  The provider fees
-are set high enough never to bind, so the reference needs no cap.
+are set high enough never to bind.
 """
 from dataclasses import replace
 
 import pytest
+from settlement_oracle import SETTLEMENT_FIELDS, reference_settle, totals_of
 
 from wifimarket.config import EquilibriumMode, QuotaSweepMode, SweepMode, scenario_from_dict
 from wifimarket.engine import run_scenario
-from wifimarket.model import SaleRecord, Settlement, WfpKind
 from wifimarket.presets import load_preset
-from wifimarket.sharing import (
-    CoalitionValues,
-    ewfp_contribution,
-    isp_standalone_revenue,
-    iwfp_contribution,
-    shapley_split,
-    total_revenue,
-)
 
 TWO_PROVIDERS = {
     "name": "reference",
@@ -70,20 +61,6 @@ def ceiling_doc():
     return replace(doc, mode=replace(doc.mode, price_step=7.0))
 
 
-def reference_settlement(sales, account, params):
-    """One provider's transaction settled from the list of its sales."""
-    if not sales:
-        return Settlement(0.0, 0.0, 0.0, 0.0, 0.0)
-    total = total_revenue(sales)
-    isp_alone = isp_standalone_revenue(sales)
-    if account.kind is WfpKind.ESTABLISHMENT:
-        wfp_value = ewfp_contribution(sales, params)
-    else:
-        wfp_value = iwfp_contribution(total, isp_alone, account, params)
-    isp_value = isp_alone if wfp_value > 0.0 else total
-    return shapley_split(CoalitionValues(total, wfp_value, isp_value))
-
-
 def snapshot_account(cfg, rec, wid):
     """A snapshot step's account: the plan drawn down to the step's usage, nothing settled."""
     account = next(w for w in cfg.wfps if w.id == wid)
@@ -107,26 +84,16 @@ def check_against_reference(cfg):
         for wid in providers:
             account = accounts[wid] if running else snapshot_account(cfg, rec, wid)
             sales = [
-                SaleRecord(
-                    user=uid,
-                    wfp=wid,
-                    x=rec.x_by_user[uid],
-                    min_price=rec.g_by_user[uid],
-                    wfp_price=rec.lambda_by_wfp[wid],
-                    final_price=rec.final_price_by_user[uid],
-                )
+                (rec.x_by_user[uid], rec.g_by_user[uid], rec.final_price_by_user[uid])
                 for uid in rec.g_by_user
                 if provider_of[uid.split("+")[0]] == wid
                 and rec.x_by_user[uid] >= cfg.solver.x_floor
             ]
-            settlement = reference_settlement(sales, account, cfg.sharing)
+            settlement, updated = reference_settle(account, totals_of(*sales), cfg.sharing)
             per_provider.append(settlement)
             if running:
-                ledger = {"settled_share": account.settled_share + settlement.wfp_share}
-                if account.kind is WfpKind.INDIVIDUAL:
-                    ledger["unused"] = max(account.unused - sum(s.x for s in sales), 0.0)
-                accounts[wid] = replace(account, **ledger)
-        for name in ("total_value", "wfp_value", "isp_value", "wfp_share", "isp_share"):
+                accounts[wid] = updated
+        for name in SETTLEMENT_FIELDS:
             expected = sum(getattr(s, name) for s in per_provider)
             assert getattr(rec, name) == expected, (rec.series, rec.step, name)
         if rec.total_value > 0.0:

@@ -10,46 +10,50 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from settlement_oracle import SETTLEMENT_FIELDS, bits, reference_settle, totals_of
 
-from wifimarket.model import TOLERANCE, SaleRecord, Settlement, WfpAccount, WfpKind
+from wifimarket.engine import _settle
+from wifimarket.model import TOLERANCE, WfpAccount, WfpKind
 from wifimarket.sharing import (
     CoalitionValues,
     SaleTotals,
     SharingParams,
     coalition_map,
     ewfp_contribution,
-    isp_standalone_revenue,
     iwfp_contribution,
     settle_rows,
     settle_transaction,
     shapley_permutation,
     shapley_split,
-    total_revenue,
 )
 
 
-def sale(user, x, g, final, wfp="ew"):
-    return SaleRecord(
-        user=user, wfp=wfp, x=x, min_price=g, wfp_price=final, final_price=final
-    )
+NO_SALES = SaleTotals(0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
-# --- revenue primitives -------------------------------------------------------
+# --- revenue sums, as the engine takes them from a step's arrays ----------------
+
+
+def settle_two_sales(x_floor=0.0):
+    """The engine's settlement of one establishment selling 10 units at 15 over a
+    floor of 10 and 10 units at 91 over a floor of 90, by Settlement field."""
+    accounts = [WfpAccount(id="ew", kind=WfpKind.ESTABLISHMENT, capacity=100.0)]
+    x, g, prices = np.array([10.0, 10.0]), np.array([10.0, 90.0]), np.array([15.0, 91.0])
+    combined = _settle(accounts, np.zeros(2, dtype=int), g, prices, x, SharingParams(), x_floor)
+    return dict(zip(SETTLEMENT_FIELDS, combined))
 
 
 def test_total_revenue_two_sales():
-    sales = [sale("u1", 10.0, 10.0, 15.0), sale("u2", 10.0, 90.0, 91.0)]
-    assert total_revenue(sales) == pytest.approx(1060.0, abs=1e-9)
+    assert settle_two_sales()["total_value"] == pytest.approx(1060.0, abs=1e-9)
 
 
 def test_isp_standalone_revenue_two_sales():
-    sales = [sale("u1", 10.0, 10.0, 15.0), sale("u2", 10.0, 90.0, 91.0)]
-    assert isp_standalone_revenue(sales) == pytest.approx(1000.0, abs=1e-9)
+    assert settle_two_sales()["isp_value"] == pytest.approx(1000.0, abs=1e-9)
 
 
 def test_empty_sales_are_worth_nothing():
-    assert total_revenue([]) == 0.0
-    assert isp_standalone_revenue([]) == 0.0
+    # both shares below the solver's x_floor: nothing is sold
+    assert set(settle_two_sales(x_floor=20.0).values()) == {0.0}
 
 
 # --- establishment contribution ------------------------------------------------
@@ -57,32 +61,19 @@ def test_empty_sales_are_worth_nothing():
 
 def test_ewfp_contribution_log_denominator():
     # spread = 60, floor sum = 100, ln(100) > beta -> 60 / ln(100)
-    sales = [sale("u1", 10.0, 10.0, 15.0), sale("u2", 10.0, 90.0, 91.0)]
-    c = ewfp_contribution(sales, SharingParams())
+    totals = totals_of((10.0, 10.0, 15.0), (10.0, 90.0, 91.0))
+    c = ewfp_contribution(totals, SharingParams())
     assert c == pytest.approx(13.028834457097554, abs=1e-9)
 
 
 def test_ewfp_contribution_beta_floor():
     # floor sum = 2, ln(2) < beta=2.5 -> spread 10 / 2.5 = 4 exactly
-    sales = [sale("u1", 4.0, 2.0, 4.5)]
-    c = ewfp_contribution(sales, SharingParams())
+    c = ewfp_contribution(totals_of((4.0, 2.0, 4.5)), SharingParams())
     assert c == pytest.approx(4.0, abs=1e-9)
 
 
 def test_ewfp_contribution_no_sales():
-    assert ewfp_contribution([], SharingParams()) == 0.0
-
-
-def test_ewfp_contribution_rejects_sale_below_floor():
-    sales = [sale("u1", 1.0, 10.0, 9.0)]
-    with pytest.raises(ValueError):
-        ewfp_contribution(sales, SharingParams())
-
-
-def test_ewfp_contribution_rejects_sales_of_several_providers():
-    sales = [sale("u1", 1.0, 10.0, 12.0), sale("u2", 1.0, 10.0, 12.0, wfp="other")]
-    with pytest.raises(ValueError, match="several providers"):
-        ewfp_contribution(sales, SharingParams())
+    assert ewfp_contribution(NO_SALES, SharingParams()) == 0.0
 
 
 def test_ewfp_contribution_shrinks_as_floors_rise():
@@ -96,11 +87,11 @@ def test_ewfp_contribution_shrinks_as_floors_rise():
         volumes = [rng.uniform(0.1, 10.0) for _ in range(n)]
         previous = math.inf
         for scale in (0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0):
-            sales = [
-                sale(f"u{i}", volumes[i], floors[i] * scale, floors[i] * scale + spreads[i])
+            totals = totals_of(*(
+                (volumes[i], floors[i] * scale, floors[i] * scale + spreads[i])
                 for i in range(n)
-            ]
-            c = ewfp_contribution(sales, params)
+            ))
+            c = ewfp_contribution(totals, params)
             assert c <= previous + 1e-9
             previous = c
 
@@ -219,8 +210,8 @@ def test_shapley_permutation_missing_subset():
 
 def test_settle_establishment_transaction_frozen_values():
     account = WfpAccount(id="ew", kind=WfpKind.ESTABLISHMENT, capacity=100.0)
-    sales = [sale("u1", 10.0, 10.0, 15.0), sale("u2", 10.0, 90.0, 91.0)]
-    settlement, updated = settle_transaction(account, SaleTotals.of(sales), SharingParams())
+    totals = totals_of((10.0, 10.0, 15.0), (10.0, 90.0, 91.0))
+    settlement, updated = settle_transaction(account, totals, SharingParams())
     assert settlement.total_value == pytest.approx(1060.0, abs=1e-9)
     assert settlement.wfp_value == pytest.approx(13.028834457097554, abs=1e-9)
     assert settlement.isp_value == pytest.approx(1000.0, abs=1e-9)
@@ -234,8 +225,8 @@ def test_settle_individual_transaction_frozen_values():
         id="iw", kind=WfpKind.INDIVIDUAL, quota=200.0, unused=150.0, fee=1000.0
     )
     # one sale: volume 10 at final 11 over a floor of 10 -> surplus 10
-    sales = [sale("u1", 10.0, 10.0, 11.0, wfp="iw")]
-    settlement, updated = settle_transaction(account, SaleTotals.of(sales), SharingParams())
+    totals = totals_of((10.0, 10.0, 11.0))
+    settlement, updated = settle_transaction(account, totals, SharingParams())
     assert settlement.wfp_value == pytest.approx(1.7269388197455344, abs=1e-9)
     assert settlement.wfp_share == pytest.approx(5.863469409872767, abs=1e-9)
     assert settlement.isp_share == pytest.approx(104.13653059012722, abs=1e-9)
@@ -256,8 +247,8 @@ def test_settle_fee_cap_truncates_and_hands_overflow_to_isp():
     )
     rounds = []
     for _ in range(3):
-        sales = [sale("u1", 5.0, 2.0, 4.0, wfp="iw"), sale("u2", 5.0, 2.0, 4.0, wfp="iw")]
-        settlement, account = settle_transaction(account, SaleTotals.of(sales), params)
+        totals = totals_of((5.0, 2.0, 4.0), (5.0, 2.0, 4.0))
+        settlement, account = settle_transaction(account, totals, params)
         rounds.append(settlement)
         assert settlement.wfp_share + settlement.isp_share == pytest.approx(
             settlement.total_value, abs=1e-9
@@ -274,19 +265,11 @@ def test_settle_fee_cap_truncates_and_hands_overflow_to_isp():
 
 def test_settle_empty_transaction_is_a_no_op():
     account = WfpAccount(id="ew", kind=WfpKind.ESTABLISHMENT, capacity=10.0)
-    settlement, updated = settle_transaction(account, SaleTotals.of([]), SharingParams())
+    settlement, updated = settle_transaction(account, NO_SALES, SharingParams())
     assert settlement.total_value == 0.0
     assert settlement.wfp_share == 0.0
     assert settlement.isp_share == 0.0
     assert updated == account
-
-
-def test_settle_rejects_foreign_sales():
-    account = WfpAccount(id="ew", kind=WfpKind.ESTABLISHMENT, capacity=10.0)
-    with pytest.raises(ValueError, match="settled against"):
-        settle_transaction(
-            account, SaleTotals.of([sale("u1", 1.0, 1.0, 2.0, wfp="other")]), SharingParams()
-        )
 
 
 def test_settle_is_efficient_on_random_transactions():
@@ -307,8 +290,8 @@ def test_settle_is_efficient_on_random_transactions():
         for k in range(rng.randint(1, 5)):
             g = rng.uniform(0.5, 30.0)
             f = g + rng.uniform(0.0, 20.0)
-            sales.append(sale(f"u{k}", rng.uniform(0.01, 10.0), g, f, wfp="w"))
-        settlement, updated = settle_transaction(account, SaleTotals.of(sales), params)
+            sales.append((rng.uniform(0.01, 10.0), g, f))
+        settlement, updated = settle_transaction(account, totals_of(*sales), params)
         assert settlement.wfp_share + settlement.isp_share == pytest.approx(
             settlement.total_value, abs=1e-9
         )
@@ -319,70 +302,6 @@ def test_settle_is_efficient_on_random_transactions():
 
 
 # --- the settlement kernel against the scalar reference --------------------------
-
-
-def reference_settle(account, totals, params):
-    """The scalar settlement that ``settle_rows`` replaced, kept as its oracle.
-
-    Same contract as ``settle_transaction``: one transaction's ``SaleTotals``
-    in, the Settlement and the updated account out.
-    """
-    if totals.seller is not None and totals.seller != account.id:
-        raise ValueError(
-            f"sale by {totals.seller!r} settled against account {account.id!r}"
-        )
-    if not totals.count:
-        return Settlement(0.0, 0.0, 0.0, 0.0, 0.0), account
-
-    total, isp_alone = totals.revenue, totals.isp_revenue
-    if account.kind is WfpKind.ESTABLISHMENT:
-        floor_sum = totals.floor_sum
-        denom = max(math.log(floor_sum), params.beta) if floor_sum > 0.0 else params.beta
-        wfp_value = totals.spread / denom
-    else:
-        if isp_alone > total + TOLERANCE:
-            raise ValueError(
-                f"ISP standalone value {isp_alone} exceeds total revenue {total}"
-            )
-        surplus = total - isp_alone
-        if account.fee > 0.0 and account.settled_share >= account.fee - TOLERANCE:
-            wfp_value = 0.0
-        elif surplus <= 0.0:
-            wfp_value = 0.0
-        else:
-            omega = account.unused / account.quota if account.quota > 0.0 else 0.0
-            raw = omega * math.log(params.alpha * surplus)
-            wfp_value = min(max(raw, 0.0), surplus)
-
-    isp_value = isp_alone if wfp_value > 0.0 else total
-    wfp_share = 0.5 * wfp_value + 0.5 * (total - isp_value)
-    isp_share = 0.5 * isp_value + 0.5 * (total - wfp_value)
-    settlement = Settlement(wfp_share, isp_share, total, wfp_value, isp_value)
-
-    if account.kind is WfpKind.ESTABLISHMENT:
-        return settlement, replace(
-            account, settled_share=account.settled_share + settlement.wfp_share
-        )
-    headroom = max(account.fee - account.settled_share, 0.0)
-    if account.fee > 0.0 and settlement.wfp_share > headroom:
-        settlement = replace(
-            settlement,
-            wfp_share=headroom,
-            isp_share=settlement.isp_share + (settlement.wfp_share - headroom),
-        )
-    return settlement, replace(
-        account,
-        unused=max(account.unused - totals.volume, 0.0),
-        settled_share=account.settled_share + settlement.wfp_share,
-    )
-
-
-SETTLEMENT_FIELDS = ("wfp_share", "isp_share", "total_value", "wfp_value", "isp_value")
-
-
-def bits(values):
-    """Exact, sign-of-zero-aware form of floats, for bit-for-bit comparison."""
-    return [float(v).hex() for v in values]
 
 
 def draw_account(rng, kind):
@@ -423,14 +342,14 @@ def draw_row(rng, account, beta):
 
 def settle_batch(account, rows, params):
     """The kernel's columns and the reference's settlements of the same rows."""
-    totals = SaleTotals("w", *(np.array(column) for column in zip(*(r[0] for r in rows))))
+    totals = SaleTotals(*(np.array(column) for column in zip(*(r[0] for r in rows))))
     unused = np.array([r[1] for r in rows])
     settled_share = np.array([r[2] for r in rows])
     columns = settle_rows(account, totals, params, unused, settled_share)
     references = []
     for row_totals, row_unused, row_settled in rows:
         plan = replace(account, unused=row_unused, settled_share=row_settled)
-        one = SaleTotals("w", *row_totals)
+        one = SaleTotals(*row_totals)
         expected, expected_account = reference_settle(plan, one, params)
         settlement, updated = settle_transaction(plan, one, params)
         assert bits(vars(settlement).values()) == bits(vars(expected).values())
@@ -492,17 +411,13 @@ def test_kernel_raises_what_the_scalar_settlement_raised():
     plan = np.zeros(3)
     # ISP value above the total on the second of three rows
     totals = SaleTotals(
-        "w", np.array([1, 1, 1]), np.array([110.0, 100.0, 90.0]),
+        np.array([1, 1, 1]), np.array([110.0, 100.0, 90.0]),
         np.array([100.0, 110.0, 80.0]), np.zeros(3), np.zeros(3), np.ones(3),
     )
     with pytest.raises(ValueError, match="ISP standalone value 110.0 exceeds total revenue 100.0"):
         settle_rows(account, totals, params, plan, plan)
     with pytest.raises(ValueError, match="exceeds total revenue"):
-        settle_transaction(account, SaleTotals("w", 1, 100.0, 110.0, 0.0, 0.0, 1.0), params)
+        settle_transaction(account, SaleTotals(1, 100.0, 110.0, 0.0, 0.0, 1.0), params)
     # ... but not on a row without sales
     quiet = replace(totals, count=np.array([1, 0, 1]))
     assert settle_rows(account, quiet, params, plan, plan).total_value.tolist() == [110.0, 0.0, 90.0]
-    # sales by another seller
-    foreign = replace(totals, seller="other", count=np.zeros(3, dtype=int))
-    with pytest.raises(ValueError, match="'other' settled against account 'w'"):
-        settle_rows(account, foreign, params, plan, plan)
