@@ -23,6 +23,9 @@ from .model import (
     LinkState,
     Population,
     Settlement,
+    StepBlock,
+    StepRecord,
+    TimeSeries,
     UserProfile,
     UserValues,
     WfpAccount,
@@ -57,6 +60,9 @@ __all__ = [
     "load_scenario",
     "validate_scenario",
     "run_scenario",
+    "TimeSeries",
+    "StepRecord",
+    "StepBlock",
     "read_csv",
     "write_csv",
     "write_svg",

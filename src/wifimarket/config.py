@@ -148,11 +148,11 @@ def _require(mapping: dict, key: str, where: str) -> Any:
 
 
 def _shaped(raw: Any, kind: type, where: str, item: type | None = None) -> Any:
-    """``raw`` if it is a ``kind`` (list or dict) and, with ``item`` given, each of
-    its entries an ``item``; ConfigError naming ``where`` otherwise."""
+    """``raw`` if it is a ``kind`` (list, dict or bool) and, with ``item`` given, each
+    of its entries an ``item``; ConfigError naming ``where`` otherwise."""
     if not isinstance(raw, kind):
-        noun, got = "an object" if kind is dict else "an array", json.dumps(raw, default=repr)
-        raise ConfigError(f"{where} must be {noun}, got {got:.40}")
+        noun = {dict: "an object", list: "an array", bool: "a boolean"}[kind]
+        raise ConfigError(f"{where} must be {noun}, got {json.dumps(raw, default=repr):.40}")
     for i, entry in enumerate(raw if item else ()):
         _shaped(entry, item, f"{where}[{i}]")
     return raw
@@ -160,10 +160,10 @@ def _shaped(raw: Any, kind: type, where: str, item: type | None = None) -> Any:
 
 def _number(raw: Any, where: str, name: str, kind: type = float) -> Any:
     """``kind(raw)``; ConfigError naming ``where`` and the field if it does not
-    convert or is not finite."""
+    convert or is not finite, or is a JSON boolean."""
     try:
         value = kind(raw)
-        if math.isfinite(value):
+        if math.isfinite(value) and type(raw) is not bool:
             return value
     except (TypeError, ValueError, OverflowError):
         pass
@@ -297,7 +297,7 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
         solver=_build(SolverConfig, _shaped(doc.get("solver", {}), dict, "solver"), "solver"),
         sharing=_build(SharingParams, _shaped(doc.get("sharing", {}), dict, "sharing"), "sharing"),
         mode=_parse_mode(_shaped(_require(doc, "mode", "scenario"), dict, "mode")),
-        solve_isp=bool(doc.get("solve_isp", True)),
+        solve_isp=_shaped(doc.get("solve_isp", True), bool, "solve_isp"),
     )
 
 

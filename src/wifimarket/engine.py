@@ -16,7 +16,7 @@ Four run shapes:
 Every runner builds its population once, as parallel arrays over one roster
 (growth clones are appended to it, so each step uses a prefix), computes each
 step on those arrays, settles each provider from its sales' totals, and
-records per-user values as read-only views of the step's arrays.  Its
+keeps the steps as columns (:class:`~wifimarket.model.StepBlock`).  Its
 per-user float sums (settlement totals, means, demand), like the price
 solves' in :mod:`~wifimarket.pricing`, are each the sequential left fold
 0.0 + v[0] + v[1] + ... in roster order, by :func:`~wifimarket.model.running_total`,
@@ -26,17 +26,17 @@ Settlement goes through the one kernel, :func:`~wifimarket.sharing.settle_rows`.
 The sweep and equilibrium runners settle each provider once per step through
 its one-row case, ``settle_transaction``, since each step's accounts depend on
 the last; the quota and ceiling sweeps settle independent snapshots, so each
-whole series settles in one kernel call.  All four build their step records in
-one :func:`_records` call per series, from the settlements as columns.
+whole series settles in one kernel call.  A snapshot series is one block, its
+per-user rows the step's arrays; the sweep and equilibrium runners add one
+one-row block per step.  Step records are built only when
+``TimeSeries.records`` is read.
 
 Runs are deterministic functions of the config: same document, same series.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from itertools import groupby
-from operator import attrgetter
+from dataclasses import replace
 from typing import Mapping
 
 import numpy as np
@@ -49,9 +49,13 @@ from .config import (
     SweepMode,
 )
 from .model import (
+    SCALAR_FIELDS,
+    KeyedRows,
     Population,
+    Roster,
     Settlement,
-    UserValues,
+    StepBlock,
+    TimeSeries,
     WfpAccount,
     WfpKind,
     distinct,
@@ -70,73 +74,37 @@ from .pricing import (
 from .sharing import SaleTotals, SharingParams, settle_rows, settle_transaction
 
 
-@dataclass
-class StepRecord:
-    """Everything observed at one step of a run.
-
-    The per-user fields are read-only id -> float mappings; a run fills them
-    with :class:`~wifimarket.model.UserValues` views.
-    """
-
-    series: str
-    step: int
-    lambda_by_wfp: dict[str, float] = field(default_factory=dict)
-    g_by_user: Mapping[str, float] = field(default_factory=dict)
-    final_price_by_user: Mapping[str, float] = field(default_factory=dict)
-    x_by_user: Mapping[str, float] = field(default_factory=dict)
-    total_value: float = 0.0
-    wfp_value: float = 0.0
-    isp_value: float = 0.0
-    wfp_share: float = 0.0
-    isp_share: float = 0.0
-    wfp_share_pct: float = 0.0
-    isp_share_pct: float = 0.0
-    mean_utility: float = 0.0
+#: Columns of StepBlock.scalars.
+_TOTAL, _WFP_PCT = SCALAR_FIELDS.index("total_value"), SCALAR_FIELDS.index("wfp_share_pct")
 
 
-@dataclass
-class TimeSeries:
-    """Ordered step records plus run-level summary figures."""
-
-    name: str
-    records: list[StepRecord] = field(default_factory=list)
-    summary: dict[str, float] = field(default_factory=dict)
-
-    def by_series(self) -> dict[str, "TimeSeries"]:
-        """Split a multi-series run into one TimeSeries per label."""
-        split: dict[str, TimeSeries] = {}
-        for label, run in groupby(self.records, attrgetter("series")):
-            if label not in split:
-                split[label] = TimeSeries(name=f"{self.name}:{label}")
-            split[label].records.extend(run)
-        return split
-
-
-def _records(series: str, steps, settled: Settlement) -> tuple[list[StepRecord], np.ndarray]:
-    """A series' step records, numbered from 0, and their provider shares (%).
-
-    ``steps`` yields each step's lambda dict, (g, final price, x) views and
-    mean utility; ``settled`` holds the steps' settlements as columns, one
-    row per step, from which the two share percentages are computed.
-    """
+def _scalars(settled: Settlement, utility) -> np.ndarray:
+    """Each step's scalar fields: its settlement (one row per step), the two share
+    percentages computed from it, and its mean utility."""
     total = settled.total_value
     sold = total > 0.0
     wfp_pct = np.divide(100.0 * settled.wfp_share, total, out=np.zeros(len(total)), where=sold)
     isp_pct = np.where(sold, 100.0 - wfp_pct, 0.0)
-    fields = np.column_stack((
+    return np.column_stack((
         total, settled.wfp_value, settled.isp_value,
-        settled.wfp_share, settled.isp_share, wfp_pct, isp_pct,
-    )).tolist()
-    records = [
-        StepRecord(series, k, lambda_by_wfp, *views, *row, mean_utility)
-        for k, ((lambda_by_wfp, views, mean_utility), row) in enumerate(zip(steps, fields))
+        settled.wfp_share, settled.isp_share, wfp_pct, isp_pct, utility,
+    ))
+
+
+def _step_blocks(cfg: ScenarioConfig, steps, settled) -> tuple[list[StepBlock], np.ndarray]:
+    """One one-row block per step of a sweep or equilibrium run, and the steps' scalars:
+    ``steps`` holds each step's lambdas (in provider order), (g, final price, x) rows and
+    mean utility, ``settled`` its settlement (a list in Settlement field order)."""
+    providers = Roster([w.id for w in cfg.wfps])
+    columns = Settlement(*np.reshape(np.array(settled, dtype=float), (-1, 5)).T)
+    scalars = _scalars(columns, [utility for *_, utility in steps])
+    lambdas, index = np.array([lam for lam, *_ in steps], dtype=float), np.arange(len(steps))
+    blocks = [
+        StepBlock("run", index[t : t + 1], scalars[t : t + 1],
+                  (KeyedRows(providers, lambdas[t : t + 1]), *users))
+        for t, (_, users, _) in enumerate(steps)
     ]
-    return records, wfp_pct
-
-
-def _columns(rows: list[list[float]]) -> Settlement:
-    """Per-step settlements (lists in Settlement field order) as columns."""
-    return Settlement(*np.reshape(np.array(rows, dtype=float), (-1, 5)).T)
+    return blocks, scalars
 
 
 def _population(cfg: ScenarioConfig, clones: int = 0) -> Population:
@@ -249,12 +217,13 @@ def _settle(
     return combined
 
 
-def _views(pop: Population, g: np.ndarray, prices: np.ndarray, x: np.ndarray):
-    """A step's (g, final price, x) views of its first ``len(g)`` users; with several
+def _user_rows(pop: Population, g: np.ndarray, prices: np.ndarray, x: np.ndarray):
+    """A step's (g, final price, x) rows of its first ``len(g)`` users; with several
     providers, prices and x list them provider by provider, roster order within each."""
     order = np.argsort(pop.provider[: len(g)], kind="stable") if len(pop.providers) > 1 else None
     roster = pop.roster
-    return UserValues(roster, g), UserValues(roster, prices, order), UserValues(roster, x, order)
+    return (KeyedRows(roster, g[None]), KeyedRows(roster, prices[None], order),
+            KeyedRows(roster, x[None], order))
 
 
 def run_sweep(cfg: ScenarioConfig) -> TimeSeries:
@@ -304,7 +273,8 @@ def run_sweep(cfg: ScenarioConfig) -> TimeSeries:
         )
         buyers = np.flatnonzero(x > 0.0)
         utility = _utility(pop, buyers, x[buyers], prices[buyers])
-        steps.append((dict(lambda_by_wfp), _views(pop, g, prices, x), _mean(utility)))
+        user_rows = _user_rows(pop, g, prices, x)
+        steps.append((list(lambda_by_wfp.values()), user_rows, _mean(utility)))
 
         # One dual step for the party that is not being swept.
         sigma = step_size(t, cfg.solver)
@@ -321,19 +291,11 @@ def run_sweep(cfg: ScenarioConfig) -> TimeSeries:
                 for lid in link_prices
             }
 
-    ts.records, _ = _records("run", steps, _columns(settled))
-    _summarize_crossover(ts)
+    ts.blocks, scalars = _step_blocks(cfg, steps, settled)
+    above = scalars[:, _WFP_PCT] > 50.0
+    ts.summary["crossover_step"] = float(above.argmax() if above.any() else -1)
+    ts.summary["crossings"] = float(np.count_nonzero(above[1:] != above[:-1]))
     return ts
-
-
-def _summarize_crossover(ts: TimeSeries) -> None:
-    pcts = [r.wfp_share_pct for r in ts.records]
-    crossings = sum(
-        1 for i in range(1, len(pcts)) if (pcts[i - 1] > 50.0) != (pcts[i] > 50.0)
-    )
-    first_above = next((i for i, v in enumerate(pcts) if v > 50.0), -1)
-    ts.summary["crossover_step"] = float(first_above)
-    ts.summary["crossings"] = float(crossings)
 
 
 def run_equilibrium(cfg: ScenarioConfig) -> TimeSeries:
@@ -398,11 +360,11 @@ def run_equilibrium(cfg: ScenarioConfig) -> TimeSeries:
 
         settled.append(_settle(accounts, provider, g, prices, x, cfg.sharing, x_floor))
         mean_utility = _mean(np.where(x > 0.0, utility, 0.0))
-        steps.append((lambda_by_wfp, _views(pop, g, prices, x), mean_utility))
+        steps.append((list(lambda_by_wfp.values()), _user_rows(pop, g, prices, x), mean_utility))
 
-    ts.records, _ = _records("run", steps, _columns(settled))
-    first_zero = next((r.step for r in ts.records if r.total_value <= 0.0), -1)
-    ts.summary["first_zero_transaction_step"] = float(first_zero)
+    ts.blocks, scalars = _step_blocks(cfg, steps, settled)
+    first_zero = np.flatnonzero(scalars[:, _TOTAL] <= 0.0)
+    ts.summary["first_zero_transaction_step"] = float(first_zero[0] if len(first_zero) else -1)
     return ts
 
 
@@ -415,7 +377,7 @@ def _snapshots(
     g: np.ndarray,
     cfg: ScenarioConfig,
     with_utility: bool,
-) -> tuple[list[StepRecord], float]:
+) -> tuple[StepBlock, float]:
     """One fixed-price transaction of ``txn_volume``, split evenly, per step.
 
     Step k settles ``account`` with ``unused[k]`` left on its plan and nothing
@@ -423,8 +385,8 @@ def _snapshots(
     of all steps are summed at once, user by user in roster order, and the
     whole series settles in one :func:`settle_rows` call.  ``txn_volume``
     comes from the mode; shares below the solver's ``x_floor`` are not sold,
-    so such a step settles nothing.  Returns the records and the largest
-    provider share percentage among them.
+    so such a step settles nothing.  Returns the series' block and the
+    largest provider share percentage in it.
     """
     n, steps = len(users), len(posted)
     x = np.full(n, cfg.mode.txn_volume / n)
@@ -448,12 +410,11 @@ def _snapshots(
     utility = [0.0] * steps
     if with_utility:
         utility = [_mean(row) for row in _utility(users, slice(0, n), x, prices)]
-    g_view, x_view = UserValues(users.roster, g), UserValues(users.roster, x)
-    views = ((g_view, UserValues(users.roster, row), x_view) for row in prices)
-    records, wfp_pct = _records(
-        series, zip(({account.id: price} for price in posted), views, utility), settled
-    )
-    return records, wfp_pct.max().item()
+    scalars = _scalars(settled, utility)
+    lambdas = KeyedRows(Roster([account.id]), np.array(posted)[:, None])
+    g_rows, x_rows = (KeyedRows(users.roster, np.broadcast_to(v, prices.shape)) for v in (g, x))
+    maps = (lambdas, g_rows, KeyedRows(users.roster, prices), x_rows)
+    return StepBlock(series, np.arange(steps), scalars, maps), scalars[:, _WFP_PCT].max().item()
 
 
 def _individual_providers(cfg: ScenarioConfig):
@@ -484,10 +445,10 @@ def run_iwfp_topology(cfg: ScenarioConfig) -> TimeSeries:
             [account.quota * (mode.usage_steps - k) / mode.usage_steps for k in levels]
         )
         posted = [cfg.wfp_prices[account.id]] * len(unused)
-        records, ts.summary[f"max_share_pct.{account.id}"] = _snapshots(
+        block, ts.summary[f"max_share_pct.{account.id}"] = _snapshots(
             account.id, account, unused, posted, users, g, cfg, True
         )
-        ts.records += records
+        ts.blocks.append(block)
     return ts
 
 
@@ -507,10 +468,10 @@ def run_iwfp_ceiling(cfg: ScenarioConfig) -> TimeSeries:
         for usage in mode.usage_levels:
             label = mode.series_label(usage)
             unused = np.full(steps, account.quota * (1.0 - usage))
-            records, ts.summary[f"max_share_pct.{label}"] = _snapshots(
+            block, ts.summary[f"max_share_pct.{label}"] = _snapshots(
                 label, account, unused, posted, users, g, cfg, False
             )
-            ts.records += records
+            ts.blocks.append(block)
     return ts
 
 

@@ -16,15 +16,19 @@ bad config can be diagnosed in full rather than one field at a time.
 
 A run holds its users as a :class:`Population` (parallel arrays over one
 :class:`Roster` of ids), and reports per-user values as :class:`UserValues`,
-read-only id -> float views of one array over that roster.
+read-only id -> float views of one array over that roster.  Its result is a
+:class:`TimeSeries` of :class:`StepBlock` columns; the :class:`StepRecord`
+of each step is built from them when first read.
 """
 from __future__ import annotations
 
 from collections.abc import ItemsView, Mapping, ValuesView
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Sequence
+from itertools import chain, groupby, repeat
+from types import MappingProxyType
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -292,3 +296,112 @@ class Population:
             ids = [self.roster.ids[i] for i in idx.tolist()]
         arrays = {name: getattr(self, name)[idx] for name in _USER_ARRAYS}
         return replace(self, roster=Roster(ids), **arrays)
+
+
+class StepRecord(NamedTuple):
+    """Everything observed at one step of a run.
+
+    The mapping fields are read-only id -> float mappings; a run's records
+    hold :class:`UserValues` views in the per-user ones.
+    """
+
+    series: str
+    step: int
+    lambda_by_wfp: Mapping[str, float] = MappingProxyType({})
+    g_by_user: Mapping[str, float] = MappingProxyType({})
+    final_price_by_user: Mapping[str, float] = MappingProxyType({})
+    x_by_user: Mapping[str, float] = MappingProxyType({})
+    total_value: float = 0.0
+    wfp_value: float = 0.0
+    isp_value: float = 0.0
+    wfp_share: float = 0.0
+    isp_share: float = 0.0
+    wfp_share_pct: float = 0.0
+    isp_share_pct: float = 0.0
+    mean_utility: float = 0.0
+
+
+#: The mapping fields of a StepRecord, then its scalar fields, in field order.
+MAP_ATTRS = ("lambda_by_wfp", "g_by_user", "final_price_by_user", "x_by_user")
+SCALAR_FIELDS = StepRecord._fields[2 + len(MAP_ATTRS):]
+
+
+class KeyedRows(NamedTuple):
+    """One mapping field over a block's steps: float64 row ``values[i]`` is step i's
+    mapping of ``roster.ids[:n]``, iterated in ``order`` (positions; None: roster order)."""
+
+    roster: Roster
+    values: np.ndarray
+    order: np.ndarray | None = None
+
+
+class StepBlock(NamedTuple):
+    """Consecutive steps of one series as columns: ``steps`` has one entry per step,
+    ``scalars`` one row of :data:`SCALAR_FIELDS` per step, ``maps`` the :data:`MAP_ATTRS`."""
+
+    series: str
+    steps: np.ndarray
+    scalars: np.ndarray
+    maps: tuple[KeyedRows, ...]
+
+    def records(self) -> Iterator[StepRecord]:
+        """The block's step records; per-user fields are views of its rows."""
+        lam, *users = self.maps
+        lambdas = [dict(zip(lam.roster.ids, row)) for row in lam.values.tolist()]
+        views = [  # one view for all the steps of a row every step shares
+            [UserValues(m.roster, m.values[0], m.order)] * len(m.values) if m.values.strides[0] == 0
+            else [UserValues(m.roster, row, m.order) for row in m.values] for m in users
+        ]
+        return map(StepRecord, repeat(self.series), self.steps.tolist(), lambdas, *views,
+                   *self.scalars.T.tolist())
+
+
+def _layout(rec: StepRecord):
+    """What consecutive records share in one block: series, and per mapping field its
+    keys, or a view's roster, length and order."""
+    return rec.series, *(
+        (id(m.roster), len(m.array), None if m.order is None else m.order.tobytes())
+        if type(m) is UserValues else tuple(m)
+        for m in map(rec.__getattribute__, MAP_ATTRS)
+    )
+
+
+def _keyed_rows(mappings: tuple[Mapping[str, float], ...]) -> KeyedRows:
+    """One block's rows of a field, from mappings that share their layout."""
+    first = mappings[0]
+    if type(first) is UserValues:
+        return KeyedRows(first.roster, np.array([m.array for m in mappings]), first.order)
+    return KeyedRows(Roster(list(first)), np.array([list(m.values()) for m in mappings], float))
+
+
+@dataclass
+class TimeSeries:
+    """A run's steps as :class:`StepBlock` columns, plus run-level summary figures."""
+
+    name: str
+    blocks: list[StepBlock] = field(default_factory=list)
+    summary: dict[str, float] = field(default_factory=dict)
+
+    @classmethod
+    def of(cls, name: str, records: Iterable[StepRecord]) -> "TimeSeries":
+        """The series of ``records``; a dict field becomes a view of its values over its keys."""
+        ts = cls(name)
+        for _, run in groupby(records, _layout):
+            series, steps, *columns = zip(*run)  # field by field
+            maps = tuple(map(_keyed_rows, columns[: len(MAP_ATTRS)]))
+            scalars = np.array(columns[len(MAP_ATTRS) :], dtype=float).T
+            ts.blocks.append(StepBlock(series[0], np.array(steps, dtype=np.int64), scalars, maps))
+        return ts
+
+    @cached_property
+    def records(self) -> tuple[StepRecord, ...]:
+        """The step records, built from the blocks when first read."""
+        return tuple(chain.from_iterable(block.records() for block in self.blocks))
+
+    def by_series(self) -> dict[str, "TimeSeries"]:
+        """Split a multi-series run into one TimeSeries per label."""
+        split: dict[str, TimeSeries] = {}
+        for block in self.blocks:
+            label = block.series
+            split.setdefault(label, TimeSeries(f"{self.name}:{label}")).blocks.append(block)
+        return split

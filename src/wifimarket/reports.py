@@ -4,11 +4,12 @@ CSV is the canonical artifact: one row per step, header names matching the
 step-record fields, every float printed with 9 significant digits so a file
 written from the same config is byte-identical run to run.  Per-entity values
 (provider prices, per-user floors/prices/allocations) flatten into dotted
-columns like ``lambda.wfp1`` or ``x.u003``.  Per-user views
-(:class:`~wifimarket.model.UserValues`) are formatted straight from their
-arrays: a long view formats each of its distinct values (by bit pattern) once,
-since growth clones repeat a handful of values across thousands of users.
-Rows are written as joined text; only the header and the series labels go
+columns like ``lambda.wfp1`` or ``x.u003``.  Both writers read a run's
+:class:`~wifimarket.model.StepBlock` columns, never its step records.  A
+block's rows are one ``%`` over its row template repeated once per step; a
+per-user row of ``DISTINCT_MIN_LEN`` values or more is formatted by distinct
+value (by bit pattern) instead, since growth clones repeat a handful of
+values across thousands of users.  Only the header and the series labels go
 through :mod:`csv` quoting, as numbers never need it.
 
 The SVG writer draws three stacked panels -- shares, price, utility -- with
@@ -19,33 +20,15 @@ from __future__ import annotations
 
 import csv
 import io
-from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 
-from .engine import StepRecord, TimeSeries
-from .model import Roster, UserValues, distinct, fold_sum
-
-#: Scalar step-record fields, in emission order.
-SCALAR_FIELDS = (
-    "total_value",
-    "wfp_value",
-    "isp_value",
-    "wfp_share",
-    "isp_share",
-    "wfp_share_pct",
-    "isp_share_pct",
-    "mean_utility",
-)
+from .model import MAP_ATTRS, SCALAR_FIELDS, StepBlock, StepRecord, TimeSeries
+from .model import distinct, running_total
 
 #: Mapping-valued step-record fields and their CSV column prefixes.
-MAP_FIELDS = (
-    ("lambda_by_wfp", "lambda"),
-    ("g_by_user", "g"),
-    ("final_price_by_user", "final_price"),
-    ("x_by_user", "x"),
-)
+MAP_FIELDS = tuple(zip(MAP_ATTRS, ("lambda", "g", "final_price", "x")))
 
 NUMBER_FORMAT = "%.9g"
 
@@ -55,67 +38,67 @@ def format_value(value: float) -> str:
     return NUMBER_FORMAT % value
 
 
-def _column_plan(ts: TimeSeries) -> tuple[list[str], list[tuple[str, list[str]]]]:
-    """The CSV header, and ``(attr, keys)`` per map field: the run's keys, sorted as strings.
+def _column_plan(ts: TimeSeries) -> tuple[list[str], list[list[str]]]:
+    """The CSV header, and per mapping field the run's keys, sorted as strings.
 
-    One pass over the records per field; a view of the previous view's roster
-    and no longer than the prefix recorded for it adds nothing and is skipped.
+    A field's keys are each roster's ids up to the longest row a block holds of it.
     """
     header, plan = ["series", "step", *SCALAR_FIELDS], []
-    for attr, prefix in MAP_FIELDS:
-        keys: set[str] = set()
-        prefixes: dict[Roster, int] = {}  # the longest view of each roster
-        roster, longest = None, 0  # the previous view's, and its roster's prefix
-        for mapping in map(attrgetter(attr), ts.records):
-            if type(mapping) is not UserValues:
-                keys.update(mapping)
-            elif mapping.roster is not roster or len(mapping.array) > longest:
-                roster = mapping.roster
-                longest = prefixes[roster] = max(len(mapping.array), prefixes.get(roster, 0))
-        for roster, n in prefixes.items():
-            keys.update(roster.ids[:n])
-        keys = sorted(keys)
+    for j, (_, prefix) in enumerate(MAP_FIELDS):
+        longest = {}  # each roster's longest row
+        for block in ts.blocks:
+            roster, values, _ = block.maps[j]
+            longest[roster] = max(values.shape[1], longest.get(roster, 0))
+        keys = sorted(set().union(*(roster.ids[:n] for roster, n in longest.items())))
         header += [f"{prefix}.{key}" for key in keys]
-        plan.append((attr, keys))
+        plan.append(keys)
     return header, plan
 
 
-#: Views at least this long are formatted by distinct value; a shorter one
+#: Rows at least this long are formatted by distinct value; a shorter one
 #: formats every cell, as sorting it would cost more than it saves.
 DISTINCT_MIN_LEN = 128
 
 
-def _view_text(keys: list[str]):
-    """Formats views against ``keys`` as one comma-joined text, ``""`` where a key is absent.
+def _distinct_text(values: np.ndarray, at: np.ndarray, absent: int) -> np.ndarray:
+    """Each row of ``values`` as one comma-joined text of its cells at positions ``at``,
+    ``""`` at ``absent`` or past the row; each distinct value (by bit pattern) is
+    formatted once, since growth clones repeat a handful of values."""
+    found, slot = distinct(values.ravel())
+    texts = np.array([*[NUMBER_FORMAT % v for v in found.tolist()], ""], dtype=object)
+    slots, n = np.full(absent + 1, len(found)), values.shape[1]
+    rows = []
+    for row in slot.reshape(values.shape):
+        slots[:n] = row
+        rows.append(",".join(texts[slots[at]].tolist()))
+    return np.array(rows, dtype=object)
 
-    Each roster's key positions are computed once.  Consecutive records
-    sharing a view share its text.
+
+def _block_text(block: StepBlock, plan: list[list[str]], positions: list[dict]) -> str:
+    """A block's CSV rows: one ``%`` over its row template, repeated once per step.
+
+    ``positions`` caches, per mapping field, each roster's position of every
+    planned key (``len(roster.ids)`` for an absent key).
     """
-    positions: dict[Roster, tuple[list[int], np.ndarray]] = {}
-    last, text = None, ""
-
-    def joined(view: UserValues) -> str:
-        nonlocal last, text
-        if view is not last:
-            roster, n = view.roster, len(view.array)
-            if roster not in positions:
-                where, absent = roster.position, len(roster.ids)
-                at = [where.get(key, absent) for key in keys]
-                positions[roster] = at, np.array(at, dtype=np.intp)
-            at, at_array = positions[roster]
-            if n < DISTINCT_MIN_LEN:
-                values = view.array.tolist()
-                cells = [NUMBER_FORMAT % values[i] if i < n else "" for i in at]
-            else:
-                values, slot = distinct(view.array)
-                texts = [NUMBER_FORMAT % v for v in values.tolist()]
-                slots = np.full(len(roster.ids) + 1, len(values))  # past the prefix: ""
-                slots[:n] = slot
-                cells = np.array([*texts, ""], dtype=object)[slots[at_array]].tolist()
-            last, text = view, ",".join(cells)
-        return text
-
-    return joined
+    label = _csv_field(block.series).replace("%", "%%")
+    template = [label, "%d"] + [NUMBER_FORMAT] * len(SCALAR_FIELDS)
+    columns = [block.steps[:, None], block.scalars]
+    for (roster, values, _), keys, known in zip(block.maps, plan, positions):
+        if roster not in known:
+            where, absent = roster.position, len(roster.ids)
+            known[roster] = np.array([where.get(key, absent) for key in keys], dtype=np.intp)
+        at, n = known[roster], values.shape[1]
+        if n >= DISTINCT_MIN_LEN:
+            template.append("%s")
+            columns.append(_distinct_text(values, at, len(roster.ids))[:, None])
+        elif values.strides[0] == 0:  # one row every step shares: format it into the template
+            row = values[0].tolist()
+            template += [NUMBER_FORMAT % row[i] if i < n else "" for i in at.tolist()]
+        else:
+            template += [NUMBER_FORMAT if i < n else "" for i in at.tolist()]
+            columns.append(values[:, at[at < n]])
+    cells = np.concatenate(columns, axis=1)
+    return ((",".join(template) + "\r\n") * len(cells)) % tuple(cells.ravel().tolist())
 
 
 def _csv_field(text: str) -> str:
@@ -131,41 +114,26 @@ def csv_header(ts: TimeSeries) -> list[str]:
 
 def write_csv(ts: TimeSeries, path: str | Path) -> None:
     header, plan = _column_plan(ts)
-    fields = [(attrgetter(attr), keys, _view_text(keys)) for attr, keys in plan if keys]
-    scalars = attrgetter(*SCALAR_FIELDS)
-    scalar_text = ",".join([NUMBER_FORMAT] * len(SCALAR_FIELDS))
-    labels: dict[str, str] = {}
+    positions: list[dict] = [{} for _ in plan]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh).writerow(header)
-        for rec in ts.records:
-            label = labels.get(rec.series)
-            if label is None:
-                label = labels[rec.series] = _csv_field(rec.series)
-            row = [label, str(rec.step), scalar_text % scalars(rec)]
-            for get, keys, view_text in fields:
-                mapping = get(rec)
-                if type(mapping) is UserValues:
-                    row.append(view_text(mapping))
-                else:
-                    row += [NUMBER_FORMAT % mapping[key] if key in mapping else "" for key in keys]
-            fh.write(",".join(row) + "\r\n")
+        for block in ts.blocks:
+            fh.write(_block_text(block, plan, positions))
 
 
 def read_csv(path: str | Path) -> TimeSeries:
     """Parse a CSV written by :func:`write_csv` back into a TimeSeries."""
-    ts = TimeSeries(name=Path(path).stem)
+    records = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
-        cells_by_attr = [(attr, [(i, name[len(prefix) + 1:]) for i, name in enumerate(header)
-                                 if name.startswith(f"{prefix}.")]) for attr, prefix in MAP_FIELDS]
+        cells_by_field = [[(i, name[len(prefix) + 1:]) for i, name in enumerate(header)
+                           if name.startswith(f"{prefix}.")] for _, prefix in MAP_FIELDS]
         for row in reader:
-            scalars = dict(zip(SCALAR_FIELDS, map(float, row[2:])))
-            rec = StepRecord(series=row[0], step=int(row[1]), **scalars)
-            for attr, cells in cells_by_attr:
-                getattr(rec, attr).update((key, float(row[i])) for i, key in cells if row[i])
-            ts.records.append(rec)
-    return ts
+            maps = [{key: float(row[i]) for i, key in cells if row[i]} for cells in cells_by_field]
+            scalars = map(float, row[2 : 2 + len(SCALAR_FIELDS)])
+            records.append(StepRecord(row[0], int(row[1]), *maps, *scalars))
+    return TimeSeries.of(Path(path).stem, records)
 
 
 # --- SVG -------------------------------------------------------------------
@@ -185,10 +153,12 @@ def escape(text: str) -> str:
     return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
-def _mean(mapping) -> float:
-    """Mean of a mapping's values, summed in its iteration order from 0.0."""
-    values = mapping.ordered() if type(mapping) is UserValues else list(mapping.values())
-    return fold_sum(values) / len(values) if values else 0.0
+def _means(rows) -> np.ndarray:
+    """Each row's mean: its values in iteration order, folded from 0.0 as by ``fold_sum``."""
+    _, values, order = rows
+    if order is not None:
+        values = values[:, order]
+    return running_total(values.T) / max(values.shape[1], 1)
 
 
 def _first_extreme(values: np.ndarray, extreme) -> float:
@@ -251,7 +221,7 @@ def _panel(title: str, curves: dict[str, tuple[np.ndarray, np.ndarray]], y_offse
     return parts
 
 
-_PLOTTED = tuple(map(attrgetter, ("step", "wfp_share_pct", "isp_share_pct", "mean_utility")))
+_PLOTTED = [SCALAR_FIELDS.index(f) for f in ("wfp_share_pct", "isp_share_pct", "mean_utility")]
 
 
 def write_svg(ts: TimeSeries, path: str | Path) -> None:
@@ -261,10 +231,13 @@ def write_svg(ts: TimeSeries, path: str | Path) -> None:
     share_curves, price_curves, utility_curves = panels.values()
     for label, sub in ts.by_series().items():
         suffix = f" [{label}]" if label else ""
-        step, wfp, isp, utility = (np.fromiter(map(get, sub.records), float) for get in _PLOTTED)
+        step = np.concatenate([block.steps for block in sub.blocks]).astype(float)
+        plotted = np.concatenate([block.scalars[:, _PLOTTED] for block in sub.blocks])
+        wfp, isp, utility = plotted.T.copy()  # each curve contiguous
         share_curves[f"wfp{suffix}"] = step, wfp
         share_curves[f"isp{suffix}"] = step, isp
-        means = np.fromiter((_mean(r.final_price_by_user) for r in sub.records), float)
+        with np.errstate(all="ignore"):  # overflow is inf, inf - inf NaN, as in Python floats
+            means = np.concatenate([_means(block.maps[2]) for block in sub.blocks])
         price_curves[f"mean final price{suffix}"] = step, means
         utility_curves[f"mean utility{suffix}"] = step, utility
 

@@ -220,6 +220,8 @@ def swapped(doc, path, value):
          "mode: usage_levels must be an array, got 5"),
         (("users", 0, "count"), 10**12,
          "user 'u': count 1,000,000,000,000 makes more than 2,000,000 users"),
+        (("solve_isp",), "false", 'solve_isp must be a boolean, got "false"'),
+        (("solve_isp",), 0, "solve_isp must be a boolean, got 0"),
     ],
 )
 def test_a_value_of_the_wrong_json_type_is_invalid_input(tmp_path, capsys, path, value, message):

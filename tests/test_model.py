@@ -281,11 +281,12 @@ def test_an_omitted_numeric_field_takes_its_dataclass_default(section, name):
 def test_a_nan_numeric_field_is_named_in_the_message(section, name):
     _, where, _, _ = SECTIONS[section]
     doc, entry = every_numeric_field_set(section)
-    entry[name] = float("nan")
-    with pytest.raises(ConfigError) as exc:
-        scenario_from_dict(doc)
     field_name = f"{where}: {name}" if where else name
-    assert str(exc.value) == f"{field_name} must be a finite number, got nan"
+    for value in (float("nan"), True):  # a JSON boolean is no number either
+        entry[name] = value
+        with pytest.raises(ConfigError) as exc:
+            scenario_from_dict(doc)
+        assert str(exc.value) == f"{field_name} must be a finite number, got {value!r}"
 
 
 def test_mode_parsing_covers_all_kinds():

@@ -1,6 +1,7 @@
 """Report tests: CSV round-trip fidelity, number formatting, SVG structure."""
 import csv
 import hashlib
+import json
 import math
 import os
 import subprocess
@@ -14,15 +15,14 @@ import pytest
 
 import wifimarket
 from wifimarket.config import scenario_from_dict
-from wifimarket.engine import StepRecord, TimeSeries
-from wifimarket.model import Roster, UserValues, fold_sum
-from wifimarket.presets import load_preset
+from wifimarket.model import Roster, StepRecord, TimeSeries, UserValues, fold_sum
+from wifimarket.presets import load_preset, preset_path
 from wifimarket.engine import run_scenario
 from wifimarket.reports import (
     DISTINCT_MIN_LEN,
     MAP_FIELDS,
     SCALAR_FIELDS,
-    _mean,
+    _means,
     csv_header,
     escape,
     format_value,
@@ -35,8 +35,7 @@ SVG_NS = "{http://www.w3.org/2000/svg}"
 
 
 def small_series():
-    ts = TimeSeries(name="unit")
-    ts.records.append(
+    return TimeSeries.of("unit", [
         StepRecord(
             series="run",
             step=0,
@@ -52,9 +51,7 @@ def small_series():
             wfp_share_pct=20.652173913,
             isp_share_pct=79.347826087,
             mean_utility=1.2345,
-        )
-    )
-    ts.records.append(
+        ),
         StepRecord(
             series="run",
             step=1,
@@ -70,9 +67,8 @@ def small_series():
             wfp_share_pct=28.125,
             isp_share_pct=71.875,
             mean_utility=-0.5,
-        )
-    )
-    return ts
+        ),
+    ])
 
 
 def test_format_value_nine_significant_digits():
@@ -118,8 +114,7 @@ def test_csv_round_trip(tmp_path):
 
 
 def pinned_series():
-    ts = TimeSeries(name="pinned")
-    ts.records.append(
+    return TimeSeries.of("pinned", [
         StepRecord(
             series="base",
             step=0,
@@ -136,9 +131,7 @@ def pinned_series():
             wfp_share_pct=20.6521739,
             isp_share_pct=79.3478261,
             mean_utility=-0.0,
-        )
-    )
-    ts.records.append(
+        ),
         StepRecord(
             series="base",
             step=1,
@@ -154,9 +147,7 @@ def pinned_series():
             wfp_share_pct=38.2352941,
             isp_share_pct=61.7647059,
             mean_utility=-1.5,
-        )
-    )
-    ts.records.append(
+        ),
         StepRecord(
             series='peak, "high"',
             step=0,
@@ -165,9 +156,8 @@ def pinned_series():
             final_price_by_user={"u2": 18.0, "u10": 19.0},
             x_by_user={"u2": 1.0, "u10": 2.0},
             mean_utility=0.000123456789,
-        )
-    )
-    return ts
+        ),
+    ])
 
 
 PINNED_CSV = (
@@ -241,15 +231,15 @@ def view_run(lengths, roster_size, label="run"):
     """One record per view length, each UserValues over a prefix of one shared roster."""
     roster = Roster([f"u{i}" for i in range(roster_size)])  # sorts u10 before u2
     values = special_values(roster_size)
-    ts = TimeSeries(name="views")
+    records = []
     for step, n in enumerate(lengths):
         view = UserValues(roster, values[:n])
-        ts.records.append(StepRecord(
+        records.append(StepRecord(
             series=label, step=step, lambda_by_wfp={"w1": float(step)},
             g_by_user=view, final_price_by_user=UserValues(roster, values[:n] + 1.0),
             x_by_user=view, total_value=float(n), mean_utility=-0.0,
         ))
-    return ts
+    return TimeSeries.of("views", records)
 
 
 def test_csv_views_with_special_values_match_reference(tmp_path):
@@ -273,10 +263,10 @@ def test_csv_view_shorter_than_its_roster_leaves_blank_cells(tmp_path):
 
 
 def test_csv_map_field_without_keys_adds_no_cell(tmp_path):
-    ts = view_run([DISTINCT_MIN_LEN, 3], DISTINCT_MIN_LEN)
-    for rec in ts.records:
-        rec.lambda_by_wfp = {}
-        rec.g_by_user = UserValues(rec.x_by_user.roster, np.empty(0))
+    ts = TimeSeries.of("views", [
+        rec._replace(lambda_by_wfp={}, g_by_user=UserValues(rec.x_by_user.roster, np.empty(0)))
+        for rec in view_run([DISTINCT_MIN_LEN, 3], DISTINCT_MIN_LEN).records
+    ])
     write_csv(ts, tmp_path / "new.csv")
     lines = (tmp_path / "new.csv").read_text(encoding="utf-8").splitlines()
     assert not any(name.startswith(("lambda.", "g.")) for name in lines[0].split(","))
@@ -284,7 +274,7 @@ def test_csv_map_field_without_keys_adds_no_cell(tmp_path):
     assert_matches_reference(ts, tmp_path)
 
 
-@pytest.mark.parametrize("label", ['peak, "high"', "two\nlines", "", " padded "])
+@pytest.mark.parametrize("label", ['peak, "high"', "two\nlines", "", " padded ", '50% "off", 5%d'])
 def test_csv_series_label_is_quoted_as_csv_quotes_it(tmp_path, label):
     ts = view_run([DISTINCT_MIN_LEN, 1], DISTINCT_MIN_LEN, label=label)
     assert_matches_reference(ts, tmp_path)
@@ -444,13 +434,13 @@ def curve_run(values, steps=None, label="run"):
     roster = Roster(["u1"])
     prices = np.array(values, dtype=float).reshape(-1, 1)
     steps = range(len(values)) if steps is None else steps
-    ts = TimeSeries(name="curve")
-    for step, value, row in zip(steps, values, prices):
-        ts.records.append(StepRecord(
+    return TimeSeries.of("curve", [
+        StepRecord(
             series=label, step=step, final_price_by_user=UserValues(roster, row),
             wfp_share_pct=value, isp_share_pct=100.0 - value, mean_utility=-value,
-        ))
-    return ts
+        )
+        for step, value, row in zip(steps, values, prices)
+    ])
 
 
 def assert_drawn_point_for_point(ts, tmp_path):
@@ -464,20 +454,25 @@ def assert_drawn_point_for_point(ts, tmp_path):
                          ids=["nan first", "zero first", "negative zero first"])
 def test_svg_short_curves_match_the_per_point_reference(tmp_path, first):
     rng = np.random.default_rng(11)
-    ts = curve_run([*first, *rng.normal(50.0, 20.0, 60).tolist(), 3, -0.0], label="first")
-    ts.records += curve_run([math.nan, *rng.random(40).tolist()], label="nan first").records
-    ts.records += curve_run([-0.0, 0.0, *rng.random(40).tolist()], label="").records
+    records = [
+        *curve_run([*first, *rng.normal(50.0, 20.0, 60).tolist(), 3, -0.0], label="first").records,
+        *curve_run([math.nan, *rng.random(40).tolist()], label="nan first").records,
+        *curve_run([-0.0, 0.0, *rng.random(40).tolist()], label="").records,
+    ]
     roster = Roster([f"u{i}" for i in range(4)])
     order = np.array([1, 3, 0, 2])
-    for i, rec in enumerate(ts.records):
+    for i, rec in enumerate(records):
         if i % 5 == 0:
-            rec.final_price_by_user = {"a": np.float64(15.5), "b": 16, "c": rng.random()}
+            prices = {"a": np.float64(15.5), "b": 16, "c": rng.random()}
+            records[i] = rec._replace(final_price_by_user=prices)
         elif i % 5 in (1, 2):
-            rec.final_price_by_user = UserValues(roster, np.array([1.0, 1e16, 1.0, -1e16]) * i, order)
+            prices = UserValues(roster, np.array([1.0, 1e16, 1.0, -1e16]) * i, order)
+            records[i] = rec._replace(final_price_by_user=prices)
     # consecutive records may share one mapping object: each still has its own mean
-    ts.records[10].final_price_by_user = ts.records[11].final_price_by_user = {"a": 1.0, "b": 2.5}
-    ts.records.append(StepRecord(series="one point", step=0, mean_utility=1e300))
-    assert_drawn_point_for_point(ts, tmp_path)
+    shared = {"a": 1.0, "b": 2.5}
+    records[10:12] = [rec._replace(final_price_by_user=shared) for rec in records[10:12]]
+    records.append(StepRecord(series="one point", step=0, mean_utility=1e300))
+    assert_drawn_point_for_point(TimeSeries.of("curve", records), tmp_path)
 
 
 @pytest.mark.parametrize("case", ["two per column", "nan", "inf", "unsorted steps"])
@@ -581,14 +576,19 @@ def test_compensated_sum_is_the_python_312_sum():
 
 def test_mean_of_a_mapping_is_the_sequential_fold_under_either_sum(monkeypatch):
     monkeypatch.setattr(wifimarket.reports, "sum", compensated_sum, raising=False)
+
+    def mean(mapping):
+        (block,) = TimeSeries.of("m", [StepRecord("run", 0, final_price_by_user=mapping)]).blocks
+        return _means(block.maps[2]).item()
+
     roster = Roster([f"u{i}" for i in range(10)])
     for mapping in (UserValues(roster, np.full(10, 0.1)), {f"u{i}": 0.1 for i in range(10)}):
-        assert _mean(mapping) == 0.9999999999999999 / 10
+        assert mean(mapping) == 0.9999999999999999 / 10
     # a view with a provider order sums in that order: 1e16 - 1e16 first, then 1 + 1
     values = np.array([1.0, 1e16, 1.0, -1e16])
     views = [UserValues(roster, values, np.array([1, 3, 0, 2])), UserValues(roster, values),
              UserValues(roster, values[:3], np.array([2, 0, 1])), UserValues(roster, values[:0]), {}]
-    assert [_mean(view) for view in views] == [0.5, 0.0, (1e16 + 2.0) / 3, 0.0, 0.0]
+    assert [mean(view) for view in views] == [0.5, 0.0, (1e16 + 2.0) / 3, 0.0, 0.0]
 
 
 # Python 3.12 made builtin sum() of floats compensated; the outputs must not
@@ -611,3 +611,96 @@ def test_preset_outputs_are_pinned(tmp_path, monkeypatch, name, summation):
     csv_sha, svg_sha = PRESET_OUTPUTS[name]
     assert hashlib.sha256((tmp_path / "out.csv").read_bytes()).hexdigest() == csv_sha
     assert hashlib.sha256((tmp_path / "out.svg").read_bytes()).hexdigest() == svg_sha
+
+
+# SHA-256 over float.hex of every scalar, lambda and per-user value (with its id, in
+# iteration order) of each preset's records, as the engine built them eagerly,
+# one StepRecord per step, before a run's steps became blocks of columns.
+PRESET_RECORDS = {
+    "scenario1": "7da2ca48b542219797473fe441df28f81dada6ccc93d1e4f3a911cfbaf5d7b99",
+    "scenario2": "afa9086d59e8c1928647bc173bdff45cb642c06bef3e90c60d6ca63fd55d44fc",
+    "scenario3-low": "b8ce42a132b714e9906f93aecec1f7d2118941a94f975d35f7cea14f222ee73b",
+    "scenario3-high": "d0af9e68c921a4cbecd511e401dffaad0e7401f1c189398833d3c54fb96066a5",
+    "iwfp-topology": "864ec06ef2ca4d27043d6c9167d6e5d84652b847970caf7dfb0d91c3ae16bcd4",
+    "iwfp-ceiling": "be7f23ddbe566505612b72222619be9d167325d8eef7589c03fab005bf082c4f",
+}
+
+
+def record_digest(records):
+    digest = hashlib.sha256()
+    for rec in records:
+        digest.update(f"{rec.series}\n{rec.step}\n".encode())
+        for name in SCALAR_FIELDS:
+            digest.update(f"{float(getattr(rec, name)).hex()}\n".encode())
+        for attr, _ in MAP_FIELDS:
+            for key, value in getattr(rec, attr).items():
+                digest.update(f"{key}={float(value).hex()}\n".encode())
+            digest.update(b";\n")
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(PRESET_RECORDS))
+def test_preset_records_are_pinned_bit_for_bit(name):
+    ts = run_scenario(load_preset(name))
+    assert record_digest(ts.records) == PRESET_RECORDS[name]
+    assert ts.records is ts.records  # built once, on first read
+
+
+def outputs(ts, directory):
+    directory.mkdir()
+    write_csv(ts, directory / "out.csv")
+    write_svg(ts, directory / "out.svg")
+    return (directory / "out.csv").read_bytes(), (directory / "out.svg").read_bytes()
+
+
+def assert_rebuilt_from_records_writes_the_same_bytes(ts, tmp_path):
+    rebuilt = TimeSeries.of(ts.name, ts.records)
+    assert outputs(rebuilt, tmp_path / "rebuilt") == outputs(ts, tmp_path / "original")
+
+
+def ceiling_at(price_step):
+    doc = json.loads(preset_path("iwfp-ceiling").read_text(encoding="utf-8"))
+    doc["mode"]["price_step"] = price_step
+    return scenario_from_dict(doc)
+
+
+@pytest.mark.parametrize("name", [*sorted(PRESET_OUTPUTS), "iwfp-ceiling at price_step 0.05"])
+def test_series_rebuilt_from_its_records_writes_the_same_bytes(tmp_path, name):
+    cfg = ceiling_at(0.05) if name.endswith("0.05") else load_preset(name)
+    assert_rebuilt_from_records_writes_the_same_bytes(run_scenario(cfg), tmp_path)
+
+
+def hand_built_records():
+    """Dict fields whose keys come and go (or change at the same count), records
+    sharing one dict, a label holding ``%``, ``,`` and ``"``, views whose order
+    changes, and a one-step series."""
+    shared = {"u1": 2.0, "u2": -0.0}
+    label = '50% "off", 5%d'
+    records = [
+        StepRecord(label, step, lambda_by_wfp={"w1": 10.0 + step}, g_by_user=shared,
+                   final_price_by_user=shared, x_by_user={"u1": 0.5, "u2": float(step)},
+                   total_value=float(step), wfp_share_pct=step / 3, mean_utility=math.nan)
+        for step in range(5)
+    ]
+    records[2] = records[2]._replace(
+        lambda_by_wfp={"w1": 12.0, "w2": 3}, g_by_user={"u2": np.float64(1.5)},
+        final_price_by_user={"u3": 7, "u1": math.inf})
+    records[3] = records[3]._replace(x_by_user={"u1": 0.5, "u3": 3.0})
+    # summed in order [1, 2, 0] the prices' mean is 1/3; in roster order it is 0
+    roster, prices = Roster(["u0", "u1", "u2"]), np.array([1.0, 1e16, -1e16])
+    records += [StepRecord("views", step, final_price_by_user=UserValues(roster, prices, order))
+                for step, order in enumerate([np.array([1, 2, 0]), None])]
+    records.append(StepRecord("one step", 0, x_by_user={"u9": 1e-310}, mean_utility=-math.inf))
+    return records
+
+
+def test_hand_built_series_writes_what_its_records_hold(tmp_path):
+    records = hand_built_records()
+    ts = TimeSeries.of("hand <built>", records)
+    assert [len(block.steps) for block in ts.blocks] == [2, 1, 1, 1, 1, 1, 1]
+    assert record_digest(ts.records) == record_digest(records)
+    assert_rebuilt_from_records_writes_the_same_bytes(ts, tmp_path)
+    assert_matches_reference(ts, tmp_path)
+    assert_drawn_point_for_point(ts, tmp_path)
+    with pytest.raises(AttributeError):
+        ts.records[0].step = 5
