@@ -14,22 +14,21 @@ Four run shapes:
                   the largest share an individual provider can reach.
 
 Every runner builds its population once, as parallel arrays over one roster
-(growth clones are appended to it, so each step uses a prefix), computes each
-step on those arrays, settles each provider from its sales' totals, and
-keeps the steps as columns (:class:`~wifimarket.model.StepBlock`).  Its
-per-user float sums (settlement totals, means, demand), like the price
-solves' in :mod:`~wifimarket.pricing`, are each the sequential left fold
-0.0 + v[0] + v[1] + ... in roster order, by :func:`~wifimarket.model.running_total`,
-whatever the Python or numpy version.
+(growth clones of the document users are appended to it, so each step uses a
+prefix), settles each provider from its sales' totals, and keeps the steps as
+columns (:class:`~wifimarket.model.StepBlock`).  The sweep computes a step once
+per template (document user) and keeps its rows so, with one template index over
+the roster; the others compute per user.  Per-user float sums (settlement totals,
+means, demand), like the price solves' in :mod:`~wifimarket.pricing`, are each the
+sequential left fold 0.0 + v[0] + v[1] + ... over the users in roster order, by
+:func:`~wifimarket.model.running_total`, whatever the Python or numpy version.
 
 Settlement goes through the one kernel, :func:`~wifimarket.sharing.settle_rows`.
 The sweep and equilibrium runners settle each provider once per step through
 its one-row case, ``settle_transaction``, since each step's accounts depend on
-the last; the quota and ceiling sweeps settle independent snapshots, so each
-whole series settles in one kernel call.  A snapshot series is one block, its
-per-user rows the step's arrays; the sweep and equilibrium runners add one
-one-row block per step.  Step records are built only when
-``TimeSeries.records`` is read.
+the last, and add one one-row block per step; the quota and ceiling sweeps settle
+independent snapshots, each series in one kernel call and one block.  Step
+records are built only when ``TimeSeries.records`` is read.
 
 Runs are deterministic functions of the config: same document, same series.
 """
@@ -107,17 +106,14 @@ def _step_blocks(cfg: ScenarioConfig, steps, settled) -> tuple[list[StepBlock], 
     return blocks, scalars
 
 
-def _population(cfg: ScenarioConfig, clones: int = 0) -> Population:
-    """The document's users, then ``clones`` growth clones cycling through them."""
+def _population(cfg: ScenarioConfig, clones: int = 0) -> tuple[Population, np.ndarray]:
+    """The document's users, then ``clones`` growth clones cycling through them, and
+    each user's template: the position of the document user whose values it copies."""
     base = Population.of(cfg.users, [w.id for w in cfg.wfps])
-    if not clones:
-        return base
     n = len(cfg.users)
-    templates = np.concatenate((np.arange(n), np.arange(clones) % n))
-    ids = base.roster.ids + [
-        f"{cfg.users[k % n].id}+{k + 1:05d}" for k in range(clones)
-    ]
-    return base.take(templates, ids)
+    templates = np.arange(n + clones) % n
+    ids = base.roster.ids + [f"{cfg.users[k % n].id}+{k + 1:05d}" for k in range(clones)]
+    return base.take(templates, ids), templates
 
 
 def _floors(pop: Population, link_prices: Mapping[str, float], n: int) -> np.ndarray:
@@ -127,23 +123,24 @@ def _floors(pop: Population, link_prices: Mapping[str, float], n: int) -> np.nda
 
 
 #: From this many users on, :func:`_utility` takes each log once per distinct
-#: argument.  Below it ``np.unique``'s fixed cost (about 20 us) exceeds the logs
-#: it saves even on growth clones: break-even at 64-96 users, Python 3.11 and
-#: numpy 2.4 on a 2-core Xeon.
+#: argument (the equilibrium and quota runners; the sweep passes templates only).
+#: Below it ``np.unique``'s fixed cost (about 20 us) exceeds the logs it saves even
+#: on growth clones: break-even at 64-96 users, Python 3.11, numpy 2.4, 2-core Xeon.
 _LOG_BY_DISTINCT_MIN_LEN = 96
 
 
-def _utility(pop: Population, idx, x: np.ndarray, prices: np.ndarray) -> np.ndarray:
+def _utility(pop: Population, idx, x: np.ndarray, prices, per_user: bool = False) -> np.ndarray:
     """``user_utility`` of the users at ``idx`` (x > 0); ``prices`` may hold one
     row of the users' prices per step.
 
     The log term is ``math.log`` of each user's x * snr, as in ``user_utility``.
     Growth clones repeat their templates' values across thousands of users, so
     a long array takes it once per distinct value (by bit pattern) and gathers
-    it; the bits are the same either way.
+    it, unless ``per_user`` (the sweep passes only templates); the bits are the
+    same either way.
     """
     arg = x * pop.snr[idx]
-    if len(arg) < _LOG_BY_DISTINCT_MIN_LEN:
+    if per_user or len(arg) < _LOG_BY_DISTINCT_MIN_LEN:
         logs = np.array([math.log(v) for v in arg.tolist()])
     else:
         values, slot = distinct(arg)
@@ -217,13 +214,13 @@ def _settle(
     return combined
 
 
-def _user_rows(pop: Population, g: np.ndarray, prices: np.ndarray, x: np.ndarray):
-    """A step's (g, final price, x) rows of its first ``len(g)`` users; with several
-    providers, prices and x list them provider by provider, roster order within each."""
-    order = np.argsort(pop.provider[: len(g)], kind="stable") if len(pop.providers) > 1 else None
-    roster = pop.roster
-    return (KeyedRows(roster, g[None]), KeyedRows(roster, prices[None], order),
-            KeyedRows(roster, x[None], order))
+def _user_rows(pop: Population, n: int, g, prices, x, index: np.ndarray | None = None):
+    """A step's (g, final price, x) rows of its first ``n`` users, one value per user or,
+    with ``index``, per template; with several providers, prices and x list the users
+    provider by provider, roster order within each."""
+    order = np.argsort(pop.provider[:n], kind="stable") if len(pop.providers) > 1 else None
+    return tuple(KeyedRows(pop.roster, row[None], by, index)
+                 for row, by in ((g, None), (prices, order), (x, order)))
 
 
 def run_sweep(cfg: ScenarioConfig) -> TimeSeries:
@@ -239,7 +236,8 @@ def run_sweep(cfg: ScenarioConfig) -> TimeSeries:
     mode = cfg.mode
     assert isinstance(mode, SweepMode)
 
-    pop = _population(cfg, mode.user_growth * max(mode.count - 1, 0))
+    pop, templates = _population(cfg, mode.user_growth * max(mode.count - 1, 0))
+    m = len(cfg.users)  # the templates: users j >= m copy user templates[j]
     accounts = list(cfg.wfps)
     margin = np.array([a.min_profit for a in accounts])
     lambda_by_wfp = {w.id: cfg.lambda0 for w in cfg.wfps}
@@ -249,43 +247,47 @@ def run_sweep(cfg: ScenarioConfig) -> TimeSeries:
 
     for t in range(mode.count):
         swept_price = mode.start + t * mode.step
-        n = len(cfg.users) + mode.user_growth * t
-        provider = pop.provider[:n]
+        n = m + mode.user_growth * t
+        provider, index = pop.provider[:n], templates[:n]
         if mode.swept_party == "isp":
             link_prices = {lid: swept_price for lid in link_prices}
         else:
             lambda_by_wfp = {wid: swept_price for wid in lambda_by_wfp}
 
-        g = _floors(pop, link_prices, n)
+        # g, prices, x and utility of the templates; the folds below run over the
+        # users' values, gathered in roster order
+        g = _floors(pop, link_prices, m)
         lam = np.array([lambda_by_wfp[a.id] for a in accounts])
-        prices = np.maximum(lam[provider], g + margin[provider])
+        prices = np.maximum(lam[pop.provider[:m]], g + margin[pop.provider[:m]])
         if mode.allocation == "equal":
             members = np.bincount(provider, minlength=len(accounts)).tolist()
-            share = [effective_capacity(a) / max(m, 1) for a, m in zip(accounts, members)]
-            x = np.array(share)[provider]
+            share = [effective_capacity(a) / max(k, 1) for a, k in zip(accounts, members)]
+            x = np.array(share)[pop.provider[:m]]
         else:
             with np.errstate(divide="ignore"):
-                ideal = pop.wb[:n] / prices
-            x = np.minimum(np.maximum(ideal, pop.x_min[:n]), pop.x_max[:n])
+                ideal = pop.wb[:m] / prices
+            x = np.minimum(np.maximum(ideal, pop.x_min[:m]), pop.x_max[:m])
+        utility, buyers = np.zeros(m), np.flatnonzero(x > 0.0)
+        utility[buyers] = _utility(pop, buyers, x[buyers], prices[buyers], per_user=True)
 
-        settled.append(
-            _settle(accounts, provider, g, prices, x, cfg.sharing, cfg.solver.x_floor)
-        )
-        buyers = np.flatnonzero(x > 0.0)
-        utility = _utility(pop, buyers, x[buyers], prices[buyers])
-        user_rows = _user_rows(pop, g, prices, x)
-        steps.append((list(lambda_by_wfp.values()), user_rows, _mean(utility)))
+        user_x = x[index]
+        settled.append(_settle(
+            accounts, provider, g[index], prices[index], user_x, cfg.sharing, cfg.solver.x_floor
+        ))
+        user_rows = _user_rows(pop, n, g, prices, x, index)
+        mean_utility = _mean(utility[index[user_x > 0.0]])
+        steps.append((list(lambda_by_wfp.values()), user_rows, mean_utility))
 
         # One dual step for the party that is not being swept.
         sigma = step_size(t, cfg.solver)
         if mode.swept_party == "isp":
             for k, account in enumerate(accounts):
-                demand = running_total(x[provider == k])
+                demand = running_total(user_x[provider == k])
                 lambda_by_wfp[account.id] = wfp_price_update(
                     lambda_by_wfp[account.id], sigma, effective_capacity(account), demand
                 )
         else:
-            loads = _link_loads(link_prices, pop, pop.path[:n], x)
+            loads = _link_loads(link_prices, pop, pop.path[:n], user_x)
             link_prices = {
                 lid: isp_link_price_update(link_prices[lid], sigma, cfg.links[lid], loads[lid])
                 for lid in link_prices
@@ -312,7 +314,7 @@ def run_equilibrium(cfg: ScenarioConfig) -> TimeSeries:
     mode = cfg.mode
     assert isinstance(mode, EquilibriumMode)
 
-    pop = _population(cfg, mode.user_growth * max(mode.ticks - 1, 0))
+    pop, _ = _population(cfg, mode.user_growth * max(mode.ticks - 1, 0))
     accounts = list(cfg.wfps)
     links = dict(cfg.links)
     link_prices = {lid: link.price for lid, link in links.items()}
@@ -360,7 +362,7 @@ def run_equilibrium(cfg: ScenarioConfig) -> TimeSeries:
 
         settled.append(_settle(accounts, provider, g, prices, x, cfg.sharing, x_floor))
         mean_utility = _mean(np.where(x > 0.0, utility, 0.0))
-        steps.append((list(lambda_by_wfp.values()), _user_rows(pop, g, prices, x), mean_utility))
+        steps.append((list(lambda_by_wfp.values()), _user_rows(pop, n, g, prices, x), mean_utility))
 
     ts.blocks, scalars = _step_blocks(cfg, steps, settled)
     first_zero = np.flatnonzero(scalars[:, _TOTAL] <= 0.0)
@@ -419,7 +421,7 @@ def _snapshots(
 
 def _individual_providers(cfg: ScenarioConfig):
     """Each individual provider with its users and their ISP floors."""
-    pop = _population(cfg)
+    pop, _ = _population(cfg)
     link_prices = {lid: link.price for lid, link in cfg.links.items()}
     for k, account in enumerate(cfg.wfps):
         if account.kind is WfpKind.INDIVIDUAL:

@@ -17,8 +17,9 @@ bad config can be diagnosed in full rather than one field at a time.
 A run holds its users as a :class:`Population` (parallel arrays over one
 :class:`Roster` of ids), and reports per-user values as :class:`UserValues`,
 read-only id -> float views of one array over that roster.  Its result is a
-:class:`TimeSeries` of :class:`StepBlock` columns; the :class:`StepRecord`
-of each step is built from them when first read.
+:class:`TimeSeries` of :class:`StepBlock` columns, whose per-user rows hold a
+value per user or per template (:class:`KeyedRows`); the :class:`StepRecord`
+of each step is built from them, and a template row gathered, when first read.
 """
 from __future__ import annotations
 
@@ -328,11 +329,22 @@ SCALAR_FIELDS = StepRecord._fields[2 + len(MAP_ATTRS):]
 
 class KeyedRows(NamedTuple):
     """One mapping field over a block's steps: float64 row ``values[i]`` is step i's
-    mapping of ``roster.ids[:n]``, iterated in ``order`` (positions; None: roster order)."""
+    mapping of ``roster.ids[:n]``, iterated in ``order`` (positions; None: roster order).
+
+    With an ``index`` (one template column per user), the row covers the first
+    ``len(index)`` ids and the value of ``roster.ids[j]`` is ``values[i, index[j]]``:
+    a sweep keeps one column per document user, whose growth clones share its values.
+    """
 
     roster: Roster
     values: np.ndarray
     order: np.ndarray | None = None
+    index: np.ndarray | None = None
+
+    @property
+    def width(self) -> int:
+        """How many ids each row covers."""
+        return self.values.shape[1] if self.index is None else len(self.index)
 
 
 class StepBlock(NamedTuple):
@@ -349,8 +361,10 @@ class StepBlock(NamedTuple):
         lam, *users = self.maps
         lambdas = [dict(zip(lam.roster.ids, row)) for row in lam.values.tolist()]
         views = [  # one view for all the steps of a row every step shares
-            [UserValues(m.roster, m.values[0], m.order)] * len(m.values) if m.values.strides[0] == 0
-            else [UserValues(m.roster, row, m.order) for row in m.values] for m in users
+            [UserValues(m.roster, m.values[0], m.order)] * len(m.values)
+            if m.index is None and m.values.strides[0] == 0
+            else [UserValues(m.roster, row if m.index is None else row[m.index], m.order)
+                  for row in m.values] for m in users
         ]
         return map(StepRecord, repeat(self.series), self.steps.tolist(), lambdas, *views,
                    *self.scalars.T.tolist())

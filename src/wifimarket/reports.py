@@ -7,10 +7,10 @@ written from the same config is byte-identical run to run.  Per-entity values
 columns like ``lambda.wfp1`` or ``x.u003``.  Both writers read a run's
 :class:`~wifimarket.model.StepBlock` columns, never its step records.  A
 block's rows are one ``%`` over its row template repeated once per step; a
-per-user row of ``DISTINCT_MIN_LEN`` values or more is formatted by distinct
-value (by bit pattern) instead, since growth clones repeat a handful of
-values across thousands of users.  Only the header and the series labels go
-through :mod:`csv` quoting, as numbers never need it.
+per-user row that holds one value per template (a sweep's), or that holds
+``DISTINCT_MIN_LEN`` values or more, has each value formatted once and gathered
+instead, since growth clones repeat a handful of values across thousands of
+users.  Only the header and the series labels go through :mod:`csv` quoting.
 
 The SVG writer draws three stacked panels -- shares, price, utility -- with
 one polyline per plotted series and no dependency on any plotting library;
@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import MAP_ATTRS, SCALAR_FIELDS, StepBlock, StepRecord, TimeSeries
+from .model import MAP_ATTRS, SCALAR_FIELDS, KeyedRows, StepBlock, StepRecord, TimeSeries
 from .model import distinct, running_total
 
 #: Mapping-valued step-record fields and their CSV column prefixes.
@@ -47,31 +47,36 @@ def _column_plan(ts: TimeSeries) -> tuple[list[str], list[list[str]]]:
     for j, (_, prefix) in enumerate(MAP_FIELDS):
         longest = {}  # each roster's longest row
         for block in ts.blocks:
-            roster, values, _ = block.maps[j]
-            longest[roster] = max(values.shape[1], longest.get(roster, 0))
+            rows = block.maps[j]
+            longest[rows.roster] = max(rows.width, longest.get(rows.roster, 0))
         keys = sorted(set().union(*(roster.ids[:n] for roster, n in longest.items())))
         header += [f"{prefix}.{key}" for key in keys]
         plan.append(keys)
     return header, plan
 
 
-#: Rows at least this long are formatted by distinct value; a shorter one
-#: formats every cell, as sorting it would cost more than it saves.
+#: Rows without a template index at least this long are formatted by distinct
+#: value; a shorter one formats every cell, as sorting it would cost more than it saves.
 DISTINCT_MIN_LEN = 128
 
 
-def _distinct_text(values: np.ndarray, at: np.ndarray, absent: int) -> np.ndarray:
-    """Each row of ``values`` as one comma-joined text of its cells at positions ``at``,
-    ``""`` at ``absent`` or past the row; each distinct value (by bit pattern) is
-    formatted once, since growth clones repeat a handful of values."""
-    found, slot = distinct(values.ravel())
+def _distinct_text(rows: KeyedRows, at: np.ndarray) -> np.ndarray:
+    """Each row as one comma-joined text of its cells at positions ``at``, ``""`` past
+    the row or at ``len(roster.ids)`` (an absent key).  Each value is formatted once:
+    each template's, with a template index, else each distinct value (by bit pattern),
+    since growth clones repeat a handful of values."""
+    roster, values, _, index = rows
+    if index is None:
+        found, slot = distinct(values.ravel())
+    else:  # template t of row i is found[i * values.shape[1] + t]
+        found, slot = values.ravel(), np.arange(0, values.size, values.shape[1])[:, None] + index
     texts = np.array([*[NUMBER_FORMAT % v for v in found.tolist()], ""], dtype=object)
-    slots, n = np.full(absent + 1, len(found)), values.shape[1]
-    rows = []
-    for row in slot.reshape(values.shape):
+    slots, n = np.full(len(roster.ids) + 1, len(found)), rows.width
+    lines = []
+    for row in slot.reshape(len(values), n):
         slots[:n] = row
-        rows.append(",".join(texts[slots[at]].tolist()))
-    return np.array(rows, dtype=object)
+        lines.append(",".join(texts[slots[at]].tolist()))
+    return np.array(lines, dtype=object)
 
 
 def _block_text(block: StepBlock, plan: list[list[str]], positions: list[dict]) -> str:
@@ -83,14 +88,15 @@ def _block_text(block: StepBlock, plan: list[list[str]], positions: list[dict]) 
     label = _csv_field(block.series).replace("%", "%%")
     template = [label, "%d"] + [NUMBER_FORMAT] * len(SCALAR_FIELDS)
     columns = [block.steps[:, None], block.scalars]
-    for (roster, values, _), keys, known in zip(block.maps, plan, positions):
+    for rows, keys, known in zip(block.maps, plan, positions):
+        roster, values, _, index = rows
         if roster not in known:
             where, absent = roster.position, len(roster.ids)
             known[roster] = np.array([where.get(key, absent) for key in keys], dtype=np.intp)
         at, n = known[roster], values.shape[1]
-        if n >= DISTINCT_MIN_LEN:
+        if index is not None or n >= DISTINCT_MIN_LEN:
             template.append("%s")
-            columns.append(_distinct_text(values, at, len(roster.ids))[:, None])
+            columns.append(_distinct_text(rows, at)[:, None])
         elif values.strides[0] == 0:  # one row every step shares: format it into the template
             row = values[0].tolist()
             template += [NUMBER_FORMAT % row[i] if i < n else "" for i in at.tolist()]
@@ -153,9 +159,12 @@ def escape(text: str) -> str:
     return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
-def _means(rows) -> np.ndarray:
+def _means(rows: KeyedRows) -> np.ndarray:
     """Each row's mean: its values in iteration order, folded from 0.0 as by ``fold_sum``."""
-    _, values, order = rows
+    _, values, order, index = rows
+    if index is not None:  # one 1-D gather per row, in iteration order
+        at = index if order is None else index[order]
+        return np.array([running_total(row[at]) for row in values]) / max(len(at), 1)
     if order is not None:
         values = values[:, order]
     return running_total(values.T) / max(values.shape[1], 1)

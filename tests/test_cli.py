@@ -1,10 +1,12 @@
 """Command-line tests: exit codes, output files, and self-check wiring."""
 import json
+import math
 
 import pytest
 
 from wifimarket import cli
 from wifimarket.checks import CheckResult, check_efficiency
+from wifimarket.config import ConfigError, scenario_from_dict, validate_scenario
 from wifimarket.model import Settlement
 from wifimarket.presets import PRESET_NAMES, preset_path
 
@@ -239,14 +241,20 @@ def containers(doc, where=()):
             yield from containers(value, (*where, key))
 
 
-@pytest.mark.parametrize("preset", PRESET_NAMES)
-def test_every_malformed_container_exits_one_with_one_line(tmp_path, capsys, preset):
-    """Each array or object of the preset becomes 5, null, "x" or the other kind
-    of container, one at a time; a user count past the limit too."""
+def preset_document(preset):
+    """The preset's document; an equilibrium one with a full-length subscriber load."""
     doc = json.loads(preset_path(preset).read_text(encoding="utf-8"))
     mode = doc["mode"]
     if mode["kind"] == "equilibrium":  # no preset gives subscriber loads
         mode["subscriber_loads"] = {doc["links"][0]["id"]: [0.0] * mode["ticks"]}
+    return doc
+
+
+@pytest.mark.parametrize("preset", PRESET_NAMES)
+def test_every_malformed_container_exits_one_with_one_line(tmp_path, capsys, preset):
+    """Each array or object of the preset becomes 5, null, "x" or the other kind
+    of container, one at a time; a user count past the limit too."""
+    doc = preset_document(preset)
     cases = [(("users", 0, "count"), 10**12)]
     for path in containers(doc):
         parent = doc
@@ -260,6 +268,45 @@ def test_every_malformed_container_exits_one_with_one_line(tmp_path, capsys, pre
         code = cli.main(["run", "--config", str(config), "--out", str(tmp_path)])
         err = capsys.readouterr().err
         assert (code, len(err.splitlines())) == (1, 1), (path, value, err)
+
+
+def walk(doc, where=()):
+    """(path, value) of every object member and array element in ``doc``, depth first."""
+    for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+        yield (*where, key), value
+        if isinstance(value, (dict, list)):
+            yield from walk(value, (*where, key))
+
+
+def dropped(doc, path):
+    """A copy of ``doc`` without the key at ``path``."""
+    copy = json.loads(json.dumps(doc))
+    parent = copy
+    for key in path[:-1]:
+        parent = parent[key]
+    del parent[path[-1]]
+    return copy
+
+
+@pytest.mark.parametrize("preset", PRESET_NAMES)
+def test_every_dropped_key_or_non_finite_number_is_rejected_or_defaulted(preset):
+    """Through the parser and validation, each key of the preset dropped, one at a
+    time, and each number set to NaN, Infinity and -Infinity: a ConfigError or a
+    problem list, never another exception; only a dropped key may validate clean."""
+    doc = preset_document(preset)
+    keys = [path for path, _ in walk(doc) if isinstance(path[-1], str)]
+    numbers = [path for path, value in walk(doc) if type(value) in (int, float)]
+    cases = [(path, "dropped", dropped(doc, path)) for path in keys] + [
+        (path, value, swapped(doc, path, value))
+        for path in numbers for value in (math.nan, math.inf, -math.inf)
+    ]
+    assert len(keys) > 20 and len(numbers) > 20
+    for path, change, case in cases:
+        try:
+            problems = validate_scenario(scenario_from_dict(case))
+        except ConfigError:
+            continue
+        assert problems or change == "dropped", (path, change)
 
 
 def test_unknown_format_is_invalid_input(tmp_path, capsys):

@@ -404,3 +404,23 @@ def test_utility_of_a_buyer_subset_with_one_price_row_per_step():
             for i, p in zip(buyers.tolist(), step_prices.tolist())
         ]
         assert bits(row) == bits(want)
+
+
+def test_sweep_keeps_one_value_per_template_per_step():
+    """scenario2's per-user rows hold each step's value once per document user
+    (10 of them), not once per user (227,250 user-steps), plus one template index
+    over the roster; each array buffer is counted once."""
+    cfg = load_preset("scenario2")
+    ts = run_scenario(cfg)
+    buffers = {}
+    for block in ts.blocks:
+        for rows in block.maps[1:]:
+            for array in (rows.values, rows.order, rows.index):
+                while array is not None and array.base is not None:
+                    array = array.base
+                if array is not None:
+                    buffers[id(array)] = array.nbytes
+    steps, templates = cfg.mode.count, len(cfg.users)
+    roster = templates + cfg.mode.user_growth * (steps - 1)
+    assert sum(buffers.values()) <= 3 * steps * templates * 8 + roster * 8
+    assert sum(len(rec.x_by_user) for rec in ts.records) == 227_250

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -15,7 +16,8 @@ import pytest
 
 import wifimarket
 from wifimarket.config import scenario_from_dict
-from wifimarket.model import Roster, StepRecord, TimeSeries, UserValues, fold_sum
+from wifimarket.model import KeyedRows, Roster, StepBlock, StepRecord, TimeSeries, UserValues
+from wifimarket.model import fold_sum
 from wifimarket.presets import load_preset, preset_path
 from wifimarket.engine import run_scenario
 from wifimarket.reports import (
@@ -704,3 +706,87 @@ def test_hand_built_series_writes_what_its_records_hold(tmp_path):
     assert_drawn_point_for_point(ts, tmp_path)
     with pytest.raises(AttributeError):
         ts.records[0].step = 5
+
+
+def sweep_shape(shape):
+    """A seeded sweep document with growth that no preset covers: ``two-provider``
+    (two providers, 262 users by the last step, so prices and x list users provider
+    by provider), ``equal`` (an equal split, with an individual provider whose plan
+    runs dry) or ``isp`` (the ISP's price swept, the providers taking dual steps)."""
+    rng = random.Random(f"sweep-{shape}")
+    wfps = [{"id": "w1", "kind": "establishment", "capacity": 900.0, "min_profit": 5.0},
+            {"id": "w2", "kind": "establishment", "capacity": 250.0, "min_profit": 2.0}]
+    if shape == "equal":
+        wfps[1] = {"id": "w2", "kind": "individual", "quota": 63.0, "unused": 63.0,
+                   "fee": 40.0, "txn_cap": 9.0, "min_profit": 1.0}
+    users = [
+        {"id": uid, "count": count, "wfp": wfp, "path": path,
+         "weight": round(rng.uniform(0.5, 2.0), 3), "budget": round(rng.uniform(50, 150), 1),
+         "tx_power": 0.05, "x_min": 0.01, "x_max": rng.choice([2.0, 50.0])}
+        for uid, count, wfp, path in [("a", 5, "w1", ["AB"]), ("b", 3, "w2", ["AB", "BC"]),
+                                      ("c", 4, "w1", ["AB", "BC"]), ("d", 2, "w2", ["BC"])]
+    ]
+    swept = "isp" if shape == "isp" else "wfp"
+    return scenario_from_dict({
+        "name": f"sweep-{shape}",
+        "links": [{"id": "AB", "capacity": 700.0, "price": 10.0},
+                  {"id": "BC", "capacity": 400.0, "subscriber_load": 50.0, "price": 4.0}],
+        "wfps": wfps,
+        "users": users,
+        "solver": {"sigma0": 0.05},
+        "lambda0": 12.0,
+        "mode": {"kind": "sweep", "swept_party": swept, "start": 8.0 if swept == "isp" else 12.0,
+                 "step": 0.5, "count": 32, "user_growth": 8,
+                 "allocation": "equal" if shape == "equal" else "best_response"},
+    })
+
+
+# Record digest, CSV SHA-256 and SVG SHA-256 of each sweep_shape document, computed
+# while every user's values were still computed and kept per user, clones included.
+SWEEP_SHAPES = {
+    "two-provider": ("cabf508a4ceaed853944bef79f142a55fcf62bb82ffba44782f7d85da4a65bea",
+                     "30abfc82bfc761f99ac205b448604b6a6d155cd87afdb64ff7fddee00d08d9b9",
+                     "4e57060f8611f2343d91c77dd23d35c7635d7b926dabb93ed96e41497a5bc06d"),
+    "equal": ("20ccd1a2c0e5ea2c7eb4c2c7f17e103920595dca2f32891989f496d74de4ef01",
+              "c3608e81474025b74c0853f8fc7579f169b505f68029f516109f21b3d7ba4014",
+              "15f7c69153ed346c367e83c8629b773ab665d406dedc0ffb79cdb9655644a8eb"),
+    "isp": ("cfd0fdf8d24e0e39995102350db399d5345cd7acde79514538c2c56b0c1b0d9e",
+            "b297847e62ae598c1b9e83f6abe0113744f73aa543b546b661104c3b16c6e892",
+            "fc6b5913e3a3fa8b2e706072356b392fedd042e136e40f121c69d2681c0ad382"),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(SWEEP_SHAPES))
+def test_sweep_shapes_are_pinned_and_rebuilt_from_records(tmp_path, shape):
+    ts = run_scenario(sweep_shape(shape))
+    csv_bytes, svg_bytes = outputs(ts, tmp_path / "run")
+    found = (record_digest(ts.records), hashlib.sha256(csv_bytes).hexdigest(),
+             hashlib.sha256(svg_bytes).hexdigest())
+    assert found == SWEEP_SHAPES[shape]
+    assert outputs(TimeSeries.of(ts.name, ts.records), tmp_path / "rebuilt") == (csv_bytes, svg_bytes)
+
+
+def test_template_rows_write_what_their_records_hold(tmp_path):
+    """Hand-built blocks of three steps whose per-user rows hold one value per
+    template, with a template index over part of a longer roster: special values,
+    a provider order, and indexes shorter and longer than DISTINCT_MIN_LEN."""
+    rng = np.random.default_rng(5)
+    roster, providers = Roster([f"u{i}" for i in range(300)]), Roster(["w1"])
+    blocks = []
+    for k, n in enumerate((5, DISTINCT_MIN_LEN + 12, 290)):
+        index = rng.integers(0, 6, n)
+        order = np.argsort(rng.integers(0, 2, n), kind="stable")
+        values = special_values(18 + k)[k:].reshape(3, 6)
+        maps = (KeyedRows(providers, np.full((3, 1), float(k))), KeyedRows(roster, values, None, index),
+                KeyedRows(roster, values + 1.0, order, index), KeyedRows(roster, values[::-1], order, index))
+        scalars = np.arange(3.0 * len(SCALAR_FIELDS)).reshape(3, -1) + k
+        blocks.append(StepBlock("run", np.arange(3 * k, 3 * k + 3), scalars, maps))
+    ts = TimeSeries("templates", blocks)
+    assert [len(rec.x_by_user) for rec in ts.records] == [5] * 3 + [DISTINCT_MIN_LEN + 12] * 3 + [290] * 3
+    assert_matches_reference(ts, tmp_path)
+    assert_rebuilt_from_records_writes_the_same_bytes(ts, tmp_path)
+    assert_drawn_point_for_point(ts, tmp_path)
+    # values 1, 1e16, 1, -1e16 by position: their mean is 0.5 summed in order [1, 3, 0, 2]
+    rows = KeyedRows(Roster(list("abcd")), np.array([[1.0, 1e16, -1e16]]), np.array([1, 3, 0, 2]),
+                     np.array([0, 1, 0, 2]))
+    assert _means(rows).tolist() == [0.5] and _means(rows._replace(order=None)).tolist() == [0.0]
