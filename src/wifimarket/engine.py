@@ -16,9 +16,10 @@ Four run shapes:
 Every runner builds its population once, as parallel arrays over one roster
 (growth clones of the document users are appended to it, so each step uses a
 prefix), settles each provider from its sales' totals, and keeps the steps as
-columns (:class:`~wifimarket.model.StepBlock`).  The sweep computes a step once
-per template (document user) and keeps its rows so, with one template index over
-the roster; the others compute per user.  Per-user float sums (settlement totals,
+columns (:class:`~wifimarket.model.StepBlock`).  The sweep and equilibrium runners
+keep each step's per-user rows once per template (document user), with one template
+index over the roster; the sweep computes a step once per template, the equilibrium
+runner solves its providers per user first.  Per-user float sums (settlement totals,
 means, demand), like the price solves' in :mod:`~wifimarket.pricing`, are each the
 sequential left fold 0.0 + v[0] + v[1] + ... over the users in roster order, by
 :func:`~wifimarket.model.running_total`, whatever the Python or numpy version.
@@ -57,7 +58,6 @@ from .model import (
     TimeSeries,
     WfpAccount,
     WfpKind,
-    distinct,
     effective_capacity,
     running_total,
 )
@@ -122,29 +122,11 @@ def _floors(pop: Population, link_prices: Mapping[str, float], n: int) -> np.nda
     return by_path[pop.path[:n]]
 
 
-#: From this many users on, :func:`_utility` takes each log once per distinct
-#: argument (the equilibrium and quota runners; the sweep passes templates only).
-#: Below it ``np.unique``'s fixed cost (about 20 us) exceeds the logs it saves even
-#: on growth clones: break-even at 64-96 users, Python 3.11, numpy 2.4, 2-core Xeon.
-_LOG_BY_DISTINCT_MIN_LEN = 96
-
-
-def _utility(pop: Population, idx, x: np.ndarray, prices, per_user: bool = False) -> np.ndarray:
+def _utility(pop: Population, idx, x: np.ndarray, prices) -> np.ndarray:
     """``user_utility`` of the users at ``idx`` (x > 0); ``prices`` may hold one
-    row of the users' prices per step.
-
-    The log term is ``math.log`` of each user's x * snr, as in ``user_utility``.
-    Growth clones repeat their templates' values across thousands of users, so
-    a long array takes it once per distinct value (by bit pattern) and gathers
-    it, unless ``per_user`` (the sweep passes only templates); the bits are the
-    same either way.
-    """
-    arg = x * pop.snr[idx]
-    if per_user or len(arg) < _LOG_BY_DISTINCT_MIN_LEN:
-        logs = np.array([math.log(v) for v in arg.tolist()])
-    else:
-        values, slot = distinct(arg)
-        logs = np.array([math.log(v) for v in values.tolist()])[slot]
+    row of the users' prices per step.  The log term is ``math.log`` of each
+    user's x * snr, as in ``user_utility``."""
+    logs = np.array([math.log(v) for v in (x * pop.snr[idx]).tolist()])
     return pop.weight[idx] * logs + (1.0 - x * prices / pop.budget[idx])
 
 
@@ -190,6 +172,7 @@ def _link_demand(
 def _settle(
     accounts: list[WfpAccount],
     provider: np.ndarray,
+    index: np.ndarray,
     g: np.ndarray,
     prices: np.ndarray,
     x: np.ndarray,
@@ -198,12 +181,14 @@ def _settle(
 ) -> list[float]:
     """Settle one transaction per provider (users buying at least ``x_floor``).
 
-    ``accounts`` is updated in place; the payouts come back summed, provider
-    by provider, in Settlement field order.
+    ``g``, ``prices`` and ``x`` hold each template's values, and ``index`` and
+    ``provider`` each user's template and provider.  ``accounts`` is updated in
+    place; the payouts come back summed, provider by provider, in Settlement
+    field order.
     """
-    sold = x >= x_floor
-    # SaleTotals' five sums, one column each
-    columns = np.column_stack((x * prices, x * g, (prices - g) * x, g, x))
+    sold = (x >= x_floor)[index]
+    # SaleTotals' five sums, one column each, one row per user
+    columns = np.column_stack((x * prices, x * g, (prices - g) * x, g, x))[index]
     combined = [0.0] * 5
     for k, account in enumerate(accounts):
         sel = np.flatnonzero(sold & (provider == k))
@@ -214,9 +199,9 @@ def _settle(
     return combined
 
 
-def _user_rows(pop: Population, n: int, g, prices, x, index: np.ndarray | None = None):
-    """A step's (g, final price, x) rows of its first ``n`` users, one value per user or,
-    with ``index``, per template; with several providers, prices and x list the users
+def _user_rows(pop: Population, n: int, g, prices, x, index: np.ndarray):
+    """A step's (g, final price, x) rows of its first ``n`` users, one value per template
+    and ``index`` each user's; with several providers, prices and x list the users
     provider by provider, roster order within each."""
     order = np.argsort(pop.provider[:n], kind="stable") if len(pop.providers) > 1 else None
     return tuple(KeyedRows(pop.roster, row[None], by, index)
@@ -238,6 +223,7 @@ def run_sweep(cfg: ScenarioConfig) -> TimeSeries:
 
     pop, templates = _population(cfg, mode.user_growth * max(mode.count - 1, 0))
     m = len(cfg.users)  # the templates: users j >= m copy user templates[j]
+    x_floor = cfg.solver.x_floor
     accounts = list(cfg.wfps)
     margin = np.array([a.min_profit for a in accounts])
     lambda_by_wfp = {w.id: cfg.lambda0 for w in cfg.wfps}
@@ -267,13 +253,12 @@ def run_sweep(cfg: ScenarioConfig) -> TimeSeries:
             with np.errstate(divide="ignore"):
                 ideal = pop.wb[:m] / prices
             x = np.minimum(np.maximum(ideal, pop.x_min[:m]), pop.x_max[:m])
+        x[x < x_floor] = 0.0  # too little to sell: no purchase
         utility, buyers = np.zeros(m), np.flatnonzero(x > 0.0)
-        utility[buyers] = _utility(pop, buyers, x[buyers], prices[buyers], per_user=True)
+        utility[buyers] = _utility(pop, buyers, x[buyers], prices[buyers])
 
         user_x = x[index]
-        settled.append(_settle(
-            accounts, provider, g[index], prices[index], user_x, cfg.sharing, cfg.solver.x_floor
-        ))
+        settled.append(_settle(accounts, provider, index, g, prices, x, cfg.sharing, x_floor))
         user_rows = _user_rows(pop, n, g, prices, x, index)
         mean_utility = _mean(utility[index[user_x > 0.0]])
         steps.append((list(lambda_by_wfp.values()), user_rows, mean_utility))
@@ -314,7 +299,8 @@ def run_equilibrium(cfg: ScenarioConfig) -> TimeSeries:
     mode = cfg.mode
     assert isinstance(mode, EquilibriumMode)
 
-    pop, _ = _population(cfg, mode.user_growth * max(mode.ticks - 1, 0))
+    pop, templates = _population(cfg, mode.user_growth * max(mode.ticks - 1, 0))
+    m = len(cfg.users)  # the templates: users j >= m copy user templates[j]
     accounts = list(cfg.wfps)
     links = dict(cfg.links)
     link_prices = {lid: link.price for lid, link in links.items()}
@@ -323,7 +309,7 @@ def run_equilibrium(cfg: ScenarioConfig) -> TimeSeries:
     steps, settled = [], []
 
     for tick in range(mode.ticks):
-        n = len(cfg.users) + mode.user_growth * tick
+        n = m + mode.user_growth * tick
         if (
             mode.billing_cycle_ticks > 0
             and tick > 0
@@ -355,14 +341,17 @@ def run_equilibrium(cfg: ScenarioConfig) -> TimeSeries:
             lambda_by_wfp[account.id] = inner.lambda_by_wfp[account.id]
             prices[idx] = inner.final_price_by_user.array
             x[idx] = inner.x_by_user.array
+        # A growth clone's solve repeats its template's bit for bit: keep the templates'.
         # Individual rationality: a user whose best buy is still a net loss
         # walks away, so the step records no transaction for it.
-        utility = _utility(pop, slice(0, n), x, prices)
+        g, prices, x, index = g[:m].copy(), prices[:m].copy(), x[:m].copy(), templates[:n]
+        utility = _utility(pop, slice(0, m), x, prices)
         x[(utility < 0.0) | (x < x_floor)] = 0.0
 
-        settled.append(_settle(accounts, provider, g, prices, x, cfg.sharing, x_floor))
-        mean_utility = _mean(np.where(x > 0.0, utility, 0.0))
-        steps.append((list(lambda_by_wfp.values()), _user_rows(pop, n, g, prices, x), mean_utility))
+        settled.append(_settle(accounts, provider, index, g, prices, x, cfg.sharing, x_floor))
+        mean_utility = _mean(np.where(x > 0.0, utility, 0.0)[index])
+        user_rows = _user_rows(pop, n, g, prices, x, index)
+        steps.append((list(lambda_by_wfp.values()), user_rows, mean_utility))
 
     ts.blocks, scalars = _step_blocks(cfg, steps, settled)
     first_zero = np.flatnonzero(scalars[:, _TOTAL] <= 0.0)

@@ -18,8 +18,9 @@ A run holds its users as a :class:`Population` (parallel arrays over one
 :class:`Roster` of ids), and reports per-user values as :class:`UserValues`,
 read-only id -> float views of one array over that roster.  Its result is a
 :class:`TimeSeries` of :class:`StepBlock` columns, whose per-user rows hold a
-value per user or per template (:class:`KeyedRows`); the :class:`StepRecord`
-of each step is built from them, and a template row gathered, when first read.
+value per template, as sweep and equilibrium runs keep them, or per user
+(:class:`KeyedRows`); the :class:`StepRecord` of each step is built from them,
+and a template row gathered, when first read.
 """
 from __future__ import annotations
 
@@ -221,17 +222,6 @@ def running_total(values: np.ndarray):
     return float(values.cumsum()[-1]) + 0.0 if len(values) else 0.0
 
 
-def distinct(array: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct values of a float64 array, and each element's index among them.
-
-    Values are distinct by bit pattern, so -0.0 stays apart from 0.0: growth
-    clones repeat a handful of values across thousands of users, and a
-    per-value result computed once is then gathered bit for bit.
-    """
-    bits, slot = np.unique(array.view(np.int64), return_inverse=True)
-    return bits.view(np.float64), slot
-
-
 class _Values(ValuesView):
     def __iter__(self):
         return iter(self._mapping.ordered())
@@ -333,7 +323,8 @@ class KeyedRows(NamedTuple):
 
     With an ``index`` (one template column per user), the row covers the first
     ``len(index)`` ids and the value of ``roster.ids[j]`` is ``values[i, index[j]]``:
-    a sweep keeps one column per document user, whose growth clones share its values.
+    sweep and equilibrium runs keep one column per document user, whose growth clones
+    share its values.
     """
 
     roster: Roster

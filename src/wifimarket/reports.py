@@ -7,10 +7,10 @@ written from the same config is byte-identical run to run.  Per-entity values
 columns like ``lambda.wfp1`` or ``x.u003``.  Both writers read a run's
 :class:`~wifimarket.model.StepBlock` columns, never its step records.  A
 block's rows are one ``%`` over its row template repeated once per step; a
-per-user row that holds one value per template (a sweep's), or that holds
-``DISTINCT_MIN_LEN`` values or more, has each value formatted once and gathered
-instead, since growth clones repeat a handful of values across thousands of
-users.  Only the header and the series labels go through :mod:`csv` quoting.
+per-user row that holds one value per template (a sweep's or an equilibrium
+run's) has each template's value formatted once and gathered instead, since
+growth clones repeat a handful of values across thousands of users.  Only the
+header and the series labels go through :mod:`csv` quoting.
 
 The SVG writer draws three stacked panels -- shares, price, utility -- with
 one polyline per plotted series and no dependency on any plotting library;
@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .model import MAP_ATTRS, SCALAR_FIELDS, KeyedRows, StepBlock, StepRecord, TimeSeries
-from .model import distinct, running_total
+from .model import running_total
 
 #: Mapping-valued step-record fields and their CSV column prefixes.
 MAP_FIELDS = tuple(zip(MAP_ATTRS, ("lambda", "g", "final_price", "x")))
@@ -55,27 +55,17 @@ def _column_plan(ts: TimeSeries) -> tuple[list[str], list[list[str]]]:
     return header, plan
 
 
-#: Rows without a template index at least this long are formatted by distinct
-#: value; a shorter one formats every cell, as sorting it would cost more than it saves.
-DISTINCT_MIN_LEN = 128
-
-
-def _distinct_text(rows: KeyedRows, at: np.ndarray) -> np.ndarray:
-    """Each row as one comma-joined text of its cells at positions ``at``, ``""`` past
-    the row or at ``len(roster.ids)`` (an absent key).  Each value is formatted once:
-    each template's, with a template index, else each distinct value (by bit pattern),
-    since growth clones repeat a handful of values."""
+def _template_text(rows: KeyedRows, at: np.ndarray) -> np.ndarray:
+    """Each row of template rows as one comma-joined text of its cells at positions
+    ``at``, ``""`` past the row or at ``len(roster.ids)`` (an absent key).  Each
+    template's value is formatted once and gathered for its growth clones."""
     roster, values, _, index = rows
-    if index is None:
-        found, slot = distinct(values.ravel())
-    else:  # template t of row i is found[i * values.shape[1] + t]
-        found, slot = values.ravel(), np.arange(0, values.size, values.shape[1])[:, None] + index
-    texts = np.array([*[NUMBER_FORMAT % v for v in found.tolist()], ""], dtype=object)
-    slots, n = np.full(len(roster.ids) + 1, len(found)), rows.width
-    lines = []
-    for row in slot.reshape(len(values), n):
-        slots[:n] = row
-        lines.append(",".join(texts[slots[at]].tolist()))
+    take = np.full(len(roster.ids) + 1, values.shape[1])  # past a row's templates: ""
+    take[: len(index)] = index
+    take, lines = take[at], []
+    for row in values.tolist():
+        texts = np.array([*[NUMBER_FORMAT % v for v in row], ""], dtype=object)
+        lines.append(",".join(texts[take].tolist()))
     return np.array(lines, dtype=object)
 
 
@@ -94,9 +84,9 @@ def _block_text(block: StepBlock, plan: list[list[str]], positions: list[dict]) 
             where, absent = roster.position, len(roster.ids)
             known[roster] = np.array([where.get(key, absent) for key in keys], dtype=np.intp)
         at, n = known[roster], values.shape[1]
-        if index is not None or n >= DISTINCT_MIN_LEN:
+        if index is not None and len(at):
             template.append("%s")
-            columns.append(_distinct_text(rows, at)[:, None])
+            columns.append(_template_text(rows, at)[:, None])
         elif values.strides[0] == 0:  # one row every step shares: format it into the template
             row = values[0].tolist()
             template += [NUMBER_FORMAT % row[i] if i < n else "" for i in at.tolist()]

@@ -101,6 +101,25 @@ def test_run_with_links_that_cannot_clear_exits_zero(tmp_path):
     assert (tmp_path / "cli-infeasible.svg").is_file()
 
 
+def test_equilibrium_without_users_writes_one_zero_row_per_tick(tmp_path):
+    """No users and no growth is a valid document: every per-user row is empty."""
+    doc = {
+        "name": "no-users",
+        "links": [{"id": "AB", "capacity": 100.0, "price": 5.0}],
+        "wfps": [{"id": "w1", "kind": "establishment", "capacity": 50.0, "min_profit": 1.0}],
+        "users": [],
+        "mode": {"kind": "equilibrium", "ticks": 3},
+    }
+    config = write_doc(tmp_path, doc)
+    assert cli.main(["run", "--config", str(config), "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "no-users.csv").read_bytes() == (
+        b"series,step,total_value,wfp_value,isp_value,wfp_share,isp_share,wfp_share_pct,"
+        b"isp_share_pct,mean_utility,lambda.w1\r\n"
+        + b"".join(b"run,%d,0,0,0,0,0,0,0,0,0\r\n" % tick for tick in range(3))
+    )
+    assert (tmp_path / "no-users.svg").is_file()
+
+
 # --- exit code 1: invalid input ------------------------------------------------------
 
 

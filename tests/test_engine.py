@@ -377,8 +377,8 @@ def clone_crowd(n):
     return users, Population.of(users), x
 
 
-# a population as small as isp-nested's (one log per user), and hundreds of
-# clones (one log per distinct value)
+# a population as small as isp-nested's, and hundreds of clones: one log per user
+# either way
 @pytest.mark.parametrize("n", [34, 391])
 def test_utility_equals_the_per_user_formula_bit_for_bit(n):
     users, pop, x = clone_crowd(n)
@@ -406,12 +406,9 @@ def test_utility_of_a_buyer_subset_with_one_price_row_per_step():
         assert bits(row) == bits(want)
 
 
-def test_sweep_keeps_one_value_per_template_per_step():
-    """scenario2's per-user rows hold each step's value once per document user
-    (10 of them), not once per user (227,250 user-steps), plus one template index
-    over the roster; each array buffer is counted once."""
-    cfg = load_preset("scenario2")
-    ts = run_scenario(cfg)
+def per_user_row_bytes(ts):
+    """The bytes of the buffers behind a run's per-user value, order and index
+    arrays, each base buffer counted once."""
     buffers = {}
     for block in ts.blocks:
         for rows in block.maps[1:]:
@@ -420,7 +417,29 @@ def test_sweep_keeps_one_value_per_template_per_step():
                     array = array.base
                 if array is not None:
                     buffers[id(array)] = array.nbytes
+    return sum(buffers.values())
+
+
+def test_sweep_keeps_one_value_per_template_per_step():
+    """scenario2's per-user rows hold each step's value once per document user
+    (10 of them), not once per user (227,250 user-steps), plus one template index
+    over the roster."""
+    cfg = load_preset("scenario2")
+    ts = run_scenario(cfg)
     steps, templates = cfg.mode.count, len(cfg.users)
     roster = templates + cfg.mode.user_growth * (steps - 1)
-    assert sum(buffers.values()) <= 3 * steps * templates * 8 + roster * 8
+    assert per_user_row_bytes(ts) <= 3 * steps * templates * 8 + roster * 8
     assert sum(len(rec.x_by_user) for rec in ts.records) == 227_250
+
+
+def test_equilibrium_keeps_one_value_per_template_per_tick():
+    """scenario3-high's per-user rows hold each tick's value once per document user
+    (100 of them), not once per user (6,600 user-ticks, 1,100 users by tick 11),
+    plus one template index over the roster."""
+    cfg = load_preset("scenario3-high")
+    ts = run_scenario(cfg)
+    ticks, templates = cfg.mode.ticks, len(cfg.users)
+    roster = templates + cfg.mode.user_growth * (ticks - 1)
+    assert (templates, roster) == (100, 1_100)
+    assert per_user_row_bytes(ts) <= 3 * ticks * templates * 8 + roster * 8
+    assert sum(len(rec.x_by_user) for rec in ts.records) == 6_600

@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 from pathlib import Path
 from xml.sax.saxutils import escape as sax_escape
 
@@ -18,10 +19,10 @@ import wifimarket
 from wifimarket.config import scenario_from_dict
 from wifimarket.model import KeyedRows, Roster, StepBlock, StepRecord, TimeSeries, UserValues
 from wifimarket.model import fold_sum
+from wifimarket.pricing import user_utility
 from wifimarket.presets import load_preset, preset_path
 from wifimarket.engine import run_scenario
 from wifimarket.reports import (
-    DISTINCT_MIN_LEN,
     MAP_FIELDS,
     SCALAR_FIELDS,
     _means,
@@ -34,6 +35,10 @@ from wifimarket.reports import (
 )
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
+
+#: Row lengths from here on are "long": the writer once formatted such rows without a
+#: template index by distinct value, and the tests below keep rows on both sides of it.
+LONG_ROW = 128
 
 
 def small_series():
@@ -245,8 +250,8 @@ def view_run(lengths, roster_size, label="run"):
 
 
 def test_csv_views_with_special_values_match_reference(tmp_path):
-    long = max(DISTINCT_MIN_LEN, 200)
-    ts = view_run([long, long, 5, DISTINCT_MIN_LEN - 1, DISTINCT_MIN_LEN, long], long)
+    long = max(LONG_ROW, 200)
+    ts = view_run([long, long, 5, LONG_ROW - 1, LONG_ROW, long], long)
     write_csv(ts, tmp_path / "new.csv")
     text = (tmp_path / "new.csv").read_text(encoding="utf-8")
     for cell in ("nan", "inf", "-inf", "-0", "4.94065646e-324", "0.333333333", "2.5"):
@@ -255,8 +260,8 @@ def test_csv_views_with_special_values_match_reference(tmp_path):
 
 
 def test_csv_view_shorter_than_its_roster_leaves_blank_cells(tmp_path):
-    roster_size = 3 * DISTINCT_MIN_LEN + 20
-    ts = view_run([DISTINCT_MIN_LEN + 10, 2, roster_size, DISTINCT_MIN_LEN], roster_size)
+    roster_size = 3 * LONG_ROW + 20
+    ts = view_run([LONG_ROW + 10, 2, roster_size, LONG_ROW], roster_size)
     write_csv(ts, tmp_path / "new.csv")
     rows = (tmp_path / "new.csv").read_text(encoding="utf-8").splitlines()
     assert len(rows[1].split(",")) == len(rows[0].split(","))
@@ -267,7 +272,7 @@ def test_csv_view_shorter_than_its_roster_leaves_blank_cells(tmp_path):
 def test_csv_map_field_without_keys_adds_no_cell(tmp_path):
     ts = TimeSeries.of("views", [
         rec._replace(lambda_by_wfp={}, g_by_user=UserValues(rec.x_by_user.roster, np.empty(0)))
-        for rec in view_run([DISTINCT_MIN_LEN, 3], DISTINCT_MIN_LEN).records
+        for rec in view_run([LONG_ROW, 3], LONG_ROW).records
     ])
     write_csv(ts, tmp_path / "new.csv")
     lines = (tmp_path / "new.csv").read_text(encoding="utf-8").splitlines()
@@ -278,7 +283,7 @@ def test_csv_map_field_without_keys_adds_no_cell(tmp_path):
 
 @pytest.mark.parametrize("label", ['peak, "high"', "two\nlines", "", " padded ", '50% "off", 5%d'])
 def test_csv_series_label_is_quoted_as_csv_quotes_it(tmp_path, label):
-    ts = view_run([DISTINCT_MIN_LEN, 1], DISTINCT_MIN_LEN, label=label)
+    ts = view_run([LONG_ROW, 1], LONG_ROW, label=label)
     assert_matches_reference(ts, tmp_path)
 
 
@@ -302,7 +307,7 @@ def test_csv_growth_sweep_with_two_providers_matches_reference(tmp_path):
                  "count": 40, "user_growth": 7, "allocation": "best_response"},
     }
     ts = run_scenario(scenario_from_dict(doc))
-    assert len(ts.records[-1].x_by_user) >= 2 * DISTINCT_MIN_LEN
+    assert len(ts.records[-1].x_by_user) >= 2 * LONG_ROW
     assert_matches_reference(ts, tmp_path)
 
 
@@ -766,14 +771,100 @@ def test_sweep_shapes_are_pinned_and_rebuilt_from_records(tmp_path, shape):
     assert outputs(TimeSeries.of(ts.name, ts.records), tmp_path / "rebuilt") == (csv_bytes, svg_bytes)
 
 
+def equilibrium_shape(shape):
+    """A seeded equilibrium document with growth that no preset covers: an establishment
+    and an individual provider (fee, transaction cap, billing cycles), per-tick subscriber
+    loads, and templates that walk away (utility < 0) at some ticks but not others.
+    ``isp`` solves the ISP's link prices (148 users by the last tick); ``crowd`` holds
+    them fixed and grows to 456 users, until every template walks away."""
+    rng = random.Random(f"equilibrium-{shape}")
+    ticks = 12
+    users = [
+        {"id": uid, "count": count, "wfp": wfp, "path": path,
+         "weight": round(rng.uniform(0.5, 2.0), 3), "budget": budget or round(rng.uniform(50, 150), 1),
+         "tx_power": 0.05, "x_min": 0.01, "x_max": rng.choice([2.0, 50.0])}
+        for uid, count, wfp, path, budget in [
+            ("a", 5, "est", ["AB"], None), ("b", 3, "ind", ["AB", "BC"], None),
+            ("c", 4, "est", ["AB", "BC"], None), ("d", 2, "ind", ["BC"], None),
+            ("e", 2, "est", ["BC"], 12.0)]
+    ]
+    return scenario_from_dict({
+        "name": f"equilibrium-{shape}",
+        "links": [{"id": "AB", "capacity": 300.0, "price": 5.0},
+                  {"id": "BC", "capacity": 200.0, "price": 4.0}],
+        "wfps": [{"id": "est", "kind": "establishment", "capacity": 120.0, "min_profit": 2.0},
+                 {"id": "ind", "kind": "individual", "quota": 90.0, "unused": 90.0,
+                  "fee": 30.0, "txn_cap": 12.0, "min_profit": 1.0}],
+        "users": users,
+        "solver": {"sigma0": 0.5, "max_iters": 400},
+        "solve_isp": shape == "isp",
+        "mode": {"kind": "equilibrium", "ticks": ticks, "user_growth": 12 if shape == "isp" else 40,
+                 "billing_cycle_ticks": 4,
+                 "subscriber_loads": {"AB": [150.0 + 20.0 * (t % 5) for t in range(ticks)],
+                                      "BC": [100.0 + 15.0 * (t % 4) for t in range(ticks)]}},
+    })
+
+
+# Record digest, CSV SHA-256 and SVG SHA-256 of each equilibrium_shape document,
+# computed while every user's solve, utility and rows were kept per user.
+EQUILIBRIUM_SHAPES = {
+    "isp": ("992cc340674264c74445e11a4e2b44c083829cab97f7bde333823dd05bea0436",
+            "5b8ccda81bc15c276cc36dfe9d11a6b050631acca4e151fafc248a4e59991655",
+            "8a947c38e554634b87eb549ffd1fa014374ca39e2f2239c6a82fa3b8e3fc1b81"),
+    "crowd": ("dc4a2bfe25536294a6db9067d0f8bb453d5e1c256aef699e2d3ac13250b10d50",
+              "e7ccda2912757e23b296f2521a74bc9adf0fd751c94eab5c25ef7b1baa338f5a",
+              "76f19d9379a9e894b6ff023a485e4d81aedda9e5feb4653da51154c4031eaea6"),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(EQUILIBRIUM_SHAPES))
+def test_equilibrium_shapes_are_pinned_and_rebuilt_from_records(tmp_path, monkeypatch, shape):
+    walked_away = []  # per tick, the templates whose utility is negative
+    utility = wifimarket.engine._utility
+
+    def spy(pop, idx, x, prices):
+        found = utility(pop, idx, x, prices)
+        walked_away.append({pop.roster.ids[i] for i in np.flatnonzero(found < 0.0)})
+        return found
+
+    monkeypatch.setattr(wifimarket.engine, "_utility", spy)
+    ts = run_scenario(equilibrium_shape(shape))
+    csv_bytes, svg_bytes = outputs(ts, tmp_path / "run")
+    found = (record_digest(ts.records), hashlib.sha256(csv_bytes).hexdigest(),
+             hashlib.sha256(svg_bytes).hexdigest())
+    assert found == EQUILIBRIUM_SHAPES[shape]
+    assert outputs(TimeSeries.of(ts.name, ts.records), tmp_path / "rebuilt") == (csv_bytes, svg_bytes)
+    # some template walks away at one tick and buys at another
+    assert set.union(*walked_away) - set.intersection(*walked_away)
+    assert all(rec.x_by_user[uid] == 0.0 for rec, gone in zip(ts.records, walked_away)
+               for uid in gone)
+
+
+def test_sweep_buys_nothing_below_x_floor():
+    """An individual provider's equal split of a plan run dry leaves a rounding residue
+    (about 1e-16 per user): a purchase below x_floor, which is neither settled, nor
+    recorded, nor counted in the mean utility."""
+    cfg = sweep_shape("equal")
+    cfg = replace(cfg, wfps=[cfg.wfps[0], replace(cfg.wfps[1], quota=60.0, unused=60.0)])
+    ts = run_scenario(cfg)
+    x_floor = cfg.solver.x_floor
+    assert not [x for rec in ts.records for x in rec.x_by_user.values() if 0.0 < x < x_floor]
+    rec, profiles = ts.records[7], {user.id: user for user in cfg.users}
+    utility = [user_utility(rec.x_by_user[uid], rec.final_price_by_user[uid],
+                            profiles[uid.split("+")[0]])
+               for uid in rec.g_by_user if rec.x_by_user[uid] >= x_floor]
+    assert rec.mean_utility == fold_sum(utility) / len(utility)
+    assert rec.mean_utility > -2.0  # -15.85 when the residues counted as purchases
+
+
 def test_template_rows_write_what_their_records_hold(tmp_path):
     """Hand-built blocks of three steps whose per-user rows hold one value per
     template, with a template index over part of a longer roster: special values,
-    a provider order, and indexes shorter and longer than DISTINCT_MIN_LEN."""
+    a provider order, and indexes shorter and longer than LONG_ROW."""
     rng = np.random.default_rng(5)
     roster, providers = Roster([f"u{i}" for i in range(300)]), Roster(["w1"])
     blocks = []
-    for k, n in enumerate((5, DISTINCT_MIN_LEN + 12, 290)):
+    for k, n in enumerate((5, LONG_ROW + 12, 290)):
         index = rng.integers(0, 6, n)
         order = np.argsort(rng.integers(0, 2, n), kind="stable")
         values = special_values(18 + k)[k:].reshape(3, 6)
@@ -782,7 +873,7 @@ def test_template_rows_write_what_their_records_hold(tmp_path):
         scalars = np.arange(3.0 * len(SCALAR_FIELDS)).reshape(3, -1) + k
         blocks.append(StepBlock("run", np.arange(3 * k, 3 * k + 3), scalars, maps))
     ts = TimeSeries("templates", blocks)
-    assert [len(rec.x_by_user) for rec in ts.records] == [5] * 3 + [DISTINCT_MIN_LEN + 12] * 3 + [290] * 3
+    assert [len(rec.x_by_user) for rec in ts.records] == [5] * 3 + [LONG_ROW + 12] * 3 + [290] * 3
     assert_matches_reference(ts, tmp_path)
     assert_rebuilt_from_records_writes_the_same_bytes(ts, tmp_path)
     assert_drawn_point_for_point(ts, tmp_path)

@@ -39,7 +39,8 @@ def settle_two_sales(x_floor=0.0):
     floor of 10 and 10 units at 91 over a floor of 90, by Settlement field."""
     accounts = [WfpAccount(id="ew", kind=WfpKind.ESTABLISHMENT, capacity=100.0)]
     x, g, prices = np.array([10.0, 10.0]), np.array([10.0, 90.0]), np.array([15.0, 91.0])
-    combined = _settle(accounts, np.zeros(2, dtype=int), g, prices, x, SharingParams(), x_floor)
+    provider, index = np.zeros(2, dtype=int), np.arange(2)  # each user its own template
+    combined = _settle(accounts, provider, index, g, prices, x, SharingParams(), x_floor)
     return dict(zip(SETTLEMENT_FIELDS, combined))
 
 
