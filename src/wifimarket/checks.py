@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -101,15 +101,17 @@ def random_sales(rng: random.Random) -> SaleTotals:
 
 
 def _worst(
-    seed: int, trials: int, deviations: Callable[[random.Random], Iterable[float]]
-) -> float:
+    seed: int, trials: int, deviations: Callable[[random.Random], Sequence[float]]
+) -> tuple[float, int]:
     """The largest of ``deviations(rng)`` over ``trials`` draws from one seeded
-    generator, folded from 0.0 in draw order."""
+    generator, folded from 0.0 in draw order, and how many of them exceed 1e-9."""
     rng = random.Random(seed)
-    worst = 0.0
+    worst, violations = 0.0, 0
     for _ in range(trials):
-        worst = max(worst, *deviations(rng))
-    return worst
+        found = deviations(rng)
+        worst = max(worst, *found)
+        violations += sum(deviation > 1e-9 for deviation in found)
+    return worst, violations
 
 
 def check_efficiency(
@@ -128,7 +130,7 @@ def check_efficiency(
         split = split_fn(game)
         return (abs(split.wfp_share + split.isp_share - game.total_value),)
 
-    worst = _worst(seed, trials, deviations)
+    worst, _ = _worst(seed, trials, deviations)
     return CheckResult(
         name="settlement-efficiency",
         passed=worst <= 1e-9,
@@ -145,7 +147,7 @@ def check_oracle_equivalence(seed: int, trials: int = 10_000) -> CheckResult:
         oracle_w, oracle_i = shapley_permutation(coalition_map(game))
         return abs(split.wfp_share - oracle_w), abs(split.isp_share - oracle_i)
 
-    worst = _worst(seed, trials, deviations)
+    worst, _ = _worst(seed, trials, deviations)
     return CheckResult(
         name="shapley-oracle-equivalence",
         passed=worst <= 1e-9,
@@ -162,7 +164,7 @@ def check_symmetry(seed: int, trials: int = 10_000) -> CheckResult:
         split = shapley_split(CoalitionValues(total, value, value))
         return (abs(split.wfp_share - split.isp_share),)
 
-    worst = _worst(seed, trials, deviations)
+    worst, _ = _worst(seed, trials, deviations)
     return CheckResult(
         name="symmetric-standalone-split",
         passed=worst <= 1e-9,
@@ -176,28 +178,20 @@ def check_zero_contribution(seed: int, trials: int = 10_000) -> CheckResult:
     Exercised through the full transaction pipeline with individual accounts
     whose plans are fully used up (unused = 0), not just the bare split.
     """
-    rng = random.Random(seed)
     params = SharingParams()
-    violations = 0
-    worst = 0.0
-    for _ in range(trials):
+
+    def deviations(rng: random.Random) -> tuple[float]:
         quota = rng.uniform(1.0, 500.0)
-        account = WfpAccount(
-            id="iw",
-            kind=WfpKind.INDIVIDUAL,
-            quota=quota,
-            unused=0.0,
-            fee=1e9,
-        )
+        account = WfpAccount(id="iw", kind=WfpKind.INDIVIDUAL, quota=quota, unused=0.0, fee=1e9)
         settlement, updated = settle_transaction(account, random_sales(rng), params)
         gap = max(
             abs(settlement.wfp_share),
             abs(settlement.isp_share - settlement.total_value),
             abs(updated.settled_share - account.settled_share),
         )
-        worst = max(worst, gap)
-        if gap > 1e-9:
-            violations += 1
+        return (gap,)
+
+    worst, violations = _worst(seed, trials, deviations)
     return CheckResult(
         name="zero-contribution-dummy",
         passed=violations == 0,
@@ -224,7 +218,7 @@ def check_additivity(seed: int, trials: int = 10_000) -> CheckResult:
             abs(split_sum.isp_share - split_a.isp_share - split_b.isp_share),
         )
 
-    worst = _worst(seed, trials, deviations)
+    worst, _ = _worst(seed, trials, deviations)
     return CheckResult(
         name="game-additivity",
         passed=worst <= 1e-9,
@@ -240,7 +234,7 @@ def check_equal_surplus_gain(seed: int, trials: int = 10_000) -> CheckResult:
         split = shapley_split(game)
         return (abs((split.wfp_share - game.wfp_value) - (split.isp_share - game.isp_value)),)
 
-    worst = _worst(seed, trials, deviations)
+    worst, _ = _worst(seed, trials, deviations)
     return CheckResult(
         name="equal-surplus-gain",
         passed=worst <= 1e-9,
@@ -330,15 +324,15 @@ def check_floor_discount_monotone(seed: int, trials: int = 1_000) -> CheckResult
     beta); scaling every floor up while holding the spread fixed must leave
     the contribution flat or lower.
     """
-    rng = random.Random(seed)
     params = SharingParams()
-    violations = 0
-    for trial in range(trials):
+
+    def increases(rng: random.Random) -> list[float]:
+        """1.0 for each scale whose contribution exceeds the previous one's, else 0.0."""
         n = rng.randint(1, 6)
         floors = [rng.uniform(0.2, 10.0) for _ in range(n)]
         spreads = [rng.uniform(0.0, 20.0) for _ in range(n)]
         volumes = [rng.uniform(0.1, 10.0) for _ in range(n)]
-        previous = math.inf
+        previous, found = math.inf, []
         for scale in (0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0):
             prices = [floors[i] * scale + spreads[i] for i in range(n)]
             floor_sum = fold_sum(floors[i] * scale for i in range(n))
@@ -346,9 +340,11 @@ def check_floor_discount_monotone(seed: int, trials: int = 1_000) -> CheckResult
             # revenue, isp_revenue and volume are not read by the contribution
             totals = SaleTotals(n, 0.0, 0.0, spread, floor_sum, 0.0)
             contribution = ewfp_contribution(totals, params)
-            if contribution > previous + 1e-9:
-                violations += 1
+            found.append(1.0 if contribution > previous + 1e-9 else 0.0)
             previous = contribution
+        return found
+
+    _, violations = _worst(seed, trials, increases)
     return CheckResult(
         name="floor-discount-monotone",
         passed=violations == 0,

@@ -2,8 +2,8 @@
 
 Three subcommands::
 
-    wifimarket run --config scenario.json [--out DIR] [--formats csv,svg] [--seed N]
-    wifimarket preset scenario1           [--out DIR] [--formats csv,svg] [--seed N]
+    wifimarket run --config scenario.json [--out DIR] [--formats csv,svg]
+    wifimarket preset scenario1           [--out DIR] [--formats csv,svg]
     wifimarket check [--seed N]
 
 ``run`` executes a scenario document, ``preset`` executes one of the packaged
@@ -19,7 +19,6 @@ import argparse
 import os
 import re
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .checks import run_all
@@ -55,9 +54,6 @@ def _add_output_options(parser: argparse.ArgumentParser) -> None:
         default=",".join(KNOWN_FORMATS),
         help="comma-separated output formats: csv, svg (default: both)",
     )
-    parser.add_argument(
-        "--seed", type=int, default=None, help="override the scenario's seed"
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -92,9 +88,6 @@ def _run_scenario_command(args: argparse.Namespace, scenario: ScenarioConfig) ->
         if not formats:
             print("no output formats requested", file=sys.stderr)
         return EXIT_INVALID
-
-    if args.seed is not None:
-        scenario = replace(scenario, seed=args.seed)
 
     problems = validate_scenario(scenario)
     if problems:

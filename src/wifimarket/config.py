@@ -3,7 +3,7 @@
 A scenario is one JSON document::
 
     {
-      "name": "...", "seed": 42,
+      "name": "...",
       "links": [{"id": "AB", "capacity": 50, "subscriber_load": 0, "price": 10}],
       "wfps":  [{"id": "w1", "kind": "establishment", "capacity": 10, "min_profit": 5},
                 {"id": "p1", "kind": "individual", "quota": 200, "unused": 200,
@@ -17,27 +17,30 @@ A scenario is one JSON document::
 Each numeric key is an int or float field of the dataclass its section
 builds (:class:`LinkState`, :class:`WfpAccount`, :class:`UserProfile`, the
 four modes, :class:`SolverConfig`, :class:`SharingParams`, and the top-level
-``seed`` and ``lambda0`` of :class:`ScenarioConfig`, whose ``links`` maps ids
-to LinkStates): its name, type and default are read from that class.  A
+``lambda0`` of :class:`ScenarioConfig`, whose ``links`` maps ids to
+LinkStates): its name, type, default and range rule are read from that class,
+and its value must be a JSON number, a whole one for an int field.  A
 provider's ``unused`` defaults to its ``quota``, and a user entry with
 ``count`` expands into that many identical profiles with suffixed ids, up to
 :data:`MAX_USER_STEPS` users in all.  ``links``, ``wfps`` and ``users`` are
 arrays of objects; ``path``, ``usage_levels`` and each load series are arrays;
 ``solver``, ``sharing``, ``mode`` and ``subscriber_loads`` are objects.  Any
 other shape is a ConfigError.  Keys the schema does not name (such as
-``unit``, ``nodes`` or ``notes``) are ignored.  ``validate_scenario`` returns
-the full list of violations as strings -- it never raises -- so the CLI can
-print every problem at once.
+``seed``, ``unit``, ``nodes`` or ``notes``) are ignored.  ``validate_scenario``
+returns the full list of violations as strings -- it never raises -- so the
+CLI can print every problem at once.
 """
 from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any, get_type_hints
 
-from .model import LinkState, UserProfile, WfpAccount, WfpKind
+from .model import (AT_LEAST_1, NON_NEGATIVE, POSITIVE, LinkState, UserProfile, WfpAccount,
+                    WfpKind, bound, broken_bounds)
 from .pricing import SolverConfig
 from .sharing import SharingParams
 
@@ -53,7 +56,8 @@ MAX_USER_STEPS = 2_000_000
 
 
 class ConfigError(ValueError):
-    """Malformed scenario document (wrong shape or not a finite number, not out of range)."""
+    """Malformed scenario document (wrong shape, or not a finite number or not a whole one
+    for an int field; not out of range)."""
 
 
 @dataclass(frozen=True)
@@ -69,9 +73,9 @@ class SweepMode:
 
     swept_party: str  # "isp" | "wfp"
     start: float
-    step: float = 1.0
-    count: int = 300
-    user_growth: int = 0
+    step: float = bound(POSITIVE, 1.0)
+    count: int = bound(AT_LEAST_1, 300)
+    user_growth: int = bound(NON_NEGATIVE, 0)
     allocation: str = "equal"  # "equal" | "best_response"
 
 
@@ -79,9 +83,9 @@ class SweepMode:
 class EquilibriumMode:
     """Tick-driven runs where both sides solve for prices each tick."""
 
-    ticks: int
-    user_growth: int = 0
-    billing_cycle_ticks: int = 0
+    ticks: int = bound(AT_LEAST_1)
+    user_growth: int = bound(NON_NEGATIVE, 0)
+    billing_cycle_ticks: int = bound(NON_NEGATIVE, 0)
     subscriber_loads: dict[str, tuple[float, ...]] = field(default_factory=dict)
 
 
@@ -89,8 +93,8 @@ class EquilibriumMode:
 class QuotaSweepMode:
     """Individual-provider sweep over remaining quota at fixed posted prices."""
 
-    usage_steps: int = 20
-    txn_volume: float = 10.0
+    usage_steps: int = bound(AT_LEAST_1, 20)
+    txn_volume: float = bound(POSITIVE, 10.0)
 
 
 @dataclass(frozen=True)
@@ -99,9 +103,9 @@ class CeilingSweepMode:
 
     usage_levels: tuple[float, ...] = (0.0, 0.25, 0.5, 0.75)
     price_start: float = 0.0
-    price_stop: float = 100.0
-    price_step: float = 1.0
-    txn_volume: float = 10.0
+    price_stop: float = 100.0  # at least price_start
+    price_step: float = bound(POSITIVE, 1.0)
+    txn_volume: float = bound(POSITIVE, 10.0)
 
     @property
     def price_count(self) -> int | float:
@@ -129,7 +133,6 @@ class ScenarioConfig:
     """
 
     name: str
-    seed: int = 0
     links: dict[str, LinkState] = field(default_factory=dict)
     wfps: list[WfpAccount] = field(default_factory=list)
     wfp_prices: dict[str, float] = field(default_factory=dict)
@@ -159,16 +162,19 @@ def _shaped(raw: Any, kind: type, where: str, item: type | None = None) -> Any:
 
 
 def _number(raw: Any, where: str, name: str, kind: type = float) -> Any:
-    """``kind(raw)``; ConfigError naming ``where`` and the field if it does not
-    convert or is not finite, or is a JSON boolean."""
+    """``kind(raw)`` for a finite JSON number (an int or a float, not a boolean or a
+    string), which an int field also needs whole; ConfigError naming ``where`` and
+    the field otherwise."""
     try:
-        value = kind(raw)
-        if math.isfinite(value) and type(raw) is not bool:
-            return value
-    except (TypeError, ValueError, OverflowError):
-        pass
+        finite = type(raw) in (int, float) and math.isfinite(raw)
+    except OverflowError:  # an int past the float range
+        finite = False
     field_name = f"{where}: {name}" if where else name
-    raise ConfigError(f"{field_name} must be a finite number, got {raw!r}")
+    if not finite:
+        raise ConfigError(f"{field_name} must be a finite number, got {raw!r}")
+    if kind is int and raw != int(raw):
+        raise ConfigError(f"{field_name} must be a whole number, got {raw!r}")
+    return kind(raw)
 
 
 #: Each dataclass's numeric fields, as :func:`_build` reads them, by class.
@@ -316,55 +322,30 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
     problems: list[str] = []
 
     for lid, link in cfg.links.items():
-        if link.capacity <= 0.0:
-            problems.append(f"link {lid}: capacity must be positive")
+        problems.extend(f"link {lid}: {wrong}" for wrong in broken_bounds(link))
         if wrong := _load_problem(link.subscriber_load, link):
             problems.append(f"link {lid}: subscriber_load {wrong}")
-        if link.price < 0.0:
-            problems.append(f"link {lid}: price must be non-negative")
 
     wfp_ids = set()
     for w in cfg.wfps:
         if w.id in wfp_ids:
             problems.append(f"wfp {w.id}: duplicate id")
         wfp_ids.add(w.id)
-        if w.min_profit < 0.0:
-            problems.append(f"wfp {w.id}: min_profit must be non-negative")
-        if w.kind is WfpKind.ESTABLISHMENT:
-            if w.capacity <= 0.0:
-                problems.append(f"wfp {w.id}: capacity must be positive")
-        else:
-            if w.quota <= 0.0:
-                problems.append(f"wfp {w.id}: quota must be positive")
+        problems.extend(f"wfp {w.id}: {wrong}" for wrong in broken_bounds(w))
+        if w.kind is WfpKind.INDIVIDUAL:
             if not 0.0 <= w.unused <= w.quota:
                 problems.append(f"wfp {w.id}: unused must lie in [0, quota]")
-            if w.fee < 0.0:
-                problems.append(f"wfp {w.id}: fee must be non-negative")
-            if w.settled_share < 0.0:
-                problems.append(f"wfp {w.id}: settled_share must be non-negative")
-            elif w.fee > 0.0 and w.settled_share > w.fee:
+            if w.fee > 0.0 and w.settled_share > w.fee:
                 problems.append(f"wfp {w.id}: settled_share exceeds fee")
-            if w.txn_cap < 0.0:
-                problems.append(f"wfp {w.id}: txn_cap must be non-negative")
 
     user_ids = set()
     for u in cfg.users:
         if u.id in user_ids:
             problems.append(f"user {u.id}: duplicate id")
         user_ids.add(u.id)
-        if u.x_min <= 0.0:
-            problems.append(f"user {u.id}: x_min must be positive")
+        problems.extend(f"user {u.id}: {wrong}" for wrong in broken_bounds(u))
         if u.x_max < u.x_min:
             problems.append(f"user {u.id}: x_max must be at least x_min")
-        if u.weight <= 0.0:
-            problems.append(f"user {u.id}: weight must be positive")
-        if u.budget <= 0.0:
-            problems.append(f"user {u.id}: budget must be positive")
-        for quantity in ("tx_power", "noise_var", "band"):
-            if getattr(u, quantity) <= 0.0:
-                problems.append(f"user {u.id}: {quantity} must be positive")
-        if u.channel_gain2 < 0.0:
-            problems.append(f"user {u.id}: channel_gain2 must be non-negative")
         if not u.wfp:
             problems.append(f"user {u.id}: no wfp to buy from")
         elif u.wfp not in wfp_ids:
@@ -374,28 +355,15 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
                 problems.append(f"user {u.id}: unknown link {lid!r} in path")
 
     mode = cfg.mode
+    problems.extend(f"mode: {wrong}" for wrong in broken_bounds(mode))
+    if getattr(mode, "user_growth", 0) > 0 and not cfg.users:
+        problems.append("mode: user_growth needs users to clone")
     if isinstance(mode, SweepMode):
         if mode.swept_party not in ("isp", "wfp"):
             problems.append("mode: swept_party must be 'isp' or 'wfp'")
-        if mode.count < 1:
-            problems.append("mode: count must be at least 1")
-        if mode.step <= 0.0:
-            problems.append("mode: step must be positive")
-        if mode.user_growth < 0:
-            problems.append("mode: user_growth must be non-negative")
-        elif mode.user_growth and not cfg.users:
-            problems.append("mode: user_growth needs users to clone")
         if mode.allocation not in ("equal", "best_response"):
             problems.append("mode: allocation must be 'equal' or 'best_response'")
     elif isinstance(mode, EquilibriumMode):
-        if mode.ticks < 1:
-            problems.append("mode: ticks must be at least 1")
-        if mode.user_growth < 0:
-            problems.append("mode: user_growth must be non-negative")
-        elif mode.user_growth and not cfg.users:
-            problems.append("mode: user_growth needs users to clone")
-        if mode.billing_cycle_ticks < 0:
-            problems.append("mode: billing_cycle_ticks must be non-negative")
         for lid, series in mode.subscriber_loads.items():
             if lid not in cfg.links:
                 problems.append(f"mode: subscriber_loads for unknown link {lid!r}")
@@ -405,22 +373,13 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
             for tick, load in enumerate(series[: mode.ticks]):
                 if wrong := _load_problem(load, cfg.links[lid]):
                     problems.append(f"mode: subscriber_loads[{lid!r}][{tick}] {wrong}")
-    elif isinstance(mode, QuotaSweepMode):
-        if mode.usage_steps < 1:
-            problems.append("mode: usage_steps must be at least 1")
-        if mode.txn_volume <= 0.0:
-            problems.append("mode: txn_volume must be positive")
     elif isinstance(mode, CeilingSweepMode):
         if not mode.usage_levels:
             problems.append("mode: usage_levels must not be empty")
         if any(not 0.0 <= lvl < 1.0 for lvl in mode.usage_levels):
             problems.append("mode: usage_levels must lie in [0, 1)")
-        if mode.price_step <= 0.0:
-            problems.append("mode: price_step must be positive")
         if mode.price_stop < mode.price_start:
             problems.append("mode: price_stop must be at least price_start")
-        if mode.txn_volume <= 0.0:
-            problems.append("mode: txn_volume must be positive")
         first: dict[str, float] = {}
         for lvl in mode.usage_levels:
             label = mode.series_label(lvl)
@@ -439,19 +398,14 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
             if w.kind is WfpKind.INDIVIDUAL and w.id not in cfg.wfp_prices:
                 problems.append(f"wfp {w.id}: posted price required for quota sweeps")
 
-    users_by_wfp: dict[str, int] = {}
-    for u in cfg.users:
-        users_by_wfp[u.wfp] = users_by_wfp.get(u.wfp, 0) + 1
+    users_by_wfp = Counter(u.wfp for u in cfg.users)
     if isinstance(mode, (SweepMode, QuotaSweepMode, CeilingSweepMode)):
         for w in cfg.wfps:
-            if users_by_wfp.get(w.id, 0) == 0:
+            if users_by_wfp[w.id] == 0:
                 problems.append(f"wfp {w.id}: no users assigned")
 
-    size = _user_steps(cfg, users_by_wfp)
-    if size > MAX_USER_STEPS:
-        problems.append(
-            f"mode: {size:,.0f} user-steps exceed the limit of {MAX_USER_STEPS:,}"
-        )
+    if (size := _user_steps(cfg, users_by_wfp)) > MAX_USER_STEPS:
+        problems.append(f"mode: {size:,.0f} user-steps exceed the limit of {MAX_USER_STEPS:,}")
 
     return problems
 

@@ -12,7 +12,8 @@ The market has three kinds of actors:
 Everything in this module is a plain value object.  Operations elsewhere
 return updated copies instead of mutating shared state, and scenario
 validation reports violations as data (strings) rather than raising, so a
-bad config can be diagnosed in full rather than one field at a time.
+bad config can be diagnosed in full rather than one field at a time (range
+rules: :func:`bound` declares one on a field, :func:`broken_bounds` checks them).
 
 A run holds its users as a :class:`Population` (parallel arrays over one
 :class:`Roster` of ids), and reports per-user values as :class:`UserValues`,
@@ -25,17 +26,52 @@ and a template row gathered, when first read.
 from __future__ import annotations
 
 from collections.abc import ItemsView, Mapping, ValuesView
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from enum import Enum
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import chain, groupby, repeat
 from types import MappingProxyType
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 #: Absolute tolerance for monetary and price comparisons.
 TOLERANCE = 1e-9
+
+#: Single-field range rules: the test a value fails, and what the message says.
+Rule = tuple[Callable[[Any], bool], str]
+POSITIVE: Rule = (lambda v: v <= 0.0, "must be positive")
+NON_NEGATIVE: Rule = (lambda v: v < 0.0, "must be non-negative")
+AT_LEAST_1: Rule = (lambda v: v < 1, "must be at least 1")
+ABOVE_1: Rule = (lambda v: v <= 1.0, "must exceed 1")
+
+
+def bound(rule: Rule, default: Any = MISSING, kind: WfpKind | None = None) -> Any:
+    """A dataclass field whose value must keep ``rule``; with a ``kind``, only an
+    instance whose own ``kind`` is that one is held to it."""
+    return field(default=default, metadata={"bound": (*rule, kind)})
+
+
+@cache
+def _bounds(cls: type) -> tuple[tuple[str, Callable[[Any], bool], str, Any], ...]:
+    return tuple((f.name, *f.metadata["bound"]) for f in fields(cls) if "bound" in f.metadata)
+
+
+def broken_bounds(obj: Any) -> list[str]:
+    """``"<field> <rule>"`` for each field of dataclass ``obj``, in field order,
+    whose value breaks the rule declared on it by :func:`bound`."""
+    kinds = (None, getattr(obj, "kind", None))
+    return [
+        f"{name} {text}"
+        for name, breaks, text, kind in _bounds(type(obj))
+        if kind in kinds and breaks(getattr(obj, name))
+    ]
+
+
+def refuse_broken_bounds(obj: Any) -> None:
+    """A ``__post_init__`` that raises ValueError with the first of :func:`broken_bounds`."""
+    if problems := broken_bounds(obj):
+        raise ValueError(problems[0])
 
 
 class WfpKind(Enum):
@@ -57,14 +93,14 @@ class UserProfile:
     """
 
     id: str
-    weight: float = 1.0
-    tx_power: float = 1.0
-    channel_gain2: float = 1.0
-    noise_var: float = 1.0
-    band: float = 1.0
-    budget: float = 100.0
-    x_min: float = 1e-3
-    x_max: float = 100.0
+    weight: float = bound(POSITIVE, 1.0)
+    tx_power: float = bound(POSITIVE, 1.0)
+    channel_gain2: float = bound(NON_NEGATIVE, 1.0)
+    noise_var: float = bound(POSITIVE, 1.0)
+    band: float = bound(POSITIVE, 1.0)
+    budget: float = bound(POSITIVE, 100.0)
+    x_min: float = bound(POSITIVE, 1e-3)
+    x_max: float = 100.0  # at least x_min
     path: tuple[str, ...] = ()
     wfp: str = ""
 
@@ -89,13 +125,13 @@ class WfpAccount:
 
     id: str
     kind: WfpKind
-    capacity: float = 0.0
-    quota: float = 0.0
-    unused: float = 0.0
-    min_profit: float = 0.0
-    fee: float = 0.0
-    settled_share: float = 0.0
-    txn_cap: float = 0.0
+    capacity: float = bound(POSITIVE, 0.0, WfpKind.ESTABLISHMENT)
+    quota: float = bound(POSITIVE, 0.0, WfpKind.INDIVIDUAL)
+    unused: float = 0.0  # in [0, quota]
+    min_profit: float = bound(NON_NEGATIVE, 0.0)
+    fee: float = bound(NON_NEGATIVE, 0.0, WfpKind.INDIVIDUAL)
+    settled_share: float = bound(NON_NEGATIVE, 0.0, WfpKind.INDIVIDUAL)  # at most a positive fee
+    txn_cap: float = bound(NON_NEGATIVE, 0.0, WfpKind.INDIVIDUAL)
 
     def replenished(self) -> "WfpAccount":
         """Fresh billing cycle: quota restored, settled share reset."""
@@ -121,9 +157,9 @@ class LinkState:
     current minimum sale price for WFP traffic crossing it."""
 
     id: str
-    capacity: float
-    subscriber_load: float = 0.0
-    price: float = 0.0
+    capacity: float = bound(POSITIVE)
+    subscriber_load: float = 0.0  # in [0, capacity]
+    price: float = bound(NON_NEGATIVE, 0.0)
 
 
 @dataclass(frozen=True)

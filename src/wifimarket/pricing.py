@@ -23,13 +23,17 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .model import (
+    AT_LEAST_1,
+    POSITIVE,
     LinkState,
     Population,
     UserProfile,
     UserValues,
     WfpAccount,
+    bound,
     effective_capacity,
     fold_sum,
+    refuse_broken_bounds,
     running_total,
 )
 
@@ -49,20 +53,12 @@ class SolverConfig:
     the engine settles.
     """
 
-    sigma0: float = 1.0
-    epsilon: float = 1e-6
-    max_iters: int = 100_000
-    x_floor: float = 1e-6
+    sigma0: float = bound(POSITIVE, 1.0)
+    epsilon: float = bound(POSITIVE, 1e-6)
+    max_iters: int = bound(AT_LEAST_1, 100_000)
+    x_floor: float = bound(POSITIVE, 1e-6)
 
-    def __post_init__(self) -> None:
-        if self.sigma0 <= 0.0:
-            raise ValueError("sigma0 must be positive")
-        if self.epsilon <= 0.0:
-            raise ValueError("epsilon must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
-        if self.x_floor <= 0.0:
-            raise ValueError("x_floor must be positive")
+    __post_init__ = refuse_broken_bounds
 
 
 @dataclass

@@ -32,7 +32,8 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .model import TOLERANCE, Settlement, WfpAccount, WfpKind
+from .model import (ABOVE_1, POSITIVE, TOLERANCE, Settlement, WfpAccount, WfpKind, bound,
+                    refuse_broken_bounds)
 
 
 @dataclass(frozen=True)
@@ -44,14 +45,10 @@ class SharingParams:
     never exceeds the price spread it is derived from.
     """
 
-    alpha: float = 1.0
-    beta: float = 2.5
+    alpha: float = bound(POSITIVE, 1.0)
+    beta: float = bound(ABOVE_1, 2.5)
 
-    def __post_init__(self) -> None:
-        if self.alpha <= 0.0:
-            raise ValueError("alpha must be positive")
-        if self.beta <= 1.0:
-            raise ValueError("beta must exceed 1")
+    __post_init__ = refuse_broken_bounds
 
 
 @dataclass(frozen=True)

@@ -65,13 +65,15 @@ def test_out_dir_defaults_to_environment(tmp_path, monkeypatch):
     assert (tmp_path / "from-env" / "cli-good.csv").is_file()
 
 
-def test_seed_override_is_accepted(tmp_path):
-    config = write_doc(tmp_path, GOOD_DOC)
-    code = cli.main(
-        ["run", "--config", str(config), "--out", str(tmp_path), "--seed", "123",
-         "--formats", "csv"]
-    )
-    assert code == 0
+def test_a_documents_seed_is_ignored(tmp_path):
+    """No run draws random numbers: documents differing only in ``seed`` write the same CSV."""
+    written = []
+    for seed in (1, 999):
+        config = write_doc(tmp_path, dict(GOOD_DOC, seed=seed), name=f"seed{seed}.json")
+        out = tmp_path / f"seed{seed}"
+        assert cli.main(["run", "--config", str(config), "--out", str(out), "--formats", "csv"]) == 0
+        written.append((out / "cli-good.csv").read_bytes())
+    assert written[0] == written[1]
 
 
 def test_run_with_links_that_cannot_clear_exits_zero(tmp_path):
@@ -196,6 +198,11 @@ def test_malformed_json_is_invalid_input(tmp_path, capsys):
     [
         ("users", 0, "count", "abc", "user 'u': count must be a finite number, got 'abc'"),
         ("wfps", 0, "capacity", float("nan"), "wfp w1: capacity must be a finite number, got nan"),
+        # only JSON numbers are numbers, and an int field takes whole ones only
+        ("users", 0, "count", "3", "user 'u': count must be a finite number, got '3'"),
+        ("wfps", 0, "capacity", "50", "wfp w1: capacity must be a finite number, got '50'"),
+        ("links", 0, "capacity", "50", "link AB: capacity must be a finite number, got '50'"),
+        ("users", 0, "count", 2.5, "user 'u': count must be a whole number, got 2.5"),
     ],
 )
 def test_non_numeric_or_non_finite_field_is_invalid_input(
@@ -204,6 +211,23 @@ def test_non_numeric_or_non_finite_field_is_invalid_input(
     doc = json.loads(json.dumps(GOOD_DOC))
     doc[section][index][key] = value
     config = write_doc(tmp_path, doc)
+    code = cli.main(["run", "--config", str(config), "--out", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [message]
+
+
+@pytest.mark.parametrize(
+    "mode, message",
+    [
+        ({"kind": "equilibrium", "ticks": 2.9}, "mode: ticks must be a whole number, got 2.9"),
+        ({"kind": "sweep", "swept_party": "isp", "start": 10, "count": 5.5},
+         "mode: count must be a whole number, got 5.5"),
+        ({"kind": "quota_sweep", "usage_steps": "20"},
+         "mode: usage_steps must be a finite number, got '20'"),
+    ],
+)
+def test_a_fractional_or_quoted_mode_count_is_invalid_input(tmp_path, capsys, mode, message):
+    config = write_doc(tmp_path, dict(GOOD_DOC, mode=mode))
     code = cli.main(["run", "--config", str(config), "--out", str(tmp_path)])
     assert code == 1
     assert capsys.readouterr().err.splitlines() == [message]
@@ -314,7 +338,9 @@ def test_every_dropped_key_or_non_finite_number_is_rejected_or_defaulted(preset)
     problem list, never another exception; only a dropped key may validate clean."""
     doc = preset_document(preset)
     keys = [path for path, _ in walk(doc) if isinstance(path[-1], str)]
-    numbers = [path for path, value in walk(doc) if type(value) in (int, float)]
+    numbers = [  # a document's seed is ignored, like its unit, nodes and notes
+        path for path, value in walk(doc) if type(value) in (int, float) and path != ("seed",)
+    ]
     cases = [(path, "dropped", dropped(doc, path)) for path in keys] + [
         (path, value, swapped(doc, path, value))
         for path in numbers for value in (math.nan, math.inf, -math.inf)

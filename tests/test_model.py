@@ -34,6 +34,7 @@ from wifimarket.model import (
     UserValues,
     WfpAccount,
     WfpKind,
+    broken_bounds,
     effective_capacity,
     fold_sum,
     running_total,
@@ -176,7 +177,7 @@ def test_scenario_from_dict_requires_mode():
     "patch, message",
     [
         ({"solver": {"sigma0": "fast"}}, "solver: sigma0 must be a finite number, got 'fast'"),
-        ({"seed": None}, "seed must be a finite number, got None"),
+        ({"lambda0": "1"}, "lambda0 must be a finite number, got '1'"),
         ({"lambda0": float("inf")}, "lambda0 must be a finite number, got inf"),
         (
             {"mode": {"kind": "equilibrium", "ticks": 2, "subscriber_loads": {"AB": [1, "x"]}}},
@@ -248,7 +249,7 @@ PARSED_FIELDS = [
 
 
 def test_parsed_fields_cover_every_section_and_the_three_required_ones():
-    assert len(PARSED_FIELDS) == 39
+    assert len(PARSED_FIELDS) == 38
     required = {
         (section, name)
         for section, name in PARSED_FIELDS
@@ -323,7 +324,7 @@ def test_load_scenario_rejects_bad_json(tmp_path):
 
 def test_keys_outside_the_schema_are_ignored():
     # the presets still carry "unit", "nodes" and "notes", which no run reads
-    extra = {"unit": "parsecs", "nodes": ["A", "B"], "notes": "n", "colour": "blue"}
+    extra = {"seed": 7, "unit": "parsecs", "nodes": ["A", "B"], "notes": "n", "colour": "blue"}
     cfg = scenario_from_dict({**MINIMAL_DOC, **extra})
     assert cfg == scenario_from_dict(MINIMAL_DOC)
     assert validate_scenario(cfg) == []
@@ -413,6 +414,155 @@ def test_validate_checks_the_subscriber_loads_a_run_reads():
         "mode: subscriber_loads['AB'][1] must be non-negative",
         "mode: subscriber_loads['AB'][2] exceeds capacity",
     ]
+
+
+#: A valid document with an establishment and an individual provider, a user of
+#: each, and one mode of each kind: the entries the bound cases below edit.
+BOUNDED_DOC = {
+    "name": "bounded",
+    "links": [{"id": "AB", "capacity": 50, "price": 10}],
+    "wfps": [
+        {"id": "w1", "kind": "establishment", "capacity": 10, "min_profit": 5},
+        {"id": "p1", "kind": "individual", "quota": 200, "fee": 1000, "price": 31},
+    ],
+    "users": [{"id": "u", "wfp": "w1", "path": ["AB"]}, {"id": "v", "wfp": "p1", "path": ["AB"]}],
+    "mode": {"kind": "equilibrium", "ticks": 2},
+}
+BOUNDED_MODES = {
+    "sweep": {"kind": "sweep", "swept_party": "isp", "start": 10},
+    "equilibrium": {"kind": "equilibrium", "ticks": 2},
+    "quota_sweep": {"kind": "quota_sweep"},
+    "ceiling_sweep": {"kind": "ceiling_sweep"},
+}
+BOUNDED_ENTRIES = {
+    "link": (LinkState, lambda doc: doc["links"][0]),
+    "establishment": (WfpAccount, lambda doc: doc["wfps"][0]),
+    "individual": (WfpAccount, lambda doc: doc["wfps"][1]),
+    "user": (UserProfile, lambda doc: doc["users"][0]),
+    "solver": (SolverConfig, lambda doc: doc.setdefault("solver", {})),
+    "sharing": (SharingParams, lambda doc: doc.setdefault("sharing", {})),
+    **{kind: (cls, lambda doc: doc["mode"]) for kind, cls in [
+        ("sweep", SweepMode), ("equilibrium", EquilibriumMode),
+        ("quota_sweep", QuotaSweepMode), ("ceiling_sweep", CeilingSweepMode)]},
+}
+
+#: Each bounded field, a value just out of its range, and the one message the
+#: hand-written checks gave it: a problem, or (solver, sharing) a ConfigError.
+BOUND_CASES = [
+    ("link", "capacity", 0, "link AB: capacity must be positive"),
+    ("link", "price", -1, "link AB: price must be non-negative"),
+    ("establishment", "capacity", 0, "wfp w1: capacity must be positive"),
+    ("establishment", "min_profit", -1, "wfp w1: min_profit must be non-negative"),
+    ("individual", "quota", 0, "wfp p1: quota must be positive"),
+    ("individual", "min_profit", -1, "wfp p1: min_profit must be non-negative"),
+    ("individual", "fee", -1, "wfp p1: fee must be non-negative"),
+    ("individual", "settled_share", -1, "wfp p1: settled_share must be non-negative"),
+    ("individual", "txn_cap", -1, "wfp p1: txn_cap must be non-negative"),
+    ("user", "weight", 0, "user u: weight must be positive"),
+    ("user", "tx_power", 0, "user u: tx_power must be positive"),
+    ("user", "channel_gain2", -1, "user u: channel_gain2 must be non-negative"),
+    ("user", "noise_var", 0, "user u: noise_var must be positive"),
+    ("user", "band", 0, "user u: band must be positive"),
+    ("user", "budget", 0, "user u: budget must be positive"),
+    ("user", "x_min", 0, "user u: x_min must be positive"),
+    ("solver", "sigma0", 0, "solver: sigma0 must be positive"),
+    ("solver", "epsilon", 0, "solver: epsilon must be positive"),
+    ("solver", "max_iters", 0, "solver: max_iters must be at least 1"),
+    ("solver", "x_floor", 0, "solver: x_floor must be positive"),
+    ("sharing", "alpha", 0, "sharing: alpha must be positive"),
+    ("sharing", "beta", 1, "sharing: beta must exceed 1"),
+    ("sweep", "step", 0, "mode: step must be positive"),
+    ("sweep", "count", 0, "mode: count must be at least 1"),
+    ("sweep", "user_growth", -1, "mode: user_growth must be non-negative"),
+    ("equilibrium", "ticks", 0, "mode: ticks must be at least 1"),
+    ("equilibrium", "user_growth", -1, "mode: user_growth must be non-negative"),
+    ("equilibrium", "billing_cycle_ticks", -1, "mode: billing_cycle_ticks must be non-negative"),
+    ("quota_sweep", "usage_steps", 0, "mode: usage_steps must be at least 1"),
+    ("quota_sweep", "txn_volume", 0, "mode: txn_volume must be positive"),
+    ("ceiling_sweep", "price_step", 0, "mode: price_step must be positive"),
+    ("ceiling_sweep", "txn_volume", 0, "mode: txn_volume must be positive"),
+]
+
+
+def bounded_doc(section):
+    """A copy of BOUNDED_DOC, with the section's mode for a mode section, and the
+    entry of the section in it."""
+    doc = copy.deepcopy(BOUNDED_DOC)
+    if section in BOUNDED_MODES:
+        doc["mode"] = dict(BOUNDED_MODES[section])
+    return doc, BOUNDED_ENTRIES[section][1](doc)
+
+
+def test_bounded_doc_is_valid_in_every_mode():
+    for section in BOUNDED_ENTRIES:
+        assert validate_scenario(scenario_from_dict(bounded_doc(section)[0])) == []
+
+
+def test_bound_cases_cover_every_declared_bound():
+    declared = {
+        (cls, f.name)
+        for cls, _ in BOUNDED_ENTRIES.values()
+        for f in dataclasses.fields(cls)
+        if "bound" in f.metadata
+    }
+    assert {(BOUNDED_ENTRIES[section][0], name) for section, name, *_ in BOUND_CASES} == declared
+    assert len(BOUND_CASES) == 32
+
+
+@pytest.mark.parametrize("section, name, value, message", BOUND_CASES)
+def test_one_out_of_range_field_gives_its_one_message(section, name, value, message):
+    doc, entry = bounded_doc(section)
+    entry[name] = value
+    if section in ("solver", "sharing"):  # their dataclasses refuse the value
+        with pytest.raises(ConfigError) as exc:
+            scenario_from_dict(doc)
+        assert str(exc.value) == message
+    else:
+        assert validate_scenario(scenario_from_dict(doc)) == [message]
+
+
+def test_a_kind_specific_bound_does_not_hold_the_other_kind():
+    doc = copy.deepcopy(BOUNDED_DOC)
+    doc["wfps"][0].update(quota=0, fee=-1, settled_share=-1, txn_cap=-1)  # establishment
+    doc["wfps"][1].update(capacity=0)  # individual
+    assert validate_scenario(scenario_from_dict(doc)) == []
+    assert broken_bounds(WfpAccount(id="p", kind=WfpKind.INDIVIDUAL, capacity=-1.0)) == [
+        "quota must be positive"
+    ]
+
+
+def test_solver_and_sharing_refuse_the_first_broken_bound():
+    for make, text in [
+        (lambda: SolverConfig(sigma0=0), "sigma0 must be positive"),
+        (lambda: SolverConfig(sigma0=0, max_iters=0), "sigma0 must be positive"),
+        (lambda: SolverConfig(x_floor=-1.0, max_iters=0), "max_iters must be at least 1"),
+        (lambda: SharingParams(beta=1.0), "beta must exceed 1"),
+    ]:
+        with pytest.raises(ValueError) as exc:
+            make()
+        assert str(exc.value) == text
+
+
+def test_a_user_entrys_faults_follow_field_order():
+    doc = copy.deepcopy(BOUNDED_DOC)
+    doc["users"][0].update(x_min=0, x_max=-2, weight=0, budget=-1, channel_gain2=-1, band=0)
+    assert validate_scenario(scenario_from_dict(doc)) == [
+        "user u: weight must be positive",
+        "user u: channel_gain2 must be non-negative",
+        "user u: band must be positive",
+        "user u: budget must be positive",
+        "user u: x_min must be positive",
+        "user u: x_max must be at least x_min",
+    ]
+
+
+def test_a_whole_float_is_an_int_and_a_fraction_is_refused():
+    cfg = scenario_from_dict({**MINIMAL_DOC, "mode": {"kind": "equilibrium", "ticks": 2.0}})
+    assert cfg.mode.ticks == 2 and type(cfg.mode.ticks) is int
+    for key, value in [("ticks", 2.9), ("ticks", -0.5), ("billing_cycle_ticks", 1e-9)]:
+        with pytest.raises(ConfigError) as exc:
+            scenario_from_dict({**MINIMAL_DOC, "mode": {"kind": "equilibrium", "ticks": 2, key: value}})
+        assert str(exc.value) == f"mode: {key} must be a whole number, got {value!r}"
 
 
 def test_validate_bounds_the_run_size_without_running():

@@ -517,8 +517,9 @@ def test_svg_m4_keeps_each_pixel_columns_first_last_lowest_and_highest(tmp_path)
             columns = {}
             for i, (px, _) in enumerate(scaled):
                 columns.setdefault(min(math.floor(px), 879), []).append(i)
-            in_column = {col: [i for i in kept if min(math.floor(scaled[i][0]), 879) == col]
-                         for col in columns}
+            in_column = {col: [] for col in columns}
+            for i in kept:
+                in_column[min(math.floor(scaled[i][0]), 879)].append(i)
             for col, every in columns.items():
                 shown = in_column[col]
                 assert shown[0] == every[0] and shown[-1] == every[-1], (label, col)
