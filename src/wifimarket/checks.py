@@ -114,62 +114,74 @@ def _worst(
     return worst, violations
 
 
-def check_efficiency(
-    seed: int,
-    trials: int = 10_000,
-    split_fn: Callable[[CoalitionValues], Settlement] = shapley_split,
-) -> CheckResult:
-    """The two shares of every game must sum to the grand-coalition value.
-
-    ``split_fn`` is injectable so the test suite can verify the check itself
-    rejects a broken splitter.
-    """
-
-    def deviations(rng: random.Random) -> tuple[float]:
-        game = random_game(rng)
-        split = split_fn(game)
-        return (abs(split.wfp_share + split.isp_share - game.total_value),)
-
-    worst, _ = _worst(seed, trials, deviations)
-    return CheckResult(
-        name="settlement-efficiency",
-        passed=worst <= 1e-9,
-        detail=f"{trials} random games, max |share sum - total| = {worst:.3g}",
-    )
+Splitter = Callable[[CoalitionValues], Settlement]
 
 
-def check_oracle_equivalence(seed: int, trials: int = 10_000) -> CheckResult:
+def _split_suite(name: str, draws: str, gap: str) -> Callable[[Callable], Callable]:
+    """Decorator: a split property's ``deviations(rng, split_fn)`` becomes its suite
+    ``(seed, trials=10_000, split_fn=shapley_split)``, under the property's name and
+    docstring.  It passes when the worst deviation over ``trials`` draws is at most
+    1e-9 and reports "<trials> <draws>, <gap> = <worst>"; ``split_fn`` lets the test
+    suite show that the check rejects a broken splitter."""
+
+    def suite(deviations: Callable[[random.Random, Splitter], Sequence[float]]) -> Callable:
+        def check(seed: int, trials: int = 10_000, split_fn: Splitter = shapley_split):
+            worst, _ = _worst(seed, trials, lambda rng: deviations(rng, split_fn))
+            detail = f"{trials} {draws}, {gap} = {worst:.3g}"
+            return CheckResult(name=name, passed=worst <= 1e-9, detail=detail)
+
+        check.__name__, check.__doc__ = deviations.__name__, deviations.__doc__
+        return check
+
+    return suite
+
+
+@_split_suite("settlement-efficiency", "random games", "max |share sum - total|")
+def check_efficiency(rng: random.Random, split_fn: Splitter) -> tuple[float]:
+    """The two shares of every game must sum to the grand-coalition value."""
+    game = random_game(rng)
+    split = split_fn(game)
+    return (abs(split.wfp_share + split.isp_share - game.total_value),)
+
+
+@_split_suite("shapley-oracle-equivalence", "random games", "max |closed form - oracle|")
+def check_oracle_equivalence(rng: random.Random, split_fn: Splitter) -> tuple[float, float]:
     """Closed-form split equals the ordering-enumeration oracle."""
-
-    def deviations(rng: random.Random) -> tuple[float, float]:
-        game = random_game(rng)
-        split = shapley_split(game)
-        oracle_w, oracle_i = shapley_permutation(coalition_map(game))
-        return abs(split.wfp_share - oracle_w), abs(split.isp_share - oracle_i)
-
-    worst, _ = _worst(seed, trials, deviations)
-    return CheckResult(
-        name="shapley-oracle-equivalence",
-        passed=worst <= 1e-9,
-        detail=f"{trials} random games, max |closed form - oracle| = {worst:.3g}",
-    )
+    game = random_game(rng)
+    split = split_fn(game)
+    oracle_w, oracle_i = shapley_permutation(coalition_map(game))
+    return abs(split.wfp_share - oracle_w), abs(split.isp_share - oracle_i)
 
 
-def check_symmetry(seed: int, trials: int = 10_000) -> CheckResult:
+@_split_suite("symmetric-standalone-split", "symmetric games", "max share gap")
+def check_symmetry(rng: random.Random, split_fn: Splitter) -> tuple[float]:
     """Players with identical standalone values receive identical shares."""
+    value = rng.uniform(0.0, 100.0)
+    total = 2.0 * value + rng.uniform(0.0, 50.0)
+    split = split_fn(CoalitionValues(total, value, value))
+    return (abs(split.wfp_share - split.isp_share),)
 
-    def deviations(rng: random.Random) -> tuple[float]:
-        value = rng.uniform(0.0, 100.0)
-        total = 2.0 * value + rng.uniform(0.0, 50.0)
-        split = shapley_split(CoalitionValues(total, value, value))
-        return (abs(split.wfp_share - split.isp_share),)
 
-    worst, _ = _worst(seed, trials, deviations)
-    return CheckResult(
-        name="symmetric-standalone-split",
-        passed=worst <= 1e-9,
-        detail=f"{trials} symmetric games, max share gap = {worst:.3g}",
+@_split_suite("game-additivity", "game pairs", "max |split(a+b) - split(a) - split(b)|")
+def check_additivity(rng: random.Random, split_fn: Splitter) -> tuple[float, float]:
+    """Splitting the sum of two games equals summing the two splits."""
+    a, b = random_game(rng), random_game(rng)
+    combined = CoalitionValues(
+        a.total_value + b.total_value, a.wfp_value + b.wfp_value, a.isp_value + b.isp_value
     )
+    split_sum, split_a, split_b = map(split_fn, (combined, a, b))
+    return (
+        abs(split_sum.wfp_share - split_a.wfp_share - split_b.wfp_share),
+        abs(split_sum.isp_share - split_a.isp_share - split_b.isp_share),
+    )
+
+
+@_split_suite("equal-surplus-gain", "random games", "max gain asymmetry")
+def check_equal_surplus_gain(rng: random.Random, split_fn: Splitter) -> tuple[float]:
+    """Both players gain the same amount over their standalone values."""
+    game = random_game(rng)
+    split = split_fn(game)
+    return (abs((split.wfp_share - game.wfp_value) - (split.isp_share - game.isp_value)),)
 
 
 def check_zero_contribution(seed: int, trials: int = 10_000) -> CheckResult:
@@ -199,46 +211,6 @@ def check_zero_contribution(seed: int, trials: int = 10_000) -> CheckResult:
             f"{trials} used-up individual accounts, {violations} violations, "
             f"max deviation = {worst:.3g}"
         ),
-    )
-
-
-def check_additivity(seed: int, trials: int = 10_000) -> CheckResult:
-    """Splitting the sum of two games equals summing the two splits."""
-
-    def deviations(rng: random.Random) -> tuple[float, float]:
-        a, b = random_game(rng), random_game(rng)
-        combined = CoalitionValues(
-            a.total_value + b.total_value,
-            a.wfp_value + b.wfp_value,
-            a.isp_value + b.isp_value,
-        )
-        split_sum, split_a, split_b = map(shapley_split, (combined, a, b))
-        return (
-            abs(split_sum.wfp_share - split_a.wfp_share - split_b.wfp_share),
-            abs(split_sum.isp_share - split_a.isp_share - split_b.isp_share),
-        )
-
-    worst, _ = _worst(seed, trials, deviations)
-    return CheckResult(
-        name="game-additivity",
-        passed=worst <= 1e-9,
-        detail=f"{trials} game pairs, max |split(a+b) - split(a) - split(b)| = {worst:.3g}",
-    )
-
-
-def check_equal_surplus_gain(seed: int, trials: int = 10_000) -> CheckResult:
-    """Both players gain the same amount over their standalone values."""
-
-    def deviations(rng: random.Random) -> tuple[float]:
-        game = random_game(rng)
-        split = shapley_split(game)
-        return (abs((split.wfp_share - game.wfp_value) - (split.isp_share - game.isp_value)),)
-
-    worst, _ = _worst(seed, trials, deviations)
-    return CheckResult(
-        name="equal-surplus-gain",
-        passed=worst <= 1e-9,
-        detail=f"{trials} random games, max gain asymmetry = {worst:.3g}",
     )
 
 

@@ -14,18 +14,20 @@ A scenario is one JSON document::
       "mode":   {"kind": "sweep"|"equilibrium"|"quota_sweep"|"ceiling_sweep", ...}
     }
 
-Each numeric key is an int or float field of the dataclass its section
-builds (:class:`LinkState`, :class:`WfpAccount`, :class:`UserProfile`, the
-four modes, :class:`SolverConfig`, :class:`SharingParams`, and the top-level
-``lambda0`` of :class:`ScenarioConfig`, whose ``links`` maps ids to
-LinkStates): its name, type, default and range rule are read from that class,
-and its value must be a JSON number, a whole one for an int field.  A
-provider's ``unused`` defaults to its ``quota``, and a user entry with
-``count`` expands into that many identical profiles with suffixed ids, up to
-:data:`MAX_USER_STEPS` users in all.  ``links``, ``wfps`` and ``users`` are
-arrays of objects; ``path``, ``usage_levels`` and each load series are arrays;
-``solver``, ``sharing``, ``mode`` and ``subscriber_loads`` are objects.  Any
-other shape is a ConfigError.  Keys the schema does not name (such as
+Every key but the hand-read ones is a field of the dataclass its section builds
+(:class:`LinkState`, :class:`WfpAccount`, :class:`UserProfile`, the four modes,
+:class:`SolverConfig`, :class:`SharingParams`, and :class:`ScenarioConfig` for
+``name``, ``solve_isp`` and ``lambda0``), which declares its type, default and
+range rule.  Its value must have the field's type: a JSON number (a whole one for
+an int), a boolean, one of an enum's values, an array for a tuple (``path``,
+``usage_levels``, each load series) or an object for a dict
+(``subscriber_loads``), read entry by entry; a string field takes any value's
+string.  ``links``, ``wfps`` and ``users`` are arrays of objects, and ``solver``,
+``sharing`` and ``mode`` objects; any other shape is a ConfigError.  Read by hand
+are each entry's ``id``, the mode's ``kind``, a provider's posted ``price`` (its
+``unused`` defaults to its ``quota``) and a user entry's ``count``, which expands
+it into that many identical profiles with suffixed ids, up to
+:data:`MAX_USER_STEPS` users in all.  Keys the schema does not name (such as
 ``seed``, ``unit``, ``nodes`` or ``notes``) are ignored.  ``validate_scenario``
 returns the full list of violations as strings -- it never raises -- so the
 CLI can print every problem at once.
@@ -36,8 +38,10 @@ import json
 import math
 from collections import Counter
 from dataclasses import MISSING, dataclass, field, fields, replace
+from enum import Enum
+from functools import cache
 from pathlib import Path
-from typing import Any, get_type_hints
+from typing import Any, get_args, get_origin, get_type_hints
 
 from .model import (AT_LEAST_1, NON_NEGATIVE, POSITIVE, LinkState, UserProfile, WfpAccount,
                     WfpKind, bound, broken_bounds)
@@ -132,7 +136,7 @@ class ScenarioConfig:
     modes solve provider prices exactly, or post them, and ignore it.
     """
 
-    name: str
+    name: str = "scenario"
     links: dict[str, LinkState] = field(default_factory=dict)
     wfps: list[WfpAccount] = field(default_factory=list)
     wfp_prices: dict[str, float] = field(default_factory=dict)
@@ -161,46 +165,65 @@ def _shaped(raw: Any, kind: type, where: str, item: type | None = None) -> Any:
     return raw
 
 
-def _number(raw: Any, where: str, name: str, kind: type = float) -> Any:
-    """``kind(raw)`` for a finite JSON number (an int or a float, not a boolean or a
-    string), which an int field also needs whole; ConfigError naming ``where`` and
-    the field otherwise."""
+def _number(raw: Any, label: str, kind: type = float) -> Any:
+    """``kind(raw)`` for a finite JSON number (not a boolean or a string), a whole
+    one for an int; ConfigError naming ``label`` otherwise."""
     try:
         finite = type(raw) in (int, float) and math.isfinite(raw)
     except OverflowError:  # an int past the float range
         finite = False
-    field_name = f"{where}: {name}" if where else name
     if not finite:
-        raise ConfigError(f"{field_name} must be a finite number, got {raw!r}")
+        raise ConfigError(f"{label} must be a finite number, got {raw!r}")
     if kind is int and raw != int(raw):
-        raise ConfigError(f"{field_name} must be a whole number, got {raw!r}")
+        raise ConfigError(f"{label} must be a whole number, got {raw!r}")
     return kind(raw)
 
 
-#: Each dataclass's numeric fields, as :func:`_build` reads them, by class.
-_PLANS: dict[type, tuple[tuple[str, type, bool], ...]] = {}
-
-
-def _numeric_fields(cls: type) -> tuple[tuple[str, type, bool], ...]:
-    """(name, type, required) of each int or float field of dataclass ``cls``."""
+@cache
+def _fields(cls: type) -> tuple[tuple[str, Any, bool], ...]:
+    """(name, declared type, required) of each field of dataclass ``cls``."""
     hints = get_type_hints(cls)
     return tuple(
         (f.name, hints[f.name], f.default is MISSING and f.default_factory is MISSING)
         for f in fields(cls)
-        if hints[f.name] in (int, float)
     )
 
 
+def _convert(raw: Any, kind: Any, where: str, name: str) -> Any:
+    """``raw`` as a value of the declared type ``kind``: a number, a string, a boolean,
+    an Enum member by value, or entry by entry a ``tuple[T, ...]`` from an array or a
+    ``dict[str, T]`` from an object; ConfigError naming ``where`` and ``name`` otherwise."""
+    if kind is float and type(raw) is float and math.isfinite(raw):
+        return raw  # float(raw) is raw: a finite float needs no _number call
+    label = f"{where}: {name}" if where else name
+    origin = get_origin(kind)  # before issubclass below: tuple[float, ...] is no class
+    if origin is tuple:
+        item, items = get_args(kind)[0], enumerate(_shaped(raw, list, label))
+        return tuple(_convert(v, item, where, f"{name}[{i}]") for i, v in items)
+    if origin is dict:
+        item, items = get_args(kind)[1], _shaped(raw, dict, label).items()
+        return {str(k): _convert(v, item, where, f"{name}[{k!r}]") for k, v in items}
+    if kind in (int, float):
+        return _number(raw, label, kind)
+    if kind is bool:
+        return _shaped(raw, bool, label)
+    if issubclass(kind, Enum):
+        try:
+            return kind(str(raw))
+        except ValueError as exc:
+            raise ConfigError(f"{where}: unknown {name} {str(raw)!r}") from exc
+    return str(raw)
+
+
 def _build(cls: type, entry: dict, where: str, **given: Any) -> Any:
-    """``cls(**given)`` plus the numeric fields ``entry`` gives, converted in field
-    order by :func:`_number` (a required one must be given; an omitted one keeps
-    its default).  ``cls``'s own range checks raise ConfigError."""
-    for name, kind, required in _PLANS.get(cls) or _PLANS.setdefault(cls, _numeric_fields(cls)):
+    """``cls(**given)`` plus each other field that ``entry`` gives, converted in
+    field order by :func:`_convert` (a required one must be given; an omitted one
+    keeps its default).  ``cls``'s own range checks raise ConfigError."""
+    for name, kind, required in _fields(cls):
+        if name in given:
+            continue
         if name in entry:
-            raw = entry[name]
-            # float(raw) is raw for a float: a finite one needs no _number call
-            ok = kind is float and type(raw) is float and math.isfinite(raw)
-            given[name] = raw if ok else _number(raw, where, name, kind)
+            given[name] = _convert(entry[name], kind, where, name)
         elif required:
             _require(entry, name, where)
     try:
@@ -213,98 +236,60 @@ def _parse_user(entry: dict, room: int) -> list[UserProfile]:
     """The profiles of one user entry, which may expand into at most ``room`` of them."""
     base_id = str(_require(entry, "id", "user"))
     where = f"user {base_id!r}"
-    count = _number(entry["count"], where, "count", int) if "count" in entry else 1
+    count = _number(entry["count"], f"{where}: count", int) if "count" in entry else 1
     if count < 1:
         raise ConfigError(f"{where}: count must be at least 1")
     if count > room:
         raise ConfigError(f"{where}: count {count:,} makes more than {MAX_USER_STEPS:,} users")
-    path = tuple(map(str, _shaped(entry.get("path", []), list, f"{where}: path")))
-    wfp = str(entry.get("wfp", ""))
-    profile = _build(UserProfile, entry, where, id=base_id, path=path, wfp=wfp)
+    profile = _build(UserProfile, entry, where, id=base_id)
     if count == 1:
         return [profile]
     return [replace(profile, id=f"{base_id}{i:03d}") for i in range(1, count + 1)]
 
 
-def _series(values: Any, name: str) -> tuple[float, ...]:
-    return tuple(
-        v if type(v) is float and math.isfinite(v) else _number(v, "mode", f"{name}[{i}]")
-        for i, v in enumerate(_shaped(values, list, f"mode: {name}"))
-    )
-
-
-def _parse_mode(entry: dict) -> Mode:
-    kind = str(_require(entry, "kind", "mode"))
-    if kind == "sweep":
-        swept_party = str(_require(entry, "swept_party", "mode"))
-        allocation = str(entry.get("allocation", "equal"))
-        return _build(SweepMode, entry, "mode", swept_party=swept_party, allocation=allocation)
-    if kind == "equilibrium":
-        loads = {
-            str(lid): _series(series, f"subscriber_loads[{lid!r}]")
-            for lid, series in _shaped(
-                entry.get("subscriber_loads", {}), dict, "mode: subscriber_loads"
-            ).items()
-        }
-        return _build(EquilibriumMode, entry, "mode", subscriber_loads=loads)
-    if kind == "quota_sweep":
-        return _build(QuotaSweepMode, entry, "mode")
-    if kind == "ceiling_sweep":
-        levels = {}
-        if "usage_levels" in entry:
-            levels["usage_levels"] = _series(entry["usage_levels"], "usage_levels")
-        return _build(CeilingSweepMode, entry, "mode", **levels)
-    raise ConfigError(f"mode: unknown kind {kind!r}")
+#: The mode class of each ``mode.kind``.
+_MODES = {"sweep": SweepMode, "equilibrium": EquilibriumMode,
+          "quota_sweep": QuotaSweepMode, "ceiling_sweep": CeilingSweepMode}
 
 
 def scenario_from_dict(doc: dict) -> ScenarioConfig:
     """Build a ScenarioConfig from a parsed JSON document.
 
     Shape problems (missing keys, values of the wrong JSON type, unknown enum
-    values, a user count past :data:`MAX_USER_STEPS`) and numbers that do not
-    convert or are not finite raise ConfigError; out-of-range numbers are left
-    for :func:`validate_scenario` to report.
+    values, duplicate link ids, a user count past :data:`MAX_USER_STEPS`) and
+    numbers that do not convert or are not finite raise ConfigError; out-of-range
+    numbers are left for :func:`validate_scenario` to report.
     """
     _shaped(doc, dict, "scenario document")
     links = {}
     for entry in _shaped(doc.get("links", []), list, "links", dict):
         lid = str(_require(entry, "id", "link"))
+        if lid in links:
+            raise ConfigError(f"link {lid}: duplicate id")
         links[lid] = _build(LinkState, entry, f"link {lid}", id=lid)
 
     wfps: list[WfpAccount] = []
     wfp_prices: dict[str, float] = {}
     for entry in _shaped(doc.get("wfps", []), list, "wfps", dict):
         wid = str(_require(entry, "id", "wfp"))
-        where = f"wfp {wid}"
-        kind_raw = str(_require(entry, "kind", where))
-        try:
-            kind = WfpKind(kind_raw)
-        except ValueError as exc:
-            raise ConfigError(f"{where}: unknown kind {kind_raw!r}") from exc
         if "unused" not in entry and "quota" in entry:  # unused defaults to the quota
             entry = {"unused": entry["quota"], **entry}
-        wfps.append(_build(WfpAccount, entry, where, id=wid, kind=kind))
+        wfps.append(_build(WfpAccount, entry, f"wfp {wid}", id=wid))
         if "price" in entry:
-            wfp_prices[wid] = _number(entry["price"], where, "price")
+            wfp_prices[wid] = _number(entry["price"], f"wfp {wid}: price")
 
     users: list[UserProfile] = []
     for entry in _shaped(doc.get("users", []), list, "users", dict):
         users.extend(_parse_user(entry, MAX_USER_STEPS - len(users)))
 
-    return _build(
-        ScenarioConfig,
-        doc,
-        "",
-        name=str(doc.get("name", "scenario")),
-        links=links,
-        wfps=wfps,
-        wfp_prices=wfp_prices,
-        users=users,
-        solver=_build(SolverConfig, _shaped(doc.get("solver", {}), dict, "solver"), "solver"),
-        sharing=_build(SharingParams, _shaped(doc.get("sharing", {}), dict, "sharing"), "sharing"),
-        mode=_parse_mode(_shaped(_require(doc, "mode", "scenario"), dict, "mode")),
-        solve_isp=_shaped(doc.get("solve_isp", True), bool, "solve_isp"),
-    )
+    solver = _build(SolverConfig, _shaped(doc.get("solver", {}), dict, "solver"), "solver")
+    sharing = _build(SharingParams, _shaped(doc.get("sharing", {}), dict, "sharing"), "sharing")
+    entry = _shaped(_require(doc, "mode", "scenario"), dict, "mode")
+    if (kind := str(_require(entry, "kind", "mode"))) not in _MODES:
+        raise ConfigError(f"mode: unknown kind {kind!r}")
+    mode = _build(_MODES[kind], entry, "mode")
+    return _build(ScenarioConfig, doc, "", links=links, wfps=wfps, wfp_prices=wfp_prices,
+                  users=users, solver=solver, sharing=sharing, mode=mode)
 
 
 def load_scenario(path: str | Path) -> ScenarioConfig:

@@ -48,9 +48,9 @@ class SolverConfig:
     """Knobs of the ISP solver, the sweep's dual steps and the subgradient oracles.
 
     ``max_iters`` is the ISP solve's budget of load evaluations (and the
-    oracles' iteration cap); ``sigma0`` and ``epsilon`` are read only by sweep
-    mode's dual steps and the oracles.  ``x_floor`` is the smallest purchase
-    the engine settles.
+    oracles' iteration cap); ``sigma0`` sizes sweep mode's dual steps and the
+    oracles' steps, and ``epsilon`` is read only by the two subgradient oracles.
+    ``x_floor`` is the smallest purchase the engine settles.
     """
 
     sigma0: float = bound(POSITIVE, 1.0)

@@ -5,7 +5,8 @@ import math
 import pytest
 
 from wifimarket import cli
-from wifimarket.checks import CheckResult, check_efficiency
+from wifimarket.checks import (CheckResult, check_additivity, check_efficiency,
+                               check_equal_surplus_gain, check_oracle_equivalence, check_symmetry)
 from wifimarket.config import ConfigError, scenario_from_dict, validate_scenario
 from wifimarket.model import Settlement
 from wifimarket.presets import PRESET_NAMES, preset_path
@@ -183,6 +184,14 @@ def test_ceiling_sweep_usage_levels_sharing_a_series_are_invalid_input(tmp_path,
     assert capsys.readouterr().err.splitlines() == [
         "mode: usage_levels 0.499 and 0.501 share series usage_50"
     ]
+
+
+def test_a_duplicate_link_id_is_invalid_input(tmp_path, capsys):
+    doc = dict(GOOD_DOC, links=GOOD_DOC["links"] + [{"id": "AB", "capacity": 1}])
+    config = write_doc(tmp_path, doc)
+    code = cli.main(["run", "--config", str(config), "--out", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == ["link AB: duplicate id"]
 
 
 def test_malformed_json_is_invalid_input(tmp_path, capsys):
@@ -422,18 +431,40 @@ def test_check_passes_on_the_real_battery(capsys):
 # --- the checks must actually be able to fail ----------------------------------------------
 
 
-def test_efficiency_check_rejects_a_broken_splitter():
-    def lopsided(game):
-        return Settlement(
-            wfp_share=game.total_value,  # gives everything to the provider
-            isp_share=game.isp_value,
-            total_value=game.total_value,
-            wfp_value=game.wfp_value,
-            isp_value=game.isp_value,
-        )
+def settled(game, wfp_share, isp_share):
+    return Settlement(wfp_share, isp_share, game.total_value, game.wfp_value, game.isp_value)
 
-    result = check_efficiency(seed=1, trials=50, split_fn=lopsided)
-    assert not result.passed
+
+def lopsided(game):
+    """Gives the provider the whole grand-coalition value, and the ISP its own too."""
+    return settled(game, game.total_value, game.isp_value)
+
+
+def provider_takes_the_surplus(game):
+    """Efficient and linear, but the ISP gets no more than it has alone."""
+    return settled(game, game.total_value - game.isp_value, game.isp_value)
+
+
+def proportional(game):
+    """Efficient and symmetric, but shares by the ratio of standalone values: not linear."""
+    wfp_share = game.total_value * game.wfp_value / (game.wfp_value + game.isp_value)
+    return settled(game, wfp_share, game.total_value - wfp_share)
+
+
+@pytest.mark.parametrize(
+    "check, splitter",
+    [
+        (check_efficiency, lopsided),
+        (check_oracle_equivalence, proportional),
+        (check_symmetry, provider_takes_the_surplus),
+        (check_additivity, proportional),
+        (check_equal_surplus_gain, provider_takes_the_surplus),
+    ],
+    ids=lambda value: value.__name__,
+)
+def test_each_split_check_rejects_a_splitter_that_breaks_its_property(check, splitter):
+    assert check(seed=1, trials=50).passed
+    assert not check(seed=1, trials=50, split_fn=splitter).passed
 
 
 def test_efficiency_check_accepts_the_real_splitter():

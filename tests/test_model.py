@@ -1,6 +1,7 @@
 """Data-model, configuration, and preset tests."""
 import copy
 import dataclasses
+import hashlib
 import importlib.util
 import json
 import math
@@ -638,6 +639,95 @@ def test_preset_path_exists():
 def test_unknown_preset_raises_key_error():
     with pytest.raises(KeyError):
         load_preset("scenario99")
+
+
+#: The keys of a document that name no dataclass field: read by hand (the parser's
+#: ``id``, ``kind``, ``count`` and ``price``) or ignored.
+HAND_READ_KEYS = {"id", "kind", "count", "price"}
+IGNORED_KEYS = {"seed", "unit", "nodes", "notes"}
+MODE_CLASSES = {"sweep": SweepMode, "equilibrium": EquilibriumMode,
+                "quota_sweep": QuotaSweepMode, "ceiling_sweep": CeilingSweepMode}
+
+
+@pytest.mark.parametrize("preset", PRESET_NAMES)
+def test_every_preset_key_is_a_field_a_hand_read_key_or_ignored(preset):
+    doc = json.loads(preset_path(preset).read_text(encoding="utf-8"))
+    sections = [
+        (doc, ScenarioConfig),
+        (doc.get("solver", {}), SolverConfig),
+        (doc.get("sharing", {}), SharingParams),
+        (doc["mode"], MODE_CLASSES[doc["mode"]["kind"]]),
+        *((entry, LinkState) for entry in doc["links"]),
+        *((entry, WfpAccount) for entry in doc["wfps"]),
+        *((entry, UserProfile) for entry in doc["users"]),
+    ]
+    for entry, cls in sections:
+        fields = {f.name for f in dataclasses.fields(cls)}
+        assert set(entry) - fields - HAND_READ_KEYS - IGNORED_KEYS == set(), (preset, cls.__name__)
+
+
+#: A valid document that sets every non-numeric key: a name that is no string,
+#: solve_isp, both provider kinds and a path over two links; EVERY_KEY_MODES gives
+#: it one mode of each kind, each with its own non-numeric keys.
+EVERY_KEY_DOC = {
+    "name": 2017,
+    "solve_isp": False,
+    "links": [
+        {"id": "AB", "capacity": 50, "price": 10},
+        {"id": "BC", "capacity": 40.5, "price": 2},
+    ],
+    "wfps": [
+        {"id": "w1", "kind": "establishment", "capacity": 10, "min_profit": 5},
+        {"id": "p1", "kind": "individual", "quota": 200, "unused": 150, "fee": 1000, "price": 31},
+    ],
+    "users": [
+        {"id": "u", "wfp": "w1", "path": ["AB", "BC"], "count": 2, "weight": 1.5},
+        {"id": "v", "wfp": "p1", "path": ["BC"], "budget": 80},
+    ],
+}
+EVERY_KEY_MODES = {
+    "sweep": {"kind": "sweep", "swept_party": "wfp", "allocation": "best_response", "start": 3},
+    "equilibrium": {"kind": "equilibrium", "ticks": 2,
+                    "subscriber_loads": {"AB": [1, 2.5], "BC": [0.0, 3]}},
+    "quota_sweep": {"kind": "quota_sweep", "usage_steps": 4},
+    "ceiling_sweep": {"kind": "ceiling_sweep", "usage_levels": [0, 0.5, 0.9], "price_stop": 20},
+}
+
+#: SHA-256 of ``repr(scenario_from_dict(doc))``, as the hand-written parser of the
+#: non-numeric keys gave it, for each preset and each mode of EVERY_KEY_DOC.
+PARSED_REPR_SHA256 = {
+    "scenario1": "b84d316749fbc46c985229c315c999f42f00d62164a250f39805c531b145fe0e",
+    "scenario2": "9de7473da0aeec2616f60f0a56f93a7430cc79671b358afb0e7788bf35af48a6",
+    "scenario3-low": "51446b492d92d55bdc9e2fd4d03b1ef89c0a7d20cd736bcfa90f592de809c84d",
+    "scenario3-high": "5bffb97090d2f8bf7680252a33db0ed914ff582170ee939063fb60c164ec39a5",
+    "iwfp-topology": "925affcd604276189aee37604ed167016947d91d627e60c9cb8100a66409c7eb",
+    "iwfp-ceiling": "333dd196cb2f10cee2ca3111d3a1ede05c46b42f52bb13312faaf8e647166f73",
+    "every-key-sweep": "8e66767b7bd7f77ef646db6a7334ce56766450f06671dfbaea2f1953d68f5325",
+    "every-key-equilibrium": "a947a9ea0aca1f35f129f74c6f92ac0083a2b7b0f60f6b6cf9b8507416c7d50c",
+    "every-key-quota_sweep": "913a151d281e1916eeccae150b97a477c91ee0faec6eda72ed1092d949117c79",
+    "every-key-ceiling_sweep": "810b227e7ac47fbc625b5d228f09f2660eda132adf69248bcac6270120b0e091",
+}
+
+
+@pytest.mark.parametrize("name", PARSED_REPR_SHA256)
+def test_the_parsed_config_of_each_pinned_document_is_unchanged(name):
+    if name in PRESET_NAMES:
+        doc = json.loads(preset_path(name).read_text(encoding="utf-8"))
+    else:
+        doc = dict(EVERY_KEY_DOC, mode=EVERY_KEY_MODES[name.removeprefix("every-key-")])
+    cfg = scenario_from_dict(doc)
+    assert validate_scenario(cfg) == []
+    assert hashlib.sha256(repr(cfg).encode()).hexdigest() == PARSED_REPR_SHA256[name]
+
+
+def test_an_entrys_shape_faults_follow_field_order():
+    """A user's numbers come before its path, an equilibrium's before its loads."""
+    user = dict(MINIMAL_DOC["users"][0], path=5, weight="x")
+    with pytest.raises(ConfigError, match="^user 'u': weight must be a finite number"):
+        scenario_from_dict({**MINIMAL_DOC, "users": [user]})
+    mode = {"kind": "equilibrium", "ticks": "x", "subscriber_loads": 5}
+    with pytest.raises(ConfigError, match="^mode: ticks must be a finite number"):
+        scenario_from_dict({**MINIMAL_DOC, "mode": mode})
 
 
 # --- summation -------------------------------------------------------------------
