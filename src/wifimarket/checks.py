@@ -252,8 +252,8 @@ def check_usage_monotone_share(
 
     Sweeps quota usage from fresh to exhausted in ``steps`` increments for
     each random transaction, all levels settled in one :func:`settle_rows`
-    call; the settled share must be non-increasing along the sweep and
-    exactly zero once nothing is unused.
+    call (one row of sums, one column of plan states); the settled share must
+    be non-increasing along the sweep and exactly zero once nothing is unused.
     """
     rng = random.Random(seed)
     params = SharingParams()
@@ -263,21 +263,20 @@ def check_usage_monotone_share(
         isp_value = rng.uniform(0.0, 50.0)
         total = isp_value + rng.uniform(0.001, 60.0)
         quota = rng.uniform(1.0, 500.0)
-        # One sale of volume 1 at price `total` over an ISP floor of `isp_value`,
-        # once per usage level.
+        # One sale of volume 1 at price `total` over an ISP floor of `isp_value`.
         sale = (1, total, isp_value, total - isp_value, isp_value, 1.0)
-        totals = SaleTotals(*(np.full(steps + 1, value) for value in sale))
+        totals = SaleTotals(*(np.array([value]) for value in sale))
         account = WfpAccount(
             id="iw", kind=WfpKind.INDIVIDUAL, quota=quota, unused=quota, fee=1e9
         )
-        unused = np.array([quota * (steps - k) / steps for k in levels])
-        settled = settle_rows(account, totals, params, unused, np.zeros(steps + 1))
+        unused = np.array([[quota * (steps - k) / steps] for k in levels])
+        settled = settle_rows(account, totals, params, unused, np.zeros(1))
         previous = math.inf
-        for share in settled.wfp_share.tolist():
+        for (share,) in settled.wfp_share.tolist():
             if share > previous + 1e-9:
                 violations += 1
             previous = share
-        if settled.wfp_value[-1] != 0.0:  # the sweep ends with the plan fully used
+        if settled.wfp_value[-1, 0] != 0.0:  # the sweep ends with the plan fully used
             violations += 1
     return CheckResult(
         name="usage-monotone-share",

@@ -37,7 +37,7 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
 from functools import cache
 from pathlib import Path
@@ -244,7 +244,8 @@ def _parse_user(entry: dict, room: int) -> list[UserProfile]:
     profile = _build(UserProfile, entry, where, id=base_id)
     if count == 1:
         return [profile]
-    return [replace(profile, id=f"{base_id}{i:03d}") for i in range(1, count + 1)]
+    rest = [getattr(profile, name) for name, _, _ in _fields(UserProfile)[1:]]  # after id
+    return [UserProfile(f"{base_id}{i:03d}", *rest) for i in range(1, count + 1)]
 
 
 #: The mode class of each ``mode.kind``.

@@ -28,8 +28,9 @@ Settlement goes through the one kernel, :func:`~wifimarket.sharing.settle_rows`.
 The sweep and equilibrium runners settle each provider once per step through
 its one-row case, ``settle_transaction``, since each step's accounts depend on
 the last, and add one one-row block per step; the quota and ceiling sweeps settle
-independent snapshots, each series in one kernel call and one block.  Step
-records are built only when ``TimeSeries.records`` is read.
+independent snapshots, all of a provider's series (a ceiling sweep's usage levels)
+in one kernel call, with its prices and sale totals computed once, and one block
+per series.  Step records are built only when ``TimeSeries.records`` is read.
 
 Runs are deterministic functions of the config: same document, same series.
 """
@@ -359,29 +360,23 @@ def run_equilibrium(cfg: ScenarioConfig) -> TimeSeries:
     return ts
 
 
-def _snapshots(
-    series: str,
-    account: WfpAccount,
-    unused: np.ndarray,
-    posted: list[float],
-    users: Population,
-    g: np.ndarray,
-    cfg: ScenarioConfig,
-    with_utility: bool,
-) -> tuple[StepBlock, float]:
-    """One fixed-price transaction of ``txn_volume``, split evenly, per step.
+def _snapshots(ts: TimeSeries, labels: list[str], account: WfpAccount, unused: np.ndarray,
+               posted: np.ndarray, users: Population, g: np.ndarray, cfg: ScenarioConfig,
+               with_utility: bool) -> None:
+    """Settle one fixed-price transaction of ``txn_volume``, split evenly, per step and
+    series, and add each series to ``ts``: one block per label, and its largest
+    provider share percentage to the summary.
 
-    Step k settles ``account`` with ``unused[k]`` left on its plan and nothing
-    settled yet (a snapshot) at posted price ``posted[k]``.  The sale totals
-    of all steps are summed at once, user by user in roster order, and the
-    whole series settles in one :func:`settle_rows` call.  ``txn_volume``
-    comes from the mode; shares below the solver's ``x_floor`` are not sold,
-    so such a step settles nothing.  Returns the series' block and the
-    largest provider share percentage in it.
+    Step k of series l settles ``account`` at posted price ``posted[k]`` with
+    ``unused[l, k]`` (``unused[l, 0]`` at every step of an (L, 1) array) left on its
+    plan and nothing settled yet (a snapshot).  The steps' sale totals are summed
+    once, user by user in roster order, and all series settle in one
+    :func:`settle_rows` call; the blocks share their price and allocation rows.
+    Shares below the solver's ``x_floor`` are not sold: such a step settles nothing.
     """
     n, steps = len(users), len(posted)
     x = np.full(n, cfg.mode.txn_volume / n)
-    prices = np.maximum(np.array(posted)[:, None], g + account.min_profit)
+    prices = np.maximum(posted[:, None], g + account.min_profit)
     # running_total's fold over users, as one vector add per user: a cumsum
     # across a few users for each of thousands of steps costs more
     revenue = spread = np.zeros(steps)
@@ -397,15 +392,18 @@ def _snapshots(
         floor_sum=np.full(steps, floor_sum),
         volume=np.full(steps, volume),
     )
-    settled = settle_rows(account, totals, cfg.sharing, unused, np.zeros(steps))
-    utility = [0.0] * steps
+    settled = np.array(list(vars(settle_rows(
+        account, totals, cfg.sharing, unused, np.zeros(steps))).values()))
+    utility = np.zeros(steps)
     if with_utility:
-        utility = [_mean(row) for row in _utility(users, slice(0, n), x, prices)]
-    scalars = _scalars(settled, utility)
-    lambdas = KeyedRows(Roster([account.id]), np.array(posted)[:, None])
+        utility = np.array([_mean(row) for row in _utility(users, slice(0, n), x, prices)])
+    lambdas = KeyedRows(Roster([account.id]), posted[:, None])
     g_rows, x_rows = (KeyedRows(users.roster, np.broadcast_to(v, prices.shape)) for v in (g, x))
     maps = (lambdas, g_rows, KeyedRows(users.roster, prices), x_rows)
-    return StepBlock(series, np.arange(steps), scalars, maps), scalars[:, _WFP_PCT].max().item()
+    for label, columns in zip(labels, settled.transpose(1, 0, 2)):
+        scalars = _scalars(Settlement(*columns), utility)
+        ts.blocks.append(StepBlock(label, np.arange(steps), scalars, maps))
+        ts.summary[f"max_share_pct.{label}"] = scalars[:, _WFP_PCT].max().item()
 
 
 def _individual_providers(cfg: ScenarioConfig):
@@ -430,16 +428,11 @@ def run_iwfp_topology(cfg: ScenarioConfig) -> TimeSeries:
     assert isinstance(mode, QuotaSweepMode)
 
     ts = TimeSeries(name=cfg.name)
-    levels = range(mode.usage_steps + 1)
+    left = mode.usage_steps - np.arange(mode.usage_steps + 1)
     for account, users, g in _individual_providers(cfg):
-        unused = np.array(
-            [account.quota * (mode.usage_steps - k) / mode.usage_steps for k in levels]
-        )
-        posted = [cfg.wfp_prices[account.id]] * len(unused)
-        block, ts.summary[f"max_share_pct.{account.id}"] = _snapshots(
-            account.id, account, unused, posted, users, g, cfg, True
-        )
-        ts.blocks.append(block)
+        unused = (account.quota * left / mode.usage_steps)[None]
+        posted = np.full(len(left), cfg.wfp_prices[account.id])
+        _snapshots(ts, [account.id], account, unused, posted, users, g, cfg, True)
     return ts
 
 
@@ -453,16 +446,11 @@ def run_iwfp_ceiling(cfg: ScenarioConfig) -> TimeSeries:
     assert isinstance(mode, CeilingSweepMode)
 
     ts = TimeSeries(name=cfg.name)
-    steps = mode.price_count
-    posted = [mode.price_start + k * mode.price_step for k in range(steps)]
+    posted = mode.price_start + np.arange(mode.price_count) * mode.price_step
+    labels = [mode.series_label(usage) for usage in mode.usage_levels]
     for account, users, g in _individual_providers(cfg):
-        for usage in mode.usage_levels:
-            label = mode.series_label(usage)
-            unused = np.full(steps, account.quota * (1.0 - usage))
-            block, ts.summary[f"max_share_pct.{label}"] = _snapshots(
-                label, account, unused, posted, users, g, cfg, False
-            )
-            ts.blocks.append(block)
+        unused = account.quota * (1.0 - np.array(mode.usage_levels))[:, None]
+        _snapshots(ts, labels, account, unused, posted, users, g, cfg, False)
     return ts
 
 

@@ -209,7 +209,7 @@ def _panel(title: str, curves: dict[str, tuple[np.ndarray, np.ndarray]], y_offse
             if np.isfinite(px).all() and np.isfinite(py).all() and (px[1:] >= px[:-1]).all():
                 keep = _m4(px, py)
                 px, py = px[keep], py[keep]
-            coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(px.tolist(), py.tolist()))
+            coords = ("%.2f,%.2f " * len(px))[:-1] % tuple(np.column_stack((px, py)).flat)
             parts += [
                 f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
                 f'points="{coords}"><title>{escape(label)}</title></polyline>',

@@ -19,7 +19,8 @@ reaches this module only as those sums (:class:`SaleTotals`); the engine adds
 them in roster order from 0.0.  The arithmetic exists once, in
 :func:`settle_rows`: one kernel that settles one provider's transactions row
 by row, from columns of those sums and of the plan state each row is settled
-against.  The snapshot modes settle a whole series in one call;
+against, or from (S,) sums against L rows of plan state, (L, S) at once.  The
+snapshot modes settle all of a provider's series in one call;
 :func:`settle_transaction` is the kernel's one-row case plus the account
 update, and the two contribution functions are its contribution on one row.
 """
@@ -149,7 +150,8 @@ def _individual_values(
     params: SharingParams,
 ) -> np.ndarray:
     """Each row's :func:`iwfp_contribution`, against the plan's quota and fee and
-    the row's ``unused`` and ``settled_share``."""
+    the row's ``unused`` and ``settled_share``, which may broadcast the (S,) sums
+    to (L, S)."""
     over = isp_value > total + TOLERANCE
     if np.count_nonzero(over):
         k = over.argmax()
@@ -160,9 +162,10 @@ def _individual_values(
     surplus = total - isp_value
     earning = surplus > 0.0
     if account.fee > 0.0:
-        earning &= ~(settled_share >= account.fee - TOLERANCE)
-    omega = unused / account.quota if account.quota > 0.0 else np.zeros(len(total))
-    raw = omega * _logs(params.alpha * surplus, earning)
+        earning = earning & ~(settled_share >= account.fee - TOLERANCE)
+    omega = unused / account.quota if account.quota > 0.0 else np.zeros(unused.shape)
+    # One log per row of sums, taken where any row of plan state earns from it
+    raw = omega * _logs(params.alpha * surplus, earning if earning.ndim == 1 else earning.any(0))
     # Clamped into [0, surplus]; as with Python's max(raw, 0.0), a raw of -0.0
     # (omega 0 times a negative log) stays -0.0, which np.maximum would not keep.
     raw = np.where(0.0 > raw, 0.0, raw)
@@ -243,7 +246,11 @@ def settle_rows(
     Row k is the transaction whose sums are entry k of the ``totals`` columns,
     settled against ``account``'s kind, quota and fee with ``unused[k]``
     and ``settled_share[k]`` as the plan's state (the account's own two are not
-    read).  Per row it builds the coalition values for the account's kind,
+    read).  The plan-state arrays may instead broadcast against the (S,) sums
+    to (L, S): entry (l, k) then settles row k's sums against plan state
+    (l, k), the columns are (L, S), and each equals what L one-dimensional
+    calls would return, bit for bit, with each sum's log taken once.
+    Per row it builds the coalition values for the account's kind,
     hands the ISP everything when the provider contributes nothing, splits
     them with :func:`shapley_split`, and -- for an individual provider with a
     fee -- enforces the billing-cycle cap: any payout above the headroom
@@ -257,15 +264,19 @@ def settle_rows(
     if len(live) < len(totals.count):
         # Rows without sales settle to zero; the others settle as a batch of their own.
         sold = SaleTotals(*(column[live] for column in vars(totals).values()))
-        part = settle_rows(account, sold, params, unused[live], settled_share[live])
-        columns = np.zeros((5, len(totals.count)))
-        columns[:, live] = list(vars(part).values())
+        unused, settled_share, _ = np.broadcast_arrays(unused, settled_share, totals.count)
+        part = settle_rows(account, sold, params, unused[..., live], settled_share[..., live])
+        columns = np.zeros((5, *unused.shape))
+        columns[..., live] = list(vars(part).values())
         return Settlement(*columns)
     total, isp_alone = totals.revenue, totals.isp_revenue
     if account.kind is WfpKind.ESTABLISHMENT:
         wfp_value = _establishment_values(totals.spread, totals.floor_sum, params)
     else:
         wfp_value = _individual_values(total, isp_alone, unused, settled_share, account, params)
+    if unused.ndim > 1 or settled_share.ndim > 1:  # L rows of plan state: (L, S) columns
+        total, isp_alone, wfp_value, *_ = np.broadcast_arrays(
+            total, isp_alone, wfp_value, unused, settled_share)
 
     # A provider that contributes nothing leaves the whole pot with the ISP.
     isp_value = np.where(wfp_value > 0.0, isp_alone, total)

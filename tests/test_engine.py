@@ -8,11 +8,12 @@ import pytest
 from settlement_oracle import SETTLEMENT_FIELDS, bits, reference_settle
 
 from wifimarket.config import CeilingSweepMode, QuotaSweepMode, scenario_from_dict
+from wifimarket import engine
 from wifimarket.engine import _utility, run_scenario
 from wifimarket.model import Population, UserProfile
 from wifimarket.presets import load_preset, preset_path
 from wifimarket.pricing import solve_wfp_equilibrium, user_utility
-from wifimarket.sharing import SaleTotals
+from wifimarket.sharing import SaleTotals, settle_rows
 
 
 def make_sweep_doc(**overrides):
@@ -229,6 +230,16 @@ def test_ceiling_sweep_series_per_usage_level():
         assert ts.summary[f"max_share_pct.{label}"] <= 50.0
 
 
+def test_ceiling_sweep_settles_every_usage_level_in_one_kernel_call(monkeypatch):
+    plans = []
+    counted = lambda *args: plans.append(args[3].shape) or settle_rows(*args)  # noqa: E731
+    monkeypatch.setattr(engine, "settle_rows", counted)
+    ts = run_scenario(load_preset("iwfp-ceiling"))
+    assert plans == [(4, 1)]  # one unused value per usage level, for all 101 prices
+    assert [len(block.steps) for block in ts.blocks] == [101] * 4
+    assert len({id(block.maps[2]) for block in ts.blocks}) == 1  # one set of price rows
+
+
 def preset_doc(name):
     return json.loads(preset_path(name).read_text(encoding="utf-8"))
 
@@ -308,11 +319,12 @@ def unsold_ceiling():
 @pytest.mark.parametrize(
     "make_doc, cases",
     [
+        (lambda: preset_doc("iwfp-ceiling"), ("uncapped",)),
         (capped_ceiling, ("capped", "uncapped")),
         (lambda: preset_doc("iwfp-topology"), ("omega 0", "uncapped")),
         (unsold_ceiling, ("unsold",)),
     ],
-    ids=["ceiling_fee_cap", "quota_sweep", "ceiling_below_x_floor"],
+    ids=["ceiling", "ceiling_fee_cap", "quota_sweep", "ceiling_below_x_floor"],
 )
 def test_snapshot_steps_match_the_scalar_reference_bit_for_bit(make_doc, cases):
     cfg = scenario_from_dict(make_doc())

@@ -143,6 +143,16 @@ def test_scenario_from_dict_expands_user_counts():
     assert validate_scenario(cfg) == []
 
 
+def test_user_count_clones_differ_from_the_entry_only_in_id():
+    entry = {"id": "u", "wfp": "w1", "path": ["AB", "AB"], "weight": 1.5, "tx_power": 2.0,
+             "channel_gain2": 0.5, "noise_var": 3.0, "band": 4.0, "budget": 80.0,
+             "x_min": 0.25, "x_max": 7.0}
+    (single,) = scenario_from_dict({**MINIMAL_DOC, "users": [entry]}).users
+    clones = scenario_from_dict({**MINIMAL_DOC, "users": [{**entry, "count": 12}]}).users
+    assert clones == [dataclasses.replace(single, id=f"u{i:03d}") for i in range(1, 13)]
+    assert {type(u) for u in clones} == {UserProfile}
+
+
 def test_scenario_from_dict_single_user_keeps_plain_id():
     doc = dict(MINIMAL_DOC)
     doc["users"] = [{"id": "solo", "wfp": "w1", "path": ["AB"]}]

@@ -7,11 +7,13 @@ must reproduce them bit-for-bit within 1e-9.
 import math
 import random
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from settlement_oracle import SETTLEMENT_FIELDS, bits, reference_settle, totals_of
 
+from wifimarket import sharing
 from wifimarket.engine import _settle
 from wifimarket.model import TOLERANCE, WfpAccount, WfpKind
 from wifimarket.sharing import (
@@ -422,3 +424,71 @@ def test_kernel_raises_what_the_scalar_settlement_raised():
     # ... but not on a row without sales
     quiet = replace(totals, count=np.array([1, 0, 1]))
     assert settle_rows(account, quiet, params, plan, plan).total_value.tolist() == [110.0, 0.0, 90.0]
+
+
+# --- (S,) sums against L rows of plan state ---------------------------------------
+
+
+def test_broadcast_kernel_matches_one_call_per_level_bit_for_bit():
+    rng = random.Random(20261019)
+    seen = dict.fromkeys(("count 0", "cap on some levels only", "negative zero", "column"), 0)
+    for batch in range(300):
+        kind = rng.choice((WfpKind.ESTABLISHMENT, WfpKind.INDIVIDUAL))
+        params = SharingParams(alpha=rng.choice((1.0, 0.4, 3.0)), beta=rng.choice((2.5, 1.2, 5.0)))
+        account = draw_account(rng, kind)
+        steps, levels = rng.randint(1, 12), rng.randint(1, 5)
+        totals = SaleTotals(*(np.array(column) for column in zip(
+            *(draw_row(rng, account, params.beta)[0] for _ in range(steps))
+        )))
+        plan = [[draw_row(rng, account, params.beta)[1:] for _ in range(steps)]
+                for _ in range(levels)]
+        unused, settled_share = np.moveaxis(np.array(plan), 2, 0)
+        if batch % 3 == 0:  # one plan state per level, every step: an (L, 1) column
+            unused, settled_share = unused[:, :1], settled_share[:, :1]
+            seen["column"] += 1
+        columns = settle_rows(account, totals, params, unused, settled_share)
+        unused, settled_share = np.broadcast_arrays(unused, settled_share, totals.count)[:2]
+        for level in range(levels):
+            one = settle_rows(account, totals, params, unused[level], settled_share[level])
+            for name in SETTLEMENT_FIELDS:
+                assert getattr(columns, name).shape == (levels, steps)
+                assert bits(getattr(columns, name)[level]) == bits(getattr(one, name))
+            seen["negative zero"] += (np.signbit(one.wfp_value) & (totals.count > 0)).any()
+        seen["count 0"] += (totals.count == 0).any()
+        if kind is WfpKind.INDIVIDUAL and account.fee > 0.0:
+            reached = settled_share >= account.fee - TOLERANCE
+            seen["cap on some levels only"] += (reached.any(0) & ~reached.all(0)).any()
+    assert all(seen.values()), seen
+
+
+def test_broadcast_kernel_takes_each_log_once(monkeypatch):
+    logs = []
+    counted = SimpleNamespace(log=lambda v: logs.append(v) or math.log(v))
+    monkeypatch.setattr(sharing, "math", counted)
+    account = WfpAccount(id="w", kind=WfpKind.INDIVIDUAL, quota=50.0, fee=20.0)
+    # surpluses 0.5, 0.25, 40 (no sales) and 0.75 over the ISP's 10
+    totals = SaleTotals(np.array([1, 1, 0, 1]), np.array([10.5, 10.25, 50.0, 10.75]),
+                        np.full(4, 10.0), np.zeros(4), np.zeros(4), np.ones(4))
+    # the first level has reached the fee but at the last step, the second at the first
+    settled_share = np.array([[20.0, 20.0, 20.0, 0.0], [20.0, 0.0, 0.0, 0.0]])
+    unused = np.array([[50.0], [0.0]])  # the second level's omega is 0
+    columns = settle_rows(account, totals, SharingParams(), unused, settled_share)
+    assert logs == [0.25, 0.75]  # once each, at the only steps any level earns from
+    # omega 0 times a negative log: -0.0, as one level's call returns it
+    assert bits(columns.wfp_value.ravel()) == bits([0.0] * 5 + [-0.0, 0.0, -0.0])
+
+
+def test_broadcast_kernel_raises_once_what_one_level_raises():
+    account = WfpAccount(id="w", kind=WfpKind.INDIVIDUAL, quota=50.0, fee=20.0)
+    totals = SaleTotals(
+        np.array([1, 1, 1]), np.array([110.0, 100.0, 90.0]),
+        np.array([100.0, 110.0, 80.0]), np.zeros(3), np.zeros(3), np.ones(3),
+    )
+    unused = np.array([[50.0], [25.0], [0.0]])
+    with pytest.raises(ValueError) as one:
+        settle_rows(account, totals, SharingParams(), unused[0], np.zeros(3))
+    with pytest.raises(ValueError) as every:
+        settle_rows(account, totals, SharingParams(), unused, np.zeros(3))
+    assert str(every.value) == str(one.value) == (
+        "ISP standalone value 110.0 exceeds total revenue 100.0"
+    )
