@@ -1,12 +1,17 @@
 """Command-line tests: exit codes, output files, and self-check wiring."""
+import hashlib
+import inspect
 import json
 import math
 
 import pytest
+from test_reports import compensated_sum
 
-from wifimarket import cli
+from wifimarket import checks, cli
 from wifimarket.checks import (CheckResult, check_additivity, check_efficiency,
-                               check_equal_surplus_gain, check_oracle_equivalence, check_symmetry)
+                               check_equal_surplus_gain, check_exact_vs_subgradient,
+                               check_isp_exact_vs_subgradient, check_oracle_equivalence,
+                               check_symmetry)
 from wifimarket.config import ConfigError, scenario_from_dict, validate_scenario
 from wifimarket.model import Settlement
 from wifimarket.presets import PRESET_NAMES, preset_path
@@ -422,10 +427,57 @@ def test_check_failure_exits_three(monkeypatch, capsys):
 def test_check_passes_on_the_real_battery(capsys):
     code = cli.main(["check", "--seed", "3"])
     assert code == 0
-    out_lines = capsys.readouterr().out.strip().splitlines()
+    out = capsys.readouterr().out
+    out_lines = out.strip().splitlines()
     assert len(out_lines) == 14  # 13 suites + the closing summary line
     assert all(line.startswith("[PASS]") for line in out_lines[:-1])
     assert out_lines[-1] == "all 13 checks passed"
+    # the battery's printed lines, byte for byte; CI pins seeds 0 and 5 the same way
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "0e282f94e3b66125d5ec53dd5c7bce643b948237da19908a8ccdd4c4c9fcb39d"
+
+
+SUITE_NAMES = [
+    "settlement-efficiency",
+    "shapley-oracle-equivalence",
+    "symmetric-standalone-split",
+    "zero-contribution-dummy",
+    "game-additivity",
+    "equal-surplus-gain",
+    "isp-floor-guarantee",
+    "usage-monotone-share",
+    "floor-discount-monotone",
+    "best-response-grid",
+    "exact-vs-subgradient",
+    "isp-exact-vs-subgradient",
+    "capacity-price-convergence",
+]
+
+
+def test_every_check_is_registered_once_in_run_order():
+    # The order is the run order, and so fixes the seed each suite draws.
+    assert [name for name, _ in checks._SUITES] == SUITE_NAMES
+    public = {name: value for name, value in vars(checks).items() if name.startswith("check_")}
+    assert sorted(suite.__name__ for _, suite in checks._SUITES) == sorted(public)
+    for name, suite in checks._SUITES:
+        parameters = inspect.signature(suite).parameters
+        assert public[suite.__name__] is suite and next(iter(parameters)) == "seed"
+        trials = {"trials": 2} if "trials" in parameters else {}
+        assert suite(1, **trials).name == name
+    assert list(inspect.signature(check_efficiency).parameters) == ["seed", "trials", "split_fn"]
+
+
+# Python 3.12 made builtin sum() of floats compensated; the battery's lines must not
+# depend on which sum the interpreter has.
+@pytest.mark.parametrize(
+    "check, seed, trials",
+    [(check_exact_vs_subgradient, 0, 10), (check_isp_exact_vs_subgradient, 31, 3)],
+    ids=["exact-vs-subgradient", "isp-exact-vs-subgradient"],
+)
+def test_price_checks_do_not_depend_on_the_interpreters_sum(monkeypatch, check, seed, trials):
+    builtin = check(seed, trials=trials)
+    monkeypatch.setattr(checks, "sum", compensated_sum, raising=False)
+    assert check(seed, trials=trials) == builtin
 
 
 # --- the checks must actually be able to fail ----------------------------------------------
