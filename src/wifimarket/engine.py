@@ -188,11 +188,11 @@ def _settle(
     field order.
     """
     sold = (x >= x_floor)[index]
-    # SaleTotals' five sums, one column each, one row per user
-    columns = np.column_stack((x * prices, x * g, (prices - g) * x, g, x))[index]
+    # SaleTotals' five sums, one column each, one row per template
+    columns = np.column_stack((x * prices, x * g, (prices - g) * x, g, x))
     combined = [0.0] * 5
     for k, account in enumerate(accounts):
-        sel = np.flatnonzero(sold & (provider == k))
+        sel = index[sold & (provider == k)]  # each buyer's template, in roster order
         sums = running_total(columns[sel]).tolist()
         totals = SaleTotals(len(sel), *sums)
         settlement, accounts[k] = settle_transaction(account, totals, sharing)

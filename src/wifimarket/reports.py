@@ -8,9 +8,10 @@ columns like ``lambda.wfp1`` or ``x.u003``.  Both writers read a run's
 :class:`~wifimarket.model.StepBlock` columns, never its step records.  A
 block's rows are one ``%`` over its row template repeated once per step; a
 per-user row that holds one value per template (a sweep's or an equilibrium
-run's) has each template's value formatted once and gathered instead, since
-growth clones repeat a handful of values across thousands of users.  Only the
-header and the series labels go through :mod:`csv` quoting.
+run's) is written as runs instead: each stretch of consecutive columns that read
+one template's value is that value's text repeated, since the sorted header puts
+growth clones beside their template.  Only the header and the series labels go
+through :mod:`csv` quoting.
 
 The SVG writer draws three stacked panels -- shares, price, utility -- with
 one polyline per plotted series and no dependency on any plotting library;
@@ -38,55 +39,61 @@ def format_value(value: float) -> str:
     return NUMBER_FORMAT % value
 
 
-def _column_plan(ts: TimeSeries) -> tuple[list[str], list[list[str]]]:
-    """The CSV header, and per mapping field the run's keys, sorted as strings.
+def _column_plan(ts: TimeSeries) -> tuple[list[str], list[dict]]:
+    """The CSV header, and per mapping field each roster's position of every column's
+    key (``len(roster.ids)`` for a key it lacks); fields with the same keys share these.
 
-    A field's keys are each roster's ids up to the longest row a block holds of it.
+    A field's keys, sorted as strings, are each roster's ids up to the longest row a
+    block holds of it.
     """
-    header, plan = ["series", "step", *SCALAR_FIELDS], []
+    header, plan, shared = ["series", "step", *SCALAR_FIELDS], [], {}
     for j, (_, prefix) in enumerate(MAP_FIELDS):
         longest = {}  # each roster's longest row
-        for block in ts.blocks:
-            rows = block.maps[j]
+        for rows in (block.maps[j] for block in ts.blocks):
             longest[rows.roster] = max(rows.width, longest.get(rows.roster, 0))
         keys = sorted(set().union(*(roster.ids[:n] for roster, n in longest.items())))
         header += [f"{prefix}.{key}" for key in keys]
-        plan.append(keys)
+        plan.append(positions := shared.setdefault(tuple(keys), {}))
+        for roster in longest.keys() - positions.keys():
+            at = [roster.position.get(key, len(roster.ids)) for key in keys]
+            positions[roster] = np.array(at, dtype=np.intp)
     return header, plan
 
 
-def _template_text(rows: KeyedRows, at: np.ndarray) -> np.ndarray:
-    """Each row of template rows as one comma-joined text of its cells at positions
-    ``at``, ``""`` past the row or at ``len(roster.ids)`` (an absent key).  Each
-    template's value is formatted once and gathered for its growth clones."""
-    roster, values, _, index = rows
-    take = np.full(len(roster.ids) + 1, values.shape[1])  # past a row's templates: ""
-    take[: len(index)] = index
-    take, lines = take[at], []
-    for row in values.tolist():
-        texts = np.array([*[NUMBER_FORMAT % v for v in row], ""], dtype=object)
-        lines.append(",".join(texts[take].tolist()))
-    return np.array(lines, dtype=object)
+def _runs(index: np.ndarray, at: np.ndarray) -> list[tuple[int, int]]:
+    """The cells at roster positions ``at`` of a row with template ``index``, as runs:
+    (template column, length) pairs, each a maximal stretch of cells that read one
+    column, with column -1 for the blank past the row or of an absent key."""
+    take = np.append(index, -1)[np.minimum(at, len(index))]
+    cut = np.flatnonzero(take[1:] != take[:-1])  # each run's last cell, but the last run's
+    ends = [*(cut + 1).tolist(), len(take)]
+    lengths = [end - start for start, end in zip([0, *ends], ends)]
+    return list(zip([*take[cut].tolist(), take[-1].item()], lengths))
 
 
-def _block_text(block: StepBlock, plan: list[list[str]], positions: list[dict]) -> str:
+def _template_text(values: np.ndarray, runs: list[tuple[int, int]]) -> np.ndarray:
+    """Each row of template columns ``values`` as one column of comma-joined text: per
+    run of :func:`_runs`, its template's text repeated, the blank ``""`` for column -1."""
+    texts = ([*map((NUMBER_FORMAT + ",").__mod__, row), ","] for row in values.tolist())
+    return np.array([["".join([t[k] * n for k, n in runs])[:-1]] for t in texts], dtype=object)
+
+
+def _block_text(block: StepBlock, plan: list[dict]) -> str:
     """A block's CSV rows: one ``%`` over its row template, repeated once per step.
 
-    ``positions`` caches, per mapping field, each roster's position of every
-    planned key (``len(roster.ids)`` for an absent key).
+    The maps that share an index and positions (a sweep's or an equilibrium run's g,
+    final price and x) share their runs.
     """
     label = _csv_field(block.series).replace("%", "%%")
     template = [label, "%d"] + [NUMBER_FORMAT] * len(SCALAR_FIELDS)
-    columns = [block.steps[:, None], block.scalars]
-    for rows, keys, known in zip(block.maps, plan, positions):
-        roster, values, _, index = rows
-        if roster not in known:
-            where, absent = roster.position, len(roster.ids)
-            known[roster] = np.array([where.get(key, absent) for key in keys], dtype=np.intp)
-        at, n = known[roster], values.shape[1]
+    columns, runs = [block.steps[:, None], block.scalars], {}
+    for (roster, values, _, index), positions in zip(block.maps, plan):
+        at, n = positions[roster], values.shape[1]
         if index is not None and len(at):
+            key = id(index), id(at)
+            runs[key] = runs.get(key) or _runs(index, at)
             template.append("%s")
-            columns.append(_template_text(rows, at)[:, None])
+            columns.append(_template_text(values, runs[key]))
         elif values.strides[0] == 0:  # one row every step shares: format it into the template
             row = values[0].tolist()
             template += [NUMBER_FORMAT % row[i] if i < n else "" for i in at.tolist()]
@@ -110,11 +117,10 @@ def csv_header(ts: TimeSeries) -> list[str]:
 
 def write_csv(ts: TimeSeries, path: str | Path) -> None:
     header, plan = _column_plan(ts)
-    positions: list[dict] = [{} for _ in plan]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh).writerow(header)
         for block in ts.blocks:
-            fh.write(_block_text(block, plan, positions))
+            fh.write(_block_text(block, plan))
 
 
 def read_csv(path: str | Path) -> TimeSeries:

@@ -127,10 +127,9 @@ def iwfp_contribution(
 def _logs(values: np.ndarray, where: np.ndarray) -> np.ndarray:
     """``math.log`` of each value where ``where`` holds, 0 elsewhere: libm's log,
     which a SIMD ``np.log`` need not match in the last bit."""
-    return np.array(
-        [math.log(v) if w else 0.0 for v, w in zip(values.tolist(), where.tolist())],
-        dtype=float,
-    )
+    logs = np.zeros(values.shape)
+    logs[where] = list(map(math.log, values[where].tolist()))
+    return logs
 
 
 def _establishment_values(

@@ -26,6 +26,7 @@ from wifimarket.reports import (
     MAP_FIELDS,
     SCALAR_FIELDS,
     _means,
+    _runs,
     csv_header,
     escape,
     format_value,
@@ -882,3 +883,44 @@ def test_template_rows_write_what_their_records_hold(tmp_path):
     rows = KeyedRows(Roster(list("abcd")), np.array([[1.0, 1e16, -1e16]]), np.array([1, 3, 0, 2]),
                      np.array([0, 1, 0, 2]))
     assert _means(rows).tolist() == [0.5] and _means(rows._replace(order=None)).tolist() == [0.0]
+
+
+def test_clone_runs_write_what_their_records_hold(tmp_path):
+    """Hand-built blocks whose template index comes in long runs, as growth clones'
+    does: ids that are string prefixes of each other (``u1``, ``u10``, ``u1+00001``),
+    rows that end inside a template's stretch, a key one roster lacks, special values,
+    and runs of one cell."""
+    def clones(names, counts):  # template-major ids, and each id's template
+        ids = [f"{t}+{c:05d}" if c else t for t, n in zip(names, counts) for c in range(n)]
+        return Roster(ids), np.repeat(np.arange(len(names)), counts)
+
+    a, a_index = clones(["u1", "u10", "u2", "u3", "u100"], [40, 1, 25, 1, 30])
+    b, b_index = clones(["u1", "u2", "u4"], [3, 1, LONG_ROW])  # lacks u10, u3 and u100
+    providers = Roster(["w1"])
+    blocks = []
+    # each block has its own index, as in a hand-built series, and the last one's differs
+    # from the second's at the same roster and width; odd blocks' x reads another index
+    for k, (roster, index, n) in enumerate([(a, a_index, 20), (a, a_index, 50), (b, b_index, 60),
+                                            (a, a_index, 97), (b, b_index, 4), (a, 4 - a_index, 50)]):
+        index = index[:n].copy()
+        m = index.max() + 1
+        values = special_values(3 * m + k)[k:].reshape(3, m)
+        order = np.argsort(np.arange(n) % 2, kind="stable")
+        x_index = index[::-1].copy() if k % 2 else index
+        maps = (KeyedRows(providers, np.full((3, 1), float(k))), KeyedRows(roster, values, None, index),
+                KeyedRows(roster, values - 1.0, order, index), KeyedRows(roster, values[::-1], None, x_index))
+        scalars = np.arange(3.0 * len(SCALAR_FIELDS)).reshape(3, -1) - k
+        blocks.append(StepBlock("clones", np.arange(3 * k, 3 * k + 3), scalars, maps))
+    ts = TimeSeries("clone runs", blocks)
+    assert [len(rec.x_by_user) for rec in ts.records[::3]] == [20, 50, 60, 97, 4, 50]
+    write_csv(ts, tmp_path / "runs.csv")
+    text = (tmp_path / "runs.csv").read_text(encoding="utf-8")
+    for cell in ("nan", "inf", "-inf", "-0"):
+        assert f",{cell}," in text
+    assert_matches_reference(ts, tmp_path)
+    assert_rebuilt_from_records_writes_the_same_bytes(ts, tmp_path)
+    # a roster of six ids, a row of five over two templates: position 5 is past the row,
+    # 6 an absent key; both read the blank, column -1
+    index = np.array([0, 0, 0, 1, 1])
+    assert _runs(index, np.arange(6)) == [(0, 3), (1, 2), (-1, 1)]
+    assert _runs(index, np.array([0, 6, 1, 3])) == [(0, 1), (-1, 1), (0, 1), (1, 1)]
