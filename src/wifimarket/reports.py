@@ -39,12 +39,11 @@ def format_value(value: float) -> str:
     return NUMBER_FORMAT % value
 
 
-def _column_plan(ts: TimeSeries) -> tuple[list[str], list[dict]]:
-    """The CSV header, and per mapping field each roster's position of every column's
-    key (``len(roster.ids)`` for a key it lacks); fields with the same keys share these.
+def _column_plan(ts: TimeSeries) -> tuple[list[str], list[tuple[list[str], dict]]]:
+    """The CSV header, and per mapping field its keys, sorted as strings, with a cache
+    of each roster's positions of them; fields with the same keys share one pair.
 
-    A field's keys, sorted as strings, are each roster's ids up to the longest row a
-    block holds of it.
+    A field's keys are each roster's ids up to the longest row a block holds of it.
     """
     header, plan, shared = ["series", "step", *SCALAR_FIELDS], [], {}
     for j, (_, prefix) in enumerate(MAP_FIELDS):
@@ -53,10 +52,7 @@ def _column_plan(ts: TimeSeries) -> tuple[list[str], list[dict]]:
             longest[rows.roster] = max(rows.width, longest.get(rows.roster, 0))
         keys = sorted(set().union(*(roster.ids[:n] for roster, n in longest.items())))
         header += [f"{prefix}.{key}" for key in keys]
-        plan.append(positions := shared.setdefault(tuple(keys), {}))
-        for roster in longest.keys() - positions.keys():
-            at = [roster.position.get(key, len(roster.ids)) for key in keys]
-            positions[roster] = np.array(at, dtype=np.intp)
+        plan.append(shared.setdefault(tuple(keys), (keys, {})))
     return header, plan
 
 
@@ -78,22 +74,26 @@ def _template_text(values: np.ndarray, runs: list[tuple[int, int]]) -> np.ndarra
     return np.array([["".join([t[k] * n for k, n in runs])[:-1]] for t in texts], dtype=object)
 
 
-def _block_text(block: StepBlock, plan: list[dict]) -> str:
+def _block_text(block: StepBlock, plan: list[tuple[list[str], dict]]) -> str:
     """A block's CSV rows: one ``%`` over its row template, repeated once per step.
 
-    The maps that share an index and positions (a sweep's or an equilibrium run's g,
-    final price and x) share their runs.
+    ``plan`` caches each roster's position of every key of a field (``len(roster.ids)``
+    for a key it lacks).  The maps that share an index and positions (a sweep's or an
+    equilibrium run's g, final price and x) share their runs.
     """
     label = _csv_field(block.series).replace("%", "%%")
     template = [label, "%d"] + [NUMBER_FORMAT] * len(SCALAR_FIELDS)
     columns, runs = [block.steps[:, None], block.scalars], {}
-    for (roster, values, _, index), positions in zip(block.maps, plan):
-        at, n = positions[roster], values.shape[1]
+    for (roster, values, _, index), (keys, known) in zip(block.maps, plan):
+        if roster not in known:
+            where, absent = roster.position, len(roster.ids)
+            known[roster] = np.array([where.get(key, absent) for key in keys], dtype=np.intp)
+        at, n = known[roster], values.shape[1]
         if index is not None and len(at):
-            key = id(index), id(at)
-            runs[key] = runs.get(key) or _runs(index, at)
+            pair = id(index), id(at)
+            runs[pair] = runs.get(pair) or _runs(index, at)
             template.append("%s")
-            columns.append(_template_text(values, runs[key]))
+            columns.append(_template_text(values, runs[pair]))
         elif values.strides[0] == 0:  # one row every step shares: format it into the template
             row = values[0].tolist()
             template += [NUMBER_FORMAT % row[i] if i < n else "" for i in at.tolist()]
