@@ -127,7 +127,7 @@ def iwfp_contribution(
 def _logs(values: np.ndarray, where: np.ndarray) -> np.ndarray:
     """``math.log`` of each value where ``where`` holds, 0 elsewhere: libm's log,
     which a SIMD ``np.log`` need not match in the last bit."""
-    logs, at = np.zeros(values.shape), np.flatnonzero(where)  # a mask index: +0.3 MiB peak RSS
+    logs, (at,) = np.zeros(values.shape), where.nonzero()  # a mask index: +0.3 MiB peak RSS
     logs[at] = list(map(math.log, values[at].tolist()))
     return logs
 
