@@ -16,21 +16,19 @@ Four run shapes:
 Every runner builds its population once, as parallel arrays over one roster
 (growth clones of the document users are appended to it, so each step uses a
 prefix), settles each provider from its sales' totals, and keeps the steps as
-columns (:class:`~wifimarket.model.StepBlock`).  The sweep and equilibrium runners
-keep each step's per-user rows once per template (document user), with one template
-index over the roster; the sweep computes a step once per template, the equilibrium
-runner solves its providers per user first.  Per-user float sums (settlement totals,
-means, demand), like the price solves' in :mod:`~wifimarket.pricing`, are each the
-sequential left fold 0.0 + v[0] + v[1] + ... over the users in roster order, by
-:func:`~wifimarket.model.running_total`, whatever the Python or numpy version.
-
-Settlement goes through the one kernel, :func:`~wifimarket.sharing.settle_rows`.
-The sweep and equilibrium runners settle each provider once per step through
-its one-row case, ``settle_transaction``, since each step's accounts depend on
-the last, and add one one-row block per step; the quota and ceiling sweeps settle
-independent snapshots, all of a provider's series (a ceiling sweep's usage levels)
-in one kernel call, with its prices and sale totals computed once, and one block
-per series.  Step records are built only when ``TimeSeries.records`` is read.
+columns (:class:`~wifimarket.model.StepBlock`).  Sweep and equilibrium runs share
+one tick loop, ``_run_ticks``; each passes only its price rule (a generator of
+each tick's prices: the sweep's ramp and dual step, the equilibrium's solves) and
+its two user rules, walk-away and whom the mean utility counts.  The loop settles
+each provider once per tick through ``settle_transaction``, since each tick's
+accounts depend on the last, and keeps one one-row block per tick, its per-user
+rows holding one value per template (document user).  The quota and ceiling sweeps
+settle independent snapshots, all of a provider's series in one
+:func:`~wifimarket.sharing.settle_rows` call, and add one block per series.
+Per-user float sums (settlement totals, means, demand), like the price solves' in
+:mod:`~wifimarket.pricing`, are each the sequential left fold 0.0 + v[0] + v[1] + ...
+over the users in roster order, by :func:`~wifimarket.model.running_total`, whatever
+the Python or numpy version.  Step records are built only when read.
 
 Runs are deterministic functions of the config: same document, same series.
 """
@@ -89,22 +87,6 @@ def _scalars(settled: Settlement, utility) -> np.ndarray:
         total, settled.wfp_value, settled.isp_value,
         settled.wfp_share, settled.isp_share, wfp_pct, isp_pct, utility,
     ))
-
-
-def _step_blocks(cfg: ScenarioConfig, steps, settled) -> tuple[list[StepBlock], np.ndarray]:
-    """One one-row block per step of a sweep or equilibrium run, and the steps' scalars:
-    ``steps`` holds each step's lambdas (in provider order), (g, final price, x) rows and
-    mean utility, ``settled`` its settlement (a list in Settlement field order)."""
-    providers = Roster([w.id for w in cfg.wfps])
-    columns = Settlement(*np.reshape(np.array(settled, dtype=float), (-1, 5)).T)
-    scalars = _scalars(columns, [utility for *_, utility in steps])
-    lambdas, index = np.array([lam for lam, *_ in steps], dtype=float), np.arange(len(steps))
-    blocks = [
-        StepBlock("run", index[t : t + 1], scalars[t : t + 1],
-                  (KeyedRows(providers, lambdas[t : t + 1]), *users))
-        for t, (_, users, _) in enumerate(steps)
-    ]
-    return blocks, scalars
 
 
 def _population(cfg: ScenarioConfig, clones: int = 0) -> tuple[Population, np.ndarray]:
@@ -200,13 +182,51 @@ def _settle(
     return combined
 
 
-def _user_rows(pop: Population, n: int, g, prices, x, index: np.ndarray):
-    """A step's (g, final price, x) rows of its first ``n`` users, one value per template
-    and ``index`` each user's; with several providers, prices and x list the users
-    provider by provider, roster order within each."""
-    order = np.argsort(pop.provider[:n], kind="stable") if len(pop.providers) > 1 else None
-    return tuple(KeyedRows(pop.roster, row[None], by, index)
-                 for row, by in ((g, None), (prices, order), (x, order)))
+def _run_ticks(cfg: ScenarioConfig, ticks: int, growth: int, price_rule, *,
+               walk_away: bool, mean_over_buyers: bool) -> tuple[TimeSeries, np.ndarray]:
+    """The tick loop of sweep and equilibrium runs; returns the series and its scalars.
+
+    Tick t runs the first ``sizes[t]`` users, ``growth`` more each tick.  The generator
+    ``price_rule(pop, accounts, sizes)`` yields each tick's lambdas (provider order) and
+    its templates' g, final prices and x, and is sent back the tick's purchases per user.
+    ``walk_away``: a buyer whose best buy is a net loss does not buy.  The mean utility
+    is over the buyers with ``mean_over_buyers``, else over every user (a non-buyer 0).
+    """
+    m, x_floor = len(cfg.users), cfg.solver.x_floor  # users j >= m copy user templates[j]
+    pop, templates = _population(cfg, growth * max(ticks - 1, 0))
+    sizes = [m + growth * t for t in range(ticks)]
+    accounts = list(cfg.wfps)  # _settle and the price rule update it in place
+    # one stable provider order over the roster; each tick keeps its first users'
+    order = np.argsort(pop.provider, kind="stable") if len(pop.providers) > 1 else None
+    rule = price_rule(pop, accounts, sizes)
+    lambdas, settled, means, rows, bought = [], [], [], [], None
+    for n in sizes:
+        lam, g, prices, x = rule.send(bought)
+        index, provider = templates[:n], pop.provider[:n]
+        x[x < x_floor] = 0.0  # too little to sell: no purchase
+        utility, buyers = np.zeros(m), np.flatnonzero(x > 0.0)
+        utility[buyers] = _utility(pop, buyers, x[buyers], prices[buyers])
+        if walk_away:  # individual rationality: not buying beats a net loss
+            x[utility < 0.0] = utility[utility < 0.0] = 0.0
+        bought = x[index]
+        settled.append(_settle(accounts, provider, index, g, prices, x, cfg.sharing, x_floor))
+        means.append(_mean(utility[index[bought > 0.0]] if mean_over_buyers else utility[index]))
+        # prices and x list the users provider by provider, roster order within each
+        by = None if order is None else order[order < n]
+        rows.append(tuple(KeyedRows(pop.roster, row[None], o, index)
+                          for row, o in ((g, None), (prices, by), (x, by))))
+        lambdas.append(lam)
+
+    providers = Roster([w.id for w in cfg.wfps])
+    columns = Settlement(*np.reshape(np.array(settled, dtype=float), (-1, 5)).T)
+    scalars = _scalars(columns, means)
+    lambda_rows, index = np.array(lambdas, dtype=float), np.arange(ticks)
+    blocks = [
+        StepBlock("run", index[t : t + 1], scalars[t : t + 1],
+                  (KeyedRows(providers, lambda_rows[t : t + 1]), *users))
+        for t, users in enumerate(rows)
+    ]
+    return TimeSeries(cfg.name, blocks), scalars
 
 
 def run_sweep(cfg: ScenarioConfig) -> TimeSeries:
@@ -222,64 +242,49 @@ def run_sweep(cfg: ScenarioConfig) -> TimeSeries:
     mode = cfg.mode
     assert isinstance(mode, SweepMode)
 
-    pop, templates = _population(cfg, mode.user_growth * max(mode.count - 1, 0))
-    m = len(cfg.users)  # the templates: users j >= m copy user templates[j]
-    x_floor = cfg.solver.x_floor
-    accounts = list(cfg.wfps)
-    margin = np.array([a.min_profit for a in accounts])
-    lambda_by_wfp = {w.id: cfg.lambda0 for w in cfg.wfps}
-    link_prices = {lid: link.price for lid, link in cfg.links.items()}
-    ts = TimeSeries(name=cfg.name)
-    steps, settled = [], []
+    def ramp(pop: Population, accounts: list[WfpAccount], sizes: list[int]):
+        m = len(cfg.users)
+        margin = np.array([a.min_profit for a in accounts])[pop.provider[:m]]
+        lambda_by_wfp = {w.id: cfg.lambda0 for w in cfg.wfps}
+        link_prices = {lid: link.price for lid, link in cfg.links.items()}
+        for t, n in enumerate(sizes):
+            swept_price = mode.start + t * mode.step
+            provider = pop.provider[:n]
+            if mode.swept_party == "isp":
+                link_prices = {lid: swept_price for lid in link_prices}
+            else:
+                lambda_by_wfp = {wid: swept_price for wid in lambda_by_wfp}
 
-    for t in range(mode.count):
-        swept_price = mode.start + t * mode.step
-        n = m + mode.user_growth * t
-        provider, index = pop.provider[:n], templates[:n]
-        if mode.swept_party == "isp":
-            link_prices = {lid: swept_price for lid in link_prices}
-        else:
-            lambda_by_wfp = {wid: swept_price for wid in lambda_by_wfp}
+            g = _floors(pop, link_prices, m)
+            lam = np.array([lambda_by_wfp[a.id] for a in accounts])
+            prices = np.maximum(lam[pop.provider[:m]], g + margin)
+            if mode.allocation == "equal":
+                members = np.bincount(provider, minlength=len(accounts)).tolist()
+                share = [effective_capacity(a) / max(k, 1) for a, k in zip(accounts, members)]
+                x = np.array(share)[pop.provider[:m]]
+            else:
+                with np.errstate(divide="ignore"):
+                    ideal = pop.wb[:m] / prices
+                x = np.minimum(np.maximum(ideal, pop.x_min[:m]), pop.x_max[:m])
+            user_x = yield list(lambda_by_wfp.values()), g, prices, x
 
-        # g, prices, x and utility of the templates; the folds below run over the
-        # users' values, gathered in roster order
-        g = _floors(pop, link_prices, m)
-        lam = np.array([lambda_by_wfp[a.id] for a in accounts])
-        prices = np.maximum(lam[pop.provider[:m]], g + margin[pop.provider[:m]])
-        if mode.allocation == "equal":
-            members = np.bincount(provider, minlength=len(accounts)).tolist()
-            share = [effective_capacity(a) / max(k, 1) for a, k in zip(accounts, members)]
-            x = np.array(share)[pop.provider[:m]]
-        else:
-            with np.errstate(divide="ignore"):
-                ideal = pop.wb[:m] / prices
-            x = np.minimum(np.maximum(ideal, pop.x_min[:m]), pop.x_max[:m])
-        x[x < x_floor] = 0.0  # too little to sell: no purchase
-        utility, buyers = np.zeros(m), np.flatnonzero(x > 0.0)
-        utility[buyers] = _utility(pop, buyers, x[buyers], prices[buyers])
+            # One dual step for the party that is not being swept.
+            sigma = step_size(t, cfg.solver)
+            if mode.swept_party == "isp":
+                for k, account in enumerate(accounts):
+                    demand = running_total(user_x[provider == k])
+                    lambda_by_wfp[account.id] = wfp_price_update(
+                        lambda_by_wfp[account.id], sigma, effective_capacity(account), demand
+                    )
+            else:
+                loads = _link_loads(link_prices, pop, pop.path[:n], user_x)
+                link_prices = {
+                    lid: isp_link_price_update(link_prices[lid], sigma, cfg.links[lid], loads[lid])
+                    for lid in link_prices
+                }
 
-        user_x = x[index]
-        settled.append(_settle(accounts, provider, index, g, prices, x, cfg.sharing, x_floor))
-        user_rows = _user_rows(pop, n, g, prices, x, index)
-        mean_utility = _mean(utility[index[user_x > 0.0]])
-        steps.append((list(lambda_by_wfp.values()), user_rows, mean_utility))
-
-        # One dual step for the party that is not being swept.
-        sigma = step_size(t, cfg.solver)
-        if mode.swept_party == "isp":
-            for k, account in enumerate(accounts):
-                demand = running_total(user_x[provider == k])
-                lambda_by_wfp[account.id] = wfp_price_update(
-                    lambda_by_wfp[account.id], sigma, effective_capacity(account), demand
-                )
-        else:
-            loads = _link_loads(link_prices, pop, pop.path[:n], user_x)
-            link_prices = {
-                lid: isp_link_price_update(link_prices[lid], sigma, cfg.links[lid], loads[lid])
-                for lid in link_prices
-            }
-
-    ts.blocks, scalars = _step_blocks(cfg, steps, settled)
+    ts, scalars = _run_ticks(cfg, mode.count, mode.user_growth, ramp,
+                             walk_away=False, mean_over_buyers=True)
     above = scalars[:, _WFP_PCT] > 50.0
     ts.summary["crossover_step"] = float(above.argmax() if above.any() else -1)
     ts.summary["crossings"] = float(np.count_nonzero(above[1:] != above[:-1]))
@@ -300,61 +305,47 @@ def run_equilibrium(cfg: ScenarioConfig) -> TimeSeries:
     mode = cfg.mode
     assert isinstance(mode, EquilibriumMode)
 
-    pop, templates = _population(cfg, mode.user_growth * max(mode.ticks - 1, 0))
-    m = len(cfg.users)  # the templates: users j >= m copy user templates[j]
-    accounts = list(cfg.wfps)
-    links = dict(cfg.links)
-    link_prices = {lid: link.price for lid, link in links.items()}
-    x_floor = cfg.solver.x_floor
-    ts = TimeSeries(name=cfg.name)
-    steps, settled = [], []
+    def solve(pop: Population, accounts: list[WfpAccount], sizes: list[int]):
+        m = len(cfg.users)
+        links = dict(cfg.links)
+        link_prices = {lid: link.price for lid, link in links.items()}
+        for tick, n in enumerate(sizes):
+            if (
+                mode.billing_cycle_ticks > 0
+                and tick > 0
+                and tick % mode.billing_cycle_ticks == 0
+            ):
+                accounts[:] = [
+                    a.replenished() if a.kind is WfpKind.INDIVIDUAL else a for a in accounts
+                ]
+            for lid, series in mode.subscriber_loads.items():
+                links[lid] = replace(links[lid], subscriber_load=series[tick])
 
-    for tick in range(mode.ticks):
-        n = m + mode.user_growth * tick
-        if (
-            mode.billing_cycle_ticks > 0
-            and tick > 0
-            and tick % mode.billing_cycle_ticks == 0
-        ):
-            accounts = [
-                a.replenished() if a.kind is WfpKind.INDIVIDUAL else a for a in accounts
-            ]
-        for lid, series in mode.subscriber_loads.items():
-            links[lid] = replace(links[lid], subscriber_load=series[tick])
+            provider = pop.provider[:n]
+            members = [np.flatnonzero(provider == k) for k in range(len(accounts))]
+            customers = [pop.take(idx) for idx in members]
 
-        provider = pop.provider[:n]
-        members = [np.flatnonzero(provider == k) for k in range(len(accounts))]
-        customers = [pop.take(idx) for idx in members]
+            if cfg.solve_isp and links:
+                demand = _link_demand(links, pop, accounts, customers)
+                outer = solve_isp_prices(links, demand, cfg.solver)
+                link_prices = outer.g_by_link
+                links = {
+                    lid: replace(link, price=link_prices[lid]) for lid, link in links.items()
+                }
 
-        if cfg.solve_isp and links:
-            demand = _link_demand(links, pop, accounts, customers)
-            outer = solve_isp_prices(links, demand, cfg.solver)
-            link_prices = outer.g_by_link
-            links = {
-                lid: replace(link, price=link_prices[lid]) for lid, link in links.items()
-            }
+            g = _floors(pop, link_prices, n)
+            lambda_by_wfp = {}
+            prices, x = np.empty(n), np.empty(n)
+            for account, users, idx in zip(accounts, customers, members):
+                inner = solve_wfp_equilibrium(account, users, g[idx])
+                lambda_by_wfp[account.id] = inner.lambda_by_wfp[account.id]
+                prices[idx] = inner.final_price_by_user.array
+                x[idx] = inner.x_by_user.array
+            # A growth clone's solve repeats its template's bit for bit: keep the templates'.
+            yield list(lambda_by_wfp.values()), g[:m].copy(), prices[:m].copy(), x[:m].copy()
 
-        g = _floors(pop, link_prices, n)
-        lambda_by_wfp = {}
-        prices, x = np.empty(n), np.empty(n)
-        for account, users, idx in zip(accounts, customers, members):
-            inner = solve_wfp_equilibrium(account, users, g[idx])
-            lambda_by_wfp[account.id] = inner.lambda_by_wfp[account.id]
-            prices[idx] = inner.final_price_by_user.array
-            x[idx] = inner.x_by_user.array
-        # A growth clone's solve repeats its template's bit for bit: keep the templates'.
-        # Individual rationality: a user whose best buy is still a net loss
-        # walks away, so the step records no transaction for it.
-        g, prices, x, index = g[:m].copy(), prices[:m].copy(), x[:m].copy(), templates[:n]
-        utility = _utility(pop, slice(0, m), x, prices)
-        x[(utility < 0.0) | (x < x_floor)] = 0.0
-
-        settled.append(_settle(accounts, provider, index, g, prices, x, cfg.sharing, x_floor))
-        mean_utility = _mean(np.where(x > 0.0, utility, 0.0)[index])
-        user_rows = _user_rows(pop, n, g, prices, x, index)
-        steps.append((list(lambda_by_wfp.values()), user_rows, mean_utility))
-
-    ts.blocks, scalars = _step_blocks(cfg, steps, settled)
+    ts, scalars = _run_ticks(cfg, mode.ticks, mode.user_growth, solve,
+                             walk_away=True, mean_over_buyers=False)
     first_zero = np.flatnonzero(scalars[:, _TOTAL] <= 0.0)
     ts.summary["first_zero_transaction_step"] = float(first_zero[0] if len(first_zero) else -1)
     return ts

@@ -158,6 +158,38 @@ def test_equilibrium_unaffordable_price_stops_transactions():
         assert rec.mean_utility == 0.0  # non-buyers contribute zero utility
 
 
+def make_two_rules_doc(mode):
+    """One provider, a user who gains by buying and one whose best buy is a net loss."""
+    return {
+        "name": "two-rules",
+        "nodes": ["A", "B"],
+        "links": [{"id": "AB", "capacity": 1000, "price": 1}],
+        "wfps": [{"id": "w1", "kind": "establishment", "capacity": 5, "min_profit": 1}],
+        "users": [
+            {"id": "rich", "wfp": "w1", "path": ["AB"]},
+            {"id": "poor", "wfp": "w1", "path": ["AB"], "x_min": 2, "budget": 1,
+             "weight": 0.01},
+        ],
+        "solve_isp": False,
+        "mode": mode,
+    }
+
+
+def test_walk_away_and_the_mean_utility_differ_by_mode():
+    """An equilibrium tick drops a buyer at negative utility and averages over every
+    user (the walked-away one counts 0: 1.792 / 2); a sweep step keeps that buyer and
+    averages over the buyers (the mean of 1.897 and -59.0)."""
+    equilibrium = {"kind": "equilibrium", "ticks": 1}
+    rec, = run_scenario(scenario_from_dict(make_two_rules_doc(equilibrium))).records
+    assert rec.mean_utility == 0.8958797346140275
+    assert rec.x_by_user["poor"] == 0.0
+    sweep = {"kind": "sweep", "swept_party": "wfp", "start": 30, "step": 1, "count": 1,
+             "allocation": "best_response"}
+    rec, = run_scenario(scenario_from_dict(make_two_rules_doc(sweep))).records
+    assert rec.mean_utility == -28.544508535751458
+    assert rec.x_by_user["poor"] == 2.0
+
+
 def make_isp_doc():
     """Two providers behind two links whose prices the ISP solves every tick.
 
@@ -208,6 +240,38 @@ def test_equilibrium_with_isp_solve_clears_every_provider():
             assert again.lambda_by_wfp[account.id] == lam
     # the ISP solve moved the floors off the document's starting link prices
     assert any(g != 2.0 and g != 4.0 for g in ts.records[0].g_by_user.values())
+
+
+RUNNER_NAMES = ("run_sweep", "run_equilibrium", "solve_wfp_equilibrium", "solve_isp_prices",
+                "settle_transaction")
+ISP_SWEEP = {"kind": "sweep", "swept_party": "isp", "start": 2, "step": 1, "count": 4}
+
+
+@pytest.mark.parametrize("mode, called, ticks", [
+    (None, {"run_equilibrium", "solve_wfp_equilibrium", "solve_isp_prices",
+            "settle_transaction"}, 3),
+    (ISP_SWEEP, {"run_sweep", "settle_transaction"}, 4),
+], ids=["equilibrium", "sweep"])
+def test_runners_reach_each_call_through_the_engine_namespace(monkeypatch, mode, called, ticks):
+    """The benchmark's tracer replaces these names in ``wifimarket.engine``: a runner
+    that held its own reference (a dispatch table, a name captured at import) would
+    leave it timing and counting nothing."""
+    doc = make_isp_doc()
+    doc["mode"] = mode or doc["mode"]
+    calls = dict.fromkeys(RUNNER_NAMES, 0)
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for name in RUNNER_NAMES:
+        monkeypatch.setattr(engine, name, counting(name, getattr(engine, name)))
+    ts = run_scenario(scenario_from_dict(doc))
+    assert {name for name, count in calls.items() if count} == called
+    assert len(ts.records) == ticks
+    assert calls["settle_transaction"] == ticks * 2  # one per provider per tick
 
 
 def test_quota_sweep_series_per_provider():
