@@ -13,7 +13,9 @@ oracles), and the provider price on a small instance with a known fixed
 point.
 
 A suite is a ``check_*`` function that returns ``(passed, detail)``, declared
-with ``@_suite(name)`` (or ``@_split_suite`` for a split property).  ``run_all``
+with ``@_suite(name)`` (or ``@_split_suite`` for a split property).  A randomized
+suite folds one row of statistics per trial with :func:`_fold` and passes only
+if every statistic is at most its bound, which a NaN never is.  ``run_all``
 runs the suites in definition order, each with the next seed drawn from one
 master seed: one integer reproduces the battery, and the order fixes the seeds.
 """
@@ -89,6 +91,24 @@ def _suite(name: str) -> Callable[[Callable[..., tuple[bool, str]]], Callable[..
     return register
 
 
+def _fold(rows, bound=1e-9) -> tuple[np.ndarray, np.ndarray]:
+    """Each column's largest statistic, folded from 0.0, and how many of its statistics
+    are not at most ``bound`` (a number, or one per column).  ``rows`` holds one row of
+    statistics per trial; a NaN is never at most its bound, so it fails its column and
+    makes that column's largest statistic NaN."""
+    rows = np.array(rows, dtype=float)
+    return np.max(rows, axis=0, initial=0.0), np.count_nonzero(~(rows <= bound), axis=0)
+
+
+def _worst(
+    seed: int, trials: int, draw: Callable[[random.Random], Sequence[float]], bound=1e-9
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_fold` over the statistics ``draw(rng)`` of ``trials`` draws from one
+    seeded generator."""
+    rng = random.Random(seed)
+    return _fold([draw(rng) for _ in range(trials)], bound)
+
+
 # --- randomized instance generators -----------------------------------------
 
 
@@ -121,34 +141,20 @@ def random_sales(rng: random.Random) -> SaleTotals:
 # --- split properties --------------------------------------------------------
 
 
-def _worst(
-    seed: int, trials: int, deviations: Callable[[random.Random], Sequence[float]]
-) -> tuple[float, int]:
-    """The largest of ``deviations(rng)`` over ``trials`` draws from one seeded
-    generator, folded from 0.0 in draw order, and how many of them exceed 1e-9."""
-    rng = random.Random(seed)
-    worst, violations = 0.0, 0
-    for _ in range(trials):
-        found = deviations(rng)
-        worst = max(worst, *found)
-        violations += sum(deviation > 1e-9 for deviation in found)
-    return worst, violations
-
-
 Splitter = Callable[[CoalitionValues], Settlement]
 
 
 def _split_suite(name: str, draws: str, gap: str) -> Callable[[Callable], Callable]:
     """Decorator: a split property's ``deviations(rng, split_fn)`` becomes its
     :func:`_suite` ``(seed, trials=10_000, split_fn=shapley_split)``, under the property's name and
-    docstring.  It passes when the worst deviation over ``trials`` draws is at most
+    docstring.  It passes when every deviation over ``trials`` draws is at most
     1e-9 and reports "<trials> <draws>, <gap> = <worst>"; ``split_fn`` lets the test
     suite show that the check rejects a broken splitter."""
 
     def suite(deviations: Callable[[random.Random, Splitter], Sequence[float]]) -> Callable:
         def check(seed: int, trials: int = 10_000, split_fn: Splitter = shapley_split):
-            worst, _ = _worst(seed, trials, lambda rng: deviations(rng, split_fn))
-            return worst <= 1e-9, f"{trials} {draws}, {gap} = {worst:.3g}"
+            worst, violations = _worst(seed, trials, lambda rng: deviations(rng, split_fn))
+            return not violations.any(), f"{trials} {draws}, {gap} = {worst.max():.3g}"
 
         check.__name__, check.__doc__ = deviations.__name__, deviations.__doc__
         return _suite(name)(check)
@@ -191,21 +197,20 @@ def check_zero_contribution(seed: int, trials: int = 10_000) -> tuple[bool, str]
     """
     params = SharingParams()
 
-    def deviations(rng: random.Random) -> tuple[float]:
+    def deviations(rng: random.Random) -> tuple[float, float, float]:
         quota = rng.uniform(1.0, 500.0)
         account = WfpAccount(id="iw", kind=WfpKind.INDIVIDUAL, quota=quota, unused=0.0, fee=1e9)
         settlement, updated = settle_transaction(account, random_sales(rng), params)
-        gap = max(
+        return (
             abs(settlement.wfp_share),
             abs(settlement.isp_share - settlement.total_value),
             abs(updated.settled_share - account.settled_share),
         )
-        return (gap,)
 
     worst, violations = _worst(seed, trials, deviations)
-    return violations == 0, (
-        f"{trials} used-up individual accounts, {violations} violations, "
-        f"max deviation = {worst:.3g}"
+    return not violations.any(), (
+        f"{trials} used-up individual accounts, {violations.sum()} violations, "
+        f"max deviation = {worst.max():.3g}"
     )
 
 
@@ -249,13 +254,10 @@ def check_isp_floor_guarantee(seed: int, trials: int = 10_000) -> tuple[bool, st
     rows = [random_sales(rng) for _ in range(trials)]
     totals = SaleTotals(*(np.array(column) for column in zip(*(vars(t).values() for t in rows))))
     settled = settle_rows(account, totals, params, np.zeros(trials), np.zeros(trials))
-    shortfalls = [
-        t.isp_revenue - share for t, share in zip(rows, settled.isp_share.tolist())
-    ]
-    violations = sum(shortfall > 1e-9 for shortfall in shortfalls)
-    return violations == 0, (
+    (worst,), (violations,) = _fold((totals.isp_revenue - settled.isp_share)[:, None])
+    return not violations, (
         f"{trials} establishment transactions, {violations} below the floor, "
-        f"worst shortfall = {max([0.0, *shortfalls]):.3g}"
+        f"worst shortfall = {worst:.3g}"
     )
 
 
@@ -272,9 +274,9 @@ def check_usage_monotone_share(
     """
     params = SharingParams()
 
-    def increases(rng: random.Random) -> list[float]:
-        """1.0 for each usage level whose share exceeds the previous one's, and for a
-        sweep whose fully used plan still has value, else 0.0."""
+    def increases(rng: random.Random) -> np.ndarray:
+        """Each usage level's share less the previous one's, then 1.0 if the fully used
+        plan still has value, else 0.0."""
         isp_value = rng.uniform(0.0, 50.0)
         total = isp_value + rng.uniform(0.001, 60.0)
         quota = rng.uniform(1.0, 500.0)
@@ -285,13 +287,12 @@ def check_usage_monotone_share(
         unused = np.array([[quota * (steps - k) / steps] for k in range(steps + 1)])
         settled = settle_rows(account, totals, params, unused, np.zeros(1))
         shares = settled.wfp_share[:, 0]
-        found = np.append(shares[1:] > shares[:-1] + 1e-9, settled.wfp_value[-1, 0] != 0.0)
-        return found.astype(float).tolist()
+        return np.append(shares[1:] - shares[:-1], settled.wfp_value[-1, 0] != 0.0)
 
     _, violations = _worst(seed, trials, increases)
-    return violations == 0, (
+    return not violations.any(), (
         f"{trials} transactions x {steps + 1} usage levels, "
-        f"{violations} monotonicity violations"
+        f"{violations.sum()} monotonicity violations"
     )
 
 
@@ -306,7 +307,7 @@ def check_floor_discount_monotone(seed: int, trials: int = 1_000) -> tuple[bool,
     params = SharingParams()
 
     def increases(rng: random.Random) -> list[float]:
-        """1.0 for each scale whose contribution exceeds the previous one's, else 0.0."""
+        """Each scale's contribution less the previous one's (-inf for the first)."""
         n = rng.randint(1, 6)
         floors = [rng.uniform(0.2, 10.0) for _ in range(n)]
         spreads = [rng.uniform(0.0, 20.0) for _ in range(n)]
@@ -319,12 +320,14 @@ def check_floor_discount_monotone(seed: int, trials: int = 1_000) -> tuple[bool,
             # revenue, isp_revenue and volume are not read by the contribution
             totals = SaleTotals(n, 0.0, 0.0, spread, floor_sum, 0.0)
             contribution = ewfp_contribution(totals, params)
-            found.append(1.0 if contribution > previous + 1e-9 else 0.0)
+            found.append(contribution - previous)
             previous = contribution
         return found
 
     _, violations = _worst(seed, trials, increases)
-    return violations == 0, f"{trials} spread-preserving floor sweeps, {violations} increases"
+    return not violations.any(), (
+        f"{trials} spread-preserving floor sweeps, {violations.sum()} increases"
+    )
 
 
 # --- user problem and price formation ----------------------------------------
@@ -341,10 +344,10 @@ def check_best_response_grid(seed: int, trials: int = 1_000) -> tuple[bool, str]
     ``user_best_response`` and the solvers' array clamp ``_allocate``, with
     the price once as the provider's and once as the user's floor.
     """
-    rng = random.Random(seed)
-    worst_gap = worst_array_gap = 0.0
-    concavity_violations = 0
-    for _ in range(trials):
+
+    def gaps(rng: random.Random) -> list[float]:
+        """|scalar - grid argmax|, |_allocate - grid argmax| for each price role, and the
+        largest second difference of the gridded utility."""
         x_min = rng.uniform(0.001, 0.1)
         width = rng.uniform(0.5, 10.0)
         user = UserProfile(
@@ -363,18 +366,18 @@ def check_best_response_grid(seed: int, trials: int = 1_000) -> tuple[bool, str]
             - grid * price / user.budget
         )
         grid_best = float(grid[int(np.argmax(utilities))])
-        response = user_best_response(price, user)
-        worst_gap = max(worst_gap, abs(response - grid_best))
+        found = [abs(user_best_response(price, user) - grid_best)]
         wb, lo, hi = (np.array([v]) for v in (user.weight * user.budget, x_min, user.x_max))
         for lam, floor in ((price, 0.0), (0.0, price)):
             _, x = _allocate(lam, wb, np.array([floor]), lo, hi)
-            worst_array_gap = max(worst_array_gap, abs(float(x[0]) - grid_best))
-        if float(np.diff(utilities, n=2).max()) > 1e-12:
-            concavity_violations += 1
-    return max(worst_gap, worst_array_gap) <= 1e-3 and concavity_violations == 0, (
+            found.append(abs(float(x[0]) - grid_best))
+        return [*found, float(np.diff(utilities, n=2).max())]
+
+    worst, violations = _worst(seed, trials, gaps, bound=(1e-3, 1e-3, 1e-3, 1e-12))
+    return not violations.any(), (
         f"{trials} gridded boxes, max |closed form - grid argmax| = "
-        f"{worst_gap:.3g} (scalar), {worst_array_gap:.3g} (_allocate), "
-        f"{concavity_violations} concavity violations"
+        f"{worst[0]:.3g} (scalar), {worst[1:3].max():.3g} (_allocate), "
+        f"{violations[3]} concavity violations"
     )
 
 
@@ -387,11 +390,10 @@ def check_exact_vs_subgradient(seed: int, trials: int = 100) -> tuple[bool, str]
     meet the capacity constraint to 1e-9 * max(C, 1) and never leave a larger
     residual than the paper's subgradient iteration on the same instance.
     """
-    rng = random.Random(seed)
     cfg = SolverConfig(sigma0=1.0, max_iters=1_000)
-    worst = 0.0
-    violations = 0
-    for _ in range(trials):
+
+    def failures(rng: random.Random) -> tuple[bool, float]:
+        """Whether the exact solve fails, and its residual / max(C, 1)."""
         users, g = [], []
         for i in range(rng.randint(1, 20)):
             x_min = rng.uniform(0.001, 1.0)
@@ -418,12 +420,13 @@ def check_exact_vs_subgradient(seed: int, trials: int = 100) -> tuple[bool, str]
         exact = solve_wfp_equilibrium(account, pop, g)
         oracle = solve_wfp_subgradient(account, pop, g, cfg)
         scaled = exact.residual / max(capacity, 1.0)
-        worst = max(worst, scaled)
-        if not exact.converged or scaled > 1e-9 or exact.residual > oracle.residual:
-            violations += 1
-    return violations == 0, (
-        f"{trials} random providers, {violations} violations, "
-        f"max residual / max(C, 1) = {worst:.3g}"
+        ok = exact.converged and scaled <= 1e-9 and exact.residual <= oracle.residual
+        return not ok, scaled
+
+    worst, violations = _worst(seed, trials, failures, bound=(0.0, math.inf))
+    return not violations.any(), (
+        f"{trials} random providers, {violations[0]} violations, "
+        f"max residual / max(C, 1) = {worst[1]:.3g}"
     )
 
 
@@ -485,33 +488,33 @@ def check_isp_exact_vs_subgradient(seed: int, trials: int = 30) -> tuple[bool, s
     and its residual must never exceed that of the paper's subgradient
     iteration on the same instance.
     """
-    rng = random.Random(seed)
     budget = SolverConfig(max_iters=1_000)  # load evaluations; the largest seen is ~300
     oracle_cfg = SolverConfig(sigma0=1.0, max_iters=200)
-    worst = 0.0
-    violations = evaluations = 0
-    for _ in range(trials):
+
+    def failures(rng: random.Random) -> tuple[bool, float, int]:
+        """Whether the certified solve fails, its largest residual / max(C_l, 1), and
+        its load evaluations."""
         links, accounts, users = random_network(rng)
         pop = Population.of(users, [a.id for a in accounts])
         customers = [pop.take(np.flatnonzero(pop.provider == k)) for k in range(len(accounts))]
         demand = _link_demand(links, pop, accounts, customers)
         exact = solve_isp_prices(links, demand, budget)
         oracle = solve_isp_subgradient(links, demand, oracle_cfg)
-        evaluations = max(evaluations, exact.iterations)
         slack = _link_slack(links, demand(exact.g_by_link))
-        scaled = max(
+        scaled = np.max([
             abs(min(exact.g_by_link[lid], s)) / max(links[lid].capacity, 1.0)
             for lid, s in slack.items()
-        )
+        ])
         oracle_residual = _natural_residual(
             oracle.g_by_link, _link_slack(links, demand(oracle.g_by_link))
         )
-        worst = max(worst, scaled)
-        if not exact.converged or scaled > ISP_TOLERANCE or exact.residual > oracle_residual:
-            violations += 1
-    return violations == 0, (
-        f"{trials} random networks, {violations} violations, max residual / "
-        f"max(C, 1) = {worst:.3g}, at most {evaluations} load evaluations"
+        ok = exact.converged and scaled <= ISP_TOLERANCE and exact.residual <= oracle_residual
+        return not ok, scaled, exact.iterations
+
+    worst, violations = _worst(seed, trials, failures, bound=(0.0, math.inf, math.inf))
+    return not violations.any(), (
+        f"{trials} random networks, {violations[0]} violations, max residual / "
+        f"max(C, 1) = {worst[1]:.3g}, at most {worst[2]:.0f} load evaluations"
     )
 
 

@@ -55,7 +55,7 @@ from .sharing import SharingParams
 #: individual providers, and a ceiling sweep its price steps x usage levels x
 #: the users of individual providers.  Under growth that is an upper bound:
 #: the largest benchmark workload counts 903,000 (300 steps x 3,010 users),
-#: records 454,500 and keeps about 60 MiB resident.
+#: records 454,500 and peaks at 35.8 MiB resident (BENCH_20.json, x86_64).
 MAX_USER_STEPS = 2_000_000
 
 

@@ -160,16 +160,15 @@ def _settle(
     prices: np.ndarray,
     x: np.ndarray,
     sharing: SharingParams,
-    x_floor: float,
 ) -> list[float]:
-    """Settle one transaction per provider (users buying at least ``x_floor``).
+    """Settle one transaction per provider (the users whose purchase is above zero).
 
     ``g``, ``prices`` and ``x`` hold each template's values, and ``index`` and
     ``provider`` each user's template and provider.  ``accounts`` is updated in
     place; the payouts come back summed, provider by provider, in Settlement
     field order.
     """
-    sold = (x >= x_floor)[index]
+    sold = (x > 0.0)[index]
     # SaleTotals' five sums, one column each, one row per template
     columns = np.column_stack((x * prices, x * g, (prices - g) * x, g, x))
     combined = [0.0] * 5
@@ -209,7 +208,7 @@ def _run_ticks(cfg: ScenarioConfig, ticks: int, growth: int, price_rule, *,
         if walk_away:  # individual rationality: not buying beats a net loss
             x[utility < 0.0] = utility[utility < 0.0] = 0.0
         bought = x[index]
-        settled.append(_settle(accounts, provider, index, g, prices, x, cfg.sharing, x_floor))
+        settled.append(_settle(accounts, provider, index, g, prices, x, cfg.sharing))
         means.append(_mean(utility[index[bought > 0.0]] if mean_over_buyers else utility[index]))
         # prices and x list the users provider by provider, roster order within each
         by = None if order is None else order[order < n]

@@ -3,18 +3,23 @@ import hashlib
 import inspect
 import json
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 from test_reports import compensated_sum
 
 from wifimarket import checks, cli
-from wifimarket.checks import (CheckResult, check_additivity, check_efficiency,
-                               check_equal_surplus_gain, check_exact_vs_subgradient,
-                               check_isp_exact_vs_subgradient, check_oracle_equivalence,
-                               check_symmetry)
+from wifimarket.checks import (CheckResult, check_additivity, check_best_response_grid,
+                               check_efficiency, check_equal_surplus_gain,
+                               check_exact_vs_subgradient, check_floor_discount_monotone,
+                               check_isp_exact_vs_subgradient, check_isp_floor_guarantee,
+                               check_oracle_equivalence, check_symmetry,
+                               check_usage_monotone_share, check_zero_contribution)
 from wifimarket.config import ConfigError, scenario_from_dict, validate_scenario
 from wifimarket.model import Settlement
 from wifimarket.presets import PRESET_NAMES, preset_path
+from wifimarket.sharing import shapley_split
 
 
 GOOD_DOC = {
@@ -503,6 +508,15 @@ def proportional(game):
     return settled(game, wfp_share, game.total_value - wfp_share)
 
 
+def nan_isp_share(game):
+    """The Shapley split, but with a NaN for the ISP's share."""
+    return replace(shapley_split(game), isp_share=math.nan)
+
+
+SPLIT_CHECKS = [check_efficiency, check_oracle_equivalence, check_symmetry, check_additivity,
+                check_equal_surplus_gain]
+
+
 @pytest.mark.parametrize(
     "check, splitter",
     [
@@ -511,12 +525,49 @@ def proportional(game):
         (check_symmetry, provider_takes_the_surplus),
         (check_additivity, proportional),
         (check_equal_surplus_gain, provider_takes_the_surplus),
+        *((check, nan_isp_share) for check in SPLIT_CHECKS),
     ],
     ids=lambda value: value.__name__,
 )
 def test_each_split_check_rejects_a_splitter_that_breaks_its_property(check, splitter):
     assert check(seed=1, trials=50).passed
     assert not check(seed=1, trials=50, split_fn=splitter).passed
+
+
+def nan_last(values):
+    """A float copy of ``values`` whose last entry is NaN."""
+    values = np.array(values, dtype=float)
+    values.flat[-1] = math.nan
+    return values
+
+
+# Each case: a suite, the name in the checks module it calls, and how that call's result
+# is spoilt with a NaN.  A NaN is never within a bound, so every suite must fail on it.
+NAN_RESULTS = [
+    (check_zero_contribution, "settle_transaction",
+     lambda result: (replace(result[0], wfp_share=math.nan), result[1])),
+    (check_isp_floor_guarantee, "settle_rows",
+     lambda settled: replace(settled, isp_share=nan_last(settled.isp_share))),
+    (check_usage_monotone_share, "settle_rows",
+     lambda settled: replace(settled, wfp_share=nan_last(settled.wfp_share))),
+    (check_floor_discount_monotone, "ewfp_contribution", lambda contribution: math.nan),
+    (check_best_response_grid, "user_best_response", lambda response: math.nan),
+    (check_exact_vs_subgradient, "solve_wfp_equilibrium",
+     lambda result: replace(result, residual=math.nan)),
+    (check_isp_exact_vs_subgradient, "solve_isp_prices",
+     lambda result: replace(result, residual=math.nan)),
+]
+
+
+@pytest.mark.parametrize(
+    "check, name, spoil", NAN_RESULTS, ids=[check.__name__ for check, _, _ in NAN_RESULTS]
+)
+def test_each_randomized_check_fails_on_a_nan(monkeypatch, check, name, spoil):
+    assert check(1, trials=5).passed
+    original = getattr(checks, name)
+    monkeypatch.setattr(checks, name, lambda *args, **kwargs: spoil(original(*args, **kwargs)))
+    result = check(1, trials=5)
+    assert not result.passed, result.detail
 
 
 def test_efficiency_check_accepts_the_real_splitter():

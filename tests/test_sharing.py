@@ -38,11 +38,13 @@ NO_SALES = SaleTotals(0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 def settle_two_sales(x_floor=0.0):
     """The engine's settlement of one establishment selling 10 units at 15 over a
-    floor of 10 and 10 units at 91 over a floor of 90, by Settlement field."""
+    floor of 10 and 10 units at 91 over a floor of 90, by Settlement field; like the
+    engine, a purchase below ``x_floor`` is cut to zero first."""
     accounts = [WfpAccount(id="ew", kind=WfpKind.ESTABLISHMENT, capacity=100.0)]
     x, g, prices = np.array([10.0, 10.0]), np.array([10.0, 90.0]), np.array([15.0, 91.0])
+    x[x < x_floor] = 0.0
     provider, index = np.zeros(2, dtype=int), np.arange(2)  # each user its own template
-    combined = _settle(accounts, provider, index, g, prices, x, SharingParams(), x_floor)
+    combined = _settle(accounts, provider, index, g, prices, x, SharingParams())
     return dict(zip(SETTLEMENT_FIELDS, combined))
 
 
