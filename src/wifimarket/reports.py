@@ -10,17 +10,22 @@ block's rows are one ``%`` over its row template repeated once per step; a
 per-user row that holds one value per template (a sweep's or an equilibrium
 run's) is written as runs instead: each stretch of consecutive columns that read
 one template's value is that value's text repeated, since the sorted header puts
-growth clones beside their template.  Only the header and the series labels go
-through :mod:`csv` quoting.
+growth clones beside their template.  Consecutive blocks with as many steps and
+the same map rows (a ceiling run's series) are formatted as one group: the cells
+they share -- the map cells, and each step or scalar column with the same bits in
+every block -- once, into a template of rows, then each block's label and own
+cells into it.  Only the header and the series labels go through :mod:`csv` quoting.
 
 The SVG writer draws three stacked panels -- shares, price, utility -- with
 one polyline per plotted series and no dependency on any plotting library;
 a sorted, finite polyline is drawn by its M4 points per pixel column (:func:`_m4`).
+A curve with the same bits as one already drawn in its panel reuses its coordinates.
 """
 from __future__ import annotations
 
 import csv
 import io
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -74,15 +79,15 @@ def _template_text(values: np.ndarray, runs: list[tuple[int, int]]) -> np.ndarra
     return np.array([["".join([t[k] * n for k, n in runs])[:-1]] for t in texts], dtype=object)
 
 
-def _block_text(block: StepBlock, plan: list[tuple[list[str], dict]]) -> str:
-    """A block's CSV rows: one ``%`` over its row template, repeated once per step.
+def _block_cells(block: StepBlock, plan: list[tuple[list[str], dict]]) -> tuple[list, np.ndarray]:
+    """A block's row template without its label, and its cells: one row per step, the
+    step and scalar columns first, each with its one template entry.
 
     ``plan`` caches each roster's position of every key of a field (``len(roster.ids)``
     for a key it lacks).  The maps that share an index and positions (a sweep's or an
     equilibrium run's g, final price and x) share their runs.
     """
-    label = _csv_field(block.series).replace("%", "%%")
-    template = [label, "%d"] + [NUMBER_FORMAT] * len(SCALAR_FIELDS)
+    template = ["%d"] + [NUMBER_FORMAT] * len(SCALAR_FIELDS)
     columns, runs = [block.steps[:, None], block.scalars], {}
     for (roster, values, _, index), (keys, known) in zip(block.maps, plan):
         if roster not in known:
@@ -100,8 +105,22 @@ def _block_text(block: StepBlock, plan: list[tuple[list[str], dict]]) -> str:
         else:
             template += [NUMBER_FORMAT if i < n else "" for i in at.tolist()]
             columns.append(values[:, at[at < n]])
-    cells = np.concatenate(columns, axis=1)
+    return template, np.concatenate(columns, axis=1)
+
+
+def _rows(template: list[str], cells: np.ndarray) -> str:
+    """One ``%`` over the row ``template`` repeated once per row of ``cells``."""
     return ((",".join(template) + "\r\n") * len(cells)) % tuple(cells.ravel().tolist())
+
+
+def _own_columns(blocks: list[StepBlock]) -> np.ndarray:
+    """Which step and scalar columns do not hold the same bits in every block."""
+    lead = blocks[0]
+    own = np.zeros(1 + len(SCALAR_FIELDS), dtype=bool)
+    for block in blocks[1:]:
+        own[0] |= (block.steps != lead.steps).any()
+        own[1:] |= (block.scalars.view(np.int64) != lead.scalars.view(np.int64)).any(axis=0)
+    return own
 
 
 def _csv_field(text: str) -> str:
@@ -119,8 +138,25 @@ def write_csv(ts: TimeSeries, path: str | Path) -> None:
     header, plan = _column_plan(ts)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh).writerow(header)
-        for block in ts.blocks:
-            fh.write(_block_text(block, plan))
+        for _, run in groupby(ts.blocks, lambda block: (len(block.steps), *map(id, block.maps))):
+            blocks = list(run)
+            template, cells = _block_cells(blocks[0], plan)
+            if len(blocks) == 1:
+                label = _csv_field(blocks[0].series).replace("%", "%%")
+                fh.write(_rows([label, *template], cells))
+                continue
+            # blocks that share their map rows: format the cells they share once, into a
+            # template of rows that keeps a %s for the label and a format for each own cell
+            own = _own_columns(blocks)
+            marked = [f"%{entry}" if mine else entry for entry, mine in zip(template, own)]
+            shared = np.delete(cells, np.flatnonzero(own), axis=1)
+            del cells
+            rows = _rows(["%%s", *marked, *template[len(own):]], shared)
+            for block in blocks:
+                args = np.empty((len(block.steps), 1 + own.sum()), dtype=object)
+                args[:, 0] = _csv_field(block.series)
+                args[:, 1:] = np.column_stack((block.steps, block.scalars))[:, own]
+                fh.write(rows % tuple(args.ravel().tolist()))
 
 
 def read_csv(path: str | Path) -> TimeSeries:
@@ -203,19 +239,23 @@ def _panel(title: str, curves: dict[str, tuple[np.ndarray, np.ndarray]], y_offse
         parts += [f'<text x="{_PANEL_W + 4}" y="{y}" font-size="10" '
                   f'font-family="sans-serif">{format_value(value)}</text>'
                   for y, value in ((10, hi), (_PANEL_H, lo))]
+    drawn = {}  # each distinct curve's coordinate text, by the bits of its xs and ys
     with np.errstate(all="ignore"):  # overflow is inf, inf - inf NaN, as in Python floats
         for idx, (label, (xs, ys)) in enumerate(drawable.items()):
             color = _PALETTE[idx % len(_PALETTE)]
-            # scale against the shared panel range so curves stay comparable
-            x_lo = xs.min()
-            x_span = (xs.max() - x_lo) or 1.0
-            y_span = (hi - lo) if hi != lo else 1.0
-            px = (xs - x_lo) / x_span * _PANEL_W
-            py = _PANEL_H - (ys - lo) / y_span * _PANEL_H
-            if np.isfinite(px).all() and np.isfinite(py).all() and (px[1:] >= px[:-1]).all():
-                keep = _m4(px, py)
-                px, py = px[keep], py[keep]
-            coords = ("%.2f,%.2f " * len(px))[:-1] % tuple(np.column_stack((px, py)).flat)
+            bits = xs.tobytes(), ys.tobytes()
+            if bits not in drawn:
+                # scale against the shared panel range so curves stay comparable
+                x_lo = xs.min()
+                x_span = (xs.max() - x_lo) or 1.0
+                y_span = (hi - lo) if hi != lo else 1.0
+                px = (xs - x_lo) / x_span * _PANEL_W
+                py = _PANEL_H - (ys - lo) / y_span * _PANEL_H
+                if np.isfinite(px).all() and np.isfinite(py).all() and (px[1:] >= px[:-1]).all():
+                    keep = _m4(px, py)
+                    px, py = px[keep], py[keep]
+                drawn[bits] = ("%.2f,%.2f " * len(px))[:-1] % tuple(np.column_stack((px, py)).flat)
+            coords = drawn[bits]
             parts += [
                 f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
                 f'points="{coords}"><title>{escape(label)}</title></polyline>',

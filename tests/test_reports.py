@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import wifimarket
+import wifimarket.reports as reports
 from wifimarket.config import scenario_from_dict
 from wifimarket.model import KeyedRows, Roster, StepBlock, StepRecord, TimeSeries, UserValues
 from wifimarket.model import fold_sum
@@ -189,6 +190,11 @@ def test_csv_bytes_are_pinned_and_read_back(tmp_path):
     path = tmp_path / "pinned.csv"
     write_csv(ts, path)
     assert path.read_bytes().decode("utf-8") == PINNED_CSV
+    assert_reads_back(ts, path)
+
+
+def assert_reads_back(ts, path):
+    """``read_csv(path)`` gives back every value of ``ts``'s records, bit for bit but NaNs."""
     back = read_csv(path)
     assert len(back.records) == len(ts.records)
     for original, parsed in zip(ts.records, back.records):
@@ -310,6 +316,49 @@ def test_csv_growth_sweep_with_two_providers_matches_reference(tmp_path):
     ts = run_scenario(scenario_from_dict(doc))
     assert len(ts.records[-1].x_by_user) >= 2 * LONG_ROW
     assert_matches_reference(ts, tmp_path)
+
+
+def test_csv_blocks_that_share_map_rows_format_their_shared_cells_once(tmp_path, monkeypatch):
+    # four blocks that share one maps tuple, as engine._snapshots builds them; every
+    # value has at most 9 significant digits, so that it reads back as it was
+    rng, n = np.random.default_rng(23), 7
+    roster, providers = Roster(["u1", "u2", "u3"]), Roster(["w1"])
+
+    def draw(*shape):
+        return rng.integers(-4000, 4000, shape) / 8
+
+    prices = draw(n, 3)
+    prices[1, 0], prices[2, 1], prices[3, 2] = math.nan, math.inf, -0.0
+    g, x = np.array([1.0, -0.0, 2.5]), np.full(3, 0.375)
+    maps = (KeyedRows(providers, draw(n, 1)), KeyedRows(roster, np.broadcast_to(g, (n, 3))),
+            KeyedRows(roster, prices), KeyedRows(roster, np.broadcast_to(x, (n, 3))))
+    shared = draw(n, len(SCALAR_FIELDS))
+    shared[1:4, 0] = math.nan, math.inf, -math.inf  # total_value: shared, NaN and infinities
+    blocks = []
+    for k, label in enumerate(['50% "off", 5%d', "a,b", "plain", ""]):
+        scalars = shared.copy()
+        scalars[:, [1, 5]] = draw(n, 2)  # wfp_value and wfp_share_pct: each block's own
+        scalars[0, 7] = -0.0 if k == 0 else 0.0  # mean_utility: equal, but not in bits
+        blocks.append(StepBlock(label, np.arange(n), scalars, maps))
+    blocks[-1].scalars[4, 2] += 0.5  # isp_value: one row differs
+    # two blocks with their own map rows that differ only in their steps
+    steps_only = tuple(KeyedRows(rows.roster, rows.values.copy()) for rows in maps)
+    blocks += [StepBlock(label, np.arange(n) + k * n, shared, steps_only)
+               for k, label in enumerate(["a,b", "steps"])]
+    # two neighbours that share broadcast map rows but differ in row count
+    flat = tuple(KeyedRows(rows.roster, np.broadcast_to(rows.values[0], (5, rows.values.shape[1])))
+                 for rows in maps)
+    blocks += [StepBlock(label, np.arange(count), shared[:count], flat)
+               for label, count in (("five", 5), ("three", 3))]
+    ts = TimeSeries("shared", blocks)
+    seen = []
+    own_columns = reports._own_columns
+    monkeypatch.setattr(reports, "_own_columns",
+                        lambda group: seen.append(own_columns(group)) or seen[-1])
+    assert_matches_reference(ts, tmp_path)
+    # step, then total_value ... mean_utility
+    assert [own.tolist() for own in seen] == [[0, 0, 1, 1, 0, 0, 1, 0, 1], [1] + [0] * 8]
+    assert_reads_back(ts, tmp_path / "new.csv")
 
 
 def test_escape_matches_saxutils():
@@ -480,6 +529,11 @@ def test_svg_short_curves_match_the_per_point_reference(tmp_path, first):
     shared = {"a": 1.0, "b": 2.5}
     records[10:12] = [rec._replace(final_price_by_user=shared) for rec in records[10:12]]
     records.append(StepRecord(series="one point", step=0, mean_utility=1e300))
+    # a copy of a series under a new label, and one whose first share is 0.0, not -0.0
+    unlabelled = [rec for rec in records if rec.series == ""]
+    records += [rec._replace(series="copy") for rec in unlabelled]
+    records += [rec._replace(series="signed zero") for rec in unlabelled]
+    records[-len(unlabelled)] = records[-len(unlabelled)]._replace(wfp_share_pct=0.0)
     assert_drawn_point_for_point(TimeSeries.of("curve", records), tmp_path)
 
 
