@@ -18,19 +18,19 @@ Every key but the hand-read ones is a field of the dataclass its section builds
 (:class:`LinkState`, :class:`WfpAccount`, :class:`UserProfile`, the four modes,
 :class:`SolverConfig`, :class:`SharingParams`, and :class:`ScenarioConfig` for
 ``name``, ``solve_isp`` and ``lambda0``), which declares its type, default and
-range rule.  Its value must have the field's type: a JSON number (a whole one for
-an int), a boolean, one of an enum's values, an array for a tuple (``path``,
-``usage_levels``, each load series) or an object for a dict
-(``subscriber_loads``), read entry by entry; a string field takes any value's
-string.  ``links``, ``wfps`` and ``users`` are arrays of objects, and ``solver``,
-``sharing`` and ``mode`` objects; any other shape is a ConfigError.  Read by hand
-are each entry's ``id``, the mode's ``kind``, a provider's posted ``price`` (its
-``unused`` defaults to its ``quota``) and a user entry's ``count``, which expands
-it into that many identical profiles with suffixed ids, up to
+rules, which may read the entry's other fields.  Its value must have the field's
+type: a JSON number (a whole one for an int), a boolean, one of an enum's values,
+an array for a tuple (``path``, ``usage_levels``, each load series) or an object
+for a dict (``subscriber_loads``), read entry by entry; a string field takes any
+value's string.  ``links``, ``wfps`` and ``users`` are arrays of objects, and
+``solver``, ``sharing`` and ``mode`` objects; any other shape is a ConfigError.
+Read by hand are each entry's ``id``, the mode's ``kind``, a provider's posted
+``price`` (its ``unused`` defaults to its ``quota``) and a user entry's ``count``,
+which expands it into that many identical profiles with suffixed ids, up to
 :data:`MAX_USER_STEPS` users in all.  Keys the schema does not name (such as
 ``seed``, ``unit``, ``nodes`` or ``notes``) are ignored.  ``validate_scenario``
-returns the full list of violations as strings -- it never raises -- so the
-CLI can print every problem at once.
+lists every violation as a string, never raising; an entry's broken field rules
+come in field order.
 """
 from __future__ import annotations
 
@@ -44,7 +44,7 @@ from pathlib import Path
 from typing import Any, get_args, get_origin, get_type_hints
 
 from .model import (AT_LEAST_1, NON_NEGATIVE, POSITIVE, LinkState, UserProfile, WfpAccount,
-                    WfpKind, bound, broken_bounds)
+                    WfpKind, bound, broken_bounds, broken_rule, one_of)
 from .pricing import SolverConfig
 from .sharing import SharingParams
 
@@ -75,12 +75,12 @@ class SweepMode:
     user's best response.
     """
 
-    swept_party: str  # "isp" | "wfp"
-    start: float
+    swept_party: str = bound(one_of("isp", "wfp"))
+    start: float = bound(NON_NEGATIVE)
     step: float = bound(POSITIVE, 1.0)
     count: int = bound(AT_LEAST_1, 300)
     user_growth: int = bound(NON_NEGATIVE, 0)
-    allocation: str = "equal"  # "equal" | "best_response"
+    allocation: str = bound(one_of("equal", "best_response"), "equal")
 
 
 @dataclass(frozen=True)
@@ -105,9 +105,13 @@ class QuotaSweepMode:
 class CeilingSweepMode:
     """Price sweep repeated at several quota-usage levels (share-ceiling study)."""
 
-    usage_levels: tuple[float, ...] = (0.0, 0.25, 0.5, 0.75)
+    usage_levels: tuple[float, ...] = bound(
+        [(lambda v, _: not v, "must not be empty"),
+         (lambda v, _: not all(0.0 <= lvl < 1.0 for lvl in v), "must lie in [0, 1)")],
+        (0.0, 0.25, 0.5, 0.75))
     price_start: float = 0.0
-    price_stop: float = 100.0  # at least price_start
+    price_stop: float = bound((lambda v, m: v < m.price_start, "must be at least price_start"),
+                              100.0)
     price_step: float = bound(POSITIVE, 1.0)
     txn_volume: float = bound(POSITIVE, 10.0)
 
@@ -145,7 +149,7 @@ class ScenarioConfig:
     sharing: SharingParams = field(default_factory=SharingParams)
     mode: Mode = field(default_factory=lambda: EquilibriumMode(ticks=1))
     solve_isp: bool = True
-    lambda0: float = 0.0
+    lambda0: float = bound(NON_NEGATIVE, 0.0)
 
 
 def _require(mapping: dict, key: str, where: str) -> Any:
@@ -304,13 +308,11 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
 
 
 def validate_scenario(cfg: ScenarioConfig) -> list[str]:
-    """Collect every constraint violation in the scenario; empty means valid."""
-    problems: list[str] = []
+    """Every violation in the scenario; empty means valid.  Entries' own rules are on fields."""
+    problems = [f"scenario: {wrong}" for wrong in broken_bounds(cfg)]
 
     for lid, link in cfg.links.items():
         problems.extend(f"link {lid}: {wrong}" for wrong in broken_bounds(link))
-        if wrong := _load_problem(link.subscriber_load, link):
-            problems.append(f"link {lid}: subscriber_load {wrong}")
 
     wfp_ids = set()
     for w in cfg.wfps:
@@ -318,11 +320,6 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
             problems.append(f"wfp {w.id}: duplicate id")
         wfp_ids.add(w.id)
         problems.extend(f"wfp {w.id}: {wrong}" for wrong in broken_bounds(w))
-        if w.kind is WfpKind.INDIVIDUAL:
-            if not 0.0 <= w.unused <= w.quota:
-                problems.append(f"wfp {w.id}: unused must lie in [0, quota]")
-            if w.fee > 0.0 and w.settled_share > w.fee:
-                problems.append(f"wfp {w.id}: settled_share exceeds fee")
 
     user_ids = set()
     for u in cfg.users:
@@ -330,8 +327,6 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
             problems.append(f"user {u.id}: duplicate id")
         user_ids.add(u.id)
         problems.extend(f"user {u.id}: {wrong}" for wrong in broken_bounds(u))
-        if u.x_max < u.x_min:
-            problems.append(f"user {u.id}: x_max must be at least x_min")
         if not u.wfp:
             problems.append(f"user {u.id}: no wfp to buy from")
         elif u.wfp not in wfp_ids:
@@ -344,12 +339,7 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
     problems.extend(f"mode: {wrong}" for wrong in broken_bounds(mode))
     if getattr(mode, "user_growth", 0) > 0 and not cfg.users:
         problems.append("mode: user_growth needs users to clone")
-    if isinstance(mode, SweepMode):
-        if mode.swept_party not in ("isp", "wfp"):
-            problems.append("mode: swept_party must be 'isp' or 'wfp'")
-        if mode.allocation not in ("equal", "best_response"):
-            problems.append("mode: allocation must be 'equal' or 'best_response'")
-    elif isinstance(mode, EquilibriumMode):
+    if isinstance(mode, EquilibriumMode):
         for lid, series in mode.subscriber_loads.items():
             if lid not in cfg.links:
                 problems.append(f"mode: subscriber_loads for unknown link {lid!r}")
@@ -357,15 +347,9 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
             if len(series) < mode.ticks:
                 problems.append(f"mode: subscriber_loads for {lid!r} shorter than ticks")
             for tick, load in enumerate(series[: mode.ticks]):
-                if wrong := _load_problem(load, cfg.links[lid]):
+                if wrong := broken_rule(cfg.links[lid], "subscriber_load", load):
                     problems.append(f"mode: subscriber_loads[{lid!r}][{tick}] {wrong}")
     elif isinstance(mode, CeilingSweepMode):
-        if not mode.usage_levels:
-            problems.append("mode: usage_levels must not be empty")
-        if any(not 0.0 <= lvl < 1.0 for lvl in mode.usage_levels):
-            problems.append("mode: usage_levels must lie in [0, 1)")
-        if mode.price_stop < mode.price_start:
-            problems.append("mode: price_stop must be at least price_start")
         first: dict[str, float] = {}
         for lvl in mode.usage_levels:
             label = mode.series_label(lvl)
@@ -394,14 +378,6 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
         problems.append(f"mode: {size:,.0f} user-steps exceed the limit of {MAX_USER_STEPS:,}")
 
     return problems
-
-
-def _load_problem(load: float, link: LinkState) -> str:
-    """What is wrong with a subscriber load on ``link`` ('' if nothing): it must
-    be non-negative and not above the link's capacity."""
-    if load < 0.0:
-        return "must be non-negative"
-    return "exceeds capacity" if load > link.capacity else ""
 
 
 def _user_steps(cfg: ScenarioConfig, users_by_wfp: dict[str, int]) -> float:

@@ -12,8 +12,8 @@ The market has three kinds of actors:
 Everything in this module is a plain value object.  Operations elsewhere
 return updated copies instead of mutating shared state, and scenario
 validation reports violations as data (strings) rather than raising, so a
-bad config can be diagnosed in full rather than one field at a time (range
-rules: :func:`bound` declares one on a field, :func:`broken_bounds` checks them).
+bad config can be diagnosed in full rather than one field at a time (rules:
+:func:`bound` declares them on a field, :func:`broken_bounds` checks them).
 
 A run holds its users as a :class:`Population` (parallel arrays over one
 :class:`Roster` of ids), and reports per-user values as :class:`UserValues`,
@@ -38,34 +38,44 @@ import numpy as np
 #: Absolute tolerance for monetary and price comparisons.
 TOLERANCE = 1e-9
 
-#: Single-field range rules: the test a value fails, and what the message says.
-Rule = tuple[Callable[[Any], bool], str]
-POSITIVE: Rule = (lambda v: v <= 0.0, "must be positive")
-NON_NEGATIVE: Rule = (lambda v: v < 0.0, "must be non-negative")
-AT_LEAST_1: Rule = (lambda v: v < 1, "must be at least 1")
-ABOVE_1: Rule = (lambda v: v <= 1.0, "must exceed 1")
+#: A field's rule: the test its value fails (given it and its object), and the message.
+Rule = tuple[Callable[[Any, Any], bool], str]
+POSITIVE: Rule = (lambda v, _: v <= 0.0, "must be positive")
+NON_NEGATIVE: Rule = (lambda v, _: v < 0.0, "must be non-negative")
+AT_LEAST_1: Rule = (lambda v, _: v < 1, "must be at least 1")
+ABOVE_1: Rule = (lambda v, _: v <= 1.0, "must exceed 1")
 
 
-def bound(rule: Rule, default: Any = MISSING, kind: WfpKind | None = None) -> Any:
-    """A dataclass field whose value must keep ``rule``; with a ``kind``, only an
-    instance whose own ``kind`` is that one is held to it."""
-    return field(default=default, metadata={"bound": (*rule, kind)})
+def one_of(*choices: str) -> Rule:
+    """The rule that a value is one of ``choices``."""
+    return (lambda v, _: v not in choices, "must be " + " or ".join(map(repr, choices)))
+
+
+def bound(rules: Rule | list[Rule], default: Any = MISSING, kind: WfpKind | None = None) -> Any:
+    """A dataclass field held to ``rules`` (one or a list), whose tests also get the
+    instance; with a ``kind``, only an instance of that ``kind`` is held to them."""
+    rules = [rules] if isinstance(rules, tuple) else rules
+    return field(default=default, metadata={"bound": [(*rule, kind) for rule in rules]})
 
 
 @cache
-def _bounds(cls: type) -> tuple[tuple[str, Callable[[Any], bool], str, Any], ...]:
-    return tuple((f.name, *f.metadata["bound"]) for f in fields(cls) if "bound" in f.metadata)
+def _bounds(cls: type, kind: Any) -> tuple[tuple[str, Callable[[Any, Any], bool], str], ...]:
+    """(field, test, text) of each rule on ``cls`` that holds an instance of ``kind``."""
+    return tuple((f.name, breaks, text) for f in fields(cls)
+                 for breaks, text, held in f.metadata.get("bound", ()) if held in (None, kind))
+
+
+def broken_rule(obj: Any, name: str, value: Any) -> str:
+    """The text of the first rule on ``obj``'s field ``name`` that ``value`` breaks ('' if none)."""
+    return next((text for at, breaks, text in _bounds(type(obj), getattr(obj, "kind", None))
+                 if at == name and breaks(value, obj)), "")
 
 
 def broken_bounds(obj: Any) -> list[str]:
-    """``"<field> <rule>"`` for each field of dataclass ``obj``, in field order,
-    whose value breaks the rule declared on it by :func:`bound`."""
-    kinds = (None, getattr(obj, "kind", None))
-    return [
-        f"{name} {text}"
-        for name, breaks, text, kind in _bounds(type(obj))
-        if kind in kinds and breaks(getattr(obj, name))
-    ]
+    """``"<field> <rule>"`` for each rule that :func:`bound` declared on a field of
+    dataclass ``obj`` and the field's value breaks, in field order."""
+    rules = _bounds(type(obj), getattr(obj, "kind", None))
+    return [f"{name} {text}" for name, breaks, text in rules if breaks(getattr(obj, name), obj)]
 
 
 def refuse_broken_bounds(obj: Any) -> None:
@@ -100,7 +110,7 @@ class UserProfile:
     band: float = bound(POSITIVE, 1.0)
     budget: float = bound(POSITIVE, 100.0)
     x_min: float = bound(POSITIVE, 1e-3)
-    x_max: float = 100.0  # at least x_min
+    x_max: float = bound((lambda v, u: v < u.x_min, "must be at least x_min"), 100.0)
     path: tuple[str, ...] = ()
     wfp: str = ""
 
@@ -127,10 +137,12 @@ class WfpAccount:
     kind: WfpKind
     capacity: float = bound(POSITIVE, 0.0, WfpKind.ESTABLISHMENT)
     quota: float = bound(POSITIVE, 0.0, WfpKind.INDIVIDUAL)
-    unused: float = 0.0  # in [0, quota]
+    unused: float = bound((lambda v, w: not 0.0 <= v <= w.quota, "must lie in [0, quota]"), 0.0,
+                          WfpKind.INDIVIDUAL)
     min_profit: float = bound(NON_NEGATIVE, 0.0)
     fee: float = bound(NON_NEGATIVE, 0.0, WfpKind.INDIVIDUAL)
-    settled_share: float = bound(NON_NEGATIVE, 0.0, WfpKind.INDIVIDUAL)  # at most a positive fee
+    settled_share: float = bound([NON_NEGATIVE, (lambda v, w: 0.0 < w.fee < v, "exceeds fee")], 0.0,
+                                 WfpKind.INDIVIDUAL)
     txn_cap: float = bound(NON_NEGATIVE, 0.0, WfpKind.INDIVIDUAL)
 
     def replenished(self) -> "WfpAccount":
@@ -158,7 +170,8 @@ class LinkState:
 
     id: str
     capacity: float = bound(POSITIVE)
-    subscriber_load: float = 0.0  # in [0, capacity]
+    subscriber_load: float = bound(  # a negative load is only reported as negative
+        [NON_NEGATIVE, (lambda v, link: 0.0 <= v and v > link.capacity, "exceeds capacity")], 0.0)
     price: float = bound(NON_NEGATIVE, 0.0)
 
 

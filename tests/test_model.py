@@ -446,6 +446,7 @@ BOUNDED_MODES = {
     "ceiling_sweep": {"kind": "ceiling_sweep"},
 }
 BOUNDED_ENTRIES = {
+    "scenario": (ScenarioConfig, lambda doc: doc),
     "link": (LinkState, lambda doc: doc["links"][0]),
     "establishment": (WfpAccount, lambda doc: doc["wfps"][0]),
     "individual": (WfpAccount, lambda doc: doc["wfps"][1]),
@@ -457,17 +458,22 @@ BOUNDED_ENTRIES = {
         ("quota_sweep", QuotaSweepMode), ("ceiling_sweep", CeilingSweepMode)]},
 }
 
-#: Each bounded field, a value just out of its range, and the one message the
-#: hand-written checks gave it: a problem, or (solver, sharing) a ConfigError.
+#: Each rule declared on a field, a value that breaks it, and the one message it
+#: gives: a problem, or (solver, sharing) a ConfigError.
 BOUND_CASES = [
+    ("scenario", "lambda0", -1, "scenario: lambda0 must be non-negative"),
     ("link", "capacity", 0, "link AB: capacity must be positive"),
+    ("link", "subscriber_load", -1, "link AB: subscriber_load must be non-negative"),
+    ("link", "subscriber_load", 51, "link AB: subscriber_load exceeds capacity"),
     ("link", "price", -1, "link AB: price must be non-negative"),
     ("establishment", "capacity", 0, "wfp w1: capacity must be positive"),
     ("establishment", "min_profit", -1, "wfp w1: min_profit must be non-negative"),
     ("individual", "quota", 0, "wfp p1: quota must be positive"),
+    ("individual", "unused", 201, "wfp p1: unused must lie in [0, quota]"),
     ("individual", "min_profit", -1, "wfp p1: min_profit must be non-negative"),
     ("individual", "fee", -1, "wfp p1: fee must be non-negative"),
     ("individual", "settled_share", -1, "wfp p1: settled_share must be non-negative"),
+    ("individual", "settled_share", 1001, "wfp p1: settled_share exceeds fee"),
     ("individual", "txn_cap", -1, "wfp p1: txn_cap must be non-negative"),
     ("user", "weight", 0, "user u: weight must be positive"),
     ("user", "tx_power", 0, "user u: tx_power must be positive"),
@@ -476,20 +482,27 @@ BOUND_CASES = [
     ("user", "band", 0, "user u: band must be positive"),
     ("user", "budget", 0, "user u: budget must be positive"),
     ("user", "x_min", 0, "user u: x_min must be positive"),
+    ("user", "x_max", 5e-4, "user u: x_max must be at least x_min"),
     ("solver", "sigma0", 0, "solver: sigma0 must be positive"),
     ("solver", "epsilon", 0, "solver: epsilon must be positive"),
     ("solver", "max_iters", 0, "solver: max_iters must be at least 1"),
     ("solver", "x_floor", 0, "solver: x_floor must be positive"),
     ("sharing", "alpha", 0, "sharing: alpha must be positive"),
     ("sharing", "beta", 1, "sharing: beta must exceed 1"),
+    ("sweep", "swept_party", "both", "mode: swept_party must be 'isp' or 'wfp'"),
+    ("sweep", "start", -1, "mode: start must be non-negative"),
     ("sweep", "step", 0, "mode: step must be positive"),
     ("sweep", "count", 0, "mode: count must be at least 1"),
     ("sweep", "user_growth", -1, "mode: user_growth must be non-negative"),
+    ("sweep", "allocation", "random", "mode: allocation must be 'equal' or 'best_response'"),
     ("equilibrium", "ticks", 0, "mode: ticks must be at least 1"),
     ("equilibrium", "user_growth", -1, "mode: user_growth must be non-negative"),
     ("equilibrium", "billing_cycle_ticks", -1, "mode: billing_cycle_ticks must be non-negative"),
     ("quota_sweep", "usage_steps", 0, "mode: usage_steps must be at least 1"),
     ("quota_sweep", "txn_volume", 0, "mode: txn_volume must be positive"),
+    ("ceiling_sweep", "usage_levels", [], "mode: usage_levels must not be empty"),
+    ("ceiling_sweep", "usage_levels", [0.5, 1.0], "mode: usage_levels must lie in [0, 1)"),
+    ("ceiling_sweep", "price_stop", -1, "mode: price_stop must be at least price_start"),
     ("ceiling_sweep", "price_step", 0, "mode: price_step must be positive"),
     ("ceiling_sweep", "txn_volume", 0, "mode: txn_volume must be positive"),
 ]
@@ -517,7 +530,7 @@ def test_bound_cases_cover_every_declared_bound():
         if "bound" in f.metadata
     }
     assert {(BOUNDED_ENTRIES[section][0], name) for section, name, *_ in BOUND_CASES} == declared
-    assert len(BOUND_CASES) == 32
+    assert len(BOUND_CASES) == 44
 
 
 @pytest.mark.parametrize("section, name, value, message", BOUND_CASES)
@@ -565,6 +578,45 @@ def test_a_user_entrys_faults_follow_field_order():
         "user u: x_min must be positive",
         "user u: x_max must be at least x_min",
     ]
+
+
+@pytest.mark.parametrize("section, faults, messages", [
+    ("individual", dict(quota=0, unused=5, min_profit=-1, fee=10, settled_share=11, txn_cap=-1), [
+        "wfp p1: quota must be positive",
+        "wfp p1: unused must lie in [0, quota]",
+        "wfp p1: min_profit must be non-negative",
+        "wfp p1: settled_share exceeds fee",
+        "wfp p1: txn_cap must be non-negative",
+    ]),
+    ("link", dict(capacity=-5, subscriber_load=-1, price=-1), [  # a negative load: one message
+        "link AB: capacity must be positive",
+        "link AB: subscriber_load must be non-negative",
+        "link AB: price must be non-negative",
+    ]),
+    ("link", dict(capacity=-5, subscriber_load=0, price=-1), [
+        "link AB: capacity must be positive",
+        "link AB: subscriber_load exceeds capacity",
+        "link AB: price must be non-negative",
+    ]),
+    ("sweep", dict(swept_party="x", step=0, count=0, user_growth=-1, allocation="y"), [
+        "mode: swept_party must be 'isp' or 'wfp'",
+        "mode: step must be positive",
+        "mode: count must be at least 1",
+        "mode: user_growth must be non-negative",
+        "mode: allocation must be 'equal' or 'best_response'",
+    ]),
+    ("ceiling_sweep", dict(usage_levels=[1.5, -1], price_start=10, price_stop=5, price_step=0,
+                           txn_volume=0), [
+        "mode: usage_levels must lie in [0, 1)",
+        "mode: price_stop must be at least price_start",
+        "mode: price_step must be positive",
+        "mode: txn_volume must be positive",
+    ]),
+])
+def test_an_entrys_range_faults_follow_field_order(section, faults, messages):
+    doc, entry = bounded_doc(section)
+    entry.update(faults)
+    assert validate_scenario(scenario_from_dict(doc)) == messages
 
 
 def test_a_whole_float_is_an_int_and_a_fraction_is_refused():
