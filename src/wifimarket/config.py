@@ -320,6 +320,8 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
             problems.append(f"wfp {w.id}: duplicate id")
         wfp_ids.add(w.id)
         problems.extend(f"wfp {w.id}: {wrong}" for wrong in broken_bounds(w))
+        if cfg.wfp_prices.get(w.id, 0.0) < 0.0:
+            problems.append(f"wfp {w.id}: price must be non-negative")
 
     user_ids = set()
     for u in cfg.users:

@@ -6,15 +6,16 @@ written from the same config is byte-identical run to run.  Per-entity values
 (provider prices, per-user floors/prices/allocations) flatten into dotted
 columns like ``lambda.wfp1`` or ``x.u003``.  Both writers read a run's
 :class:`~wifimarket.model.StepBlock` columns, never its step records.  A
-block's rows are one ``%`` over its row template repeated once per step; a
-per-user row that holds one value per template (a sweep's or an equilibrium
-run's) is written as runs instead: each stretch of consecutive columns that read
-one template's value is that value's text repeated, since the sorted header puts
-growth clones beside their template.  Consecutive blocks with as many steps and
-the same map rows (a ceiling run's series) are formatted as one group: the cells
-they share -- the map cells, and each step or scalar column with the same bits in
-every block -- once, into a template of rows, then each block's label and own
-cells into it.  Only the header and the series labels go through :mod:`csv` quoting.
+block is written :data:`_CHUNK_ROWS` rows at a time, each chunk one ``%`` over its
+row template repeated once per row; a per-user row that holds one value per
+template (a sweep's or an equilibrium run's) is written as runs instead: each
+stretch of consecutive columns that read one template's value is that value's text
+repeated, since the sorted header puts growth clones beside their template.
+Consecutive blocks with as many steps and the same map rows (a ceiling run's series)
+are formatted as one group: the cells they share -- the map cells, and each step or
+scalar column with the same bits in every block -- once, into one template of rows
+per chunk that the group keeps, then each block's label and own cells into it.
+Only the header and the series labels go through :mod:`csv` quoting.
 
 The SVG writer draws three stacked panels -- shares, price, utility -- with
 one polyline per plotted series and no dependency on any plotting library;
@@ -37,6 +38,9 @@ from .model import running_total
 MAP_FIELDS = tuple(zip(MAP_ATTRS, ("lambda", "g", "final_price", "x")))
 
 NUMBER_FORMAT = "%.9g"
+
+#: Rows per ``%``: a block's CSV text is formatted and written this many rows at a time.
+_CHUNK_ROWS = 2048
 
 
 def format_value(value: float) -> str:
@@ -79,16 +83,17 @@ def _template_text(values: np.ndarray, runs: list[tuple[int, int]]) -> np.ndarra
     return np.array([["".join([t[k] * n for k, n in runs])[:-1]] for t in texts], dtype=object)
 
 
-def _block_cells(block: StepBlock, plan: list[tuple[list[str], dict]]) -> tuple[list, np.ndarray]:
-    """A block's row template without its label, and its cells: one row per step, the
-    step and scalar columns first, each with its one template entry.
+def _block_cells(block: StepBlock, plan: list[tuple[list[str], dict]],
+                 rows: slice) -> tuple[list, np.ndarray]:
+    """A block's row template without its label, and the cells of its steps ``rows``:
+    one row per step, the step and scalar columns first, each with its one template entry.
 
     ``plan`` caches each roster's position of every key of a field (``len(roster.ids)``
     for a key it lacks).  The maps that share an index and positions (a sweep's or an
     equilibrium run's g, final price and x) share their runs.
     """
     template = ["%d"] + [NUMBER_FORMAT] * len(SCALAR_FIELDS)
-    columns, runs = [block.steps[:, None], block.scalars], {}
+    columns, runs = [block.steps[rows, None], block.scalars[rows]], {}
     for (roster, values, _, index), (keys, known) in zip(block.maps, plan):
         if roster not in known:
             where, absent = roster.position, len(roster.ids)
@@ -98,13 +103,13 @@ def _block_cells(block: StepBlock, plan: list[tuple[list[str], dict]]) -> tuple[
             pair = id(index), id(at)
             runs[pair] = runs.get(pair) or _runs(index, at)
             template.append("%s")
-            columns.append(_template_text(values, runs[pair]))
+            columns.append(_template_text(values[rows], runs[pair]))
         elif values.strides[0] == 0:  # one row every step shares: format it into the template
             row = values[0].tolist()
             template += [NUMBER_FORMAT % row[i] if i < n else "" for i in at.tolist()]
         else:
             template += [NUMBER_FORMAT if i < n else "" for i in at.tolist()]
-            columns.append(values[:, at[at < n]])
+            columns.append(values[rows][:, at[at < n]])
     return template, np.concatenate(columns, axis=1)
 
 
@@ -123,11 +128,11 @@ def _own_columns(blocks: list[StepBlock]) -> np.ndarray:
     return own
 
 
-def _csv_field(text: str) -> str:
-    """``text`` as :mod:`csv` writes it among other fields of a row."""
+def _label(block: StepBlock) -> str:
+    """``block``'s series as :mod:`csv` writes it in a row, each ``%`` doubled for a template."""
     buf = io.StringIO()
-    csv.writer(buf).writerow((text, ""))
-    return buf.getvalue()[: -len(",\r\n")]
+    csv.writer(buf).writerow((block.series, ""))
+    return buf.getvalue()[: -len(",\r\n")].replace("%", "%%")
 
 
 def csv_header(ts: TimeSeries) -> list[str]:
@@ -140,23 +145,27 @@ def write_csv(ts: TimeSeries, path: str | Path) -> None:
         csv.writer(fh).writerow(header)
         for _, run in groupby(ts.blocks, lambda block: (len(block.steps), *map(id, block.maps))):
             blocks = list(run)
-            template, cells = _block_cells(blocks[0], plan)
+            chunks = [slice(start, start + _CHUNK_ROWS)
+                      for start in range(0, len(blocks[0].steps), _CHUNK_ROWS)]
             if len(blocks) == 1:
-                label = _csv_field(blocks[0].series).replace("%", "%%")
-                fh.write(_rows([label, *template], cells))
+                for rows in chunks:
+                    template, cells = _block_cells(blocks[0], plan, rows)
+                    fh.write(_rows([_label(blocks[0]), *template], cells))
                 continue
-            # blocks that share their map rows: format the cells they share once, into a
-            # template of rows that keeps a %s for the label and a format for each own cell
-            own = _own_columns(blocks)
-            marked = [f"%{entry}" if mine else entry for entry, mine in zip(template, own)]
-            shared = np.delete(cells, np.flatnonzero(own), axis=1)
-            del cells
-            rows = _rows(["%%s", *marked, *template[len(own):]], shared)
+            # blocks that share their map rows: format the cells they share once per chunk,
+            # into a template of rows with a NUL for the label (str.replace finds it faster
+            # than a %s among the own cells' formats) and a format for each own cell
+            own, shared = _own_columns(blocks), []
+            for rows in chunks:
+                template, cells = _block_cells(blocks[0], plan, rows)
+                marked = [f"%{entry}" if mine else entry for entry, mine in zip(template, own)]
+                row = ["\0", *marked, *template[len(own):]]
+                shared.append(_rows(row, np.delete(cells, np.flatnonzero(own), axis=1)))
             for block in blocks:
-                args = np.empty((len(block.steps), 1 + own.sum()), dtype=object)
-                args[:, 0] = _csv_field(block.series)
-                args[:, 1:] = np.column_stack((block.steps, block.scalars))[:, own]
-                fh.write(rows % tuple(args.ravel().tolist()))
+                label = _label(block)
+                for rows, text in zip(chunks, shared):
+                    part = np.column_stack((block.steps[rows], block.scalars[rows]))[:, own]
+                    fh.write(text.replace("\0", label) % tuple(part.ravel().tolist()))
 
 
 def read_csv(path: str | Path) -> TimeSeries:
@@ -274,16 +283,21 @@ def write_svg(ts: TimeSeries, path: str | Path) -> None:
     panels: dict[str, dict[str, tuple[np.ndarray, np.ndarray]]] = {
         "revenue share (%)": {}, "price": {}, "mean user utility": {}}
     share_curves, price_curves, utility_curves = panels.values()
+    steps, means = {}, {}  # each distinct step array cast, by its bits; each price rows' means
     for label, sub in ts.by_series().items():
         suffix = f" [{label}]" if label else ""
-        step = np.concatenate([block.steps for block in sub.blocks]).astype(float)
+        ints = np.concatenate([block.steps for block in sub.blocks])
+        if (bits := ints.tobytes()) not in steps:
+            steps[bits] = ints.astype(float)
+        step = steps[bits]
         plotted = np.concatenate([block.scalars[:, _PLOTTED] for block in sub.blocks])
         wfp, isp, utility = plotted.T.copy()  # each curve contiguous
         share_curves[f"wfp{suffix}"] = step, wfp
         share_curves[f"isp{suffix}"] = step, isp
-        with np.errstate(all="ignore"):  # overflow is inf, inf - inf NaN, as in Python floats
-            means = np.concatenate([_means(block.maps[2]) for block in sub.blocks])
-        price_curves[f"mean final price{suffix}"] = step, means
+        if (rows := tuple(id(block.maps[2]) for block in sub.blocks)) not in means:
+            with np.errstate(all="ignore"):  # overflow is inf, inf - inf NaN, as in Python floats
+                means[rows] = np.concatenate([_means(block.maps[2]) for block in sub.blocks])
+        price_curves[f"mean final price{suffix}"] = step, means[rows]
         utility_curves[f"mean utility{suffix}"] = step, utility
 
     total_h = 3 * (_PANEL_H + 70) + _MARGIN

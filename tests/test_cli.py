@@ -196,6 +196,16 @@ def test_ceiling_sweep_usage_levels_sharing_a_series_are_invalid_input(tmp_path,
     ]
 
 
+def test_a_negative_posted_price_is_invalid_input(tmp_path, capsys):
+    doc = json.loads(preset_path("iwfp-topology").read_text(encoding="utf-8"))
+    doc["wfps"][2]["price"] = -30.0
+    config = write_doc(tmp_path, doc)
+    code = cli.main(["run", "--config", str(config), "--out", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == ["wfp iwfp3: price must be non-negative"]
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_a_duplicate_link_id_is_invalid_input(tmp_path, capsys):
     doc = dict(GOOD_DOC, links=GOOD_DOC["links"] + [{"id": "AB", "capacity": 1}])
     config = write_doc(tmp_path, doc)

@@ -394,6 +394,19 @@ def test_validate_quota_sweep_needs_posted_prices():
     assert "wfp p1: posted price required for quota sweeps" in problems
 
 
+def test_validate_refuses_a_negative_posted_price():
+    doc = json.loads(preset_path("iwfp-topology").read_text(encoding="utf-8"))
+    doc["wfps"][1]["price"] = -30.0
+    assert validate_scenario(scenario_from_dict(doc)) == ["wfp iwfp2: price must be non-negative"]
+    doc["wfps"][1]["price"] = -0.0
+    assert validate_scenario(scenario_from_dict(doc)) == []
+    for wfp in doc["wfps"]:
+        wfp["price"] = -30.0
+    assert validate_scenario(scenario_from_dict(doc)) == [
+        f"wfp iwfp{k}: price must be non-negative" for k in range(1, 5)
+    ]
+
+
 def test_validate_sweeps_need_assigned_users():
     doc = dict(MINIMAL_DOC)
     doc["users"] = []
