@@ -114,6 +114,9 @@ def _run_scenario_command(args: argparse.Namespace, scenario: ScenarioConfig) ->
 
     for key in sorted(ts.summary):
         print(f"summary {key} = {ts.summary[key]:.9g}")
+    if unconverged := ts.summary.get("solver.unconverged", 0):
+        print(f"warning: {unconverged:.0f} price solves did not converge, largest residual "
+              f"{ts.summary['solver.max_residual']:.9g}", file=sys.stderr)
     return EXIT_OK
 
 

@@ -353,7 +353,8 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
                     problems.append(f"mode: subscriber_loads[{lid!r}][{tick}] {wrong}")
     elif isinstance(mode, CeilingSweepMode):
         first: dict[str, float] = {}
-        for lvl in mode.usage_levels:
+        # only levels the field's own rules accept have a series label
+        for lvl in () if broken_rule(mode, "usage_levels", mode.usage_levels) else mode.usage_levels:
             label = mode.series_label(lvl)
             if label in first:
                 problems.append(
@@ -377,7 +378,7 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
                 problems.append(f"wfp {w.id}: no users assigned")
 
     if (size := _user_steps(cfg, users_by_wfp)) > MAX_USER_STEPS:
-        problems.append(f"mode: {size:,.0f} user-steps exceed the limit of {MAX_USER_STEPS:,}")
+        problems.append(f"mode: {size:,} user-steps exceed the limit of {MAX_USER_STEPS:,}")
 
     return problems
 

@@ -299,10 +299,19 @@ def run_equilibrium(cfg: ScenarioConfig) -> TimeSeries:
     clearing price against the resulting floors, drop users whose best
     response would leave them worse off than not buying, settle, and let
     individual accounts deplete.  Quotas replenish every
-    ``billing_cycle_ticks`` ticks.
+    ``billing_cycle_ticks`` ticks.  The summary counts the ISP and provider
+    solves that end unconverged (``solver.unconverged``) and keeps the
+    largest residual of any solve (``solver.max_residual``).
     """
     mode = cfg.mode
     assert isinstance(mode, EquilibriumMode)
+    health = {"solver.unconverged": 0.0, "solver.max_residual": 0.0}
+
+    def flag(result):
+        """``result``, counted into the run's solver health."""
+        health["solver.unconverged"] += not result.converged
+        health["solver.max_residual"] = max(health["solver.max_residual"], result.residual)
+        return result
 
     def solve(pop: Population, accounts: list[WfpAccount], sizes: list[int]):
         m = len(cfg.users)
@@ -326,7 +335,7 @@ def run_equilibrium(cfg: ScenarioConfig) -> TimeSeries:
 
             if cfg.solve_isp and links:
                 demand = _link_demand(links, pop, accounts, customers)
-                outer = solve_isp_prices(links, demand, cfg.solver)
+                outer = flag(solve_isp_prices(links, demand, cfg.solver))
                 link_prices = outer.g_by_link
                 links = {
                     lid: replace(link, price=link_prices[lid]) for lid, link in links.items()
@@ -336,7 +345,7 @@ def run_equilibrium(cfg: ScenarioConfig) -> TimeSeries:
             lambda_by_wfp = {}
             prices, x = np.empty(n), np.empty(n)
             for account, users, idx in zip(accounts, customers, members):
-                inner = solve_wfp_equilibrium(account, users, g[idx])
+                inner = flag(solve_wfp_equilibrium(account, users, g[idx]))
                 lambda_by_wfp[account.id] = inner.lambda_by_wfp[account.id]
                 prices[idx] = inner.final_price_by_user.array
                 x[idx] = inner.x_by_user.array
@@ -347,6 +356,7 @@ def run_equilibrium(cfg: ScenarioConfig) -> TimeSeries:
                              walk_away=True, mean_over_buyers=False)
     first_zero = np.flatnonzero(scalars[:, _TOTAL] <= 0.0)
     ts.summary["first_zero_transaction_step"] = float(first_zero[0] if len(first_zero) else -1)
+    ts.summary.update(health)
     return ts
 
 
@@ -382,16 +392,15 @@ def _snapshots(ts: TimeSeries, labels: list[str], account: WfpAccount, unused: n
         floor_sum=np.full(steps, floor_sum),
         volume=np.full(steps, volume),
     )
-    settled = np.array(list(vars(settle_rows(
-        account, totals, cfg.sharing, unused, np.zeros(steps))).values()))
+    settled = vars(settle_rows(account, totals, cfg.sharing, unused, np.zeros(steps))).values()
     utility = np.zeros(steps)
     if with_utility:
         utility = np.array([_mean(row) for row in _utility(users, slice(0, n), x, prices)])
     lambdas = KeyedRows(Roster([account.id]), posted[:, None])
     g_rows, x_rows = (KeyedRows(users.roster, np.broadcast_to(v, prices.shape)) for v in (g, x))
     maps = (lambdas, g_rows, KeyedRows(users.roster, prices), x_rows)
-    for label, columns in zip(labels, settled.transpose(1, 0, 2)):
-        scalars = _scalars(Settlement(*columns), utility)
+    for row, label in enumerate(labels):  # each series is one row of the (L, S) columns
+        scalars = _scalars(Settlement(*(column[row] for column in settled)), utility)
         ts.blocks.append(StepBlock(label, np.arange(steps), scalars, maps))
         ts.summary[f"max_share_pct.{label}"] = scalars[:, _WFP_PCT].max().item()
 

@@ -20,7 +20,9 @@ Only the header and the series labels go through :mod:`csv` quoting.
 The SVG writer draws three stacked panels -- shares, price, utility -- with
 one polyline per plotted series and no dependency on any plotting library;
 a sorted, finite polyline is drawn by its M4 points per pixel column (:func:`_m4`).
-A curve with the same bits as one already drawn in its panel reuses its coordinates.
+A curve with the same bits as one already drawn in its panel reuses its coordinates,
+found by a hash of its bits and confirmed by comparing them (no copy of its bytes is
+kept); a one-block series plots column views of its block's scalars.
 """
 from __future__ import annotations
 
@@ -234,6 +236,31 @@ def _m4(px: np.ndarray, py: np.ndarray) -> np.ndarray:
     return keep
 
 
+def _once(cache: dict, arrays: tuple[np.ndarray, ...], make):
+    """``make()``, once per distinct bits of ``arrays``: ``cache`` keeps each result under a
+    hash of each array's bytes (freed after the lookup), and a hit counts if the bits match."""
+    entries = cache.setdefault(tuple(hash(a.tobytes()) for a in arrays), [])
+    for kept, value in entries:
+        if all(np.array_equal(a.view(np.int64), b.view(np.int64)) for a, b in zip(kept, arrays)):
+            return value
+    entries.append((arrays, make()))
+    return entries[-1][1]
+
+
+def _coords(xs: np.ndarray, ys: np.ndarray, lo: float, hi: float) -> str:
+    """A curve's polyline points, scaled against the panel's value range ``lo``..``hi``
+    so curves stay comparable; M4-decimated when sorted and finite."""
+    x_lo = xs.min()
+    x_span = (xs.max() - x_lo) or 1.0
+    y_span = (hi - lo) if hi != lo else 1.0
+    px = (xs - x_lo) / x_span * _PANEL_W
+    py = _PANEL_H - (ys - lo) / y_span * _PANEL_H
+    if np.isfinite(px).all() and np.isfinite(py).all() and (px[1:] >= px[:-1]).all():
+        keep = _m4(px, py)
+        px, py = px[keep], py[keep]
+    return ("%.2f,%.2f " * len(px))[:-1] % tuple(np.column_stack((px, py)).flat)
+
+
 def _panel(title: str, curves: dict[str, tuple[np.ndarray, np.ndarray]], y_offset: int) -> list[str]:
     parts = [
         f'<g transform="translate({_MARGIN},{y_offset})">',
@@ -248,23 +275,11 @@ def _panel(title: str, curves: dict[str, tuple[np.ndarray, np.ndarray]], y_offse
         parts += [f'<text x="{_PANEL_W + 4}" y="{y}" font-size="10" '
                   f'font-family="sans-serif">{format_value(value)}</text>'
                   for y, value in ((10, hi), (_PANEL_H, lo))]
-    drawn = {}  # each distinct curve's coordinate text, by the bits of its xs and ys
+    drawn = {}  # each distinct curve's coordinate text, by a hash of its bits
     with np.errstate(all="ignore"):  # overflow is inf, inf - inf NaN, as in Python floats
         for idx, (label, (xs, ys)) in enumerate(drawable.items()):
             color = _PALETTE[idx % len(_PALETTE)]
-            bits = xs.tobytes(), ys.tobytes()
-            if bits not in drawn:
-                # scale against the shared panel range so curves stay comparable
-                x_lo = xs.min()
-                x_span = (xs.max() - x_lo) or 1.0
-                y_span = (hi - lo) if hi != lo else 1.0
-                px = (xs - x_lo) / x_span * _PANEL_W
-                py = _PANEL_H - (ys - lo) / y_span * _PANEL_H
-                if np.isfinite(px).all() and np.isfinite(py).all() and (px[1:] >= px[:-1]).all():
-                    keep = _m4(px, py)
-                    px, py = px[keep], py[keep]
-                drawn[bits] = ("%.2f,%.2f " * len(px))[:-1] % tuple(np.column_stack((px, py)).flat)
-            coords = drawn[bits]
+            coords = _once(drawn, (xs, ys), lambda: _coords(xs, ys, lo, hi))
             parts += [
                 f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
                 f'points="{coords}"><title>{escape(label)}</title></polyline>',
@@ -278,25 +293,28 @@ def _panel(title: str, curves: dict[str, tuple[np.ndarray, np.ndarray]], y_offse
 _PLOTTED = [SCALAR_FIELDS.index(f) for f in ("wfp_share_pct", "isp_share_pct", "mean_utility")]
 
 
+def _joined(arrays: list[np.ndarray]) -> np.ndarray:
+    """``arrays`` end to end; a single array is itself, not a copy."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
 def write_svg(ts: TimeSeries, path: str | Path) -> None:
     """Render shares-, price- and utility-vs-step line charts into one SVG."""
     panels: dict[str, dict[str, tuple[np.ndarray, np.ndarray]]] = {
         "revenue share (%)": {}, "price": {}, "mean user utility": {}}
     share_curves, price_curves, utility_curves = panels.values()
-    steps, means = {}, {}  # each distinct step array cast, by its bits; each price rows' means
+    steps, means = {}, {}  # each distinct step array cast; each price rows' means
     for label, sub in ts.by_series().items():
         suffix = f" [{label}]" if label else ""
-        ints = np.concatenate([block.steps for block in sub.blocks])
-        if (bits := ints.tobytes()) not in steps:
-            steps[bits] = ints.astype(float)
-        step = steps[bits]
-        plotted = np.concatenate([block.scalars[:, _PLOTTED] for block in sub.blocks])
-        wfp, isp, utility = plotted.T.copy()  # each curve contiguous
+        ints = _joined([block.steps for block in sub.blocks])
+        step = _once(steps, (ints,), lambda: ints.astype(float))
+        scalars = _joined([block.scalars for block in sub.blocks])
+        wfp, isp, utility = (scalars[:, k] for k in _PLOTTED)  # column views
         share_curves[f"wfp{suffix}"] = step, wfp
         share_curves[f"isp{suffix}"] = step, isp
         if (rows := tuple(id(block.maps[2]) for block in sub.blocks)) not in means:
             with np.errstate(all="ignore"):  # overflow is inf, inf - inf NaN, as in Python floats
-                means[rows] = np.concatenate([_means(block.maps[2]) for block in sub.blocks])
+                means[rows] = _joined([_means(block.maps[2]) for block in sub.blocks])
         price_curves[f"mean final price{suffix}"] = step, means[rows]
         utility_curves[f"mean utility{suffix}"] = step, utility
 

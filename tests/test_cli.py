@@ -87,31 +87,66 @@ def test_a_documents_seed_is_ignored(tmp_path):
     assert written[0] == written[1]
 
 
-def test_run_with_links_that_cannot_clear_exits_zero(tmp_path):
-    """An ISP solve flagged infeasible still yields a run and its outputs.
+# On BC the crossing users' x_min alone exceed the residual capacity at every tick;
+# AB's per-tick subscriber loads stay within its capacity.
+LINKS_THAT_CANNOT_CLEAR = {
+    "name": "cli-infeasible",
+    "links": [
+        {"id": "AB", "capacity": 50, "price": 1},
+        {"id": "BC", "capacity": 40, "subscriber_load": 30, "price": 1},
+    ],
+    "wfps": [{"id": "w1", "kind": "establishment", "capacity": 500, "min_profit": 1}],
+    "users": [
+        {"id": "u", "wfp": "w1", "path": ["AB"], "count": 3},
+        {"id": "v", "wfp": "w1", "path": ["AB", "BC"], "count": 3, "x_min": 4.0},
+    ],
+    "solve_isp": True,
+    "mode": {"kind": "equilibrium", "ticks": 2, "subscriber_loads": {"AB": [45, 10]}},
+}
 
-    On BC the crossing users' x_min alone exceed the residual capacity at
-    every tick; AB's per-tick subscriber loads stay within its capacity.
-    """
-    doc = {
-        "name": "cli-infeasible",
-        "links": [
-            {"id": "AB", "capacity": 50, "price": 1},
-            {"id": "BC", "capacity": 40, "subscriber_load": 30, "price": 1},
-        ],
-        "wfps": [{"id": "w1", "kind": "establishment", "capacity": 500, "min_profit": 1}],
-        "users": [
-            {"id": "u", "wfp": "w1", "path": ["AB"], "count": 3},
-            {"id": "v", "wfp": "w1", "path": ["AB", "BC"], "count": 3, "x_min": 4.0},
-        ],
-        "solve_isp": True,
-        "mode": {"kind": "equilibrium", "ticks": 2, "subscriber_loads": {"AB": [45, 10]}},
-    }
-    config = write_doc(tmp_path, doc)
+# Four users whose x_min sum to more than their provider's capacity, no ISP solve.
+MINIMUMS_ABOVE_CAPACITY = {
+    "name": "cli-oversold",
+    "links": [{"id": "AB", "capacity": 100, "price": 1}],
+    "wfps": [{"id": "w1", "kind": "establishment", "capacity": 5, "min_profit": 1}],
+    "users": [{"id": "u", "wfp": "w1", "path": ["AB"], "count": 4, "x_min": 2}],
+    "solve_isp": False,
+    "mode": {"kind": "equilibrium", "ticks": 3},
+}
+
+
+def test_run_with_links_that_cannot_clear_exits_zero(tmp_path):
+    """An ISP solve flagged infeasible still yields a run and its outputs."""
+    config = write_doc(tmp_path, LINKS_THAT_CANNOT_CLEAR)
     code = cli.main(["run", "--config", str(config), "--out", str(tmp_path)])
     assert code == 0
     assert (tmp_path / "cli-infeasible.csv").is_file()
     assert (tmp_path / "cli-infeasible.svg").is_file()
+
+
+@pytest.mark.parametrize("doc, unconverged, residual", [
+    (LINKS_THAT_CANNOT_CLEAR, "2", "245"),  # both ticks' ISP solves
+    (MINIMUMS_ABOVE_CAPACITY, "3", "3"),  # every tick's provider solve
+])
+def test_unconverged_solves_exit_zero_with_one_warning(tmp_path, capsys, doc, unconverged,
+                                                       residual):
+    config = write_doc(tmp_path, doc)
+    assert cli.main(["run", "--config", str(config), "--out", str(tmp_path)]) == 0
+    out, err = capsys.readouterr()
+    assert f"summary solver.unconverged = {unconverged}" in out.splitlines()
+    assert f"summary solver.max_residual = {residual}" in out.splitlines()
+    assert err.splitlines() == [
+        f"warning: {unconverged} price solves did not converge, largest residual {residual}"
+    ]
+
+
+@pytest.mark.parametrize("preset", PRESET_NAMES)
+def test_no_preset_warns(tmp_path, capsys, preset):
+    assert cli.main(["preset", preset, "--out", str(tmp_path), "--formats", "csv"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    if preset.startswith("scenario3"):  # equilibrium runs report their solves' health
+        assert "summary solver.unconverged = 0" in out.splitlines()
 
 
 def test_equilibrium_without_users_writes_one_zero_row_per_tick(tmp_path):
@@ -194,6 +229,28 @@ def test_ceiling_sweep_usage_levels_sharing_a_series_are_invalid_input(tmp_path,
     assert capsys.readouterr().err.splitlines() == [
         "mode: usage_levels 0.499 and 0.501 share series usage_50"
     ]
+
+
+def test_a_usage_level_too_large_for_a_series_label_is_invalid_input(tmp_path, capsys):
+    # the level is refused before its series label, int(round(1e310)), is computed
+    doc = json.loads(preset_path("iwfp-ceiling").read_text(encoding="utf-8"))
+    doc["mode"]["usage_levels"] = [0.0, 1e308]
+    config = write_doc(tmp_path, doc)
+    assert cli.main(["run", "--config", str(config), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.splitlines() == ["mode: usage_levels must lie in [0, 1)"]
+
+
+def test_a_run_size_too_large_for_a_float_is_invalid_input(tmp_path, capsys):
+    # a whole 1e308 parses into an int; the run's size, about 1e310, has no float form
+    doc = json.loads(preset_path("scenario1").read_text(encoding="utf-8"))
+    doc["mode"]["user_growth"] = 1e308
+    config = write_doc(tmp_path, doc)
+    assert cli.main(["run", "--config", str(config), "--out", str(tmp_path)]) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    size = doc["mode"]["count"] * (len(scenario_from_dict(doc).users)
+                                   + int(1e308) * (doc["mode"]["count"] - 1))
+    assert line == f"mode: {size:,} user-steps exceed the limit of 2,000,000"
+    assert not (tmp_path / "scenario1.csv").exists()
 
 
 def test_a_negative_posted_price_is_invalid_input(tmp_path, capsys):

@@ -286,6 +286,24 @@ def test_quota_sweep_series_per_provider():
     assert set(ts.summary) == {f"max_share_pct.iwfp{i}" for i in (1, 2, 3, 4)}
 
 
+@pytest.mark.parametrize("preset", ["scenario3-low", "scenario3-high", "scenario1", "scenario2"])
+def test_only_equilibrium_runs_report_their_solves_health(monkeypatch, preset):
+    results = []
+    for name in ("solve_isp_prices", "solve_wfp_equilibrium"):
+        solver = getattr(engine, name)
+        monkeypatch.setattr(engine, name,
+                            lambda *args, solver=solver: results.append(solver(*args)) or results[-1])
+    ts = run_scenario(load_preset(preset))
+    health = {key: value for key, value in ts.summary.items() if key.startswith("solver.")}
+    if not preset.startswith("scenario3"):  # a sweep has no solver
+        assert results == [] and health == {}
+        return
+    assert health == {
+        "solver.unconverged": sum(not result.converged for result in results),
+        "solver.max_residual": max(result.residual for result in results)}
+    assert health["solver.unconverged"] == 0 and health["solver.max_residual"] < 1e-9
+
+
 def test_ceiling_sweep_series_per_usage_level():
     ts = run_scenario(load_preset("iwfp-ceiling"))
     labels = list(ts.by_series())

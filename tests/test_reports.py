@@ -391,20 +391,54 @@ def test_csv_bytes_do_not_depend_on_the_chunk_size(tmp_path, monkeypatch, rows):
     test_csv_blocks_that_share_map_rows_format_their_shared_cells_once(tmp_path, monkeypatch)
 
 
-def test_csv_writer_memory_does_not_grow_with_a_blocks_length(tmp_path):
-    # two ceiling series of 5,001 steps each: three chunks per block.  Formatting a whole
-    # block at once peaked at 2.40 MiB here, in chunks at 1.19 MiB (Python 3.11)
+def long_ceiling_series():
+    """Two ceiling series of 5,001 steps each: three CSV chunks per block."""
     doc = json.loads(preset_path("iwfp-ceiling").read_text(encoding="utf-8"))
     doc["mode"].update(price_step=0.02, usage_levels=[0.0, 0.5])
     ts = run_scenario(scenario_from_dict(doc))
     assert [len(block.steps) for block in ts.blocks] == [5001, 5001]
+    return ts
+
+
+def traced_peak(write, ts, path):
+    """The ``tracemalloc`` peak, in bytes, of one ``write(ts, path)``."""
     tracemalloc.start()
     try:
-        write_csv(ts, tmp_path / "fine.csv")
-        peak = tracemalloc.get_traced_memory()[1]
+        write(ts, path)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * 2**20
+
+
+def test_csv_writer_memory_does_not_grow_with_a_blocks_length(tmp_path):
+    # formatting a whole block at once peaked at 2.40 MiB here, in chunks at 1.19 MiB
+    # (Python 3.11)
+    assert traced_peak(write_csv, long_ceiling_series(), tmp_path / "fine.csv") < 1.5 * 2**20
+
+
+def test_svg_writer_keeps_no_whole_run_copy(tmp_path):
+    # copying each series' plotted curves and keeping each curve's bytes as its cache key
+    # peaked at 1,247 KiB here; column views and hashed keys at 669 KiB (Python 3.11)
+    assert traced_peak(write_svg, long_ceiling_series(), tmp_path / "fine.svg") < 2**20
+
+
+@pytest.mark.parametrize("collide", [False, True])
+def test_svg_curves_share_coordinates_only_when_their_bits_match(monkeypatch, collide):
+    if collide:  # every hash equal: each cache lookup is decided by comparing the bits
+        monkeypatch.setattr(reports, "hash", lambda _: 0, raising=False)
+    drawn = []
+    monkeypatch.setattr(reports, "_coords", lambda *args: drawn.append(args) or str(len(drawn)))
+    xs, ys = np.arange(4.0), np.array([0.0, 2.0, 1.0, 3.0])
+    negative = ys.copy()
+    negative[0] = -0.0  # one bit apart, equal as floats
+    nan = np.array([np.nan, 2.0, 1.0, 3.0])
+    curves = {"a": (xs, ys), "same": (xs.copy(), ys.copy()), "sign": (xs, negative),
+              "nan": (xs, nan), "same nan": (xs, nan.copy()), "longer": (np.arange(5.0), np.append(ys, 3.0))}
+    with np.errstate(invalid="ignore"):
+        points = [part.split('points="')[1].split('"')[0]
+                  for part in reports._panel("t", curves, 0) if part.startswith("<polyline")]
+    assert points == ["1", "1", "2", "3", "3", "4"]
+    assert len(drawn) == 4
 
 
 def test_escape_matches_saxutils():
