@@ -43,8 +43,8 @@ from functools import cache
 from pathlib import Path
 from typing import Any, get_args, get_origin, get_type_hints
 
-from .model import (AT_LEAST_1, NON_NEGATIVE, POSITIVE, LinkState, UserProfile, WfpAccount,
-                    WfpKind, bound, broken_bounds, broken_rule, one_of)
+from .model import (AT_LEAST_1, NON_NEGATIVE, POSITIVE, LinkState, Rule, UserProfile,
+                    WfpAccount, WfpKind, bound, broken_bounds, broken_rule, one_of)
 from .pricing import SolverConfig
 from .sharing import SharingParams
 
@@ -57,6 +57,7 @@ from .sharing import SharingParams
 #: the largest benchmark workload counts 903,000 (300 steps x 3,010 users),
 #: records 454,500 and peaks at 35.8 MiB resident (BENCH_20.json, x86_64).
 MAX_USER_STEPS = 2_000_000
+AT_MOST_MAX: Rule = (lambda v, _: v > MAX_USER_STEPS, f"must be at most {MAX_USER_STEPS:,}")
 
 
 class ConfigError(ValueError):
@@ -78,8 +79,8 @@ class SweepMode:
     swept_party: str = bound(one_of("isp", "wfp"))
     start: float = bound(NON_NEGATIVE)
     step: float = bound(POSITIVE, 1.0)
-    count: int = bound(AT_LEAST_1, 300)
-    user_growth: int = bound(NON_NEGATIVE, 0)
+    count: int = bound([AT_LEAST_1, AT_MOST_MAX], 300)
+    user_growth: int = bound([NON_NEGATIVE, AT_MOST_MAX], 0)
     allocation: str = bound(one_of("equal", "best_response"), "equal")
 
 
@@ -87,8 +88,8 @@ class SweepMode:
 class EquilibriumMode:
     """Tick-driven runs where both sides solve for prices each tick."""
 
-    ticks: int = bound(AT_LEAST_1)
-    user_growth: int = bound(NON_NEGATIVE, 0)
+    ticks: int = bound([AT_LEAST_1, AT_MOST_MAX])
+    user_growth: int = bound([NON_NEGATIVE, AT_MOST_MAX], 0)
     billing_cycle_ticks: int = bound(NON_NEGATIVE, 0)
     subscriber_loads: dict[str, tuple[float, ...]] = field(default_factory=dict)
 
@@ -97,7 +98,7 @@ class EquilibriumMode:
 class QuotaSweepMode:
     """Individual-provider sweep over remaining quota at fixed posted prices."""
 
-    usage_steps: int = bound(AT_LEAST_1, 20)
+    usage_steps: int = bound([AT_LEAST_1, AT_MOST_MAX], 20)
     txn_volume: float = bound(POSITIVE, 10.0)
 
 
@@ -197,8 +198,6 @@ def _convert(raw: Any, kind: Any, where: str, name: str) -> Any:
     """``raw`` as a value of the declared type ``kind``: a number, a string, a boolean,
     an Enum member by value, or entry by entry a ``tuple[T, ...]`` from an array or a
     ``dict[str, T]`` from an object; ConfigError naming ``where`` and ``name`` otherwise."""
-    if kind is float and type(raw) is float and math.isfinite(raw):
-        return raw  # float(raw) is raw: a finite float needs no _number call
     label = f"{where}: {name}" if where else name
     origin = get_origin(kind)  # before issubclass below: tuple[float, ...] is no class
     if origin is tuple:
@@ -377,7 +376,8 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
             if users_by_wfp[w.id] == 0:
                 problems.append(f"wfp {w.id}: no users assigned")
 
-    if (size := _user_steps(cfg, users_by_wfp)) > MAX_USER_STEPS:
+    # only a mode whose own fields pass has a size
+    if not broken_bounds(mode) and (size := _user_steps(cfg, users_by_wfp)) > MAX_USER_STEPS:
         problems.append(f"mode: {size:,} user-steps exceed the limit of {MAX_USER_STEPS:,}")
 
     return problems
@@ -394,6 +394,4 @@ def _user_steps(cfg: ScenarioConfig, users_by_wfp: dict[str, int]) -> float:
     )
     if isinstance(mode, QuotaSweepMode):
         return (mode.usage_steps + 1) * sellers
-    if mode.price_step <= 0.0:
-        return 0.0
     return mode.price_count * len(mode.usage_levels) * sellers

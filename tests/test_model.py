@@ -2,17 +2,15 @@
 import copy
 import dataclasses
 import hashlib
-import importlib.util
 import json
 import math
-import sys
 import typing
 from functools import reduce
 from operator import add
-from pathlib import Path
 
 import numpy as np
 import pytest
+from pins import PINS
 from test_sharing import bits
 
 from wifimarket.config import (
@@ -506,12 +504,17 @@ BOUND_CASES = [
     ("sweep", "start", -1, "mode: start must be non-negative"),
     ("sweep", "step", 0, "mode: step must be positive"),
     ("sweep", "count", 0, "mode: count must be at least 1"),
+    ("sweep", "count", 2_000_001, "mode: count must be at most 2,000,000"),
     ("sweep", "user_growth", -1, "mode: user_growth must be non-negative"),
+    ("sweep", "user_growth", 2_000_001, "mode: user_growth must be at most 2,000,000"),
     ("sweep", "allocation", "random", "mode: allocation must be 'equal' or 'best_response'"),
     ("equilibrium", "ticks", 0, "mode: ticks must be at least 1"),
+    ("equilibrium", "ticks", 2_000_001, "mode: ticks must be at most 2,000,000"),
     ("equilibrium", "user_growth", -1, "mode: user_growth must be non-negative"),
+    ("equilibrium", "user_growth", 2_000_001, "mode: user_growth must be at most 2,000,000"),
     ("equilibrium", "billing_cycle_ticks", -1, "mode: billing_cycle_ticks must be non-negative"),
     ("quota_sweep", "usage_steps", 0, "mode: usage_steps must be at least 1"),
+    ("quota_sweep", "usage_steps", 2_000_001, "mode: usage_steps must be at most 2,000,000"),
     ("quota_sweep", "txn_volume", 0, "mode: txn_volume must be positive"),
     ("ceiling_sweep", "usage_levels", [], "mode: usage_levels must not be empty"),
     ("ceiling_sweep", "usage_levels", [0.5, 1.0], "mode: usage_levels must lie in [0, 1)"),
@@ -537,13 +540,14 @@ def test_bounded_doc_is_valid_in_every_mode():
 
 def test_bound_cases_cover_every_declared_bound():
     declared = {
-        (cls, f.name)
+        (cls, f.name, text)
         for cls, _ in BOUNDED_ENTRIES.values()
         for f in dataclasses.fields(cls)
-        if "bound" in f.metadata
+        for _, text, _ in f.metadata.get("bound", ())
     }
-    assert {(BOUNDED_ENTRIES[section][0], name) for section, name, *_ in BOUND_CASES} == declared
-    assert len(BOUND_CASES) == 44
+    assert {(BOUNDED_ENTRIES[section][0], name, message.split(f": {name} ", 1)[1])
+            for section, name, _, message in BOUND_CASES} == declared
+    assert len(BOUND_CASES) == 49
 
 
 @pytest.mark.parametrize("section, name, value, message", BOUND_CASES)
@@ -684,12 +688,7 @@ def test_validate_run_size_limit_is_inclusive(mode, users):
     assert len(problems) == 1 and "user-steps exceed the limit" in problems[0]
 
 
-def test_benchmark_workloads_validate(monkeypatch):
-    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, workloads)
-    spec.loader.exec_module(workloads)
+def test_benchmark_workloads_validate(workloads):
     for name in workloads.WORKLOADS:
         cfg = scenario_from_dict(json.loads(workloads.generate(name, 1)))
         assert validate_scenario(cfg) == [], name
@@ -768,23 +767,13 @@ EVERY_KEY_MODES = {
     "ceiling_sweep": {"kind": "ceiling_sweep", "usage_levels": [0, 0.5, 0.9], "price_stop": 20},
 }
 
-#: SHA-256 of ``repr(scenario_from_dict(doc))``, as the hand-written parser of the
-#: non-numeric keys gave it, for each preset and each mode of EVERY_KEY_DOC.
-PARSED_REPR_SHA256 = {
-    "scenario1": "b84d316749fbc46c985229c315c999f42f00d62164a250f39805c531b145fe0e",
-    "scenario2": "9de7473da0aeec2616f60f0a56f93a7430cc79671b358afb0e7788bf35af48a6",
-    "scenario3-low": "51446b492d92d55bdc9e2fd4d03b1ef89c0a7d20cd736bcfa90f592de809c84d",
-    "scenario3-high": "5bffb97090d2f8bf7680252a33db0ed914ff582170ee939063fb60c164ec39a5",
-    "iwfp-topology": "925affcd604276189aee37604ed167016947d91d627e60c9cb8100a66409c7eb",
-    "iwfp-ceiling": "333dd196cb2f10cee2ca3111d3a1ede05c46b42f52bb13312faaf8e647166f73",
-    "every-key-sweep": "8e66767b7bd7f77ef646db6a7334ce56766450f06671dfbaea2f1953d68f5325",
-    "every-key-equilibrium": "a947a9ea0aca1f35f129f74c6f92ac0083a2b7b0f60f6b6cf9b8507416c7d50c",
-    "every-key-quota_sweep": "913a151d281e1916eeccae150b97a477c91ee0faec6eda72ed1092d949117c79",
-    "every-key-ceiling_sweep": "810b227e7ac47fbc625b5d228f09f2660eda132adf69248bcac6270120b0e091",
-}
+#: The documents whose parsed config is pinned: each preset and EVERY_KEY_DOC in each
+#: mode.  The PARSED_REPR_SHA256 pins are the SHA-256 of ``repr(scenario_from_dict(doc))``
+#: of each, as the hand-written parser of the non-numeric keys gave it.
+PARSED_NAMES = (*PRESET_NAMES, *(f"every-key-{kind}" for kind in EVERY_KEY_MODES))
 
 
-@pytest.mark.parametrize("name", PARSED_REPR_SHA256)
+@pytest.mark.parametrize("name", PARSED_NAMES)
 def test_the_parsed_config_of_each_pinned_document_is_unchanged(name):
     if name in PRESET_NAMES:
         doc = json.loads(preset_path(name).read_text(encoding="utf-8"))
@@ -792,7 +781,7 @@ def test_the_parsed_config_of_each_pinned_document_is_unchanged(name):
         doc = dict(EVERY_KEY_DOC, mode=EVERY_KEY_MODES[name.removeprefix("every-key-")])
     cfg = scenario_from_dict(doc)
     assert validate_scenario(cfg) == []
-    assert hashlib.sha256(repr(cfg).encode()).hexdigest() == PARSED_REPR_SHA256[name]
+    assert hashlib.sha256(repr(cfg).encode()).hexdigest() == PINS["PARSED_REPR_SHA256"][name]
 
 
 def test_an_entrys_shape_faults_follow_field_order():

@@ -15,6 +15,7 @@ from xml.sax.saxutils import escape as sax_escape
 
 import numpy as np
 import pytest
+from pins import PINS
 
 import wifimarket
 import wifimarket.reports as reports
@@ -22,7 +23,7 @@ from wifimarket.config import scenario_from_dict
 from wifimarket.model import KeyedRows, Roster, StepBlock, StepRecord, TimeSeries, UserValues
 from wifimarket.model import fold_sum
 from wifimarket.pricing import user_utility
-from wifimarket.presets import load_preset, preset_path
+from wifimarket.presets import PRESET_NAMES, load_preset, preset_path
 from wifimarket.engine import run_scenario
 from wifimarket.reports import (
     MAP_FIELDS,
@@ -385,7 +386,7 @@ def test_csv_bytes_do_not_depend_on_the_chunk_size(tmp_path, monkeypatch, rows):
     for name in ("iwfp-ceiling", "iwfp-topology", "scenario1"):
         write_csv(run_scenario(load_preset(name)), tmp_path / "preset.csv")
         csv_sha = hashlib.sha256((tmp_path / "preset.csv").read_bytes()).hexdigest()
-        assert csv_sha == PRESET_OUTPUTS[name][0], name
+        assert csv_sha == PINS["PRESET_OUTPUTS"][name]["csv"], name
     for n in (rows, rows + 1):  # a whole number of chunks, and one row more
         assert_matches_reference(chunked_series(n), tmp_path)
     test_csv_blocks_that_share_map_rows_format_their_shared_cells_once(tmp_path, monkeypatch)
@@ -663,36 +664,6 @@ def test_svg_m4_keeps_each_pixel_columns_first_last_lowest_and_highest(tmp_path)
                             == extreme(scaled[i][1] for i in every)), (label, col)
 
 
-# SHA-256 of each preset's CSV and SVG, written by the code before per-user
-# values became array views; the array engine must reproduce them byte for byte.
-PRESET_OUTPUTS = {
-    "scenario1": (
-        "79cfebf7e09a7e237aab90658e499243731a227ad3bfcbf14ad4f3436c528330",
-        "10d373d21bea2475ee8f237da33b72c70c10f3fc6cb22c9497a78c029c349c4f",
-    ),
-    "scenario2": (
-        "0c262bb8fa224fc272a0f2652038b217cd891ac41a0d81e3db8155eca8aab745",
-        "28188b8d020efd588b602c24a60824541d1c867fefa5447894e2094c98cd800f",
-    ),
-    "scenario3-low": (
-        "8eb6e8d76a3077e8979cf07efa8d0580fb712628554742f3cd562c95ceda1cf4",
-        "3f763ab7a96fddbfb4cd747cab284733ee3542a5d4a904d05ef71e5a2b7dac26",
-    ),
-    "scenario3-high": (
-        "bba3f1145459f545bd45bdea7ea8ab3b950a79a786d27ef3760182e62d470c71",
-        "1d8d285e5adcdeffcc54e2b599cc541392520cab9c31b272dc89eb8e3a3e5025",
-    ),
-    "iwfp-topology": (
-        "8bd741f995a7cdbfc007b017f4bd0ab37037fd45be0b11c9cbcbb0ebfb0e5ce6",
-        "9651d3f8b6debd23569a40838619c6e497a9c94f116a207c8f2e937fbb5ae6c1",
-    ),
-    "iwfp-ceiling": (
-        "f2abac9870d18aa2316532918ffa73496047f72dcfffc4a39242697c99905fb1",
-        "fc5bf6f5dc2ac23bf3c93f90325b9a5b639add147055a4318512f362eafe58cf",
-    ),
-}
-
-
 def compensated_sum(values, start=0):
     """Builtin ``sum`` as Python 3.12 computes it over floats: Neumaier-compensated."""
     total, compensation = start, 0.0
@@ -734,14 +705,16 @@ def test_mean_of_a_mapping_is_the_sequential_fold_under_either_sum(monkeypatch):
     assert [mean(view) for view in views] == [0.5, 0.0, (1e16 + 2.0) / 3, 0.0, 0.0]
 
 
-# Python 3.12 made builtin sum() of floats compensated; the outputs must not
-# depend on which sum the interpreter has.
+# The PRESET_OUTPUTS pins are the SHA-256 of each preset's CSV and SVG, written by
+# the code before per-user values became array views; the array engine must reproduce
+# them byte for byte.  Python 3.12 made builtin sum() of floats compensated; the
+# outputs must not depend on which sum the interpreter has.
 @pytest.mark.parametrize(
     "name, summation",
-    [pytest.param(name, "builtin", id=name) for name in sorted(PRESET_OUTPUTS)]
+    [pytest.param(name, "builtin", id=name) for name in sorted(PRESET_NAMES)]
     + [
         pytest.param(name, "compensated", id=f"{name}-compensated-sum")
-        for name in sorted(PRESET_OUTPUTS)
+        for name in sorted(PRESET_NAMES)
     ],
 )
 def test_preset_outputs_are_pinned(tmp_path, monkeypatch, name, summation):
@@ -751,25 +724,14 @@ def test_preset_outputs_are_pinned(tmp_path, monkeypatch, name, summation):
     ts = run_scenario(load_preset(name))
     write_csv(ts, tmp_path / "out.csv")
     write_svg(ts, tmp_path / "out.svg")
-    csv_sha, svg_sha = PRESET_OUTPUTS[name]
-    assert hashlib.sha256((tmp_path / "out.csv").read_bytes()).hexdigest() == csv_sha
-    assert hashlib.sha256((tmp_path / "out.svg").read_bytes()).hexdigest() == svg_sha
-
-
-# SHA-256 over float.hex of every scalar, lambda and per-user value (with its id, in
-# iteration order) of each preset's records, as the engine built them eagerly,
-# one StepRecord per step, before a run's steps became blocks of columns.
-PRESET_RECORDS = {
-    "scenario1": "7da2ca48b542219797473fe441df28f81dada6ccc93d1e4f3a911cfbaf5d7b99",
-    "scenario2": "afa9086d59e8c1928647bc173bdff45cb642c06bef3e90c60d6ca63fd55d44fc",
-    "scenario3-low": "b8ce42a132b714e9906f93aecec1f7d2118941a94f975d35f7cea14f222ee73b",
-    "scenario3-high": "d0af9e68c921a4cbecd511e401dffaad0e7401f1c189398833d3c54fb96066a5",
-    "iwfp-topology": "864ec06ef2ca4d27043d6c9167d6e5d84652b847970caf7dfb0d91c3ae16bcd4",
-    "iwfp-ceiling": "be7f23ddbe566505612b72222619be9d167325d8eef7589c03fab005bf082c4f",
-}
+    pinned = PINS["PRESET_OUTPUTS"][name]
+    assert hashlib.sha256((tmp_path / "out.csv").read_bytes()).hexdigest() == pinned["csv"]
+    assert hashlib.sha256((tmp_path / "out.svg").read_bytes()).hexdigest() == pinned["svg"]
 
 
 def record_digest(records):
+    """SHA-256 over float.hex of every scalar, lambda and per-user value (with its id,
+    in iteration order) of ``records``."""
     digest = hashlib.sha256()
     for rec in records:
         digest.update(f"{rec.series}\n{rec.step}\n".encode())
@@ -782,10 +744,12 @@ def record_digest(records):
     return digest.hexdigest()
 
 
-@pytest.mark.parametrize("name", sorted(PRESET_RECORDS))
+# The PRESET_RECORDS pins are each preset's record_digest, as the engine built its
+# records eagerly, one StepRecord per step, before a run's steps became blocks of columns.
+@pytest.mark.parametrize("name", sorted(PRESET_NAMES))
 def test_preset_records_are_pinned_bit_for_bit(name):
     ts = run_scenario(load_preset(name))
-    assert record_digest(ts.records) == PRESET_RECORDS[name]
+    assert record_digest(ts.records) == PINS["PRESET_RECORDS"][name]
     assert ts.records is ts.records  # built once, on first read
 
 
@@ -807,7 +771,7 @@ def ceiling_at(price_step):
     return scenario_from_dict(doc)
 
 
-@pytest.mark.parametrize("name", [*sorted(PRESET_OUTPUTS), "iwfp-ceiling at price_step 0.05"])
+@pytest.mark.parametrize("name", [*sorted(PRESET_NAMES), "iwfp-ceiling at price_step 0.05"])
 def test_series_rebuilt_from_its_records_writes_the_same_bytes(tmp_path, name):
     cfg = ceiling_at(0.05) if name.endswith("0.05") else load_preset(name)
     assert_rebuilt_from_records_writes_the_same_bytes(run_scenario(cfg), tmp_path)
@@ -849,6 +813,12 @@ def test_hand_built_series_writes_what_its_records_hold(tmp_path):
         ts.records[0].step = 5
 
 
+def shape_pins(ts, csv_bytes, svg_bytes):
+    """A run's record digest and its outputs' SHA-256, keyed as the shape pins are."""
+    return {"records": record_digest(ts.records), "csv": hashlib.sha256(csv_bytes).hexdigest(),
+            "svg": hashlib.sha256(svg_bytes).hexdigest()}
+
+
 def sweep_shape(shape):
     """A seeded sweep document with growth that no preset covers: ``two-provider``
     (two providers, 262 users by the last step, so prices and x list users provider
@@ -882,28 +852,17 @@ def sweep_shape(shape):
     })
 
 
-# Record digest, CSV SHA-256 and SVG SHA-256 of each sweep_shape document, computed
-# while every user's values were still computed and kept per user, clones included.
-SWEEP_SHAPES = {
-    "two-provider": ("cabf508a4ceaed853944bef79f142a55fcf62bb82ffba44782f7d85da4a65bea",
-                     "30abfc82bfc761f99ac205b448604b6a6d155cd87afdb64ff7fddee00d08d9b9",
-                     "4e57060f8611f2343d91c77dd23d35c7635d7b926dabb93ed96e41497a5bc06d"),
-    "equal": ("20ccd1a2c0e5ea2c7eb4c2c7f17e103920595dca2f32891989f496d74de4ef01",
-              "c3608e81474025b74c0853f8fc7579f169b505f68029f516109f21b3d7ba4014",
-              "15f7c69153ed346c367e83c8629b773ab665d406dedc0ffb79cdb9655644a8eb"),
-    "isp": ("cfd0fdf8d24e0e39995102350db399d5345cd7acde79514538c2c56b0c1b0d9e",
-            "b297847e62ae598c1b9e83f6abe0113744f73aa543b546b661104c3b16c6e892",
-            "fc6b5913e3a3fa8b2e706072356b392fedd042e136e40f121c69d2681c0ad382"),
-}
+#: The sweep_shape documents.  The SWEEP_SHAPES pins are each one's record digest,
+#: CSV SHA-256 and SVG SHA-256, computed while every user's values were still computed
+#: and kept per user, clones included.
+SWEEP_SHAPE_NAMES = ("two-provider", "equal", "isp")
 
 
-@pytest.mark.parametrize("shape", sorted(SWEEP_SHAPES))
+@pytest.mark.parametrize("shape", sorted(SWEEP_SHAPE_NAMES))
 def test_sweep_shapes_are_pinned_and_rebuilt_from_records(tmp_path, shape):
     ts = run_scenario(sweep_shape(shape))
     csv_bytes, svg_bytes = outputs(ts, tmp_path / "run")
-    found = (record_digest(ts.records), hashlib.sha256(csv_bytes).hexdigest(),
-             hashlib.sha256(svg_bytes).hexdigest())
-    assert found == SWEEP_SHAPES[shape]
+    assert shape_pins(ts, csv_bytes, svg_bytes) == PINS["SWEEP_SHAPES"][shape]
     assert outputs(TimeSeries.of(ts.name, ts.records), tmp_path / "rebuilt") == (csv_bytes, svg_bytes)
 
 
@@ -941,19 +900,13 @@ def equilibrium_shape(shape):
     })
 
 
-# Record digest, CSV SHA-256 and SVG SHA-256 of each equilibrium_shape document,
-# computed while every user's solve, utility and rows were kept per user.
-EQUILIBRIUM_SHAPES = {
-    "isp": ("992cc340674264c74445e11a4e2b44c083829cab97f7bde333823dd05bea0436",
-            "5b8ccda81bc15c276cc36dfe9d11a6b050631acca4e151fafc248a4e59991655",
-            "8a947c38e554634b87eb549ffd1fa014374ca39e2f2239c6a82fa3b8e3fc1b81"),
-    "crowd": ("dc4a2bfe25536294a6db9067d0f8bb453d5e1c256aef699e2d3ac13250b10d50",
-              "e7ccda2912757e23b296f2521a74bc9adf0fd751c94eab5c25ef7b1baa338f5a",
-              "76f19d9379a9e894b6ff023a485e4d81aedda9e5feb4653da51154c4031eaea6"),
-}
+#: The equilibrium_shape documents.  The EQUILIBRIUM_SHAPES pins are each one's record
+#: digest, CSV SHA-256 and SVG SHA-256, computed while every user's solve, utility and
+#: rows were kept per user.
+EQUILIBRIUM_SHAPE_NAMES = ("isp", "crowd")
 
 
-@pytest.mark.parametrize("shape", sorted(EQUILIBRIUM_SHAPES))
+@pytest.mark.parametrize("shape", sorted(EQUILIBRIUM_SHAPE_NAMES))
 def test_equilibrium_shapes_are_pinned_and_rebuilt_from_records(tmp_path, monkeypatch, shape):
     walked_away = []  # per tick, the templates whose utility is negative
     utility = wifimarket.engine._utility
@@ -966,14 +919,27 @@ def test_equilibrium_shapes_are_pinned_and_rebuilt_from_records(tmp_path, monkey
     monkeypatch.setattr(wifimarket.engine, "_utility", spy)
     ts = run_scenario(equilibrium_shape(shape))
     csv_bytes, svg_bytes = outputs(ts, tmp_path / "run")
-    found = (record_digest(ts.records), hashlib.sha256(csv_bytes).hexdigest(),
-             hashlib.sha256(svg_bytes).hexdigest())
-    assert found == EQUILIBRIUM_SHAPES[shape]
+    assert shape_pins(ts, csv_bytes, svg_bytes) == PINS["EQUILIBRIUM_SHAPES"][shape]
     assert outputs(TimeSeries.of(ts.name, ts.records), tmp_path / "rebuilt") == (csv_bytes, svg_bytes)
     # some template walks away at one tick and buys at another
     assert set.union(*walked_away) - set.intersection(*walked_away)
     assert all(rec.x_by_user[uid] == 0.0 for rec, gone in zip(ts.records, walked_away)
                for uid in gone)
+
+
+def test_benchmark_workloads_write_their_pinned_bytes(tmp_path, workloads):
+    """Each workload's seed-1 document, run in-process.  The WORKLOAD_OUTPUTS pins are
+    each CSV, and the SVGs of sweep-crowd (3,010 users), equilibrium-overload and
+    isp-nested, as written before their sums, logs and chart coordinates became array
+    operations; ceiling-fine's SVG is its M4-decimated chart: the first, last, lowest
+    and highest point of each pixel column."""
+    found = {}
+    for name in workloads.WORKLOADS:
+        cfg = scenario_from_dict(json.loads(workloads.generate(name, 1)))
+        written = outputs(run_scenario(cfg), tmp_path / name)
+        found[name] = {kind: hashlib.sha256(data).hexdigest()
+                       for kind, data in zip(("csv", "svg"), written)}
+    assert found == PINS["WORKLOAD_OUTPUTS"]
 
 
 def test_sweep_buys_nothing_below_x_floor():
