@@ -113,7 +113,8 @@ class CeilingSweepMode:
     price_start: float = 0.0
     price_stop: float = bound((lambda v, m: v < m.price_start, "must be at least price_start"),
                               100.0)
-    price_step: float = bound(POSITIVE, 1.0)
+    price_step: float = bound([POSITIVE, (lambda v, m: v > 0 and m.price_count > MAX_USER_STEPS,
+                                          f"must give at most {MAX_USER_STEPS:,} prices")], 1.0)
     txn_volume: float = bound(POSITIVE, 10.0)
 
     @property
@@ -178,7 +179,7 @@ def _number(raw: Any, label: str, kind: type = float) -> Any:
     except OverflowError:  # an int past the float range
         finite = False
     if not finite:
-        raise ConfigError(f"{label} must be a finite number, got {raw!r}")
+        raise ConfigError(f"{label} must be a finite number, got {raw!r:.40}")
     if kind is int and raw != int(raw):
         raise ConfigError(f"{label} must be a whole number, got {raw!r}")
     return kind(raw)

@@ -187,16 +187,15 @@ def _run_ticks(cfg: ScenarioConfig, ticks: int, growth: int, price_rule, *,
 
     Tick t runs the first ``sizes[t]`` users, ``growth`` more each tick.  The generator
     ``price_rule(pop, accounts, sizes)`` yields each tick's lambdas (provider order) and
-    its templates' g, final prices and x, and is sent back the tick's purchases per user.
-    ``walk_away``: a buyer whose best buy is a net loss does not buy.  The mean utility
-    is over the buyers with ``mean_over_buyers``, else over every user (a non-buyer 0).
+    its templates' g, final prices and x (kept as rows over the templates, which each user
+    reads in roster order), and is sent back the tick's purchases per user.  ``walk_away``:
+    a buyer whose best buy is a net loss does not buy.  The mean utility is over the
+    buyers with ``mean_over_buyers``, else over every user (a non-buyer 0).
     """
     m, x_floor = len(cfg.users), cfg.solver.x_floor  # users j >= m copy user templates[j]
     pop, templates = _population(cfg, growth * max(ticks - 1, 0))
     sizes = [m + growth * t for t in range(ticks)]
     accounts = list(cfg.wfps)  # _settle and the price rule update it in place
-    # one stable provider order over the roster; each tick keeps its first users'
-    order = np.argsort(pop.provider, kind="stable") if len(pop.providers) > 1 else None
     rule = price_rule(pop, accounts, sizes)
     lambdas, settled, means, rows, bought = [], [], [], [], None
     for n in sizes:
@@ -210,10 +209,7 @@ def _run_ticks(cfg: ScenarioConfig, ticks: int, growth: int, price_rule, *,
         bought = x[index]
         settled.append(_settle(accounts, provider, index, g, prices, x, cfg.sharing))
         means.append(_mean(utility[index[bought > 0.0]] if mean_over_buyers else utility[index]))
-        # prices and x list the users provider by provider, roster order within each
-        by = None if order is None else order[order < n]
-        rows.append(tuple(KeyedRows(pop.roster, row[None], o, index)
-                          for row, o in ((g, None), (prices, by), (x, by))))
+        rows.append(tuple(KeyedRows(pop.roster, row[None], index) for row in (g, prices, x)))
         lambdas.append(lam)
 
     providers = Roster([w.id for w in cfg.wfps])

@@ -205,15 +205,14 @@ class Roster:
 class UserValues(Mapping):
     """Read-only id -> float view of a float64 array over a roster prefix.
 
-    ``array[i]`` is the value of ``roster.ids[i]``, and the view holds the
-    first ``len(array)`` ids.  ``order`` (positions) sets the iteration order;
-    by default it is roster order.
+    ``array[i]`` is the value of ``roster.ids[i]``, and the view holds (and
+    iterates, in roster order) the first ``len(array)`` ids.
     """
 
-    __slots__ = ("roster", "array", "order")
+    __slots__ = ("roster", "array")
 
-    def __init__(self, roster: Roster, array: np.ndarray, order: np.ndarray | None = None):
-        self.roster, self.array, self.order = roster, array, order
+    def __init__(self, roster: Roster, array: np.ndarray):
+        self.roster, self.array = roster, array
 
     def __getitem__(self, uid: str) -> float:
         i = self.roster.position[uid]
@@ -225,14 +224,7 @@ class UserValues(Mapping):
         return len(self.array)
 
     def __iter__(self):
-        ids = self.roster.ids
-        if self.order is None:
-            return iter(ids[: len(self.array)])
-        return map(ids.__getitem__, self.order.tolist())
-
-    def ordered(self) -> list[float]:
-        """The values as floats, in iteration order."""
-        return (self.array if self.order is None else self.array[self.order]).tolist()
+        return iter(self.roster.ids[: len(self.array)])
 
     def values(self) -> ValuesView:
         return _Values(self)
@@ -273,12 +265,12 @@ def running_total(values: np.ndarray):
 
 class _Values(ValuesView):
     def __iter__(self):
-        return iter(self._mapping.ordered())
+        return iter(self._mapping.array.tolist())
 
 
 class _Items(ItemsView):
     def __iter__(self):
-        return zip(self._mapping, self._mapping.ordered())
+        return zip(self._mapping, self._mapping.array.tolist())
 
 
 #: Per-user arrays of a Population, in field order.
@@ -368,7 +360,7 @@ SCALAR_FIELDS = StepRecord._fields[2 + len(MAP_ATTRS):]
 
 class KeyedRows(NamedTuple):
     """One mapping field over a block's steps: float64 row ``values[i]`` is step i's
-    mapping of ``roster.ids[:n]``, iterated in ``order`` (positions; None: roster order).
+    mapping of ``roster.ids[:n]``, in roster order.
 
     With an ``index`` (one template column per user), the row covers the first
     ``len(index)`` ids and the value of ``roster.ids[j]`` is ``values[i, index[j]]``:
@@ -378,7 +370,6 @@ class KeyedRows(NamedTuple):
 
     roster: Roster
     values: np.ndarray
-    order: np.ndarray | None = None
     index: np.ndarray | None = None
 
     @property
@@ -401,9 +392,9 @@ class StepBlock(NamedTuple):
         lam, *users = self.maps
         lambdas = [dict(zip(lam.roster.ids, row)) for row in lam.values.tolist()]
         views = [  # one view for all the steps of a row every step shares
-            [UserValues(m.roster, m.values[0], m.order)] * len(m.values)
+            [UserValues(m.roster, m.values[0])] * len(m.values)
             if m.index is None and m.values.strides[0] == 0
-            else [UserValues(m.roster, row if m.index is None else row[m.index], m.order)
+            else [UserValues(m.roster, row if m.index is None else row[m.index])
                   for row in m.values] for m in users
         ]
         return map(StepRecord, repeat(self.series), self.steps.tolist(), lambdas, *views,
@@ -412,10 +403,9 @@ class StepBlock(NamedTuple):
 
 def _layout(rec: StepRecord):
     """What consecutive records share in one block: series, and per mapping field its
-    keys, or a view's roster, length and order."""
+    keys, or a view's roster and length."""
     return rec.series, *(
-        (id(m.roster), len(m.array), None if m.order is None else m.order.tobytes())
-        if type(m) is UserValues else tuple(m)
+        (id(m.roster), len(m.array)) if type(m) is UserValues else tuple(m)
         for m in map(rec.__getattribute__, MAP_ATTRS)
     )
 
@@ -424,7 +414,7 @@ def _keyed_rows(mappings: tuple[Mapping[str, float], ...]) -> KeyedRows:
     """One block's rows of a field, from mappings that share their layout."""
     first = mappings[0]
     if type(first) is UserValues:
-        return KeyedRows(first.roster, np.array([m.array for m in mappings]), first.order)
+        return KeyedRows(first.roster, np.array([m.array for m in mappings]))
     return KeyedRows(Roster(list(first)), np.array([list(m.values()) for m in mappings], float))
 
 

@@ -96,7 +96,7 @@ def _block_cells(block: StepBlock, plan: list[tuple[list[str], dict]],
     """
     template = ["%d"] + [NUMBER_FORMAT] * len(SCALAR_FIELDS)
     columns, runs = [block.steps[rows, None], block.scalars[rows]], {}
-    for (roster, values, _, index), (keys, known) in zip(block.maps, plan):
+    for (roster, values, index), (keys, known) in zip(block.maps, plan):
         if roster not in known:
             where, absent = roster.position, len(roster.ids)
             known[roster] = np.array([where.get(key, absent) for key in keys], dtype=np.intp)
@@ -203,13 +203,10 @@ def escape(text: str) -> str:
 
 
 def _means(rows: KeyedRows) -> np.ndarray:
-    """Each row's mean: its values in iteration order, folded from 0.0 as by ``fold_sum``."""
-    _, values, order, index = rows
-    if index is not None:  # one 1-D gather per row, in iteration order
-        at = index if order is None else index[order]
-        return np.array([running_total(row[at]) for row in values]) / max(len(at), 1)
-    if order is not None:
-        values = values[:, order]
+    """Each row's mean: its values in roster order, folded from 0.0 as by ``fold_sum``."""
+    _, values, index = rows
+    if index is not None:  # one 1-D gather per row
+        return np.array([running_total(row[index]) for row in values]) / max(len(index), 1)
     return running_total(values.T) / max(values.shape[1], 1)
 
 

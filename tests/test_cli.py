@@ -3,6 +3,7 @@ import hashlib
 import inspect
 import json
 import math
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -253,6 +254,19 @@ def test_a_run_size_too_large_for_a_float_is_invalid_input(tmp_path, capsys):
     assert not (tmp_path / "scenario1.csv").exists()
 
 
+@pytest.mark.parametrize("key, value", [("price_stop", 1e300), ("price_step", 1e-300)])
+def test_a_ceiling_sweep_with_too_many_prices_is_invalid_input(tmp_path, capsys, key, value):
+    # the price count (about 1e300, an int of 301 digits) is refused on its field,
+    # before the run's size is computed and printed
+    doc = json.loads(preset_path("iwfp-ceiling").read_text(encoding="utf-8"))
+    doc["mode"][key] = value
+    config = write_doc(tmp_path, doc)
+    assert cli.main(["run", "--config", str(config), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "mode: price_step must give at most 2,000,000 prices"
+    ]
+
+
 def test_a_negative_posted_price_is_invalid_input(tmp_path, capsys):
     doc = json.loads(preset_path("iwfp-topology").read_text(encoding="utf-8"))
     doc["wfps"][2]["price"] = -30.0
@@ -269,6 +283,16 @@ def test_a_duplicate_link_id_is_invalid_input(tmp_path, capsys):
     code = cli.main(["run", "--config", str(config), "--out", str(tmp_path)])
     assert code == 1
     assert capsys.readouterr().err.splitlines() == ["link AB: duplicate id"]
+
+
+def test_a_duplicate_provider_id_is_invalid_input(tmp_path, capsys):
+    twin = {"id": "w1", "kind": "establishment", "capacity": 1}
+    doc = dict(GOOD_DOC, wfps=GOOD_DOC["wfps"] + [twin])
+    config = write_doc(tmp_path, doc)
+    code = cli.main(["run", "--config", str(config), "--out", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == ["wfp w1: duplicate id"]
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_malformed_json_is_invalid_input(tmp_path, capsys):
@@ -289,6 +313,11 @@ def test_malformed_json_is_invalid_input(tmp_path, capsys):
         ("wfps", 0, "capacity", "50", "wfp w1: capacity must be a finite number, got '50'"),
         ("links", 0, "capacity", "50", "link AB: capacity must be a finite number, got '50'"),
         ("users", 0, "count", 2.5, "user 'u': count must be a whole number, got 2.5"),
+        ("users", 0, "count", 0, "user 'u': count must be at least 1"),
+        # an int past the float range, echoed in its first 40 characters
+        pytest.param("users", 0, "budget", 10**400,
+                     f"user 'u': budget must be a finite number, got 1{'0' * 39}",
+                     id="users-0-budget-10**400"),
     ],
 )
 def test_non_numeric_or_non_finite_field_is_invalid_input(
@@ -449,6 +478,13 @@ def test_unknown_format_is_invalid_input(tmp_path, capsys):
     assert "unknown output format 'pdf'" in capsys.readouterr().err
 
 
+def test_no_output_format_is_invalid_input(tmp_path, capsys):
+    config = write_doc(tmp_path, GOOD_DOC)
+    code = cli.main(["run", "--config", str(config), "--out", str(tmp_path), "--formats", ","])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == ["no output formats requested"]
+
+
 def test_unknown_preset_is_invalid_input(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["preset", "scenario99"])
@@ -494,6 +530,22 @@ def test_check_failure_exits_three(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert "[FAIL] doomed: nope" in captured.out
     assert "1 of 1 checks failed" in captured.err
+
+
+def test_a_suite_that_raises_is_a_failed_check(monkeypatch, capsys):
+    def boom(seed):
+        raise ValueError(f"seed {seed}")
+
+    def fine(seed):
+        return CheckResult(name="fine", passed=True, detail="ok")
+
+    monkeypatch.setattr(checks, "_SUITES", [("boom", boom), ("fine", fine)])
+    assert cli.main(["check", "--seed", "1"]) == 3
+    captured = capsys.readouterr()
+    first = random.Random(1).randrange(2**32)  # the first suite's seed
+    assert captured.out.splitlines() == [f"[FAIL] boom: raised ValueError('seed {first}')",
+                                         "[PASS] fine: ok"]
+    assert captured.err.splitlines() == ["1 of 2 checks failed"]
 
 
 #: The seeds whose battery output the BATTERY_STDOUT pins hold: 0 (the CLI's default), 3 and 5.

@@ -501,12 +501,12 @@ def test_utility_of_a_buyer_subset_with_one_price_row_per_step():
 
 
 def per_user_row_bytes(ts):
-    """The bytes of the buffers behind a run's per-user value, order and index
-    arrays, each base buffer counted once."""
+    """The bytes of the buffers behind a run's per-user value and index arrays,
+    each base buffer counted once."""
     buffers = {}
     for block in ts.blocks:
         for rows in block.maps[1:]:
-            for array in (rows.values, rows.order, rows.index):
+            for array in (rows.values, rows.index):
                 while array is not None and array.base is not None:
                     array = array.base
                 if array is not None:

@@ -89,12 +89,13 @@ def test_user_values_is_a_read_only_view_of_a_roster_prefix():
         view["u2"] = 3.0  # read-only
 
 
-def test_user_values_order_sets_iteration_order_only():
-    roster = Roster(["a", "b", "c"])
-    view = UserValues(roster, np.array([1.0, 2.0, 3.0]), order=np.array([1, 0, 2]))
+def test_user_values_keys_values_and_items_follow_roster_order():
+    roster = Roster(["b", "a", "c"])
+    view = UserValues(roster, np.array([2.0, 1.0, 3.0]))
     assert list(view) == ["b", "a", "c"]
     assert list(view.values()) == [2.0, 1.0, 3.0]
     assert list(view.items()) == [("b", 2.0), ("a", 1.0), ("c", 3.0)]
+    assert all(type(value) is float for value in view.values())
     assert view == {"a": 1.0, "b": 2.0, "c": 3.0}
 
 
@@ -520,6 +521,7 @@ BOUND_CASES = [
     ("ceiling_sweep", "usage_levels", [0.5, 1.0], "mode: usage_levels must lie in [0, 1)"),
     ("ceiling_sweep", "price_stop", -1, "mode: price_stop must be at least price_start"),
     ("ceiling_sweep", "price_step", 0, "mode: price_step must be positive"),
+    ("ceiling_sweep", "price_step", 1e-5, "mode: price_step must give at most 2,000,000 prices"),
     ("ceiling_sweep", "txn_volume", 0, "mode: txn_volume must be positive"),
 ]
 
@@ -547,7 +549,7 @@ def test_bound_cases_cover_every_declared_bound():
     }
     assert {(BOUNDED_ENTRIES[section][0], name, message.split(f": {name} ", 1)[1])
             for section, name, _, message in BOUND_CASES} == declared
-    assert len(BOUND_CASES) == 49
+    assert len(BOUND_CASES) == 50
 
 
 @pytest.mark.parametrize("section, name, value, message", BOUND_CASES)
@@ -647,10 +649,10 @@ def test_a_whole_float_is_an_int_and_a_fraction_is_refused():
 
 def test_validate_bounds_the_run_size_without_running():
     doc = json.loads(preset_path("iwfp-ceiling").read_text(encoding="utf-8"))
-    doc["mode"]["price_step"] = 1e-9  # 1e11 prices x 4 usage levels x 2 users
+    doc["mode"]["price_step"] = 1e-4  # 1,000,001 prices x 4 usage levels x 2 users
     problems = validate_scenario(scenario_from_dict(doc))
     assert problems == [
-        f"mode: 800,000,000,008 user-steps exceed the limit of {MAX_USER_STEPS:,}"
+        f"mode: 8,000,008 user-steps exceed the limit of {MAX_USER_STEPS:,}"
     ]
 
 

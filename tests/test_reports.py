@@ -598,13 +598,12 @@ def test_svg_short_curves_match_the_per_point_reference(tmp_path, first):
         *curve_run([-0.0, 0.0, *rng.random(40).tolist()], label="").records,
     ]
     roster = Roster([f"u{i}" for i in range(4)])
-    order = np.array([1, 3, 0, 2])
     for i, rec in enumerate(records):
         if i % 5 == 0:
             prices = {"a": np.float64(15.5), "b": 16, "c": rng.random()}
             records[i] = rec._replace(final_price_by_user=prices)
         elif i % 5 in (1, 2):
-            prices = UserValues(roster, np.array([1.0, 1e16, 1.0, -1e16]) * i, order)
+            prices = UserValues(roster, np.array([1e16, -1e16, 1.0, 1.0]) * i)
             records[i] = rec._replace(final_price_by_user=prices)
     # consecutive records may share one mapping object: each still has its own mean
     shared = {"a": 1.0, "b": 2.5}
@@ -698,10 +697,10 @@ def test_mean_of_a_mapping_is_the_sequential_fold_under_either_sum(monkeypatch):
     roster = Roster([f"u{i}" for i in range(10)])
     for mapping in (UserValues(roster, np.full(10, 0.1)), {f"u{i}": 0.1 for i in range(10)}):
         assert mean(mapping) == 0.9999999999999999 / 10
-    # a view with a provider order sums in that order: 1e16 - 1e16 first, then 1 + 1
-    values = np.array([1.0, 1e16, 1.0, -1e16])
-    views = [UserValues(roster, values, np.array([1, 3, 0, 2])), UserValues(roster, values),
-             UserValues(roster, values[:3], np.array([2, 0, 1])), UserValues(roster, values[:0]), {}]
+    # a view sums in roster order: 1e16 - 1e16 first, then 1 + 1; or 1 + 1e16 + 1 - 1e16
+    values = np.array([1e16, -1e16, 1.0, 1.0])
+    views = [UserValues(roster, values), UserValues(roster, values[[2, 0, 3, 1]]),
+             UserValues(roster, values[[2, 3, 0]]), UserValues(roster, values[:0]), {}]
     assert [mean(view) for view in views] == [0.5, 0.0, (1e16 + 2.0) / 3, 0.0, 0.0]
 
 
@@ -779,8 +778,8 @@ def test_series_rebuilt_from_its_records_writes_the_same_bytes(tmp_path, name):
 
 def hand_built_records():
     """Dict fields whose keys come and go (or change at the same count), records
-    sharing one dict, a label holding ``%``, ``,`` and ``"``, views whose order
-    changes, and a one-step series."""
+    sharing one dict, a label holding ``%``, ``,`` and ``"``, views that share a roster
+    (one block while their length holds), and a one-step series."""
     shared = {"u1": 2.0, "u2": -0.0}
     label = '50% "off", 5%d'
     records = [
@@ -793,10 +792,10 @@ def hand_built_records():
         lambda_by_wfp={"w1": 12.0, "w2": 3}, g_by_user={"u2": np.float64(1.5)},
         final_price_by_user={"u3": 7, "u1": math.inf})
     records[3] = records[3]._replace(x_by_user={"u1": 0.5, "u3": 3.0})
-    # summed in order [1, 2, 0] the prices' mean is 1/3; in roster order it is 0
-    roster, prices = Roster(["u0", "u1", "u2"]), np.array([1.0, 1e16, -1e16])
-    records += [StepRecord("views", step, final_price_by_user=UserValues(roster, prices, order))
-                for step, order in enumerate([np.array([1, 2, 0]), None])]
+    # summed in roster order the first view's mean is 1/3 and the second's 0
+    roster, prices = Roster(["u0", "u1", "u2"]), np.array([1e16, -1e16, 1.0])
+    records += [StepRecord("views", step, final_price_by_user=UserValues(roster, values))
+                for step, values in enumerate([prices, prices[[2, 0, 1]], prices[:2]])]
     records.append(StepRecord("one step", 0, x_by_user={"u9": 1e-310}, mean_utility=-math.inf))
     return records
 
@@ -804,7 +803,7 @@ def hand_built_records():
 def test_hand_built_series_writes_what_its_records_hold(tmp_path):
     records = hand_built_records()
     ts = TimeSeries.of("hand <built>", records)
-    assert [len(block.steps) for block in ts.blocks] == [2, 1, 1, 1, 1, 1, 1]
+    assert [len(block.steps) for block in ts.blocks] == [2, 1, 1, 1, 2, 1, 1]
     assert record_digest(ts.records) == record_digest(records)
     assert_rebuilt_from_records_writes_the_same_bytes(ts, tmp_path)
     assert_matches_reference(ts, tmp_path)
@@ -821,9 +820,9 @@ def shape_pins(ts, csv_bytes, svg_bytes):
 
 def sweep_shape(shape):
     """A seeded sweep document with growth that no preset covers: ``two-provider``
-    (two providers, 262 users by the last step, so prices and x list users provider
-    by provider), ``equal`` (an equal split, with an individual provider whose plan
-    runs dry) or ``isp`` (the ISP's price swept, the providers taking dual steps)."""
+    (two providers, 262 users by the last step, interleaved in the roster), ``equal``
+    (an equal split, with an individual provider whose plan runs dry) or ``isp`` (the
+    ISP's price swept, the providers taking dual steps)."""
     rng = random.Random(f"sweep-{shape}")
     wfps = [{"id": "w1", "kind": "establishment", "capacity": 900.0, "min_profit": 5.0},
             {"id": "w2", "kind": "establishment", "capacity": 250.0, "min_profit": 2.0}]
@@ -853,8 +852,10 @@ def sweep_shape(shape):
 
 
 #: The sweep_shape documents.  The SWEEP_SHAPES pins are each one's record digest,
-#: CSV SHA-256 and SVG SHA-256, computed while every user's values were still computed
-#: and kept per user, clones included.
+#: CSV SHA-256 and SVG SHA-256.  The output hashes were computed while every user's
+#: values were still computed and kept per user, clones included.  The record digests
+#: were taken again when prices and x stopped listing users provider by provider:
+#: with each mapping's keys sorted, the records hold the same bits as before.
 SWEEP_SHAPE_NAMES = ("two-provider", "equal", "isp")
 
 
@@ -901,8 +902,9 @@ def equilibrium_shape(shape):
 
 
 #: The equilibrium_shape documents.  The EQUILIBRIUM_SHAPES pins are each one's record
-#: digest, CSV SHA-256 and SVG SHA-256, computed while every user's solve, utility and
-#: rows were kept per user.
+#: digest, CSV SHA-256 and SVG SHA-256.  The output hashes were computed while every
+#: user's solve, utility and rows were kept per user; the record digests were taken
+#: again as for SWEEP_SHAPE_NAMES.
 EQUILIBRIUM_SHAPE_NAMES = ("isp", "crowd")
 
 
@@ -962,16 +964,15 @@ def test_sweep_buys_nothing_below_x_floor():
 def test_template_rows_write_what_their_records_hold(tmp_path):
     """Hand-built blocks of three steps whose per-user rows hold one value per
     template, with a template index over part of a longer roster: special values,
-    a provider order, and indexes shorter and longer than LONG_ROW."""
+    and indexes shorter and longer than LONG_ROW."""
     rng = np.random.default_rng(5)
     roster, providers = Roster([f"u{i}" for i in range(300)]), Roster(["w1"])
     blocks = []
     for k, n in enumerate((5, LONG_ROW + 12, 290)):
         index = rng.integers(0, 6, n)
-        order = np.argsort(rng.integers(0, 2, n), kind="stable")
         values = special_values(18 + k)[k:].reshape(3, 6)
-        maps = (KeyedRows(providers, np.full((3, 1), float(k))), KeyedRows(roster, values, None, index),
-                KeyedRows(roster, values + 1.0, order, index), KeyedRows(roster, values[::-1], order, index))
+        maps = (KeyedRows(providers, np.full((3, 1), float(k))), KeyedRows(roster, values, index),
+                KeyedRows(roster, values + 1.0, index), KeyedRows(roster, values[::-1], index))
         scalars = np.arange(3.0 * len(SCALAR_FIELDS)).reshape(3, -1) + k
         blocks.append(StepBlock("run", np.arange(3 * k, 3 * k + 3), scalars, maps))
     ts = TimeSeries("templates", blocks)
@@ -979,10 +980,10 @@ def test_template_rows_write_what_their_records_hold(tmp_path):
     assert_matches_reference(ts, tmp_path)
     assert_rebuilt_from_records_writes_the_same_bytes(ts, tmp_path)
     assert_drawn_point_for_point(ts, tmp_path)
-    # values 1, 1e16, 1, -1e16 by position: their mean is 0.5 summed in order [1, 3, 0, 2]
-    rows = KeyedRows(Roster(list("abcd")), np.array([[1.0, 1e16, -1e16]]), np.array([1, 3, 0, 2]),
-                     np.array([0, 1, 0, 2]))
-    assert _means(rows).tolist() == [0.5] and _means(rows._replace(order=None)).tolist() == [0.0]
+    # the index gathers 1e16, -1e16, 1, 1 (mean 0.5) or 1, 1e16, 1, -1e16 (mean 0), in roster order
+    rows = KeyedRows(Roster(list("abcd")), np.array([[1.0, 1e16, -1e16]]), np.array([1, 2, 0, 0]))
+    assert _means(rows).tolist() == [0.5]
+    assert _means(rows._replace(index=np.array([0, 1, 0, 2]))).tolist() == [0.0]
 
 
 def test_clone_runs_write_what_their_records_hold(tmp_path):
@@ -1005,10 +1006,9 @@ def test_clone_runs_write_what_their_records_hold(tmp_path):
         index = index[:n].copy()
         m = index.max() + 1
         values = special_values(3 * m + k)[k:].reshape(3, m)
-        order = np.argsort(np.arange(n) % 2, kind="stable")
         x_index = index[::-1].copy() if k % 2 else index
-        maps = (KeyedRows(providers, np.full((3, 1), float(k))), KeyedRows(roster, values, None, index),
-                KeyedRows(roster, values - 1.0, order, index), KeyedRows(roster, values[::-1], None, x_index))
+        maps = (KeyedRows(providers, np.full((3, 1), float(k))), KeyedRows(roster, values, index),
+                KeyedRows(roster, values - 1.0, index), KeyedRows(roster, values[::-1], x_index))
         scalars = np.arange(3.0 * len(SCALAR_FIELDS)).reshape(3, -1) - k
         blocks.append(StepBlock("clones", np.arange(3 * k, 3 * k + 3), scalars, maps))
     ts = TimeSeries("clone runs", blocks)

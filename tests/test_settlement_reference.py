@@ -99,14 +99,17 @@ def check_against_reference(cfg):
         if rec.total_value > 0.0:
             assert rec.wfp_share_pct == 100.0 * rec.wfp_share / rec.total_value
             assert rec.isp_share_pct == 100.0 - rec.wfp_share_pct
-        # Prices and allocations iterate provider by provider (the SVG averages
-        # the prices in this order), floors in roster order.
-        grouped = sorted(
-            rec.g_by_user, key=lambda uid: providers.index(provider_of[uid.split("+")[0]])
-        )
-        assert list(rec.final_price_by_user) == grouped
-        assert list(rec.x_by_user) == grouped
+        if running:  # every per-user mapping iterates in roster order
+            for mapping in (rec.g_by_user, rec.final_price_by_user, rec.x_by_user):
+                assert list(mapping) == roster_prefix(cfg, len(mapping))
     return ts
+
+
+def roster_prefix(cfg, size):
+    """The first ``size`` ids of a run with growth: the document's users, then the
+    clones ``<template>+<n>``, cycling through the document's users."""
+    ids = [u.id for u in cfg.users]
+    return [*ids, *(f"{ids[k % len(ids)]}+{k + 1:05d}" for k in range(size))][:size]
 
 
 @pytest.mark.parametrize(
