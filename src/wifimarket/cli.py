@@ -32,7 +32,7 @@ EXIT_INVALID = 1
 EXIT_IO = 2
 EXIT_CHECK_FAILED = 3
 
-KNOWN_FORMATS = ("csv", "svg")
+WRITERS = {"csv": write_csv, "svg": write_svg}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -51,7 +51,7 @@ def _add_output_options(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--formats",
-        default=",".join(KNOWN_FORMATS),
+        default=",".join(WRITERS),
         help="comma-separated output formats: csv, svg (default: both)",
     )
 
@@ -62,13 +62,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run a scenario JSON document")
     run_p.add_argument("--config", required=True, help="path to the scenario file")
+    run_p.set_defaults(handler=cmd_run)
     _add_output_options(run_p)
 
     preset_p = sub.add_parser("preset", help="run a packaged scenario by name")
     preset_p.add_argument("name", choices=PRESET_NAMES, help="preset scenario name")
+    preset_p.set_defaults(handler=cmd_preset)
     _add_output_options(preset_p)
 
     check_p = sub.add_parser("check", help="run the seeded self-check battery")
+    check_p.set_defaults(handler=cmd_check)
     check_p.add_argument(
         "--seed", type=int, default=0, help="master seed for the check battery"
     )
@@ -81,7 +84,7 @@ def _safe_stem(name: str) -> str:
 
 def _run_scenario_command(args: argparse.Namespace, scenario: ScenarioConfig) -> int:
     formats = [part.strip() for part in args.formats.split(",") if part.strip()]
-    bad_formats = [f for f in formats if f not in KNOWN_FORMATS]
+    bad_formats = [f for f in formats if f not in WRITERS]
     if bad_formats or not formats:
         for fmt in bad_formats:
             print(f"unknown output format {fmt!r}", file=sys.stderr)
@@ -103,10 +106,7 @@ def _run_scenario_command(args: argparse.Namespace, scenario: ScenarioConfig) ->
         out_dir.mkdir(parents=True, exist_ok=True)
         for fmt in formats:
             path = out_dir / f"{stem}.{fmt}"
-            if fmt == "csv":
-                write_csv(ts, path)
-            else:
-                write_svg(ts, path)
+            WRITERS[fmt](ts, path)
             print(f"wrote {path}")
     except OSError as exc:
         print(f"cannot write output: {exc}", file=sys.stderr)
@@ -152,11 +152,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "run":
-        return cmd_run(args)
-    if args.command == "preset":
-        return cmd_preset(args)
-    return cmd_check(args)
+    return args.handler(args)
 
 
 if __name__ == "__main__":

@@ -240,7 +240,7 @@ def run_sweep(cfg: ScenarioConfig) -> TimeSeries:
     def ramp(pop: Population, accounts: list[WfpAccount], sizes: list[int]):
         m = len(cfg.users)
         margin = np.array([a.min_profit for a in accounts])[pop.provider[:m]]
-        lambda_by_wfp = {w.id: cfg.lambda0 for w in cfg.wfps}
+        lam = np.full(len(accounts), cfg.lambda0, dtype=float)  # provider order
         link_prices = {lid: link.price for lid, link in cfg.links.items()}
         for t, n in enumerate(sizes):
             swept_price = mode.start + t * mode.step
@@ -248,10 +248,9 @@ def run_sweep(cfg: ScenarioConfig) -> TimeSeries:
             if mode.swept_party == "isp":
                 link_prices = {lid: swept_price for lid in link_prices}
             else:
-                lambda_by_wfp = {wid: swept_price for wid in lambda_by_wfp}
+                lam[:] = swept_price
 
             g = _floors(pop, link_prices, m)
-            lam = np.array([lambda_by_wfp[a.id] for a in accounts])
             prices = np.maximum(lam[pop.provider[:m]], g + margin)
             if mode.allocation == "equal":
                 members = np.bincount(provider, minlength=len(accounts)).tolist()
@@ -261,16 +260,14 @@ def run_sweep(cfg: ScenarioConfig) -> TimeSeries:
                 with np.errstate(divide="ignore"):
                     ideal = pop.wb[:m] / prices
                 x = np.minimum(np.maximum(ideal, pop.x_min[:m]), pop.x_max[:m])
-            user_x = yield list(lambda_by_wfp.values()), g, prices, x
+            user_x = yield lam.tolist(), g, prices, x
 
             # One dual step for the party that is not being swept.
             sigma = step_size(t, cfg.solver)
             if mode.swept_party == "isp":
                 for k, account in enumerate(accounts):
                     demand = running_total(user_x[provider == k])
-                    lambda_by_wfp[account.id] = wfp_price_update(
-                        lambda_by_wfp[account.id], sigma, effective_capacity(account), demand
-                    )
+                    lam[k] = wfp_price_update(lam[k], sigma, effective_capacity(account), demand)
             else:
                 loads = _link_loads(link_prices, pop, pop.path[:n], user_x)
                 link_prices = {
@@ -380,14 +377,8 @@ def _snapshots(ts: TimeSeries, labels: list[str], account: WfpAccount, unused: n
         revenue = revenue + x[j] * prices[:, j]
         spread = spread + (prices[:, j] - g[j]) * x[j]
     isp_revenue, floor_sum, volume = running_total(np.column_stack((x * g, g, x)))
-    totals = SaleTotals(
-        count=np.full(steps, n if x[0] >= cfg.solver.x_floor else 0),
-        revenue=revenue,
-        isp_revenue=np.full(steps, isp_revenue),
-        spread=spread,
-        floor_sum=np.full(steps, floor_sum),
-        volume=np.full(steps, volume),
-    )
+    count = n if x[0] >= cfg.solver.x_floor else 0  # one for all steps, as are three sums
+    totals = SaleTotals(count, revenue, isp_revenue, spread, floor_sum, volume)
     settled = vars(settle_rows(account, totals, cfg.sharing, unused, np.zeros(steps))).values()
     utility = np.zeros(steps)
     if with_utility:

@@ -281,12 +281,12 @@ _USER_ARRAYS = ("provider", "path", "weight", "budget", "wb", "snr", "x_min", "x
 class Population:
     """Users as parallel arrays over one roster.
 
-    ``provider`` and ``path`` index ``providers`` and ``paths`` (each distinct
-    route once); ``wb`` is weight * budget and ``snr`` the SNR factor.
+    ``provider`` is each user's provider number (see :meth:`of`) and ``path``
+    indexes ``paths`` (each distinct route once); ``wb`` is weight * budget and
+    ``snr`` the SNR factor.
     """
 
     roster: Roster
-    providers: tuple[str, ...]
     paths: tuple[tuple[str, ...], ...]
     provider: np.ndarray
     path: np.ndarray
@@ -307,7 +307,6 @@ class Population:
         path_index = {p: k for k, p in enumerate(paths)}
         return cls(
             roster=Roster([u.id for u in users]),
-            providers=tuple(providers),
             paths=paths,
             provider=np.array([provider_index[u.wfp] for u in users], dtype=np.intp),
             path=np.array([path_index[u.path] for u in users], dtype=np.intp),

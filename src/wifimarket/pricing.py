@@ -150,7 +150,7 @@ def _allocate(
     A zero price saturates demand at x_max (w * b / 0 is taken as +inf).
     """
     prices = np.maximum(lam, floors)
-    if lam > 0.0 or prices.all():
+    if lam > 0.0 or prices.all():  # lam > 0 first skips prices.all(): a measured fast path
         ideal = wb / prices
     else:
         with np.errstate(divide="ignore"):

@@ -19,8 +19,9 @@ reaches this module only as those sums (:class:`SaleTotals`); the engine adds
 them in roster order from 0.0.  The arithmetic exists once, in
 :func:`settle_rows`: one kernel that settles one provider's transactions row
 by row, from columns of those sums and of the plan state each row is settled
-against, or from (S,) sums against L rows of plan state, (L, S) at once.  The
-snapshot modes settle all of a provider's series in one call;
+against, or from (S,) sums against L rows of plan state, (L, S) at once; a sum
+may be a scalar that every row shares, and a row without sales settles to zero
+on zeroed sums.  The snapshot modes settle all of a provider's series in one call;
 :func:`settle_transaction` is the kernel's one-row case plus the account
 update, and the two contribution functions are its contribution on one row.
 """
@@ -68,8 +69,8 @@ class SaleTotals:
     ``revenue`` = sum x * final_price (v({w,i})), ``isp_revenue`` = sum x *
     min_price (v({i})), ``spread`` = sum (final_price - min_price) * x,
     ``floor_sum`` = sum min_price and ``volume`` = sum x, each over the
-    transaction's sales; ``len()`` is the number of sales.  For
-    :func:`settle_rows` the fields are columns, one entry per transaction.
+    transaction's sales; ``len()`` is the number of sales.  For :func:`settle_rows`
+    each field is a column, one entry per transaction, or a scalar they all share.
     """
 
     count: int
@@ -136,7 +137,8 @@ def _establishment_values(
     spread: np.ndarray, floor_sum: np.ndarray, params: SharingParams
 ) -> np.ndarray:
     """Each row's spread / max(ln(floor_sum), beta) (beta alone for no floor:
-    its log reads 0, below beta > 1)."""
+    its log reads 0, below beta > 1); a ``floor_sum`` every row shares is logged once."""
+    floor_sum = np.atleast_1d(floor_sum)
     return spread / np.maximum(_logs(floor_sum, floor_sum > 0.0), params.beta)
 
 
@@ -153,7 +155,7 @@ def _individual_values(
     to (L, S)."""
     over = isp_value > total + TOLERANCE
     if np.count_nonzero(over):
-        k = over.argmax()
+        k, (isp_value, total) = over.argmax(), np.broadcast_arrays(isp_value, total)
         raise ValueError(
             f"ISP standalone value {isp_value[k].item()} exceeds total revenue "
             f"{total[k].item()}"
@@ -243,31 +245,25 @@ def settle_rows(
     """Settle one transaction per row for one provider: a Settlement of columns.
 
     Row k is the transaction whose sums are entry k of the ``totals`` columns,
-    settled against ``account``'s kind, quota and fee with ``unused[k]``
-    and ``settled_share[k]`` as the plan's state (the account's own two are not
-    read).  The plan-state arrays may instead broadcast against the (S,) sums
-    to (L, S): entry (l, k) then settles row k's sums against plan state
-    (l, k), the columns are (L, S), and each equals what L one-dimensional
-    calls would return, bit for bit, with each sum's log taken once.
-    Per row it builds the coalition values for the account's kind,
-    hands the ISP everything when the provider contributes nothing, splits
-    them with :func:`shapley_split`, and -- for an individual provider with a
-    fee -- enforces the billing-cycle cap: any payout above the headroom
-    (fee - settled_share) is truncated and handed to the ISP, so the shares
-    still sum to the transaction total.  A row without sales settles to zero.
+    settled against ``account``'s kind, quota and fee with ``unused[k]`` and
+    ``settled_share[k]`` as the plan's state (the account's own two are not read); a
+    field of ``totals`` may be a scalar that every row shares.  The plan-state
+    arrays may instead broadcast against the (S,) sums to (L, S): entry (l, k) then
+    settles row k's sums against plan state (l, k), the columns are (L, S), and each
+    equals what L one-dimensional calls would return, bit for bit, with each sum's
+    log taken once.  Per row it builds the coalition values for the account's kind,
+    hands the ISP everything when the provider contributes nothing, splits them with
+    :func:`shapley_split`, and -- for an individual provider with a fee -- enforces
+    the billing-cycle cap: any payout above the headroom (fee - settled_share) is
+    truncated and handed to the ISP, so the shares still sum to the transaction
+    total.  A row without sales settles to zero on the same arithmetic: its sums are
+    zeroed first.
 
     Raises ValueError if an individual's row has an ISP value above its
     revenue.
     """
-    live = np.flatnonzero(totals.count)
-    if len(live) < len(totals.count):
-        # Rows without sales settle to zero; the others settle as a batch of their own.
-        sold = SaleTotals(*(column[live] for column in vars(totals).values()))
-        unused, settled_share, _ = np.broadcast_arrays(unused, settled_share, totals.count)
-        part = settle_rows(account, sold, params, unused[..., live], settled_share[..., live])
-        columns = np.zeros((5, *unused.shape))
-        columns[..., live] = list(vars(part).values())
-        return Settlement(*columns)
+    if not np.all(totals.count):  # zero unsold rows' sums; a mask on every call costs more
+        totals = SaleTotals(*(np.where(totals.count > 0, v, 0.0) for v in vars(totals).values()))
     total, isp_alone = totals.revenue, totals.isp_revenue
     if account.kind is WfpKind.ESTABLISHMENT:
         wfp_value = _establishment_values(totals.spread, totals.floor_sum, params)

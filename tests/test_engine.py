@@ -354,6 +354,12 @@ def test_ceiling_sweep_settles_nothing_below_x_floor():
     assert ts.records == run_scenario(load_preset("iwfp-ceiling")).records
 
 
+def test_run_scenario_refuses_an_unsupported_mode():
+    cfg = replace(load_preset("scenario1"), mode=object())
+    with pytest.raises(TypeError, match="^unsupported mode object$"):
+        run_scenario(cfg)
+
+
 def test_ceiling_sweep_posts_no_price_past_price_stop():
     doc = preset_doc("iwfp-ceiling")
     doc["mode"].update(price_start=0.0, price_stop=100.0, price_step=60.0)

@@ -205,10 +205,12 @@ def test_wfp_solver_slack_capacity_leaves_price_at_floor():
 
 def test_wfp_solver_no_users():
     account = WfpAccount(id="ew", kind=WfpKind.ESTABLISHMENT, capacity=5.0)
-    result = solve_wfp_equilibrium(account, *population([], {}))
-    assert result.converged
-    assert result.iterations == 0
-    assert result.lambda_by_wfp == {"ew": 0.0}
+    users, g = population([], {})
+    for result in (solve_wfp_equilibrium(account, users, g),
+                   solve_wfp_subgradient(account, users, g, SolverConfig())):
+        assert result.converged
+        assert result.iterations == 0
+        assert result.lambda_by_wfp == {"ew": 0.0}
 
 
 def test_wfp_solver_individual_capacity_is_remaining_quota():

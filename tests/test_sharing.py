@@ -81,6 +81,11 @@ def test_ewfp_contribution_no_sales():
     assert ewfp_contribution(NO_SALES, SharingParams()) == 0.0
 
 
+def test_sale_totals_len_is_the_sale_count():
+    assert len(SaleTotals(3, 30.0, 20.0, 10.0, 6.0, 3.0)) == 3
+    assert len(NO_SALES) == 0
+
+
 def test_ewfp_contribution_shrinks_as_floors_rise():
     # same spread and volumes, dearer floors -> never a larger credit
     params = SharingParams()
@@ -433,7 +438,8 @@ def test_kernel_raises_what_the_scalar_settlement_raised():
 
 def test_broadcast_kernel_matches_one_call_per_level_bit_for_bit():
     rng = random.Random(20261019)
-    seen = dict.fromkeys(("count 0", "cap on some levels only", "negative zero", "column"), 0)
+    seen = dict.fromkeys(
+        ("count 0", "cap on some levels only", "negative zero", "column", "shared count 0"), 0)
     for batch in range(300):
         kind = rng.choice((WfpKind.ESTABLISHMENT, WfpKind.INDIVIDUAL))
         params = SharingParams(alpha=rng.choice((1.0, 0.4, 3.0)), beta=rng.choice((2.5, 1.2, 5.0)))
@@ -449,6 +455,18 @@ def test_broadcast_kernel_matches_one_call_per_level_bit_for_bit():
             unused, settled_share = unused[:, :1], settled_share[:, :1]
             seen["column"] += 1
         columns = settle_rows(account, totals, params, unused, settled_share)
+        # the count and the three price-independent sums as scalars every row shares
+        shared = {"count": int(totals.count[0]), "isp_revenue": totals.isp_revenue[0],
+                  "floor_sum": totals.floor_sum[0], "volume": totals.volume[0]}
+        revenue = shared["isp_revenue"] + (totals.revenue - totals.isp_revenue)
+        scalar = settle_rows(account, replace(totals, revenue=revenue, **shared), params,
+                             unused, settled_share)
+        full = replace(totals, revenue=revenue, **{k: np.full(steps, v) for k, v in shared.items()})
+        full = settle_rows(account, full, params, unused, settled_share)
+        for name in SETTLEMENT_FIELDS:
+            assert getattr(scalar, name).shape == getattr(full, name).shape == (levels, steps)
+            assert bits(getattr(scalar, name).ravel()) == bits(getattr(full, name).ravel())
+        seen["shared count 0"] += shared["count"] == 0
         unused, settled_share = np.broadcast_arrays(unused, settled_share, totals.count)[:2]
         for level in range(levels):
             one = settle_rows(account, totals, params, unused[level], settled_share[level])
@@ -491,6 +509,9 @@ def test_broadcast_kernel_raises_once_what_one_level_raises():
         settle_rows(account, totals, SharingParams(), unused[0], np.zeros(3))
     with pytest.raises(ValueError) as every:
         settle_rows(account, totals, SharingParams(), unused, np.zeros(3))
-    assert str(every.value) == str(one.value) == (
+    with pytest.raises(ValueError) as shared:  # one ISP value that every row shares
+        settle_rows(account, replace(totals, isp_revenue=110.0), SharingParams(), unused,
+                    np.zeros(3))
+    assert str(shared.value) == str(every.value) == str(one.value) == (
         "ISP standalone value 110.0 exceeds total revenue 100.0"
     )
