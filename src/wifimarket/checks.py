@@ -390,8 +390,6 @@ def check_exact_vs_subgradient(seed: int, trials: int = 100) -> tuple[bool, str]
     meet the capacity constraint to 1e-9 * max(C, 1) and never leave a larger
     residual than the paper's subgradient iteration on the same instance.
     """
-    cfg = SolverConfig(sigma0=1.0, max_iters=1_000)
-
     def failures(rng: random.Random) -> tuple[bool, float]:
         """Whether the exact solve fails, and its residual / max(C, 1)."""
         users, g = [], []
@@ -418,7 +416,7 @@ def check_exact_vs_subgradient(seed: int, trials: int = 100) -> tuple[bool, str]
         )
         pop, g = Population.of(users), np.array(g)
         exact = solve_wfp_equilibrium(account, pop, g)
-        oracle = solve_wfp_subgradient(account, pop, g, cfg)
+        oracle = solve_wfp_subgradient(account, pop, g, max_iters=1_000)
         scaled = exact.residual / max(capacity, 1.0)
         ok = exact.converged and scaled <= 1e-9 and exact.residual <= oracle.residual
         return not ok, scaled
@@ -489,7 +487,6 @@ def check_isp_exact_vs_subgradient(seed: int, trials: int = 30) -> tuple[bool, s
     iteration on the same instance.
     """
     budget = SolverConfig(max_iters=1_000)  # load evaluations; the largest seen is ~300
-    oracle_cfg = SolverConfig(sigma0=1.0, max_iters=200)
 
     def failures(rng: random.Random) -> tuple[bool, float, int]:
         """Whether the certified solve fails, its largest residual / max(C_l, 1), and
@@ -499,7 +496,7 @@ def check_isp_exact_vs_subgradient(seed: int, trials: int = 30) -> tuple[bool, s
         customers = [pop.take(np.flatnonzero(pop.provider == k)) for k in range(len(accounts))]
         demand = _link_demand(links, pop, accounts, customers)
         exact = solve_isp_prices(links, demand, budget)
-        oracle = solve_isp_subgradient(links, demand, oracle_cfg)
+        oracle = solve_isp_subgradient(links, demand, max_iters=200)
         slack = _link_slack(links, demand(exact.g_by_link))
         scaled = np.max([
             abs(min(exact.g_by_link[lid], s)) / max(links[lid].capacity, 1.0)
@@ -540,8 +537,7 @@ def check_capacity_price_convergence(seed: int = 0) -> tuple[bool, str]:
         and abs(exact.x_by_user["u0"] - 5.0) <= 1e-9
         and exact.residual <= 1e-9
     )
-    cfg = SolverConfig(sigma0=5.0, epsilon=1e-6, max_iters=100_000)
-    result = solve_wfp_subgradient(account, users, g, cfg)
+    result = solve_wfp_subgradient(account, users, g, sigma0=5.0)
     lam = result.lambda_by_wfp["ew"]
     x = result.x_by_user["u0"]
     rel_lam = abs(lam - 20.0) / 20.0

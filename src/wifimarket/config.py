@@ -9,7 +9,7 @@ A scenario is one JSON document::
                 {"id": "p1", "kind": "individual", "quota": 200, "unused": 200,
                  "fee": 1000, "txn_cap": 10, "price": 31}],
       "users": [{"id": "u", "wfp": "w1", "path": ["AB"], "count": 10, ...}],
-      "solver": {"sigma0": 1.0, "epsilon": 1e-6, "max_iters": 100000},
+      "solver": {"max_iters": 100000},
       "sharing": {"alpha": 1.0, "beta": 2.5},
       "mode":   {"kind": "sweep"|"equilibrium"|"quota_sweep"|"ceiling_sweep", ...}
     }
@@ -17,7 +17,7 @@ A scenario is one JSON document::
 Every key but the hand-read ones is a field of the dataclass its section builds
 (:class:`LinkState`, :class:`WfpAccount`, :class:`UserProfile`, the four modes,
 :class:`SolverConfig`, :class:`SharingParams`, and :class:`ScenarioConfig` for
-``name``, ``solve_isp`` and ``lambda0``), which declares its type, default and
+``name`` and ``solve_isp``), which declares its type, default and
 rules, which may read the entry's other fields.  Its value must have the field's
 type: a JSON number (a whole one for an int), a boolean, one of an enum's values,
 an array for a tuple (``path``, ``usage_levels``, each load series) or an object
@@ -28,7 +28,8 @@ Read by hand are each entry's ``id``, the mode's ``kind``, a provider's posted
 ``price`` (its ``unused`` defaults to its ``quota``) and a user entry's ``count``,
 which expands it into that many identical profiles with suffixed ids, up to
 :data:`MAX_USER_STEPS` users in all.  Keys the schema does not name (such as
-``seed``, ``unit``, ``nodes`` or ``notes``) are ignored.  ``validate_scenario``
+``notes``) are ignored, but a sweep's ``solver.sigma0`` or top-level ``lambda0``,
+now ``mode.sigma0`` and ``mode.lambda0``, is a ConfigError.  ``validate_scenario``
 lists every violation as a string, never raising; an entry's broken field rules
 come in field order.
 """
@@ -70,10 +71,11 @@ class SweepMode:
     """Exogenous price ramp for one side of the market.
 
     The swept party's price is set to start + t * step at each increment,
-    bypassing its solver; the other party still takes one dual step per
-    increment.  ``user_growth`` users join at every increment after the first,
-    and allocations are either an equal split of provider capacity or each
-    user's best response.
+    bypassing its solver; the other party still takes one dual step of
+    sigma0 / (1 + t) per increment, the providers' price starting from
+    ``lambda0``.  ``user_growth`` users join at every increment after the
+    first, and allocations are either an equal split of provider capacity or
+    each user's best response.
     """
 
     swept_party: str = bound(one_of("isp", "wfp"))
@@ -82,6 +84,8 @@ class SweepMode:
     count: int = bound([AT_LEAST_1, AT_MOST_MAX], 300)
     user_growth: int = bound([NON_NEGATIVE, AT_MOST_MAX], 0)
     allocation: str = bound(one_of("equal", "best_response"), "equal")
+    sigma0: float = bound(POSITIVE, 1.0)
+    lambda0: float = bound(NON_NEGATIVE, 0.0)
 
 
 @dataclass(frozen=True)
@@ -136,11 +140,7 @@ Mode = SweepMode | EquilibriumMode | QuotaSweepMode | CeilingSweepMode
 
 @dataclass
 class ScenarioConfig:
-    """Everything a run needs: market population, solver knobs, and the mode.
-
-    ``lambda0`` is the providers' starting price in sweep mode only; the other
-    modes solve provider prices exactly, or post them, and ignore it.
-    """
+    """Everything a run needs: market population, solver knobs, and the mode."""
 
     name: str = "scenario"
     links: dict[str, LinkState] = field(default_factory=dict)
@@ -151,7 +151,6 @@ class ScenarioConfig:
     sharing: SharingParams = field(default_factory=SharingParams)
     mode: Mode = field(default_factory=lambda: EquilibriumMode(ticks=1))
     solve_isp: bool = True
-    lambda0: float = bound(NON_NEGATIVE, 0.0)
 
 
 def _require(mapping: dict, key: str, where: str) -> Any:
@@ -292,6 +291,10 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
     entry = _shaped(_require(doc, "mode", "scenario"), dict, "mode")
     if (kind := str(_require(entry, "kind", "mode"))) not in _MODES:
         raise ConfigError(f"mode: unknown kind {kind!r}")
+    if kind == "sweep":  # the two knobs a sweep read before they moved into its mode
+        for where, key in (("solver: ", "sigma0"), ("", "lambda0")):
+            if key in (doc.get("solver", {}) if where else doc):
+                raise ConfigError(f"{where}{key} is now mode.{key}")
     mode = _build(_MODES[kind], entry, "mode")
     return _build(ScenarioConfig, doc, "", links=links, wfps=wfps, wfp_prices=wfp_prices,
                   users=users, solver=solver, sharing=sharing, mode=mode)
@@ -309,10 +312,8 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
 
 def validate_scenario(cfg: ScenarioConfig) -> list[str]:
     """Every violation in the scenario; empty means valid.  Entries' own rules are on fields."""
-    problems = [f"scenario: {wrong}" for wrong in broken_bounds(cfg)]
-
-    for lid, link in cfg.links.items():
-        problems.extend(f"link {lid}: {wrong}" for wrong in broken_bounds(link))
+    problems = [f"link {lid}: {wrong}"
+                for lid, link in cfg.links.items() for wrong in broken_bounds(link)]
 
     wfp_ids = set()
     for w in cfg.wfps:

@@ -240,7 +240,7 @@ def run_sweep(cfg: ScenarioConfig) -> TimeSeries:
     def ramp(pop: Population, accounts: list[WfpAccount], sizes: list[int]):
         m = len(cfg.users)
         margin = np.array([a.min_profit for a in accounts])[pop.provider[:m]]
-        lam = np.full(len(accounts), cfg.lambda0, dtype=float)  # provider order
+        lam = np.full(len(accounts), mode.lambda0, dtype=float)  # provider order
         link_prices = {lid: link.price for lid, link in cfg.links.items()}
         for t, n in enumerate(sizes):
             swept_price = mode.start + t * mode.step
@@ -263,7 +263,7 @@ def run_sweep(cfg: ScenarioConfig) -> TimeSeries:
             user_x = yield lam.tolist(), g, prices, x
 
             # One dual step for the party that is not being swept.
-            sigma = step_size(t, cfg.solver)
+            sigma = step_size(t, mode.sigma0)
             if mode.swept_party == "isp":
                 for k, account in enumerate(accounts):
                     demand = running_total(user_x[provider == k])

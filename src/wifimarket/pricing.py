@@ -45,16 +45,10 @@ ISP_TOLERANCE = 1e-9
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs of the ISP solver, the sweep's dual steps and the subgradient oracles.
+    """``max_iters`` is the ISP solve's budget of load evaluations, and ``x_floor``
+    the smallest purchase the engine settles.  (A sweep's dual steps read its mode's
+    ``sigma0``; the subgradient oracles take their knobs as keywords.)"""
 
-    ``max_iters`` is the ISP solve's budget of load evaluations (and the
-    oracles' iteration cap); ``sigma0`` sizes sweep mode's dual steps and the
-    oracles' steps, and ``epsilon`` is read only by the two subgradient oracles.
-    ``x_floor`` is the smallest purchase the engine settles.
-    """
-
-    sigma0: float = bound(POSITIVE, 1.0)
-    epsilon: float = bound(POSITIVE, 1e-6)
     max_iters: int = bound(AT_LEAST_1, 100_000)
     x_floor: float = bound(POSITIVE, 1e-6)
 
@@ -100,9 +94,9 @@ def user_best_response(final_price: float, user: UserProfile) -> float:
     return min(max(ideal, user.x_min), user.x_max)
 
 
-def step_size(t: int, cfg: SolverConfig) -> float:
+def step_size(t: int, sigma0: float) -> float:
     """Diminishing subgradient step: sigma0 / (1 + t)."""
-    return cfg.sigma0 / (1.0 + t)
+    return sigma0 / (1.0 + t)
 
 
 def wfp_price_update(
@@ -245,14 +239,15 @@ def solve_wfp_equilibrium(
 
 
 def solve_wfp_subgradient(
-    account: WfpAccount, users: Population, g: np.ndarray, cfg: SolverConfig
+    account: WfpAccount, users: Population, g: np.ndarray, *,
+    sigma0: float = 1.0, epsilon: float = 1e-6, max_iters: int = 100_000,
 ) -> EquilibriumResult:
     """The paper's provider iteration: the oracle for ``solve_wfp_equilibrium``.
 
-    Synchronous Jacobi iteration: every user best-responds to the current
-    final price, then the provider takes one dual step against its sellable
-    capacity, starting from a zero price.  Converged when the price moves
-    less than ``epsilon``.
+    Synchronous Jacobi iteration: every user best-responds to the current final
+    price, then the provider takes one dual step of sigma0 / (1 + t) against its
+    sellable capacity from a zero price, until the price moves less than
+    ``epsilon`` (converged) or for at most ``max_iters`` steps.
     """
     floors = g + account.min_profit
     if not len(users):
@@ -263,13 +258,13 @@ def solve_wfp_subgradient(
     lam = 0.0
     converged = False
     iterations = 0
-    for t in range(cfg.max_iters):
+    for t in range(max_iters):
         _, x = _allocate(lam, wb, floors, x_min, x_max)
-        new_lam = wfp_price_update(lam, step_size(t, cfg), capacity, float(x.sum()))
+        new_lam = wfp_price_update(lam, step_size(t, sigma0), capacity, float(x.sum()))
         delta = abs(new_lam - lam)
         lam = new_lam
         iterations = t + 1
-        if delta < cfg.epsilon:
+        if delta < epsilon:
             converged = True
             break
 
@@ -434,23 +429,23 @@ def solve_isp_prices(
 
 def solve_isp_subgradient(
     links: Mapping[str, LinkState],
-    wfp_demand_fn: Callable[[Mapping[str, float]], Mapping[str, float]],
-    cfg: SolverConfig,
+    wfp_demand_fn: Callable[[Mapping[str, float]], Mapping[str, float]], *,
+    sigma0: float = 1.0, epsilon: float = 1e-6, max_iters: int = 100_000,
 ) -> EquilibriumResult:
     """The paper's link-price iteration: the oracle for ``solve_isp_prices``.
 
     ``wfp_demand_fn`` maps candidate link prices to the WFP load each link
-    would carry; each outer iteration takes one synchronous dual step on every
-    link, starting from the links' current prices.  Stops when the largest
-    price change is below ``epsilon``, otherwise flags non-convergence after
-    ``max_iters``.  The residual is not measured.
+    would carry; each outer iteration takes one synchronous dual step of
+    ``step_size(t, sigma0)`` on every link, starting from the links' current
+    prices.  Stops when the largest price change is below ``epsilon``, otherwise
+    flags non-convergence after ``max_iters``.  The residual is not measured.
     """
     prices = {lid: link.price for lid, link in links.items()}
     converged = False
     iterations = 0
-    for t in range(cfg.max_iters):
+    for t in range(max_iters):
         loads = wfp_demand_fn(prices)
-        sigma = step_size(t, cfg)
+        sigma = step_size(t, sigma0)
         updated = {
             lid: isp_link_price_update(prices[lid], sigma, link, loads.get(lid, 0.0))
             for lid, link in links.items()
@@ -458,7 +453,7 @@ def solve_isp_subgradient(
         delta = max((abs(updated[lid] - prices[lid]) for lid in prices), default=0.0)
         prices = updated
         iterations = t + 1
-        if delta < cfg.epsilon:
+        if delta < epsilon:
             converged = True
             break
     return EquilibriumResult(

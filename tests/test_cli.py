@@ -391,10 +391,36 @@ def test_a_value_of_the_wrong_json_type_is_invalid_input(tmp_path, capsys, path,
     assert capsys.readouterr().err.splitlines() == [message]
 
 
+@pytest.mark.parametrize("path, value, message", [
+    (("solver",), {"sigma0": 0.5}, "solver: sigma0 is now mode.sigma0"),
+    (("lambda0",), 15.0, "lambda0 is now mode.lambda0"),
+])
+def test_a_sweep_knob_in_its_old_place_is_invalid_input(tmp_path, capsys, path, value, message):
+    """A sweep read ``solver.sigma0`` and a top-level ``lambda0`` before they moved into
+    its mode: ignoring them would silently change the run."""
+    config = write_doc(tmp_path, swapped(GOOD_DOC, path, value))
+    code = cli.main(["run", "--config", str(config), "--out", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [message]
+
+
+@pytest.mark.parametrize("mode", [
+    {"kind": "equilibrium", "ticks": 2}, {"kind": "quota_sweep"}, {"kind": "ceiling_sweep"},
+])
+def test_other_modes_ignore_the_sweep_knobs_old_places(mode):
+    """Modes that never read ``solver.sigma0`` or a top-level ``lambda0`` still ignore
+    them, and every mode ignores ``solver.epsilon``."""
+    doc = dict(GOOD_DOC, mode=mode)
+    old = dict(doc, solver={"sigma0": 0.5, "epsilon": 1e-3, "max_iters": 9}, lambda0=15.0)
+    assert scenario_from_dict(old) == scenario_from_dict(dict(doc, solver={"max_iters": 9}))
+    sweep = dict(GOOD_DOC, solver={"epsilon": 1e-3})
+    assert scenario_from_dict(sweep) == scenario_from_dict(GOOD_DOC)
+
+
 def containers(doc, where=()):
     """The path of every array or object in ``doc`` that the parser reads."""
     for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
-        if isinstance(value, (dict, list)) and key != "nodes":  # nodes is not read
+        if isinstance(value, (dict, list)):
             yield (*where, key)
             yield from containers(value, (*where, key))
 
@@ -420,7 +446,7 @@ def test_every_malformed_container_exits_one_with_one_line(tmp_path, capsys, pre
             parent = parent[key]
         other = [] if isinstance(parent, dict) else {}
         cases += [(path, value) for value in (5, None, "x", other)]
-    assert len(cases) > 40
+    assert len(cases) > 30
     for path, value in cases:
         config = write_doc(tmp_path, swapped(doc, path, value))
         code = cli.main(["run", "--config", str(config), "--out", str(tmp_path)])
@@ -453,14 +479,12 @@ def test_every_dropped_key_or_non_finite_number_is_rejected_or_defaulted(preset)
     problem list, never another exception; only a dropped key may validate clean."""
     doc = preset_document(preset)
     keys = [path for path, _ in walk(doc) if isinstance(path[-1], str)]
-    numbers = [  # a document's seed is ignored, like its unit, nodes and notes
-        path for path, value in walk(doc) if type(value) in (int, float) and path != ("seed",)
-    ]
+    numbers = [path for path, value in walk(doc) if type(value) in (int, float)]
     cases = [(path, "dropped", dropped(doc, path)) for path in keys] + [
         (path, value, swapped(doc, path, value))
         for path in numbers for value in (math.nan, math.inf, -math.inf)
     ]
-    assert len(keys) > 20 and len(numbers) > 20
+    assert len(keys) > 20 and len(numbers) > 15
     for path, change, case in cases:
         try:
             problems = validate_scenario(scenario_from_dict(case))

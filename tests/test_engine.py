@@ -28,13 +28,13 @@ def make_sweep_doc(**overrides):
         "links": [{"id": "AB", "capacity": 50, "subscriber_load": 40, "price": 10}],
         "wfps": [{"id": "w1", "kind": "establishment", "capacity": 10, "min_profit": 5}],
         "users": [{"id": "u1", "wfp": "w1", "path": ["AB"]}],
-        "solver": {"sigma0": 1.0},
         "mode": {
             "kind": "sweep",
             "swept_party": "wfp",
             "start": 15,
             "step": 7,
             "count": 10,
+            "sigma0": 1.0,
         },
     }
     doc.update(overrides)
@@ -139,6 +139,21 @@ def test_equilibrium_billing_cycle_replenishes_quota():
     assert values[5] == pytest.approx(values[2], abs=1e-9)
 
 
+def test_a_one_tick_billing_cycle_replenishes_at_tick_one():
+    # a 4-unit quota: the two users drain it at tick 0, and it is back at tick 1
+    doc = make_billing_doc(ticks=2, billing_cycle_ticks=1)
+    doc["wfps"][0]["quota"] = 4
+    first, second = run_scenario(scenario_from_dict(doc)).records
+    assert first.x_by_user == second.x_by_user == {"u001": 2.0, "u002": 2.0}
+    assert first.total_value == second.total_value == pytest.approx(12.0, abs=1e-9)
+
+
+def test_equilibrium_without_a_zero_transaction_step_reports_minus_one():
+    ts = run_scenario(load_preset("scenario3-low"))
+    assert all(rec.total_value > 0.0 for rec in ts.records)
+    assert ts.summary["first_zero_transaction_step"] == -1.0
+
+
 def test_equilibrium_unaffordable_price_stops_transactions():
     # one user with budget 1 against a floor of 10: buying is a net loss
     doc = {
@@ -212,7 +227,7 @@ def make_isp_doc():
             {"id": "b", "count": 4, "wfp": "e1", "path": ["AB", "BC"], "budget": 80},
             {"id": "c", "count": 5, "wfp": "e2", "path": ["BC"], "budget": 120},
         ],
-        "solver": {"sigma0": 0.5, "max_iters": 200},
+        "solver": {"max_iters": 200},
         "solve_isp": True,
         "mode": {
             "kind": "equilibrium",
@@ -244,7 +259,8 @@ def test_equilibrium_with_isp_solve_clears_every_provider():
 
 RUNNER_NAMES = ("run_sweep", "run_equilibrium", "solve_wfp_equilibrium", "solve_isp_prices",
                 "settle_transaction")
-ISP_SWEEP = {"kind": "sweep", "swept_party": "isp", "start": 2, "step": 1, "count": 4}
+ISP_SWEEP = {"kind": "sweep", "swept_party": "isp", "start": 2, "step": 1, "count": 4,
+             "sigma0": 0.5}
 
 
 @pytest.mark.parametrize("mode, called, ticks", [
@@ -329,7 +345,7 @@ def preset_doc(name):
 def test_quota_sweep_settles_nothing_below_x_floor():
     # even shares of 10: iwfp1 3.33, iwfp2 10, iwfp3 1, iwfp4 2.5
     doc = preset_doc("iwfp-topology")
-    doc["solver"]["x_floor"] = 3.0
+    doc["solver"] = {"x_floor": 3.0}
     by_series = run_scenario(scenario_from_dict(doc)).by_series()
     reference = run_scenario(load_preset("iwfp-topology")).by_series()
     for label in ("iwfp1", "iwfp2"):
@@ -344,7 +360,7 @@ def test_quota_sweep_settles_nothing_below_x_floor():
 def test_ceiling_sweep_settles_nothing_below_x_floor():
     # two users share each 10-unit transaction: 5 each
     doc = preset_doc("iwfp-ceiling")
-    doc["solver"]["x_floor"] = 6.0
+    doc["solver"] = {"x_floor": 6.0}
     ts = run_scenario(scenario_from_dict(doc))
     assert len(ts.records) == 404
     assert all(r.total_value == r.wfp_share == r.isp_share == 0.0 for r in ts.records)
@@ -400,7 +416,7 @@ def capped_ceiling():
 def unsold_ceiling():
     # two users share each 10-unit transaction: 5 each, below the floor
     doc = preset_doc("iwfp-ceiling")
-    doc["solver"]["x_floor"] = 6.0
+    doc["solver"] = {"x_floor": 6.0}
     return doc
 
 

@@ -131,6 +131,7 @@ MINIMAL_DOC = {
     "users": [{"id": "u", "wfp": "w1", "path": ["AB"], "count": 3}],
     "mode": {"kind": "equilibrium", "ticks": 2},
 }
+SWEEP = {"kind": "sweep", "swept_party": "isp", "start": 10}
 
 
 def test_scenario_from_dict_expands_user_counts():
@@ -186,9 +187,10 @@ def test_scenario_from_dict_requires_mode():
 @pytest.mark.parametrize(
     "patch, message",
     [
-        ({"solver": {"sigma0": "fast"}}, "solver: sigma0 must be a finite number, got 'fast'"),
-        ({"lambda0": "1"}, "lambda0 must be a finite number, got '1'"),
-        ({"lambda0": float("inf")}, "lambda0 must be a finite number, got inf"),
+        ({"mode": dict(SWEEP, sigma0="fast")}, "mode: sigma0 must be a finite number, got 'fast'"),
+        ({"mode": dict(SWEEP, lambda0="1")}, "mode: lambda0 must be a finite number, got '1'"),
+        ({"mode": dict(SWEEP, lambda0=float("inf"))},
+         "mode: lambda0 must be a finite number, got inf"),
         (
             {"mode": {"kind": "equilibrium", "ticks": 2, "subscriber_loads": {"AB": [1, "x"]}}},
             "mode: subscriber_loads['AB'][1] must be a finite number, got 'x'",
@@ -259,7 +261,7 @@ PARSED_FIELDS = [
 
 
 def test_parsed_fields_cover_every_section_and_the_three_required_ones():
-    assert len(PARSED_FIELDS) == 38
+    assert len(PARSED_FIELDS) == 37
     required = {
         (section, name)
         for section, name in PARSED_FIELDS
@@ -473,7 +475,6 @@ BOUNDED_ENTRIES = {
 #: Each rule declared on a field, a value that breaks it, and the one message it
 #: gives: a problem, or (solver, sharing) a ConfigError.
 BOUND_CASES = [
-    ("scenario", "lambda0", -1, "scenario: lambda0 must be non-negative"),
     ("link", "capacity", 0, "link AB: capacity must be positive"),
     ("link", "subscriber_load", -1, "link AB: subscriber_load must be non-negative"),
     ("link", "subscriber_load", 51, "link AB: subscriber_load exceeds capacity"),
@@ -495,8 +496,6 @@ BOUND_CASES = [
     ("user", "budget", 0, "user u: budget must be positive"),
     ("user", "x_min", 0, "user u: x_min must be positive"),
     ("user", "x_max", 5e-4, "user u: x_max must be at least x_min"),
-    ("solver", "sigma0", 0, "solver: sigma0 must be positive"),
-    ("solver", "epsilon", 0, "solver: epsilon must be positive"),
     ("solver", "max_iters", 0, "solver: max_iters must be at least 1"),
     ("solver", "x_floor", 0, "solver: x_floor must be positive"),
     ("sharing", "alpha", 0, "sharing: alpha must be positive"),
@@ -509,6 +508,8 @@ BOUND_CASES = [
     ("sweep", "user_growth", -1, "mode: user_growth must be non-negative"),
     ("sweep", "user_growth", 2_000_001, "mode: user_growth must be at most 2,000,000"),
     ("sweep", "allocation", "random", "mode: allocation must be 'equal' or 'best_response'"),
+    ("sweep", "sigma0", 0, "mode: sigma0 must be positive"),
+    ("sweep", "lambda0", -1, "mode: lambda0 must be non-negative"),
     ("equilibrium", "ticks", 0, "mode: ticks must be at least 1"),
     ("equilibrium", "ticks", 2_000_001, "mode: ticks must be at most 2,000,000"),
     ("equilibrium", "user_growth", -1, "mode: user_growth must be non-negative"),
@@ -549,7 +550,7 @@ def test_bound_cases_cover_every_declared_bound():
     }
     assert {(BOUNDED_ENTRIES[section][0], name, message.split(f": {name} ", 1)[1])
             for section, name, _, message in BOUND_CASES} == declared
-    assert len(BOUND_CASES) == 50
+    assert len(BOUND_CASES) == 49
 
 
 @pytest.mark.parametrize("section, name, value, message", BOUND_CASES)
@@ -576,8 +577,6 @@ def test_a_kind_specific_bound_does_not_hold_the_other_kind():
 
 def test_solver_and_sharing_refuse_the_first_broken_bound():
     for make, text in [
-        (lambda: SolverConfig(sigma0=0), "sigma0 must be positive"),
-        (lambda: SolverConfig(sigma0=0, max_iters=0), "sigma0 must be positive"),
         (lambda: SolverConfig(x_floor=-1.0, max_iters=0), "max_iters must be at least 1"),
         (lambda: SharingParams(beta=1.0), "beta must exceed 1"),
     ]:
@@ -720,7 +719,7 @@ def test_unknown_preset_raises_key_error():
 #: The keys of a document that name no dataclass field: read by hand (the parser's
 #: ``id``, ``kind``, ``count`` and ``price``) or ignored.
 HAND_READ_KEYS = {"id", "kind", "count", "price"}
-IGNORED_KEYS = {"seed", "unit", "nodes", "notes"}
+IGNORED_KEYS = {"notes"}
 MODE_CLASSES = {"sweep": SweepMode, "equilibrium": EquilibriumMode,
                 "quota_sweep": QuotaSweepMode, "ceiling_sweep": CeilingSweepMode}
 

@@ -88,6 +88,12 @@ def test_best_response_clamps_to_box():
     assert user_best_response(0.5, user) == pytest.approx(50.0)  # ceiling binds
 
 
+def test_best_response_interior_at_a_price_below_one():
+    # weight 1 and budget 1 at a price of 0.5 buy 1 * 1 / 0.5 = 2, inside the box
+    user = UserProfile(id="u", weight=1.0, budget=1.0, x_min=0.01, x_max=50.0)
+    assert user_best_response(0.5, user) == 2.0
+
+
 def test_best_response_free_bandwidth_saturates():
     user = UserProfile(id="u", x_min=0.01, x_max=42.0)
     assert user_best_response(0.0, user) == pytest.approx(42.0)
@@ -116,9 +122,8 @@ def test_best_response_maximizes_utility_on_random_profiles():
 
 
 def test_step_size_diminishes():
-    cfg = SolverConfig(sigma0=5.0)
-    assert step_size(0, cfg) == pytest.approx(5.0)
-    assert step_size(4, cfg) == pytest.approx(1.0)
+    assert step_size(0, 5.0) == pytest.approx(5.0)
+    assert step_size(4, 5.0) == pytest.approx(1.0)
 
 
 def test_wfp_price_update_excess_demand_raises_price():
@@ -156,11 +161,9 @@ def test_min_price_for_path_unknown_link():
 
 def test_solver_config_validates():
     with pytest.raises(ValueError):
-        SolverConfig(sigma0=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(epsilon=0.0)
-    with pytest.raises(ValueError):
         SolverConfig(max_iters=0)
+    with pytest.raises(ValueError):
+        SolverConfig(x_floor=0.0)
 
 
 # --- provider-side solver ----------------------------------------------------------
@@ -181,8 +184,8 @@ def test_wfp_solver_reaches_known_fixed_point():
 def test_wfp_subgradient_oracle_reaches_known_fixed_point():
     account = WfpAccount(id="ew", kind=WfpKind.ESTABLISHMENT, capacity=5.0, min_profit=5.0)
     user = UserProfile(id="u0", budget=100.0, x_min=0.01, x_max=50.0)
-    cfg = SolverConfig(sigma0=5.0, epsilon=1e-6, max_iters=100_000)
-    result = solve_wfp_subgradient(account, *population([user], {"u0": 10.0}), cfg)
+    result = solve_wfp_subgradient(account, *population([user], {"u0": 10.0}), sigma0=5.0,
+                                   epsilon=1e-6, max_iters=100_000)
     assert result.converged
     assert result.iterations <= 100_000
     assert result.lambda_by_wfp["ew"] == pytest.approx(20.0, rel=1e-3)
@@ -207,7 +210,7 @@ def test_wfp_solver_no_users():
     account = WfpAccount(id="ew", kind=WfpKind.ESTABLISHMENT, capacity=5.0)
     users, g = population([], {})
     for result in (solve_wfp_equilibrium(account, users, g),
-                   solve_wfp_subgradient(account, users, g, SolverConfig())):
+                   solve_wfp_subgradient(account, users, g)):
         assert result.converged
         assert result.iterations == 0
         assert result.lambda_by_wfp == {"ew": 0.0}
@@ -241,8 +244,8 @@ def test_wfp_solver_individual_capacity_is_remaining_quota():
 def test_wfp_solver_flags_non_convergence_instead_of_raising():
     account = WfpAccount(id="ew", kind=WfpKind.ESTABLISHMENT, capacity=5.0, min_profit=5.0)
     user = UserProfile(id="u0", budget=100.0, x_min=0.01, x_max=50.0)
-    cfg = SolverConfig(sigma0=5.0, epsilon=1e-12, max_iters=5)
-    result = solve_wfp_subgradient(account, *population([user], {"u0": 10.0}), cfg)
+    result = solve_wfp_subgradient(account, *population([user], {"u0": 10.0}), sigma0=5.0,
+                                   epsilon=1e-12, max_iters=5)
     assert not result.converged
     assert result.iterations == 5
 
@@ -269,6 +272,21 @@ def test_wfp_solver_flags_infeasible_minimum_demand():
     assert result.residual == pytest.approx(8.0 - 5.0, abs=1e-12)
     assert result.lambda_by_wfp["ew"] == pytest.approx(25.0, abs=1e-12)
     assert result.x_by_user == {"a": 4.0, "b": 4.0}
+
+
+def test_wfp_solver_flagged_solve_prices_each_user_at_the_larger_of_lambda_and_floor():
+    # sum x_min = 1 exceeds the capacity of 0.5; user b's floor 30 + 2 lies above the
+    # flagged price of 20, where user a's x_min binds, so b pays its floor
+    account = WfpAccount(id="ew", kind=WfpKind.ESTABLISHMENT, capacity=0.5, min_profit=2.0)
+    users = [
+        UserProfile(id="a", budget=10.0, x_min=0.5, x_max=50.0),  # x_min from 20
+        UserProfile(id="b", budget=1.0, x_min=0.5, x_max=50.0),  # x_min from 2
+    ]
+    result = solve_wfp_equilibrium(account, *population(users, {"a": 0.0, "b": 30.0}))
+    assert not result.converged
+    assert result.lambda_by_wfp["ew"] == 20.0
+    assert result.final_price_by_user == {"a": 20.0, "b": 32.0}
+    assert result.x_by_user == {"a": 0.5, "b": 0.5}
 
 
 def test_wfp_solver_zero_floor_at_zero_price_saturates_without_warning():
@@ -371,7 +389,7 @@ def test_isp_solver_matches_bisection_oracle():
     def demand_fn(prices):
         return {"L": 60.0 / (1.0 + prices["L"])}
 
-    result = solve_isp_subgradient(links, demand_fn, SolverConfig(sigma0=0.5))
+    result = solve_isp_subgradient(links, demand_fn, sigma0=0.5)
     expected = _bisect_fixed_point(lambda g: 60.0 / (1.0 + g), 30.0)
     assert result.converged
     assert expected == pytest.approx(1.0, abs=1e-9)
@@ -386,9 +404,7 @@ def test_isp_solver_saturated_link_price_rises_monotonically():
         observed.append(prices["L"])
         return {"L": 100.0}
 
-    result = solve_isp_subgradient(
-        links, flood, SolverConfig(sigma0=0.1, epsilon=1e-9, max_iters=60)
-    )
+    result = solve_isp_subgradient(links, flood, sigma0=0.1, epsilon=1e-9, max_iters=60)
     assert not result.converged
     assert result.iterations == 60
     # demand never meets the residual, so every step pushes the price up
@@ -397,7 +413,7 @@ def test_isp_solver_saturated_link_price_rises_monotonically():
 
 def test_isp_solver_idle_link_price_decays_to_zero():
     links = {"L": LinkState(id="L", capacity=30.0, subscriber_load=0.0, price=5.0)}
-    result = solve_isp_subgradient(links, lambda p: {"L": 0.0}, SolverConfig(sigma0=1.0))
+    result = solve_isp_subgradient(links, lambda p: {"L": 0.0}, sigma0=1.0)
     assert result.converged
     assert result.g_by_link["L"] == 0.0
 
@@ -456,6 +472,23 @@ def test_certified_isp_solve_crosses_a_flat_stretch():
     result = solve_isp_prices(links, demand_fn, SolverConfig(max_iters=200))
     assert result.converged
     assert result.g_by_link["L"] == pytest.approx(40.0, abs=1e-9)
+
+
+def test_certified_isp_solve_bisects_onto_a_jump_in_demand():
+    # The load jumps from 60 to 0 at a price of 0.3, across the residual of 30, so no
+    # price clears.  Once the line search's bracket closes on the jump its secant falls
+    # on a bracket end; it bisects until the ends are adjacent floats and keeps the one
+    # at the jump.  The solve ends flagged at its budget, priced at the jump.
+    links = {"L": LinkState(id="L", capacity=30.0, subscriber_load=0.0, price=0.0)}
+
+    def demand_fn(prices):
+        return {"L": 60.0 if prices["L"] < 0.3 else 0.0}
+
+    result = solve_isp_prices(links, demand_fn, SolverConfig(max_iters=500))
+    assert not result.converged
+    assert result.iterations == 500
+    assert result.g_by_link["L"] == 0.3
+    assert result.residual == 0.3  # |min(g, s)| with s = 30 - 0 at the jump
 
 
 def test_certified_isp_solve_flags_a_spent_budget():

@@ -311,9 +311,8 @@ def test_csv_growth_sweep_with_two_providers_matches_reference(tmp_path):
             dict(user, id="b", count=4, wfp="w2", weight=2.0),
             dict(user, id="c", count=3, wfp="w2", weight=0.5, x_max=2.0),
         ],
-        "lambda0": 15.0,
         "mode": {"kind": "sweep", "swept_party": "wfp", "start": 15.0, "step": 1.0,
-                 "count": 40, "user_growth": 7, "allocation": "best_response"},
+                 "count": 40, "user_growth": 7, "allocation": "best_response", "lambda0": 15.0},
     }
     ts = run_scenario(scenario_from_dict(doc))
     assert len(ts.records[-1].x_by_user) >= 2 * LONG_ROW
@@ -759,6 +758,34 @@ def outputs(ts, directory):
     return (directory / "out.csv").read_bytes(), (directory / "out.svg").read_bytes()
 
 
+def perturbed(value):
+    """Another valid value of a preset knob: the other boolean, three times a number
+    (7 for a zero), or a string with a suffix."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, (int, float)):
+        return 3 * value if value else 7.0
+    return f"{value}-perturbed"
+
+
+@pytest.mark.parametrize("name", sorted(PRESET_NAMES))
+def test_every_knob_a_preset_sets_moves_its_outputs(tmp_path, name):
+    """Each top-level value but ``notes``, each ``solver`` and ``sharing`` key and a
+    sweep's ``mode.sigma0`` or ``mode.lambda0`` that the preset sets, perturbed alone,
+    changes some CSV or SVG byte: the preset sets no knob its run never reads."""
+    doc = json.loads(preset_path(name).read_text(encoding="utf-8"))
+    knobs = [(doc, key) for key, value in doc.items()
+             if key != "notes" and not isinstance(value, (dict, list))]
+    knobs += [(doc[section], key) for section in ("solver", "sharing") for key in doc.get(section, {})]
+    knobs += [(doc["mode"], key) for key in ("sigma0", "lambda0") if key in doc["mode"]]
+    assert len(knobs) >= 2 + (doc["mode"]["kind"] == "sweep")
+    base = outputs(run_scenario(scenario_from_dict(doc)), tmp_path / "base")
+    for k, (section, key) in enumerate(knobs):
+        value, section[key] = section[key], perturbed(section[key])
+        assert outputs(run_scenario(scenario_from_dict(doc)), tmp_path / str(k)) != base, key
+        section[key] = value
+
+
 def assert_rebuilt_from_records_writes_the_same_bytes(ts, tmp_path):
     rebuilt = TimeSeries.of(ts.name, ts.records)
     assert outputs(rebuilt, tmp_path / "rebuilt") == outputs(ts, tmp_path / "original")
@@ -843,11 +870,10 @@ def sweep_shape(shape):
                   {"id": "BC", "capacity": 400.0, "subscriber_load": 50.0, "price": 4.0}],
         "wfps": wfps,
         "users": users,
-        "solver": {"sigma0": 0.05},
-        "lambda0": 12.0,
         "mode": {"kind": "sweep", "swept_party": swept, "start": 8.0 if swept == "isp" else 12.0,
                  "step": 0.5, "count": 32, "user_growth": 8,
-                 "allocation": "equal" if shape == "equal" else "best_response"},
+                 "allocation": "equal" if shape == "equal" else "best_response",
+                 "sigma0": 0.05, "lambda0": 12.0},
     })
 
 
@@ -892,7 +918,7 @@ def equilibrium_shape(shape):
                  {"id": "ind", "kind": "individual", "quota": 90.0, "unused": 90.0,
                   "fee": 30.0, "txn_cap": 12.0, "min_profit": 1.0}],
         "users": users,
-        "solver": {"sigma0": 0.5, "max_iters": 400},
+        "solver": {"max_iters": 400},
         "solve_isp": shape == "isp",
         "mode": {"kind": "equilibrium", "ticks": ticks, "user_growth": 12 if shape == "isp" else 40,
                  "billing_cycle_ticks": 4,

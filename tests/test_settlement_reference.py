@@ -37,7 +37,7 @@ TWO_PROVIDERS = {
          "x_min": 0.01 * (1 + i % 4), "x_max": 4.0 + i}
         for i in range(30)
     ],
-    "solver": {"sigma0": 0.5, "max_iters": 50},
+    "solver": {"max_iters": 50},
     "sharing": {"alpha": 1.3, "beta": 2.5},
 }
 
@@ -45,7 +45,7 @@ TWO_PROVIDERS = {
 def sweep_doc():
     return dict(TWO_PROVIDERS, mode={
         "kind": "sweep", "swept_party": "wfp", "start": 8, "step": 3, "count": 6,
-        "user_growth": 4, "allocation": "best_response",
+        "user_growth": 4, "allocation": "best_response", "sigma0": 0.5,
     })
 
 
