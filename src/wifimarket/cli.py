@@ -10,8 +10,9 @@ Three subcommands::
 scenario files by name, and ``check`` runs the seeded self-check battery and
 prints one [PASS]/[FAIL] line per suite.
 
-Exit codes: 0 success, 1 invalid input (every violation is printed, not just
-the first), 2 file-system trouble, 3 failed self-checks.
+Exit codes: 0 success, 1 invalid input (every violation; a parse fault, which
+includes a solver or sharing knob out of range, prints alone), 2 file-system
+trouble, 3 failed self-checks.
 """
 from __future__ import annotations
 

@@ -24,10 +24,10 @@ an array for a tuple (``path``, ``usage_levels``, each load series) or an object
 for a dict (``subscriber_loads``), read entry by entry; a string field takes any
 value's string.  ``links``, ``wfps`` and ``users`` are arrays of objects, and
 ``solver``, ``sharing`` and ``mode`` objects; any other shape is a ConfigError.
-Read by hand are each entry's ``id``, the mode's ``kind``, a provider's posted
-``price`` (its ``unused`` defaults to its ``quota``) and a user entry's ``count``,
-which expands it into that many identical profiles with suffixed ids, up to
-:data:`MAX_USER_STEPS` users in all.  Keys the schema does not name (such as
+Read by hand are each entry's ``id``, the mode's ``kind`` and a provider's posted
+``price`` (its ``unused`` defaults to its ``quota``).  A user entry with a ``count``
+stays one profile, checked once, whose users the engine copies from it (at most
+:data:`MAX_USER_STEPS` users in all).  Keys the schema does not name (such as
 ``notes``) are ignored, but a sweep's ``solver.sigma0`` or top-level ``lambda0``,
 now ``mode.sigma0`` and ``mode.lambda0``, is a ConfigError.  ``validate_scenario``
 lists every violation as a string, never raising; an entry's broken field rules
@@ -63,7 +63,7 @@ AT_MOST_MAX: Rule = (lambda v, _: v > MAX_USER_STEPS, f"must be at most {MAX_USE
 
 class ConfigError(ValueError):
     """Malformed scenario document (wrong shape, or not a finite number or not a whole one
-    for an int field; not out of range)."""
+    for an int field; out of range only for a solver or sharing knob)."""
 
 
 @dataclass(frozen=True)
@@ -235,22 +235,6 @@ def _build(cls: type, entry: dict, where: str, **given: Any) -> Any:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _parse_user(entry: dict, room: int) -> list[UserProfile]:
-    """The profiles of one user entry, which may expand into at most ``room`` of them."""
-    base_id = str(_require(entry, "id", "user"))
-    where = f"user {base_id!r}"
-    count = _number(entry["count"], f"{where}: count", int) if "count" in entry else 1
-    if count < 1:
-        raise ConfigError(f"{where}: count must be at least 1")
-    if count > room:
-        raise ConfigError(f"{where}: count {count:,} makes more than {MAX_USER_STEPS:,} users")
-    profile = _build(UserProfile, entry, where, id=base_id)
-    if count == 1:
-        return [profile]
-    rest = [getattr(profile, name) for name, _, _ in _fields(UserProfile)[1:]]  # after id
-    return [UserProfile(f"{base_id}{i:03d}", *rest) for i in range(1, count + 1)]
-
-
 #: The mode class of each ``mode.kind``.
 _MODES = {"sweep": SweepMode, "equilibrium": EquilibriumMode,
           "quota_sweep": QuotaSweepMode, "ceiling_sweep": CeilingSweepMode}
@@ -260,8 +244,9 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
     """Build a ScenarioConfig from a parsed JSON document.
 
     Shape problems (missing keys, values of the wrong JSON type, unknown enum
-    values, duplicate link ids, a user count past :data:`MAX_USER_STEPS`) and
-    numbers that do not convert or are not finite raise ConfigError; out-of-range
+    values, duplicate link ids, more than :data:`MAX_USER_STEPS` users), numbers
+    that do not convert or are not finite, and the first ``solver`` or ``sharing``
+    knob out of range (refused when built) raise ConfigError; other out-of-range
     numbers are left for :func:`validate_scenario` to report.
     """
     _shaped(doc, dict, "scenario document")
@@ -282,9 +267,14 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
         if "price" in entry:
             wfp_prices[wid] = _number(entry["price"], f"wfp {wid}: price")
 
-    users: list[UserProfile] = []
+    users, room = [], MAX_USER_STEPS
     for entry in _shaped(doc.get("users", []), list, "users", dict):
-        users.extend(_parse_user(entry, MAX_USER_STEPS - len(users)))
+        uid = str(_require(entry, "id", "user"))
+        users.append(user := _build(UserProfile, entry, f"user {uid!r}", id=uid))
+        if user.count > room:
+            raise ConfigError(f"user {uid!r}: count {user.count:,} makes more than "
+                              f"{MAX_USER_STEPS:,} users")
+        room -= max(user.count, 0)
 
     solver = _build(SolverConfig, _shaped(doc.get("solver", {}), dict, "solver"), "solver")
     sharing = _build(SharingParams, _shaped(doc.get("sharing", {}), dict, "sharing"), "sharing")
@@ -324,11 +314,12 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
         if cfg.wfp_prices.get(w.id, 0.0) < 0.0:
             problems.append(f"wfp {w.id}: price must be non-negative")
 
-    user_ids = set()
-    for u in cfg.users:
-        if u.id in user_ids:
-            problems.append(f"user {u.id}: duplicate id")
-        user_ids.add(u.id)
+    user_ids, users_by_wfp = set(), Counter()
+    for u in cfg.users:  # each entry once; users_by_wfp counts its copies, a broken count as 1
+        ids = u.ids
+        problems.extend(f"user {uid}: duplicate id" for uid in ids if uid in user_ids)
+        user_ids.update(ids)
+        users_by_wfp[u.wfp] += max(u.count, 1)
         problems.extend(f"user {u.id}: {wrong}" for wrong in broken_bounds(u))
         if not u.wfp:
             problems.append(f"user {u.id}: no wfp to buy from")
@@ -372,7 +363,6 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
             if w.kind is WfpKind.INDIVIDUAL and w.id not in cfg.wfp_prices:
                 problems.append(f"wfp {w.id}: posted price required for quota sweeps")
 
-    users_by_wfp = Counter(u.wfp for u in cfg.users)
     if isinstance(mode, (SweepMode, QuotaSweepMode, CeilingSweepMode)):
         for w in cfg.wfps:
             if users_by_wfp[w.id] == 0:
@@ -385,15 +375,13 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
     return problems
 
 
-def _user_steps(cfg: ScenarioConfig, users_by_wfp: dict[str, int]) -> float:
+def _user_steps(cfg: ScenarioConfig, users_by_wfp: Counter) -> float:
     """The run's size in user-steps, as :data:`MAX_USER_STEPS` counts them."""
     mode = cfg.mode
     if isinstance(mode, (SweepMode, EquilibriumMode)):
         steps = mode.count if isinstance(mode, SweepMode) else mode.ticks
-        return steps * (len(cfg.users) + mode.user_growth * (steps - 1))
-    sellers = sum(
-        users_by_wfp.get(w.id, 0) for w in cfg.wfps if w.kind is WfpKind.INDIVIDUAL
-    )
+        return steps * (sum(users_by_wfp.values()) + mode.user_growth * (steps - 1))
+    sellers = sum(users_by_wfp[w.id] for w in cfg.wfps if w.kind is WfpKind.INDIVIDUAL)
     if isinstance(mode, QuotaSweepMode):
         return (mode.usage_steps + 1) * sellers
     return mode.price_count * len(mode.usage_levels) * sellers

@@ -13,18 +13,18 @@ Four run shapes:
 * ceiling sweep -- a posted-price ramp repeated at several usage levels to map
                   the largest share an individual provider can reach.
 
-Every runner builds its population once, as parallel arrays over one roster
-(growth clones of the document users are appended to it, so each step uses a
-prefix), settles each provider from its sales' totals, and keeps the steps as
-columns (:class:`~wifimarket.model.StepBlock`).  Sweep and equilibrium runs share
-one tick loop, ``_run_ticks``; each passes only its price rule (a generator of
-each tick's prices: the sweep's ramp and dual step, the equilibrium's solves) and
-its two user rules, walk-away and whom the mean utility counts.  The loop settles
-each provider once per tick through ``settle_transaction``, since each tick's
-accounts depend on the last, and keeps one one-row block per tick, its per-user
-rows holding one value per template (document user).  The quota and ceiling sweeps
-settle independent snapshots, all of a provider's series in one
-:func:`~wifimarket.sharing.settle_rows` call, and add one block per series.
+Every runner builds its population once, as parallel arrays over one roster: each
+user entry's ``count`` copies of it, then the growth clones cycling through those
+users, so each step uses a prefix.  It settles each provider from its sales' totals,
+and keeps the steps as columns (:class:`~wifimarket.model.StepBlock`).  Sweep and
+equilibrium runs share one tick loop, ``_run_ticks``; each passes only its price rule
+(a generator of each tick's prices: the sweep's ramp and dual step, the equilibrium's
+solves) and its two user rules, walk-away and whom the mean utility counts.  The loop
+settles each provider once per tick through ``settle_transaction``, since each tick's
+accounts depend on the last, and keeps one one-row block per tick, its per-user rows
+holding one value per template (user entry), which its copies and clones read.  The
+quota and ceiling sweeps settle independent snapshots, all of a provider's series in
+one :func:`~wifimarket.sharing.settle_rows` call, and add one block per series.
 Per-user float sums (settlement totals, means, demand), like the price solves' in
 :mod:`~wifimarket.pricing`, are each the sequential left fold 0.0 + v[0] + v[1] + ...
 over the users in roster order, by :func:`~wifimarket.model.running_total`, whatever
@@ -89,20 +89,21 @@ def _scalars(settled: Settlement, utility) -> np.ndarray:
     ))
 
 
-def _population(cfg: ScenarioConfig, clones: int = 0) -> tuple[Population, np.ndarray]:
-    """The document's users, then ``clones`` growth clones cycling through them, and
-    each user's template: the position of the document user whose values it copies."""
+def _population(cfg: ScenarioConfig, clones: int) -> tuple[Population, np.ndarray, np.ndarray]:
+    """The document's users, each entry's ``count`` copies, then ``clones`` growth clones
+    cycling through them; each user's template (its entry's number) and each one's first user."""
     base = Population.of(cfg.users, [w.id for w in cfg.wfps])
-    n = len(cfg.users)
-    templates = np.arange(n + clones) % n
-    ids = base.roster.ids + [f"{cfg.users[k % n].id}+{k + 1:05d}" for k in range(clones)]
-    return base.take(templates, ids), templates
+    n = len(base)
+    cycle = np.arange(n + clones) % n
+    ids = base.roster.ids + [f"{base.roster.ids[k % n]}+{k + 1:05d}" for k in range(clones)]
+    templates = np.repeat(np.arange(len(cfg.users)), [u.count for u in cfg.users])[cycle]
+    return base.take(cycle, ids), templates, np.flatnonzero(np.diff(templates[:n], prepend=-1))
 
 
-def _floors(pop: Population, link_prices: Mapping[str, float], n: int) -> np.ndarray:
-    """ISP floors of the first ``n`` users: one path sum per distinct route."""
+def _floors(pop: Population, link_prices: Mapping[str, float]) -> np.ndarray:
+    """Each user's ISP floor: one path sum per distinct route."""
     by_path = np.array([min_price_for_path(p, link_prices) for p in pop.paths], dtype=float)
-    return by_path[pop.path[:n]]
+    return by_path[pop.path]
 
 
 def _utility(pop: Population, idx, x: np.ndarray, prices) -> np.ndarray:
@@ -143,7 +144,7 @@ def _link_demand(
 
     def wfp_demand(prices: Mapping[str, float]) -> dict[str, float]:
         x = [
-            solve_wfp_equilibrium(account, users, _floors(users, prices, len(users)))
+            solve_wfp_equilibrium(account, users, _floors(users, prices))
             .x_by_user.array
             for account, users in zip(accounts, customers)
         ]
@@ -186,24 +187,24 @@ def _run_ticks(cfg: ScenarioConfig, ticks: int, growth: int, price_rule, *,
     """The tick loop of sweep and equilibrium runs; returns the series and its scalars.
 
     Tick t runs the first ``sizes[t]`` users, ``growth`` more each tick.  The generator
-    ``price_rule(pop, accounts, sizes)`` yields each tick's lambdas (provider order) and
-    its templates' g, final prices and x (kept as rows over the templates, which each user
-    reads in roster order), and is sent back the tick's purchases per user.  ``walk_away``:
-    a buyer whose best buy is a net loss does not buy.  The mean utility is over the
-    buyers with ``mean_over_buyers``, else over every user (a non-buyer 0).
+    ``price_rule(pop, first, accounts, sizes)`` yields each tick's lambdas (provider order)
+    and its templates' g, final prices and x (template k's are its first user's, ``first[k]``;
+    each user reads its template's, in roster order), and is sent back the tick's purchases
+    per user.  ``walk_away``: a buyer whose best buy is a net loss does not buy.  The mean
+    utility is over the buyers with ``mean_over_buyers``, else over every user (a non-buyer 0).
     """
-    m, x_floor = len(cfg.users), cfg.solver.x_floor  # users j >= m copy user templates[j]
-    pop, templates = _population(cfg, growth * max(ticks - 1, 0))
-    sizes = [m + growth * t for t in range(ticks)]
+    m, x_floor = len(cfg.users), cfg.solver.x_floor  # user j copies entry templates[j]
+    pop, templates, first = _population(cfg, growth * max(ticks - 1, 0))
+    sizes = [len(pop) - growth * t for t in reversed(range(ticks))]
     accounts = list(cfg.wfps)  # _settle and the price rule update it in place
-    rule = price_rule(pop, accounts, sizes)
+    rule = price_rule(pop, first, accounts, sizes)
     lambdas, settled, means, rows, bought = [], [], [], [], None
     for n in sizes:
         lam, g, prices, x = rule.send(bought)
         index, provider = templates[:n], pop.provider[:n]
         x[x < x_floor] = 0.0  # too little to sell: no purchase
         utility, buyers = np.zeros(m), np.flatnonzero(x > 0.0)
-        utility[buyers] = _utility(pop, buyers, x[buyers], prices[buyers])
+        utility[buyers] = _utility(pop, first[buyers], x[buyers], prices[buyers])
         if walk_away:  # individual rationality: not buying beats a net loss
             x[utility < 0.0] = utility[utility < 0.0] = 0.0
         bought = x[index]
@@ -237,9 +238,9 @@ def run_sweep(cfg: ScenarioConfig) -> TimeSeries:
     mode = cfg.mode
     assert isinstance(mode, SweepMode)
 
-    def ramp(pop: Population, accounts: list[WfpAccount], sizes: list[int]):
-        m = len(cfg.users)
-        margin = np.array([a.min_profit for a in accounts])[pop.provider[:m]]
+    def ramp(pop: Population, first: np.ndarray, accounts: list[WfpAccount], sizes: list[int]):
+        tpl = pop.take(first)  # the templates' own population
+        margin = np.array([a.min_profit for a in accounts])[tpl.provider]
         lam = np.full(len(accounts), mode.lambda0, dtype=float)  # provider order
         link_prices = {lid: link.price for lid, link in cfg.links.items()}
         for t, n in enumerate(sizes):
@@ -250,16 +251,16 @@ def run_sweep(cfg: ScenarioConfig) -> TimeSeries:
             else:
                 lam[:] = swept_price
 
-            g = _floors(pop, link_prices, m)
-            prices = np.maximum(lam[pop.provider[:m]], g + margin)
+            g = _floors(tpl, link_prices)
+            prices = np.maximum(lam[tpl.provider], g + margin)
             if mode.allocation == "equal":
                 members = np.bincount(provider, minlength=len(accounts)).tolist()
                 share = [effective_capacity(a) / max(k, 1) for a, k in zip(accounts, members)]
-                x = np.array(share)[pop.provider[:m]]
+                x = np.array(share)[tpl.provider]
             else:
                 with np.errstate(divide="ignore"):
-                    ideal = pop.wb[:m] / prices
-                x = np.minimum(np.maximum(ideal, pop.x_min[:m]), pop.x_max[:m])
+                    ideal = tpl.wb / prices
+                x = np.minimum(np.maximum(ideal, tpl.x_min), tpl.x_max)
             user_x = yield lam.tolist(), g, prices, x
 
             # One dual step for the party that is not being swept.
@@ -306,8 +307,7 @@ def run_equilibrium(cfg: ScenarioConfig) -> TimeSeries:
         health["solver.max_residual"] = max(health["solver.max_residual"], result.residual)
         return result
 
-    def solve(pop: Population, accounts: list[WfpAccount], sizes: list[int]):
-        m = len(cfg.users)
+    def solve(pop: Population, first: np.ndarray, accounts: list[WfpAccount], sizes: list[int]):
         links = dict(cfg.links)
         link_prices = {lid: link.price for lid, link in links.items()}
         for tick, n in enumerate(sizes):
@@ -334,7 +334,7 @@ def run_equilibrium(cfg: ScenarioConfig) -> TimeSeries:
                     lid: replace(link, price=link_prices[lid]) for lid, link in links.items()
                 }
 
-            g = _floors(pop, link_prices, n)
+            g = _floors(pop, link_prices)[:n]
             lambda_by_wfp = {}
             prices, x = np.empty(n), np.empty(n)
             for account, users, idx in zip(accounts, customers, members):
@@ -342,8 +342,8 @@ def run_equilibrium(cfg: ScenarioConfig) -> TimeSeries:
                 lambda_by_wfp[account.id] = inner.lambda_by_wfp[account.id]
                 prices[idx] = inner.final_price_by_user.array
                 x[idx] = inner.x_by_user.array
-            # A growth clone's solve repeats its template's bit for bit: keep the templates'.
-            yield list(lambda_by_wfp.values()), g[:m].copy(), prices[:m].copy(), x[:m].copy()
+            # A copy's solve repeats its template's first user's bit for bit: keep those.
+            yield list(lambda_by_wfp.values()), g[first], prices[first], x[first]
 
     ts, scalars = _run_ticks(cfg, mode.ticks, mode.user_growth, solve,
                              walk_away=True, mean_over_buyers=False)
@@ -394,12 +394,12 @@ def _snapshots(ts: TimeSeries, labels: list[str], account: WfpAccount, unused: n
 
 def _individual_providers(cfg: ScenarioConfig):
     """Each individual provider with its users and their ISP floors."""
-    pop, _ = _population(cfg)
+    pop = Population.of(cfg.users, [w.id for w in cfg.wfps])
     link_prices = {lid: link.price for lid, link in cfg.links.items()}
     for k, account in enumerate(cfg.wfps):
         if account.kind is WfpKind.INDIVIDUAL:
             users = pop.take(np.flatnonzero(pop.provider == k))
-            yield account, users, _floors(users, link_prices, len(users))
+            yield account, users, _floors(users, link_prices)
 
 
 def run_iwfp_topology(cfg: ScenarioConfig) -> TimeSeries:

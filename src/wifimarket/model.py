@@ -93,7 +93,7 @@ class WfpKind(Enum):
 
 @dataclass(frozen=True)
 class UserProfile:
-    """A bandwidth buyer.
+    """A bandwidth buyer, or ``count`` identical ones (their ids are :attr:`ids`).
 
     ``weight`` scales the log term of the bandwidth utility, ``budget`` is the
     maximum willingness to pay per transaction, and ``x_min``/``x_max`` bound
@@ -113,6 +113,13 @@ class UserProfile:
     x_max: float = bound((lambda v, u: v < u.x_min, "must be at least x_min"), 100.0)
     path: tuple[str, ...] = ()
     wfp: str = ""
+    count: int = bound(AT_LEAST_1, 1)
+
+    @property
+    def ids(self) -> list[str]:
+        """Its own id for one user, else ``<id>001``, ``<id>002``, ... (one per user)."""
+        copies = [f"{self.id}{i:03d}" for i in range(1, self.count + 1)]
+        return [self.id] if self.count == 1 else copies
 
     @property
     def snr_factor(self) -> float:
@@ -299,14 +306,16 @@ class Population:
 
     @classmethod
     def of(cls, users: Sequence[UserProfile], providers: Sequence[str] | None = None) -> "Population":
-        """Arrays of ``users``; ``providers`` fixes the provider numbering (default: first seen)."""
+        """Arrays of the profiles' users; ``providers`` numbers providers (default: as seen)."""
+        roster = Roster([uid for u in users for uid in u.ids])
+        users = [u for u in users for _ in range(u.count)]
         if providers is None:
             providers = dict.fromkeys(u.wfp for u in users)
         provider_index = {wid: k for k, wid in enumerate(providers)}
         paths = tuple(dict.fromkeys(u.path for u in users))
         path_index = {p: k for k, p in enumerate(paths)}
         return cls(
-            roster=Roster([u.id for u in users]),
+            roster=roster,
             paths=paths,
             provider=np.array([provider_index[u.wfp] for u in users], dtype=np.intp),
             path=np.array([path_index[u.path] for u in users], dtype=np.intp),
@@ -363,8 +372,8 @@ class KeyedRows(NamedTuple):
 
     With an ``index`` (one template column per user), the row covers the first
     ``len(index)`` ids and the value of ``roster.ids[j]`` is ``values[i, index[j]]``:
-    sweep and equilibrium runs keep one column per document user, whose growth clones
-    share its values.
+    sweep and equilibrium runs keep one column per user entry, whose users and growth
+    clones share its values.
     """
 
     roster: Roster

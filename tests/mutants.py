@@ -1,0 +1,217 @@
+"""A mutation probe over the settlement kernel, the price solvers and the engine.
+
+Byte pins show that the outputs have not moved; this probe shows whether the tests
+fail when the code is wrong.  Run it from the repository root (it takes minutes)::
+
+    python tests/mutants.py [--seed 1] [--count 80] [--workdir DIR]
+
+It lists every single-line mutant that the operators below make in
+``src/wifimarket/sharing.py``, ``pricing.py`` and ``engine.py``, draws ``--count``
+of them with ``random.Random(seed)``, and runs each in a copy of the repository
+(the files of ``COPIED``, under ``--workdir`` or a temporary directory; the
+checkout itself is never written), once the unmutated copy passes the suite.  Each
+mutant runs against the five quick test modules of ``QUICK`` first and, if it
+survives them, against the whole suite.  It is killed when pytest fails or runs
+past its timeout.
+The probe prints one line per mutant, then the kill rate, counting apart the
+survivors that ``EQUIVALENT`` lists as unable to change what any run computes.
+
+The operators: ``+``/``-`` and ``*``/``/`` swapped, a comparison made strict or
+non-strict, ``min``/``max`` and ``np.minimum``/``np.maximum`` swapped, and the
+constants 0, 1, 0.5 and 2 replaced (0 by 1, the others by 0, 1 and 1).  It uses
+the standard library only; pytest does not collect this file, so the suite never
+runs it.
+"""
+from __future__ import annotations
+
+import argparse
+import ast
+import os
+import random
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+TARGETS = ("sharing.py", "pricing.py", "engine.py")
+QUICK = ("test_sharing.py", "test_pricing.py", "test_engine.py", "test_acceptance.py",
+         "test_settlement_reference.py")
+#: What the suite reads: the tests check the README's examples and CI's pins too.
+COPIED = ("src", "tests", "bench", "pyproject.toml", "README.md", ".github")
+TIMEOUT_S = 900
+
+#: Survivors that change no price, allocation, settlement or output byte of any run,
+#: keyed by file, the original line and the mutated line (both stripped), with why.
+EQUIVALENT = {
+    ("pricing.py", "if lam > 0.0 or prices.all():  # lam > 0 first skips prices.all(): "
+     "a measured fast path", "if lam > 1.0 or prices.all():  # lam > 0 first skips "
+     "prices.all(): a measured fast path"):
+        "a fast path only: every price is at least lam, so for lam > 0 prices.all() "
+        "holds and the same branch runs",
+    ("pricing.py", "below, above = -1, len(breaks) - 1", "below, above = -1, len(breaks) - 0"):
+        "the demand at the last breakpoint is sum x_min <= C, so the binary search ends "
+        "on the same bracket; it may take one more demand evaluation",
+    ("pricing.py", "t = 0.5 * (t_a + t_b)", "t = 1.0 * (t_a + t_b)"):
+        "the ISP line search's bisection midpoint lies strictly inside the bracket only "
+        "when the bracket is two or three floats wide, so the line guards rounding only",
+    ("engine.py", "spread = spread + (prices[:, j] - g[j]) * x[j]",
+     "spread = spread + (prices[:, j] + g[j]) * x[j]"):
+        "snapshot runs settle individual providers only, whose values never read the "
+        "spread sum (an establishment's contribution does)",
+    ("engine.py", "spread = spread + (prices[:, j] - g[j]) * x[j]",
+     "spread = spread + (prices[:, j] - g[j]) / x[j]"):
+        "the same unread spread sum",
+    ("engine.py", "spread = spread + (prices[:, j] - g[j]) * x[j]",
+     "spread = spread - (prices[:, j] - g[j]) * x[j]"):
+        "the same unread spread sum",
+}
+
+_SWAPS = {ast.Add: ("+", "-"), ast.Sub: ("-", "+"), ast.Mult: ("*", "/"), ast.Div: ("/", "*")}
+_COMPARES = {ast.Lt: ("<", "<="), ast.LtE: ("<=", "<"), ast.Gt: (">", ">="),
+             ast.GtE: (">=", ">")}
+_CALLS = {"min": "max", "max": "min", "minimum": "maximum", "maximum": "minimum"}
+_CONSTANTS = {0: 1, 1: 0, 0.5: 1, 2: 1}
+
+
+class Mutant(NamedTuple):
+    file: str
+    line: int  # 1-based
+    before: str  # the original line
+    after: str  # the mutated line
+
+
+def _between(line: bytes, start: int, end: int, old: str, new: str) -> bytes | None:
+    """``line`` with the one ``old`` in ``line[start:end]`` made ``new`` (None if it is
+    not there exactly once, or is part of a longer operator)."""
+    segment = line[start:end].decode()
+    longer = {"<": "<=", ">": ">=", "*": "**", "/": "//"}.get(old)
+    if segment.count(old) != 1 or (longer and longer in segment):
+        return None
+    return line[:start] + segment.replace(old, new).encode() + line[end:]
+
+
+def _edits(node: ast.AST, line: bytes):
+    """Each mutated form of ``line`` that one operator makes at ``node``."""
+    if isinstance(node, ast.BinOp) and type(node.op) in _SWAPS:
+        left, right = node.left, node.right
+        if left.end_lineno == right.lineno == node.lineno:
+            yield _between(line, left.end_col_offset, right.col_offset, *_SWAPS[type(node.op)])
+    elif isinstance(node, ast.Compare):
+        for left, op, right in zip([node.left, *node.comparators], node.ops, node.comparators):
+            if type(op) in _COMPARES and left.end_lineno == right.lineno == node.lineno:
+                yield _between(line, left.end_col_offset, right.col_offset, *_COMPARES[type(op)])
+    elif isinstance(node, ast.Call):
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        plain = isinstance(func, ast.Name) and name in ("min", "max")
+        numpy = isinstance(func, ast.Attribute) and name in ("minimum", "maximum") and (
+            isinstance(func.value, ast.Name) and func.value.id == "np")
+        if (plain or numpy) and func.lineno == func.end_lineno:
+            start = func.end_col_offset - len(name)
+            yield _between(line, start, func.end_col_offset, name, _CALLS[name])
+    elif isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        if node.value in _CONSTANTS and node.lineno == node.end_lineno:
+            value = type(node.value)(_CONSTANTS[node.value])
+            yield line[: node.col_offset] + repr(value).encode() + line[node.end_col_offset :]
+
+
+def _mutated(lines: list[str], mutant: Mutant) -> str:
+    """The source ``lines`` with ``mutant``'s line in place."""
+    return "\n".join([*lines[: mutant.line - 1], mutant.after, *lines[mutant.line :]]) + "\n"
+
+
+def _parses(source: str) -> bool:
+    try:
+        ast.parse(source)
+    except SyntaxError:
+        return False
+    return True
+
+
+def candidates() -> list[Mutant]:
+    """Every mutant of the target files that still parses, in file and line order."""
+    found = set()
+    for name in TARGETS:
+        lines = (ROOT / "src" / "wifimarket" / name).read_text(encoding="utf-8").splitlines()
+        for node in ast.walk(ast.parse("\n".join(lines))):
+            line = lines[node.lineno - 1] if hasattr(node, "lineno") else ""
+            for edited in _edits(node, line.encode()):
+                mutant = edited and Mutant(name, node.lineno, line, edited.decode())
+                if mutant and mutant.after != line and _parses(_mutated(lines, mutant)):
+                    found.add(mutant)
+    return sorted(found, key=lambda m: (TARGETS.index(m.file), m.line, m.after))
+
+
+def _killed(copy: Path, tests: list[str]) -> bool:
+    """Whether pytest fails on ``tests`` in ``copy`` (a timeout counts as a failure)."""
+    env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
+    command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    try:
+        done = subprocess.run(command, cwd=copy, env=env, capture_output=True,
+                              timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return True
+    return done.returncode != 0
+
+
+def probe(mutants: list[Mutant], copy: Path) -> dict[Mutant, str]:
+    """Each mutant's fate: killed by the quick modules or the suite, equivalent or survived."""
+    fates = {}
+    for k, mutant in enumerate(mutants, 1):
+        path = copy / "src" / "wifimarket" / mutant.file
+        original = path.read_text(encoding="utf-8")
+        path.write_text(_mutated(original.splitlines(), mutant), encoding="utf-8")
+        try:
+            if _killed(copy, [f"tests/{name}" for name in QUICK]):
+                fate = "killed (quick)"
+            elif _killed(copy, ["tests"]):
+                fate = "killed (suite)"
+            else:
+                key = (mutant.file, mutant.before.strip(), mutant.after.strip())
+                fate = "equivalent" if key in EQUIVALENT else "SURVIVED"
+        finally:
+            path.write_text(original, encoding="utf-8")
+        fates[mutant] = fate
+        print(f"[{k:>3}/{len(mutants)}] {fate:<15} {mutant.file}:{mutant.line}: "
+              f"{mutant.before.strip()}  ->  {mutant.after.strip()}", flush=True)
+    return fates
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--count", type=int, default=80)
+    parser.add_argument("--workdir", help="where to copy the repository (default: a temp dir)")
+    args = parser.parse_args(argv)
+
+    pool = candidates()
+    mutants = random.Random(args.seed).sample(pool, min(args.count, len(pool)))
+    mutants.sort(key=lambda m: (TARGETS.index(m.file), m.line, m.after))
+    print(f"{len(mutants)} mutants drawn at seed {args.seed} from {len(pool)} candidates")
+    with tempfile.TemporaryDirectory(dir=args.workdir) as scratch:
+        copy = Path(scratch) / "repo"
+        for name in COPIED:
+            source, target = ROOT / name, copy / name
+            if source.is_dir():
+                shutil.copytree(source, target, ignore=shutil.ignore_patterns("__pycache__"))
+            else:
+                target.parent.mkdir(parents=True, exist_ok=True)
+                shutil.copy2(source, target)
+        if _killed(copy, ["tests"]):
+            print("the unmutated copy fails the suite: no mutant can be judged")
+            return 1
+        fates = probe(mutants, copy)
+
+    killed = sum(fate.startswith("killed") for fate in fates.values())
+    equivalent = sum(fate == "equivalent" for fate in fates.values())
+    print(f"killed {killed} of {len(fates)} ({100.0 * killed / len(fates):.1f}%); "
+          f"{equivalent} known equivalent; "
+          f"{len(fates) - killed - equivalent} other survivors")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

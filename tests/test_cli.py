@@ -295,6 +295,43 @@ def test_a_duplicate_provider_id_is_invalid_input(tmp_path, capsys):
     assert not list(tmp_path.glob("*.csv"))
 
 
+def run_changed_preset(tmp_path, name, user, sharing=None):
+    """Exit code of ``run`` on preset ``name`` with ``user`` merged into its first user
+    entry (and ``sharing`` into its sharing section); no CSV may be written."""
+    doc = json.loads(preset_path(name).read_text(encoding="utf-8"))
+    doc["users"][0].update(user)
+    if sharing:
+        doc["sharing"] = {**doc.get("sharing", {}), **sharing}
+    code = cli.main(["run", "--config", str(write_doc(tmp_path, doc)), "--out", str(tmp_path)])
+    assert not list(tmp_path.glob("*.csv"))
+    return code
+
+
+@pytest.mark.parametrize(
+    "name, user, lines",
+    [
+        ("scenario3-high", {"count": 200_000},
+         ["mode: 2,211,000 user-steps exceed the limit of 2,000,000"]),
+        ("iwfp-ceiling", {"count": 200_000, "path": [3.7]},
+         ["user u: unknown link '3.7' in path",
+          "mode: 80,800,000 user-steps exceed the limit of 2,000,000"]),
+        ("scenario3-low", {"budget": -1}, ["user u: budget must be positive"]),
+    ],
+    ids=["size", "path", "budget"],
+)
+def test_a_counted_entry_is_checked_once_not_once_per_user(tmp_path, capsys, name, user, lines):
+    """Each fault of a counted entry is one line naming the entry, whatever its count."""
+    assert run_changed_preset(tmp_path, name, user) == 1
+    assert capsys.readouterr().err.splitlines() == lines
+
+
+def test_an_out_of_range_sharing_knob_is_refused_before_validation(tmp_path, capsys):
+    """SharingParams refuses a bad beta when built, so the document's other faults go
+    unreported: only the first is printed."""
+    assert run_changed_preset(tmp_path, "scenario3-low", {"budget": -1}, {"beta": 0.5}) == 1
+    assert capsys.readouterr().err.splitlines() == ["sharing: beta must exceed 1"]
+
+
 def test_malformed_json_is_invalid_input(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{oops", encoding="utf-8")
@@ -313,7 +350,7 @@ def test_malformed_json_is_invalid_input(tmp_path, capsys):
         ("wfps", 0, "capacity", "50", "wfp w1: capacity must be a finite number, got '50'"),
         ("links", 0, "capacity", "50", "link AB: capacity must be a finite number, got '50'"),
         ("users", 0, "count", 2.5, "user 'u': count must be a whole number, got 2.5"),
-        ("users", 0, "count", 0, "user 'u': count must be at least 1"),
+        ("users", 0, "count", 0, "user u: count must be at least 1"),  # on validation
         # an int past the float range, echoed in its first 40 characters
         pytest.param("users", 0, "budget", 10**400,
                      f"user 'u': budget must be a finite number, got 1{'0' * 39}",

@@ -56,6 +56,18 @@ def test_sweep_share_crossover_summary():
         assert rec.wfp_share_pct == pytest.approx(pct, abs=1e-9)
 
 
+@pytest.mark.parametrize("mode", [
+    {"kind": "sweep", "swept_party": "wfp", "start": 15, "count": 1, "user_growth": 4},
+    {"kind": "equilibrium", "ticks": 1, "user_growth": 4},
+], ids=["sweep", "equilibrium"])
+def test_a_one_step_run_grows_no_users(mode):
+    """Growth clones join from the second step on, so a one-step run holds only the
+    document's users: here a counted entry's three."""
+    doc = make_sweep_doc(users=[{"id": "u", "wfp": "w1", "path": ["AB"], "count": 3}], mode=mode)
+    (rec,) = run_scenario(scenario_from_dict(doc)).records
+    assert list(rec.x_by_user) == ["u001", "u002", "u003"]
+
+
 def test_sweep_never_crossing_reports_minus_one():
     # ramping the ISP price instead keeps the provider's share small throughout
     doc = make_sweep_doc()
@@ -247,9 +259,9 @@ def test_equilibrium_with_isp_solve_clears_every_provider():
         for account in cfg.wfps:
             lam = rec.lambda_by_wfp[account.id]
             assert math.isfinite(lam)
-            members = [u for u in cfg.users if u.wfp == account.id]
-            g = np.array([rec.g_by_user[u.id] for u in members])
-            again = solve_wfp_equilibrium(account, Population.of(members), g)
+            members = Population.of([u for u in cfg.users if u.wfp == account.id])
+            g = np.array([rec.g_by_user[uid] for uid in members.roster.ids])
+            again = solve_wfp_equilibrium(account, members, g)
             assert again.converged
             assert again.residual <= 1e-9 * account.capacity
             assert again.lambda_by_wfp[account.id] == lam
@@ -537,25 +549,26 @@ def per_user_row_bytes(ts):
 
 
 def test_sweep_keeps_one_value_per_template_per_step():
-    """scenario2's per-user rows hold each step's value once per document user
-    (10 of them), not once per user (227,250 user-steps), plus one template index
+    """scenario2's per-user rows hold each step's value once per user entry (one,
+    of 10 users), not once per user (227,250 user-steps), plus one template index
     over the roster."""
     cfg = load_preset("scenario2")
     ts = run_scenario(cfg)
     steps, templates = cfg.mode.count, len(cfg.users)
-    roster = templates + cfg.mode.user_growth * (steps - 1)
+    roster = sum(u.count for u in cfg.users) + cfg.mode.user_growth * (steps - 1)
+    assert (templates, roster) == (1, 1_505)
     assert per_user_row_bytes(ts) <= 3 * steps * templates * 8 + roster * 8
     assert sum(len(rec.x_by_user) for rec in ts.records) == 227_250
 
 
 def test_equilibrium_keeps_one_value_per_template_per_tick():
-    """scenario3-high's per-user rows hold each tick's value once per document user
-    (100 of them), not once per user (6,600 user-ticks, 1,100 users by tick 11),
-    plus one template index over the roster."""
+    """scenario3-high's per-user rows hold each tick's value once per user entry
+    (one, of 100 users), not once per user (6,600 user-ticks, 1,100 users by tick
+    11), plus one template index over the roster."""
     cfg = load_preset("scenario3-high")
     ts = run_scenario(cfg)
     ticks, templates = cfg.mode.ticks, len(cfg.users)
-    roster = templates + cfg.mode.user_growth * (ticks - 1)
-    assert (templates, roster) == (100, 1_100)
+    roster = sum(u.count for u in cfg.users) + cfg.mode.user_growth * (ticks - 1)
+    assert (templates, roster) == (1, 1_100)
     assert per_user_row_bytes(ts) <= 3 * ticks * templates * 8 + roster * 8
     assert sum(len(rec.x_by_user) for rec in ts.records) == 6_600

@@ -289,6 +289,19 @@ def test_wfp_solver_flagged_solve_prices_each_user_at_the_larger_of_lambda_and_f
     assert result.x_by_user == {"a": 0.5, "b": 0.5}
 
 
+def test_wfp_solver_flagged_price_is_the_largest_kink_above_its_floor():
+    # sum x_min = 1 exceeds the capacity of 0.5.  b is held at x_min from its kink
+    # w * b / x_min = 0.6, above its floor 0.2; a's kink of 1.0 equals its floor, which
+    # holds a at x_min at any price, so the lowest price holding both is 0.6, not 1.0
+    account = WfpAccount(id="ew", kind=WfpKind.ESTABLISHMENT, capacity=0.5)
+    users = [UserProfile(id="a", budget=0.5, x_min=0.5), UserProfile(id="b", budget=0.3, x_min=0.5)]
+    result = solve_wfp_equilibrium(account, *population(users, {"a": 1.0, "b": 0.2}))
+    assert not result.converged
+    assert result.lambda_by_wfp["ew"] == 0.6
+    assert result.final_price_by_user == {"a": 1.0, "b": 0.6}
+    assert result.x_by_user == {"a": 0.5, "b": 0.5}
+
+
 def test_wfp_solver_zero_floor_at_zero_price_saturates_without_warning():
     account = WfpAccount(id="ew", kind=WfpKind.ESTABLISHMENT, capacity=100.0)
     users = [UserProfile(id=f"u{i}", budget=50.0, x_min=0.01, x_max=3.0) for i in range(4)]

@@ -936,12 +936,12 @@ EQUILIBRIUM_SHAPE_NAMES = ("isp", "crowd")
 
 @pytest.mark.parametrize("shape", sorted(EQUILIBRIUM_SHAPE_NAMES))
 def test_equilibrium_shapes_are_pinned_and_rebuilt_from_records(tmp_path, monkeypatch, shape):
-    walked_away = []  # per tick, the templates whose utility is negative
+    walked_away = []  # per tick, the first users of the templates whose utility is negative
     utility = wifimarket.engine._utility
 
     def spy(pop, idx, x, prices):
         found = utility(pop, idx, x, prices)
-        walked_away.append({pop.roster.ids[i] for i in np.flatnonzero(found < 0.0)})
+        walked_away.append({pop.roster.ids[i] for i in idx[found < 0.0]})
         return found
 
     monkeypatch.setattr(wifimarket.engine, "_utility", spy)
@@ -979,7 +979,7 @@ def test_sweep_buys_nothing_below_x_floor():
     ts = run_scenario(cfg)
     x_floor = cfg.solver.x_floor
     assert not [x for rec in ts.records for x in rec.x_by_user.values() if 0.0 < x < x_floor]
-    rec, profiles = ts.records[7], {user.id: user for user in cfg.users}
+    rec, profiles = ts.records[7], {uid: user for user in cfg.users for uid in user.ids}
     utility = [user_utility(rec.x_by_user[uid], rec.final_price_by_user[uid],
                             profiles[uid.split("+")[0]])
                for uid in rec.g_by_user if rec.x_by_user[uid] >= x_floor]

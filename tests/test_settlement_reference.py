@@ -75,7 +75,7 @@ def snapshot_account(cfg, rec, wid):
 
 def check_against_reference(cfg):
     ts = run_scenario(cfg)
-    provider_of = {u.id: u.wfp for u in cfg.users}  # growth clones: "<template>+<n>"
+    provider_of = {uid: u.wfp for u in cfg.users for uid in u.ids}  # clones: "<id>+<n>"
     running = isinstance(cfg.mode, (SweepMode, EquilibriumMode))
     accounts = {w.id: w for w in cfg.wfps}
     for rec in ts.records:
@@ -108,7 +108,7 @@ def check_against_reference(cfg):
 def roster_prefix(cfg, size):
     """The first ``size`` ids of a run with growth: the document's users, then the
     clones ``<template>+<n>``, cycling through the document's users."""
-    ids = [u.id for u in cfg.users]
+    ids = [uid for u in cfg.users for uid in u.ids]
     return [*ids, *(f"{ids[k % len(ids)]}+{k + 1:05d}" for k in range(size))][:size]
 
 

@@ -118,6 +118,15 @@ def test_iwfp_contribution_unused_weighting():
     assert c == pytest.approx(1.7269388197455344, abs=1e-9)
 
 
+def test_iwfp_contribution_weights_a_plan_of_under_one_unit_alike():
+    # omega = 0.375 / 0.5 = 150 / 200, so the same 0.75 * ln(10) as above
+    account = WfpAccount(
+        id="iw", kind=WfpKind.INDIVIDUAL, quota=0.5, unused=0.375, fee=1000.0
+    )
+    c = iwfp_contribution(110.0, 100.0, account, SharingParams())
+    assert c == pytest.approx(1.7269388197455344, abs=1e-9)
+
+
 def test_iwfp_contribution_clamped_to_surplus():
     # alpha=100 makes ln(alpha * 1) = 4.6 > surplus 1 -> clamp to 1
     account = WfpAccount(
