@@ -17,7 +17,7 @@ Typical use::
 """
 # The surface README's "Library" section documents (tests/test_library.py holds
 # the two to each other), with the types its signatures take.
-from .config import load_scenario, validate_scenario
+from .config import SolverConfig, load_scenario, validate_scenario
 from .engine import run_scenario
 from .model import (
     LinkState,
@@ -33,7 +33,6 @@ from .model import (
 )
 from .presets import load_preset
 from .pricing import (
-    SolverConfig,
     solve_isp_prices,
     solve_isp_subgradient,
     solve_wfp_equilibrium,

@@ -41,7 +41,6 @@ from .model import (
 )
 from .pricing import (
     ISP_TOLERANCE,
-    SolverConfig,
     _allocate,
     _link_slack,
     _natural_residual,
@@ -486,7 +485,6 @@ def check_isp_exact_vs_subgradient(seed: int, trials: int = 30) -> tuple[bool, s
     and its residual must never exceed that of the paper's subgradient
     iteration on the same instance.
     """
-    budget = SolverConfig(max_iters=1_000)  # load evaluations; the largest seen is ~300
 
     def failures(rng: random.Random) -> tuple[bool, float, int]:
         """Whether the certified solve fails, its largest residual / max(C_l, 1), and
@@ -495,7 +493,7 @@ def check_isp_exact_vs_subgradient(seed: int, trials: int = 30) -> tuple[bool, s
         pop = Population.of(users, [a.id for a in accounts])
         customers = [pop.take(np.flatnonzero(pop.provider == k)) for k in range(len(accounts))]
         demand = _link_demand(links, pop, accounts, customers)
-        exact = solve_isp_prices(links, demand, budget)
+        exact = solve_isp_prices(links, demand, max_iters=1_000)  # the largest seen is ~300
         oracle = solve_isp_subgradient(links, demand, max_iters=200)
         slack = _link_slack(links, demand(exact.g_by_link))
         scaled = np.max([

@@ -15,10 +15,10 @@ A scenario is one JSON document::
     }
 
 Every key but the hand-read ones is a field of the dataclass its section builds
-(:class:`LinkState`, :class:`WfpAccount`, :class:`UserProfile`, the four modes,
-:class:`SolverConfig`, :class:`SharingParams`, and :class:`ScenarioConfig` for
-``name`` and ``solve_isp``), which declares its type, default and
-rules, which may read the entry's other fields.  Its value must have the field's
+(:class:`LinkState`, :class:`WfpAccount`, :class:`UserProfile`, :class:`SharingParams`,
+and the sections defined here: the four modes, :class:`SolverConfig`, and
+:class:`ScenarioConfig` for ``name`` and ``solve_isp``), which declares its type, default
+and rules, which may read the entry's other fields.  Its value must have the field's
 type: a JSON number (a whole one for an int), a boolean, one of an enum's values,
 an array for a tuple (``path``, ``usage_levels``, each load series) or an object
 for a dict (``subscriber_loads``), read entry by entry; a string field takes any
@@ -45,8 +45,8 @@ from pathlib import Path
 from typing import Any, get_args, get_origin, get_type_hints
 
 from .model import (AT_LEAST_1, NON_NEGATIVE, POSITIVE, LinkState, Rule, UserProfile,
-                    WfpAccount, WfpKind, bound, broken_bounds, broken_rule, one_of)
-from .pricing import SolverConfig
+                    WfpAccount, WfpKind, bound, broken_bounds, broken_rule, one_of,
+                    refuse_broken_bounds)
 from .sharing import SharingParams
 
 
@@ -136,6 +136,18 @@ class CeilingSweepMode:
 
 
 Mode = SweepMode | EquilibriumMode | QuotaSweepMode | CeilingSweepMode
+
+
+@dataclass(frozen=True)
+class SolverConfig:
+    """``max_iters`` is the ISP solve's budget of load evaluations, and ``x_floor``
+    the smallest purchase the engine settles.  (A sweep's dual steps read its mode's
+    ``sigma0``; the subgradient oracles take their knobs as keywords.)"""
+
+    max_iters: int = bound([AT_LEAST_1, AT_MOST_MAX], 100_000)
+    x_floor: float = bound(POSITIVE, 1e-6)
+
+    __post_init__ = refuse_broken_bounds
 
 
 @dataclass

@@ -23,8 +23,8 @@ solves) and its two user rules, walk-away and whom the mean utility counts.  The
 settles each provider once per tick through ``settle_transaction``, since each tick's
 accounts depend on the last, and keeps one one-row block per tick, its per-user rows
 holding one value per template (user entry), which its copies and clones read.  The
-quota and ceiling sweeps settle independent snapshots, all of a provider's series in
-one :func:`~wifimarket.sharing.settle_rows` call, and add one block per series.
+quota and ceiling sweeps pass ``_snapshots`` only each provider's series; it settles
+a provider's in one :func:`~wifimarket.sharing.settle_rows` call, one block per series.
 Per-user float sums (settlement totals, means, demand), like the price solves' in
 :mod:`~wifimarket.pricing`, are each the sequential left fold 0.0 + v[0] + v[1] + ...
 over the users in roster order, by :func:`~wifimarket.model.running_total`, whatever
@@ -328,7 +328,7 @@ def run_equilibrium(cfg: ScenarioConfig) -> TimeSeries:
 
             if cfg.solve_isp and links:
                 demand = _link_demand(links, pop, accounts, customers)
-                outer = flag(solve_isp_prices(links, demand, cfg.solver))
+                outer = flag(solve_isp_prices(links, demand, max_iters=cfg.solver.max_iters))
                 link_prices = outer.g_by_link
                 links = {
                     lid: replace(link, price=link_prices[lid]) for lid, link in links.items()
@@ -353,53 +353,52 @@ def run_equilibrium(cfg: ScenarioConfig) -> TimeSeries:
     return ts
 
 
-def _snapshots(ts: TimeSeries, labels: list[str], account: WfpAccount, unused: np.ndarray,
-               posted: np.ndarray, users: Population, g: np.ndarray, cfg: ScenarioConfig,
-               with_utility: bool) -> None:
-    """Settle one fixed-price transaction of ``txn_volume``, split evenly, per step and
-    series, and add each series to ``ts``: one block per label, and its largest
-    provider share percentage to the summary.
+def _snapshots(cfg: ScenarioConfig, series, with_utility: bool) -> TimeSeries:
+    """Each individual provider's fixed-price snapshots: one transaction of ``txn_volume``,
+    split evenly over its users, per step and series, settled in one :func:`settle_rows`
+    call.  ``series(account)`` gives its series' labels, the (L, S) or (L, 1) plan states
+    and the S posted prices.
 
-    Step k of series l settles ``account`` at posted price ``posted[k]`` with
+    Step k of series l settles the provider at posted price ``posted[k]`` with
     ``unused[l, k]`` (``unused[l, 0]`` at every step of an (L, 1) array) left on its
-    plan and nothing settled yet (a snapshot).  The steps' sale totals are summed
-    once, user by user in roster order, and all series settle in one
-    :func:`settle_rows` call; the blocks share their price and allocation rows.
-    Shares below the solver's ``x_floor`` are not sold: such a step settles nothing.
+    plan and nothing settled yet.  The steps' sale totals are summed once, user by user
+    in roster order, with a spread of 0.0, which only an establishment's contribution
+    reads.  Each series is one block, and its largest provider share percentage goes to
+    the summary; the blocks share their price and allocation rows.  Shares below the
+    solver's ``x_floor`` are not sold: such a step settles nothing.
     """
-    n, steps = len(users), len(posted)
-    x = np.full(n, cfg.mode.txn_volume / n)
-    prices = np.maximum(posted[:, None], g + account.min_profit)
-    # running_total's fold over users, as one vector add per user: a cumsum
-    # across a few users for each of thousands of steps costs more
-    revenue = spread = np.zeros(steps)
-    for j in range(n):
-        revenue = revenue + x[j] * prices[:, j]
-        spread = spread + (prices[:, j] - g[j]) * x[j]
-    isp_revenue, floor_sum, volume = running_total(np.column_stack((x * g, g, x)))
-    count = n if x[0] >= cfg.solver.x_floor else 0  # one for all steps, as are three sums
-    totals = SaleTotals(count, revenue, isp_revenue, spread, floor_sum, volume)
-    settled = vars(settle_rows(account, totals, cfg.sharing, unused, np.zeros(steps))).values()
-    utility = np.zeros(steps)
-    if with_utility:
-        utility = np.array([_mean(row) for row in _utility(users, slice(0, n), x, prices)])
-    lambdas = KeyedRows(Roster([account.id]), posted[:, None])
-    g_rows, x_rows = (KeyedRows(users.roster, np.broadcast_to(v, prices.shape)) for v in (g, x))
-    maps = (lambdas, g_rows, KeyedRows(users.roster, prices), x_rows)
-    for row, label in enumerate(labels):  # each series is one row of the (L, S) columns
-        scalars = _scalars(Settlement(*(column[row] for column in settled)), utility)
-        ts.blocks.append(StepBlock(label, np.arange(steps), scalars, maps))
-        ts.summary[f"max_share_pct.{label}"] = scalars[:, _WFP_PCT].max().item()
-
-
-def _individual_providers(cfg: ScenarioConfig):
-    """Each individual provider with its users and their ISP floors."""
+    ts = TimeSeries(name=cfg.name)
     pop = Population.of(cfg.users, [w.id for w in cfg.wfps])
     link_prices = {lid: link.price for lid, link in cfg.links.items()}
     for k, account in enumerate(cfg.wfps):
-        if account.kind is WfpKind.INDIVIDUAL:
-            users = pop.take(np.flatnonzero(pop.provider == k))
-            yield account, users, _floors(users, link_prices)
+        if account.kind is not WfpKind.INDIVIDUAL:
+            continue
+        labels, unused, posted = series(account)
+        users = pop.take(np.flatnonzero(pop.provider == k))
+        g = _floors(users, link_prices)
+        n, steps = len(users), len(posted)
+        x = np.full(n, cfg.mode.txn_volume / n)
+        prices = np.maximum(posted[:, None], g + account.min_profit)
+        # running_total's fold over users, as one vector add per user: a cumsum
+        # across a few users for each of thousands of steps costs more
+        revenue = np.zeros(steps)
+        for j in range(n):
+            revenue = revenue + x[j] * prices[:, j]
+        isp_revenue, floor_sum, volume = running_total(np.column_stack((x * g, g, x)))
+        count = n if x[0] >= cfg.solver.x_floor else 0  # one for all steps, as are three sums
+        totals = SaleTotals(count, revenue, isp_revenue, 0.0, floor_sum, volume)
+        settled = vars(settle_rows(account, totals, cfg.sharing, unused, np.zeros(steps))).values()
+        utility = np.zeros(steps)
+        if with_utility:
+            utility = np.array([_mean(row) for row in _utility(users, slice(0, n), x, prices)])
+        lambdas = KeyedRows(Roster([account.id]), posted[:, None])
+        g_rows, x_rows = (KeyedRows(users.roster, np.broadcast_to(v, prices.shape)) for v in (g, x))
+        maps = (lambdas, g_rows, KeyedRows(users.roster, prices), x_rows)
+        for row, label in enumerate(labels):  # each series is one row of the (L, S) columns
+            scalars = _scalars(Settlement(*(column[row] for column in settled)), utility)
+            ts.blocks.append(StepBlock(label, np.arange(steps), scalars, maps))
+            ts.summary[f"max_share_pct.{label}"] = scalars[:, _WFP_PCT].max().item()
+    return ts
 
 
 def run_iwfp_topology(cfg: ScenarioConfig) -> TimeSeries:
@@ -412,14 +411,10 @@ def run_iwfp_topology(cfg: ScenarioConfig) -> TimeSeries:
     """
     mode = cfg.mode
     assert isinstance(mode, QuotaSweepMode)
-
-    ts = TimeSeries(name=cfg.name)
     left = mode.usage_steps - np.arange(mode.usage_steps + 1)
-    for account, users, g in _individual_providers(cfg):
-        unused = (account.quota * left / mode.usage_steps)[None]
-        posted = np.full(len(left), cfg.wfp_prices[account.id])
-        _snapshots(ts, [account.id], account, unused, posted, users, g, cfg, True)
-    return ts
+    return _snapshots(cfg, lambda account: (
+        [account.id], (account.quota * left / mode.usage_steps)[None],
+        np.full(len(left), cfg.wfp_prices[account.id])), True)
 
 
 def run_iwfp_ceiling(cfg: ScenarioConfig) -> TimeSeries:
@@ -430,14 +425,10 @@ def run_iwfp_ceiling(cfg: ScenarioConfig) -> TimeSeries:
     """
     mode = cfg.mode
     assert isinstance(mode, CeilingSweepMode)
-
-    ts = TimeSeries(name=cfg.name)
     posted = mode.price_start + np.arange(mode.price_count) * mode.price_step
     labels = [mode.series_label(usage) for usage in mode.usage_levels]
-    for account, users, g in _individual_providers(cfg):
-        unused = account.quota * (1.0 - np.array(mode.usage_levels))[:, None]
-        _snapshots(ts, labels, account, unused, posted, users, g, cfg, False)
-    return ts
+    left = 1.0 - np.array(mode.usage_levels)[:, None]
+    return _snapshots(cfg, lambda account: (labels, account.quota * left, posted), False)
 
 
 def run_scenario(cfg: ScenarioConfig) -> TimeSeries:

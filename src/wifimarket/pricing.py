@@ -1,18 +1,18 @@
 """Price formation by dual decomposition.
 
-Users maximize a concave net utility, providers price their capacity with a
-dual (shadow-price) variable, and the ISP does the same per link.  Both are
-solved exactly and certified by a residual reported beside the prices.  A
-provider's demand curve is piecewise A / lam + B, so its clearing price comes
-from a breakpoint search and a closed form.  The ISP's link prices solve the
-complementarity problem g >= 0, s(g) >= 0, g * s(g) = 0 on each link's
-residual capacity s, link by link, by bracketing and regula falsi, until the
-natural residual max |min(g, s(g))| is within ``ISP_TOLERANCE`` of capacity.  The paper's
-projected subgradient iterations (step size sigma0 / (1 + t), stopped once the
-price moves less than ``epsilon``) are kept as ``solve_wfp_subgradient`` and
-``solve_isp_subgradient``, the oracles the self-checks compare against.
-Non-convergence is reported in the result, never raised: a flagged result is
-data the caller can act on.
+Users maximize a concave net utility, providers price their capacity with a dual
+(shadow-price) variable, and the ISP does the same per link.  Both are solved exactly
+and certified by a residual reported beside the prices.  A provider's demand curve is
+piecewise A / lam + B, so its clearing price comes from a breakpoint search and a
+closed form.  The ISP's link prices solve the complementarity problem g >= 0,
+s(g) >= 0, g * s(g) = 0 on each link's residual capacity s, link by link, by
+bracketing and regula falsi, until the natural residual max |min(g, s(g))| is within
+``ISP_TOLERANCE`` of capacity or its keyword budget of ``max_iters`` load evaluations
+is spent.  The paper's projected subgradient iterations (step size sigma0 / (1 + t),
+stopped once the price moves less than ``epsilon``; keywords too) are kept as
+``solve_wfp_subgradient`` and ``solve_isp_subgradient``, the oracles the self-checks
+compare against.  Non-convergence is reported in the result, never raised: a flagged
+result is data the caller can act on.
 """
 from __future__ import annotations
 
@@ -23,17 +23,13 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .model import (
-    AT_LEAST_1,
-    POSITIVE,
     LinkState,
     Population,
     UserProfile,
     UserValues,
     WfpAccount,
-    bound,
     effective_capacity,
     fold_sum,
-    refuse_broken_bounds,
     running_total,
 )
 
@@ -41,18 +37,6 @@ from .model import (
 # An ISP solve is certified once every link's natural residual
 # |min(g_l, s_l(g))| is at most this fraction of max(capacity_l, 1).
 ISP_TOLERANCE = 1e-9
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """``max_iters`` is the ISP solve's budget of load evaluations, and ``x_floor``
-    the smallest purchase the engine settles.  (A sweep's dual steps read its mode's
-    ``sigma0``; the subgradient oracles take their knobs as keywords.)"""
-
-    max_iters: int = bound(AT_LEAST_1, 100_000)
-    x_floor: float = bound(POSITIVE, 1e-6)
-
-    __post_init__ = refuse_broken_bounds
 
 
 @dataclass
@@ -293,13 +277,13 @@ class _Unconverged(Exception):
 
 def solve_isp_prices(
     links: Mapping[str, LinkState],
-    wfp_demand_fn: Callable[[Mapping[str, float]], Mapping[str, float]],
-    cfg: SolverConfig,
+    wfp_demand_fn: Callable[[Mapping[str, float]], Mapping[str, float]], *,
+    max_iters: int = 100_000,
 ) -> EquilibriumResult:
     """Certified per-link minimum prices against an aggregate WFP demand response.
 
     ``wfp_demand_fn`` maps link prices to the WFP load each link would carry;
-    every call is one load evaluation, and ``cfg.max_iters`` is the budget of
+    every call is one load evaluation, and ``max_iters`` is the budget of
     them.  The prices solve the complementarity problem g >= 0, s(g) >= 0,
     g * s(g) = 0, where s_l(g) is link l's residual capacity minus its WFP
     load: the optimality conditions of minimizing, over g >= 0, the dual
@@ -332,7 +316,7 @@ def solve_isp_prices(
 
     def slack(prices: dict[str, float]) -> dict[str, float]:
         nonlocal evaluations
-        if evaluations >= cfg.max_iters:
+        if evaluations >= max_iters:
             raise _Unconverged
         evaluations += 1
         s = _link_slack(links, wfp_demand_fn(prices))

@@ -14,15 +14,15 @@ form by :func:`shapley_split`; :func:`shapley_permutation` is the independent
 ordering-enumeration oracle used to cross-check it.  If the provider
 contributes nothing, the ISP keeps the whole transaction.
 
-All of it needs five sums over a transaction's sales, and a transaction
-reaches this module only as those sums (:class:`SaleTotals`); the engine adds
-them in roster order from 0.0.  The arithmetic exists once, in
-:func:`settle_rows`: one kernel that settles one provider's transactions row
-by row, from columns of those sums and of the plan state each row is settled
-against, or from (S,) sums against L rows of plan state, (L, S) at once; a sum
-may be a scalar that every row shares, and a row without sales settles to zero
-on zeroed sums.  The snapshot modes settle all of a provider's series in one call;
-:func:`settle_transaction` is the kernel's one-row case plus the account
+All of it needs five sums over a transaction's sales, and a transaction reaches this
+module only as those sums (:class:`SaleTotals`); the engine adds them in roster order
+from 0.0.  The arithmetic exists once, in :func:`settle_rows`: one kernel that settles
+one provider's transactions row by row, from columns of those sums and of the plan
+state each row is settled against, or from (S,) sums against L rows of plan state,
+(L, S) at once.  ``revenue`` is a column, one entry per row (as is an establishment's
+``spread``); any other sum may be a scalar every row shares.  A row without sales
+settles to zero on zeroed sums.  The snapshot modes settle all of a provider's series
+in one call; :func:`settle_transaction` is the kernel's one-row case plus the account
 update, and the two contribution functions are its contribution on one row.
 """
 from __future__ import annotations
@@ -66,11 +66,11 @@ class CoalitionValues:
 class SaleTotals:
     """The sums one transaction settles from, with its sale count.
 
-    ``revenue`` = sum x * final_price (v({w,i})), ``isp_revenue`` = sum x *
-    min_price (v({i})), ``spread`` = sum (final_price - min_price) * x,
-    ``floor_sum`` = sum min_price and ``volume`` = sum x, each over the
-    transaction's sales; ``len()`` is the number of sales.  For :func:`settle_rows`
-    each field is a column, one entry per transaction, or a scalar they all share.
+    ``revenue`` = sum x * final_price (v({w,i})), ``isp_revenue`` = sum x * min_price
+    (v({i})), ``spread`` = sum (final_price - min_price) * x, ``floor_sum`` = sum
+    min_price and ``volume`` = sum x, each over the transaction's sales; ``len()`` is the
+    sale count.  For :func:`settle_rows`, ``revenue`` (and an establishment's ``spread``)
+    is a column, one entry per transaction; any other field may be a scalar all share.
     """
 
     count: int
@@ -244,20 +244,20 @@ def settle_rows(
 ) -> Settlement:
     """Settle one transaction per row for one provider: a Settlement of columns.
 
-    Row k is the transaction whose sums are entry k of the ``totals`` columns,
-    settled against ``account``'s kind, quota and fee with ``unused[k]`` and
-    ``settled_share[k]`` as the plan's state (the account's own two are not read); a
-    field of ``totals`` may be a scalar that every row shares.  The plan-state
-    arrays may instead broadcast against the (S,) sums to (L, S): entry (l, k) then
-    settles row k's sums against plan state (l, k), the columns are (L, S), and each
-    equals what L one-dimensional calls would return, bit for bit, with each sum's
-    log taken once.  Per row it builds the coalition values for the account's kind,
-    hands the ISP everything when the provider contributes nothing, splits them with
-    :func:`shapley_split`, and -- for an individual provider with a fee -- enforces
-    the billing-cycle cap: any payout above the headroom (fee - settled_share) is
-    truncated and handed to the ISP, so the shares still sum to the transaction
-    total.  A row without sales settles to zero on the same arithmetic: its sums are
-    zeroed first.
+    Row k is the transaction whose sums are entry k of the ``totals`` columns, settled
+    against ``account``'s kind, quota and fee with ``unused[k]`` and ``settled_share[k]``
+    as the plan's state (the account's own two are not read).  ``revenue`` is a column,
+    one entry per row (as is an establishment's ``spread``); any other sum may be a
+    scalar every row shares.  The plan-state arrays may instead broadcast against the
+    (S,) sums to (L, S): entry (l, k) then settles row k's sums against plan state
+    (l, k), the columns are (L, S), and each equals what L one-dimensional calls would
+    return, bit for bit, with each sum's log taken once.  Per row it builds the
+    coalition values for the account's kind, hands the ISP everything when the provider
+    contributes nothing, splits them with :func:`shapley_split`, and -- for an
+    individual provider with a fee -- enforces the billing-cycle cap: any payout above
+    the headroom (fee - settled_share) is truncated and handed to the ISP, so the shares
+    still sum to the transaction total.  A row without sales settles to zero on the
+    same arithmetic: its sums are zeroed first.
 
     Raises ValueError if an individual's row has an ISP value above its
     revenue.

@@ -57,16 +57,6 @@ EQUIVALENT = {
     ("pricing.py", "t = 0.5 * (t_a + t_b)", "t = 1.0 * (t_a + t_b)"):
         "the ISP line search's bisection midpoint lies strictly inside the bracket only "
         "when the bracket is two or three floats wide, so the line guards rounding only",
-    ("engine.py", "spread = spread + (prices[:, j] - g[j]) * x[j]",
-     "spread = spread + (prices[:, j] + g[j]) * x[j]"):
-        "snapshot runs settle individual providers only, whose values never read the "
-        "spread sum (an establishment's contribution does)",
-    ("engine.py", "spread = spread + (prices[:, j] - g[j]) * x[j]",
-     "spread = spread + (prices[:, j] - g[j]) / x[j]"):
-        "the same unread spread sum",
-    ("engine.py", "spread = spread + (prices[:, j] - g[j]) * x[j]",
-     "spread = spread - (prices[:, j] - g[j]) * x[j]"):
-        "the same unread spread sum",
 }
 
 _SWAPS = {ast.Add: ("+", "-"), ast.Sub: ("-", "+"), ast.Mult: ("*", "/"), ast.Div: ("/", "*")}

@@ -295,13 +295,13 @@ def test_a_duplicate_provider_id_is_invalid_input(tmp_path, capsys):
     assert not list(tmp_path.glob("*.csv"))
 
 
-def run_changed_preset(tmp_path, name, user, sharing=None):
+def run_changed_preset(tmp_path, name, user, **sections):
     """Exit code of ``run`` on preset ``name`` with ``user`` merged into its first user
-    entry (and ``sharing`` into its sharing section); no CSV may be written."""
+    entry (and each of ``sections`` into the section it names); no CSV may be written."""
     doc = json.loads(preset_path(name).read_text(encoding="utf-8"))
     doc["users"][0].update(user)
-    if sharing:
-        doc["sharing"] = {**doc.get("sharing", {}), **sharing}
+    for section, knobs in sections.items():
+        doc[section] = {**doc.get(section, {}), **knobs}
     code = cli.main(["run", "--config", str(write_doc(tmp_path, doc)), "--out", str(tmp_path)])
     assert not list(tmp_path.glob("*.csv"))
     return code
@@ -328,8 +328,14 @@ def test_a_counted_entry_is_checked_once_not_once_per_user(tmp_path, capsys, nam
 def test_an_out_of_range_sharing_knob_is_refused_before_validation(tmp_path, capsys):
     """SharingParams refuses a bad beta when built, so the document's other faults go
     unreported: only the first is printed."""
-    assert run_changed_preset(tmp_path, "scenario3-low", {"budget": -1}, {"beta": 0.5}) == 1
+    assert run_changed_preset(tmp_path, "scenario3-low", {"budget": -1}, sharing={"beta": 0.5}) == 1
     assert capsys.readouterr().err.splitlines() == ["sharing: beta must exceed 1"]
+
+
+def test_a_solver_budget_past_the_run_size_limit_is_refused(tmp_path, capsys):
+    """max_iters is bounded as a run's counts are, and refused when SolverConfig is built."""
+    assert run_changed_preset(tmp_path, "scenario3-low", {}, solver={"max_iters": 1e12}) == 1
+    assert capsys.readouterr().err.splitlines() == ["solver: max_iters must be at most 2,000,000"]
 
 
 def test_malformed_json_is_invalid_input(tmp_path, capsys):

@@ -20,6 +20,7 @@ from wifimarket.config import (
     EquilibriumMode,
     QuotaSweepMode,
     ScenarioConfig,
+    SolverConfig,
     SweepMode,
     load_scenario,
     scenario_from_dict,
@@ -39,7 +40,6 @@ from wifimarket.model import (
     running_total,
 )
 from wifimarket.presets import PRESET_NAMES, load_preset, preset_path
-from wifimarket.pricing import SolverConfig
 from wifimarket.sharing import SharingParams
 
 
@@ -504,6 +504,7 @@ BOUND_CASES = [
     ("user", "x_max", 5e-4, "user u: x_max must be at least x_min"),
     ("user", "count", 0, "user u: count must be at least 1"),
     ("solver", "max_iters", 0, "solver: max_iters must be at least 1"),
+    ("solver", "max_iters", 2_000_001, "solver: max_iters must be at most 2,000,000"),
     ("solver", "x_floor", 0, "solver: x_floor must be positive"),
     ("sharing", "alpha", 0, "sharing: alpha must be positive"),
     ("sharing", "beta", 1, "sharing: beta must exceed 1"),
@@ -557,7 +558,7 @@ def test_bound_cases_cover_every_declared_bound():
     }
     assert {(BOUNDED_ENTRIES[section][0], name, message.split(f": {name} ", 1)[1])
             for section, name, _, message in BOUND_CASES} == declared
-    assert len(BOUND_CASES) == 50
+    assert len(BOUND_CASES) == 51
 
 
 @pytest.mark.parametrize("section, name, value, message", BOUND_CASES)

@@ -14,12 +14,11 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from wifimarket.config import scenario_from_dict
+from wifimarket.config import SolverConfig, scenario_from_dict
 from wifimarket.engine import _link_demand, run_scenario
 from wifimarket.model import LinkState, Population, UserProfile, WfpAccount, WfpKind
 from wifimarket.pricing import (
     ISP_TOLERANCE,
-    SolverConfig,
     isp_link_price_update,
     min_price_for_path,
     solve_isp_prices,
@@ -409,6 +408,33 @@ def test_isp_solver_matches_bisection_oracle():
     assert result.g_by_link["L"] == pytest.approx(expected, rel=1e-2)
 
 
+def test_isp_solver_default_step_reaches_the_fixed_point():
+    # The default sigma0 moves the price; a zero one would stop at once at 0.
+    links = {"L": LinkState(id="L", capacity=30.0, subscriber_load=0.0, price=0.0)}
+    result = solve_isp_subgradient(links, lambda prices: {"L": 60.0 / (1.0 + prices["L"])})
+    assert result.converged
+    assert result.g_by_link["L"] == pytest.approx(1.0, abs=1e-6)
+
+
+def test_isp_solver_without_links_converges_after_one_iteration():
+    # No link moves, so the largest price change is 0.0, below any epsilon.
+    result = solve_isp_subgradient({}, lambda prices: {})
+    assert result.converged
+    assert result.iterations == 1
+    assert result.g_by_link == {}
+
+
+def test_isp_solver_stops_only_on_a_move_strictly_below_epsilon():
+    # Load 31 on a residual of 30: the first step moves the price by exactly
+    # sigma0 = epsilon, which does not stop the solve; the second moves it by half.
+    links = {"L": LinkState(id="L", capacity=30.0, subscriber_load=0.0, price=0.0)}
+    result = solve_isp_subgradient(
+        links, lambda prices: {"L": 31.0}, sigma0=1e-6, epsilon=1e-6, max_iters=5)
+    assert result.converged
+    assert result.iterations == 2
+    assert result.g_by_link["L"] == 1e-6 + 0.5e-6
+
+
 def test_isp_solver_saturated_link_price_rises_monotonically():
     links = {"L": LinkState(id="L", capacity=30.0, subscriber_load=0.0, price=0.0)}
     observed = []
@@ -449,7 +475,7 @@ def test_certified_isp_solve_matches_bisection_oracle():
     def demand_fn(prices):
         return {"L": 60.0 / (1.0 + prices["L"])}
 
-    result = solve_isp_prices(links, demand_fn, SolverConfig(max_iters=200))
+    result = solve_isp_prices(links, demand_fn, max_iters=200)
     expected = _bisect_fixed_point(lambda g: 60.0 / (1.0 + g), 25.0)
     assert expected == pytest.approx(1.4, abs=1e-9)
     assert result.converged
@@ -467,7 +493,7 @@ def test_certified_isp_solve_prices_a_slack_link_at_exactly_zero():
         seen.append(prices["L"])
         return {"L": 25.0 / (1.0 + prices["L"])}  # 25 fits the residual 25 even at 0
 
-    result = solve_isp_prices(links, demand_fn, SolverConfig(max_iters=200))
+    result = solve_isp_prices(links, demand_fn, max_iters=200)
     assert result.converged
     assert result.g_by_link == {"L": 0.0}
     assert result.residual == 0.0
@@ -482,7 +508,7 @@ def test_certified_isp_solve_crosses_a_flat_stretch():
     def demand_fn(prices):
         return {"L": min(50.0, max(70.0 - prices["L"], 0.0))}
 
-    result = solve_isp_prices(links, demand_fn, SolverConfig(max_iters=200))
+    result = solve_isp_prices(links, demand_fn, max_iters=200)
     assert result.converged
     assert result.g_by_link["L"] == pytest.approx(40.0, abs=1e-9)
 
@@ -497,7 +523,7 @@ def test_certified_isp_solve_bisects_onto_a_jump_in_demand():
     def demand_fn(prices):
         return {"L": 60.0 if prices["L"] < 0.3 else 0.0}
 
-    result = solve_isp_prices(links, demand_fn, SolverConfig(max_iters=500))
+    result = solve_isp_prices(links, demand_fn, max_iters=500)
     assert not result.converged
     assert result.iterations == 500
     assert result.g_by_link["L"] == 0.3
@@ -512,7 +538,7 @@ def test_certified_isp_solve_flags_a_spent_budget():
         calls.append(dict(prices))
         return {"L": 60.0 / (1.0 + prices["L"])}
 
-    result = solve_isp_prices(links, demand_fn, SolverConfig(max_iters=3))
+    result = solve_isp_prices(links, demand_fn, max_iters=3)
     assert not result.converged
     assert result.iterations == len(calls) == 3
     assert math.isfinite(result.g_by_link["L"])
@@ -551,7 +577,7 @@ def engine_demand(doc):
 def test_certified_isp_solve_prices_two_binding_links():
     """Both links bind, and the users crossing both pay the sum of their prices."""
     cfg, links, demand_fn = engine_demand(TWO_BINDING_LINKS)
-    result = solve_isp_prices(links, demand_fn, cfg.solver)
+    result = solve_isp_prices(links, demand_fn, max_iters=cfg.solver.max_iters)
     assert cfg.solver.max_iters == SolverConfig().max_iters
     assert result.converged
     assert result.iterations <= 100
@@ -587,10 +613,9 @@ def infeasible_docs():
 def test_certified_isp_solve_flags_an_infeasible_link(case):
     doc = infeasible_docs()[case]
     cfg, links, demand_fn = engine_demand(doc)
-    budget = SolverConfig(max_iters=50)
-    result = solve_isp_prices(links, demand_fn, budget)
+    result = solve_isp_prices(links, demand_fn, max_iters=50)
     assert not result.converged
-    assert result.iterations < budget.max_iters  # stopped at once, not at the budget
+    assert result.iterations < 50  # stopped at once, not at the budget
     assert all(math.isfinite(price) for price in result.g_by_link.values())
     assert math.isfinite(result.residual) and result.residual > 0.0
     assert result.residual == max(natural_residuals(links, demand_fn, result.g_by_link).values())

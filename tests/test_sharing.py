@@ -476,12 +476,19 @@ def test_broadcast_kernel_matches_one_call_per_level_bit_for_bit():
             assert getattr(scalar, name).shape == getattr(full, name).shape == (levels, steps)
             assert bits(getattr(scalar, name).ravel()) == bits(getattr(full, name).ravel())
         seen["shared count 0"] += shared["count"] == 0
+        if kind is WfpKind.INDIVIDUAL:  # which never reads the spread
+            shared["spread"] = 0.0
         unused, settled_share = np.broadcast_arrays(unused, settled_share, totals.count)[:2]
         for level in range(levels):
             one = settle_rows(account, totals, params, unused[level], settled_share[level])
+            # 1-D plan state with the shared scalar sums and a revenue column
+            one_shared = settle_rows(account, replace(totals, revenue=revenue, **shared), params,
+                                     unused[level], settled_share[level])
             for name in SETTLEMENT_FIELDS:
                 assert getattr(columns, name).shape == (levels, steps)
                 assert bits(getattr(columns, name)[level]) == bits(getattr(one, name))
+                assert getattr(one_shared, name).shape == (steps,)
+                assert bits(getattr(one_shared, name)) == bits(getattr(full, name)[level])
             seen["negative zero"] += (np.signbit(one.wfp_value) & (totals.count > 0)).any()
         seen["count 0"] += (totals.count == 0).any()
         if kind is WfpKind.INDIVIDUAL and account.fee > 0.0:
