@@ -19,14 +19,15 @@ Every key but the hand-read ones is a field of the dataclass its section builds
 and the sections defined here: the four modes, :class:`SolverConfig`, and
 :class:`ScenarioConfig` for ``name`` and ``solve_isp``), which declares its type, default
 and rules, which may read the entry's other fields.  Its value must have the field's
-type: a JSON number (a whole one for an int), a boolean, one of an enum's values,
-an array for a tuple (``path``, ``usage_levels``, each load series) or an object
-for a dict (``subscriber_loads``), read entry by entry; a string field takes any
-value's string.  ``links``, ``wfps`` and ``users`` are arrays of objects, and
-``solver``, ``sharing`` and ``mode`` objects; any other shape is a ConfigError.
-Read by hand are each entry's ``id``, the mode's ``kind`` and a provider's posted
-``price`` (its ``unused`` defaults to its ``quota``).  A user entry with a ``count``
-stays one profile, checked once, whose users the engine copies from it (at most
+type: a JSON number (a whole one for an int; a provider's optional posted ``price``,
+None when not given, is one too), a boolean, one of an enum's values, an array for
+a tuple (``path``, ``usage_levels``, each load series) or an object for a dict
+(``subscriber_loads``), read entry by entry; a string field takes any value's
+string.  ``links``, ``wfps`` and ``users`` are arrays of objects, and ``solver``,
+``sharing`` and ``mode`` objects; any other shape is a ConfigError.  Read by hand
+are only each entry's ``id`` and the mode's ``kind`` (a provider's ``unused``
+defaults to its ``quota``).  A user entry with a ``count`` stays one profile,
+checked once, whose users the engine copies from it (at most
 :data:`MAX_USER_STEPS` users in all).  Keys the schema does not name (such as
 ``notes``) are ignored, but a sweep's ``solver.sigma0`` or top-level ``lambda0``,
 now ``mode.sigma0`` and ``mode.lambda0``, is a ConfigError.  ``validate_scenario``
@@ -157,7 +158,6 @@ class ScenarioConfig:
     name: str = "scenario"
     links: dict[str, LinkState] = field(default_factory=dict)
     wfps: list[WfpAccount] = field(default_factory=list)
-    wfp_prices: dict[str, float] = field(default_factory=dict)
     users: list[UserProfile] = field(default_factory=list)
     solver: SolverConfig = field(default_factory=SolverConfig)
     sharing: SharingParams = field(default_factory=SharingParams)
@@ -207,9 +207,10 @@ def _fields(cls: type) -> tuple[tuple[str, Any, bool], ...]:
 
 
 def _convert(raw: Any, kind: Any, where: str, name: str) -> Any:
-    """``raw`` as a value of the declared type ``kind``: a number, a string, a boolean,
-    an Enum member by value, or entry by entry a ``tuple[T, ...]`` from an array or a
-    ``dict[str, T]`` from an object; ConfigError naming ``where`` and ``name`` otherwise."""
+    """``raw`` as a value of the declared type ``kind``: a number (a float for a
+    ``float | None`` field), a string, a boolean, an Enum member by value, or entry by
+    entry a ``tuple[T, ...]`` from an array or a ``dict[str, T]`` from an object;
+    ConfigError naming ``where`` and ``name`` otherwise."""
     label = f"{where}: {name}" if where else name
     origin = get_origin(kind)  # before issubclass below: tuple[float, ...] is no class
     if origin is tuple:
@@ -218,8 +219,8 @@ def _convert(raw: Any, kind: Any, where: str, name: str) -> Any:
     if origin is dict:
         item, items = get_args(kind)[1], _shaped(raw, dict, label).items()
         return {str(k): _convert(v, item, where, f"{name}[{k!r}]") for k, v in items}
-    if kind in (int, float):
-        return _number(raw, label, kind)
+    if kind in (int, float, float | None):  # a given optional float is a float
+        return _number(raw, label, int if kind is int else float)
     if kind is bool:
         return _shaped(raw, bool, label)
     if issubclass(kind, Enum):
@@ -270,14 +271,11 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
         links[lid] = _build(LinkState, entry, f"link {lid}", id=lid)
 
     wfps: list[WfpAccount] = []
-    wfp_prices: dict[str, float] = {}
     for entry in _shaped(doc.get("wfps", []), list, "wfps", dict):
         wid = str(_require(entry, "id", "wfp"))
         if "unused" not in entry and "quota" in entry:  # unused defaults to the quota
             entry = {"unused": entry["quota"], **entry}
         wfps.append(_build(WfpAccount, entry, f"wfp {wid}", id=wid))
-        if "price" in entry:
-            wfp_prices[wid] = _number(entry["price"], f"wfp {wid}: price")
 
     users, room = [], MAX_USER_STEPS
     for entry in _shaped(doc.get("users", []), list, "users", dict):
@@ -298,8 +296,8 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
             if key in (doc.get("solver", {}) if where else doc):
                 raise ConfigError(f"{where}{key} is now mode.{key}")
     mode = _build(_MODES[kind], entry, "mode")
-    return _build(ScenarioConfig, doc, "", links=links, wfps=wfps, wfp_prices=wfp_prices,
-                  users=users, solver=solver, sharing=sharing, mode=mode)
+    return _build(ScenarioConfig, doc, "", links=links, wfps=wfps, users=users,
+                  solver=solver, sharing=sharing, mode=mode)
 
 
 def load_scenario(path: str | Path) -> ScenarioConfig:
@@ -323,8 +321,6 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
             problems.append(f"wfp {w.id}: duplicate id")
         wfp_ids.add(w.id)
         problems.extend(f"wfp {w.id}: {wrong}" for wrong in broken_bounds(w))
-        if cfg.wfp_prices.get(w.id, 0.0) < 0.0:
-            problems.append(f"wfp {w.id}: price must be non-negative")
 
     user_ids, users_by_wfp = set(), Counter()
     for u in cfg.users:  # each entry once; users_by_wfp counts its copies, a broken count as 1
@@ -372,7 +368,7 @@ def validate_scenario(cfg: ScenarioConfig) -> list[str]:
 
     if isinstance(mode, QuotaSweepMode):
         for w in cfg.wfps:
-            if w.kind is WfpKind.INDIVIDUAL and w.id not in cfg.wfp_prices:
+            if w.kind is WfpKind.INDIVIDUAL and w.price is None:
                 problems.append(f"wfp {w.id}: posted price required for quota sweeps")
 
     if isinstance(mode, (SweepMode, QuotaSweepMode, CeilingSweepMode)):

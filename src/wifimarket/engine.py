@@ -19,7 +19,7 @@ users, so each step uses a prefix.  It settles each provider from its sales' tot
 and keeps the steps as columns (:class:`~wifimarket.model.StepBlock`).  Sweep and
 equilibrium runs share one tick loop, ``_run_ticks``; each passes only its price rule
 (a generator of each tick's prices: the sweep's ramp and dual step, the equilibrium's
-solves) and its two user rules, walk-away and whom the mean utility counts.  The loop
+solves) and walk-away, which also sets whom the mean utility counts.  The loop
 settles each provider once per tick through ``settle_transaction``, since each tick's
 accounts depend on the last, and keeps one one-row block per tick, its per-user rows
 holding one value per template (user entry), which its copies and clones read.  The
@@ -183,15 +183,15 @@ def _settle(
 
 
 def _run_ticks(cfg: ScenarioConfig, ticks: int, growth: int, price_rule, *,
-               walk_away: bool, mean_over_buyers: bool) -> tuple[TimeSeries, np.ndarray]:
+               walk_away: bool) -> tuple[TimeSeries, np.ndarray]:
     """The tick loop of sweep and equilibrium runs; returns the series and its scalars.
 
     Tick t runs the first ``sizes[t]`` users, ``growth`` more each tick.  The generator
     ``price_rule(pop, first, accounts, sizes)`` yields each tick's lambdas (provider order)
     and its templates' g, final prices and x (template k's are its first user's, ``first[k]``;
     each user reads its template's, in roster order), and is sent back the tick's purchases
-    per user.  ``walk_away``: a buyer whose best buy is a net loss does not buy.  The mean
-    utility is over the buyers with ``mean_over_buyers``, else over every user (a non-buyer 0).
+    per user.  ``walk_away``: a buyer whose best buy is a net loss does not buy, and the mean
+    utility is over every user (a non-buyer 0); without it, the mean is over the buyers.
     """
     m, x_floor = len(cfg.users), cfg.solver.x_floor  # user j copies entry templates[j]
     pop, templates, first = _population(cfg, growth * max(ticks - 1, 0))
@@ -209,7 +209,7 @@ def _run_ticks(cfg: ScenarioConfig, ticks: int, growth: int, price_rule, *,
             x[utility < 0.0] = utility[utility < 0.0] = 0.0
         bought = x[index]
         settled.append(_settle(accounts, provider, index, g, prices, x, cfg.sharing))
-        means.append(_mean(utility[index[bought > 0.0]] if mean_over_buyers else utility[index]))
+        means.append(_mean(utility[index] if walk_away else utility[index[bought > 0.0]]))
         rows.append(tuple(KeyedRows(pop.roster, row[None], index) for row in (g, prices, x)))
         lambdas.append(lam)
 
@@ -276,8 +276,7 @@ def run_sweep(cfg: ScenarioConfig) -> TimeSeries:
                     for lid in link_prices
                 }
 
-    ts, scalars = _run_ticks(cfg, mode.count, mode.user_growth, ramp,
-                             walk_away=False, mean_over_buyers=True)
+    ts, scalars = _run_ticks(cfg, mode.count, mode.user_growth, ramp, walk_away=False)
     above = scalars[:, _WFP_PCT] > 50.0
     ts.summary["crossover_step"] = float(above.argmax() if above.any() else -1)
     ts.summary["crossings"] = float(np.count_nonzero(above[1:] != above[:-1]))
@@ -345,8 +344,7 @@ def run_equilibrium(cfg: ScenarioConfig) -> TimeSeries:
             # A copy's solve repeats its template's first user's bit for bit: keep those.
             yield list(lambda_by_wfp.values()), g[first], prices[first], x[first]
 
-    ts, scalars = _run_ticks(cfg, mode.ticks, mode.user_growth, solve,
-                             walk_away=True, mean_over_buyers=False)
+    ts, scalars = _run_ticks(cfg, mode.ticks, mode.user_growth, solve, walk_away=True)
     first_zero = np.flatnonzero(scalars[:, _TOTAL] <= 0.0)
     ts.summary["first_zero_transaction_step"] = float(first_zero[0] if len(first_zero) else -1)
     ts.summary.update(health)
@@ -414,7 +412,7 @@ def run_iwfp_topology(cfg: ScenarioConfig) -> TimeSeries:
     left = mode.usage_steps - np.arange(mode.usage_steps + 1)
     return _snapshots(cfg, lambda account: (
         [account.id], (account.quota * left / mode.usage_steps)[None],
-        np.full(len(left), cfg.wfp_prices[account.id])), True)
+        np.full(len(left), account.price)), True)
 
 
 def run_iwfp_ceiling(cfg: ScenarioConfig) -> TimeSeries:

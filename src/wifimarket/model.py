@@ -137,7 +137,8 @@ class WfpAccount:
     caps what the individual may earn per billing cycle, ``settled_share`` the
     revenue already settled against that cap this cycle, and ``txn_cap`` the
     largest volume sellable in one transaction.  ``min_profit`` is the margin
-    the provider adds on top of the ISP's minimum price when quoting users.
+    the provider adds on top of the ISP's minimum price when quoting users, and
+    ``price`` the posted price a quota sweep settles at (None if not posted).
     """
 
     id: str
@@ -151,6 +152,8 @@ class WfpAccount:
     settled_share: float = bound([NON_NEGATIVE, (lambda v, w: 0.0 < w.fee < v, "exceeds fee")], 0.0,
                                  WfpKind.INDIVIDUAL)
     txn_cap: float = bound(NON_NEGATIVE, 0.0, WfpKind.INDIVIDUAL)
+    price: float | None = bound((lambda v, _: v is not None and v < 0.0, "must be non-negative"),
+                                None)
 
     def replenished(self) -> "WfpAccount":
         """Fresh billing cycle: quota restored, settled share reset."""

@@ -7,12 +7,12 @@ piecewise A / lam + B, so its clearing price comes from a breakpoint search and 
 closed form.  The ISP's link prices solve the complementarity problem g >= 0,
 s(g) >= 0, g * s(g) = 0 on each link's residual capacity s, link by link, by
 bracketing and regula falsi, until the natural residual max |min(g, s(g))| is within
-``ISP_TOLERANCE`` of capacity or its keyword budget of ``max_iters`` load evaluations
-is spent.  The paper's projected subgradient iterations (step size sigma0 / (1 + t),
-stopped once the price moves less than ``epsilon``; keywords too) are kept as
-``solve_wfp_subgradient`` and ``solve_isp_subgradient``, the oracles the self-checks
-compare against.  Non-convergence is reported in the result, never raised: a flagged
-result is data the caller can act on.
+``ISP_TOLERANCE`` of capacity, its keyword budget of ``max_iters`` load evaluations
+is spent, or a pass moves no price.  The paper's projected subgradient iterations
+(step size sigma0 / (1 + t), stopped once the price moves less than ``epsilon``;
+keywords too) are kept as ``solve_wfp_subgradient`` and ``solve_isp_subgradient``,
+the oracles the self-checks compare against.  Non-convergence is reported in the
+result, never raised: a flagged result is data the caller can act on.
 """
 from __future__ import annotations
 
@@ -272,7 +272,7 @@ def _natural_residual(prices: Mapping[str, float], slack: Mapping[str, float]) -
 
 
 class _Unconverged(Exception):
-    """Ends an ISP solve early: its evaluation budget is spent or a link cannot clear."""
+    """Ends an ISP solve early: its budget is spent, a link cannot clear or a pass moved nothing."""
 
 
 def solve_isp_prices(
@@ -306,7 +306,8 @@ def solve_isp_prices(
     within tolerance of clearing, ``wfp_demand_fn`` is called once with that
     price at ``math.inf``; if the link still does not clear, the solve returns
     its finite prices at once, flagged unconverged, as it does when the
-    budget runs out.
+    budget runs out or a pass moves no price (as on a load that jumps across
+    a link's residual capacity), since the next pass would repeat it.
     """
     tol = {lid: ISP_TOLERANCE * max(link.capacity, 1.0) for lid, link in links.items()}
     # Links seen with s_l >= -tol.  No load falls below its crossing users'
@@ -326,15 +327,15 @@ def solve_isp_prices(
     def cleared(prices: dict[str, float], s: dict[str, float]) -> bool:
         return all(abs(min(prices[lid], s[lid])) <= tol[lid] for lid in links)
 
-    def line_search(prices, s, d, t_min):
-        """Where D stops falling on the segment prices + t * d, t_min <= t <= t_max.
+    def line_search(prices, s, d):
+        """Where D stops falling on the segment prices + t * d, -1 <= t <= t_max.
 
         t_max is where the first falling price reaches 0 (infinite if none
         falls).  D's slope along the segment, the sum of s_l * d_l, never
-        falls with t.  From t = 0 it steps to ``t_min`` if the slope is
-        positive, else to t = 1 and on by doubling steps, until the slope
-        changes sign or the bound is reached, and then closes in on its zero.
-        Returns the prices found and s at them.
+        falls with t.  From t = 0 it steps to t = -1 if the slope is positive
+        (only a coordinate step starts so), else to t = 1 and on by doubling
+        steps, until the slope changes sign or the bound is reached, and then
+        closes in on its zero.  Returns the prices found and s at them.
         """
         eps = fold_sum(tol[lid] * abs(d[lid]) for lid in links)
         t_max = min((prices[lid] / -d[lid] for lid in links if d[lid] < 0.0), default=math.inf)
@@ -350,7 +351,7 @@ def solve_isp_prices(
 
         a = b = (0.0, prices, s, fold_sum(s[lid] * d[lid] for lid in links))
         if a[3] > 0.0:
-            a = at(t_min)
+            a = at(-1.0)
             if a[3] >= -eps:
                 return a[1], a[2]
         else:
@@ -396,10 +397,12 @@ def solve_isp_prices(
                 if abs(min(prices[lid], s[lid])) > tol[lid]:
                     # Steps of max(g_l, 1); t = -1 reaches a price of 0.
                     step = {other: float(other == lid) * max(prices[lid], 1.0) for other in links}
-                    prices, s = line_search(prices, s, step, -1.0)
+                    prices, s = line_search(prices, s, step)
+            if prices == start:  # the next pass would repeat this one
+                raise _Unconverged
             move = {lid: prices[lid] - start[lid] if prices[lid] else 0.0 for lid in links}
             if not cleared(prices, s) and fold_sum(s[lid] * move[lid] for lid in links) < 0.0:
-                prices, s = line_search(prices, s, move, 0.0)
+                prices, s = line_search(prices, s, move)
         converged = True
     except _Unconverged:
         pass

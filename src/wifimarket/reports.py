@@ -137,10 +137,6 @@ def _label(block: StepBlock) -> str:
     return buf.getvalue()[: -len(",\r\n")].replace("%", "%%")
 
 
-def csv_header(ts: TimeSeries) -> list[str]:
-    return _column_plan(ts)[0]
-
-
 def write_csv(ts: TimeSeries, path: str | Path) -> None:
     header, plan = _column_plan(ts)
     with open(path, "w", encoding="utf-8", newline="") as fh:

@@ -269,6 +269,7 @@ def settle_rows(
         wfp_value = _establishment_values(totals.spread, totals.floor_sum, params)
     else:
         wfp_value = _individual_values(total, isp_alone, unused, settled_share, account, params)
+    # broadcasting 1-D plan state too would give the same bits: a measured fast path
     if unused.ndim > 1 or settled_share.ndim > 1:  # L rows of plan state: (L, S) columns
         total, isp_alone, wfp_value, *_ = np.broadcast_arrays(
             total, isp_alone, wfp_value, unused, settled_share)

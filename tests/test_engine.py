@@ -314,6 +314,29 @@ def test_quota_sweep_series_per_provider():
     assert set(ts.summary) == {f"max_share_pct.iwfp{i}" for i in (1, 2, 3, 4)}
 
 
+@pytest.mark.parametrize("mode, labels", [
+    ({"kind": "quota_sweep", "usage_steps": 2}, ["p1"]),
+    ({"kind": "ceiling_sweep", "usage_levels": [0.0, 0.5], "price_stop": 2},
+     ["usage_0", "usage_50"]),
+])
+def test_snapshot_runs_skip_establishments(mode, labels):
+    doc = {
+        "links": [{"id": "AB", "capacity": 50, "price": 10}],
+        "wfps": [{"id": "w1", "kind": "establishment", "capacity": 10},
+                 {"id": "p1", "kind": "individual", "quota": 200, "fee": 1000, "price": 31}],
+        "users": [{"id": "u", "wfp": "w1", "path": ["AB"]},
+                  {"id": "v", "wfp": "p1", "path": ["AB"]}],
+        "mode": mode,
+    }
+    ts = run_scenario(scenario_from_dict(doc))
+    assert [block.series for block in ts.blocks] == labels
+    assert list(ts.summary) == [f"max_share_pct.{label}" for label in labels]
+    for rec in ts.records:
+        assert list(rec.lambda_by_wfp) == ["p1"]
+        for users in (rec.g_by_user, rec.final_price_by_user, rec.x_by_user):
+            assert list(users) == ["v"]
+
+
 @pytest.mark.parametrize("preset", ["scenario3-low", "scenario3-high", "scenario1", "scenario2"])
 def test_only_equilibrium_runs_report_their_solves_health(monkeypatch, preset):
     results = []
@@ -432,6 +455,15 @@ def unsold_ceiling():
     return doc
 
 
+def small_margined_ceiling():
+    # a 0.001-unit transaction, worth less than 1 at every price, and a margin of 5 over
+    # the floor of 1, which prices each user above a posted price below 6
+    doc = preset_doc("iwfp-ceiling")
+    doc["wfps"][0]["min_profit"] = 5.0
+    doc["mode"]["txn_volume"] = 0.001
+    return doc
+
+
 @pytest.mark.parametrize(
     "make_doc, cases",
     [
@@ -439,8 +471,10 @@ def unsold_ceiling():
         (capped_ceiling, ("capped", "uncapped")),
         (lambda: preset_doc("iwfp-topology"), ("omega 0", "uncapped")),
         (unsold_ceiling, ("unsold",)),
+        (small_margined_ceiling, ("uncapped",)),
     ],
-    ids=["ceiling", "ceiling_fee_cap", "quota_sweep", "ceiling_below_x_floor"],
+    ids=["ceiling", "ceiling_fee_cap", "quota_sweep", "ceiling_below_x_floor",
+         "ceiling_small_margined"],
 )
 def test_snapshot_steps_match_the_scalar_reference_bit_for_bit(make_doc, cases):
     cfg = scenario_from_dict(make_doc())
@@ -460,6 +494,7 @@ def test_snapshot_steps_match_the_scalar_reference_bit_for_bit(make_doc, cases):
             x = [rec.x_by_user[u] for u in uids]
             g = [rec.g_by_user[u] for u in uids]
             prices = [rec.final_price_by_user[u] for u in uids]
+            assert prices == [max(rec.lambda_by_wfp[wid], gi + account.min_profit) for gi in g]
             totals = SaleTotals(
                 count=len(uids) if x[0] >= cfg.solver.x_floor else 0,
                 revenue=sum(xi * p for xi, p in zip(x, prices)),

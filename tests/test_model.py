@@ -173,7 +173,7 @@ def test_scenario_from_dict_reads_posted_prices():
     ]
     doc["users"] = [{"id": "u", "wfp": "p1", "path": ["AB"]}]
     cfg = scenario_from_dict(doc)
-    assert cfg.wfp_prices == {"p1": 31.0}
+    assert cfg.wfps[0].price == 31.0
     assert cfg.wfps[0].unused == 200.0  # unused defaults to the full quota
 
 
@@ -494,6 +494,7 @@ BOUND_CASES = [
     ("individual", "settled_share", -1, "wfp p1: settled_share must be non-negative"),
     ("individual", "settled_share", 1001, "wfp p1: settled_share exceeds fee"),
     ("individual", "txn_cap", -1, "wfp p1: txn_cap must be non-negative"),
+    ("individual", "price", -1, "wfp p1: price must be non-negative"),
     ("user", "weight", 0, "user u: weight must be positive"),
     ("user", "tx_power", 0, "user u: tx_power must be positive"),
     ("user", "channel_gain2", -1, "user u: channel_gain2 must be non-negative"),
@@ -558,7 +559,7 @@ def test_bound_cases_cover_every_declared_bound():
     }
     assert {(BOUNDED_ENTRIES[section][0], name, message.split(f": {name} ", 1)[1])
             for section, name, _, message in BOUND_CASES} == declared
-    assert len(BOUND_CASES) == 51
+    assert len(BOUND_CASES) == 52
 
 
 @pytest.mark.parametrize("section, name, value, message", BOUND_CASES)
@@ -725,8 +726,8 @@ def test_unknown_preset_raises_key_error():
 
 
 #: The keys of a document that name no dataclass field: read by hand (the parser's
-#: ``id``, ``kind`` and ``price``) or ignored.
-HAND_READ_KEYS = {"id", "kind", "price"}
+#: ``id`` and ``kind``) or ignored.
+HAND_READ_KEYS = {"id", "kind"}
 IGNORED_KEYS = {"notes"}
 MODE_CLASSES = {"sweep": SweepMode, "equilibrium": EquilibriumMode,
                 "quota_sweep": QuotaSweepMode, "ceiling_sweep": CeilingSweepMode}
@@ -779,7 +780,7 @@ EVERY_KEY_MODES = {
 #: The documents whose parsed config is pinned: each preset and EVERY_KEY_DOC in each
 #: mode.  The PARSED_REPR_SHA256 pins are the SHA-256 of ``repr(scenario_from_dict(doc))``
 #: of each, as the hand-written parser of the non-numeric keys gave it, with a counted
-#: user entry kept as one profile.
+#: user entry kept as one profile and a posted price on its provider's account.
 PARSED_NAMES = (*PRESET_NAMES, *(f"every-key-{kind}" for kind in EVERY_KEY_MODES))
 
 

@@ -190,6 +190,9 @@ def test_wfp_subgradient_oracle_reaches_known_fixed_point():
     assert result.lambda_by_wfp["ew"] == pytest.approx(20.0, rel=1e-3)
     assert result.x_by_user["u0"] == pytest.approx(5.0, rel=1e-3)
     assert result.residual == pytest.approx(abs(5.0 - result.x_by_user["u0"]))
+    # A budget of no iterations takes no step.
+    idle = solve_wfp_subgradient(account, *population([user], {"u0": 10.0}), max_iters=0)
+    assert (idle.iterations, idle.converged, idle.lambda_by_wfp) == (0, False, {"ew": 0.0})
 
 
 def test_wfp_solver_slack_capacity_leaves_price_at_floor():
@@ -409,11 +412,13 @@ def test_isp_solver_matches_bisection_oracle():
 
 
 def test_isp_solver_default_step_reaches_the_fixed_point():
-    # The default sigma0 moves the price; a zero one would stop at once at 0.
-    links = {"L": LinkState(id="L", capacity=30.0, subscriber_load=0.0, price=0.0)}
+    # The default sigma0 moves the price; a zero one would stop at once at 0.  Idle link
+    # I's price stays 0, which does not stop the solve: the largest move does.
+    links = {"L": LinkState(id="L", capacity=30.0, subscriber_load=0.0, price=0.0),
+             "I": LinkState(id="I", capacity=30.0)}
     result = solve_isp_subgradient(links, lambda prices: {"L": 60.0 / (1.0 + prices["L"])})
     assert result.converged
-    assert result.g_by_link["L"] == pytest.approx(1.0, abs=1e-6)
+    assert result.g_by_link == pytest.approx({"L": 1.0, "I": 0.0}, abs=1e-6)
 
 
 def test_isp_solver_without_links_converges_after_one_iteration():
@@ -422,6 +427,8 @@ def test_isp_solver_without_links_converges_after_one_iteration():
     assert result.converged
     assert result.iterations == 1
     assert result.g_by_link == {}
+    # A budget of no iterations takes no step.
+    assert solve_isp_subgradient({}, lambda prices: {}, max_iters=0).iterations == 0
 
 
 def test_isp_solver_stops_only_on_a_move_strictly_below_epsilon():
@@ -517,17 +524,52 @@ def test_certified_isp_solve_bisects_onto_a_jump_in_demand():
     # The load jumps from 60 to 0 at a price of 0.3, across the residual of 30, so no
     # price clears.  Once the line search's bracket closes on the jump its secant falls
     # on a bracket end; it bisects until the ends are adjacent floats and keeps the one
-    # at the jump.  The solve ends flagged at its budget, priced at the jump.
+    # at the jump.  The next pass starts there and moves no price, so the solve ends
+    # flagged, priced at the jump, after the same evaluations whatever its budget.
     links = {"L": LinkState(id="L", capacity=30.0, subscriber_load=0.0, price=0.0)}
 
     def demand_fn(prices):
         return {"L": 60.0 if prices["L"] < 0.3 else 0.0}
 
-    result = solve_isp_prices(links, demand_fn, max_iters=500)
-    assert not result.converged
-    assert result.iterations == 500
-    assert result.g_by_link["L"] == 0.3
-    assert result.residual == 0.3  # |min(g, s)| with s = 30 - 0 at the jump
+    for max_iters in (500, 3_000):
+        result = solve_isp_prices(links, demand_fn, max_iters=max_iters)
+        assert not result.converged
+        assert result.iterations == 213
+        assert result.g_by_link["L"] == 0.3
+        assert result.residual == 0.3  # |min(g, s)| with s = 30 - 0 at the jump
+
+
+@pytest.mark.parametrize("start", [0.0, 1.0])
+def test_certified_isp_solve_keeps_a_residual_of_exactly_its_tolerance(start):
+    # Capacity 1e-9 gives link L a tolerance of 1e-9 (ISP_TOLERANCE * max(C, 1)), and a
+    # load of 2e-9 at a price of 1 leaves s = -1e-9 exactly there.  From 0, the line
+    # search's first step lands there, within tolerance, and stops short of the root
+    # at 2; from 1, only link M is searched.
+    links = {"L": LinkState(id="L", capacity=1e-9, price=start),
+             "M": LinkState(id="M", capacity=10.0)}
+
+    def demand_fn(prices):
+        return {"L": 2e-9 / max(prices["L"], 2e-9), "M": 20.0 / (1.0 + prices["M"])}
+
+    result = solve_isp_prices(links, demand_fn)
+    assert result.converged
+    assert (result.g_by_link, result.residual) == ({"L": 1.0, "M": 1.0}, 1e-9)
+
+
+def test_certified_isp_solve_closes_in_on_a_slope_of_exactly_its_tolerance():
+    # Capacity 2e-9 gives a tolerance of 1e-9.  From a price of 1, where the load is 0,
+    # the line search steps down to 0 (load 1), and its secant lands in [0.5, 1), where a
+    # load of 1e-9 leaves s = 1e-9 exactly: within tolerance, so the search ends there.
+    links = {"L": LinkState(id="L", capacity=2e-9, price=1.0)}
+
+    def demand_fn(prices):
+        g = prices["L"]
+        return {"L": 1.0 if g < 0.5 else 1e-9 if g < 1.0 else 0.0}
+
+    result = solve_isp_prices(links, demand_fn)
+    assert result.converged
+    assert 0.5 <= result.g_by_link["L"] < 1.0
+    assert (result.iterations, result.residual) == (3, 1e-9)
 
 
 def test_certified_isp_solve_flags_a_spent_budget():
@@ -592,6 +634,30 @@ def test_certified_isp_solve_prices_two_binding_links():
     assert record.g_by_user["a001"] == ab
     assert record.g_by_user["b001"] == ab + bc
     assert record.g_by_user["c001"] == bc
+
+
+def test_certified_isp_solve_ends_a_joint_move_where_its_first_falling_price_reaches_zero():
+    # The first pass prices A at 8, B at 8 and C at about 38.05.  Its joint move, from
+    # (20, 10, 0), lowers A by 12 and B by 2, so A reaches 0 at t = 2/3, with B at 20/3;
+    # D still falls there, but the move stops, and the next pass prices B at 0 on its own.
+    doc = {
+        "links": [{"id": "A", "capacity": 50, "price": 20},
+                  {"id": "B", "capacity": 50, "price": 10}, {"id": "C", "capacity": 20}],
+        "wfps": [{"id": "e", "kind": "establishment", "capacity": 1000}],
+        "users": [{"id": "ac", "wfp": "e", "path": ["A", "C"], "budget": 400, "x_min": 1,
+                   "x_max": 60},
+                  {"id": "bc", "wfp": "e", "path": ["B", "C"], "budget": 400, "x_min": 1,
+                   "x_max": 60},
+                  {"id": "c", "wfp": "e", "path": ["C"], "budget": 100, "x_min": 1, "x_max": 60}],
+        "mode": {"kind": "equilibrium", "ticks": 1},
+    }
+    _, links, demand_fn = engine_demand(doc)
+    calls = []
+    result = solve_isp_prices(links, lambda prices: calls.append(prices) or demand_fn(prices))
+    assert result.converged
+    assert result.g_by_link == pytest.approx({"A": 0.0, "B": 0.0, "C": 45.0})  # 900 / 45 = 20
+    joint = [prices["B"] for prices in calls if prices["A"] == 0.0 and 0.0 < prices["B"] < 8.0]
+    assert joint == [pytest.approx(20.0 / 3.0)]
 
 
 def infeasible_docs():

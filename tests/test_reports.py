@@ -28,9 +28,9 @@ from wifimarket.engine import run_scenario
 from wifimarket.reports import (
     MAP_FIELDS,
     SCALAR_FIELDS,
+    _column_plan,
     _means,
     _runs,
-    csv_header,
     escape,
     format_value,
     read_csv,
@@ -93,7 +93,7 @@ def test_format_value_nine_significant_digits():
 
 
 def test_csv_header_layout():
-    header = csv_header(small_series())
+    header = _column_plan(small_series())[0]
     assert header[:2] == ["series", "step"]
     assert header[2:10] == [
         "total_value", "wfp_value", "isp_value", "wfp_share", "isp_share",
@@ -211,7 +211,7 @@ def assert_reads_back(ts, path):
 
 def reference_write_csv(ts, path):
     """The writer before distinct-value formatting: csv.writer, one format per cell."""
-    header = csv_header(ts)
+    header = _column_plan(ts)[0]
     keys = [
         (attr, [name[len(prefix) + 1:] for name in header if name.startswith(f"{prefix}.")])
         for attr, prefix in MAP_FIELDS
