@@ -20,11 +20,12 @@ and keeps the steps as columns (:class:`~wifimarket.model.StepBlock`).  Sweep an
 equilibrium runs share one tick loop, ``_run_ticks``; each passes only its price rule
 (a generator of each tick's prices: the sweep's ramp and dual step, the equilibrium's
 solves) and walk-away, which also sets whom the mean utility counts.  The loop
-settles each provider once per tick through ``settle_transaction``, since each tick's
-accounts depend on the last, and keeps one one-row block per tick, its per-user rows
-holding one value per template (user entry), which its copies and clones read.  The
-quota and ceiling sweeps pass ``_snapshots`` only each provider's series; it settles
-a provider's in one :func:`~wifimarket.sharing.settle_rows` call, one block per series.
+settles each individual provider per tick through ``settle_transaction``, its plan
+feeding the next tick, and each establishment's ticks after it, in one
+:func:`~wifimarket.sharing.settle_rows` call.  It keeps one one-row block per tick, its
+per-user rows holding one value per template (user entry), which its copies and clones
+read.  The quota and ceiling sweeps pass ``_snapshots`` only each provider's series;
+it settles a provider's in one ``settle_rows`` call, one block per series.
 Per-user float sums (settlement totals, means, demand), like the price solves' in
 :mod:`~wifimarket.pricing`, are each the sequential left fold 0.0 + v[0] + v[1] + ...
 over the users in roster order, by :func:`~wifimarket.model.running_total`, whatever
@@ -153,33 +154,38 @@ def _link_demand(
     return wfp_demand
 
 
-def _settle(
-    accounts: list[WfpAccount],
-    provider: np.ndarray,
-    index: np.ndarray,
-    g: np.ndarray,
-    prices: np.ndarray,
-    x: np.ndarray,
-    sharing: SharingParams,
-) -> list[float]:
-    """Settle one transaction per provider (the users whose purchase is above zero).
+def _settle(accounts: list[WfpAccount], provider: np.ndarray, index: np.ndarray,
+            g: np.ndarray, prices: np.ndarray, x: np.ndarray, sharing: SharingParams,
+            sales: np.ndarray, paid: np.ndarray) -> None:
+    """Fold one tick's sales per provider (users whose purchase is above zero) into row
+    k of ``sales`` (SaleTotals' fields), and settle the tick's individuals: for each,
+    row k of ``paid`` gets its payout (Settlement's fields), ``accounts[k]`` its plan.
 
     ``g``, ``prices`` and ``x`` hold each template's values, and ``index`` and
-    ``provider`` each user's template and provider.  ``accounts`` is updated in
-    place; the payouts come back summed, provider by provider, in Settlement
-    field order.
+    ``provider`` each user's template and provider.
     """
     sold = (x > 0.0)[index]
     # SaleTotals' five sums, one column each, one row per template
     columns = np.column_stack((x * prices, x * g, (prices - g) * x, g, x))
-    combined = [0.0] * 5
     for k, account in enumerate(accounts):
         sel = index[sold & (provider == k)]  # each buyer's template, in roster order
-        sums = running_total(columns[sel]).tolist()
-        totals = SaleTotals(len(sel), *sums)
-        settlement, accounts[k] = settle_transaction(account, totals, sharing)
-        combined = [a + b for a, b in zip(combined, vars(settlement).values())]
-    return combined
+        totals = SaleTotals(len(sel), *running_total(columns[sel]).tolist())
+        sales[k] = list(vars(totals).values())
+        if account.kind is WfpKind.INDIVIDUAL:
+            settlement, accounts[k] = settle_transaction(account, totals, sharing)
+            paid[k] = list(vars(settlement).values())
+
+
+def _settled(accounts: list[WfpAccount], sales: np.ndarray, paid: np.ndarray,
+             sharing: SharingParams) -> Settlement:
+    """The tick rows' payouts, summed over the providers from 0.0 in provider order, as
+    columns; an establishment reads no plan state, so its ticks settle here in one call."""
+    for account, rows, payouts in zip(accounts, sales, paid):
+        if account.kind is WfpKind.ESTABLISHMENT:
+            zeros = np.zeros(len(rows))
+            settled = settle_rows(account, SaleTotals(*rows.T), sharing, zeros, zeros)
+            payouts[:] = np.transpose(list(vars(settled).values()))
+    return Settlement(*running_total(paid).T)
 
 
 def _run_ticks(cfg: ScenarioConfig, ticks: int, growth: int, price_rule, *,
@@ -192,14 +198,16 @@ def _run_ticks(cfg: ScenarioConfig, ticks: int, growth: int, price_rule, *,
     each user reads its template's, in roster order), and is sent back the tick's purchases
     per user.  ``walk_away``: a buyer whose best buy is a net loss does not buy, and the mean
     utility is over every user (a non-buyer 0); without it, the mean is over the buyers.
+    Individuals settle tick by tick, updating ``accounts``; an establishment's stays as given.
     """
     m, x_floor = len(cfg.users), cfg.solver.x_floor  # user j copies entry templates[j]
     pop, templates, first = _population(cfg, growth * max(ticks - 1, 0))
     sizes = [len(pop) - growth * t for t in reversed(range(ticks))]
     accounts = list(cfg.wfps)  # _settle and the price rule update it in place
+    sales, paid = np.zeros((len(accounts), ticks, 6)), np.zeros((len(accounts), ticks, 5))
     rule = price_rule(pop, first, accounts, sizes)
-    lambdas, settled, means, rows, bought = [], [], [], [], None
-    for n in sizes:
+    lambdas, means, rows, bought = [], [], [], None
+    for t, n in enumerate(sizes):
         lam, g, prices, x = rule.send(bought)
         index, provider = templates[:n], pop.provider[:n]
         x[x < x_floor] = 0.0  # too little to sell: no purchase
@@ -208,14 +216,13 @@ def _run_ticks(cfg: ScenarioConfig, ticks: int, growth: int, price_rule, *,
         if walk_away:  # individual rationality: not buying beats a net loss
             x[utility < 0.0] = utility[utility < 0.0] = 0.0
         bought = x[index]
-        settled.append(_settle(accounts, provider, index, g, prices, x, cfg.sharing))
+        _settle(accounts, provider, index, g, prices, x, cfg.sharing, sales[:, t], paid[:, t])
         means.append(_mean(utility[index] if walk_away else utility[index[bought > 0.0]]))
         rows.append(tuple(KeyedRows(pop.roster, row[None], index) for row in (g, prices, x)))
         lambdas.append(lam)
 
     providers = Roster([w.id for w in cfg.wfps])
-    columns = Settlement(*np.reshape(np.array(settled, dtype=float), (-1, 5)).T)
-    scalars = _scalars(columns, means)
+    scalars = _scalars(_settled(accounts, sales, paid, cfg.sharing), means)
     lambda_rows, index = np.array(lambdas, dtype=float), np.arange(ticks)
     blocks = [
         StepBlock("run", index[t : t + 1], scalars[t : t + 1],

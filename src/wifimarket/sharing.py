@@ -22,8 +22,9 @@ state each row is settled against, or from (S,) sums against L rows of plan stat
 (L, S) at once.  ``revenue`` is a column, one entry per row (as is an establishment's
 ``spread``); any other sum may be a scalar every row shares.  A row without sales
 settles to zero on zeroed sums.  The snapshot modes settle all of a provider's series
-in one call; :func:`settle_transaction` is the kernel's one-row case plus the account
-update, and the two contribution functions are its contribution on one row.
+in one call, and the tick runs all of an establishment's ticks; :func:`settle_transaction`,
+the kernel's one-row case plus the account update, settles an individual's tick, and the
+two contribution functions are its contribution on one row.
 """
 from __future__ import annotations
 

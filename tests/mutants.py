@@ -79,9 +79,20 @@ EQUIVALENT = {
         "first step crosses it; and where no price rise lifts another link's load (the "
         "engine's loads), a pass that raises every price leaves each link at s >= -tol, "
         "so the move's slope never falls below -eps",
+    ("pricing.py", "if a[3] > 0.0:", "if a[3] >= 0.0:"):
+        "no line search starts on a slope of 0: a coordinate step starts on s_l * max(g_l, 1) "
+        "with |s_l| above the link's tolerance, and a joint move only on a negative slope",
     ("engine.py", _SHARE, _SHARE.replace("max(k, 1)", "max(k, 0)")):
         "every step of a sweep runs all of the document's users, and validation refuses a "
         "sweep provider without users, so each provider has at least one member",
+    ("engine.py", "x[utility < 0.0] = utility[utility < 0.0] = 0.0",
+     "x[utility < 0.0] = utility[utility <= 0.0] = 0.0"):
+        "it also rewrites a utility of -0.0 as 0.0, which only the mean reads: a fold from "
+        "0.0, in which the sign of a zero term never shows",
+    ("engine.py", "totals = SaleTotals(count, revenue, isp_revenue, 0.0, floor_sum, volume)",
+     "totals = SaleTotals(count, revenue, isp_revenue, 1.0, floor_sum, volume)"):
+        "a snapshot run settles individual providers only, and only an establishment's "
+        "contribution reads the spread",
     ("pricing.py", "t = 0.5 * (t_a + t_b)", "t = 1.0 * (t_a + t_b)"):
         "the ISP line search's bisection midpoint lies strictly inside the bracket only "
         "when the bracket is two or three floats wide, so the line guards rounding only",

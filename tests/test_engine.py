@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from settlement_oracle import SETTLEMENT_FIELDS, bits, reference_settle
+from test_settlement_reference import equilibrium_doc
 
 from wifimarket.config import CeilingSweepMode, QuotaSweepMode, scenario_from_dict
 from wifimarket import engine
@@ -13,7 +14,7 @@ from wifimarket.engine import _utility, run_scenario
 from wifimarket.model import Population, UserProfile
 from wifimarket.presets import load_preset, preset_path
 from wifimarket.pricing import solve_wfp_equilibrium, user_utility
-from wifimarket.sharing import SaleTotals, settle_rows
+from wifimarket.sharing import SaleTotals, settle_rows, settle_transaction
 
 
 def make_sweep_doc(**overrides):
@@ -160,6 +161,15 @@ def test_a_one_tick_billing_cycle_replenishes_at_tick_one():
     assert first.total_value == second.total_value == pytest.approx(12.0, abs=1e-9)
 
 
+def test_a_billing_cycle_refills_a_plan_only_after_its_first_tick():
+    # the document leaves 2 of the 4 units: the users split those at tick 0
+    doc = make_billing_doc(ticks=2, billing_cycle_ticks=1)
+    doc["wfps"][0].update(quota=4, unused=2)
+    first, second = run_scenario(scenario_from_dict(doc)).records
+    assert first.x_by_user == {"u001": 1.0, "u002": 1.0}
+    assert second.x_by_user == {"u001": 2.0, "u002": 2.0}
+
+
 def test_equilibrium_without_a_zero_transaction_step_reports_minus_one():
     ts = run_scenario(load_preset("scenario3-low"))
     assert all(rec.total_value > 0.0 for rec in ts.records)
@@ -270,22 +280,27 @@ def test_equilibrium_with_isp_solve_clears_every_provider():
 
 
 RUNNER_NAMES = ("run_sweep", "run_equilibrium", "solve_wfp_equilibrium", "solve_isp_prices",
-                "settle_transaction")
+                "settle_transaction", "settle_rows")
 ISP_SWEEP = {"kind": "sweep", "swept_party": "isp", "start": 2, "step": 1, "count": 4,
              "sigma0": 0.5}
+INDIVIDUAL_E2 = {"id": "e2", "kind": "individual", "quota": 400, "fee": 1e9, "min_profit": 1}
 
 
-@pytest.mark.parametrize("mode, called, ticks", [
-    (None, {"run_equilibrium", "solve_wfp_equilibrium", "solve_isp_prices",
-            "settle_transaction"}, 3),
-    (ISP_SWEEP, {"run_sweep", "settle_transaction"}, 4),
-], ids=["equilibrium", "sweep"])
-def test_runners_reach_each_call_through_the_engine_namespace(monkeypatch, mode, called, ticks):
+@pytest.mark.parametrize("mode, e2, called, ticks", [
+    (None, None, {"run_equilibrium", "solve_wfp_equilibrium", "solve_isp_prices",
+                  "settle_rows"}, 3),
+    (ISP_SWEEP, None, {"run_sweep", "settle_rows"}, 4),
+    (None, INDIVIDUAL_E2, {"run_equilibrium", "solve_wfp_equilibrium", "solve_isp_prices",
+                           "settle_rows", "settle_transaction"}, 3),
+], ids=["equilibrium", "sweep", "individual"])
+def test_runners_reach_each_call_through_the_engine_namespace(monkeypatch, mode, e2, called,
+                                                              ticks):
     """The benchmark's tracer replaces these names in ``wifimarket.engine``: a runner
     that held its own reference (a dispatch table, a name captured at import) would
     leave it timing and counting nothing."""
     doc = make_isp_doc()
     doc["mode"] = mode or doc["mode"]
+    doc["wfps"][1] = e2 or doc["wfps"][1]
     calls = dict.fromkeys(RUNNER_NAMES, 0)
 
     def counting(name, fn):
@@ -299,7 +314,9 @@ def test_runners_reach_each_call_through_the_engine_namespace(monkeypatch, mode,
     ts = run_scenario(scenario_from_dict(doc))
     assert {name for name, count in calls.items() if count} == called
     assert len(ts.records) == ticks
-    assert calls["settle_transaction"] == ticks * 2  # one per provider per tick
+    # one kernel call per establishment, one settle_transaction per individual per tick
+    assert calls["settle_rows"] == 2 - bool(e2)
+    assert calls["settle_transaction"] == ticks * bool(e2)
 
 
 def test_quota_sweep_series_per_provider():
@@ -373,6 +390,25 @@ def test_ceiling_sweep_settles_every_usage_level_in_one_kernel_call(monkeypatch)
     assert len({id(block.maps[2]) for block in ts.blocks}) == 1  # one set of price rows
 
 
+def test_tick_runs_settle_each_establishment_in_one_kernel_call(monkeypatch):
+    batches, one_rows = [], []
+
+    def batch(account, totals, *rest):
+        batches.append((account.id, len(totals.revenue)))
+        return settle_rows(account, totals, *rest)
+
+    def one_row(account, *rest):
+        one_rows.append(account.id)
+        return settle_transaction(account, *rest)
+
+    monkeypatch.setattr(engine, "settle_rows", batch)
+    monkeypatch.setattr(engine, "settle_transaction", one_row)
+    ts = run_scenario(scenario_from_dict(equilibrium_doc()))  # e1 an establishment, p1 not
+    assert batches == [("e1", 4)]  # all four ticks of e1 in one call
+    assert one_rows == ["p1"] * 4  # p1 tick by tick: its plan state feeds the next tick
+    assert len(ts.records) == 4
+
+
 def preset_doc(name):
     return json.loads(preset_path(name).read_text(encoding="utf-8"))
 
@@ -390,6 +426,14 @@ def test_quota_sweep_settles_nothing_below_x_floor():
             assert (rec.total_value, rec.wfp_share, rec.isp_share) == (0.0, 0.0, 0.0)
             assert rec.mean_utility == reference[label].records[rec.step].mean_utility
         assert any(r.total_value > 0.0 for r in reference[label].records)
+
+
+def test_tick_run_sells_a_purchase_at_x_floor_and_nothing_below():
+    # an equal split gives the one user the provider's whole capacity of 10
+    for x_floor, sold in ((10.0, True), (math.nextafter(10.0, math.inf), False)):
+        ts = run_scenario(scenario_from_dict(make_sweep_doc(solver={"x_floor": x_floor})))
+        assert all((r.total_value > 0.0) is sold for r in ts.records)
+        assert all(r.x_by_user == {"u1": 10.0 if sold else 0.0} for r in ts.records)
 
 
 def test_ceiling_sweep_settles_nothing_below_x_floor():

@@ -208,6 +208,17 @@ def test_wfp_solver_slack_capacity_leaves_price_at_floor():
         assert result.x_by_user[u.id] == pytest.approx(100.0 / 15.0, rel=1e-6)
 
 
+def test_wfp_solver_searches_its_breakpoints_by_bisection():
+    account = WfpAccount(id="ew", kind=WfpKind.ESTABLISHMENT, capacity=100.0, min_profit=1.0)
+    users = [UserProfile(id=f"u{i}", budget=20.0 + 7.0 * i, x_min=0.1, x_max=8.0)
+             for i in range(60)]
+    result = solve_wfp_equilibrium(account, *population(
+        users, {u.id: 1.0 + 0.5 * (i % 7) for i, u in enumerate(users)}))
+    assert result.converged and sum(result.x_by_user.values()) == pytest.approx(100.0)
+    # D(0), one evaluation per halving of the 180 breakpoints, the piece's probe and lam
+    assert result.iterations <= 3 + math.ceil(math.log2(3 * len(users)))
+
+
 def test_wfp_solver_no_users():
     account = WfpAccount(id="ew", kind=WfpKind.ESTABLISHMENT, capacity=5.0)
     users, g = population([], {})
@@ -431,6 +442,11 @@ def test_isp_solver_without_links_converges_after_one_iteration():
     assert solve_isp_subgradient({}, lambda prices: {}, max_iters=0).iterations == 0
 
 
+def test_certified_isp_solve_without_links_is_certified_with_no_residual():
+    result = solve_isp_prices({}, lambda prices: {})
+    assert (result.converged, result.residual, result.g_by_link) == (True, 0.0, {})
+
+
 def test_isp_solver_stops_only_on_a_move_strictly_below_epsilon():
     # Load 31 on a residual of 30: the first step moves the price by exactly
     # sigma0 = epsilon, which does not stop the solve; the second moves it by half.
@@ -570,6 +586,38 @@ def test_certified_isp_solve_closes_in_on_a_slope_of_exactly_its_tolerance():
     assert result.converged
     assert 0.5 <= result.g_by_link["L"] < 1.0
     assert (result.iterations, result.residual) == (3, 1e-9)
+
+
+@pytest.mark.parametrize("capacity, start, load, price, residual", [
+    # tolerance 1e9 * 1e-9 = 1: from 2 the search steps back to 0, where the load
+    # leaves s = -1 exactly, a slope of exactly -eps: within tolerance, it stops there
+    (1e9, 2.0, lambda g: 1e9 + 1.0 if g == 0.0 else 0.0, 0.0, 1.0),
+    # tolerance 1e-9: from 0 the first step forward reaches 1, where no load leaves
+    # s = 1e-9 exactly, a slope of exactly eps: it stops there too
+    (1e-9, 0.0, lambda g: 1.0 if g < 1.0 else 0.0, 1.0, 1e-9),
+], ids=["back_to_zero", "forward_to_one"])
+def test_certified_isp_solve_stops_a_step_on_a_slope_of_exactly_its_tolerance(
+        capacity, start, load, price, residual):
+    links = {"L": LinkState(id="L", capacity=capacity, price=start)}
+    result = solve_isp_prices(links, lambda prices: {"L": load(prices["L"])})
+    assert result.converged
+    assert (result.g_by_link, result.iterations, result.residual) == ({"L": price}, 2, residual)
+
+
+def test_certified_isp_solve_counts_a_link_seen_at_exactly_minus_its_tolerance_as_clearable():
+    # Link L starts at s = 1e-9 - 2e-9 = -1e-9, exactly minus its tolerance: cleared,
+    # and so able to clear.  Dropping M's price to 0 raises L's load to 1; L's price
+    # then rises 1, 3 (load 1e-9 from 2 on, s = 0) with no probe at an infinite price.
+    links = {"L": LinkState(id="L", capacity=1e-9), "M": LinkState(id="M", capacity=10.0,
+                                                                     price=1.0)}
+
+    def demand_fn(prices):
+        load = 2e-9 if prices["M"] > 0.0 else 1.0 if prices["L"] < 2.0 else 1e-9
+        return {"L": load, "M": 0.0}
+
+    result = solve_isp_prices(links, demand_fn)
+    assert result.converged
+    assert (result.g_by_link, result.iterations) == ({"L": 3.0, "M": 0.0}, 4)
 
 
 def test_certified_isp_solve_flags_a_spent_budget():

@@ -5,7 +5,9 @@ These tests rebuild every step's totals from the record's per-user values
 (users buying at least ``x_floor``, folded from 0.0 in roster order), settle
 them with ``reference_settle``, which shares no code with the kernel, and
 require the record's values and shares to match exactly.  The provider fees
-are set high enough never to bind.
+are set high enough never to bind, except in one equilibrium case, where the
+individual's fee caps its share from the first tick, next to an establishment
+that the engine settles for all ticks at once.
 """
 from dataclasses import replace
 
@@ -54,6 +56,13 @@ def equilibrium_doc():
         "kind": "equilibrium", "ticks": 4, "user_growth": 3,
         "subscriber_loads": {"AB": [30, 40, 20, 35], "BC": [30, 20, 35, 25]},
     })
+
+
+def binding_fee_doc():
+    """The equilibrium with p1's fee at 1.0, which its share reaches at tick 0."""
+    doc = equilibrium_doc()
+    doc["wfps"] = [doc["wfps"][0], dict(doc["wfps"][1], fee=1.0)]
+    return doc
 
 
 def ceiling_doc():
@@ -117,10 +126,11 @@ def roster_prefix(cfg, size):
     [
         lambda: scenario_from_dict(sweep_doc()),
         lambda: scenario_from_dict(equilibrium_doc()),
+        lambda: scenario_from_dict(binding_fee_doc()),
         lambda: load_preset("iwfp-topology"),
         ceiling_doc,
     ],
-    ids=["sweep", "equilibrium", "quota_sweep", "ceiling_sweep"],
+    ids=["sweep", "equilibrium", "equilibrium_binding_fee", "quota_sweep", "ceiling_sweep"],
 )
 def test_every_step_matches_the_per_sale_reference(make_cfg):
     ts = check_against_reference(make_cfg())

@@ -14,7 +14,7 @@ import pytest
 from settlement_oracle import SETTLEMENT_FIELDS, bits, reference_settle, totals_of
 
 from wifimarket import sharing
-from wifimarket.engine import _settle
+from wifimarket.engine import _settle, _settled
 from wifimarket.model import TOLERANCE, WfpAccount, WfpKind
 from wifimarket.sharing import (
     CoalitionValues,
@@ -44,8 +44,10 @@ def settle_two_sales(x_floor=0.0):
     x, g, prices = np.array([10.0, 10.0]), np.array([10.0, 90.0]), np.array([15.0, 91.0])
     x[x < x_floor] = 0.0
     provider, index = np.zeros(2, dtype=int), np.arange(2)  # each user its own template
-    combined = _settle(accounts, provider, index, g, prices, x, SharingParams())
-    return dict(zip(SETTLEMENT_FIELDS, combined))
+    sales, paid = np.zeros((1, 1, 6)), np.zeros((1, 1, 5))  # one provider, one tick
+    _settle(accounts, provider, index, g, prices, x, SharingParams(), sales[:, 0], paid[:, 0])
+    combined = _settled(accounts, sales, paid, SharingParams())
+    return {name: getattr(combined, name).item() for name in SETTLEMENT_FIELDS}
 
 
 def test_total_revenue_two_sales():
@@ -152,11 +154,12 @@ def test_iwfp_contribution_zero_when_plan_used_up():
 
 
 def test_iwfp_contribution_zero_once_fee_is_reached():
-    account = WfpAccount(
-        id="iw", kind=WfpKind.INDIVIDUAL, quota=50.0, unused=50.0,
-        fee=20.0, settled_share=20.0,
-    )
-    assert iwfp_contribution(110.0, 100.0, account, SharingParams()) == 0.0
+    for settled_share in (20.0, 20.0 - TOLERANCE):  # reached to within the tolerance
+        account = WfpAccount(
+            id="iw", kind=WfpKind.INDIVIDUAL, quota=50.0, unused=50.0,
+            fee=20.0, settled_share=settled_share,
+        )
+        assert iwfp_contribution(110.0, 100.0, account, SharingParams()) == 0.0
 
 
 def test_iwfp_contribution_rejects_establishment_account():
