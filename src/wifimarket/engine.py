@@ -19,17 +19,19 @@ users, so each step uses a prefix.  It settles each provider from its sales' tot
 and keeps the steps as columns (:class:`~wifimarket.model.StepBlock`).  Sweep and
 equilibrium runs share one tick loop, ``_run_ticks``; each passes only its price rule
 (a generator of each tick's prices: the sweep's ramp and dual step, the equilibrium's
-solves) and walk-away, which also sets whom the mean utility counts.  The loop
-settles each individual provider per tick through ``settle_transaction``, its plan
-feeding the next tick, and each establishment's ticks after it, in one
+solves) and walk-away, which also sets whom the mean utility counts.  The loop settles
+each individual provider per tick through ``settle_transaction``, its plan feeding the
+next tick, and each establishment's ticks after it, in one
 :func:`~wifimarket.sharing.settle_rows` call.  It keeps one one-row block per tick, its
 per-user rows holding one value per template (user entry), which its copies and clones
 read.  The quota and ceiling sweeps pass ``_snapshots`` only each provider's series;
 it settles a provider's in one ``settle_rows`` call, one block per series.
 Per-user float sums (settlement totals, means, demand), like the price solves' in
 :mod:`~wifimarket.pricing`, are each the sequential left fold 0.0 + v[0] + v[1] + ...
-over the users in roster order, by :func:`~wifimarket.model.running_total`, whatever
-the Python or numpy version.  Step records are built only when read.
+over the users in roster order, whatever the Python or numpy version: by
+:func:`~wifimarket.model.running_total`, or, for a tick run's establishment sales and
+mean utility, after the loop by ``_fold``, one join group per slow-axis reduce.
+Step records are built only when read.
 
 Runs are deterministic functions of the config: same document, same series.
 """
@@ -115,10 +117,6 @@ def _utility(pop: Population, idx, x: np.ndarray, prices) -> np.ndarray:
     return pop.weight[idx] * logs + (1.0 - x * prices / pop.budget[idx])
 
 
-def _mean(values: np.ndarray) -> float:
-    return running_total(values) / len(values) if len(values) else 0.0
-
-
 def _link_loads(
     links, pop: Population, path: np.ndarray, x: np.ndarray
 ) -> dict[str, float]:
@@ -156,24 +154,37 @@ def _link_demand(
 
 def _settle(accounts: list[WfpAccount], provider: np.ndarray, index: np.ndarray,
             g: np.ndarray, prices: np.ndarray, x: np.ndarray, sharing: SharingParams,
-            sales: np.ndarray, paid: np.ndarray) -> None:
-    """Fold one tick's sales per provider (users whose purchase is above zero) into row
-    k of ``sales`` (SaleTotals' fields), and settle the tick's individuals: for each,
-    row k of ``paid`` gets its payout (Settlement's fields), ``accounts[k]`` its plan.
-
-    ``g``, ``prices`` and ``x`` hold each template's values, and ``index`` and
-    ``provider`` each user's template and provider.
-    """
-    sold = (x > 0.0)[index]
-    # SaleTotals' five sums, one column each, one row per template
-    columns = np.column_stack((x * prices, x * g, (prices - g) * x, g, x))
+            paid: np.ndarray) -> np.ndarray:
+    """One tick's sale columns per template (SaleTotals' fields, zeros where x is 0), from
+    each template's ``g``, ``prices`` and ``x``; and its individuals settled, each from its
+    users' rows (``index`` and ``provider``: each user's template and provider) folded in
+    roster order: row k of ``paid`` gets one's payout, ``accounts[k]`` its plan."""
+    sold = x > 0.0
+    cells = np.where(sold, np.array((sold, x * prices, x * g, (prices - g) * x, g, x)), 0.0).T
     for k, account in enumerate(accounts):
-        sel = index[sold & (provider == k)]  # each buyer's template, in roster order
-        totals = SaleTotals(len(sel), *running_total(columns[sel]).tolist())
-        sales[k] = list(vars(totals).values())
         if account.kind is WfpKind.INDIVIDUAL:
-            settlement, accounts[k] = settle_transaction(account, totals, sharing)
-            paid[k] = list(vars(settlement).values())
+            count, *sums = running_total(cells[index[provider == k]]).tolist()
+            split, accounts[k] = settle_transaction(account, SaleTotals(int(count), *sums), sharing)
+            paid[k] = list(vars(split).values())
+    return cells
+
+
+def _fold(cells: np.ndarray, templates: np.ndarray, sizes) -> np.ndarray:
+    """Each tick's column totals: row t folds ``cells[templates[j], t]`` over the first
+    ``sizes[t]`` users j from 0.0 in roster order, bit for bit, by one ``np.add.reduce`` per
+    join group (the users who join at tick s; the first row of their block, ticks s and
+    later, also holds the running totals).  numpy adds a block's rows one by one, summing
+    pairwise only along the fast axis, which is the reduced one if a row holds one value.
+    """
+    if cells.shape[-1] < 2:
+        raise ValueError("a one-value row would be summed pairwise, not in roster order")
+    totals = np.zeros(cells.shape[1:])
+    for s, (start, end) in enumerate(zip([0, *sizes], sizes)):
+        if end > start:
+            block = np.ascontiguousarray(cells[templates[start:end], s:])  # a fresh C-order copy
+            block[0] += totals[s:]
+            np.add.reduce(block, axis=0, out=totals[s:])
+    return totals
 
 
 def _settled(accounts: list[WfpAccount], sales: np.ndarray, paid: np.ndarray,
@@ -205,8 +216,10 @@ def _run_ticks(cfg: ScenarioConfig, ticks: int, growth: int, price_rule, *,
     sizes = [len(pop) - growth * t for t in reversed(range(ticks))]
     accounts = list(cfg.wfps)  # _settle and the price rule update it in place
     sales, paid = np.zeros((len(accounts), ticks, 6)), np.zeros((len(accounts), ticks, 5))
+    # per template and tick: _settle's sale columns, and its utility and whether the mean counts it
+    sale_cells, utility_cells = np.zeros((m, ticks, 6)), np.zeros((m, ticks, 2))
     rule = price_rule(pop, first, accounts, sizes)
-    lambdas, means, rows, bought = [], [], [], None
+    lambdas, rows, bought = [], [], None
     for t, n in enumerate(sizes):
         lam, g, prices, x = rule.send(bought)
         index, provider = templates[:n], pop.provider[:n]
@@ -216,11 +229,17 @@ def _run_ticks(cfg: ScenarioConfig, ticks: int, growth: int, price_rule, *,
         if walk_away:  # individual rationality: not buying beats a net loss
             x[utility < 0.0] = utility[utility < 0.0] = 0.0
         bought = x[index]
-        _settle(accounts, provider, index, g, prices, x, cfg.sharing, sales[:, t], paid[:, t])
-        means.append(_mean(utility[index] if walk_away else utility[index[bought > 0.0]]))
+        sale_cells[:, t] = _settle(accounts, provider, index, g, prices, x, cfg.sharing, paid[:, t])
+        utility_cells[:, t, 0], utility_cells[:, t, 1] = utility, (x > 0.0) | walk_away
         rows.append(tuple(KeyedRows(pop.roster, row[None], index) for row in (g, prices, x)))
         lambdas.append(lam)
 
+    for k, account in enumerate(accounts):  # an establishment's sums: no tick reads them
+        if account.kind is WfpKind.ESTABLISHMENT:
+            mine = np.flatnonzero(pop.provider == k)
+            sales[k] = _fold(sale_cells, templates[mine], np.searchsorted(mine, sizes))
+    utility, counted = _fold(utility_cells, templates, sizes).T
+    means = np.divide(utility, counted, out=np.zeros(ticks), where=counted > 0.0)
     providers = Roster([w.id for w in cfg.wfps])
     scalars = _scalars(_settled(accounts, sales, paid, cfg.sharing), means)
     lambda_rows, index = np.array(lambdas, dtype=float), np.arange(ticks)
@@ -395,7 +414,7 @@ def _snapshots(cfg: ScenarioConfig, series, with_utility: bool) -> TimeSeries:
         settled = vars(settle_rows(account, totals, cfg.sharing, unused, np.zeros(steps))).values()
         utility = np.zeros(steps)
         if with_utility:
-            utility = np.array([_mean(row) for row in _utility(users, slice(0, n), x, prices)])
+            utility = running_total(_utility(users, slice(0, n), x, prices).T) / n
         lambdas = KeyedRows(Roster([account.id]), posted[:, None])
         g_rows, x_rows = (KeyedRows(users.roster, np.broadcast_to(v, prices.shape)) for v in (g, x))
         maps = (lambdas, g_rows, KeyedRows(users.roster, prices), x_rows)

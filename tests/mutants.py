@@ -12,7 +12,8 @@ of them with ``random.Random(seed)``, and runs each in a copy of the repository
 checkout itself is never written), once the unmutated copy passes the suite.  Each
 mutant runs against the five quick test modules of ``QUICK`` first and, if it
 survives them, against the whole suite.  It is killed when pytest fails or runs
-past its timeout.
+past its timeout: ``TIMEOUT_FACTOR`` times what the unmutated suite took, and at least
+``MIN_TIMEOUT_S``.
 The probe prints one line per mutant, then the kill rate, counting apart the
 survivors that ``EQUIVALENT`` lists as unable to change what any run computes.
 
@@ -32,6 +33,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 from typing import NamedTuple
 
@@ -41,7 +43,8 @@ QUICK = ("test_sharing.py", "test_pricing.py", "test_engine.py", "test_acceptanc
          "test_settlement_reference.py")
 #: What the suite reads: the tests check the README's examples and CI's pins too.
 COPIED = ("src", "tests", "bench", "pyproject.toml", "README.md", ".github")
-TIMEOUT_S = 900
+#: A mutant that loops forever costs this many times the unmutated suite's run time.
+TIMEOUT_FACTOR, MIN_TIMEOUT_S = 4, 60.0
 
 _PROBE = "if b[3] < -eps and t_max == math.inf and not clearable >= rising:"
 _BROADCAST = ("if unused.ndim > 1 or settled_share.ndim > 1:  "
@@ -174,19 +177,20 @@ def candidates() -> list[Mutant]:
     return sorted(found, key=lambda m: (TARGETS.index(m.file), m.line, m.after))
 
 
-def _killed(copy: Path, tests: list[str]) -> bool:
-    """Whether pytest fails on ``tests`` in ``copy`` (a timeout counts as a failure)."""
+def _killed(copy: Path, tests: list[str], timeout: float | None) -> bool:
+    """Whether pytest fails on ``tests`` in ``copy`` within ``timeout`` seconds (a timeout
+    counts as a failure; None waits for it)."""
     env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
     command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
     try:
         done = subprocess.run(command, cwd=copy, env=env, capture_output=True,
-                              timeout=TIMEOUT_S)
+                              timeout=timeout)
     except subprocess.TimeoutExpired:
         return True
     return done.returncode != 0
 
 
-def probe(mutants: list[Mutant], copy: Path) -> dict[Mutant, str]:
+def probe(mutants: list[Mutant], copy: Path, timeout: float) -> dict[Mutant, str]:
     """Each mutant's fate: killed by the quick modules or the suite, equivalent or survived."""
     fates = {}
     for k, mutant in enumerate(mutants, 1):
@@ -194,9 +198,9 @@ def probe(mutants: list[Mutant], copy: Path) -> dict[Mutant, str]:
         original = path.read_text(encoding="utf-8")
         path.write_text(_mutated(original.splitlines(), mutant), encoding="utf-8")
         try:
-            if _killed(copy, [f"tests/{name}" for name in QUICK]):
+            if _killed(copy, [f"tests/{name}" for name in QUICK], timeout):
                 fate = "killed (quick)"
-            elif _killed(copy, ["tests"]):
+            elif _killed(copy, ["tests"], timeout):
                 fate = "killed (suite)"
             else:
                 key = (mutant.file, mutant.before.strip(), mutant.after.strip())
@@ -229,10 +233,15 @@ def main(argv: list[str] | None = None) -> int:
             else:
                 target.parent.mkdir(parents=True, exist_ok=True)
                 shutil.copy2(source, target)
-        if _killed(copy, ["tests"]):
+        started = time.monotonic()
+        if _killed(copy, ["tests"], None):
             print("the unmutated copy fails the suite: no mutant can be judged")
             return 1
-        fates = probe(mutants, copy)
+        elapsed = time.monotonic() - started
+        timeout = max(MIN_TIMEOUT_S, TIMEOUT_FACTOR * elapsed)
+        print(f"the unmutated suite took {elapsed:.0f} s; each mutant's run may take "
+              f"{timeout:.0f} s", flush=True)
+        fates = probe(mutants, copy, timeout)
 
     killed = sum(fate.startswith("killed") for fate in fates.values())
     equivalent = sum(fate == "equivalent" for fate in fates.values())

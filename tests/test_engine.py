@@ -5,13 +5,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from settlement_oracle import SETTLEMENT_FIELDS, bits, reference_settle
-from test_settlement_reference import equilibrium_doc
+from settlement_oracle import SETTLEMENT_FIELDS, bits, reference_settle, totals_of
+from test_settlement_reference import equilibrium_doc, sweep_doc
 
 from wifimarket.config import CeilingSweepMode, QuotaSweepMode, scenario_from_dict
 from wifimarket import engine
-from wifimarket.engine import _utility, run_scenario
-from wifimarket.model import Population, UserProfile
+from wifimarket.engine import _fold, _utility, run_scenario
+from wifimarket.model import Population, UserProfile, WfpKind, fold_sum
 from wifimarket.presets import load_preset, preset_path
 from wifimarket.pricing import solve_wfp_equilibrium, user_utility
 from wifimarket.sharing import SaleTotals, settle_rows, settle_transaction
@@ -407,6 +407,112 @@ def test_tick_runs_settle_each_establishment_in_one_kernel_call(monkeypatch):
     assert batches == [("e1", 4)]  # all four ticks of e1 in one call
     assert one_rows == ["p1"] * 4  # p1 tick by tick: its plan state feeds the next tick
     assert len(ts.records) == 4
+
+
+def left_folds(cells, templates, sizes):
+    """What ``_fold`` must return: each tick's fold_sum of each column over its users."""
+    return np.array([[fold_sum(cells[templates[j], t, c] for j in range(n))
+                      for c in range(cells.shape[2])] for t, n in enumerate(sizes)])
+
+
+def test_fold_adds_each_column_in_roster_order_not_pairwise():
+    # 1e16, 1.0, -1e16, 1.0, ... down each column: numpy's pairwise sum reads otherwise
+    column = np.tile([1e16, 1.0, -1e16, 1.0], 4)
+    assert bits([np.add.reduce(column)]) != bits([fold_sum(column)])
+    cells = column[:, None, None] * np.array([[1.0, 3.0], [-1.0, 0.5], [7.0, 1.0]])  # (16, 3, 2)
+    templates, sizes = np.arange(16), [9, 12, 16]  # join groups of 9, 3 and 4 users
+    folded = _fold(cells, templates, sizes)
+    assert bits(folded.ravel()) == bits(left_folds(cells, templates, sizes).ravel())
+    assert bits([folded[2, 0]]) != bits([np.add.reduce(cells[:, 2, 0].copy())])  # pairwise
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_fold_equals_the_left_fold_on_random_runs(seed):
+    rng = np.random.default_rng(seed)
+    m, ticks, width = rng.integers(1, 12), rng.integers(1, 9), rng.integers(2, 7)
+    shape = (m, ticks, width)
+    cells = rng.standard_normal(shape) * 10.0 ** rng.integers(-12, 17, shape)
+    cells[rng.random(shape) < 0.2] = -0.0  # a fold from 0.0 never keeps a -0.0
+    sizes = np.cumsum(rng.integers(0, 6, ticks)) + 1  # some ticks add no users
+    templates = rng.integers(0, m, sizes[-1])
+    expected = left_folds(cells, templates, sizes)
+    assert bits(_fold(cells, templates, sizes).ravel()) == bits(expected.ravel())
+    # a Fortran-ordered copy, whose gathered rows numpy need not lay out in C order
+    fortran = np.asfortranarray(cells)
+    assert bits(_fold(fortran, templates, sizes).ravel()) == bits(expected.ravel())
+
+
+def test_fold_refuses_one_value_rows():
+    # a one-column block's last tick is one value per row, which numpy sums pairwise
+    with pytest.raises(ValueError, match="one-value row"):
+        _fold(np.ones((16, 1, 1)), np.arange(16), [16])
+
+
+@pytest.mark.parametrize("make_doc", [sweep_doc, equilibrium_doc], ids=["sweep", "equilibrium"])
+def test_tick_run_sums_are_the_per_tick_left_folds(monkeypatch, make_doc):
+    """Two establishments and an individual, their users interleaved in the roster, with
+    growth: the establishments' sale totals that the tick run settles after its loop,
+    and each tick's mean utility, are the per-tick folds over the users in roster order.
+    An equilibrium tick averages over every user, counting each walked-away one as 0.0;
+    a sweep step averages over its buyers."""
+    doc = make_doc()
+    doc["wfps"] = [*doc["wfps"], {"id": "e2", "kind": "establishment", "capacity": 15,
+                                  "min_profit": 3}]
+    doc["users"] = [dict(u, wfp=("p1", "e1", "e2")[i % 3]) for i, u in enumerate(doc["users"])]
+    doc["solver"] = dict(doc["solver"], x_floor=1.0)  # some sweep users buy too little
+    cfg = scenario_from_dict(doc)
+    settled, captured = engine._settled, []
+    monkeypatch.setattr(engine, "_settled", lambda accounts, sales, *rest: (
+        captured.append(sales.copy()) or settled(accounts, sales, *rest)))
+    records = run_scenario(cfg).records
+    (sales,) = captured
+    profile = {uid: u for u in cfg.users for uid in u.ids}  # clones: "<id>+<n>"
+    walk_away = make_doc is equilibrium_doc
+    for t, rec in enumerate(records):
+        users = [(uid, profile[uid.split("+")[0]]) for uid in rec.x_by_user]
+        for k, account in enumerate(cfg.wfps):
+            if account.kind is WfpKind.ESTABLISHMENT:
+                sold = [(x, rec.g_by_user[uid], rec.final_price_by_user[uid])
+                        for (uid, user), x in zip(users, rec.x_by_user.values())
+                        if user.wfp == account.id and x > 0.0]
+                assert bits(sales[k, t]) == bits(vars(totals_of(*sold)).values())
+        utility = [user_utility(rec.x_by_user[uid], rec.final_price_by_user[uid], user)
+                   if rec.x_by_user[uid] > 0.0 else 0.0 for uid, user in users]
+        counted = [u for x, u in zip(rec.x_by_user.values(), utility) if walk_away or x > 0.0]
+        mean = fold_sum(counted) / len(counted) if counted else 0.0
+        assert bits([rec.mean_utility]) == bits([mean]), (t, rec.mean_utility, mean)
+    x = [v for rec in records for v in rec.x_by_user.values()]
+    assert 0.0 in x and any(v > 0.0 for v in x) and len(records[-1].x_by_user) > 30
+
+
+def zero_utility_doc(**user):
+    """One user whose best buy, at the floor price 150 + 50, is x = x_max = 0.5 with a
+    utility of exactly 0.0: ln(0.5 * snr 2) = 0 and 1 - 0.5 * 200 / 100 = 0."""
+    return {
+        "name": "edge",
+        "nodes": ["A", "B"],
+        "links": [{"id": "AB", "capacity": 100, "price": 150}],
+        "wfps": [{"id": "e1", "kind": "establishment", "capacity": 10, "min_profit": 50}],
+        "users": [dict({"id": "u", "wfp": "e1", "path": ["AB"], "x_max": 0.5}, **user)],
+        "solve_isp": False,
+        "mode": {"kind": "equilibrium", "ticks": 2},
+    }
+
+
+def test_walk_away_keeps_a_buyer_whose_utility_is_exactly_zero():
+    ts = run_scenario(scenario_from_dict(zero_utility_doc()))
+    assert [rec.mean_utility for rec in ts.records] == [0.0, 0.0]
+    assert all(rec.x_by_user == {"u": 0.5} for rec in ts.records)
+    assert all(rec.total_value == 100.0 for rec in ts.records)
+
+
+def test_a_sale_worth_less_than_one_is_not_a_zero_transaction():
+    cfg = scenario_from_dict(zero_utility_doc(x_max=0.004, tx_power=999.0))
+    ts = run_scenario(cfg)
+    for rec in ts.records:  # the mean over one user is its utility
+        assert rec.total_value == 0.004 * 200.0  # 0.8
+        assert rec.mean_utility == user_utility(0.004, 200.0, cfg.users[0]) > 0.0
+    assert ts.summary["first_zero_transaction_step"] == -1.0
 
 
 def preset_doc(name):

@@ -14,7 +14,7 @@ import pytest
 from settlement_oracle import SETTLEMENT_FIELDS, bits, reference_settle, totals_of
 
 from wifimarket import sharing
-from wifimarket.engine import _settle, _settled
+from wifimarket.engine import _fold, _settle, _settled
 from wifimarket.model import TOLERANCE, WfpAccount, WfpKind
 from wifimarket.sharing import (
     CoalitionValues,
@@ -44,8 +44,9 @@ def settle_two_sales(x_floor=0.0):
     x, g, prices = np.array([10.0, 10.0]), np.array([10.0, 90.0]), np.array([15.0, 91.0])
     x[x < x_floor] = 0.0
     provider, index = np.zeros(2, dtype=int), np.arange(2)  # each user its own template
-    sales, paid = np.zeros((1, 1, 6)), np.zeros((1, 1, 5))  # one provider, one tick
-    _settle(accounts, provider, index, g, prices, x, SharingParams(), sales[:, 0], paid[:, 0])
+    paid = np.zeros((1, 1, 5))  # one provider, one tick
+    cells = _settle(accounts, provider, index, g, prices, x, SharingParams(), paid[:, 0])
+    sales = _fold(cells[:, None], index, [2])[None]  # the establishment's sums, after the tick
     combined = _settled(accounts, sales, paid, SharingParams())
     return {name: getattr(combined, name).item() for name in SETTLEMENT_FIELDS}
 
