@@ -20,12 +20,12 @@ and keeps the steps as columns (:class:`~wifimarket.model.StepBlock`).  Sweep an
 equilibrium runs share one tick loop, ``_run_ticks``; each passes only its price rule
 (a generator of each tick's prices: the sweep's ramp and dual step, the equilibrium's
 solves) and walk-away, which also sets whom the mean utility counts.  The loop settles
-each individual provider per tick through ``settle_transaction``, its plan feeding the
-next tick, and each establishment's ticks after it, in one
-:func:`~wifimarket.sharing.settle_rows` call.  It keeps one one-row block per tick, its
-per-user rows holding one value per template (user entry), which its copies and clones
-read.  The quota and ceiling sweeps pass ``_snapshots`` only each provider's series;
-it settles a provider's in one ``settle_rows`` call, one block per series.
+an individual provider inside it, one ``settle_transaction`` per tick, since its plan
+feeds the next tick; an establishment has no plan, so all its ticks settle after it in
+one :func:`~wifimarket.sharing.settle_rows` call.  It keeps one one-row block per tick,
+its per-user rows holding one value per template (user entry), which its copies and
+clones read.  The quota and ceiling sweeps pass ``_snapshots`` only each provider's
+series; it settles a provider's in one ``settle_rows`` call, one block per series.
 Per-user float sums (settlement totals, means, demand), like the price solves' in
 :mod:`~wifimarket.pricing`, are each the sequential left fold 0.0 + v[0] + v[1] + ...
 over the users in roster order, whatever the Python or numpy version: by
@@ -72,7 +72,7 @@ from .pricing import (
     user_utility,  # noqa: F401 -- re-exported: the scalar form of _utility
     wfp_price_update,
 )
-from .sharing import SaleTotals, SharingParams, settle_rows, settle_transaction
+from .sharing import SaleTotals, settle_rows, settle_transaction
 
 
 #: Columns of StepBlock.scalars.
@@ -152,23 +152,6 @@ def _link_demand(
     return wfp_demand
 
 
-def _settle(accounts: list[WfpAccount], provider: np.ndarray, index: np.ndarray,
-            g: np.ndarray, prices: np.ndarray, x: np.ndarray, sharing: SharingParams,
-            paid: np.ndarray) -> np.ndarray:
-    """One tick's sale columns per template (SaleTotals' fields, zeros where x is 0), from
-    each template's ``g``, ``prices`` and ``x``; and its individuals settled, each from its
-    users' rows (``index`` and ``provider``: each user's template and provider) folded in
-    roster order: row k of ``paid`` gets one's payout, ``accounts[k]`` its plan."""
-    sold = x > 0.0
-    cells = np.where(sold, np.array((sold, x * prices, x * g, (prices - g) * x, g, x)), 0.0).T
-    for k, account in enumerate(accounts):
-        if account.kind is WfpKind.INDIVIDUAL:
-            count, *sums = running_total(cells[index[provider == k]]).tolist()
-            split, accounts[k] = settle_transaction(account, SaleTotals(int(count), *sums), sharing)
-            paid[k] = list(vars(split).values())
-    return cells
-
-
 def _fold(cells: np.ndarray, templates: np.ndarray, sizes) -> np.ndarray:
     """Each tick's column totals: row t folds ``cells[templates[j], t]`` over the first
     ``sizes[t]`` users j from 0.0 in roster order, bit for bit, by one ``np.add.reduce`` per
@@ -187,18 +170,6 @@ def _fold(cells: np.ndarray, templates: np.ndarray, sizes) -> np.ndarray:
     return totals
 
 
-def _settled(accounts: list[WfpAccount], sales: np.ndarray, paid: np.ndarray,
-             sharing: SharingParams) -> Settlement:
-    """The tick rows' payouts, summed over the providers from 0.0 in provider order, as
-    columns; an establishment reads no plan state, so its ticks settle here in one call."""
-    for account, rows, payouts in zip(accounts, sales, paid):
-        if account.kind is WfpKind.ESTABLISHMENT:
-            zeros = np.zeros(len(rows))
-            settled = settle_rows(account, SaleTotals(*rows.T), sharing, zeros, zeros)
-            payouts[:] = np.transpose(list(vars(settled).values()))
-    return Settlement(*running_total(paid).T)
-
-
 def _run_ticks(cfg: ScenarioConfig, ticks: int, growth: int, price_rule, *,
                walk_away: bool) -> tuple[TimeSeries, np.ndarray]:
     """The tick loop of sweep and equilibrium runs; returns the series and its scalars.
@@ -209,14 +180,16 @@ def _run_ticks(cfg: ScenarioConfig, ticks: int, growth: int, price_rule, *,
     each user reads its template's, in roster order), and is sent back the tick's purchases
     per user.  ``walk_away``: a buyer whose best buy is a net loss does not buy, and the mean
     utility is over every user (a non-buyer 0); without it, the mean is over the buyers.
-    Individuals settle tick by tick, updating ``accounts``; an establishment's stays as given.
+    An individual's plan state feeds the next tick, so it settles tick by tick, updating
+    ``accounts``; an establishment has none, so its ticks settle after the loop, in one
+    ``settle_rows`` call.  Each settles from its users' sale cells folded in roster order.
     """
     m, x_floor = len(cfg.users), cfg.solver.x_floor  # user j copies entry templates[j]
     pop, templates, first = _population(cfg, growth * max(ticks - 1, 0))
     sizes = [len(pop) - growth * t for t in reversed(range(ticks))]
-    accounts = list(cfg.wfps)  # _settle and the price rule update it in place
-    sales, paid = np.zeros((len(accounts), ticks, 6)), np.zeros((len(accounts), ticks, 5))
-    # per template and tick: _settle's sale columns, and its utility and whether the mean counts it
+    accounts = list(cfg.wfps)  # the settlements and the price rule update it in place
+    paid = np.zeros((len(accounts), ticks, 5))  # each provider's Settlement row per tick
+    # per template and tick: SaleTotals' fields, utility and whether the mean counts it
     sale_cells, utility_cells = np.zeros((m, ticks, 6)), np.zeros((m, ticks, 2))
     rule = price_rule(pop, first, accounts, sizes)
     lambdas, rows, bought = [], [], None
@@ -228,20 +201,28 @@ def _run_ticks(cfg: ScenarioConfig, ticks: int, growth: int, price_rule, *,
         utility[buyers] = _utility(pop, first[buyers], x[buyers], prices[buyers])
         if walk_away:  # individual rationality: not buying beats a net loss
             x[utility < 0.0] = utility[utility < 0.0] = 0.0
-        bought = x[index]
-        sale_cells[:, t] = _settle(accounts, provider, index, g, prices, x, cfg.sharing, paid[:, t])
-        utility_cells[:, t, 0], utility_cells[:, t, 1] = utility, (x > 0.0) | walk_away
+        bought, sold = x[index], x > 0.0
+        sale_cells[:, t] = np.where(sold, (sold, x * prices, x * g, (prices - g) * x, g, x), 0.0).T
+        for k, account in enumerate(accounts):
+            if account.kind is WfpKind.INDIVIDUAL:
+                count, *sums = running_total(sale_cells[index[provider == k], t]).tolist()
+                split, accounts[k] = settle_transaction(account, SaleTotals(int(count), *sums),
+                                                        cfg.sharing)
+                paid[k, t] = list(vars(split).values())
+        utility_cells[:, t, 0], utility_cells[:, t, 1] = utility, sold | walk_away
         rows.append(tuple(KeyedRows(pop.roster, row[None], index) for row in (g, prices, x)))
         lambdas.append(lam)
 
-    for k, account in enumerate(accounts):  # an establishment's sums: no tick reads them
+    for k, account in enumerate(accounts):
         if account.kind is WfpKind.ESTABLISHMENT:
             mine = np.flatnonzero(pop.provider == k)
-            sales[k] = _fold(sale_cells, templates[mine], np.searchsorted(mine, sizes))
+            totals = SaleTotals(*_fold(sale_cells, templates[mine], np.searchsorted(mine, sizes)).T)
+            split = settle_rows(account, totals, cfg.sharing, *np.zeros((2, ticks)))
+            paid[k] = np.transpose(list(vars(split).values()))
     utility, counted = _fold(utility_cells, templates, sizes).T
     means = np.divide(utility, counted, out=np.zeros(ticks), where=counted > 0.0)
     providers = Roster([w.id for w in cfg.wfps])
-    scalars = _scalars(_settled(accounts, sales, paid, cfg.sharing), means)
+    scalars = _scalars(Settlement(*running_total(paid).T), means)  # added in provider order
     lambda_rows, index = np.array(lambdas, dtype=float), np.arange(ticks)
     blocks = [
         StepBlock("run", index[t : t + 1], scalars[t : t + 1],

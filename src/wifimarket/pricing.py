@@ -209,7 +209,7 @@ def solve_wfp_equilibrium(
             below = mid
         else:
             above = mid
-    left = float(breaks[below]) if below >= 0 else 0.0
+    left = float(breaks[below])  # below >= 1: no price up to breaks[1] moves a purchase, so D > C
     right = float(breaks[above])
     # Inside (left, right) no user changes state: the free ones buy
     # w * b / lam, the others a constant.

@@ -6,14 +6,15 @@ fail when the code is wrong.  Run it from the repository root (it takes minutes)
     python tests/mutants.py [--seed 1] [--count 80] [--workdir DIR]
 
 It lists every single-line mutant that the operators below make in
-``src/wifimarket/sharing.py``, ``pricing.py`` and ``engine.py``, draws ``--count``
-of them with ``random.Random(seed)``, and runs each in a copy of the repository
-(the files of ``COPIED``, under ``--workdir`` or a temporary directory; the
-checkout itself is never written), once the unmutated copy passes the suite.  Each
-mutant runs against the five quick test modules of ``QUICK`` first and, if it
-survives them, against the whole suite.  It is killed when pytest fails or runs
-past its timeout: ``TIMEOUT_FACTOR`` times what the unmutated suite took, and at least
-``MIN_TIMEOUT_S``.
+``src/wifimarket/sharing.py``, ``pricing.py`` and ``engine.py``, draws the ``--count``
+of them with the smallest SHA-256 of the seed, file and stripped line before and after
+(not the line number, so an edit elsewhere in a file leaves the draw as it was), and
+runs each in a copy of the repository (the files of ``COPIED``, under ``--workdir`` or
+a temporary directory; the checkout itself is never written), once the unmutated copy
+passes the suite.  Each mutant runs against the five quick test modules of ``QUICK``
+first and, if it survives them, against the whole suite.  It is killed when pytest
+fails or runs past its timeout: ``TIMEOUT_FACTOR`` times what the unmutated suite
+took, and at least ``MIN_TIMEOUT_S``.
 The probe prints one line per mutant, then the kill rate, counting apart the
 survivors that ``EQUIVALENT`` lists as unable to change what any run computes.
 
@@ -27,8 +28,8 @@ from __future__ import annotations
 
 import argparse
 import ast
+import hashlib
 import os
-import random
 import shutil
 import subprocess
 import sys
@@ -177,6 +178,12 @@ def candidates() -> list[Mutant]:
     return sorted(found, key=lambda m: (TARGETS.index(m.file), m.line, m.after))
 
 
+def _rank(seed: int, mutant: Mutant) -> str:
+    """``mutant``'s place in the draw at ``seed``: a hash of what it changes, not of where."""
+    key = repr((seed, mutant.file, mutant.before.strip(), mutant.after.strip()))
+    return hashlib.sha256(key.encode()).hexdigest()
+
+
 def _killed(copy: Path, tests: list[str], timeout: float | None) -> bool:
     """Whether pytest fails on ``tests`` in ``copy`` within ``timeout`` seconds (a timeout
     counts as a failure; None waits for it)."""
@@ -221,7 +228,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     pool = candidates()
-    mutants = random.Random(args.seed).sample(pool, min(args.count, len(pool)))
+    mutants = sorted(pool, key=lambda m: _rank(args.seed, m))[: args.count]
     mutants.sort(key=lambda m: (TARGETS.index(m.file), m.line, m.after))
     print(f"{len(mutants)} mutants drawn at seed {args.seed} from {len(pool)} candidates")
     with tempfile.TemporaryDirectory(dir=args.workdir) as scratch:

@@ -11,7 +11,7 @@ from test_settlement_reference import equilibrium_doc, sweep_doc
 from wifimarket.config import CeilingSweepMode, QuotaSweepMode, scenario_from_dict
 from wifimarket import engine
 from wifimarket.engine import _fold, _utility, run_scenario
-from wifimarket.model import Population, UserProfile, WfpKind, fold_sum
+from wifimarket.model import Population, UserProfile, fold_sum
 from wifimarket.presets import load_preset, preset_path
 from wifimarket.pricing import solve_wfp_equilibrium, user_utility
 from wifimarket.sharing import SaleTotals, settle_rows, settle_transaction
@@ -55,6 +55,17 @@ def test_sweep_share_crossover_summary():
     expected = [70.0 * (1.0 - 100.0 / (10.0 * (15 + 7 * t))) for t in range(10)]
     for rec, pct in zip(ts.records, expected):
         assert rec.wfp_share_pct == pytest.approx(pct, abs=1e-9)
+
+
+def test_sweep_share_of_exactly_half_is_no_crossover():
+    """From price 14 the ramp posts 35 at increment 3, a share of exactly
+    70 * (1 - 100/350) = 50%: the provider's share first overtakes at increment 4."""
+    doc = make_sweep_doc()
+    doc["mode"] = dict(doc["mode"], start=14)
+    ts = run_scenario(scenario_from_dict(doc))
+    assert ts.records[3].wfp_share_pct == 50.0
+    assert ts.summary["crossover_step"] == 4.0
+    assert ts.summary["crossings"] == 1.0
 
 
 @pytest.mark.parametrize("mode", [
@@ -461,21 +472,24 @@ def test_tick_run_sums_are_the_per_tick_left_folds(monkeypatch, make_doc):
     doc["users"] = [dict(u, wfp=("p1", "e1", "e2")[i % 3]) for i, u in enumerate(doc["users"])]
     doc["solver"] = dict(doc["solver"], x_floor=1.0)  # some sweep users buy too little
     cfg = scenario_from_dict(doc)
-    settled, captured = engine._settled, []
-    monkeypatch.setattr(engine, "_settled", lambda accounts, sales, *rest: (
-        captured.append(sales.copy()) or settled(accounts, sales, *rest)))
+    sales = {}  # each establishment's SaleTotals fields, one row per tick
+
+    def capture(account, totals, *rest):
+        sales[account.id] = np.column_stack(list(vars(totals).values()))
+        return settle_rows(account, totals, *rest)
+
+    monkeypatch.setattr(engine, "settle_rows", capture)
     records = run_scenario(cfg).records
-    (sales,) = captured
+    assert list(sales) == ["e1", "e2"]
     profile = {uid: u for u in cfg.users for uid in u.ids}  # clones: "<id>+<n>"
     walk_away = make_doc is equilibrium_doc
     for t, rec in enumerate(records):
         users = [(uid, profile[uid.split("+")[0]]) for uid in rec.x_by_user]
-        for k, account in enumerate(cfg.wfps):
-            if account.kind is WfpKind.ESTABLISHMENT:
-                sold = [(x, rec.g_by_user[uid], rec.final_price_by_user[uid])
-                        for (uid, user), x in zip(users, rec.x_by_user.values())
-                        if user.wfp == account.id and x > 0.0]
-                assert bits(sales[k, t]) == bits(vars(totals_of(*sold)).values())
+        for wfp, rows in sales.items():
+            sold = [(x, rec.g_by_user[uid], rec.final_price_by_user[uid])
+                    for (uid, user), x in zip(users, rec.x_by_user.values())
+                    if user.wfp == wfp and x > 0.0]
+            assert bits(rows[t]) == bits(vars(totals_of(*sold)).values())
         utility = [user_utility(rec.x_by_user[uid], rec.final_price_by_user[uid], user)
                    if rec.x_by_user[uid] > 0.0 else 0.0 for uid, user in users]
         counted = [u for x, u in zip(rec.x_by_user.values(), utility) if walk_away or x > 0.0]

@@ -478,6 +478,11 @@ def test_isp_solver_idle_link_price_decays_to_zero():
     result = solve_isp_subgradient(links, lambda p: {"L": 0.0}, sigma0=1.0)
     assert result.converged
     assert result.g_by_link["L"] == 0.0
+    # a link the demand omits carries no provider load
+    links = {"L": LinkState(id="L", capacity=0.5, subscriber_load=0.0, price=5.0)}
+    result = solve_isp_subgradient(links, lambda p: {}, sigma0=1.0)
+    assert result.converged
+    assert result.g_by_link["L"] == 0.0
 
 
 # --- certified ISP solve ---------------------------------------------------------------
@@ -521,6 +526,11 @@ def test_certified_isp_solve_prices_a_slack_link_at_exactly_zero():
     assert result.g_by_link == {"L": 0.0}
     assert result.residual == 0.0
     assert seen == [7.0, 0.0]  # warm start from the link's price, then s(0) >= 0
+    # a link the demand omits carries no provider load
+    links = {"L": LinkState(id="L", capacity=0.5, subscriber_load=0.0, price=5.0)}
+    result = solve_isp_prices(links, lambda prices: {}, max_iters=200)
+    assert result.converged
+    assert result.g_by_link == {"L": 0.0}
 
 
 def test_certified_isp_solve_crosses_a_flat_stretch():

@@ -14,7 +14,8 @@ import pytest
 from settlement_oracle import SETTLEMENT_FIELDS, bits, reference_settle, totals_of
 
 from wifimarket import sharing
-from wifimarket.engine import _fold, _settle, _settled
+from wifimarket.config import scenario_from_dict
+from wifimarket.engine import run_scenario
 from wifimarket.model import TOLERANCE, WfpAccount, WfpKind
 from wifimarket.sharing import (
     CoalitionValues,
@@ -36,19 +37,22 @@ NO_SALES = SaleTotals(0, 0.0, 0.0, 0.0, 0.0, 0.0)
 # --- revenue sums, as the engine takes them from a step's arrays ----------------
 
 
-def settle_two_sales(x_floor=0.0):
-    """The engine's settlement of one establishment selling 10 units at 15 over a
-    floor of 10 and 10 units at 91 over a floor of 90, by Settlement field; like the
-    engine, a purchase below ``x_floor`` is cut to zero first."""
-    accounts = [WfpAccount(id="ew", kind=WfpKind.ESTABLISHMENT, capacity=100.0)]
-    x, g, prices = np.array([10.0, 10.0]), np.array([10.0, 90.0]), np.array([15.0, 91.0])
-    x[x < x_floor] = 0.0
-    provider, index = np.zeros(2, dtype=int), np.arange(2)  # each user its own template
-    paid = np.zeros((1, 1, 5))  # one provider, one tick
-    cells = _settle(accounts, provider, index, g, prices, x, SharingParams(), paid[:, 0])
-    sales = _fold(cells[:, None], index, [2])[None]  # the establishment's sums, after the tick
-    combined = _settled(accounts, sales, paid, SharingParams())
-    return {name: getattr(combined, name).item() for name in SETTLEMENT_FIELDS}
+def settle_two_sales(x_floor=1e-6):
+    """A one-step best-response sweep's settlement, by Settlement field: one establishment
+    sells two boxed users 10 units each, at 15 over a floor of 10 (route AB) and at 91
+    over a floor of 90 (route AB, BC); a purchase below ``x_floor`` is cut to zero."""
+    boxed = {"wfp": "ew", "x_min": 10, "x_max": 10}
+    doc = {
+        "links": [{"id": "AB", "capacity": 100, "price": 10},
+                  {"id": "BC", "capacity": 100, "price": 80}],
+        "wfps": [{"id": "ew", "kind": "establishment", "capacity": 100, "min_profit": 1}],
+        "users": [dict(boxed, id="a", path=["AB"]), dict(boxed, id="b", path=["AB", "BC"])],
+        "solver": {"x_floor": x_floor},
+        "mode": {"kind": "sweep", "swept_party": "wfp", "start": 15, "count": 1,
+                 "allocation": "best_response"},
+    }
+    (rec,) = run_scenario(scenario_from_dict(doc)).records
+    return {name: getattr(rec, name) for name in SETTLEMENT_FIELDS}
 
 
 def test_total_revenue_two_sales():
