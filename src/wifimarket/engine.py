@@ -128,25 +128,36 @@ def _link_loads(
     return loads
 
 
-def _link_demand(
-    links, pop: Population, accounts: list[WfpAccount], customers: list[Population]
-):
+def _provider_solves(accounts: list[WfpAccount], customers: list[Population]):
+    """``solve(k, g)``: provider k's exact solve at its users' floors ``g``, or its last
+    result again if ``g`` has that solve's bits (``==`` would equate -0.0 with 0.0 and
+    never match NaN).  It keeps one result per provider, valid while ``accounts`` hold."""
+    last = [(None, None)] * len(accounts)  # per provider: its last floors' bytes and result
+
+    def solve(k: int, g: np.ndarray):
+        if last[k][0] != g.tobytes():
+            last[k] = g.tobytes(), solve_wfp_equilibrium(accounts[k], customers[k], g)
+        return last[k][1]
+
+    return solve
+
+
+def _link_demand(links, pop: Population, accounts: list[WfpAccount],
+                 customers: list[Population], solve=None):
     """The WFP load per link as a function of link prices.
 
     ``customers[k]`` are ``accounts[k]``'s users, taken from ``pop``.  Each
-    call floors every user at its path's price, solves every provider exactly
-    against those floors, and sums the purchases over the links, provider by
-    provider.  An infinite price on a link holds every user crossing it at
-    x_min.
+    call floors every user at its path's price, solves each provider exactly
+    against those floors by ``solve`` (by default its own ``_provider_solves``,
+    which skips a provider whose floors did not move since its last solve), and
+    sums the purchases over the links, provider by provider.  An infinite price
+    on a link holds every user crossing it at x_min.
     """
     path = np.concatenate([users.path for users in customers])
+    solve = solve or _provider_solves(accounts, customers)
 
     def wfp_demand(prices: Mapping[str, float]) -> dict[str, float]:
-        x = [
-            solve_wfp_equilibrium(account, users, _floors(users, prices))
-            .x_by_user.array
-            for account, users in zip(accounts, customers)
-        ]
+        x = [solve(k, _floors(users, prices)).x_by_user.array for k, users in enumerate(customers)]
         return _link_loads(links, pop, path, np.concatenate(x))
 
     return wfp_demand
@@ -296,7 +307,9 @@ def run_equilibrium(cfg: ScenarioConfig) -> TimeSeries:
     Per tick: refresh exogenous subscriber loads, solve the ISP's certified
     link prices from the last tick's (when ``solve_isp`` is on; a flagged
     solve's prices are used as they are), solve every provider's exact
-    clearing price against the resulting floors, drop users whose best
+    clearing price against the resulting floors (a provider whose floors did
+    not move since its last solve in the tick, the ISP solve's load
+    evaluations included, keeps that solve's result), drop users whose best
     response would leave them worse off than not buying, settle, and let
     individual accounts deplete.  Quotas replenish every
     ``billing_cycle_ticks`` ticks.  The summary counts the ISP and provider
@@ -332,8 +345,10 @@ def run_equilibrium(cfg: ScenarioConfig) -> TimeSeries:
             members = [np.flatnonzero(provider == k) for k in range(len(accounts))]
             customers = [pop.take(idx) for idx in members]
 
+            memo = None  # the ISP solve's: one per tick, as the plans change between ticks
             if cfg.solve_isp and links:
-                demand = _link_demand(links, pop, accounts, customers)
+                memo = _provider_solves(accounts, customers)
+                demand = _link_demand(links, pop, accounts, customers, memo)
                 outer = flag(solve_isp_prices(links, demand, max_iters=cfg.solver.max_iters))
                 link_prices = outer.g_by_link
                 links = {
@@ -343,8 +358,9 @@ def run_equilibrium(cfg: ScenarioConfig) -> TimeSeries:
             g = _floors(pop, link_prices)[:n]
             lambda_by_wfp = {}
             prices, x = np.empty(n), np.empty(n)
-            for account, users, idx in zip(accounts, customers, members):
-                inner = flag(solve_wfp_equilibrium(account, users, g[idx]))
+            for k, (account, users, idx) in enumerate(zip(accounts, customers, members)):
+                inner = flag(memo(k, g[idx]) if memo
+                             else solve_wfp_equilibrium(account, users, g[idx]))
                 lambda_by_wfp[account.id] = inner.lambda_by_wfp[account.id]
                 prices[idx] = inner.final_price_by_user.array
                 x[idx] = inner.x_by_user.array

@@ -51,6 +51,7 @@ _PROBE = "if b[3] < -eps and t_max == math.inf and not clearable >= rising:"
 _BROADCAST = ("if unused.ndim > 1 or settled_share.ndim > 1:  "
               "# L rows of plan state: (L, S) columns")
 _SHARE = "share = [effective_capacity(a) / max(k, 1) for a, k in zip(accounts, members)]"
+_DENOMINATOR = "return spread / np.maximum(_logs(floor_sum, floor_sum > 0.0), params.beta)"
 
 #: Survivors that change no price, allocation, settlement or output byte of any run,
 #: keyed by file, the original line and the mutated line (both stripped), with why.
@@ -97,6 +98,9 @@ EQUIVALENT = {
      "totals = SaleTotals(count, revenue, isp_revenue, 1.0, floor_sum, volume)"):
         "a snapshot run settles individual providers only, and only an establishment's "
         "contribution reads the spread",
+    ("sharing.py", _DENOMINATOR, _DENOMINATOR.replace("floor_sum > 0.0", "floor_sum > 1.0")):
+        "a floor sum in (0, 1] logs to at most 0, and the denominator is the larger of the "
+        "log and beta, which validation holds above 1: beta either way",
     ("pricing.py", "t = 0.5 * (t_a + t_b)", "t = 1.0 * (t_a + t_b)"):
         "the ISP line search's bisection midpoint lies strictly inside the bracket only "
         "when the bracket is two or three floats wide, so the line guards rounding only",

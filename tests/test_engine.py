@@ -14,6 +14,7 @@ from wifimarket.engine import _fold, _utility, run_scenario
 from wifimarket.model import Population, UserProfile, fold_sum
 from wifimarket.presets import load_preset, preset_path
 from wifimarket.pricing import solve_wfp_equilibrium, user_utility
+from wifimarket.reports import write_csv
 from wifimarket.sharing import SaleTotals, settle_rows, settle_transaction
 
 
@@ -328,6 +329,130 @@ def test_runners_reach_each_call_through_the_engine_namespace(monkeypatch, mode,
     # one kernel call per establishment, one settle_transaction per individual per tick
     assert calls["settle_rows"] == 2 - bool(e2)
     assert calls["settle_transaction"] == ticks * bool(e2)
+
+
+def replenish_doc():
+    """make_isp_doc with e2 an individual whose quota binds in tick 1 and is replenished
+    for tick 2; the subscriber loads hold still, so each tick's ISP solve starts at the
+    floors where the last tick's ended."""
+    doc = make_isp_doc()
+    doc["wfps"][1] = dict(INDIVIDUAL_E2, quota=20, fee=5)
+    doc["mode"] = dict(doc["mode"], billing_cycle_ticks=2,
+                       subscriber_loads={"AB": [30, 30, 30], "BC": [30, 30, 30]})
+    return doc
+
+
+def solves_by_tick(monkeypatch, doc):
+    """The run's records and, per tick, its provider solves as (account, floors); a tick
+    starts at its ISP solve."""
+    ticks = []
+    solve_isp, solve_wfp = engine.solve_isp_prices, engine.solve_wfp_equilibrium
+
+    def isp(*args, **kwargs):
+        ticks.append([])
+        return solve_isp(*args, **kwargs)
+
+    def wfp(account, users, g):
+        ticks[-1].append((account, g.copy()))
+        return solve_wfp(account, users, g)
+
+    monkeypatch.setattr(engine, "solve_isp_prices", isp)
+    monkeypatch.setattr(engine, "solve_wfp_equilibrium", wfp)
+    return run_scenario(scenario_from_dict(doc)).records, ticks
+
+
+@pytest.mark.parametrize("make_doc", [make_isp_doc, replenish_doc], ids=["isp", "replenish"])
+def test_a_tick_solves_no_provider_twice_in_a_row_at_the_same_floors(monkeypatch, make_doc):
+    """The ISP solve's load evaluations and the tick's own solves share one memo, which
+    leaves out every solve at the bits of its provider's last floors; each record is
+    still a fresh exact solve at its own floors, bit for bit."""
+    records, ticks = solves_by_tick(monkeypatch, make_doc())
+    cfg = scenario_from_dict(make_doc())
+    assert len(ticks) == len(records) == 3
+    for rec, solves in zip(records, ticks):
+        last = {}
+        for account, g in solves:
+            assert bits(g) != last.get(account.id), account.id
+            last[account.id] = bits(g)
+        assert len(last) == 2  # each provider solved at least once per tick
+        for wfp in cfg.wfps:
+            account = [a for a, _ in solves if a.id == wfp.id][-1]
+            members = Population.of([u for u in cfg.users if u.wfp == wfp.id])
+            ids = members.roster.ids
+            g = np.array([rec.g_by_user[u] for u in ids])
+            fresh = solve_wfp_equilibrium(account, members, g)
+            assert bits([rec.lambda_by_wfp[wfp.id]]) == bits([fresh.lambda_by_wfp[wfp.id]])
+            assert bits(rec.final_price_by_user[u] for u in ids) == bits(
+                fresh.final_price_by_user.array)
+            bought = [u for u in ids if rec.x_by_user[u] > 0.0]  # the others walked away
+            assert bits(rec.x_by_user[u] for u in bought) == bits(
+                fresh.x_by_user[u] for u in bought)
+
+
+def test_a_billing_cycle_tick_solves_its_individual_again_at_unchanged_floors(monkeypatch):
+    """Each tick's first evaluation is at the last tick's final floors; the memo ends with
+    its tick, so the individual e2 is solved there again on its new plan state: depleted
+    in tick 1, replenished in tick 2."""
+    records, ticks = solves_by_tick(monkeypatch, replenish_doc())
+    e2 = [[(account, g) for account, g in solves if account.id == "e2"] for solves in ticks]
+    assert [tick[0][0].unused == 20.0 for tick in e2] == [True, False, True]
+    for before, after in zip(e2, e2[1:]):
+        assert bits(after[0][1]) == bits(before[-1][1])  # the same floors, solved again
+    assert records[1].lambda_by_wfp["e2"] > 0.0 == records[2].lambda_by_wfp["e2"]
+
+
+def test_a_run_without_the_isp_solve_builds_no_provider_memo(monkeypatch):
+    """Without the ISP solve a tick solves each provider once, so nothing can repeat."""
+    monkeypatch.setattr(engine, "_provider_solves", None)  # calling it would raise
+    doc = replenish_doc()
+    doc["solve_isp"] = False
+    calls = []
+    solve_wfp = engine.solve_wfp_equilibrium
+    monkeypatch.setattr(engine, "solve_wfp_equilibrium",
+                        lambda *args: calls.append(args[0].id) or solve_wfp(*args))
+    assert len(run_scenario(scenario_from_dict(doc)).records) == 3
+    assert calls == ["e1", "e2"] * 3
+
+
+def test_provider_solves_key_on_the_floors_bits_and_keep_one_result_each(monkeypatch):
+    calls = []
+    # the stand-in's result is the number of the solve that made it
+    monkeypatch.setattr(engine, "solve_wfp_equilibrium",
+                        lambda account, users, g: calls.append((account, g)) or len(calls))
+    solve = engine._provider_solves(["e1", "e2"], ["users1", "users2"])
+    zero, nan = np.zeros(3), np.array([1.0, math.nan, 2.0])
+    runs = [
+        (0, zero), (0, zero.copy()), (0, -zero),  # -0.0 == 0.0, yet other bits: solved again
+        (1, zero), (0, -zero),  # e2's solve keeps e1's result
+        (0, nan), (0, nan.copy()),  # nan != nan, yet the same bits: not solved again
+        (0, zero), (0, nan),  # one result per provider: the last
+    ]
+    made = [solve(k, g) for k, g in runs]
+    assert made == [1, 1, 2, 3, 2, 4, 4, 5, 6]
+    assert [account for account, _ in calls] == ["e1", "e1", "e2", "e1", "e1", "e1"]
+
+
+@pytest.mark.parametrize("make_doc", [make_isp_doc, replenish_doc], ids=["isp", "replenish"])
+def test_the_provider_memo_changes_no_output_byte(monkeypatch, make_doc, tmp_path):
+    """Solving every provider at every evaluation, as without the memo, writes the same
+    CSV and summary, in more solves."""
+    calls = []
+    solve_wfp = engine.solve_wfp_equilibrium
+    monkeypatch.setattr(engine, "solve_wfp_equilibrium",
+                        lambda *args: calls.append(args[0].id) or solve_wfp(*args))
+
+    def outputs():
+        calls.clear()
+        ts = run_scenario(scenario_from_dict(make_doc()))
+        write_csv(ts, tmp_path / "run.csv")
+        return (tmp_path / "run.csv").read_bytes(), ts.summary, len(calls)
+
+    *memo, solves = outputs()
+    monkeypatch.setattr(engine, "_provider_solves", lambda accounts, customers: (
+        lambda k, g: engine.solve_wfp_equilibrium(accounts[k], customers[k], g)))
+    *every, all_solves = outputs()
+    assert every == memo
+    assert solves < all_solves
 
 
 def test_quota_sweep_series_per_provider():

@@ -54,9 +54,11 @@ def test_bandwidth_utility_value():
 
 
 def test_bandwidth_utility_requires_positive_x():
+    # its own error, not the one math.log(0.0) would raise further on
     user = UserProfile(id="u")
-    with pytest.raises(ValueError):
-        user_utility(0.0, 15.0, user)
+    for x in (0.0, -0.0):
+        with pytest.raises(ValueError, match="requires x > 0"):
+            user_utility(x, 15.0, user)
 
 
 def test_cost_utility_value():
@@ -261,6 +263,32 @@ def test_wfp_solver_flags_non_convergence_instead_of_raising():
                                    epsilon=1e-12, max_iters=5)
     assert not result.converged
     assert result.iterations == 5
+
+
+def test_wfp_subgradient_oracle_first_step_is_sigma0_one_times_the_excess_demand():
+    account = WfpAccount(id="ew", kind=WfpKind.ESTABLISHMENT, capacity=5.0, min_profit=5.0)
+    user = UserProfile(id="u0", budget=100.0, x_min=0.01, x_max=50.0)
+    result = solve_wfp_subgradient(account, *population([user], {"u0": 10.0}), max_iters=1)
+    assert result.lambda_by_wfp["ew"] == pytest.approx(100.0 / 15.0 - 5.0, rel=1e-12)
+
+
+def test_a_positive_provider_price_counts_slack_capacity_in_the_residual():
+    # one step from 0 prices at 0.5, where the user buys 10 / 0.5 = 20 of the 49.5
+    account = WfpAccount(id="ew", kind=WfpKind.ESTABLISHMENT, capacity=49.5)
+    user = UserProfile(id="u0", budget=10.0, x_min=0.01, x_max=50.0)
+    result = solve_wfp_subgradient(account, *population([user], {"u0": 0.0}), max_iters=1)
+    assert (result.lambda_by_wfp["ew"], result.x_by_user["u0"]) == (0.5, 20.0)
+    assert result.residual == 49.5 - 20.0
+
+
+def test_wfp_subgradient_oracle_stops_only_on_a_move_below_epsilon():
+    # slack capacity holds the price at 0, a move of exactly 0: not below an epsilon of 0
+    account = WfpAccount(id="ew", kind=WfpKind.ESTABLISHMENT, capacity=1000.0)
+    user = UserProfile(id="u0", budget=100.0, x_min=0.01, x_max=50.0)
+    users, g = population([user], {"u0": 10.0})
+    stalled = solve_wfp_subgradient(account, users, g, epsilon=0.0, max_iters=3)
+    assert (stalled.converged, stalled.iterations, stalled.lambda_by_wfp) == (False, 3, {"ew": 0.0})
+    assert solve_wfp_subgradient(account, users, g, epsilon=1e-300).iterations == 1
 
 
 def test_wfp_solver_slack_capacity_prices_exactly_zero():
