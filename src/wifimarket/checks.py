@@ -12,16 +12,20 @@ against the subgradient iterations they replaced (which stay as the
 oracles), and the provider price on a small instance with a known fixed
 point.
 
-A suite is a ``check_*`` function that returns ``(passed, detail)``, declared
-with ``@_suite(name)`` (or ``@_split_suite`` for a split property).  A randomized
-suite folds one row of statistics per trial with :func:`_fold` and passes only
-if every statistic is at most its bound, which a NaN never is.  ``run_all``
-runs the suites in definition order, each with the next seed drawn from one
-master seed: one integer reproduces the battery, and the order fixes the seeds.
+A suite is a ``check_*`` function that returns a :class:`CheckResult`.  A
+randomized suite is declared as one trial, ``draw(rng, **knobs)``, which returns
+a row of statistics; ``@_trials`` makes it the suite ``(seed, trials, **knobs)``,
+which folds that many draws from one seeded generator with :func:`_fold` and
+passes only if every statistic is at most its bound, which a NaN never is.  The
+two suites that are not one trial at a time return ``(passed, detail)`` under
+``@_suite(name)``.  ``run_all`` runs the suites in definition order, each with
+the next seed drawn from one master seed: one integer reproduces the battery,
+and the order fixes the seeds.
 """
 from __future__ import annotations
 
 import functools
+import inspect
 import math
 import random
 from dataclasses import dataclass
@@ -29,7 +33,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .engine import _link_demand
+from .engine import _link_demand, _provider_solves
 from .model import (
     LinkState,
     Population,
@@ -99,13 +103,35 @@ def _fold(rows, bound=1e-9) -> tuple[np.ndarray, np.ndarray]:
     return np.max(rows, axis=0, initial=0.0), np.count_nonzero(~(rows <= bound), axis=0)
 
 
-def _worst(
-    seed: int, trials: int, draw: Callable[[random.Random], Sequence[float]], bound=1e-9
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_fold` over the statistics ``draw(rng)`` of ``trials`` draws from one
-    seeded generator."""
-    rng = random.Random(seed)
-    return _fold([draw(rng) for _ in range(trials)], bound)
+def _trials(
+    name: str, trials: int, detail: Callable[..., str], bound=1e-9
+) -> Callable[[Callable[..., Sequence[float]]], Callable[..., CheckResult]]:
+    """Decorator: a one-trial ``draw(rng, **knobs)`` that returns a row of statistics
+    becomes the :func:`_suite` ``(seed, trials=<trials>, **knobs)``, with the draw's name,
+    docstring and keywords.  It folds ``trials`` draws from one ``random.Random(seed)``
+    with :func:`_fold`, passes when no statistic exceeds ``bound`` (a number, or one per
+    column), and reports ``detail(trials, worst, violations, **knobs)``."""
+
+    def register(draw: Callable[..., Sequence[float]]) -> Callable[..., CheckResult]:
+        head = functools.partial(inspect.Parameter, kind=inspect.Parameter.POSITIONAL_OR_KEYWORD,
+                                 annotation="int")
+        _, *keywords = inspect.signature(draw).parameters.values()
+        signature = inspect.Signature([head("seed"), head("trials", default=trials), *keywords])
+
+        @functools.wraps(draw)
+        def check(*args, **kwargs) -> tuple[bool, str]:
+            call = signature.bind(*args, **kwargs)  # a TypeError on an unknown keyword
+            call.apply_defaults()
+            knobs = dict(call.arguments)
+            seed, count = knobs.pop("seed"), knobs.pop("trials")
+            rng = random.Random(seed)
+            worst, violations = _fold([draw(rng, **knobs) for _ in range(count)], bound)
+            return not violations.any(), detail(count, worst, violations, **knobs)
+
+        check.__signature__ = signature
+        return _suite(name)(check)
+
+    return register
 
 
 # --- randomized instance generators -----------------------------------------
@@ -143,34 +169,22 @@ def random_sales(rng: random.Random) -> SaleTotals:
 Splitter = Callable[[CoalitionValues], Settlement]
 
 
-def _split_suite(name: str, draws: str, gap: str) -> Callable[[Callable], Callable]:
-    """Decorator: a split property's ``deviations(rng, split_fn)`` becomes its
-    :func:`_suite` ``(seed, trials=10_000, split_fn=shapley_split)``, under the property's name and
-    docstring.  It passes when every deviation over ``trials`` draws is at most
-    1e-9 and reports "<trials> <draws>, <gap> = <worst>"; ``split_fn`` lets the test
-    suite show that the check rejects a broken splitter."""
-
-    def suite(deviations: Callable[[random.Random, Splitter], Sequence[float]]) -> Callable:
-        def check(seed: int, trials: int = 10_000, split_fn: Splitter = shapley_split):
-            worst, violations = _worst(seed, trials, lambda rng: deviations(rng, split_fn))
-            return not violations.any(), f"{trials} {draws}, {gap} = {worst.max():.3g}"
-
-        check.__name__, check.__doc__ = deviations.__name__, deviations.__doc__
-        return _suite(name)(check)
-
-    return suite
+def _gap(draws: str, gap: str) -> Callable[..., str]:
+    """A split property's detail, "<trials> <draws>, <gap> = <worst>".  Its ``split_fn``
+    lets a test show that the check rejects a broken splitter."""
+    return lambda trials, worst, _, split_fn: f"{trials} {draws}, {gap} = {worst.max():.3g}"
 
 
-@_split_suite("settlement-efficiency", "random games", "max |share sum - total|")
-def check_efficiency(rng: random.Random, split_fn: Splitter) -> tuple[float]:
+@_trials("settlement-efficiency", 10_000, _gap("random games", "max |share sum - total|"))
+def check_efficiency(rng: random.Random, split_fn: Splitter = shapley_split):
     """The two shares of every game must sum to the grand-coalition value."""
     game = random_game(rng)
     split = split_fn(game)
     return (abs(split.wfp_share + split.isp_share - game.total_value),)
 
 
-@_split_suite("shapley-oracle-equivalence", "random games", "max |closed form - oracle|")
-def check_oracle_equivalence(rng: random.Random, split_fn: Splitter) -> tuple[float, float]:
+@_trials("shapley-oracle-equivalence", 10_000, _gap("random games", "max |closed form - oracle|"))
+def check_oracle_equivalence(rng: random.Random, split_fn: Splitter = shapley_split):
     """Closed-form split equals the ordering-enumeration oracle."""
     game = random_game(rng)
     split = split_fn(game)
@@ -178,8 +192,8 @@ def check_oracle_equivalence(rng: random.Random, split_fn: Splitter) -> tuple[fl
     return abs(split.wfp_share - oracle_w), abs(split.isp_share - oracle_i)
 
 
-@_split_suite("symmetric-standalone-split", "symmetric games", "max share gap")
-def check_symmetry(rng: random.Random, split_fn: Splitter) -> tuple[float]:
+@_trials("symmetric-standalone-split", 10_000, _gap("symmetric games", "max share gap"))
+def check_symmetry(rng: random.Random, split_fn: Splitter = shapley_split):
     """Players with identical standalone values receive identical shares."""
     value = rng.uniform(0.0, 100.0)
     total = 2.0 * value + rng.uniform(0.0, 50.0)
@@ -187,34 +201,28 @@ def check_symmetry(rng: random.Random, split_fn: Splitter) -> tuple[float]:
     return (abs(split.wfp_share - split.isp_share),)
 
 
-@_suite("zero-contribution-dummy")
-def check_zero_contribution(seed: int, trials: int = 10_000) -> tuple[bool, str]:
+@_trials("zero-contribution-dummy", 10_000, lambda trials, worst, violations: (
+    f"{trials} used-up individual accounts, {violations.sum()} violations, "
+    f"max deviation = {worst.max():.3g}"
+))
+def check_zero_contribution(rng: random.Random) -> tuple[float, float, float]:
     """A provider with nothing to contribute settles at zero; the ISP keeps all.
 
     Exercised through the full transaction pipeline with individual accounts
     whose plans are fully used up (unused = 0), not just the bare split.
     """
-    params = SharingParams()
-
-    def deviations(rng: random.Random) -> tuple[float, float, float]:
-        quota = rng.uniform(1.0, 500.0)
-        account = WfpAccount(id="iw", kind=WfpKind.INDIVIDUAL, quota=quota, unused=0.0, fee=1e9)
-        settlement, updated = settle_transaction(account, random_sales(rng), params)
-        return (
-            abs(settlement.wfp_share),
-            abs(settlement.isp_share - settlement.total_value),
-            abs(updated.settled_share - account.settled_share),
-        )
-
-    worst, violations = _worst(seed, trials, deviations)
-    return not violations.any(), (
-        f"{trials} used-up individual accounts, {violations.sum()} violations, "
-        f"max deviation = {worst.max():.3g}"
+    quota = rng.uniform(1.0, 500.0)
+    account = WfpAccount(id="iw", kind=WfpKind.INDIVIDUAL, quota=quota, unused=0.0, fee=1e9)
+    settlement, updated = settle_transaction(account, random_sales(rng), SharingParams())
+    return (
+        abs(settlement.wfp_share),
+        abs(settlement.isp_share - settlement.total_value),
+        abs(updated.settled_share - account.settled_share),
     )
 
 
-@_split_suite("game-additivity", "game pairs", "max |split(a+b) - split(a) - split(b)|")
-def check_additivity(rng: random.Random, split_fn: Splitter) -> tuple[float, float]:
+@_trials("game-additivity", 10_000, _gap("game pairs", "max |split(a+b) - split(a) - split(b)|"))
+def check_additivity(rng: random.Random, split_fn: Splitter = shapley_split):
     """Splitting the sum of two games equals summing the two splits."""
     a, b = random_game(rng), random_game(rng)
     combined = CoalitionValues(
@@ -227,8 +235,8 @@ def check_additivity(rng: random.Random, split_fn: Splitter) -> tuple[float, flo
     )
 
 
-@_split_suite("equal-surplus-gain", "random games", "max gain asymmetry")
-def check_equal_surplus_gain(rng: random.Random, split_fn: Splitter) -> tuple[float]:
+@_trials("equal-surplus-gain", 10_000, _gap("random games", "max gain asymmetry"))
+def check_equal_surplus_gain(rng: random.Random, split_fn: Splitter = shapley_split):
     """Both players gain the same amount over their standalone values."""
     game = random_game(rng)
     split = split_fn(game)
@@ -260,80 +268,70 @@ def check_isp_floor_guarantee(seed: int, trials: int = 10_000) -> tuple[bool, st
     )
 
 
-@_suite("usage-monotone-share")
-def check_usage_monotone_share(
-    seed: int, trials: int = 1_000, steps: int = 20
-) -> tuple[bool, str]:
+@_trials("usage-monotone-share", 1_000, lambda trials, _, violations, steps: (
+    f"{trials} transactions x {steps + 1} usage levels, "
+    f"{violations.sum()} monotonicity violations"
+))
+def check_usage_monotone_share(rng: random.Random, steps: int = 20) -> np.ndarray:
     """An individual provider's share never grows as its plan gets used.
 
     Sweeps quota usage from fresh to exhausted in ``steps`` increments for
     each random transaction, all levels settled in one :func:`settle_rows`
     call (one row of sums, one column of plan states); the settled share must
     be non-increasing along the sweep and exactly zero once nothing is unused.
+    Its statistics: each usage level's share less the previous one's, then 1.0
+    if the fully used plan still has value, else 0.0.
     """
-    params = SharingParams()
-
-    def increases(rng: random.Random) -> np.ndarray:
-        """Each usage level's share less the previous one's, then 1.0 if the fully used
-        plan still has value, else 0.0."""
-        isp_value = rng.uniform(0.0, 50.0)
-        total = isp_value + rng.uniform(0.001, 60.0)
-        quota = rng.uniform(1.0, 500.0)
-        # One sale of volume 1 at price `total` over an ISP floor of `isp_value`.
-        sale = (1, total, isp_value, total - isp_value, isp_value, 1.0)
-        totals = SaleTotals(*(np.array([value]) for value in sale))
-        account = WfpAccount(id="iw", kind=WfpKind.INDIVIDUAL, quota=quota, unused=quota, fee=1e9)
-        unused = np.array([[quota * (steps - k) / steps] for k in range(steps + 1)])
-        settled = settle_rows(account, totals, params, unused, np.zeros(1))
-        shares = settled.wfp_share[:, 0]
-        return np.append(shares[1:] - shares[:-1], settled.wfp_value[-1, 0] != 0.0)
-
-    _, violations = _worst(seed, trials, increases)
-    return not violations.any(), (
-        f"{trials} transactions x {steps + 1} usage levels, "
-        f"{violations.sum()} monotonicity violations"
-    )
+    isp_value = rng.uniform(0.0, 50.0)
+    total = isp_value + rng.uniform(0.001, 60.0)
+    quota = rng.uniform(1.0, 500.0)
+    # One sale of volume 1 at price `total` over an ISP floor of `isp_value`.
+    sale = (1, total, isp_value, total - isp_value, isp_value, 1.0)
+    totals = SaleTotals(*(np.array([value]) for value in sale))
+    account = WfpAccount(id="iw", kind=WfpKind.INDIVIDUAL, quota=quota, unused=quota, fee=1e9)
+    unused = np.array([[quota * (steps - k) / steps] for k in range(steps + 1)])
+    settled = settle_rows(account, totals, SharingParams(), unused, np.zeros(1))
+    shares = settled.wfp_share[:, 0]
+    return np.append(shares[1:] - shares[:-1], settled.wfp_value[-1, 0] != 0.0)
 
 
-@_suite("floor-discount-monotone")
-def check_floor_discount_monotone(seed: int, trials: int = 1_000) -> tuple[bool, str]:
+@_trials("floor-discount-monotone", 1_000, lambda trials, _, violations: (
+    f"{trials} spread-preserving floor sweeps, {violations.sum()} increases"
+))
+def check_floor_discount_monotone(rng: random.Random) -> list[float]:
     """For a fixed price spread, dearer ISP floors never raise the credit.
 
     The establishment contribution divides the spread by max(ln(floor sum),
     beta); scaling every floor up while holding the spread fixed must leave
-    the contribution flat or lower.
+    the contribution flat or lower.  Its statistics: each scale's contribution
+    less the previous one's (-inf for the first).
     """
-    params = SharingParams()
-
-    def increases(rng: random.Random) -> list[float]:
-        """Each scale's contribution less the previous one's (-inf for the first)."""
-        n = rng.randint(1, 6)
-        floors = [rng.uniform(0.2, 10.0) for _ in range(n)]
-        spreads = [rng.uniform(0.0, 20.0) for _ in range(n)]
-        volumes = [rng.uniform(0.1, 10.0) for _ in range(n)]
-        previous, found = math.inf, []
-        for scale in (0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0):
-            prices = [floors[i] * scale + spreads[i] for i in range(n)]
-            floor_sum = fold_sum(floors[i] * scale for i in range(n))
-            spread = fold_sum((prices[i] - floors[i] * scale) * volumes[i] for i in range(n))
-            # revenue, isp_revenue and volume are not read by the contribution
-            totals = SaleTotals(n, 0.0, 0.0, spread, floor_sum, 0.0)
-            contribution = ewfp_contribution(totals, params)
-            found.append(contribution - previous)
-            previous = contribution
-        return found
-
-    _, violations = _worst(seed, trials, increases)
-    return not violations.any(), (
-        f"{trials} spread-preserving floor sweeps, {violations.sum()} increases"
-    )
+    n = rng.randint(1, 6)
+    floors = [rng.uniform(0.2, 10.0) for _ in range(n)]
+    spreads = [rng.uniform(0.0, 20.0) for _ in range(n)]
+    volumes = [rng.uniform(0.1, 10.0) for _ in range(n)]
+    previous, found = math.inf, []
+    for scale in (0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0):
+        prices = [floors[i] * scale + spreads[i] for i in range(n)]
+        floor_sum = fold_sum(floors[i] * scale for i in range(n))
+        spread = fold_sum((prices[i] - floors[i] * scale) * volumes[i] for i in range(n))
+        # revenue, isp_revenue and volume are not read by the contribution
+        totals = SaleTotals(n, 0.0, 0.0, spread, floor_sum, 0.0)
+        contribution = ewfp_contribution(totals, SharingParams())
+        found.append(contribution - previous)
+        previous = contribution
+    return found
 
 
 # --- user problem and price formation ----------------------------------------
 
 
-@_suite("best-response-grid")
-def check_best_response_grid(seed: int, trials: int = 1_000) -> tuple[bool, str]:
+@_trials("best-response-grid", 1_000, lambda trials, worst, violations: (
+    f"{trials} gridded boxes, max |closed form - grid argmax| = "
+    f"{worst[0]:.3g} (scalar), {worst[1:3].max():.3g} (_allocate), "
+    f"{violations[3]} concavity violations"
+), bound=(1e-3, 1e-3, 1e-3, 1e-12))
+def check_best_response_grid(rng: random.Random) -> list[float]:
     """Closed-form best response agrees with a dense grid search.
 
     Each trial grids the user's purchase box at one ten-thousandth of its
@@ -341,90 +339,57 @@ def check_best_response_grid(seed: int, trials: int = 1_000) -> tuple[bool, str]
     1e-3 acceptance gap) and also verifies the gridded utility is concave via
     its second differences.  Both forms are checked: the scalar
     ``user_best_response`` and the solvers' array clamp ``_allocate``, with
-    the price once as the provider's and once as the user's floor.
+    the price once as the provider's and once as the user's floor.  Its
+    statistics: |scalar - grid argmax|, |_allocate - grid argmax| for each
+    price role, and the largest second difference of the gridded utility.
     """
-
-    def gaps(rng: random.Random) -> list[float]:
-        """|scalar - grid argmax|, |_allocate - grid argmax| for each price role, and the
-        largest second difference of the gridded utility."""
-        x_min = rng.uniform(0.001, 0.1)
-        width = rng.uniform(0.5, 10.0)
-        user = UserProfile(
-            id="u",
-            weight=rng.uniform(0.5, 2.0),
-            budget=rng.uniform(10.0, 200.0),
-            tx_power=rng.uniform(0.01, 2.0),
-            x_min=x_min,
-            x_max=x_min + width,
-        )
-        price = rng.uniform(0.5, 200.0)
-        grid = np.linspace(user.x_min, user.x_max, 10_001)
-        utilities = (
-            user.weight * np.log(grid * user.snr_factor)
-            + 1.0
-            - grid * price / user.budget
-        )
-        grid_best = float(grid[int(np.argmax(utilities))])
-        found = [abs(user_best_response(price, user) - grid_best)]
-        wb, lo, hi = (np.array([v]) for v in (user.weight * user.budget, x_min, user.x_max))
-        for lam, floor in ((price, 0.0), (0.0, price)):
-            _, x = _allocate(lam, wb, np.array([floor]), lo, hi)
-            found.append(abs(float(x[0]) - grid_best))
-        return [*found, float(np.diff(utilities, n=2).max())]
-
-    worst, violations = _worst(seed, trials, gaps, bound=(1e-3, 1e-3, 1e-3, 1e-12))
-    return not violations.any(), (
-        f"{trials} gridded boxes, max |closed form - grid argmax| = "
-        f"{worst[0]:.3g} (scalar), {worst[1:3].max():.3g} (_allocate), "
-        f"{violations[3]} concavity violations"
-    )
+    x_min = rng.uniform(0.001, 0.1)
+    width = rng.uniform(0.5, 10.0)
+    user = UserProfile(id="u", weight=rng.uniform(0.5, 2.0), budget=rng.uniform(10.0, 200.0),
+                       tx_power=rng.uniform(0.01, 2.0), x_min=x_min, x_max=x_min + width)
+    price = rng.uniform(0.5, 200.0)
+    grid = np.linspace(user.x_min, user.x_max, 10_001)
+    utilities = user.weight * np.log(grid * user.snr_factor) + 1.0 - grid * price / user.budget
+    grid_best = float(grid[int(np.argmax(utilities))])
+    found = [abs(user_best_response(price, user) - grid_best)]
+    wb, lo, hi = (np.array([v]) for v in (user.weight * user.budget, x_min, user.x_max))
+    for lam, floor in ((price, 0.0), (0.0, price)):
+        _, x = _allocate(lam, wb, np.array([floor]), lo, hi)
+        found.append(abs(float(x[0]) - grid_best))
+    return [*found, float(np.diff(utilities, n=2).max())]
 
 
-@_suite("exact-vs-subgradient")
-def check_exact_vs_subgradient(seed: int, trials: int = 100) -> tuple[bool, str]:
+@_trials("exact-vs-subgradient", 100, lambda trials, worst, violations: (
+    f"{trials} random providers, {violations[0]} violations, "
+    f"max residual / max(C, 1) = {worst[1]:.3g}"
+), bound=(0.0, math.inf))
+def check_exact_vs_subgradient(rng: random.Random) -> tuple[bool, float]:
     """The exact provider price clears capacity at least as well as the oracle.
 
     Random feasible instances of one to twenty users (capacity between
     sum x_min and 1.1 * sum x_max, some floors zero): the exact solve must
     meet the capacity constraint to 1e-9 * max(C, 1) and never leave a larger
     residual than the paper's subgradient iteration on the same instance.
+    Its statistics: whether the exact solve fails, and its residual /
+    max(C, 1).
     """
-    def failures(rng: random.Random) -> tuple[bool, float]:
-        """Whether the exact solve fails, and its residual / max(C, 1)."""
-        users, g = [], []
-        for i in range(rng.randint(1, 20)):
-            x_min = rng.uniform(0.001, 1.0)
-            users.append(
-                UserProfile(
-                    id=f"u{i}",
-                    weight=rng.uniform(0.5, 2.0),
-                    budget=rng.uniform(10.0, 200.0),
-                    x_min=x_min,
-                    x_max=x_min + rng.uniform(0.5, 10.0),
-                )
-            )
-            g.append(rng.choice((0.0, rng.uniform(0.0, 30.0))))
-        capacity = rng.uniform(
-            fold_sum(u.x_min for u in users), 1.1 * fold_sum(u.x_max for u in users)
-        )
-        account = WfpAccount(
-            id="ew",
-            kind=WfpKind.ESTABLISHMENT,
-            capacity=capacity,
-            min_profit=rng.uniform(0.0, 5.0),
-        )
-        pop, g = Population.of(users), np.array(g)
-        exact = solve_wfp_equilibrium(account, pop, g)
-        oracle = solve_wfp_subgradient(account, pop, g, max_iters=1_000)
-        scaled = exact.residual / max(capacity, 1.0)
-        ok = exact.converged and scaled <= 1e-9 and exact.residual <= oracle.residual
-        return not ok, scaled
-
-    worst, violations = _worst(seed, trials, failures, bound=(0.0, math.inf))
-    return not violations.any(), (
-        f"{trials} random providers, {violations[0]} violations, "
-        f"max residual / max(C, 1) = {worst[1]:.3g}"
-    )
+    users, g = [], []
+    for i in range(rng.randint(1, 20)):
+        x_min = rng.uniform(0.001, 1.0)
+        users.append(UserProfile(id=f"u{i}", weight=rng.uniform(0.5, 2.0),
+                                 budget=rng.uniform(10.0, 200.0), x_min=x_min,
+                                 x_max=x_min + rng.uniform(0.5, 10.0)))
+        g.append(rng.choice((0.0, rng.uniform(0.0, 30.0))))
+    low, high = fold_sum(u.x_min for u in users), 1.1 * fold_sum(u.x_max for u in users)
+    capacity = rng.uniform(low, high)
+    account = WfpAccount(id="ew", kind=WfpKind.ESTABLISHMENT, capacity=capacity,
+                         min_profit=rng.uniform(0.0, 5.0))
+    pop, g = Population.of(users), np.array(g)
+    exact = solve_wfp_equilibrium(account, pop, g)
+    oracle = solve_wfp_subgradient(account, pop, g, max_iters=1_000)
+    scaled = exact.residual / max(capacity, 1.0)
+    ok = exact.converged and scaled <= 1e-9 and exact.residual <= oracle.residual
+    return not ok, scaled
 
 
 def random_network(
@@ -475,42 +440,36 @@ def random_network(
     return links, accounts, users
 
 
-@_suite("isp-exact-vs-subgradient")
-def check_isp_exact_vs_subgradient(seed: int, trials: int = 30) -> tuple[bool, str]:
+@_trials("isp-exact-vs-subgradient", 30, lambda trials, worst, violations: (
+    f"{trials} random networks, {violations[0]} violations, max residual / "
+    f"max(C, 1) = {worst[1]:.3g}, at most {worst[2]:.0f} load evaluations"
+), bound=(0.0, math.inf, math.inf))
+def check_isp_exact_vs_subgradient(rng: random.Random) -> tuple[bool, float, int]:
     """The certified link prices clear every link at least as well as the oracle.
 
     On random networks (see :func:`random_network`), with the engine's WFP
     load response, the certified ISP solve must converge with every link's
     natural residual |min(g_l, s_l)| within ``ISP_TOLERANCE * max(C_l, 1)``,
     and its residual must never exceed that of the paper's subgradient
-    iteration on the same instance.
+    iteration on the same instance.  Its statistics: whether the certified
+    solve fails, its largest residual / max(C_l, 1), and its load evaluations.
     """
-
-    def failures(rng: random.Random) -> tuple[bool, float, int]:
-        """Whether the certified solve fails, its largest residual / max(C_l, 1), and
-        its load evaluations."""
-        links, accounts, users = random_network(rng)
-        pop = Population.of(users, [a.id for a in accounts])
-        customers = [pop.take(np.flatnonzero(pop.provider == k)) for k in range(len(accounts))]
-        demand = _link_demand(links, pop, accounts, customers)
-        exact = solve_isp_prices(links, demand, max_iters=1_000)  # the largest seen is ~300
-        oracle = solve_isp_subgradient(links, demand, max_iters=200)
-        slack = _link_slack(links, demand(exact.g_by_link))
-        scaled = np.max([
-            abs(min(exact.g_by_link[lid], s)) / max(links[lid].capacity, 1.0)
-            for lid, s in slack.items()
-        ])
-        oracle_residual = _natural_residual(
-            oracle.g_by_link, _link_slack(links, demand(oracle.g_by_link))
-        )
-        ok = exact.converged and scaled <= ISP_TOLERANCE and exact.residual <= oracle_residual
-        return not ok, scaled, exact.iterations
-
-    worst, violations = _worst(seed, trials, failures, bound=(0.0, math.inf, math.inf))
-    return not violations.any(), (
-        f"{trials} random networks, {violations[0]} violations, max residual / "
-        f"max(C, 1) = {worst[1]:.3g}, at most {worst[2]:.0f} load evaluations"
+    links, accounts, users = random_network(rng)
+    pop = Population.of(users, [a.id for a in accounts])
+    customers = [pop.take(np.flatnonzero(pop.provider == k)) for k in range(len(accounts))]
+    demand = _link_demand(links, pop, customers, _provider_solves(accounts, customers))
+    exact = solve_isp_prices(links, demand, max_iters=1_000)  # the largest seen is ~300
+    oracle = solve_isp_subgradient(links, demand, max_iters=200)
+    slack = _link_slack(links, demand(exact.g_by_link))
+    scaled = np.max([
+        abs(min(exact.g_by_link[lid], s)) / max(links[lid].capacity, 1.0)
+        for lid, s in slack.items()
+    ])
+    oracle_residual = _natural_residual(
+        oracle.g_by_link, _link_slack(links, demand(oracle.g_by_link))
     )
+    ok = exact.converged and scaled <= ISP_TOLERANCE and exact.residual <= oracle_residual
+    return not ok, scaled, exact.iterations
 
 
 @_suite("capacity-price-convergence")

@@ -142,19 +142,17 @@ def _provider_solves(accounts: list[WfpAccount], customers: list[Population]):
     return solve
 
 
-def _link_demand(links, pop: Population, accounts: list[WfpAccount],
-                 customers: list[Population], solve=None):
+def _link_demand(links, pop: Population, customers: list[Population], solve):
     """The WFP load per link as a function of link prices.
 
-    ``customers[k]`` are ``accounts[k]``'s users, taken from ``pop``.  Each
-    call floors every user at its path's price, solves each provider exactly
-    against those floors by ``solve`` (by default its own ``_provider_solves``,
+    ``customers[k]`` are provider k's users, taken from ``pop``.  Each call
+    floors every user at its path's price, solves each provider exactly
+    against those floors by ``solve(k, g)`` (such as a ``_provider_solves``,
     which skips a provider whose floors did not move since its last solve), and
     sums the purchases over the links, provider by provider.  An infinite price
     on a link holds every user crossing it at x_min.
     """
     path = np.concatenate([users.path for users in customers])
-    solve = solve or _provider_solves(accounts, customers)
 
     def wfp_demand(prices: Mapping[str, float]) -> dict[str, float]:
         x = [solve(k, _floors(users, prices)).x_by_user.array for k, users in enumerate(customers)]
@@ -348,7 +346,7 @@ def run_equilibrium(cfg: ScenarioConfig) -> TimeSeries:
             memo = None  # the ISP solve's: one per tick, as the plans change between ticks
             if cfg.solve_isp and links:
                 memo = _provider_solves(accounts, customers)
-                demand = _link_demand(links, pop, accounts, customers, memo)
+                demand = _link_demand(links, pop, customers, memo)
                 outer = flag(solve_isp_prices(links, demand, max_iters=cfg.solver.max_iters))
                 link_prices = outer.g_by_link
                 links = {

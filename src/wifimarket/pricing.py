@@ -43,12 +43,12 @@ ISP_TOLERANCE = 1e-9
 class EquilibriumResult:
     """Converged (or flagged) prices and allocations from a solver run."""
 
+    iterations: int
+    converged: bool
     lambda_by_wfp: dict[str, float] = field(default_factory=dict)
     g_by_link: dict[str, float] = field(default_factory=dict)
     x_by_user: Mapping[str, float] = field(default_factory=dict)
     final_price_by_user: Mapping[str, float] = field(default_factory=dict)
-    iterations: int = 0
-    converged: bool = False
     # Provider solves: |C - D| at the returned price, or max(D - C, 0) at a
     # zero price.  ISP solves: max over links of |min(g_l, s_l)|, s_l the
     # link's residual capacity minus its WFP load.  The oracles' ISP loop does

@@ -104,6 +104,10 @@ EQUIVALENT = {
     ("pricing.py", "t = 0.5 * (t_a + t_b)", "t = 1.0 * (t_a + t_b)"):
         "the ISP line search's bisection midpoint lies strictly inside the bracket only "
         "when the bracket is two or three floats wide, so the line guards rounding only",
+    ("pricing.py", "if f_t < 0.0:", "if f_t <= 0.0:"):
+        "the ISP line search reaches it only past the `abs(f_t) <= eps` return, and eps, a "
+        "sum of non-negative terms, is at least 0, so f_t is never 0 there; a NaN compares "
+        "false both ways",
 }
 
 _SWAPS = {ast.Add: ("+", "-"), ast.Sub: ("-", "+"), ast.Mult: ("*", "/"), ast.Div: ("/", "*")}

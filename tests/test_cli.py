@@ -659,7 +659,12 @@ def test_every_check_is_registered_once_in_run_order():
         assert public[suite.__name__] is suite and next(iter(parameters)) == "seed"
         trials = {"trials": 2} if "trials" in parameters else {}
         assert suite(1, **trials).name == name
+        with pytest.raises(TypeError, match="no_such_knob"):
+            suite(1, **trials, no_such_knob=1)
+        assert suite(seed=1).passed  # on its defaults
     assert list(inspect.signature(check_efficiency).parameters) == ["seed", "trials", "split_fn"]
+    assert list(inspect.signature(check_usage_monotone_share).parameters) == [
+        "seed", "trials", "steps"]
 
 
 # Python 3.12 made builtin sum() of floats compensated; the battery's lines must not

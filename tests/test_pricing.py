@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from wifimarket.config import SolverConfig, scenario_from_dict
-from wifimarket.engine import _link_demand, run_scenario
+from wifimarket.engine import _link_demand, _provider_solves, run_scenario
 from wifimarket.model import LinkState, Population, UserProfile, WfpAccount, WfpKind
 from wifimarket.pricing import (
     ISP_TOLERANCE,
@@ -699,7 +699,7 @@ def engine_demand(doc):
     pop = Population.of(cfg.users, [w.id for w in cfg.wfps])
     customers = [pop.take(np.flatnonzero(pop.provider == k)) for k in range(len(cfg.wfps))]
     links = cfg.links
-    return cfg, links, _link_demand(links, pop, list(cfg.wfps), customers)
+    return cfg, links, _link_demand(links, pop, customers, _provider_solves(cfg.wfps, customers))
 
 
 def test_certified_isp_solve_prices_two_binding_links():

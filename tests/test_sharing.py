@@ -450,6 +450,13 @@ def test_kernel_raises_what_the_scalar_settlement_raised():
     assert settle_rows(account, quiet, params, plan, plan).total_value.tolist() == [110.0, 0.0, 90.0]
 
 
+def test_an_isp_value_the_tolerance_above_the_total_is_no_surplus_and_no_error():
+    account = WfpAccount(id="w", kind=WfpKind.INDIVIDUAL, quota=50.0, unused=50.0, fee=20.0)
+    assert iwfp_contribution(1.0, 1.0 + TOLERANCE, account, SharingParams()) == 0.0
+    with pytest.raises(ValueError, match="exceeds total revenue"):
+        iwfp_contribution(1.0, 1.0 + 2 * TOLERANCE, account, SharingParams())
+
+
 # --- (S,) sums against L rows of plan state ---------------------------------------
 
 
